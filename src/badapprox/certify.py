@@ -5,17 +5,22 @@ exhaustive enumeration over integer vectors — deliberately sharing nothing
 with the game/strategy machinery beyond the exact-arithmetic helpers, so a
 passing report is evidence, not circularity.  All minima are exact rationals
 with deterministic (value, then lexicographic argmin) tie-breaking.
+
+The scans run on ``exact.box_distances``: theta and eta are brought to one
+common denominator D, each functional is compared as an integer key, and
+the key is scaled back to a rational (by D^n, or D^p * c^q) only once the
+minimum is known.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from itertools import repeat
+from operator import mul
+from typing import Callable, Iterable, Optional, Sequence
 
-from .exact import rat, rat_str
-from .geometry import nearest_int_dist
+from .exact import box_distances, int_dist, over_common_denominator, rat, rat_str, sup_norms
 from .resonance import EmptySequence, ResonanceSequence, ThetaMatrix
 
 
@@ -103,6 +108,22 @@ class DecayTable:
         assert best is not None
         return best
 
+    def rho_upto(self, limit: int) -> list[int]:
+        """[rho(s) for s in s_min..limit], in one merge pass over the table.
+
+        1/psi_i <= s  iff  s >= ceil(1/psi_i), and these thresholds increase
+        with i, so rho only moves forward as s grows.
+        """
+        if limit > self.s_max:
+            raise TableRangeExceeded(f"limit {limit} beyond table coverage {self.s_max}")
+        thresholds = [-((-v.denominator) // v.numerator) for v in self.values]
+        out, i = [], 0
+        for s in range(self.s_min, limit + 1):
+            while i + 1 < len(thresholds) and thresholds[i + 1] <= s:
+                i += 1
+            out.append(self.sizes[i])
+        return out
+
     def to_jsonable(self) -> dict:
         return {
             "kind": "table",
@@ -169,45 +190,54 @@ def _surrogate_warnings(theta: ThetaMatrix, limit: int) -> list[str]:
     return []
 
 
+def _powers(e: int) -> Callable[[Iterable[int]], Iterable[int]]:
+    """Size weights s -> s^e, applied to a stream of sizes."""
+    return lambda sizes: sizes if e == 1 else map(pow, sizes, repeat(e))
+
+
 def _scan_min(
     theta: ThetaMatrix,
     eta: Sequence[Fraction],
     limit: int,
-    value_fn: Callable[[Fraction, int], Optional[Fraction]],
-) -> tuple[Fraction, tuple[int, ...]]:
-    """Exact min of value_fn(r(x), max|x_i|) over 0 < max|x_i| <= limit.
+    power: int,
+    weights: Callable[[Iterable[int]], Iterable[int]],
+    s_floor: int = 1,
+) -> tuple[int, int, tuple[int, ...]]:
+    """Exact min of (D r(x))^power * w(s) over s_floor <= s <= limit.
 
-    r(x) = max_j || sum_i theta[i][j] x_i  -  eta[j] ||.  The innermost
-    coordinate is accumulated incrementally (one vector add per step).
-    A value_fn returning None excludes that point from the minimum.
+    r(x) = max_j || sum_i theta[i][j] x_i  -  eta[j] ||, s = max|x_i|, and
+    D is the common denominator of theta and eta, so every key is an
+    integer; ``weights`` maps a stream of sizes s to their integer weights
+    w(s).  Returns (key, D, argmin).  The box is walked in lex order and a
+    later point wins only with a strictly smaller key, so ties go to the
+    lex-smallest x.
     """
     m, n = theta.shape
     if len(eta) != n:
         raise ValueError(f"eta has dimension {len(eta)}, expected {n}")
-    rows = theta.rows
-    last_row = rows[m - 1]
-    best: Optional[tuple[Fraction, tuple[int, ...]]] = None
-    for head in itertools.product(range(-limit, limit + 1), repeat=m - 1):
-        base = [
-            sum((rows[i][j] * head[i] for i in range(m - 1)), Fraction(0)) - eta[j]
-            for j in range(n)
-        ]
-        cur = [base[j] + last_row[j] * (-limit) for j in range(n)]
-        for xm in range(-limit, limit + 1):
-            if xm != -limit:
-                cur = [c + d for c, d in zip(cur, last_row)]
-            if xm == 0 and all(h == 0 for h in head):
+    den, ints = over_common_denominator([x for row in theta.rows for x in row] + list(eta))
+    coeffs = [ints[i * n:(i + 1) * n] for i in range(m)]
+    offsets = [-v for v in ints[m * n:]]
+    best: Optional[tuple[int, tuple[int, ...]]] = None
+    for head, lo, nums in box_distances(coeffs, offsets, den, limit):
+        head_norm = max(map(abs, head), default=0)
+        hi = lo + len(nums)
+        if head_norm >= s_floor:
+            spans = [(lo, hi)]
+        else:  # sizes below s_floor sit in the middle of the row
+            spans = [(lo, min(hi, 1 - s_floor)), (max(lo, s_floor), hi)]
+        for a, b in spans:
+            if a >= b:
                 continue
-            s = max(abs(xm), max((abs(h) for h in head), default=0))
-            r = max(nearest_int_dist(c) for c in cur)
-            v = value_fn(r, s)
-            if v is None:
-                continue
-            x = head + (xm,)
-            if best is None or v < best[0] or (v == best[0] and x < best[1]):
-                best = (v, x)
+            part = nums[a - lo:b - lo]
+            if power != 1:
+                part = map(pow, part, repeat(power))
+            keys = list(map(mul, part, weights(sup_norms(head_norm, a, b))))
+            low = min(keys)
+            if best is None or low < best[0]:
+                best = (low, head + (a + keys.index(low),))
     assert best is not None
-    return best
+    return best[0], den, best[1]
 
 
 def theorem1_constant(
@@ -222,12 +252,10 @@ def theorem1_constant(
     if limit < 1:
         raise ValueError("limit must be >= 1")
     m, n = theta.shape
-    value, argmin = _scan_min(
-        theta, eta_v, limit, lambda r, s: r**n * Fraction(s) ** m
-    )
+    key, den, argmin = _scan_min(theta, eta_v, limit, n, _powers(m))
     return BadnessReport(
         functional="product",
-        value=value,
+        value=Fraction(key, den**n),
         argmin=argmin,
         limit=limit,
         extras={"shape": [m, n]},
@@ -251,9 +279,8 @@ def jarnik_constant(
         raise ValueError("limit must be >= 1")
     if isinstance(psi, PowerLaw):
         p, q, c = psi.sigma_num, psi.sigma_den, psi.c
-        value, argmin = _scan_min(
-            theta, eta_v, limit, lambda r, s: r**p * (c * s) ** q
-        )
+        key, den, argmin = _scan_min(theta, eta_v, limit, p, _powers(q))
+        value = Fraction(key * c.numerator**q, den**p * c.denominator**q)
         extras = {"psi": psi.to_jsonable(), "normal_form_power": p}
     elif isinstance(psi, DecayTable):
         if limit < psi.s_min or limit > psi.s_max:
@@ -261,13 +288,11 @@ def jarnik_constant(
                 f"limit {limit} outside table coverage "
                 f"[{psi.s_min}, {psi.s_max}]"
             )
-        rho_cache = {s: psi.rho(s) for s in range(psi.s_min, limit + 1)}
-        value, argmin = _scan_min(
-            theta,
-            eta_v,
-            limit,
-            lambda r, s: r * rho_cache[s] if s in rho_cache else None,
+        rho = [0] * psi.s_min + psi.rho_upto(limit)  # indexed by size
+        key, den, argmin = _scan_min(
+            theta, eta_v, limit, 1, lambda sizes: map(rho.__getitem__, sizes), psi.s_min
         )
+        value = Fraction(key, den)
         extras = {
             "psi": psi.to_jsonable(),
             "coverage": [psi.s_min, min(psi.s_max, limit)],
@@ -292,17 +317,16 @@ def resonance_margin(
     hi = len(seq) if r_max is None else min(r_max, len(seq))
     if hi < 1:
         raise EmptySequence("no families to measure against")
-    best: Optional[tuple[Fraction, int]] = None
+    den, eta_ints = over_common_denominator(eta_v)
+    best: Optional[tuple[int, int]] = None
     for r in range(1, hi + 1):
-        d = nearest_int_dist(sum(
-            (Fraction(c) * e for c, e in zip(seq.vector(r), eta_v)), Fraction(0)
-        ))
+        d = int_dist(sum(c * e for c, e in zip(seq.vector(r), eta_ints)), den)
         if best is None or d < best[0]:
             best = (d, r)
     assert best is not None
     return BadnessReport(
         functional="resonance-margin",
-        value=best[0],
+        value=Fraction(best[0], den),
         argmin=(best[1],),
         limit=hi,
         extras={"norm_sq": seq.norm_sq_of(best[1])},

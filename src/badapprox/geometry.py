@@ -117,10 +117,6 @@ class Hyperplane:
         """Signed u·p - a (NOT normalized; divide by |u| for distance)."""
         return dot(self.normal, p) - self.offset
 
-    def dist_sq_times_norm_sq(self, p: Sequence[Rat]) -> Fraction:
-        r = self.residual(p)
-        return r * r
-
     def to_jsonable(self) -> dict:
         return {"u": list(self.normal), "a": self.offset}
 

@@ -10,14 +10,15 @@ the avoidance strategy consumes.
 """
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, chain, compress, islice, repeat, tee
+from operator import add, floordiv, lt, mod, mul
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .exact import rat, rat_str
+from .exact import box_distances, over_common_denominator, rat, rat_str, sup_norms
 from .geometry import nearest_int_dist
 
 #: F_30 / F_31 — the classic golden-section convergent used throughout the
@@ -103,30 +104,69 @@ def golden_theta() -> ThetaMatrix:
     return ThetaMatrix.scalar(GOLDEN_CONVERGENT, cf=(0,) + (1,) * 30)
 
 
+def _dual_forms(theta: ThetaMatrix) -> tuple[list[list[int]], int]:
+    """Coefficients of y -> row_i . y over the common denominator D of theta:
+    coeffs[j][i] = D * theta[i][j], one list per coordinate of y."""
+    den, ints = over_common_denominator(x for row in theta.rows for x in row)
+    n = theta.n
+    return [ints[j::n] for j in range(n)], den
+
+
 def psi_theta(theta: ThetaMatrix, t: int) -> Fraction:
-    """min over nonzero y in Z^n with max|y_j| <= t of the dual quality."""
+    """min over nonzero y in Z^n with max|y_j| <= t of the dual quality.
+
+    The quality is sign-symmetric, so one vector of each +/- pair is scanned.
+    """
     if t < 1:
         raise ValueError("t must be >= 1")
-    n = theta.n
-    best: Optional[Fraction] = None
-    for y in itertools.product(range(-t, t + 1), repeat=n):
-        if all(c == 0 for c in y):
-            continue
-        q = theta.dual_quality(y)
-        if best is None or q < best:
-            best = q
+    coeffs, den = _dual_forms(theta)
+    best: Optional[int] = None
+    for _, _, nums in box_distances(coeffs, [0] * theta.m, den, t, half=True):
+        low = min(nums)
+        if best is None or low < best:
+            best = low
             if best == 0:
                 break
     assert best is not None
-    return best
+    return Fraction(best, den)
 
 
-def _canonical_sign(y: tuple[int, ...]) -> bool:
-    """True iff the first nonzero entry is positive (one vector per ±pair)."""
-    for c in y:
-        if c != 0:
-            return c > 0
-    return False
+def _shell_records(theta: ThetaMatrix, t: int, shells) -> tuple[list[tuple[int, int, int]], int]:
+    """Strict records of the dual quality over shells in increasing order.
+
+    Scans one vector of each +/- pair in [-t, t]^n (lex order, first nonzero
+    entry positive); ``shells(head, lo, hi)`` gives the shell of each point
+    of a chunk.  A shell's minimum is a record iff it is strictly below the
+    minimum of every earlier shell.  Returns ([(rank, shell, num)], D): rank
+    is the lex-first minimizer's position in the scan and num/D its quality.
+    """
+    coeffs, den = _dual_forms(theta)
+    width = den // 2 + 1  # every distance numerator is at most den // 2
+    total = ((2 * t + 1) ** theta.n - 1) // 2  # points in the scan
+    keys: list[int] = []  # (shell * width + num) * total + rank
+    for head, lo, nums in box_distances(coeffs, [0] * theta.m, den, t, half=True):
+        shell_nums = map(add, map(mul, shells(head, lo, lo + len(nums)), repeat(width)), nums)
+        ranks = range(len(keys), len(keys) + len(nums))
+        keys += map(add, map(mul, shell_nums, repeat(total)), ranks)
+    keys.sort()  # by shell, then quality, then lex order
+    nums = map(mod, map(floordiv, keys, repeat(total)), repeat(width))
+    prev, cur = tee(accumulate(nums, min))
+    lowered = chain((True,), map(lt, islice(cur, 1, None), prev))
+    found = []
+    for key in compress(keys, lowered):
+        shell_num, rank = divmod(key, total)
+        found.append((rank, *divmod(shell_num, width)))
+    return found, den
+
+
+def _unrank_half(rank: int, t: int, n: int) -> tuple[int, ...]:
+    """The rank-th point after the origin of [-t, t]^n in lex order."""
+    index = ((2 * t + 1) ** n - 1) // 2 + 1 + rank
+    digits = []
+    for _ in range(n):
+        index, d = divmod(index, 2 * t + 1)
+        digits.append(d - t)
+    return tuple(reversed(digits))
 
 
 @dataclass(frozen=True)
@@ -142,34 +182,20 @@ def best_approximations(theta: ThetaMatrix, t_max: int) -> list[ApproximationRec
     Candidates are grouped into shells of equal |y|^2 and scanned in
     (|y|^2, lex) order; a shell's minimum becomes a record iff it is strictly
     below every earlier quality.  Only the canonical representative of each
-    ±pair is considered (quality is sign-symmetric).  Enumeration stops once
-    a record of quality zero appears (nothing can beat it).
+    ±pair is considered (quality is sign-symmetric).  A record of quality
+    zero is the last one (nothing can beat it).
     """
     if t_max < 1:
         raise ValueError("t_max must be >= 1")
-    n = theta.n
-    shells: dict[int, list[tuple[int, ...]]] = {}
-    for y in itertools.product(range(-t_max, t_max + 1), repeat=n):
-        if not _canonical_sign(y):
-            continue
-        nsq = sum(c * c for c in y)
-        shells.setdefault(nsq, []).append(y)
 
-    records: list[ApproximationRecord] = []
-    best: Optional[Fraction] = None
-    for nsq in sorted(shells):
-        shell_best: Optional[tuple[Fraction, tuple[int, ...]]] = None
-        for y in sorted(shells[nsq]):
-            q = theta.dual_quality(y)
-            if shell_best is None or (q, y) < shell_best:
-                shell_best = (q, y)
-        assert shell_best is not None
-        q, y = shell_best
-        if best is None or q < best:
-            records.append(ApproximationRecord(y, nsq, q))
-            best = q
-            if q == 0:
-                break
+    def norms_sq(head, lo, hi):
+        return map(sum(c * c for c in head).__add__, map(mul, range(lo, hi), range(lo, hi)))
+
+    found, den = _shell_records(theta, t_max, norms_sq)
+    records = [
+        ApproximationRecord(_unrank_half(rank, t_max, theta.n), nsq, Fraction(num, den))
+        for rank, nsq, num in found
+    ]
     if not records:
         raise EmptySequence("no approximation records found")
     return records
@@ -363,32 +389,25 @@ def verify_decay_bound(
 ) -> dict:
     """Check psi_theta(t) <= profile(t) for every integer t in [1, t_max].
 
-    psi_theta is a non-increasing step function; we walk its steps by
-    scanning sup-norm shells once and keeping the running minimum, and
-    evaluate the claimed profile at the end of each constant
-    segment (for a non-increasing profile that endpoint is the tight spot).
+    psi_theta is a non-increasing step function; its steps are the records
+    of one scan over sup-norm shells, and the claimed profile is evaluated at
+    both ends of each constant segment (for a non-increasing profile the
+    right end is the tight spot).  Failures are listed in increasing t.
     Returns a small report dict; report["ok"] is the verdict.
     """
-    n = theta.n
-    running: Optional[Fraction] = None
-    steps: list[tuple[int, Fraction]] = []  # (t at which value takes effect, value)
-    for t in range(1, t_max + 1):
-        shell_min: Optional[Fraction] = None
-        for y in itertools.product(range(-t, t + 1), repeat=n):
-            if max(abs(c) for c in y) != t or not _canonical_sign(y):
-                continue
-            q = theta.dual_quality(y)
-            if shell_min is None or q < shell_min:
-                shell_min = q
-        if shell_min is not None and (running is None or shell_min < running):
-            running = shell_min
-            steps.append((t, running))
-    assert running is not None
+    if t_max < 1:
+        raise ValueError("t_max must be >= 1")
+
+    def sup_norm(head, lo, hi):
+        return sup_norms(max(map(abs, head), default=0), lo, hi)
+
+    found, den = _shell_records(theta, t_max, sup_norm)
+    steps = [(t, Fraction(num, den)) for _, t, num in found]
 
     failures = []
     for idx, (t_start, value) in enumerate(steps):
         t_end = steps[idx + 1][0] - 1 if idx + 1 < len(steps) else t_max
-        for t_probe in {t_start, t_end}:
+        for t_probe in sorted({t_start, t_end}):
             bound = rat(profile(t_probe))
             if value > bound:
                 failures.append({"t": t_probe, "psi": rat_str(value), "bound": rat_str(bound)})

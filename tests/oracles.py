@@ -1,0 +1,137 @@
+"""Test-only oracles: the brute-force scans in plain ``Fraction`` arithmetic.
+
+These are the point-by-point loops the library used before its scans moved
+onto the integer kernel ``exact.box_distances``.  They are slow and
+obviously correct, and the differential tests in test_kernel.py hold the
+kernel-based functions to them value for value, argmin for argmin.
+"""
+import itertools
+from fractions import Fraction
+from typing import Callable, Optional, Sequence
+
+from badapprox.certify import DecayTable, PowerLaw
+from badapprox.exact import rat, rat_str
+from badapprox.geometry import nearest_int_dist
+from badapprox.resonance import ApproximationRecord, ThetaMatrix
+
+
+def scan_min(
+    theta: ThetaMatrix,
+    eta: Sequence[Fraction],
+    limit: int,
+    value_fn: Callable[[Fraction, int], Optional[Fraction]],
+) -> tuple[Fraction, tuple[int, ...]]:
+    """Exact min of value_fn(r(x), max|x_i|) over 0 < max|x_i| <= limit.
+
+    r(x) = max_j || sum_i theta[i][j] x_i  -  eta[j] ||.  The innermost
+    coordinate is accumulated incrementally (one vector add per step).
+    A value_fn returning None excludes that point from the minimum.
+    """
+    m, n = theta.shape
+    rows = theta.rows
+    last_row = rows[m - 1]
+    best: Optional[tuple[Fraction, tuple[int, ...]]] = None
+    for head in itertools.product(range(-limit, limit + 1), repeat=m - 1):
+        base = [
+            sum((rows[i][j] * head[i] for i in range(m - 1)), Fraction(0)) - eta[j]
+            for j in range(n)
+        ]
+        cur = [base[j] + last_row[j] * (-limit) for j in range(n)]
+        for xm in range(-limit, limit + 1):
+            if xm != -limit:
+                cur = [c + d for c, d in zip(cur, last_row)]
+            if xm == 0 and all(h == 0 for h in head):
+                continue
+            s = max(abs(xm), max((abs(h) for h in head), default=0))
+            r = max(nearest_int_dist(c) for c in cur)
+            v = value_fn(r, s)
+            if v is None:
+                continue
+            x = head + (xm,)
+            if best is None or v < best[0] or (v == best[0] and x < best[1]):
+                best = (v, x)
+    assert best is not None
+    return best
+
+
+def theorem1(theta: ThetaMatrix, eta, limit: int) -> tuple[Fraction, tuple[int, ...]]:
+    m, n = theta.shape
+    eta = [rat(e) for e in eta]
+    return scan_min(theta, eta, limit, lambda r, s: r**n * Fraction(s) ** m)
+
+
+def jarnik(theta: ThetaMatrix, eta, psi, limit: int) -> tuple[Fraction, tuple[int, ...]]:
+    eta = [rat(e) for e in eta]
+    if isinstance(psi, PowerLaw):
+        p, q, c = psi.sigma_num, psi.sigma_den, psi.c
+        return scan_min(theta, eta, limit, lambda r, s: r**p * (c * s) ** q)
+    assert isinstance(psi, DecayTable)
+    rho_cache = {s: psi.rho(s) for s in range(psi.s_min, limit + 1)}
+    return scan_min(
+        theta, eta, limit, lambda r, s: r * rho_cache[s] if s in rho_cache else None
+    )
+
+
+def canonical_sign(y: tuple[int, ...]) -> bool:
+    """True iff the first nonzero entry is positive (one vector per ±pair)."""
+    for c in y:
+        if c != 0:
+            return c > 0
+    return False
+
+
+def psi_theta(theta: ThetaMatrix, t: int) -> Fraction:
+    best: Optional[Fraction] = None
+    for y in itertools.product(range(-t, t + 1), repeat=theta.n):
+        if all(c == 0 for c in y):
+            continue
+        q = theta.dual_quality(y)
+        if best is None or q < best:
+            best = q
+            if best == 0:
+                break
+    assert best is not None
+    return best
+
+
+def best_approximations(theta: ThetaMatrix, t_max: int) -> list[ApproximationRecord]:
+    shells: dict[int, list[tuple[int, ...]]] = {}
+    for y in itertools.product(range(-t_max, t_max + 1), repeat=theta.n):
+        if not canonical_sign(y):
+            continue
+        nsq = sum(c * c for c in y)
+        shells.setdefault(nsq, []).append(y)
+    records: list[ApproximationRecord] = []
+    best: Optional[Fraction] = None
+    for nsq in sorted(shells):
+        shell_best: Optional[tuple[Fraction, tuple[int, ...]]] = None
+        for y in sorted(shells[nsq]):
+            q = theta.dual_quality(y)
+            if shell_best is None or (q, y) < shell_best:
+                shell_best = (q, y)
+        assert shell_best is not None
+        q, y = shell_best
+        if best is None or q < best:
+            records.append(ApproximationRecord(y, nsq, q))
+            best = q
+            if q == 0:
+                break
+    return records
+
+
+def decay_steps(theta: ThetaMatrix, t_max: int) -> list[tuple[int, str]]:
+    """The steps of verify_decay_bound: one full box per t, filtered to its shell."""
+    running: Optional[Fraction] = None
+    steps: list[tuple[int, str]] = []
+    for t in range(1, t_max + 1):
+        shell_min: Optional[Fraction] = None
+        for y in itertools.product(range(-t, t + 1), repeat=theta.n):
+            if max(abs(c) for c in y) != t or not canonical_sign(y):
+                continue
+            q = theta.dual_quality(y)
+            if shell_min is None or q < shell_min:
+                shell_min = q
+        if shell_min is not None and (running is None or shell_min < running):
+            running = shell_min
+            steps.append((t, rat_str(running)))
+    return steps
