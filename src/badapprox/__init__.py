@@ -21,7 +21,6 @@ from .engine import (
     IllegalMove,
     MoveRecord,
     concentric,
-    limit_enclosure,
     replay,
     run_game,
 )
@@ -52,8 +51,6 @@ from .escape import (
     EscapeAssertionFailed,
     EscapeDrive,
     SelectionExhausted,
-    avoid_hyperplanes,
-    escape_policy,
     escort_point,
     select_cap,
 )
@@ -65,7 +62,7 @@ from .strategy import (
     certificate,
     run_constructed_game,
 )
-from .adversaries import greedy_black, random_black, scripted
+from .adversaries import GreedyBlack, RandomBlack, Scripted
 from .certify import (
     BadnessReport,
     DecayTable,

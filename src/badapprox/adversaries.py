@@ -25,9 +25,8 @@ class RandomBlack:
     def __init__(self, seed: int = 0, grid: int = 512):
         self.rng = Random(seed)
         self.grid = grid
-        self.last_note: Optional[str] = None
 
-    def __call__(self, state) -> Vec:
+    def __call__(self, state) -> tuple[Vec, None]:
         n = state.ball.dimension
         k = self.grid
         while True:
@@ -35,11 +34,7 @@ class RandomBlack:
             if sum(c * c for c in pt) <= k * k:
                 break
         step = (1 - state.params.beta) * state.ball.radius
-        return add(state.ball.center, tuple(Fraction(c * step, k) for c in pt))
-
-
-def random_black(seed: int = 0, grid: int = 512) -> RandomBlack:
-    return RandomBlack(seed, grid)
+        return add(state.ball.center, tuple(Fraction(c * step, k) for c in pt)), None
 
 
 class GreedyBlack:
@@ -61,7 +56,6 @@ class GreedyBlack:
         self.seq = seq
         self.reach = rat(reach) if reach is not None else None
         self.tol = tol
-        self.last_note: Optional[str] = None
 
     def _nearest(self, center: Vec) -> tuple[int, Fraction]:
         best_r = None
@@ -77,7 +71,7 @@ class GreedyBlack:
                 best_r, best_res = r, res
         return best_r, best_res
 
-    def __call__(self, state) -> Vec:
+    def __call__(self, state) -> tuple[Vec, str]:
         r, res = self._nearest(state.ball.center)
         u = self.seq.vector(r)
         nsq = self.seq.norm_sq_of(r)
@@ -86,26 +80,15 @@ class GreedyBlack:
             # ignore the plane if dist = |res|/|u| > reach * rho (on squares)
             bound = self.reach * rho
             if res * res > nsq * bound * bound:
-                self.last_note = "concentric (nothing in reach)"
-                return state.ball.center
+                return state.ball.center, "concentric (nothing in reach)"
         if res == 0:
-            self.last_note = f"on family {r}"
-            return state.ball.center
+            return state.ball.center, f"on family {r}"
         # step toward the plane: against the residual's sign
         direction = rational_unit_direction(
             scale(u, -1 if res > 0 else 1), self.tol
         )
         step = (1 - state.params.beta) * rho
-        self.last_note = f"chasing family {r}"
-        return add(state.ball.center, scale(direction, step))
-
-
-def greedy_black(
-    seq: ResonanceSequence,
-    reach: Optional[Fraction] = None,
-    tol: Fraction = Fraction(1, 2**30),
-) -> GreedyBlack:
-    return GreedyBlack(seq, reach, tol)
+        return add(state.ball.center, scale(direction, step)), f"chasing family {r}"
 
 
 class Scripted:
@@ -116,18 +99,11 @@ class Scripted:
         self.centers = [tuple(rat(c) for c in ctr) for ctr in centers]
         self.notes = list(notes) if notes is not None else None
         self.cursor = 0
-        self.last_note: Optional[str] = None
 
-    def __call__(self, state) -> Vec:
-        if self.cursor < len(self.centers):
-            center = self.centers[self.cursor]
-            if self.notes is not None and self.cursor < len(self.notes):
-                self.last_note = self.notes[self.cursor]
-            self.cursor += 1
-            return center
+    def __call__(self, state) -> tuple[Vec, Optional[str]]:
+        i = self.cursor
         self.cursor += 1
-        return state.ball.center
-
-
-def scripted(centers: Sequence[Sequence], notes=None) -> Scripted:
-    return Scripted(centers, notes)
+        if i >= len(self.centers):
+            return state.ball.center, None
+        note = self.notes[i] if self.notes is not None and i < len(self.notes) else None
+        return self.centers[i], note

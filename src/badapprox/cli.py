@@ -25,7 +25,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .adversaries import greedy_black, random_black, scripted
+from .adversaries import GreedyBlack, RandomBlack, Scripted
 from .certify import (
     DecayTable,
     TableRangeExceeded,
@@ -47,7 +47,7 @@ from .resonance import (
     lacunary_normalize,
     psi_theta,
 )
-from .schedule import ScheduleInfeasible, derive_params
+from .schedule import ScheduleInfeasible
 from .strategy import CertificateFailed, run_constructed_game
 
 _RUNTIME_ERRORS = (
@@ -98,10 +98,16 @@ def _records(theta: ThetaMatrix, tmax: int, no_cf: bool):
     return best_approximations(theta, tmax)
 
 
+def _load_sequence(path: str) -> ResonanceSequence:
+    """A resonance family from a bare sequence JSON or a `resonance` report."""
+    with open(path) as fh:
+        obj = json.load(fh)
+    return ResonanceSequence.from_jsonable(obj.get("sequence", obj))
+
+
 def _build_sequence(args) -> ResonanceSequence:
     if getattr(args, "resonance", None):
-        with open(args.resonance) as fh:
-            return ResonanceSequence.from_jsonable(json.load(fh))
+        return _load_sequence(args.resonance)
     theta = _load_theta(args.theta)
     records = _records(theta, args.tmax, args.no_cf)
     return lacunary_normalize(records, rat(args.lacunarity))
@@ -111,15 +117,15 @@ def _make_adversary(name: str, seq: ResonanceSequence, seed: int, script: Option
     if name == "concentric":
         return concentric
     if name == "random":
-        return random_black(seed=seed)
+        return RandomBlack(seed=seed)
     if name == "greedy":
-        return greedy_black(seq)
+        return GreedyBlack(seq)
     if name == "scripted":
         if not script:
             raise ValueError("--script is required with --adversary scripted")
         with open(script) as fh:
             data = json.load(fh)
-        return scripted(data["centers"], data.get("notes"))
+        return Scripted(data["centers"], data.get("notes"))
     raise ValueError(f"unknown adversary {name!r}")
 
 
@@ -214,9 +220,7 @@ def cmd_certify(args) -> int:
     elif functional == "margin":
         if not args.resonance:
             raise ValueError("--resonance is required for the margin functional")
-        with open(args.resonance) as fh:
-            seq = ResonanceSequence.from_jsonable(json.load(fh))
-        rep = resonance_margin(seq, eta, args.rmax)
+        rep = resonance_margin(_load_sequence(args.resonance), eta, args.rmax)
     else:
         raise ValueError(f"unknown functional {args.functional!r}")
     out = _out_dir(args)

@@ -4,8 +4,8 @@ Black owns the outer ball; White replies inside it with radius alpha*rho,
 Black replies inside that with radius beta*rho_white, and so on.  The engine
 owns the radii entirely — policies propose centers only — and every
 containment check is exact rational arithmetic.  A policy is any callable
-``state -> center``; if it exposes a ``last_note`` attribute after the call,
-the note is recorded on the move.
+``state -> (center, note)``: the proposed center, and a short note saying
+why (or None), which the engine records on the move.
 """
 from __future__ import annotations
 
@@ -92,6 +92,8 @@ class GameTrace:
 
     @property
     def final_ball(self) -> Ball:
+        """The last (hence smallest) ball; every later point of the
+        alternation, and the limit point, lies inside it."""
         return self.moves[-1].ball if self.moves else self.initial
 
     def to_jsonable(self) -> dict:
@@ -117,12 +119,6 @@ class GameTrace:
         return cls.from_jsonable(json.loads(text))
 
 
-def limit_enclosure(trace: GameTrace) -> Ball:
-    """The last (hence smallest) ball of the trace; every later point of the
-    alternation, and the limit point, lies inside it."""
-    return trace.final_ball
-
-
 def forced_radius(params: GameParams, current: Ball, turn: str) -> Fraction:
     return (params.alpha if turn == "W" else params.beta) * current.radius
 
@@ -135,17 +131,8 @@ def legal_reply(params: GameParams, current: Ball, turn: str, center: Sequence) 
     return Ball(c, forced_radius(params, current, turn))
 
 
-Policy = Callable[[GameState], Sequence]
-
-
-def _take_note(policy: Policy) -> Optional[str]:
-    note = getattr(policy, "last_note", None)
-    if note is not None:
-        try:
-            policy.last_note = None  # type: ignore[attr-defined]
-        except AttributeError:
-            pass
-    return note
+#: A policy maps the state to its proposed center and a note (or None).
+Policy = Callable[[GameState], tuple[Sequence, Optional[str]]]
 
 
 def run_game(
@@ -168,19 +155,19 @@ def run_game(
     for _ in range(rounds):
         for turn, policy in (("W", white), ("B", black)):
             state = GameState(params, current, move_index, turn)
-            center = policy(state)
+            center, note = policy(state)
             reply = legal_reply(params, current, turn, center)
             if not current.contains_ball(reply):
                 raise IllegalMove(turn, move_index, reply.center, "reply ball leaves current ball")
-            trace.moves.append(MoveRecord(turn, reply, _take_note(policy)))
+            trace.moves.append(MoveRecord(turn, reply, note))
             current = reply
             move_index += 1
     return trace
 
 
-def concentric(state: GameState) -> Vec:
+def concentric(state: GameState) -> tuple[Vec, None]:
     """The lazy policy: keep the current center."""
-    return state.ball.center
+    return state.ball.center, None
 
 
 def replay(trace: GameTrace) -> GameTrace:

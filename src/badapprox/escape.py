@@ -19,7 +19,7 @@ from fractions import Fraction
 from random import Random
 from typing import Optional, Sequence
 
-from .exact import ceil_frac, gt_sqrt, gt_sum_two_sqrt, rat
+from .exact import ceil_frac, gt_sqrt, gt_sum_two_sqrt
 from .geometry import (
     Ball,
     Halfspace,
@@ -317,27 +317,21 @@ class EscapeDrive:
     """Step (1-alpha)*rho along a fixed unit direction for a fixed number of
     White moves, then hold the center."""
 
-    def __init__(self, direction: Vec, rounds: int, note_prefix: str = ""):
+    def __init__(self, direction: Vec, rounds: int):
         self.direction = direction
         self.rounds = rounds
         self.moves = 0
-        self.note_prefix = note_prefix
-        self.last_note: Optional[str] = None
 
-    def __call__(self, state) -> Vec:
+    def __call__(self, state) -> tuple[Vec, str]:
         if self.moves < self.rounds:
             step = (1 - state.params.alpha) * state.ball.radius
             center = add(state.ball.center, scale(self.direction, step))
-            self.last_note = f"{self.note_prefix}drive {self.moves + 1}/{self.rounds}"
+            note = f"drive {self.moves + 1}/{self.rounds}"
         else:
             center = state.ball.center
-            self.last_note = f"{self.note_prefix}hold"
+            note = "hold"
         self.moves += 1
-        return center
-
-
-def escape_policy(direction: Vec, rounds: int) -> EscapeDrive:
-    return EscapeDrive(direction, rounds)
+        return center, note
 
 
 class AvoidanceDrive:
@@ -357,17 +351,14 @@ class AvoidanceDrive:
         params: StrategyParams,
         *,
         seed: int = 0,
-        note_prefix: str = "",
     ):
         self.planes = list(planes)
         self.params = params
         self.seed = seed
-        self.note_prefix = note_prefix
         self.remaining = list(range(len(self.planes)))
         self.pos = 0
         self.direction: Optional[Vec] = None
         self.pending: Optional[tuple[Halfspace, tuple[int, ...]]] = None
-        self.last_note: Optional[str] = None
 
     def _boundary(self, ball: Ball) -> None:
         gamma = self.params.gamma
@@ -400,29 +391,17 @@ class AvoidanceDrive:
         else:
             self.direction = None
 
-    def __call__(self, state) -> Vec:
+    def __call__(self, state) -> tuple[Vec, str]:
         t = self.params.escape_rounds
         if self.pos < self.params.avoidance_rounds and self.pos % t == 0:
             self._boundary(state.ball)
         sub = self.pos // t
         if self.pos >= self.params.avoidance_rounds or self.direction is None:
             center = state.ball.center
-            self.last_note = f"{self.note_prefix}sub {sub} hold"
+            note = f"sub {sub} hold"
         else:
             step = (1 - state.params.alpha) * state.ball.radius
             center = add(state.ball.center, scale(self.direction, step))
-            self.last_note = (
-                f"{self.note_prefix}sub {sub} drive {self.pos % t + 1}/{t} "
-                f"({len(self.remaining)} live)"
-            )
+            note = f"sub {sub} drive {self.pos % t + 1}/{t} ({len(self.remaining)} live)"
         self.pos += 1
-        return center
-
-
-def avoid_hyperplanes(
-    planes: Sequence[Hyperplane],
-    params: StrategyParams,
-    *,
-    seed: int = 0,
-) -> AvoidanceDrive:
-    return AvoidanceDrive(planes, params, seed=seed)
+        return center, note

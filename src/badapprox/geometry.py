@@ -12,13 +12,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exact import Rat, ge_sqrt, rat, rat_str, rat_vec
+from .exact import Rat, rat, rat_str, rat_vec
 
 Vec = tuple[Fraction, ...]
-
-
-def vec(*coords) -> Vec:
-    return rat_vec(coords)
 
 
 def dot(a: Sequence[Rat], b: Sequence[Rat]) -> Fraction:

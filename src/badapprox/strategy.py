@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .exact import floor_frac, rat, rat_str, sqrt_upper
-from .engine import GameParams, GameTrace, limit_enclosure, run_game
+from .engine import GameParams, GameTrace, run_game
 from .geometry import Ball, Hyperplane, Vec, dot
 from .escape import AvoidanceDrive, EscapeAssertionFailed
 from .resonance import ResonanceSequence
@@ -112,7 +112,6 @@ class WhiteStrategy:
         self.handled: list[HandledPlane] = []
         self.moves = 0
         self.sub: Optional[AvoidanceDrive] = None
-        self.last_note: Optional[str] = None
 
     def _check_handled_clear(self, ball: Ball) -> None:
         for h in self.handled:
@@ -125,13 +124,12 @@ class WhiteStrategy:
                     f"clearance at move {self.moves}"
                 )
 
-    def __call__(self, state) -> Vec:
+    def __call__(self, state) -> tuple[Vec, str]:
         tau = self.params.avoidance_rounds
         block = self.moves // tau if tau else self.sched.blocks
         if block >= self.sched.blocks:
             self.moves += 1
-            self.last_note = "schedule complete"
-            return state.ball.center
+            return state.ball.center, "schedule complete"
         if self.moves % tau == 0:
             self._check_handled_clear(state.ball)
             gathered = gather_block_planes(state.ball, self.seq, self.sched, block)
@@ -140,13 +138,11 @@ class WhiteStrategy:
                 [h.plane for h in gathered],
                 self.params,
                 seed=self.seed + 7919 * block,
-                note_prefix=f"block {block} ",
             )
         assert self.sub is not None
-        center = self.sub(state)
-        self.last_note = self.sub.last_note
+        center, note = self.sub(state)
         self.moves += 1
-        return center
+        return center, f"block {block} {note}"
 
 
 def build_strategy(
@@ -241,7 +237,7 @@ def certificate(
         handled.extend(
             gather_block_planes(block_start_ball(trace, sched, b), seq, sched, b)
         )
-    final = limit_enclosure(trace)
+    final = trace.final_ball
     violations: list[dict] = []
     entries: list[CertificateEntry] = []
     reach_ub_cache: dict[int, Fraction] = {}

@@ -77,7 +77,7 @@ def jitter_policy(seed: int):
         slack = (1 - shrink) * state.ball.radius
         return tuple(
             c + slack * F(rng.randrange(-9, 10), 16) for c in state.ball.center
-        )
+        ), None
 
     return policy
 
@@ -134,7 +134,7 @@ def test_criterion_02_drift_identity_exact():
         gp = GameParams(alpha, beta, 1)
 
         def opposed(state):
-            return (state.ball.center[0] - (1 - state.params.beta) * state.ball.radius,)
+            return (state.ball.center[0] - (1 - state.params.beta) * state.ball.radius,), None
 
         white = EscapeDrive((F(1),), 1)
         tr = run_game(gp, Ball((F(0),), F(1)), white, opposed, 1)
@@ -251,6 +251,14 @@ def test_criterion_07_golden_thread_end_to_end(golden_seq):
     assert sched.cuts == (0, 1, 5)
     assert trace.final_ball.center == (GOLDEN_ETA,)
     assert trace.final_ball.radius == F(1, 524288)
+    assert [m.note for m in trace.moves] == [
+        "block 0 sub 0 drive 1/1 (1 live)", "chasing family 6",
+        "block 0 sub 1 hold", "chasing family 6",
+        "block 0 sub 2 hold", "chasing family 5",
+        "block 1 sub 0 drive 1/1 (1 live)", "chasing family 6",
+        "block 1 sub 1 hold", "chasing family 6",
+        "block 1 sub 2 hold", "chasing family 6",
+    ]
     assert [(e.r, e.normal, e.offset, e.block) for e in cert.entries] == [
         (1, (1,), 0, 0), (2, (3,), 1, 1), (3, (13,), 4, 1),
         (4, (55,), 17, 1), (5, (233,), 71, 1),

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from badapprox.adversaries import GreedyBlack, RandomBlack, Scripted, scripted
+from badapprox.adversaries import GreedyBlack, RandomBlack, Scripted
 from badapprox.engine import GameParams, GameTrace, IllegalMove, concentric, run_game
 from badapprox.escape import EscapeDrive
 from badapprox.geometry import Ball
@@ -132,7 +132,7 @@ def test_scripted_replays_and_holds():
 def test_scripted_illegal_center_raises():
     gp = GameParams(Fraction(1, 4), Fraction(1, 2), 1)
     start = Ball((Fraction(0),), Fraction(1))
-    black = scripted([(Fraction(1),)])  # way outside the White ball
+    black = Scripted([(Fraction(1),)])  # way outside the White ball
     with pytest.raises(IllegalMove):
         run_game(gp, start, concentric, black, 1)
 

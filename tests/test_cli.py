@@ -196,6 +196,45 @@ def test_play_accepts_prebuilt_family(tmp_path):
     assert final["center"] == ["160567/524288"]
 
 
+def test_resonance_report_feeds_play_and_margin_directly(tmp_path):
+    # the report `resonance` writes is itself a valid --resonance input,
+    # equivalent to the bare family it wraps
+    assert run(tmp_path, "resonance", "--theta", "golden") == 0
+    report = tmp_path / "resonance.json"
+    fam = tmp_path / "family.json"
+    fam.write_text(json.dumps(json.loads(report.read_text())["sequence"]))
+    a, b = tmp_path / "report", tmp_path / "bare"
+    assert run(a, *GOLDEN_PLAY, "--resonance", str(report)) == 0
+    assert run(b, *GOLDEN_PLAY, "--resonance", str(fam)) == 0
+    assert (a / "trace.json").read_bytes() == (b / "trace.json").read_bytes()
+    assert run(a, "certify", "--functional", "margin", "--eta", "160567/524288",
+               "--N", "1", "--resonance", str(report)) == 0
+    rep = json.loads((a / "report.json").read_text())["report"]
+    assert (rep["value"], rep["argmin"]) == ("9781/524288", [3])
+
+
+def test_golden_thread_chain_from_files(tmp_path):
+    # the flagship chain, each stage reading the previous stage's files:
+    # resonance -> play -> brute-force product certify -> resonance margin
+    fam_dir, play_dir = tmp_path / "family", tmp_path / "play"
+    t1_dir, margin_dir = tmp_path / "theorem1", tmp_path / "margin"
+    assert run(fam_dir, "resonance", "--theta", "golden") == 0
+    family = str(fam_dir / "resonance.json")
+    assert run(play_dir, *GOLDEN_PLAY, "--resonance", family) == 0
+    cert = json.loads((play_dir / "certificate.json").read_text())["certificate"]
+    eta = ",".join(cert["eta_center"])
+    assert eta == "160567/524288"
+    assert run(t1_dir, "certify", "--eta", eta, "--N", "1000") == 0
+    t1 = json.loads((t1_dir / "report.json").read_text())["report"]
+    assert (t1["value"], t1["argmin"]) == ("6450562909/176458170368", [28])
+    assert run(margin_dir, "certify", "--functional", "margin", "--eta", eta,
+               "--N", "1", "--resonance", family,
+               "--rmax", str(cert["covered_through"])) == 0
+    margin = json.loads((margin_dir / "report.json").read_text())["report"]
+    assert (margin["value"], margin["argmin"]) == ("9781/524288", [3])
+    assert Fraction(margin["value"]) > Fraction(cert["epsilon"])
+
+
 # ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from badapprox.engine import (
     concentric,
     forced_radius,
     legal_reply,
-    limit_enclosure,
     replay,
     run_game,
 )
@@ -37,7 +36,7 @@ class StepPolicy:
         self.offset = tuple(Fraction(x) for x in offset)
 
     def __call__(self, state: GameState):
-        return tuple(c + o for c, o in zip(state.ball.center, self.offset))
+        return tuple(c + o for c, o in zip(state.ball.center, self.offset)), None
 
 
 class RelativeStep:
@@ -48,18 +47,16 @@ class RelativeStep:
 
     def __call__(self, state: GameState):
         r = state.ball.radius
-        return tuple(c + f * r for c, f in zip(state.ball.center, self.frac))
+        return tuple(c + f * r for c, f in zip(state.ball.center, self.frac)), None
 
 
 class NotedPolicy:
     def __init__(self):
         self.count = 0
-        self.last_note = None
 
     def __call__(self, state: GameState):
         self.count += 1
-        self.last_note = f"move {self.count}"
-        return state.ball.center
+        return state.ball.center, f"move {self.count}"
 
 
 def test_params_validation():
@@ -78,7 +75,7 @@ def test_radius_law_exact():
     a, b = p.alpha, p.beta
     assert radii == [a, a * b, a * b * a, (a * b) ** 2, (a * b) ** 2 * a, (a * b) ** 3]
     assert [m.player for m in tr.moves] == ["W", "B", "W", "B", "W", "B"]
-    assert limit_enclosure(tr) == tr.moves[-1].ball
+    assert tr.final_ball == tr.moves[-1].ball
 
 
 def test_forced_radius():
@@ -118,10 +115,8 @@ def test_dimension_mismatch_rejected():
 
 def test_notes_recorded_and_cleared():
     p = params_1d()
-    w = NotedPolicy()
-    tr = run_game(p, unit_ball_1d(), w, concentric, 2)
+    tr = run_game(p, unit_ball_1d(), NotedPolicy(), concentric, 2)
     assert [m.note for m in tr.moves] == ["move 1", None, "move 2", None]
-    assert w.last_note is None
 
 
 def test_trace_json_round_trip_byte_identical():

@@ -14,7 +14,6 @@ from badapprox.escape import (
     EscapeDrive,
     SelectionExhausted,
     absorbed,
-    avoid_hyperplanes,
     cap_member,
     drive_halfspace,
     escort_point,
@@ -299,7 +298,7 @@ def test_select_cap_exhaustion_is_reported():
 def test_avoidance_clears_golden_planes(golden_params):
     ball = Ball((Fraction(1, 5),), Fraction(1, 16))
     planes = [Hyperplane((3,), 1), Hyperplane((13,), 3)]
-    white = avoid_hyperplanes(planes, golden_params, seed=2)
+    white = AvoidanceDrive(planes, golden_params, seed=2)
     gp = GameParams(golden_params.alpha, golden_params.beta, 1)
     tr = run_game(gp, ball, white, RandomBlack(seed=8), golden_params.avoidance_rounds)
     for p in planes:
@@ -336,17 +335,15 @@ def test_avoidance_detects_tampered_halfspace(golden_params):
         def __init__(self, inner):
             self.inner = inner
             self.done = False
-            self.last_note = None
 
         def __call__(self, state):
-            c = self.inner(state)
-            self.last_note = self.inner.last_note
+            c, note = self.inner(state)
             if not self.done and self.inner.pending is not None:
                 hs, strong = self.inner.pending
                 far = dataclasses.replace(hs, threshold=Fraction(10**6))
                 self.inner.pending = (far, strong)
                 self.done = True
-            return c
+            return c, note
 
     with pytest.raises(EscapeAssertionFailed, match="halfspace"):
         run_game(gp, ball, Tamper(white), concentric, golden_params.avoidance_rounds)
@@ -354,7 +351,7 @@ def test_avoidance_detects_tampered_halfspace(golden_params):
 
 def test_avoidance_notes_expose_progress(golden_params):
     ball = Ball((Fraction(1, 5),), Fraction(1, 16))
-    white = avoid_hyperplanes([Hyperplane((13,), 3)], golden_params, seed=0)
+    white = AvoidanceDrive([Hyperplane((13,), 3)], golden_params, seed=0)
     gp = GameParams(golden_params.alpha, golden_params.beta, 1)
     tr = run_game(gp, ball, white, concentric, golden_params.avoidance_rounds)
     notes = [m.note for m in tr.moves if m.player == "W"]
