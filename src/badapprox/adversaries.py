@@ -7,11 +7,12 @@ seed alone, with no float in the resulting trace.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 from random import Random
 from typing import Optional, Sequence
 
-from .exact import rat
-from .geometry import Vec, add, dot, rational_unit_direction, scale
+from .exact import over_common_denominator, rat
+from .geometry import Vec, add, rational_unit_direction, scale
 from .resonance import ResonanceSequence
 
 
@@ -56,24 +57,32 @@ class GreedyBlack:
         self.seq = seq
         self.reach = rat(reach) if reach is not None else None
         self.tol = tol
+        # rational_unit_direction(±u_r, tol) depends on (r, sign) only
+        self._directions: dict[tuple[int, int], Vec] = {}
 
     def _nearest(self, center: Vec) -> tuple[int, Fraction]:
-        best_r = None
-        best_res = None
-        # dist_r^2 = res_r^2 / nsq_r; compare a/b vs c/d via a*d vs c*b
+        """(r, u_r·center - a_r) of the nearest family, a_r the nearest integer.
+
+        With the center over one common denominator L, u·center = s/L and
+        the residual numerator is s - a*L, a rounded half to even as
+        Fraction rounding does; dist_r^2 = res_r^2 / (L^2 nsq_r), so
+        families compare on res^2 * nsq of the other as plain integers.
+        """
+        den, nums = over_common_denominator(center)
+        best_r = best_res = None
         for r in range(1, len(self.seq) + 1):
-            u = self.seq.vector(r)
-            res = dot(u, center) - round(dot(u, center))
+            a, rem = divmod(sum(map(mul, self.seq.vector(r), nums)), den)
+            if 2 * rem > den or (2 * rem == den and a & 1):
+                rem -= den
             if best_r is None or (
-                res * res * self.seq.norm_sq_of(best_r)
+                rem * rem * self.seq.norm_sq_of(best_r)
                 < best_res * best_res * self.seq.norm_sq_of(r)
             ):
-                best_r, best_res = r, res
-        return best_r, best_res
+                best_r, best_res = r, rem
+        return best_r, Fraction(best_res, den)
 
     def __call__(self, state) -> tuple[Vec, str]:
         r, res = self._nearest(state.ball.center)
-        u = self.seq.vector(r)
         nsq = self.seq.norm_sq_of(r)
         rho = state.ball.radius
         if self.reach is not None:
@@ -84,9 +93,11 @@ class GreedyBlack:
         if res == 0:
             return state.ball.center, f"on family {r}"
         # step toward the plane: against the residual's sign
-        direction = rational_unit_direction(
-            scale(u, -1 if res > 0 else 1), self.tol
-        )
+        side = -1 if res > 0 else 1
+        direction = self._directions.get((r, side))
+        if direction is None:
+            direction = rational_unit_direction(scale(self.seq.vector(r), side), self.tol)
+            self._directions[r, side] = direction
         step = (1 - state.params.beta) * rho
         return add(state.ball.center, scale(direction, step)), f"chasing family {r}"
 

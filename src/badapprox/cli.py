@@ -209,6 +209,8 @@ def cmd_certify(args) -> int:
         "resonance": getattr(args, "resonance", None),
         "rmax": args.rmax,
     }
+    if functional in ("product", "decay") and args.N is None:
+        raise ValueError(f"--N is required for the {args.functional} functional")
     if functional == "product":
         theta = _load_theta(args.theta)
         rep = theorem1_constant(theta, eta, args.N)
@@ -387,7 +389,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--theta", default="golden")
     p.add_argument("--eta", required=True, help="shift, e.g. '3/5,1/7'")
-    p.add_argument("--N", type=int, required=True, help="enumeration size bound")
+    p.add_argument("--N", type=int, default=None,
+                   help="enumeration size bound (product and decay functionals)")
     p.add_argument("--functional", default="product",
                    choices=["product", "decay", "margin", "theorem1", "jarnik"])
     p.add_argument("--psi", default=None,

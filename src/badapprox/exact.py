@@ -14,11 +14,15 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from fractions import Fraction
 from operator import mod, sub
 from typing import Iterable, Iterator, Sequence, Union
 
 Rat = Union[int, Fraction]
+
+#: The "p/q" form rat_str writes; rat parses it without Fraction's own regex.
+_CANONICAL = re.compile(r"(-?[0-9]+)/([0-9]+)")
 
 
 def rat(value) -> Fraction:
@@ -28,6 +32,9 @@ def rat(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        m = _CANONICAL.fullmatch(value)
+        if m:
+            return Fraction(int(m[1]), int(m[2]))
         return Fraction(value.strip())
     if isinstance(value, float):
         raise TypeError(f"refusing to coerce float {value!r}; pass a string or Fraction")
@@ -36,8 +43,9 @@ def rat(value) -> Fraction:
 
 def rat_str(value: Rat) -> str:
     """Canonical "p/q" rendering (denominator always present, lowest terms)."""
-    f = Fraction(value)
-    return f"{f.numerator}/{f.denominator}"
+    if not isinstance(value, (int, Fraction)):
+        value = Fraction(value)
+    return f"{value.numerator}/{value.denominator}"
 
 
 def rat_vec(values: Iterable) -> tuple[Fraction, ...]:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 from .exact import Rat, rat, rat_str, rat_vec
@@ -18,9 +19,15 @@ Vec = tuple[Fraction, ...]
 
 
 def dot(a: Sequence[Rat], b: Sequence[Rat]) -> Fraction:
+    """Exact inner product of int/Fraction vectors; a float operand raises."""
     if len(a) != len(b):
         raise ValueError(f"dimension mismatch: {len(a)} vs {len(b)}")
-    return sum((Fraction(x) * Fraction(y) for x, y in zip(a, b)), Fraction(0))
+    total = sum(map(mul, a, b))
+    if isinstance(total, int):
+        return Fraction(total)
+    if not isinstance(total, Fraction):  # a float anywhere makes the sum a float
+        raise TypeError(f"dot takes int and Fraction operands, got {type(total).__name__}")
+    return total
 
 
 def add(a: Vec, b: Vec) -> Vec:

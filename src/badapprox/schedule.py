@@ -1,18 +1,18 @@
 """Derived constants and the block schedule of the avoidance strategy.
 
-All scheduling decisions are exact-rational: powers of alpha*beta and of the
-lacunarity M are computed as Fractions, ceilings of logarithms are found by
-exact power comparisons, and thresholds are compared on squares.  The one
-float ingredient — the spherical-cap measure for dimension >= 2 — enters only
-as a conservative dyadic *lower* bound (rounded down at 2^-40 granularity),
-so every downstream guarantee still holds exactly.
+All scheduling decisions are exact.  The escape length is found on Fraction
+powers of alpha*beta; the plane-budget scan compares powers of alpha*beta,
+of the lacunarity M and of 1 - omega as integers, numerators against
+denominators; block thresholds are compared on squares.  The one float
+ingredient — the spherical-cap measure for dimension >= 2 — enters only as
+a conservative dyadic *lower* bound (rounded down at 2^-40 granularity), so
+every downstream guarantee still holds exactly.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .exact import ceil_frac, rat, rat_str
 from .geometry import Ball, Hyperplane, cap_fraction_angular, dot
@@ -126,25 +126,33 @@ def derive_params(alpha, beta, lacunarity, dimension: int) -> StrategyParams:
 
     omega = _cap_measure_lower_bound(gamma, pt, dimension)
 
-    # plane-budget scan.  sub_blocks(k) = smallest c with k*(1-omega)^c <= 1,
-    # i.e. ceil(log k / log(1/(1-omega))); it is nondecreasing in k, so the
-    # power (1-omega)^c is maintained incrementally across the scan.
-    one_minus = 1 - omega
+    # plane-budget scan, on integers.  sub_blocks(k) = smallest c with
+    # k*(1-omega)^c <= 1, i.e. k*(D-N)^c <= D^c for omega = N/D; it is
+    # nondecreasing in k, so both powers are maintained incrementally.  The
+    # schedule inequality (1/(alpha*beta))^tau < M^(k-2), with
+    # alpha*beta = P/Q and M = M1/M2, times M1^2*M2^2 (so k < 2 needs no
+    # negative power) reads  Q^tau * M2^k * M1^2 < P^tau * M1^k * M2^2;
+    # each side is kept as one integer and grows by a small factor per step.
+    num, den = omega.numerator, omega.denominator
+    m1, m2 = m.numerator, m.denominator
+    p_t, q_t = p.numerator**t, p.denominator**t
     c = 0
-    pow_c = Fraction(1)
-    inv_p = 1 / p
-    k_found: Optional[tuple[int, int]] = None
+    kept, whole = 1, 1  # (D-N)^c, D^c
+    lhs, rhs = m1 * m1, m2 * m2  # the two sides at k = 0, tau = 0
     for k in range(1, 100_001):
-        while k * pow_c > 1:
+        lhs *= m2
+        rhs *= m1
+        while k * kept > whole:
             c += 1
-            pow_c *= one_minus
-        tau = t * c
-        if inv_p**tau < m ** (k - 2):
-            k_found = (k, tau)
+            kept *= den - num
+            whole *= den
+            lhs *= q_t
+            rhs *= p_t
+        if lhs < rhs:
             break
-    if k_found is None:
+    else:
         raise ScheduleInfeasible("no plane budget satisfies the schedule inequality")
-    k, tau = k_found
+    tau = t * c
 
     eps = gamma / (4 * m ** (k + 2))
     return StrategyParams(

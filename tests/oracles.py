@@ -1,9 +1,13 @@
-"""Test-only oracles: the brute-force scans in plain ``Fraction`` arithmetic.
+"""Test-only oracles: the library's loops in plain ``Fraction`` arithmetic.
 
-These are the point-by-point loops the library used before its scans moved
-onto the integer kernel ``exact.box_distances``.  They are slow and
-obviously correct, and the differential tests in test_kernel.py hold the
-kernel-based functions to them value for value, argmin for argmin.
+The brute-force scans are the point-by-point loops the library used before
+they moved onto the integer kernel ``exact.box_distances``; the
+differential tests in test_kernel.py hold the kernel-based functions to
+them value for value, argmin for argmin.  The plane-budget scan of
+``derive_params`` and Greedy Black's nearest-plane search are the
+``Fraction`` versions of the construction path's integer loops, held to
+them by test_schedule.py and test_adversaries.py.  All of them are slow and
+obviously correct.
 """
 import itertools
 from fractions import Fraction
@@ -11,8 +15,13 @@ from typing import Callable, Optional, Sequence
 
 from badapprox.certify import DecayTable, PowerLaw
 from badapprox.exact import rat, rat_str
-from badapprox.geometry import nearest_int_dist
-from badapprox.resonance import ApproximationRecord, ThetaMatrix
+from badapprox.geometry import add, nearest_int_dist, rational_unit_direction, scale
+from badapprox.resonance import ApproximationRecord, ResonanceSequence, ThetaMatrix
+from badapprox.schedule import (
+    ScheduleInfeasible,
+    StrategyParams,
+    _cap_measure_lower_bound,
+)
 
 
 def scan_min(
@@ -135,3 +144,82 @@ def decay_steps(theta: ThetaMatrix, t_max: int) -> list[tuple[int, str]]:
             running = shell_min
             steps.append((t, rat_str(running)))
     return steps
+
+
+# -- the construction path ---------------------------------------------------
+
+
+def derive_params(alpha, beta, lacunarity, dimension: int) -> StrategyParams:
+    """derive_params with the plane-budget scan on Fraction powers (valid
+    inputs only: the range checks are not repeated here)."""
+    a, b, m = rat(alpha), rat(beta), rat(lacunarity)
+    gamma = 1 + a * b - 2 * a
+    p = a * b
+    t = 1
+    pt = p
+    while not 2 * pt < gamma:
+        t += 1
+        pt *= p
+    omega = _cap_measure_lower_bound(gamma, pt, dimension)
+    one_minus = 1 - omega
+    c = 0
+    pow_c = Fraction(1)
+    inv_p = 1 / p
+    k_found: Optional[tuple[int, int]] = None
+    for k in range(1, 100_001):
+        while k * pow_c > 1:
+            c += 1
+            pow_c *= one_minus
+        tau = t * c
+        if inv_p**tau < m ** (k - 2):
+            k_found = (k, tau)
+            break
+    if k_found is None:
+        raise ScheduleInfeasible("no plane budget satisfies the schedule inequality")
+    k, tau = k_found
+    return StrategyParams(
+        alpha=a,
+        beta=b,
+        dimension=dimension,
+        lacunarity=m,
+        gamma=gamma,
+        escape_rounds=t,
+        cap_measure_lb=omega,
+        plane_budget=k,
+        avoidance_rounds=tau,
+        margin=gamma / (4 * m ** (k + 2)),
+    )
+
+
+def nearest_family(seq: ResonanceSequence, center) -> tuple[int, Fraction]:
+    """(r, u_r·center - round(u_r·center)) minimizing |residual| / |u_r|,
+    compared on cross-multiplied Fraction squares; ties to the smallest r."""
+    best_r: Optional[int] = None
+    best_res: Optional[Fraction] = None
+    for r in range(1, len(seq) + 1):
+        s = sum((Fraction(x) * Fraction(y) for x, y in zip(seq.vector(r), center)), Fraction(0))
+        res = s - round(s)
+        if best_r is None or (
+            res * res * seq.norm_sq_of(best_r) < best_res * best_res * seq.norm_sq_of(r)
+        ):
+            best_r, best_res = r, res
+    return best_r, best_res
+
+
+class GreedyBlack:
+    """Greedy Black (without `reach`) in Fraction arithmetic, rationalizing
+    its chase direction afresh on every move."""
+
+    def __init__(self, seq: ResonanceSequence, tol=Fraction(1, 2**30)):
+        self.seq = seq
+        self.tol = tol
+
+    def __call__(self, state):
+        r, res = nearest_family(self.seq, state.ball.center)
+        if res == 0:
+            return state.ball.center, f"on family {r}"
+        direction = rational_unit_direction(
+            scale(self.seq.vector(r), -1 if res > 0 else 1), self.tol
+        )
+        step = (1 - state.params.beta) * state.ball.radius
+        return add(state.ball.center, scale(direction, step)), f"chasing family {r}"

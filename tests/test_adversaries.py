@@ -1,13 +1,23 @@
 """Opponent policies: legality, determinism, chase semantics, replay."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
+import oracles
 from badapprox.adversaries import GreedyBlack, RandomBlack, Scripted
-from badapprox.engine import GameParams, GameTrace, IllegalMove, concentric, run_game
+from badapprox.engine import (
+    GameParams,
+    GameState,
+    GameTrace,
+    IllegalMove,
+    concentric,
+    run_game,
+)
 from badapprox.escape import EscapeDrive
-from badapprox.geometry import Ball
+from badapprox.geometry import Ball, dot
+from badapprox.strategy import run_constructed_game
 from conftest import make_sequence
 
 
@@ -150,3 +160,144 @@ def test_scripted_reproduces_recorded_trace():
     )
     again = run_game(gp, start, concentric, replayer, 4)
     assert again.dumps() == original.dumps()
+
+
+# -- the integer nearest-plane search against its Fraction oracle ------------
+
+
+class _Family:
+    """What GreedyBlack reads of a family, without the lacunarity check, so
+    that equal and doubled vectors can share a family."""
+
+    def __init__(self, vectors):
+        self.vectors = [tuple(v) for v in vectors]
+
+    def __len__(self):
+        return len(self.vectors)
+
+    def vector(self, r):
+        return self.vectors[r - 1]
+
+    def norm_sq_of(self, r):
+        return sum(c * c for c in self.vectors[r - 1])
+
+
+def _random_center(rng, n):
+    den = rng.choice([1, 2, 12, 2**20, 3**30 * 7, rng.randrange(1, 2**64)])
+    return tuple(Fraction(rng.randrange(-4 * den, 4 * den + 1), den) for _ in range(n))
+
+
+def _onto_half_integer(center, u):
+    """Move the last coordinate with u_j != 0 so that u·center = a + 1/2."""
+    j = max(i for i, c in enumerate(u) if c)
+    s = dot(u, center)
+    shift = (s.numerator // s.denominator + Fraction(1, 2) - s) / u[j]
+    return center[:j] + (center[j] + shift,) + center[j + 1:]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_greedy_nearest_matches_fraction_oracle(seed):
+    rng = random.Random(seed)
+    halves = ties = 0
+    for _ in range(40):
+        n = rng.randint(1, 3)
+        vectors, size = [], rng.randint(1, 5)
+        while len(vectors) < size:
+            u = tuple(rng.randint(-9, 9) for _ in range(n))
+            if any(u):
+                vectors.append(u)
+        if rng.random() < 0.4:  # a multiple of a family: equal distances at s = 1/4, 3/4
+            vectors.insert(rng.randrange(len(vectors) + 1), tuple(2 * c for c in vectors[0]))
+        seq = _Family(vectors)
+        center = _random_center(rng, n)
+        if rng.random() < 0.5:
+            center = _onto_half_integer(center, rng.choice(vectors))
+        got = GreedyBlack(seq)._nearest(center)
+        assert got == oracles.nearest_family(seq, center)
+        dists = [
+            (dot(u, center) - round(dot(u, center))) ** 2 / seq.norm_sq_of(r)
+            for r, u in enumerate(vectors, start=1)
+        ]
+        halves += any((2 * dot(u, center)).denominator == 1 for u in vectors)
+        ties += dists.count(min(dists)) > 1
+    assert halves >= 10 and ties >= 1
+
+
+@pytest.mark.parametrize(
+    "x, want",
+    [
+        # round(u·c) is half to even: 1/2 -> 0, 3/2 -> 2, -1/2 -> 0, -3/2 -> -2
+        (Fraction(1, 2), (1, Fraction(1, 2))),
+        (Fraction(3, 2), (1, Fraction(-1, 2))),
+        (Fraction(-1, 2), (1, Fraction(-1, 2))),
+        (Fraction(-3, 2), (1, Fraction(1, 2))),
+    ],
+)
+def test_greedy_nearest_half_integer_rounds_to_even(x, want):
+    seq = make_sequence([(1,)])
+    assert GreedyBlack(seq)._nearest((x,)) == want == oracles.nearest_family(seq, (x,))
+
+
+def test_greedy_nearest_equal_distances_go_to_smallest_index():
+    # u = 1 and u = 2 at 1/4: residuals 1/4 and 1/2 (2/4 rounds to 0), both
+    # at distance 1/4; the same at 3/4 with the signs flipped
+    for first, second in [((1,), (2,)), ((2,), (1,))]:
+        seq = _Family([first, second])
+        for x in (Fraction(1, 4), Fraction(3, 4)):
+            r, res = GreedyBlack(seq)._nearest((x,))
+            assert r == 1
+            assert (r, res) == oracles.nearest_family(seq, (x,))
+    seq = _Family([(1, 0), (0, 1)])
+    center = (Fraction(1, 3), Fraction(-1, 3))
+    assert GreedyBlack(seq)._nearest(center) == (1, Fraction(1, 3))
+
+
+def test_greedy_cached_directions_give_identical_traces(golden_seq):
+    # flagship n = 1, a one-block n = 2 construction, and a long n = 3 chase
+    # of a concentric White: every trace equals the one whose chase
+    # direction is rationalized afresh on every move, byte for byte
+    gp3 = GameParams(Fraction(1, 4), Fraction(1, 2), 3)
+    seq3 = make_sequence([(1, 2, 2), (5, -3, 7), (-20, 31, 44)])
+    seq2 = make_sequence([(1, 1), (3, 4), (-12, 9), (40, 30)])
+    games = [
+        lambda black: run_constructed_game(
+            golden_seq, Fraction(1, 4), Fraction(1, 2), 3, Fraction(1, 2), 2, black(golden_seq)
+        )[0],
+        lambda black: run_constructed_game(
+            seq2, Fraction(1, 4), Fraction(1, 2), 3, Fraction(1, 64), 1, black(seq2),
+            center=(Fraction(3, 10), Fraction(-7, 9)), seed=5,
+        )[0],
+        lambda black: run_game(
+            gp3, Ball((Fraction(1, 7), Fraction(2, 9), Fraction(-3, 11)), Fraction(1, 20)),
+            concentric, black(seq3), 40,
+        ),
+    ]
+    for play in games:
+        made = []
+
+        def greedy(seq):
+            made.append(GreedyBlack(seq))
+            return made[-1]
+
+        text = play(greedy).dumps()
+        assert text == play(oracles.GreedyBlack).dumps()
+        # the cache was hit: more chasing moves than directions rationalized
+        chases = text.count('"note": "chasing family')
+        assert chases > len(made[0]._directions) >= 1
+
+
+def test_greedy_direction_cache_is_keyed_by_family_and_side():
+    # one instance asked from alternating sides of two families' planes:
+    # every reply equals the one of a policy that rationalizes afresh
+    seq = make_sequence([(1, 1), (3, -4)])
+    gp = GameParams(Fraction(1, 4), Fraction(1, 2), 2)
+    rng = random.Random(3)
+    cached, fresh = GreedyBlack(seq), oracles.GreedyBlack(seq)
+    for i in range(24):
+        # near 0 the plane of family 1 is nearest, near (1/10, 1/10) family 2's
+        base = (Fraction(0), Fraction(0)) if i % 4 < 2 else (Fraction(1, 10), Fraction(1, 10))
+        side = Fraction(1 if i % 2 else -1, rng.randint(200, 400))
+        center = (base[0] + side, base[1] + Fraction(rng.randint(-9, 9), 10**4))
+        state = GameState(gp, Ball(center, Fraction(1, 1000)), 2 * i + 1, "B")
+        assert cached(state) == fresh(state)
+    assert len(cached._directions) == 4

@@ -137,6 +137,26 @@ def test_certify_margin_against_family_file(tmp_path):
     assert rep["argmin"] == [3]
 
 
+def test_certify_margin_runs_without_N(tmp_path):
+    assert run(tmp_path, "resonance", "--theta", "golden") == 0
+    family = str(tmp_path / "resonance.json")
+    assert run(tmp_path, "certify", "--functional", "margin", "--eta", "160567/524288",
+               "--resonance", family, "--rmax", "5") == 0
+    blob = json.loads((tmp_path / "report.json").read_text())
+    assert (blob["report"]["value"], blob["report"]["argmin"]) == ("9781/524288", [3])
+    assert blob["config"]["N"] is None
+
+
+@pytest.mark.parametrize("functional", ["product", "theorem1", "decay", "jarnik"])
+def test_certify_scans_without_N_exit_2(tmp_path, capsys, functional):
+    rc = run(tmp_path, "certify", "--theta", "golden", "--eta", "1/2",
+             "--functional", functional, "--psi", "power:c=1,sigma=1")
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "--N is required" in err
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_certify_decay_requires_psi(tmp_path):
     rc = run(tmp_path, "certify", "--theta", "golden", "--eta", "1/2",
              "--N", "5", "--functional", "decay")

@@ -163,3 +163,23 @@ def test_replay_rejects_containment_tampering():
     obj["moves"][2]["center"] = ["9/10"]  # escapes the round-1 Black ball
     with pytest.raises(IllegalMove, match="leaves current ball"):
         replay(GameTrace.from_jsonable(obj))
+
+
+@pytest.mark.parametrize("forged", ["1/1", "2/2", " 1 ", "+1/1", "4/4\n"])
+def test_replay_rejects_a_tampered_center_in_the_text(forged):
+    # every spelling of the forged center parses to the same value, and the
+    # reply it forges leaves the ball it must lie in
+    tr = run_game(params_1d(), unit_ball_1d(), concentric, concentric, 3)
+    obj = json.loads(tr.dumps())
+    obj["moves"][4]["center"] = [forged]
+    with pytest.raises(IllegalMove, match="leaves current ball"):
+        replay(GameTrace.loads(json.dumps(obj)))
+
+
+def test_replay_accepts_a_respelled_center():
+    # "0/5" is not canonical but is the same center: replay rebuilds the
+    # canonical trace
+    tr = run_game(params_1d(), unit_ball_1d(), concentric, concentric, 3)
+    obj = json.loads(tr.dumps())
+    obj["moves"][4]["center"] = ["0/5"]
+    assert replay(GameTrace.loads(json.dumps(obj))).dumps() == tr.dumps()

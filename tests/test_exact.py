@@ -44,13 +44,40 @@ def test_rat_refuses_floats():
     with pytest.raises(TypeError):
         rat(1.0)
     with pytest.raises(TypeError):
+        rat(0.5)
+    with pytest.raises(TypeError):
         rat(None)
+
+
+@given(q=rationals)
+def test_canonical_strings_round_trip_exactly(q):
+    text = rat_str(q)
+    assert rat(text) == q
+    assert rat_str(rat(text)) == text
+    assert rat_str(q.numerator) == f"{q.numerator}/1"
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["2/4", " 3/5 ", "+1/2", "1/-2", "1/0", "1.5", "1e3", "abc",
+     "-0/7", "007/014", "1/2\n", "1/2x", "3/4 5"],
+)
+def test_rat_strings_behave_like_fraction(text):
+    def outcome(parse):
+        try:
+            value = parse(text)
+        except Exception as exc:  # the exception type is the behaviour
+            return type(exc)
+        return value, type(value)
+
+    assert outcome(rat) == outcome(lambda s: Fraction(s.strip()))
 
 
 def test_rat_str_always_shows_denominator():
     assert rat_str(Fraction(3, 5)) == "3/5"
     assert rat_str(2) == "2/1"
     assert rat_str(Fraction(-4, 8)) == "-1/2"
+    assert rat_str(True) == "1/1"
     assert rat_vec(["1/2", 3]) == (Fraction(1, 2), Fraction(3))
 
 

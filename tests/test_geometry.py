@@ -64,6 +64,24 @@ def test_nearest_int_dist_properties(x):
     assert nearest_int_dist(-x) == d
 
 
+_scalars = st.one_of(st.integers(-10**6, 10**6), st.fractions(max_denominator=10**9))
+
+
+@given(pairs=st.lists(st.tuples(_scalars, _scalars), max_size=4))
+def test_dot_matches_fraction_sum(pairs):
+    a, b = [x for x, _ in pairs], [y for _, y in pairs]
+    got = dot(a, b)
+    assert type(got) is Fraction
+    assert got == sum((Fraction(x) * Fraction(y) for x, y in pairs), Fraction(0))
+
+
+@pytest.mark.parametrize("a, b", [((0.5,), (1,)), ((1,), (0.5,)),
+                                  ((Fraction(1, 2), 2), (Fraction(1, 3), 0.0))])
+def test_dot_refuses_floats(a, b):
+    with pytest.raises(TypeError):
+        dot(a, b)
+
+
 def test_dot_dimension_mismatch():
     with pytest.raises(ValueError):
         dot((Fraction(1),), (Fraction(1), Fraction(2)))

@@ -16,6 +16,8 @@ from conftest import make_sequence
 
 import math
 
+import oracles
+
 
 # -- derive_params: golden pins ----------------------------------------------
 
@@ -95,6 +97,31 @@ def test_derivation_dimension_three():
     assert p.plane_budget == 898
     assert p.avoidance_rounds == 473
     assert float(p.cap_measure_lb) == pytest.approx(0.0142858, abs=1e-6)
+
+
+@pytest.mark.parametrize(
+    "alpha, beta, lacunarity, n",
+    [
+        # the golden constants in every dimension the strategy runs in
+        ("1/4", "1/2", "3", 1),
+        ("1/4", "1/2", "3", 2),
+        ("1/4", "1/2", "3", 3),
+        ("1/4", "1/2", "3", 4),
+        # non-integer lacunarity: M2 > 1 on the integer side
+        ("1/4", "1/2", "5/2", 2),
+        ("1/4", "1/2", "7/3", 3),
+        ("1/3", "1/3", "7/3", 1),
+        # alpha*beta = 3/10 has numerator > 1, and needs escape_rounds = 2
+        ("2/5", "3/4", "3", 1),
+        ("2/5", "3/4", "5/2", 2),
+        ("2/5", "3/4", "7/3", 3),
+        ("1/3", "2/5", "4", 1),
+    ],
+)
+def test_budget_scan_matches_fraction_oracle(alpha, beta, lacunarity, n):
+    got = derive_params(Fraction(alpha), Fraction(beta), Fraction(lacunarity), n)
+    want = oracles.derive_params(Fraction(alpha), Fraction(beta), Fraction(lacunarity), n)
+    assert got.to_jsonable() == want.to_jsonable()
 
 
 def test_derive_params_input_validation():
