@@ -34,8 +34,8 @@ class RandomBlack:
             pt = [self.rng.randint(-k, k) for _ in range(n)]
             if sum(c * c for c in pt) <= k * k:
                 break
-        step = (1 - state.params.beta) * state.ball.radius
-        return add(state.ball.center, tuple(Fraction(c * step, k) for c in pt)), None
+        unit = (1 - state.params.beta) * state.ball.radius / k
+        return add(state.ball.center, tuple(c * unit for c in pt)), None
 
 
 class GreedyBlack:

@@ -12,10 +12,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Callable, Optional, Sequence
 
 from .exact import rat, rat_str
-from .geometry import Ball, Vec, rat_vec
+from .geometry import Ball, Vec
 
 
 class IllegalMove(Exception):
@@ -73,6 +74,12 @@ class MoveRecord:
     ball: Ball
     note: Optional[str] = None
 
+    def __post_init__(self):
+        # dumps writes both as JSON strings; a trace file or a script may hold anything
+        if not isinstance(self.player, str) or not isinstance(self.note, (str, type(None))):
+            raise ValueError(f"player and note must be strings (note may be None), "
+                             f"got {self.player!r} and {self.note!r}")
+
     def to_jsonable(self) -> dict:
         obj = {"player": self.player}
         obj.update(self.ball.to_jsonable())
@@ -104,7 +111,28 @@ class GameTrace:
         }
 
     def dumps(self) -> str:
-        return json.dumps(self.to_jsonable(), indent=2, sort_keys=True)
+        """The bytes of ``json.dumps(self.to_jsonable(), indent=2, sort_keys=True)``,
+        written directly: the layout is fixed, and any ``indent`` sends
+        ``json`` to its pure-Python encoder."""
+        p = self.params
+        head = (
+            f'{{\n  "initial": {{\n    "center": {_rats_json(self.initial.center, 4)},\n'
+            f'    "radius": "{rat_str(self.initial.radius)}"\n  }},\n  "moves": '
+        )
+        tail = (
+            f',\n  "params": {{\n    "alpha": "{rat_str(p.alpha)}",\n    "beta": "{rat_str(p.beta)}",\n'
+            f'    "dimension": {p.dimension}\n  }}\n}}'
+        )
+        if not self.moves:
+            return f"{head}[]{tail}"
+        moves = ",\n".join(
+            f'    {{\n      "center": {_rats_json(m.ball.center, 6)},\n'
+            f'      "note": {_str_json(m.note)},\n'
+            f'      "player": {_str_json(m.player)},\n'
+            f'      "radius": "{rat_str(m.ball.radius)}"\n    }}'
+            for m in self.moves
+        )
+        return f"{head}[\n{moves}\n  ]{tail}"
 
     @classmethod
     def from_jsonable(cls, obj: dict) -> "GameTrace":
@@ -119,16 +147,31 @@ class GameTrace:
         return cls.from_jsonable(json.loads(text))
 
 
+def _str_json(s: Optional[str]) -> str:
+    """A note or player as json.dumps writes it (ASCII-escaped, None as null)."""
+    return "null" if s is None else encode_basestring_ascii(s)
+
+
+def _rats_json(values: Sequence[Fraction], indent: int) -> str:
+    """A list of "p/q" strings as json.dumps(indent=2) writes it, the closing
+    bracket `indent` spaces in."""
+    if not values:
+        return "[]"
+    pad = " " * indent
+    items = f",\n{pad}  ".join(f'"{v.numerator}/{v.denominator}"' for v in values)
+    return f"[\n{pad}  {items}\n{pad}]"
+
+
 def forced_radius(params: GameParams, current: Ball, turn: str) -> Fraction:
     return (params.alpha if turn == "W" else params.beta) * current.radius
 
 
 def legal_reply(params: GameParams, current: Ball, turn: str, center: Sequence) -> Ball:
     """Build the forced-radius reply ball, or raise IllegalMove via caller."""
-    c = rat_vec(center)
-    if len(c) != current.dimension:
-        raise ValueError(f"center has dimension {len(c)}, expected {current.dimension}")
-    return Ball(c, forced_radius(params, current, turn))
+    reply = Ball(center, forced_radius(params, current, turn))
+    if reply.dimension != current.dimension:
+        raise ValueError(f"center has dimension {reply.dimension}, expected {current.dimension}")
+    return reply
 
 
 #: A policy maps the state to its proposed center and a note (or None).

@@ -13,15 +13,19 @@ from fractions import Fraction
 from operator import mul
 from typing import Sequence
 
-from .exact import Rat, rat, rat_str, rat_vec
+from .exact import Rat, over_common_denominator, rat, rat_str, rat_vec
 
 Vec = tuple[Fraction, ...]
 
 
-def dot(a: Sequence[Rat], b: Sequence[Rat]) -> Fraction:
-    """Exact inner product of int/Fraction vectors; a float operand raises."""
+def _same_dimension(a: Sequence, b: Sequence) -> None:
     if len(a) != len(b):
         raise ValueError(f"dimension mismatch: {len(a)} vs {len(b)}")
+
+
+def dot(a: Sequence[Rat], b: Sequence[Rat]) -> Fraction:
+    """Exact inner product of int/Fraction vectors; a float operand raises."""
+    _same_dimension(a, b)
     total = sum(map(mul, a, b))
     if isinstance(total, int):
         return Fraction(total)
@@ -31,16 +35,20 @@ def dot(a: Sequence[Rat], b: Sequence[Rat]) -> Fraction:
 
 
 def add(a: Vec, b: Vec) -> Vec:
+    _same_dimension(a, b)
     return tuple(x + y for x, y in zip(a, b))
 
 
 def sub(a: Vec, b: Vec) -> Vec:
+    _same_dimension(a, b)
     return tuple(x - y for x, y in zip(a, b))
 
 
 def scale(a: Sequence[Rat], c: Rat) -> Vec:
-    cc = Fraction(c)
-    return tuple(Fraction(x) * cc for x in a)
+    """c * a as a tuple of Fractions: c is coerced once, and each int or
+    Fraction entry of a multiplies it directly."""
+    cc = rat(c)
+    return tuple(x * cc for x in a)
 
 
 def norm_sq(a: Sequence[Rat]) -> Fraction:
@@ -82,11 +90,22 @@ class Ball:
         return len(self.center)
 
     def contains_ball(self, inner: "Ball") -> bool:
-        """Exact test: inner ⊆ self.  ||c_i - c_o|| <= R - r, via squares."""
+        """Exact test: inner ⊆ self.  ||c_i - c_o|| <= R - r, via squares.
+
+        Both centers are brought to one common denominator D and the slack
+        R - r = p/q, so the test is sum (a_j - b_j)^2 * q^2 <= p^2 * D^2 over
+        the integer numerators a, b: one gcd (for D), where the same test in
+        Fraction arithmetic reduces every intermediate sum and square.
+        """
+        n = len(self.center)
+        _same_dimension(inner.center, self.center)
         slack = self.radius - inner.radius
         if slack < 0:
             return False
-        return norm_sq(sub(inner.center, self.center)) <= slack * slack
+        den, nums = over_common_denominator(inner.center + self.center)
+        dist_sq = sum((a - b) ** 2 for a, b in zip(nums[:n], nums[n:]))
+        p, q = slack.numerator, slack.denominator
+        return dist_sq * q * q <= p * p * den * den
 
     def contains_point(self, p: Vec) -> bool:
         return norm_sq(sub(p, self.center)) <= self.radius * self.radius

@@ -6,16 +6,21 @@ differential tests in test_kernel.py hold the kernel-based functions to
 them value for value, argmin for argmin.  The plane-budget scan of
 ``derive_params`` and Greedy Black's nearest-plane search are the
 ``Fraction`` versions of the construction path's integer loops, held to
-them by test_schedule.py and test_adversaries.py.  All of them are slow and
-obviously correct.
+them by test_schedule.py and test_adversaries.py.  The engine's ball
+containment and trace rendering are the ``Fraction`` test and the generic
+``json.dumps`` call that the integer test and the direct trace writer
+replaced, held to them by test_geometry.py and test_engine.py.  All of them
+are slow and obviously correct.
 """
 import itertools
+import json
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from badapprox.certify import DecayTable, PowerLaw
+from badapprox.engine import GameTrace
 from badapprox.exact import rat, rat_str
-from badapprox.geometry import add, nearest_int_dist, rational_unit_direction, scale
+from badapprox.geometry import Ball, add, nearest_int_dist, rational_unit_direction, scale
 from badapprox.resonance import ApproximationRecord, ResonanceSequence, ThetaMatrix
 from badapprox.schedule import (
     ScheduleInfeasible,
@@ -223,3 +228,20 @@ class GreedyBlack:
         )
         step = (1 - state.params.beta) * state.ball.radius
         return add(state.ball.center, scale(direction, step)), f"chasing family {r}"
+
+
+# -- the engine ----------------------------------------------------------------
+
+
+def contains_ball(outer: Ball, inner: Ball) -> bool:
+    """inner ⊆ outer in Fraction arithmetic: ||c_i - c_o||^2 <= (R - r)^2."""
+    assert len(inner.center) == len(outer.center)
+    slack = outer.radius - inner.radius
+    if slack < 0:
+        return False
+    return sum((a - b) ** 2 for a, b in zip(inner.center, outer.center)) <= slack * slack
+
+
+def trace_json(trace: GameTrace) -> str:
+    """The trace file's text as the generic JSON encoder writes it."""
+    return json.dumps(trace.to_jsonable(), indent=2, sort_keys=True)

@@ -52,6 +52,24 @@ def test_random_black_centers_lie_on_grid():
         assert (offset / (step / 4)).denominator == 1  # integer grid multiples
 
 
+def test_random_black_steps_match_the_per_coordinate_fraction():
+    # each step is Fraction(c * step, K) for the rejection-sampled grid point c
+    gp = GameParams(Fraction(1, 3), Fraction(2, 5), 3)
+    start = Ball((Fraction(1, 5), Fraction(-2, 7), Fraction(0)), Fraction(1))
+    tr = run_game(gp, start, concentric, RandomBlack(seed=9, grid=7), 5)
+    rng = random.Random(9)
+    for prev, mv in zip([start] + [m.ball for m in tr.moves], tr.moves):
+        if mv.player != "B":
+            continue
+        while True:
+            pt = [rng.randint(-7, 7) for _ in range(3)]
+            if sum(c * c for c in pt) <= 49:
+                break
+        step = (1 - gp.beta) * prev.radius
+        want = tuple(x + Fraction(c * step, 7) for x, c in zip(prev.center, pt))
+        assert mv.ball.center == want
+
+
 def test_greedy_black_chases_nearest_family():
     seq = make_sequence([(1,), (3,)])
     black = GreedyBlack(seq)

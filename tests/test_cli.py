@@ -4,6 +4,7 @@ Every subcommand is invoked in-process via main(argv) with outputs routed
 to tmp_path, and report bytes are compared across repeat runs: the CLI
 promises that flags + seed determine every output byte.
 """
+import hashlib
 import json
 from fractions import Fraction
 
@@ -50,6 +51,20 @@ def test_play_outputs_are_byte_deterministic(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+def test_play_flagship_bytes_are_pinned(tmp_path):
+    # sha256 of the flagship outputs as written before the engine's integer
+    # containment test and direct trace writer: both must keep every byte
+    assert run(tmp_path, *GOLDEN_PLAY) == 0
+    digest = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in ("trace.json", "certificate.json")
+    }
+    assert digest == {
+        "trace.json": "35a27a35a79d54762228b2e0082be0231c879d6ac087902db4da6fd059f49395",
+        "certificate.json": "dd7a8890c93071f8841b7f133f22ac1075397e46c3db8ad4375663cc71214414",
+    }
+
+
 def test_play_honors_output_env_var(tmp_path, monkeypatch):
     monkeypatch.setenv("BADAPPROX_OUT", str(tmp_path / "envdir"))
     assert main(list(GOLDEN_PLAY)) == 0
@@ -68,6 +83,15 @@ def test_play_scripted_adversary_replays_byte_for_byte(tmp_path):
     }))
     assert run(d2, *GOLDEN_PLAY, "--adversary", "scripted", "--script", str(script)) == 0
     assert (d1 / "trace.json").read_bytes() == (d2 / "trace.json").read_bytes()
+
+
+def test_play_scripted_non_string_note_exits_2(tmp_path):
+    assert run(tmp_path / "rec", *GOLDEN_PLAY) == 0
+    moves = json.loads((tmp_path / "rec" / "trace.json").read_text())["moves"]
+    script = tmp_path / "script.json"
+    script.write_text(json.dumps({"centers": [moves[1]["center"]], "notes": [5]}))
+    rc = run(tmp_path / "replay", *GOLDEN_PLAY, "--adversary", "scripted", "--script", str(script))
+    assert rc == 2
 
 
 def test_play_infeasible_block_count_exits_1(tmp_path, capsys):

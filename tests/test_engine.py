@@ -5,11 +5,15 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
+from badapprox.adversaries import RandomBlack
+from badapprox.cli import main
 from badapprox.engine import (
     GameParams,
     GameState,
     GameTrace,
     IllegalMove,
+    MoveRecord,
     concentric,
     forced_radius,
     legal_reply,
@@ -183,3 +187,71 @@ def test_replay_accepts_a_respelled_center():
     obj = json.loads(tr.dumps())
     obj["moves"][4]["center"] = ["0/5"]
     assert replay(GameTrace.loads(json.dumps(obj))).dumps() == tr.dumps()
+
+
+# -- the direct trace writer against json.dumps -------------------------------
+
+ODD_NOTES = [
+    None,
+    "",
+    'quote " inside',
+    "back\\slash",
+    "new\nline and tab\t",
+    "control \x01\x1f\x7f",
+    "non-ASCII: η ∈ Bad, ρ → 0, ü",
+    "astral \U0001d53c",
+]
+
+
+def _moves(dimension, notes):
+    centers = [
+        tuple(Fraction(7 * i - 3 * j, 1 + i + j) for j in range(dimension))
+        for i in range(len(notes))
+    ]
+    return [
+        MoveRecord("WB"[i % 2], Ball(c, Fraction(1, 2 ** (i + 1))), note)
+        for i, (c, note) in enumerate(zip(centers, notes))
+    ]
+
+
+@pytest.mark.parametrize("dimension", [1, 2, 3])
+def test_dumps_matches_json_oracle_on_edge_cases(dimension):
+    params = GameParams(Fraction(1, 3), Fraction(2, 5), dimension)
+    start = Ball(tuple(Fraction(-j, 7) for j in range(dimension)), Fraction(3, 2))
+    traces = [
+        GameTrace(params, start),  # empty moves
+        GameTrace(params, start, _moves(dimension, ODD_NOTES)),
+        GameTrace(params, Ball((Fraction(-5),) * dimension, 4), _moves(dimension, [None])),
+        GameTrace(params, start, [MoveRecord("ß\"", start, "x")]),  # odd player
+    ]
+    for tr in traces:
+        assert tr.dumps() == oracles.trace_json(tr)
+    assert '"moves": []' in traces[0].dumps()
+    assert traces[1].dumps().isascii()
+
+
+@pytest.mark.parametrize("field, value", [("note", 5), ("note", ["x"]), ("player", 1)])
+def test_loads_rejects_a_non_string_note_or_player(field, value):
+    obj = json.loads(run_game(params_1d(), unit_ball_1d(), concentric, concentric, 1).dumps())
+    obj["moves"][1][field] = value
+    with pytest.raises(ValueError, match="must be strings"):
+        GameTrace.loads(json.dumps(obj))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_dumps_matches_json_oracle_on_random_games(n):
+    gp = GameParams(Fraction(1, 3), Fraction(2, 5), n)
+    start = Ball((Fraction(1, 3),) * n, Fraction(1))
+    white = RelativeStep((Fraction(1, 3), Fraction(-1, 3), Fraction(1, 3))[:n])
+    tr = run_game(gp, start, white, RandomBlack(seed=n), 12)
+    assert tr.dumps() == oracles.trace_json(tr)
+
+
+@pytest.mark.parametrize("adversary", ["greedy", "random", "concentric"])
+def test_dumps_matches_json_oracle_on_flagship_traces(tmp_path, adversary):
+    play = ("play", "--alpha", "1/4", "--beta", "1/2", "--blocks", "2")
+    assert main([*play, "--adversary", adversary, "--out", str(tmp_path)]) == 0
+    text = (tmp_path / "trace.json").read_text()
+    tr = GameTrace.loads(text)
+    assert text == oracles.trace_json(tr) + "\n"
+    assert replay(tr).dumps() == oracles.trace_json(tr)

@@ -1,16 +1,19 @@
 """Geometric primitives: exact containment, unit directions, cap measures."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import oracles
 from badapprox.geometry import (
     Ball,
     Halfspace,
     Hyperplane,
+    add,
     cap_fraction,
     cap_fraction_angular,
     cap_fraction_montecarlo,
@@ -87,6 +90,24 @@ def test_dot_dimension_mismatch():
         dot((Fraction(1),), (Fraction(1), Fraction(2)))
 
 
+@given(a=st.lists(small_fracs | st.integers(-50, 50), max_size=4), c=small_fracs)
+def test_scale_returns_fractions_equal_to_the_wrapped_product(a, c):
+    got = scale(a, c)
+    assert got == tuple(Fraction(x) * c for x in a)
+    assert all(type(x) is Fraction for x in got)
+    assert all(type(x) is Fraction for x in scale(a, int(c)))
+
+
+def test_add_dimension_mismatch():
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        add((Fraction(1), Fraction(2)), (Fraction(1),))
+
+
+def test_sub_dimension_mismatch():
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        sub((Fraction(1),), (Fraction(1), Fraction(2)))
+
+
 def test_lex_sign():
     assert lex_sign((0, 0, 3)) == 1
     assert lex_sign((0, -2, 5)) == -1
@@ -112,6 +133,76 @@ def test_ball_contains_multidim():
     assert not outer.contains_ball(
         Ball((Fraction(3, 5) + TINY, Fraction(4, 5)), Fraction(4))
     )
+
+
+def test_ball_contains_ball_dimension_mismatch():
+    # zip would truncate the 2-vector and call the ball contained
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        Ball((0, 0), 1).contains_ball(Ball((0,), Fraction(1, 2)))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        Ball((0,), 1).contains_ball(Ball((0, 0), 2))  # even with slack < 0
+
+
+def test_ball_contains_point_dimension_mismatch():
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        Ball((0, 0), 1).contains_point((Fraction(5),))
+
+
+def _random_rat(rng, bits):
+    den = rng.randint(1, 1 << bits)
+    return Fraction(rng.randint(-4 * den, 4 * den), den)
+
+
+def _random_radius(rng, bits):
+    return Fraction(rng.randint(1, 1 << bits), rng.randint(1, 1 << bits))
+
+
+def _containment_case(rng, n, kind):
+    """(outer, inner) of one kind; 'tight' and 'multiple' offsets are exact."""
+    bits = rng.choice([3, 20, 200])
+    outer = Ball(tuple(_random_rat(rng, bits) for _ in range(n)), _random_radius(rng, bits))
+    R = outer.radius
+    if kind == "equal":  # slack == 0 with equal centers
+        return outer, Ball(outer.center, R)
+    if kind == "zero-slack-shifted":
+        shifted = outer.center[:-1] + (outer.center[-1] + Fraction(1, 1 << bits),)
+        return outer, Ball(shifted, R)
+    if kind == "negative":  # slack < 0, even with equal centers
+        return outer, Ball(outer.center, R + Fraction(1, rng.randint(1, 1 << bits)))
+    r = R * Fraction(rng.randint(1, 99), 100)
+    if kind in ("tight", "tight-out"):  # distance exactly R - r, or just past it
+        v = tuple(rng.randint(-9, 9) for _ in range(n))
+        if not any(v):
+            v = (1,) + v[1:]
+        d = scale(rational_unit_direction(v), R - r)
+        if kind == "tight-out":
+            d = scale(d, 1 + Fraction(1, 1 << 60))
+        return outer, Ball(add(outer.center, d), r)
+    if kind == "multiple":  # inner denominators a multiple of the outer ones
+        den = math.lcm(*(c.denominator for c in outer.center)) * rng.randint(2, 1 << bits)
+        reach = int((R - r) * den) * 5 // 4 + 1
+        offset = tuple(Fraction(rng.randint(-reach, reach), den) for _ in range(n))
+        return outer, Ball(add(outer.center, offset), r)
+    offset = tuple((R - r) * Fraction(rng.randint(-120, 120), 100) for _ in range(n))
+    return outer, Ball(add(outer.center, offset), r)
+
+
+KINDS = ["equal", "zero-slack-shifted", "negative", "tight", "tight-out", "multiple", "random"]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_contains_ball_matches_fraction_oracle(n):
+    rng = random.Random(n)
+    seen = {}
+    for i in range(70 * len(KINDS)):
+        kind = KINDS[i % len(KINDS)]
+        outer, inner = _containment_case(rng, n, kind)
+        got = outer.contains_ball(inner)
+        assert got == oracles.contains_ball(outer, inner), (kind, outer, inner)
+        seen.setdefault(kind, set()).add(got)
+    assert seen["equal"] == seen["tight"] == {True}
+    assert seen["zero-slack-shifted"] == seen["negative"] == seen["tight-out"] == {False}
+    assert seen["random"] == seen["multiple"] == {True, False}
 
 
 def test_ball_rejects_nonpositive_radius():
@@ -147,6 +238,12 @@ def test_halfspace_requires_exact_unit_direction():
     )
     assert hs.contains_point((Fraction(3, 5), Fraction(4, 5)))
     assert not hs.contains_point((Fraction(0), Fraction(0)))
+
+
+def test_halfspace_height_dimension_mismatch():
+    hs = Halfspace((Fraction(3, 5), Fraction(4, 5)), Fraction(0), (Fraction(0), Fraction(0)))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        hs.height((Fraction(1),))
 
 
 def test_halfspace_contains_ball_boundary():
