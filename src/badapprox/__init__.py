@@ -49,9 +49,7 @@ from .escape import (
     AvoidanceDrive,
     CapSelection,
     EscapeAssertionFailed,
-    EscapeDrive,
     SelectionExhausted,
-    escort_point,
     select_cap,
 )
 from .strategy import (

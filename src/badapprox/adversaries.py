@@ -43,21 +43,12 @@ class GreedyBlack:
 
     Finds the family minimizing |residual| / |u| (compared exactly via
     cross-multiplied squares; ties to the smallest index), then steps the
-    whole (1-beta)*rho toward it along a rationalized unit direction.  With
-    `reach` set, planes farther than reach * rho are ignored and the reply
-    is concentric instead.
+    whole (1-beta)*rho toward it along a rationalized unit direction.
     """
 
-    def __init__(
-        self,
-        seq: ResonanceSequence,
-        reach: Optional[Fraction] = None,
-        tol: Fraction = Fraction(1, 2**30),
-    ):
+    def __init__(self, seq: ResonanceSequence):
         self.seq = seq
-        self.reach = rat(reach) if reach is not None else None
-        self.tol = tol
-        # rational_unit_direction(±u_r, tol) depends on (r, sign) only
+        # rational_unit_direction(±u_r) depends on (r, sign) only
         self._directions: dict[tuple[int, int], Vec] = {}
 
     def _nearest(self, center: Vec) -> tuple[int, Fraction]:
@@ -83,22 +74,15 @@ class GreedyBlack:
 
     def __call__(self, state) -> tuple[Vec, str]:
         r, res = self._nearest(state.ball.center)
-        nsq = self.seq.norm_sq_of(r)
-        rho = state.ball.radius
-        if self.reach is not None:
-            # ignore the plane if dist = |res|/|u| > reach * rho (on squares)
-            bound = self.reach * rho
-            if res * res > nsq * bound * bound:
-                return state.ball.center, "concentric (nothing in reach)"
         if res == 0:
             return state.ball.center, f"on family {r}"
         # step toward the plane: against the residual's sign
         side = -1 if res > 0 else 1
         direction = self._directions.get((r, side))
         if direction is None:
-            direction = rational_unit_direction(scale(self.seq.vector(r), side), self.tol)
+            direction = rational_unit_direction(scale(self.seq.vector(r), side))
             self._directions[r, side] = direction
-        step = (1 - state.params.beta) * rho
+        step = (1 - state.params.beta) * state.ball.radius
         return add(state.ball.center, scale(direction, step)), f"chasing family {r}"
 
 

@@ -75,6 +75,8 @@ class DecayTable:
         object.__setattr__(self, "values", tuple(rat(v) for v in self.values))
         if len(self.sizes) != len(self.values) or not self.sizes:
             raise ValueError("table must be nonempty and aligned")
+        if any(type(t) is not int for t in self.sizes):
+            raise ValueError(f"table sizes must be integers: {list(self.sizes)}")
         for a, b in zip(self.sizes, self.sizes[1:]):
             if b <= a:
                 raise ValueError("table sizes must increase")

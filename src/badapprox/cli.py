@@ -197,7 +197,6 @@ def _parse_psi_arg(text: str):
 
 
 def cmd_certify(args) -> int:
-    functional = {"theorem1": "product", "jarnik": "decay"}.get(args.functional, args.functional)
     eta = _parse_eta(args.eta)
     config = {
         "command": "certify",
@@ -209,22 +208,20 @@ def cmd_certify(args) -> int:
         "resonance": getattr(args, "resonance", None),
         "rmax": args.rmax,
     }
-    if functional in ("product", "decay") and args.N is None:
+    if args.functional in ("product", "decay") and args.N is None:
         raise ValueError(f"--N is required for the {args.functional} functional")
-    if functional == "product":
+    if args.functional == "product":
         theta = _load_theta(args.theta)
         rep = theorem1_constant(theta, eta, args.N)
-    elif functional == "decay":
+    elif args.functional == "decay":
         if not args.psi:
             raise ValueError("--psi is required for the decay functional")
         theta = _load_theta(args.theta)
         rep = jarnik_constant(theta, eta, _parse_psi_arg(args.psi), args.N)
-    elif functional == "margin":
+    else:  # margin
         if not args.resonance:
             raise ValueError("--resonance is required for the margin functional")
         rep = resonance_margin(_load_sequence(args.resonance), eta, args.rmax)
-    else:
-        raise ValueError(f"unknown functional {args.functional!r}")
     out = _out_dir(args)
     report = _config_block(config)
     report["report"] = rep.to_jsonable()
@@ -392,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, default=None,
                    help="enumeration size bound (product and decay functionals)")
     p.add_argument("--functional", default="product",
-                   choices=["product", "decay", "margin", "theorem1", "jarnik"])
+                   choices=["product", "decay", "margin"])
     p.add_argument("--psi", default=None,
                    help="'power:c=1,sigma=1' or 'table:psi.json' (decay functional)")
     p.add_argument("--resonance", default=None, help="family JSON (margin functional)")

@@ -30,6 +30,8 @@ from .geometry import (
     lex_sign,
     rational_unit_direction,
     scale,
+    stereo_chart,
+    stereo_unit,
 )
 from .schedule import StrategyParams
 
@@ -68,14 +70,6 @@ def plane_sign(ball: Ball, plane: Hyperplane) -> int:
     return lex_sign(plane.normal)
 
 
-def escort_point(ball: Ball, plane: Hyperplane, tol: Fraction = Fraction(1, 2**30)) -> Vec:
-    """The boundary point of the ball farthest from the plane (on the side
-    the sign convention picks), with an exactly-unit rationalized direction."""
-    sgn = plane_sign(ball, plane)
-    direction = rational_unit_direction(scale(plane.normal, sgn), tol)
-    return add(ball.center, scale(direction, ball.radius))
-
-
 def absorbed(ball: Ball, plane: Hyperplane, gamma: Fraction) -> bool:
     """Exact: dist(ball, plane) > gamma * radius.
 
@@ -85,10 +79,6 @@ def absorbed(ball: Ball, plane: Hyperplane, gamma: Fraction) -> bool:
     r = plane.residual(ball.center)
     bound = plane.norm_sq * ball.radius * ball.radius * (1 + gamma) ** 2
     return r * r > bound
-
-
-def is_threat(ball: Ball, plane: Hyperplane, gamma: Fraction) -> bool:
-    return not absorbed(ball, plane, gamma)
 
 
 # -- exact cap membership ----------------------------------------------------
@@ -152,18 +142,6 @@ def verified_miss(
 # -- candidate generation (floats allowed, outputs exact) --------------------
 
 
-def _stereo_unit(w: Sequence[Fraction], n: int, axis: int, sign: int) -> Vec:
-    """Exact unit vector from a rational chart point w in Q^(n-1)."""
-    wsq = sum((x * x for x in w), Fraction(0))
-    lift = 1 + wsq
-    d = [Fraction(0)] * n
-    d[axis] = Fraction(sign) * (1 - wsq) / lift
-    rest = [i for i in range(n) if i != axis]
-    for j, i in enumerate(rest):
-        d[i] = 2 * w[j] / lift
-    return tuple(d)
-
-
 _LDS_STEPS = [math.sqrt(p) % 1.0 for p in (2, 3, 5, 7, 11, 13, 17, 19)]
 _CHART_DENOM = 1 << 12
 
@@ -177,24 +155,17 @@ def _grid_direction(idx: int, n: int) -> Vec:
     for j in range(n - 1):
         val = (0.5 + base * _LDS_STEPS[j % len(_LDS_STEPS)]) % 1.0
         w.append(Fraction(round((2 * val - 1) * 2 * _CHART_DENOM), _CHART_DENOM))
-    return _stereo_unit(tuple(w), n, axis, sign)
+    return stereo_unit(w, n, axis, sign)
 
 
 def _random_direction(rng: Random, n: int) -> Vec:
     v = [rng.gauss(0.0, 1.0) for _ in range(n)]
     norm = math.sqrt(math.fsum(x * x for x in v))
     if norm == 0.0:
-        return _stereo_unit((), n, 0, 1) if n == 1 else _grid_direction(0, n)
-    u = [x / norm for x in v]
-    axis = max(range(n), key=lambda i: abs(u[i]))
-    sign = 1 if u[axis] > 0 else -1
-    denom = 1.0 + abs(u[axis])
-    w = tuple(
-        Fraction(round(u[i] / denom * _CHART_DENOM), _CHART_DENOM)
-        for i in range(n)
-        if i != axis
-    )
-    return _stereo_unit(w, n, axis, sign)
+        return stereo_unit((), n, 0, 1) if n == 1 else _grid_direction(0, n)
+    axis, sign, w = stereo_chart([x / norm for x in v])
+    w = [Fraction(round(x * _CHART_DENOM), _CHART_DENOM) for x in w]
+    return stereo_unit(w, n, axis, sign)
 
 
 # -- direction selection -----------------------------------------------------
@@ -205,7 +176,6 @@ class CapSelection:
     direction: Vec
     escaped: tuple[int, ...]  # cap members whose end-region miss is verified
     strong: tuple[int, ...]  # subset guaranteed to be absorbed after the drive
-    count: int
     candidates_tried: int
 
 
@@ -299,7 +269,6 @@ def select_cap(
         direction=best[2],
         escaped=best[4],
         strong=best[3],
-        count=len(best[4]),
         candidates_tried=tried,
     )
 
@@ -311,27 +280,6 @@ def drive_halfspace(start: Ball, direction: Vec, gamma: Fraction) -> Halfspace:
     """The halfspace the escape drive certifies: height >= (gamma/2)*rho_start
     above the start center, along the drive direction."""
     return Halfspace(direction, gamma * start.radius / 2, start.center)
-
-
-class EscapeDrive:
-    """Step (1-alpha)*rho along a fixed unit direction for a fixed number of
-    White moves, then hold the center."""
-
-    def __init__(self, direction: Vec, rounds: int):
-        self.direction = direction
-        self.rounds = rounds
-        self.moves = 0
-
-    def __call__(self, state) -> tuple[Vec, str]:
-        if self.moves < self.rounds:
-            step = (1 - state.params.alpha) * state.ball.radius
-            center = add(state.ball.center, scale(self.direction, step))
-            note = f"drive {self.moves + 1}/{self.rounds}"
-        else:
-            center = state.ball.center
-            note = "hold"
-        self.moves += 1
-        return center, note
 
 
 class AvoidanceDrive:
@@ -369,13 +317,13 @@ class AvoidanceDrive:
                     "escape drive failed to reach its certified halfspace"
                 )
             for j in strong:
-                if is_threat(ball, self.planes[j], gamma):
+                if not absorbed(ball, self.planes[j], gamma):
                     raise EscapeAssertionFailed(
                         f"plane {j} was strongly hit but is still a threat"
                     )
             self.pending = None
         self.remaining = [
-            j for j in self.remaining if is_threat(ball, self.planes[j], gamma)
+            j for j in self.remaining if not absorbed(ball, self.planes[j], gamma)
         ]
         sub_index = self.pos // self.params.escape_rounds
         if self.remaining:

@@ -67,19 +67,6 @@ def gt_sqrt(lhs: Rat, x_sq: Rat) -> bool:
     return lhs * lhs > x_sq
 
 
-def ge_sqrt(lhs: Rat, x_sq: Rat) -> bool:
-    """Decide lhs >= sqrt(x_sq) exactly (x_sq >= 0)."""
-    if x_sq < 0:
-        raise ValueError("x_sq must be nonnegative")
-    if lhs < 0:
-        return False
-    return lhs * lhs >= x_sq
-
-
-def lt_sqrt(lhs: Rat, x_sq: Rat) -> bool:
-    return not ge_sqrt(lhs, x_sq)
-
-
 def gt_sum_two_sqrt(lhs: Rat, x_sq: Rat, y_sq: Rat) -> bool:
     """Decide lhs > sqrt(x_sq) + sqrt(y_sq) exactly.
 

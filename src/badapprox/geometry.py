@@ -1,9 +1,11 @@
 """Exact geometric primitives: balls, integer-normal hyperplanes, halfspaces.
 
 Containment predicates are exact (no epsilon anywhere on the legality path).
-The spherical-cap measure helpers at the bottom are the one place floats are
-allowed: they feed derived constants (rounded conservatively before use) and
-cross-validation oracles, never in-game decisions.
+Floats appear in two places only, never in an in-game decision: the chart
+that rational_unit_direction rationalizes (its output is an exact unit
+vector), and the spherical-cap measure helpers at the bottom, which feed
+derived constants (rounded conservatively before use) and the independent
+constants check.
 """
 from __future__ import annotations
 
@@ -107,15 +109,12 @@ class Ball:
         p, q = slack.numerator, slack.denominator
         return dist_sq * q * q <= p * p * den * den
 
-    def contains_point(self, p: Vec) -> bool:
-        return norm_sq(sub(p, self.center)) <= self.radius * self.radius
-
     def to_jsonable(self) -> dict:
         return {"center": [rat_str(c) for c in self.center], "radius": rat_str(self.radius)}
 
     @classmethod
     def from_jsonable(cls, obj: dict) -> "Ball":
-        return cls(tuple(rat(c) for c in obj["center"]), rat(obj["radius"]))
+        return cls(tuple(obj["center"]), obj["radius"])  # __post_init__ parses each value
 
 
 @dataclass(frozen=True)
@@ -165,28 +164,48 @@ class Halfspace:
         """Exact: height of the center clears threshold + radius."""
         return self.height(ball.center) - self.threshold >= ball.radius
 
-    def contains_point(self, p: Vec) -> bool:
-        return self.height(p) >= self.threshold
+
+# -- exact unit directions from a stereographic chart ------------------------
+
+#: rational_unit_direction refines until its float distance to v/|v| is below this.
+DIRECTION_TOL = 2.0**-30
 
 
-# -- rationalizing directions ------------------------------------------------
+def stereo_chart(u: Sequence[float]) -> tuple[int, int, list[float]]:
+    """Chart of a float unit vector u for stereo_unit: the axis of largest
+    |u_i| (the first on a tie), the sign s of u_axis, and the chart point
+    w_j = u_j / (1 + |u_axis|) over the other axes, so the lift of w is u."""
+    axis = max(range(len(u)), key=lambda i: abs(u[i]))
+    sign = 1 if u[axis] > 0 else -1
+    denom = 1.0 + abs(u[axis])
+    return axis, sign, [x / denom for i, x in enumerate(u) if i != axis]
 
 
-def rational_unit_direction(v: Sequence[Rat], tol: Fraction = Fraction(1, 2**30)) -> Vec:
-    """An exact unit vector (sum of squares == 1) within tol of v/|v|.
+def stereo_unit(w: Sequence[Fraction], n: int, axis: int, sign: int) -> Vec:
+    """Inverse stereographic projection of a rational chart point w in Q^(n-1):
+    d_axis = s(1-|w|^2)/(1+|w|^2) and d_j = 2 w_j/(1+|w|^2) over the other
+    axes, so |d| = 1 identically."""
+    wsq = sum((x * x for x in w), Fraction(0))
+    lift = 1 + wsq
+    d = [Fraction(0)] * n
+    d[axis] = Fraction(sign) * (1 - wsq) / lift
+    rest = [i for i in range(n) if i != axis]
+    for j, i in enumerate(rest):
+        d[i] = 2 * w[j] / lift
+    return tuple(d)
 
-    Inverse stereographic projection from a rational point: any w in Q^{n-1}
-    maps to d with d_axis = s(1-|w|^2)/(1+|w|^2) and d_j = 2 w_j/(1+|w|^2),
-    which satisfies |d| = 1 identically.  We project from the axis of largest
-    |component| (sign-adjusted) so the chart is well-conditioned, and refine w
-    until the float distance to v/|v| is below tol.
+
+def rational_unit_direction(v: Sequence[Rat]) -> Vec:
+    """An exact unit vector (sum of squares == 1) within DIRECTION_TOL of v/|v|.
+
+    The chart point of v/|v| (stereo_chart, well conditioned around the axis
+    of largest |component|) is rationalized with a growing denominator
+    bound until the lift lands within DIRECTION_TOL, in float distance.
     """
     v = rat_vec(v)
     n = len(v)
     if all(x == 0 for x in v):
         raise ValueError("cannot normalize the zero vector")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
 
     nonzero = [i for i, x in enumerate(v) if x != 0]
     if len(nonzero) == 1:
@@ -199,27 +218,14 @@ def rational_unit_direction(v: Sequence[Rat], tol: Fraction = Fraction(1, 2**30)
     fv = [float(x) for x in v]
     fnorm = math.sqrt(math.fsum(x * x for x in fv))
     target = [x / fnorm for x in fv]
+    axis, sign, w_ideal = stereo_chart(target)
 
-    axis = max(range(n), key=lambda i: abs(target[i]))
-    s = 1 if target[axis] > 0 else -1
-    rest = [i for i in range(n) if i != axis]
-    denom = 1.0 + s * target[axis]
-    w_ideal = [target[i] / denom for i in rest]
-
-    tol_f = float(tol)
     max_den = 1 << 20
     for _ in range(8):
-        w = [Fraction(x).limit_denominator(max_den) for x in w_ideal]
-        wsq = sum((x * x for x in w), Fraction(0))
-        lift = 1 + wsq
-        d = [Fraction(0)] * n
-        d[axis] = Fraction(s) * (1 - wsq) / lift
-        for j, i in enumerate(rest):
-            d[i] = 2 * w[j] / lift
-        assert sum((x * x for x in d), Fraction(0)) == 1
+        d = stereo_unit([Fraction(x).limit_denominator(max_den) for x in w_ideal], n, axis, sign)
         err = math.sqrt(math.fsum((float(d[i]) - target[i]) ** 2 for i in range(n)))
-        if err < tol_f:
-            return tuple(d)
+        if err < DIRECTION_TOL:
+            return d
         max_den <<= 14
     raise ValueError("direction refinement failed to reach tolerance")
 
@@ -256,57 +262,3 @@ def cap_fraction(gamma: Rat, n: int) -> float:
     if not 0 < g < 2:
         raise ValueError("gamma must lie in (0, 2)")
     return cap_fraction_angular(math.asin(g / 2), n)
-
-
-def cap_fraction_montecarlo(
-    gamma: Rat, n: int, samples: int = 1_000_000, seed: int = 0, grid: int = 1200
-) -> float:
-    """Definitional Monte-Carlo estimate of the same cap fraction.
-
-    Works from the defining property rather than the closed form: a unit
-    y lies in the cap around x̂ of angular radius arcsin(γ/2) iff y has
-    nonnegative inner product with every point of the closed dual cap of
-    angular radius arccos(γ/2) around x̂.  We grid that dual cap densely and
-    test min_z z·y >= 0 against uniform random directions.  Independent of
-    cap_fraction (different formula, different code path) on purpose.
-    """
-    import numpy as np
-
-    g = float(Fraction(gamma))
-    if not 0 < g < 2:
-        raise ValueError("gamma must lie in (0, 2)")
-    if n == 1:
-        # 0-sphere: the cap around +1 is {+1}; uniform on {±1}.
-        rng = np.random.default_rng(seed)
-        draws = rng.integers(0, 2, size=samples)
-        return float(np.mean(draws == 1))
-
-    theta_c = math.acos(g / 2.0)  # dual cap radius
-    if n == 2:
-        phis = np.linspace(-theta_c, theta_c, grid)
-        zs = np.stack([np.cos(phis), np.sin(phis)], axis=1)
-    elif n == 3:
-        n_rings = max(8, int(round(math.sqrt(grid / 4))))
-        n_az = max(16, grid // n_rings)
-        polar = np.linspace(0.0, theta_c, n_rings)
-        az = np.linspace(0.0, 2 * math.pi, n_az, endpoint=False)
-        pp, aa = np.meshgrid(polar, az, indexing="ij")
-        zs = np.stack(
-            [np.cos(pp).ravel(), (np.sin(pp) * np.cos(aa)).ravel(), (np.sin(pp) * np.sin(aa)).ravel()],
-            axis=1,
-        )
-    else:
-        raise NotImplementedError("Monte-Carlo oracle implemented for n <= 3")
-
-    rng = np.random.default_rng(seed)
-    hits = 0
-    chunk = 50_000
-    done = 0
-    while done < samples:
-        m = min(chunk, samples - done)
-        y = rng.standard_normal((m, n))
-        y /= np.linalg.norm(y, axis=1, keepdims=True)
-        mins = (y @ zs.T).min(axis=1)
-        hits += int(np.count_nonzero(mins >= 0.0))
-        done += m
-    return hits / samples

@@ -10,7 +10,6 @@ the avoidance strategy consumes.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,7 +35,9 @@ class ThetaMatrix:
 
     Row i against an integer vector x in Z^m contributes theta[i][j]*x_i to
     form j; the dual quality pairs rows with y in Z^n.  An optional
-    continued-fraction expansion may ride along for the 1x1 case.
+    continued-fraction expansion may ride along for the 1x1 case; it must
+    be [a0; a1, ..., ak] with integer terms, a1..ak positive, and its last
+    convergent equal to the entry, since records are read off it.
     """
 
     rows: tuple[tuple[Fraction, ...], ...]
@@ -50,9 +51,15 @@ class ThetaMatrix:
         if len({len(r) for r in rows}) != 1:
             raise ValueError("ragged theta matrix")
         if self.cf is not None:
-            object.__setattr__(self, "cf", tuple(int(a) for a in self.cf))
             if self.shape != (1, 1):
                 raise ValueError("continued-fraction data only makes sense for a 1x1 theta")
+            cf = tuple(self.cf)
+            if not cf or any(type(a) is not int for a in cf) or any(a <= 0 for a in cf[1:]):
+                raise ValueError(f"cf terms must be integers, positive after the first: {cf}")
+            p, q = list(convergents(cf))[-1]
+            if Fraction(p, q) != rows[0][0]:
+                raise ValueError(f"cf {cf} expands to {p}/{q}, not the entry {rat_str(rows[0][0])}")
+            object.__setattr__(self, "cf", cf)
 
     @property
     def m(self) -> int:
@@ -259,7 +266,7 @@ class ResonanceEntry:
     @classmethod
     def from_jsonable(cls, obj: dict) -> "ResonanceEntry":
         q = obj.get("quality")
-        return cls(tuple(obj["u"]), int(obj["t_sq"]), rat(q) if q is not None else None)
+        return cls(tuple(obj["u"]), obj["t_sq"], rat(q) if q is not None else None)
 
 
 @dataclass(frozen=True)
@@ -289,6 +296,8 @@ class ResonanceSequence:
         if len(dims) != 1:
             raise ValueError("mixed dimensions in resonance sequence")
         for e in self.entries:
+            if any(type(c) is not int for c in (*e.vector, e.norm_sq)):
+                raise ValueError(f"vector and norm_sq must be integers: {e.vector}, {e.norm_sq}")
             if e.norm_sq != sum(c * c for c in e.vector):
                 raise ValueError(f"stored norm_sq wrong for {e.vector}")
         for prev, cur in zip(self.entries, self.entries[1:]):
@@ -319,19 +328,12 @@ class ResonanceSequence:
             "entries": [e.to_jsonable() for e in self.entries],
         }
 
-    def dumps(self) -> str:
-        return json.dumps(self.to_jsonable(), indent=2, sort_keys=True)
-
     @classmethod
     def from_jsonable(cls, obj: dict) -> "ResonanceSequence":
         return cls(
             tuple(ResonanceEntry.from_jsonable(e) for e in obj["entries"]),
             rat(obj["M"]),
         )
-
-    @classmethod
-    def loads(cls, text: str) -> "ResonanceSequence":
-        return cls.from_jsonable(json.loads(text))
 
 
 def lacunary_normalize(

@@ -186,10 +186,6 @@ class BlockSchedule:
     blocks: int
     cuts: tuple[int, ...]  # length blocks+1, starting at 0, then r_1=1, ...
 
-    @property
-    def gaps(self) -> tuple[int, ...]:
-        return tuple(hi - lo for lo, hi in zip(self.cuts, self.cuts[1:]))
-
     def handled_range(self, block: int) -> tuple[int, int]:
         """(lo, hi], 1-based resonance indices handled by `block`."""
         return self.cuts[block], self.cuts[block + 1]

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, settings
 
+from badapprox.geometry import add, scale
 from badapprox.resonance import (
     ApproximationRecord,
     ResonanceEntry,
@@ -65,3 +66,14 @@ def make_records(pairs):
         v = tuple(int(x) for x in v)
         out.append(ApproximationRecord(v, sum(x * x for x in v), Fraction(q)))
     return out
+
+
+def escape_drive(direction):
+    """White policy (test helper): step (1 - alpha) * rho along a fixed unit
+    direction on every move, the push that escape drives make."""
+
+    def policy(state):
+        step = (1 - state.params.alpha) * state.ball.radius
+        return add(state.ball.center, scale(direction, step)), None
+
+    return policy

@@ -10,10 +10,12 @@ them by test_schedule.py and test_adversaries.py.  The engine's ball
 containment and trace rendering are the ``Fraction`` test and the generic
 ``json.dumps`` call that the integer test and the direct trace writer
 replaced, held to them by test_geometry.py and test_engine.py.  All of them
-are slow and obviously correct.
+are slow and obviously correct.  The Monte-Carlo cap estimate at the end is
+the definitional check of the closed-form cap measure.
 """
 import itertools
 import json
+import math
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
@@ -212,20 +214,17 @@ def nearest_family(seq: ResonanceSequence, center) -> tuple[int, Fraction]:
 
 
 class GreedyBlack:
-    """Greedy Black (without `reach`) in Fraction arithmetic, rationalizing
-    its chase direction afresh on every move."""
+    """Greedy Black in Fraction arithmetic, rationalizing its chase direction
+    afresh on every move."""
 
-    def __init__(self, seq: ResonanceSequence, tol=Fraction(1, 2**30)):
+    def __init__(self, seq: ResonanceSequence):
         self.seq = seq
-        self.tol = tol
 
     def __call__(self, state):
         r, res = nearest_family(self.seq, state.ball.center)
         if res == 0:
             return state.ball.center, f"on family {r}"
-        direction = rational_unit_direction(
-            scale(self.seq.vector(r), -1 if res > 0 else 1), self.tol
-        )
+        direction = rational_unit_direction(scale(self.seq.vector(r), -1 if res > 0 else 1))
         step = (1 - state.params.beta) * state.ball.radius
         return add(state.ball.center, scale(direction, step)), f"chasing family {r}"
 
@@ -245,3 +244,60 @@ def contains_ball(outer: Ball, inner: Ball) -> bool:
 def trace_json(trace: GameTrace) -> str:
     """The trace file's text as the generic JSON encoder writes it."""
     return json.dumps(trace.to_jsonable(), indent=2, sort_keys=True)
+
+
+# -- the spherical-cap measure -------------------------------------------------
+
+
+def cap_fraction_montecarlo(
+    gamma, n: int, samples: int = 1_000_000, seed: int = 0, grid: int = 1200
+) -> float:
+    """Definitional Monte-Carlo estimate of geometry.cap_fraction.
+
+    Works from the defining property rather than the closed form: a unit
+    y lies in the cap around x̂ of angular radius arcsin(γ/2) iff y has
+    nonnegative inner product with every point of the closed dual cap of
+    angular radius arccos(γ/2) around x̂.  We grid that dual cap densely and
+    test min_z z·y >= 0 against uniform random directions.  Independent of
+    cap_fraction (different formula, different code path) on purpose.
+    """
+    import numpy as np
+
+    g = float(Fraction(gamma))
+    if not 0 < g < 2:
+        raise ValueError("gamma must lie in (0, 2)")
+    if n == 1:
+        # 0-sphere: the cap around +1 is {+1}; uniform on {±1}.
+        rng = np.random.default_rng(seed)
+        draws = rng.integers(0, 2, size=samples)
+        return float(np.mean(draws == 1))
+
+    theta_c = math.acos(g / 2.0)  # dual cap radius
+    if n == 2:
+        phis = np.linspace(-theta_c, theta_c, grid)
+        zs = np.stack([np.cos(phis), np.sin(phis)], axis=1)
+    elif n == 3:
+        n_rings = max(8, int(round(math.sqrt(grid / 4))))
+        n_az = max(16, grid // n_rings)
+        polar = np.linspace(0.0, theta_c, n_rings)
+        az = np.linspace(0.0, 2 * math.pi, n_az, endpoint=False)
+        pp, aa = np.meshgrid(polar, az, indexing="ij")
+        zs = np.stack(
+            [np.cos(pp).ravel(), (np.sin(pp) * np.cos(aa)).ravel(), (np.sin(pp) * np.sin(aa)).ravel()],
+            axis=1,
+        )
+    else:
+        raise NotImplementedError("Monte-Carlo oracle implemented for n <= 3")
+
+    rng = np.random.default_rng(seed)
+    hits = 0
+    chunk = 50_000
+    done = 0
+    while done < samples:
+        m = min(chunk, samples - done)
+        y = rng.standard_normal((m, n))
+        y /= np.linalg.norm(y, axis=1, keepdims=True)
+        mins = (y @ zs.T).min(axis=1)
+        hits += int(np.count_nonzero(mins >= 0.0))
+        done += m
+    return hits / samples

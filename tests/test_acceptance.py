@@ -23,7 +23,6 @@ from badapprox.certify import (
 from badapprox.engine import Ball, GameParams, GameTrace, concentric, replay, run_game
 from badapprox.escape import (
     AvoidanceDrive,
-    EscapeDrive,
     drive_halfspace,
     plane_sign,
     select_cap,
@@ -31,16 +30,12 @@ from badapprox.escape import (
     verified_miss,
 )
 from badapprox.exact import ceil_frac
-from badapprox.geometry import (
-    Hyperplane,
-    cap_fraction,
-    cap_fraction_montecarlo,
-    norm_sq,
-)
+from badapprox.geometry import Hyperplane, cap_fraction, norm_sq
 from badapprox.resonance import ThetaMatrix, golden_theta
 from badapprox.schedule import block_schedule, derive_params
 from badapprox.strategy import CertificateFailed, certificate, run_constructed_game
-from conftest import make_sequence
+from conftest import escape_drive, make_sequence
+from oracles import cap_fraction_montecarlo
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -136,7 +131,7 @@ def test_criterion_02_drift_identity_exact():
         def opposed(state):
             return (state.ball.center[0] - (1 - state.params.beta) * state.ball.radius,), None
 
-        white = EscapeDrive((F(1),), 1)
+        white = escape_drive((F(1),))
         tr = run_game(gp, Ball((F(0),), F(1)), white, opposed, 1)
         assert tr.moves[1].ball.center[0] == gamma  # rho_B = 1, exact identity
         checked += 1
@@ -159,7 +154,7 @@ def test_criterion_03_escape_halfspace_postcondition():
             u = (1,) + (0,) * (n - 1)
         plane = Hyperplane(u, 0)  # through the block-start center
         sel = select_cap(ball, [plane], params, seed=trial)
-        white = EscapeDrive(sel.direction, params.escape_rounds)
+        white = escape_drive(sel.direction)
         hs = drive_halfspace(ball, sel.direction, params.gamma)
         black = RandomBlack(seed=trial) if trial % 2 == 0 else GreedyBlack(families[n])
         gp = GameParams(alpha, beta, n)

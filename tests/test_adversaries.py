@@ -15,10 +15,9 @@ from badapprox.engine import (
     concentric,
     run_game,
 )
-from badapprox.escape import EscapeDrive
 from badapprox.geometry import Ball, dot
 from badapprox.strategy import run_constructed_game
-from conftest import make_sequence
+from conftest import escape_drive, make_sequence
 
 
 def test_random_black_always_legal_many_rounds():
@@ -105,18 +104,6 @@ def test_greedy_black_full_step_size():
     assert tr.moves[1].ball.center[0] == Fraction(3, 10) - Fraction(1, 8)
 
 
-def test_greedy_black_reach_falls_back_to_concentric():
-    seq = make_sequence([(1,)])
-    black = GreedyBlack(seq, reach=Fraction(1, 2))
-    gp = GameParams(Fraction(1, 4), Fraction(1, 2), 1)
-    # nearest plane at distance 1/2 from center; White ball radius 1/40:
-    # 1/2 > (1/2)*(1/40) -> out of reach, concentric reply
-    start = Ball((Fraction(1, 2),), Fraction(1, 10))
-    tr = run_game(gp, start, concentric, black, 1)
-    assert tr.moves[1].ball.center == tr.moves[0].ball.center
-    assert tr.moves[1].note == "concentric (nothing in reach)"
-
-
 def test_greedy_black_two_dim_moves_toward_plane():
     seq = make_sequence([(1, 0), (2, 2)], lacunarity=2)
     black = GreedyBlack(seq)
@@ -139,7 +126,7 @@ def test_greedy_drift_identity_against_escape():
         # start below 1/2 so the nearest integer plane stays below even after
         # White's upward push: Black's full chase is exactly opposed
         start = Ball((Fraction(1, 4),), Fraction(1, 100))
-        white = EscapeDrive((Fraction(1),), rounds=1)
+        white = escape_drive((Fraction(1),))
         tr = run_game(gp, start, white, GreedyBlack(seq), 1)
         drift = tr.final_ball.center[0] - start.center[0]
         assert drift == gamma * start.radius

@@ -6,10 +6,15 @@ promises that flags + seed determine every output byte.
 """
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import badapprox
 from badapprox.cli import main
 from badapprox.resonance import ThetaMatrix
 
@@ -122,13 +127,13 @@ def test_certify_product_golden_pin(tmp_path, capsys):
 
 
 def test_certify_functional_aliases(tmp_path):
-    a, b = tmp_path / "a", tmp_path / "b"
-    base = ("certify", "--theta", "golden", "--eta", "160567/524288", "--N", "50")
-    assert run(a, *base, "--functional", "theorem1") == 0
-    assert run(b, *base, "--functional", "product") == 0
-    ra = json.loads((a / "report.json").read_text())["report"]
-    rb = json.loads((b / "report.json").read_text())["report"]
-    assert ra == rb
+    # the functionals are named product and decay only: the old aliases
+    # theorem1 and jarnik are unknown choices
+    for alias in ("theorem1", "jarnik"):
+        with pytest.raises(SystemExit) as exc:
+            run(tmp_path, "certify", "--theta", "golden", "--eta", "160567/524288",
+                "--N", "50", "--functional", alias)
+        assert exc.value.code == 2
 
 
 def test_certify_theta_file_two_forms(tmp_path):
@@ -136,12 +141,12 @@ def test_certify_theta_file_two_forms(tmp_path):
     tf = tmp_path / "theta.json"
     tf.write_text(json.dumps(th.to_jsonable()))
     base = ("certify", "--theta", str(tf), "--eta", "3/5,1/7", "--N", "40")
-    assert run(tmp_path, *base, "--functional", "theorem1") == 0
+    assert run(tmp_path, *base, "--functional", "product") == 0
     prod = json.loads((tmp_path / "report.json").read_text())["report"]
     assert prod["value"] == "4/225"
     assert prod["argmin"] == [-4]
     assert prod["warnings"]  # limit 40 is far past sqrt(denominator)
-    assert run(tmp_path, *base, "--functional", "jarnik",
+    assert run(tmp_path, *base, "--functional", "decay",
                "--psi", "power:c=1,sigma=2/1") == 0
     decay = json.loads((tmp_path / "report.json").read_text())["report"]
     assert decay["value"] == prod["value"]
@@ -171,7 +176,7 @@ def test_certify_margin_runs_without_N(tmp_path):
     assert blob["config"]["N"] is None
 
 
-@pytest.mark.parametrize("functional", ["product", "theorem1", "decay", "jarnik"])
+@pytest.mark.parametrize("functional", ["product", "decay"])
 def test_certify_scans_without_N_exit_2(tmp_path, capsys, functional):
     rc = run(tmp_path, "certify", "--theta", "golden", "--eta", "1/2",
              "--functional", functional, "--psi", "power:c=1,sigma=1")
@@ -199,6 +204,15 @@ def test_certify_missing_theta_file_exits_2(tmp_path):
     assert rc == 2
 
 
+def test_certify_table_with_non_integer_size_exits_2(tmp_path, capsys):
+    table = tmp_path / "table.json"
+    table.write_text(json.dumps({"sizes": [1.5, 3], "values": ["1/2", "1/4"]}))
+    rc = run(tmp_path, "certify", "--theta", "golden", "--eta", "1/2", "--N", "3",
+             "--functional", "decay", "--psi", f"table:{table}")
+    assert rc == 2
+    assert "table sizes must be integers" in capsys.readouterr().err
+
+
 def test_certify_unknown_functional_rejected_by_parser(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run(tmp_path, "certify", "--theta", "golden", "--eta", "1/2",
@@ -219,6 +233,32 @@ def test_psi_golden_table(tmp_path, capsys):
     assert blob["table"]["values"][0] == "514229/1346269"
     assert len(blob["records"]) == 5
     assert "psi(3) = 196418/1346269" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("entry,cf", [
+    ("1/3", [0, 2]),  # expands to 1/2
+    ("1/3", [0, 3.0]),  # non-integer term
+    ("2/5", [1, -2, 3]),  # expands to 2/5, but a term after the first is negative
+])
+def test_psi_cf_that_does_not_match_its_entry_exits_2(tmp_path, capsys, entry, cf):
+    theta = tmp_path / "theta.json"
+    theta.write_text(json.dumps({"m": 1, "n": 1, "entries": [[entry]], "cf": cf}))
+    assert run(tmp_path, "psi", "--theta", str(theta), "--tmax", "10") == 2
+    assert capsys.readouterr().err.startswith("config error: cf")
+    assert not (tmp_path / "psi.json").exists()
+
+
+@pytest.mark.parametrize("entry", [
+    {"u": [2.0], "t_sq": 4, "quality": None},  # float vector entry
+    {"u": [2], "t_sq": 4.5, "quality": None},  # float size, once truncated to 4
+])
+def test_play_family_with_non_integer_numbers_exits_2(tmp_path, capsys, entry):
+    fam = tmp_path / "family.json"
+    fam.write_text(json.dumps({"M": "3/1", "entries": [entry]}))
+    rc = run(tmp_path, "play", "--alpha", "1/4", "--beta", "1/2", "--blocks", "1",
+             "--rho0", "1/8", "--resonance", str(fam))
+    assert rc == 2
+    assert "must be integers" in capsys.readouterr().err
 
 
 def test_resonance_golden_family(tmp_path):
@@ -308,3 +348,32 @@ def test_sweep_reports_infeasible_cells_and_exits_1(tmp_path):
     assert rc == 1
     body = (tmp_path / "sweep.csv").read_text()
     assert "failed: ScheduleInfeasible" in body
+
+
+# ---------------------------------------------------------------------------
+# dependencies
+# ---------------------------------------------------------------------------
+
+NO_NUMPY = """
+import sys
+sys.modules["numpy"] = None  # every `import numpy` now raises ImportError
+from fractions import Fraction
+from badapprox.cli import main
+from badapprox.schedule import derive_params
+out = sys.argv[1]
+for n in (2, 3):
+    derive_params(Fraction(1, 4), Fraction(1, 2), 3, n)
+assert main(["play", "--alpha", "1/4", "--beta", "1/2", "--blocks", "2", "--out", out]) == 0
+assert main(["certify", "--eta", "160567/524288", "--N", "1000", "--out", out]) == 0
+"""
+
+
+def test_pipeline_runs_without_numpy(tmp_path):
+    # numpy is a test-only dependency: derive_params, play and certify never import it
+    src = str(Path(badapprox.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-c", NO_NUMPY, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "certificate.json").exists() and (tmp_path / "report.json").exists()

@@ -10,10 +10,8 @@ from hypothesis import strategies as st
 from badapprox.exact import (
     ceil_frac,
     floor_frac,
-    ge_sqrt,
     gt_sqrt,
     gt_sum_two_sqrt,
-    lt_sqrt,
     rat,
     rat_str,
     rat_vec,
@@ -86,16 +84,13 @@ def test_rat_str_always_shows_denominator():
 
 @given(q=positive)
 def test_gt_sqrt_boundary_is_strict(q):
-    # lhs == sqrt(q^2) exactly: strict comparator says no, weak says yes
+    # lhs == sqrt(q^2) exactly: the strict comparator says no
     assert not gt_sqrt(q, q * q)
-    assert ge_sqrt(q, q * q)
-    assert not lt_sqrt(q, q * q)
 
 
 @given(q=positive, d=positive)
 def test_gt_sqrt_separates_sides(q, d):
     assert gt_sqrt(q + d, q * q)
-    assert lt_sqrt(q - d, q * q)
     assert not gt_sqrt(q - d, q * q)
 
 
@@ -103,7 +98,6 @@ def test_gt_sqrt_separates_sides(q, d):
 def test_gt_sqrt_nonpositive_lhs(q):
     assert not gt_sqrt(Fraction(0), q)
     assert not gt_sqrt(Fraction(-1), q)
-    assert ge_sqrt(Fraction(0), q) == (q == 0)
 
 
 def test_gt_sqrt_rejects_negative_square():

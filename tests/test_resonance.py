@@ -1,6 +1,7 @@
 """Approximation records, lacunary thinning, decay-profile verification."""
 
 import itertools
+import json
 from fractions import Fraction
 
 import pytest
@@ -38,6 +39,21 @@ def test_theta_validation():
     with pytest.raises(ValueError):
         # cf only makes sense for scalars
         ThetaMatrix(((Fraction(1, 2), Fraction(1, 3)),), cf=(0, 2))
+    # a cf must be the entry's: integer terms, positive after the first,
+    # whose last convergent is the entry (2/7 = [0; 3, 2])
+    for cf in [
+        (0, 2),  # expands to 1/2
+        (0, 3, 3),  # expands to 3/10
+        (0, 3.5, 2),  # non-integer term
+        (0, True, 2),  # bool is not an integer term
+        (0, 3, 0, 2),  # a zero term after the first
+        (),  # no terms
+    ]:
+        with pytest.raises(ValueError, match="cf"):
+            ThetaMatrix.scalar(Fraction(2, 7), cf=cf)
+    # a negative term is refused even when the expansion lands on the entry
+    with pytest.raises(ValueError, match="positive"):
+        ThetaMatrix.scalar(Fraction(2, 5), cf=(1, -2, 3))
 
 
 def test_theta_json_round_trip():
@@ -45,6 +61,9 @@ def test_theta_json_round_trip():
     assert ThetaMatrix.from_jsonable(th.to_jsonable()) == th
     g = golden_theta()
     assert ThetaMatrix.from_jsonable(g.to_jsonable()) == g
+    th = ThetaMatrix.from_jsonable({"m": 1, "n": 1, "entries": [["2/7"]], "cf": [0, 3, 2]})
+    assert ThetaMatrix.from_jsonable(th.to_jsonable()) == th == ThetaMatrix.scalar(
+        Fraction(2, 7), cf=(0, 3, 2))
 
 
 def test_golden_theta_value():
@@ -256,10 +275,10 @@ def test_sequence_one_based_access(golden_seq):
 
 
 def test_sequence_json_round_trip(golden_seq):
-    text = golden_seq.dumps()
-    again = ResonanceSequence.loads(text)
+    blob = json.loads(json.dumps(golden_seq.to_jsonable()))
+    again = ResonanceSequence.from_jsonable(blob)
     assert again == golden_seq
-    assert again.dumps() == text
+    assert again.to_jsonable() == blob
 
 
 def test_sequence_mixed_dimensions_rejected():

@@ -143,7 +143,6 @@ def test_derive_params_input_validation():
 def test_golden_schedule_two_blocks(golden_params, golden_seq):
     sched = block_schedule(golden_params, golden_seq, Fraction(1, 2), 2)
     assert sched.cuts == (0, 1, 5)
-    assert sched.gaps == (1, 4)
     assert sched.handled_range(0) == (0, 1)
     assert sched.handled_range(1) == (1, 5)
     # certification: sizes 2..5 are below the block-1 threshold 1/(2*rho0*p^tau)
@@ -161,7 +160,6 @@ def test_golden_schedule_three_blocks_infeasible(golden_params, golden_seq):
 def test_schedule_zero_blocks(golden_params, golden_seq):
     sched = block_schedule(golden_params, golden_seq, Fraction(1, 2), 0)
     assert sched.cuts == (0,)
-    assert sched.gaps == ()
 
 
 def test_schedule_rejects_oversized_rho0(golden_params, golden_seq):
