@@ -7,26 +7,27 @@ Against *any* legal opponent this drives the whole ball into the halfspace
 {x̂·(y - start) >= (gamma/2)*rho_start} within `escape_rounds` rounds, and for
 directions in a slightly smaller cap ("strong" hits) it leaves the final ball
 at distance > gamma*rho from the plane — a state that nested play can never
-undo.  Every membership test below is decided in exact rational arithmetic
-(at most two squarings); floats appear only inside candidate *generation*,
-never in acceptance of a candidate.
+undo.  Every membership test below is an exact integer test on the
+direction's (v, L) form, integer v over its common denominator L (at most
+two squarings); floats appear only inside candidate *generation*, never in
+acceptance of a candidate.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from random import Random
 from typing import Optional, Sequence
 
-from .exact import ceil_frac, gt_sqrt, gt_sum_two_sqrt
+from .exact import ceil_frac, gt_sqrt, gt_sum_two_sqrt, over_common_denominator
 from .geometry import (
     Ball,
     Halfspace,
     Hyperplane,
     Vec,
     add,
-    dot,
     lex_sign,
     rational_unit_direction,
     scale,
@@ -81,62 +82,87 @@ def absorbed(ball: Ball, plane: Hyperplane, gamma: Fraction) -> bool:
     return r * r > bound
 
 
-# -- exact cap membership ----------------------------------------------------
+# -- exact cap membership on integer directions -------------------------------
 
 
-def cap_member(plane: Hyperplane, sgn: int, direction: Vec, gamma: Fraction) -> bool:
-    """Is the unit direction within angle arcsin(gamma/2) of the outward
-    normal?  Decided on squares: with A = sgn*(u · x̂),
-        A > 0  and  A^2 >= |u|^2 (1 - gamma^2/4).
-    """
-    a = sgn * dot(plane.normal, direction)
-    if a <= 0:
-        return False
-    return a * a >= plane.norm_sq * (1 - gamma * gamma / 4)
-
-
-def strong_cap_member(
-    plane: Hyperplane, sgn: int, direction: Vec, gamma: Fraction, shrink_t: Fraction
-) -> bool:
-    """Membership in the reduced cap that makes the escape absorbing.
-
-    Requires  A*(gamma/2) > sqrt(U_perp^2 (1-gamma^2/4)) + sqrt(|u|^2 m^2)
-    with U_perp^2 = |u|^2 - A^2 and m = gamma*shrink_t (shrink_t =
-    (alpha*beta)^escape_rounds).  Equivalent to the angle being below
-    arcsin(gamma/2) - arcsin(gamma*shrink_t).  Decided by double squaring.
-    """
-    a = sgn * dot(plane.normal, direction)
-    if a <= 0:
-        return False
-    u_perp_sq = plane.norm_sq - a * a
-    if u_perp_sq < 0:
+def integer_direction(direction: Vec) -> tuple[list[int], int]:
+    """(v, L): L the least common denominator of an exact unit direction and
+    v = L * direction, so that sum v^2 = L^2."""
+    el, v = over_common_denominator(direction)
+    if sum(x * x for x in v) != el * el:
         raise EscapeAssertionFailed("direction is not a unit vector")
-    g2 = gamma * gamma
-    return gt_sum_two_sqrt(
-        a * gamma / 2,
-        u_perp_sq * (1 - g2 / 4),
-        plane.norm_sq * g2 * shrink_t * shrink_t,
-    )
+    return v, el
 
 
-def verified_miss(
-    ball: Ball, plane: Hyperplane, sgn: int, direction: Vec, gamma: Fraction
-) -> bool:
-    """Exact check that the whole guaranteed end-region avoids the plane.
+class PlaneCap:
+    """The three cap tests of one plane against one ball, in integers.
 
-    Every point reachable after the drive lies in
-      D = {center + d : x̂·d >= (gamma/2) rho, |d| <= rho};
-    along D the signed residual is minimized at height (gamma/2) rho, giving
-      min >= |s0| + rho*(A*(gamma/2) - sqrt(U_perp^2 (1-gamma^2/4))).
-    Positivity of that bound is decided by one squaring.
+    A direction x̂ enters as (v, L) from integer_direction, and
+    a = projection(v) = L*A with A = sgn*(u · x̂) the component along the
+    outward normal.  With gamma = P/Q, shrink_t = (alpha*beta)^escape_rounds
+    = S/T and |s0|/rho = R1/R2, each test below is its rational form
+    multiplied through by positive denominators, so it is decided on
+    integers with at most two squarings.
     """
-    a = sgn * dot(plane.normal, direction)
-    if a <= 0:
-        return False
-    s_abs = abs(plane.residual(ball.center))
-    u_perp_sq = plane.norm_sq - a * a
-    lhs = s_abs / ball.radius + a * gamma / 2
-    return gt_sqrt(lhs, u_perp_sq * (1 - gamma * gamma / 4))
+
+    __slots__ = ("outward", "norm_sq", "cap_scale", "cap_bound", "strong_lhs",
+                 "strong_perp", "strong_rim", "miss_clearance", "miss_lhs", "miss_perp")
+
+    def __init__(self, ball: Ball, plane: Hyperplane, gamma: Fraction, shrink_t: Fraction):
+        sgn = plane_sign(ball, plane)
+        p, q = gamma.numerator, gamma.denominator
+        s, t = shrink_t.numerator, shrink_t.denominator
+        clearance = abs(plane.residual(ball.center)) / ball.radius
+        r1, r2 = clearance.numerator, clearance.denominator
+        k = 4 * q * q - p * p  # 4Q^2 (1 - gamma^2/4)
+        self.outward = tuple(sgn * c for c in plane.normal)
+        self.norm_sq = plane.norm_sq
+        self.cap_scale = 4 * q * q
+        self.cap_bound = self.norm_sq * k
+        self.strong_lhs = p * t
+        self.strong_perp = k * t * t
+        self.strong_rim = 4 * self.norm_sq * p * p * s * s
+        self.miss_clearance = 2 * q * r1
+        self.miss_lhs = p * r2
+        self.miss_perp = k * r2 * r2
+
+    def projection(self, v: Sequence[int]) -> int:
+        """a = sgn * (u · v)."""
+        return sum(map(mul, self.outward, v))
+
+    def cap_member(self, a: int, l_sq: int) -> bool:
+        """Is x̂ within angle arcsin(gamma/2) of the outward normal?
+        A > 0 and A^2 >= |u|^2 (1 - gamma^2/4), times 4Q^2 L^2:
+            a > 0  and  4Q^2 a^2 >= |u|^2 L^2 (4Q^2 - P^2).
+        """
+        return a > 0 and self.cap_scale * a * a >= self.cap_bound * l_sq
+
+    def strong_cap_member(self, a: int, l_sq: int) -> bool:
+        """Membership in the reduced cap that makes the escape absorbing:
+            A*(gamma/2) > sqrt(U_perp^2 (1-gamma^2/4)) + sqrt(|u|^2 m^2)
+        with U_perp^2 = |u|^2 - A^2 and m = gamma*shrink_t, i.e. the angle
+        is below arcsin(gamma/2) - arcsin(gamma*shrink_t).  Times 2QLT:
+            aPT > sqrt((|u|^2 L^2 - a^2)(4Q^2 - P^2) T^2) + sqrt(4|u|^2 P^2 S^2 L^2).
+        """
+        if a <= 0:
+            return False
+        perp = self.norm_sq * l_sq - a * a
+        return gt_sum_two_sqrt(a * self.strong_lhs, perp * self.strong_perp, self.strong_rim * l_sq)
+
+    def verified_miss(self, a: int, el: int, l_sq: int) -> bool:
+        """Exact check that the whole guaranteed end-region avoids the plane.
+
+        Every point reachable after the drive lies in
+          D = {center + d : x̂·d >= (gamma/2) rho, |d| <= rho};
+        along D the signed residual is minimized at height (gamma/2) rho, giving
+          min >= |s0| + rho*(A*(gamma/2) - sqrt(U_perp^2 (1-gamma^2/4))).
+        Its positivity, times 2QL*R2 / rho:
+            a > 0  and  2QL R1 + aP R2 > sqrt((|u|^2 L^2 - a^2)(4Q^2 - P^2) R2^2).
+        """
+        if a <= 0:
+            return False
+        perp = self.norm_sq * l_sq - a * a
+        return gt_sqrt(self.miss_clearance * el + a * self.miss_lhs, perp * self.miss_perp)
 
 
 # -- candidate generation (floats allowed, outputs exact) --------------------
@@ -179,24 +205,30 @@ class CapSelection:
     candidates_tried: int
 
 
+#: Grid directions in select_cap's first round; each later round doubles it.
+INITIAL_BUDGET = 32
+#: select_cap raises SelectionExhausted when a round ends short of its quota
+#: with at least this many candidates tried.
+MAX_CANDIDATES = 1 << 12
+
+
 def select_cap(
     ball: Ball,
     planes: Sequence[Hyperplane],
     params: StrategyParams,
     *,
     seed: int = 0,
-    initial_budget: int = 32,
-    max_doublings: int = 20,
 ) -> CapSelection:
     """Pick a drive direction clearing at least ceil(cap_measure_lb * k')
     of the k' given planes, with every claimed clearance verified exactly.
 
-    Candidates come from the planes' own escort directions, then a
-    deterministic low-discrepancy grid, then seeded random directions; the
-    budget doubles until the strong-hit quota is met.  The mean number of
-    strong hits over the sphere is >= cap_measure_lb * k', so a qualifying
-    direction always exists; SelectionExhausted signals a search-budget
-    failure, not a mathematical one.
+    Candidates come from the planes' own escort directions, then rounds of
+    a deterministic low-discrepancy grid and seeded random directions; the
+    round size doubles until the strong-hit quota is met.  The mean number
+    of strong hits over the sphere is >= cap_measure_lb * k', so a
+    qualifying direction always exists; SelectionExhausted, raised once a
+    round ends with MAX_CANDIDATES tried, signals a search-budget failure,
+    not a mathematical one.
     """
     kprime = len(planes)
     if kprime == 0:
@@ -204,21 +236,21 @@ def select_cap(
     n = params.dimension
     if ball.dimension != n:
         raise ValueError("ball dimension does not match params")
-    gamma = params.gamma
     shrink_t = params.shrink**params.escape_rounds
     quota = ceil_frac(params.cap_measure_lb * kprime)
-    signs = [plane_sign(ball, p) for p in planes]
+    caps = [PlaneCap(ball, p, params.gamma, shrink_t) for p in planes]
 
     def evaluate(direction: Vec) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        v, el = integer_direction(direction)
+        l_sq = el * el
         strong = []
         esc = []
-        for j, (p, sgn) in enumerate(zip(planes, signs)):
-            st = strong_cap_member(p, sgn, direction, gamma, shrink_t)
+        for j, cap in enumerate(caps):
+            a = cap.projection(v)
+            st = cap.strong_cap_member(a, l_sq)
             if st:
                 strong.append(j)
-            if cap_member(p, sgn, direction, gamma) and verified_miss(
-                ball, p, sgn, direction, gamma
-            ):
+            if cap.cap_member(a, l_sq) and cap.verified_miss(a, el, l_sq):
                 esc.append(j)
             elif st:
                 raise EscapeAssertionFailed("strong hit without verified miss")
@@ -247,18 +279,18 @@ def select_cap(
         consider((Fraction(1),))
         consider((Fraction(-1),))
     else:
-        for p, sgn in zip(planes, signs):
-            consider(rational_unit_direction(scale(p.normal, sgn)))
+        for cap in caps:
+            consider(rational_unit_direction(cap.outward))
         rng = Random(seed)
         grid_cursor = 0
-        budget = initial_budget
-        for _ in range(max_doublings + 1):
+        budget = INITIAL_BUDGET
+        while True:
             while grid_cursor < budget:
                 consider(_grid_direction(grid_cursor, n))
                 grid_cursor += 1
             for _ in range(budget // 2):
                 consider(_random_direction(rng, n))
-            if best is not None and best[0] >= quota:
+            if best[0] >= quota or tried >= MAX_CANDIDATES:
                 break
             budget *= 2
 

@@ -29,6 +29,21 @@ class EmptySequence(Exception):
     """Raised when a resonance computation is handed nothing to work with."""
 
 
+def _json_list(value, what: str) -> list:
+    """A JSON array read from a file; any other type is bad input (ValueError)."""
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a JSON list, got {value!r}")
+    return value
+
+
+def _json_rat(value, what: str) -> Fraction:
+    """A rational read from a file as a "p/q" string or an integer; a float,
+    bool, list or object is bad input (ValueError)."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ValueError(f'{what} must be a "p/q" string or an integer, got {value!r}')
+    return rat(value)
+
+
 @dataclass(frozen=True)
 class ThetaMatrix:
     """m x n rational matrix, stored row-major.
@@ -95,10 +110,13 @@ class ThetaMatrix:
 
     @classmethod
     def from_jsonable(cls, obj: dict) -> "ThetaMatrix":
-        rows = tuple(tuple(rat(x) for x in row) for row in obj["entries"])
+        rows = tuple(
+            tuple(_json_rat(x, "theta entry") for x in _json_list(row, "theta row"))
+            for row in _json_list(obj["entries"], "entries")
+        )
         if len(rows) != obj["m"] or any(len(r) != obj["n"] for r in rows):
             raise ValueError("entries do not match declared shape")
-        cf = tuple(obj["cf"]) if "cf" in obj else None
+        cf = tuple(_json_list(obj["cf"], "cf")) if "cf" in obj else None
         return cls(rows, cf)
 
     @classmethod
@@ -266,7 +284,11 @@ class ResonanceEntry:
     @classmethod
     def from_jsonable(cls, obj: dict) -> "ResonanceEntry":
         q = obj.get("quality")
-        return cls(tuple(obj["u"]), obj["t_sq"], rat(q) if q is not None else None)
+        return cls(
+            tuple(_json_list(obj["u"], "u")),
+            obj["t_sq"],
+            _json_rat(q, "quality") if q is not None else None,
+        )
 
 
 @dataclass(frozen=True)
@@ -331,8 +353,8 @@ class ResonanceSequence:
     @classmethod
     def from_jsonable(cls, obj: dict) -> "ResonanceSequence":
         return cls(
-            tuple(ResonanceEntry.from_jsonable(e) for e in obj["entries"]),
-            rat(obj["M"]),
+            tuple(ResonanceEntry.from_jsonable(e) for e in _json_list(obj["entries"], "entries")),
+            _json_rat(obj["M"], "M"),
         )
 
 

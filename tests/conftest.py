@@ -1,11 +1,12 @@
 """Shared fixtures: the golden-ratio worked example and small builders."""
 
 from fractions import Fraction
+from random import Random
 
 import pytest
 from hypothesis import HealthCheck, settings
 
-from badapprox.geometry import add, scale
+from badapprox.geometry import Ball, Hyperplane, add, scale
 from badapprox.resonance import (
     ApproximationRecord,
     ResonanceEntry,
@@ -77,3 +78,23 @@ def escape_drive(direction):
         return add(state.ball.center, scale(direction, step)), None
 
     return policy
+
+
+def cap_selection_inputs():
+    """200 seeded select_cap inputs (test helper): (ball, planes, params, seed)
+    in n = 1 and 2 alternately, a ball of radius 1/64 and 1..20 planes
+    through integer offsets near its center."""
+    params = {n: derive_params(Fraction(1, 4), Fraction(1, 2), 3, n) for n in (1, 2)}
+    rng = Random(404)
+    for trial in range(200):
+        n = trial % 2 + 1
+        center = tuple(Fraction(rng.randrange(-50, 51), 100) for _ in range(n))
+        ball = Ball(center, Fraction(1, 64))
+        planes = []
+        for _ in range(rng.randrange(1, 21)):
+            u = tuple(rng.randrange(-9, 10) for _ in range(n))
+            if all(c == 0 for c in u):
+                u = (1,) + (0,) * (n - 1)
+            a = round(sum(Fraction(c) * x for c, x in zip(u, center)))
+            planes.append(Hyperplane(u, a))
+        yield ball, planes, params[n], trial

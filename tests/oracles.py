@@ -9,20 +9,35 @@ them value for value, argmin for argmin.  The plane-budget scan of
 them by test_schedule.py and test_adversaries.py.  The engine's ball
 containment and trace rendering are the ``Fraction`` test and the generic
 ``json.dumps`` call that the integer test and the direct trace writer
-replaced, held to them by test_geometry.py and test_engine.py.  All of them
-are slow and obviously correct.  The Monte-Carlo cap estimate at the end is
-the definitional check of the closed-form cap measure.
+replaced, held to them by test_geometry.py and test_engine.py.  The three
+cap predicates and the ``select_cap`` built on them are the ``Fraction``
+tests that the escape layer's integer tests on (v, L) directions replaced,
+held to them by test_escape.py.  All of them are slow and obviously
+correct.  The Monte-Carlo cap estimate at the end is the definitional check
+of the closed-form cap measure.
 """
 import itertools
 import json
 import math
 from fractions import Fraction
+from random import Random
 from typing import Callable, Optional, Sequence
 
+from badapprox import escape
 from badapprox.certify import DecayTable, PowerLaw
 from badapprox.engine import GameTrace
-from badapprox.exact import rat, rat_str
-from badapprox.geometry import Ball, add, nearest_int_dist, rational_unit_direction, scale
+from badapprox.escape import CapSelection, EscapeAssertionFailed, SelectionExhausted, plane_sign
+from badapprox.exact import ceil_frac, gt_sqrt, gt_sum_two_sqrt, rat, rat_str
+from badapprox.geometry import (
+    Ball,
+    Hyperplane,
+    Vec,
+    add,
+    dot,
+    nearest_int_dist,
+    rational_unit_direction,
+    scale,
+)
 from badapprox.resonance import ApproximationRecord, ResonanceSequence, ThetaMatrix
 from badapprox.schedule import (
     ScheduleInfeasible,
@@ -244,6 +259,119 @@ def contains_ball(outer: Ball, inner: Ball) -> bool:
 def trace_json(trace: GameTrace) -> str:
     """The trace file's text as the generic JSON encoder writes it."""
     return json.dumps(trace.to_jsonable(), indent=2, sort_keys=True)
+
+
+# -- cap selection -------------------------------------------------------------
+
+
+def cap_member(plane: Hyperplane, sgn: int, direction: Vec, gamma: Fraction) -> bool:
+    """Is the unit direction within angle arcsin(gamma/2) of the outward
+    normal?  Decided on squares: with A = sgn*(u · x̂),
+        A > 0  and  A^2 >= |u|^2 (1 - gamma^2/4).
+    """
+    a = sgn * dot(plane.normal, direction)
+    if a <= 0:
+        return False
+    return a * a >= plane.norm_sq * (1 - gamma * gamma / 4)
+
+
+def strong_cap_member(
+    plane: Hyperplane, sgn: int, direction: Vec, gamma: Fraction, shrink_t: Fraction
+) -> bool:
+    """Membership in the reduced cap that makes the escape absorbing.
+
+    Requires  A*(gamma/2) > sqrt(U_perp^2 (1-gamma^2/4)) + sqrt(|u|^2 m^2)
+    with U_perp^2 = |u|^2 - A^2 and m = gamma*shrink_t (shrink_t =
+    (alpha*beta)^escape_rounds).  Equivalent to the angle being below
+    arcsin(gamma/2) - arcsin(gamma*shrink_t).  Decided by double squaring.
+    """
+    a = sgn * dot(plane.normal, direction)
+    if a <= 0:
+        return False
+    u_perp_sq = plane.norm_sq - a * a
+    if u_perp_sq < 0:
+        raise EscapeAssertionFailed("direction is not a unit vector")
+    g2 = gamma * gamma
+    return gt_sum_two_sqrt(
+        a * gamma / 2,
+        u_perp_sq * (1 - g2 / 4),
+        plane.norm_sq * g2 * shrink_t * shrink_t,
+    )
+
+
+def verified_miss(
+    ball: Ball, plane: Hyperplane, sgn: int, direction: Vec, gamma: Fraction
+) -> bool:
+    """Exact check that the whole guaranteed end-region avoids the plane.
+
+    Every point reachable after the drive lies in
+      D = {center + d : x̂·d >= (gamma/2) rho, |d| <= rho};
+    along D the signed residual is minimized at height (gamma/2) rho, giving
+      min >= |s0| + rho*(A*(gamma/2) - sqrt(U_perp^2 (1-gamma^2/4))).
+    Positivity of that bound is decided by one squaring.
+    """
+    a = sgn * dot(plane.normal, direction)
+    if a <= 0:
+        return False
+    s_abs = abs(plane.residual(ball.center))
+    u_perp_sq = plane.norm_sq - a * a
+    lhs = s_abs / ball.radius + a * gamma / 2
+    return gt_sqrt(lhs, u_perp_sq * (1 - gamma * gamma / 4))
+
+
+def select_cap(
+    ball: Ball, planes: Sequence[Hyperplane], params: StrategyParams, *, seed: int = 0
+) -> CapSelection:
+    """escape.select_cap with every candidate judged by the Fraction
+    predicates above: the same candidates in the same order, the same
+    rounds, quota, bound and lex tie-break."""
+    n = params.dimension
+    gamma = params.gamma
+    shrink_t = params.shrink**params.escape_rounds
+    quota = ceil_frac(params.cap_measure_lb * len(planes))
+    signs = [plane_sign(ball, p) for p in planes]
+    results: dict[Vec, tuple[tuple[int, ...], tuple[int, ...]]] = {}  # in order tried
+
+    def consider(direction: Vec) -> None:
+        if direction in results:
+            return
+        strong = tuple(
+            j for j, (p, sgn) in enumerate(zip(planes, signs))
+            if strong_cap_member(p, sgn, direction, gamma, shrink_t)
+        )
+        esc = tuple(
+            j for j, (p, sgn) in enumerate(zip(planes, signs))
+            if cap_member(p, sgn, direction, gamma)
+            and verified_miss(ball, p, sgn, direction, gamma)
+        )
+        assert set(strong) <= set(esc), "strong hit without verified miss"
+        results[direction] = (strong, esc)
+
+    def best_strong() -> int:
+        return max(len(strong) for strong, _ in results.values())
+
+    if n == 1:
+        consider((Fraction(1),))
+        consider((Fraction(-1),))
+    else:
+        for p, sgn in zip(planes, signs):
+            consider(rational_unit_direction(scale(p.normal, sgn)))
+        rng = Random(seed)
+        grid_start, budget = 0, escape.INITIAL_BUDGET
+        while True:
+            for i in range(grid_start, budget):
+                consider(escape._grid_direction(i, n))
+            grid_start = budget
+            for _ in range(budget // 2):
+                consider(escape._random_direction(rng, n))
+            if best_strong() >= quota or len(results) >= escape.MAX_CANDIDATES:
+                break
+            budget *= 2
+    if best_strong() < quota:
+        raise SelectionExhausted(quota, best_strong(), len(results))
+    direction = min(results, key=lambda d: (-len(results[d][0]), -len(results[d][1]), d))
+    strong, esc = results[direction]
+    return CapSelection(direction, esc, strong, len(results))
 
 
 # -- the spherical-cap measure -------------------------------------------------

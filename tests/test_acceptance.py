@@ -26,16 +26,14 @@ from badapprox.escape import (
     drive_halfspace,
     plane_sign,
     select_cap,
-    strong_cap_member,
-    verified_miss,
 )
 from badapprox.exact import ceil_frac
 from badapprox.geometry import Hyperplane, cap_fraction, norm_sq
 from badapprox.resonance import ThetaMatrix, golden_theta
 from badapprox.schedule import block_schedule, derive_params
 from badapprox.strategy import CertificateFailed, certificate, run_constructed_game
-from conftest import escape_drive, make_sequence
-from oracles import cap_fraction_montecarlo
+from conftest import cap_selection_inputs, escape_drive, make_sequence
+from oracles import cap_fraction_montecarlo, strong_cap_member, verified_miss
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -165,22 +163,9 @@ def test_criterion_03_escape_halfspace_postcondition():
 
 
 def test_criterion_04_cap_selection_quota():
-    rng = Random(404)
-    trials = 200
-    for trial in range(trials):
-        n = trial % 2 + 1
-        params = params_for(F(1, 4), F(1, 2), n)
-        center = tuple(F(rng.randrange(-50, 51), 100) for _ in range(n))
-        ball = Ball(center, F(1, 64))
-        k = rng.randrange(1, 21)
-        planes = []
-        for _ in range(k):
-            u = tuple(rng.randrange(-9, 10) for _ in range(n))
-            if all(c == 0 for c in u):
-                u = (1,) + (0,) * (n - 1)
-            a = round(sum(F(c) * x for c, x in zip(u, center)))
-            planes.append(Hyperplane(u, a))
-        sel = select_cap(ball, planes, params, seed=trial)
+    inputs = list(cap_selection_inputs())
+    for ball, planes, params, seed in inputs:
+        sel = select_cap(ball, planes, params, seed=seed)
         quota = ceil_frac(params.cap_measure_lb * len(planes))
         assert len(sel.strong) >= quota
         shrink_t = params.shrink ** params.escape_rounds
@@ -190,7 +175,7 @@ def test_criterion_04_cap_selection_quota():
         for j in sel.escaped:
             sgn = plane_sign(ball, planes[j])
             assert verified_miss(ball, planes[j], sgn, sel.direction, params.gamma)
-    report(4, True, f"{trials} selections met ceil(omega_lb*k) with exact re-verification")
+    report(4, True, f"{len(inputs)} selections met ceil(omega_lb*k) with exact re-verification")
 
 
 def test_criterion_05_avoidance_residual_postcondition():

@@ -261,6 +261,19 @@ def test_play_family_with_non_integer_numbers_exits_2(tmp_path, capsys, entry):
     assert "must be integers" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,obj", [
+    (("psi", "--tmax", "10", "--theta"), {"m": 1, "n": 1, "entries": [[0.5]]}),
+    (("psi", "--tmax", "10", "--theta"), {"m": 1, "n": 1, "entries": [["1/2"]], "cf": 3}),
+    (("play", "--alpha", "1/4", "--beta", "1/2", "--blocks", "1", "--rho0", "1/8", "--resonance"),
+     {"M": "3/1", "entries": [{"u": 2, "t_sq": 4, "quality": None}]}),
+])
+def test_wrong_typed_json_exits_2(tmp_path, capsys, argv, obj):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(obj))
+    assert run(tmp_path, *argv, str(path)) == 2
+    assert "must be" in capsys.readouterr().err
+
+
 def test_resonance_golden_family(tmp_path):
     rc = run(tmp_path, "resonance", "--theta", "golden")
     assert rc == 0

@@ -9,22 +9,36 @@ import pytest
 
 from badapprox.engine import GameParams, run_game, concentric
 from badapprox.escape import (
+    MAX_CANDIDATES,
     AvoidanceDrive,
     EscapeAssertionFailed,
+    PlaneCap,
     SelectionExhausted,
+    _grid_direction,
+    _random_direction,
     absorbed,
-    cap_member,
     drive_halfspace,
+    integer_direction,
     plane_sign,
     select_cap,
-    strong_cap_member,
-    verified_miss,
 )
-from badapprox.geometry import Ball, Hyperplane, add, norm_sq, rational_unit_direction, scale
+from badapprox.geometry import (
+    Ball,
+    Hyperplane,
+    add,
+    dot,
+    norm_sq,
+    rational_unit_direction,
+    scale,
+    stereo_unit,
+)
 from badapprox.adversaries import RandomBlack
 from badapprox.schedule import derive_params
-from conftest import escape_drive
+import oracles
+from conftest import cap_selection_inputs, escape_drive
+from oracles import cap_member, strong_cap_member, verified_miss
 
+F = Fraction
 TINY = Fraction(1, 10**24)
 GOLD = dict(alpha=Fraction(1, 4), beta=Fraction(1, 2), lacunarity=3)
 
@@ -179,6 +193,8 @@ def test_strong_cap_rejects_non_unit_direction():
             params.gamma,
             params.shrink,
         )
+    with pytest.raises(EscapeAssertionFailed):  # sum v^2 = 4 != L^2 = 1
+        integer_direction((Fraction(2), Fraction(0)))
 
 
 def test_verified_miss_plane_through_center():
@@ -187,6 +203,198 @@ def test_verified_miss_plane_through_center():
     ball = Ball((Fraction(0),), Fraction(1, 4))
     assert verified_miss(ball, Hyperplane((1,), 0), 1, (Fraction(1),), g)
     assert not verified_miss(ball, Hyperplane((1,), 0), 1, (Fraction(-1),), g)
+
+
+# -- integer cap tests vs the Fraction oracles --------------------------------
+
+
+def integer_decisions(ball, plane, direction, gamma, shrink_t, factor=1):
+    """PlaneCap's (cap, strong, miss) on the (v, L) form scaled by factor."""
+    cap = PlaneCap(ball, plane, gamma, shrink_t)
+    v, el = integer_direction(direction)
+    v, el = [factor * x for x in v], factor * el
+    a = cap.projection(v)
+    return cap.cap_member(a, el * el), cap.strong_cap_member(a, el * el), cap.verified_miss(a, el, el * el)
+
+
+def oracle_decisions(ball, plane, direction, gamma, shrink_t):
+    sgn = plane_sign(ball, plane)
+    return (
+        cap_member(plane, sgn, direction, gamma),
+        strong_cap_member(plane, sgn, direction, gamma, shrink_t),
+        verified_miss(ball, plane, sgn, direction, gamma),
+    )
+
+
+def assert_decisions_match(ball, plane, direction, gamma, shrink_t):
+    want = oracle_decisions(ball, plane, direction, gamma, shrink_t)
+    for factor in (1, 6):  # the tests are homogeneous in (v, L)
+        assert integer_decisions(ball, plane, direction, gamma, shrink_t, factor) == want
+    return want
+
+
+#: u, a rational unit w orthogonal to u, and |u|: directions c*u/|u| + s*w
+#: with (c, s) on a Pythagorean point are exact units at a known angle.
+FRAMES = {
+    2: ((3, 4), (F(-4, 5), F(3, 5)), 5),
+    3: ((1, 2, 2), (F(2, 3), F(1, 3), F(-2, 3)), 3),
+}
+
+
+def at_angle(n, cos, sin, sgn=1):
+    u, w, norm = FRAMES[n]
+    return tuple(sgn * cos * c / norm + sin * x for c, x in zip(u, w))
+
+
+def lift(t):
+    """(cos, sin) of the stereographic chart point t: exactly on the circle."""
+    return (1 - t * t) / (1 + t * t), 2 * t / (1 + t * t)
+
+
+def half_angle(cos, sin):
+    return sin / (1 + cos)
+
+
+def ball_at(n, s0, radius=F(1, 64)):
+    """A ball whose center has residual s0 against the plane (FRAMES[n] u, 0)."""
+    u, _, norm = FRAMES[n]
+    return Ball(tuple(s0 * c / norm**2 for c in u), radius)
+
+
+EPS = F(1, 10**9)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("cos,sin", [(F(4, 5), F(3, 5)), (F(12, 13), F(5, 13)), (F(3, 5), F(4, 5))])
+def test_cap_member_at_its_threshold(n, cos, sin):
+    # gamma/2 = sin: the direction at angle asin(gamma/2) has A^2 equal to
+    # |u|^2 (1 - gamma^2/4), and the cap is closed
+    gamma = 2 * sin
+    plane = Hyperplane(FRAMES[n][0], 0)
+    ball = ball_at(n, F(10**6))  # far away: every cap direction is a verified miss
+    d = at_angle(n, cos, sin)
+    a = dot(plane.normal, d)
+    assert a * a == plane.norm_sq * (1 - gamma * gamma / 4)
+    shrink_t = F(1, 64)
+    assert assert_decisions_match(ball, plane, d, gamma, shrink_t) == (True, False, True)
+    t = half_angle(cos, sin)
+    inside, outside = at_angle(n, *lift(t - EPS)), at_angle(n, *lift(t + EPS))
+    assert assert_decisions_match(ball, plane, inside, gamma, shrink_t)[0]
+    assert not assert_decisions_match(ball, plane, outside, gamma, shrink_t)[0]
+
+
+def strong_terms(plane, direction, gamma, shrink_t):
+    """lhs, x, y of the oracle's gt_sum_two_sqrt call, and D = lhs^2 - x - y."""
+    a = dot(plane.normal, direction)
+    lhs = a * gamma / 2
+    x = (plane.norm_sq - a * a) * (1 - gamma * gamma / 4)
+    y = plane.norm_sq * gamma * gamma * shrink_t * shrink_t
+    return lhs, x, y, lhs * lhs - x - y
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_strong_cap_member_on_the_double_squaring_edges(n):
+    plane = Hyperplane(FRAMES[n][0], 0)
+    ball = ball_at(n, F(10**6))
+    # D^2 = 4xy with D > 0: the direction sits exactly on the reduced cap's
+    # rim, at angle asin(gamma/2) - asin(gamma*shrink_t) = A0 - B with
+    # sin A0 = 3/5 and sin B = 5/13, so cos and sin of the angle are 63/65, 16/65
+    gamma, shrink_t = F(6, 5), F(25, 78)
+    d = at_angle(n, F(63, 65), F(16, 65))
+    lhs, x, y, dd = strong_terms(plane, d, gamma, shrink_t)
+    assert dd > 0 and dd * dd == 4 * x * y
+    assert assert_decisions_match(ball, plane, d, gamma, shrink_t) == (True, False, True)
+    t = half_angle(F(63, 65), F(16, 65))
+    assert assert_decisions_match(ball, plane, at_angle(n, *lift(t - EPS)), gamma, shrink_t)[1]
+    assert not assert_decisions_match(ball, plane, at_angle(n, *lift(t + EPS)), gamma, shrink_t)[1]
+    # D = 0 with x, y > 0: gamma = 3/2, shrink_t = 3/10 at cos, sin = 4/5, 3/5
+    gamma, shrink_t = F(3, 2), F(3, 10)
+    d = at_angle(n, F(4, 5), F(3, 5))
+    lhs, x, y, dd = strong_terms(plane, d, gamma, shrink_t)
+    assert dd == 0 and x > 0 and y > 0
+    assert not assert_decisions_match(ball, plane, d, gamma, shrink_t)[1]
+    # D = 0 with x = 0: along the normal itself at shrink_t = 1/2
+    d = at_angle(n, F(1), F(0))
+    for shrink_t, strong in ((F(1, 2), False), (F(1, 2) - EPS, True)):
+        lhs, x, y, dd = strong_terms(plane, d, gamma, shrink_t)
+        assert x == 0 and (dd == 0) == (shrink_t == F(1, 2))
+        assert assert_decisions_match(ball, plane, d, gamma, shrink_t)[1] == strong
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("side", [1, -1])
+def test_verified_miss_at_equality(n, side):
+    # with sin A0 = gamma/2 = 3/5 and the direction at angle phi (cos 5/13,
+    # sin 12/13) off the outward normal, the end-region bound is
+    # |s0| + rho |u| (sin A0 cos phi - cos A0 sin phi), zero exactly when
+    # |s0| = rho |u| sin(phi - A0) = rho |u| 33/65
+    gamma, shrink_t = F(6, 5), F(1, 64)
+    _, _, norm = FRAMES[n]
+    plane = Hyperplane(FRAMES[n][0], 0)
+    rho = F(1, 64)
+    tight = rho * norm * F(33, 65)
+    d = at_angle(n, F(5, 13), F(12, 13), side)
+    for s0, miss in ((tight, False), (tight + EPS, True), (tight - EPS, False)):
+        ball = ball_at(n, side * s0, rho)
+        assert plane_sign(ball, plane) == side
+        got = assert_decisions_match(ball, plane, d, gamma, shrink_t)
+        assert got == (False, False, miss)
+    a = side * dot(plane.normal, d)
+    lhs = tight / rho + a * gamma / 2
+    assert lhs * lhs == (plane.norm_sq - a * a) * (1 - gamma * gamma / 4)
+
+
+def test_integer_direction_takes_the_least_common_denominator():
+    assert integer_direction((F(3, 5), F(-4, 5))) == ([3, -4], 5)
+    assert integer_direction((F(1, 3), F(2, 3), F(-2, 3))) == ([1, 2, -2], 3)
+    assert integer_direction((F(0), F(-1))) == ([0, -1], 1)
+    # a lift whose denominator 1 + |w|^2 = 5/4 cancels against its numerators
+    assert integer_direction(stereo_unit([F(1, 2)], 2, 0, 1)) == ([3, 4], 5)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_cap_tests_match_the_fraction_oracles(n):
+    rng = Random(70 + n)
+    params = params_n(n)
+    gammas = [(params.gamma, params.shrink**params.escape_rounds),
+              (F(6, 5), F(1, 7)), (F(3, 2), F(3, 10)), (F(1, 3), F(1, 2))]
+    seen = set()
+    for trial in range(150):
+        if trial % 3 == 0:  # integer center: the plane can pass through it
+            center = tuple(F(rng.randrange(-3, 4)) for _ in range(n))
+        else:
+            center = tuple(F(rng.randrange(-500, 501), rng.randrange(1, 60)) for _ in range(n))
+        ball = Ball(center, F(1, rng.choice([2, 7, 64, 1000])))
+        u = tuple(rng.randrange(-9, 10) for _ in range(n))
+        if not any(u):
+            u = (0,) * (n - 1) + (-2,)
+        offset = round(sum(c * x for c, x in zip(u, center)))
+        if trial % 3 != 0:
+            offset += rng.randrange(-1, 2)
+        plane = Hyperplane(u, offset)
+        sgn = plane_sign(ball, plane)
+        if n == 1:
+            directions = [(F(1),), (F(-1),)]
+        else:
+            directions = [_grid_direction(rng.randrange(200), n), _random_direction(rng, n)]
+            for _ in range(3):  # near the outward normal, where the caps are
+                jitter = [F(rng.randrange(-400, 401), 1000) for _ in range(n)]
+                directions.append(rational_unit_direction([sgn * c + x for c, x in zip(u, jitter)]))
+        for gamma, shrink_t in gammas:
+            for d in directions:
+                got = assert_decisions_match(ball, plane, d, gamma, shrink_t)
+                seen.add((plane.residual(ball.center) == 0,) + got)
+    # every reachable combination came up, planes through the center included
+    for through in (False, True):
+        for combo in [(False, False, False), (True, False, True), (True, True, True)]:
+            assert (through,) + combo in seen
+
+
+def test_select_cap_matches_the_fraction_oracle():
+    for ball, planes, params, seed in cap_selection_inputs():
+        assert select_cap(ball, planes, params, seed=seed) == oracles.select_cap(
+            ball, planes, params, seed=seed
+        )
 
 
 # -- drive halfspace and the escape guarantee --------------------------------
@@ -279,10 +487,10 @@ def test_select_cap_exhaustion_is_reported():
     ball = Ball((Fraction(0), Fraction(0)), Fraction(1, 64))
     planes = [Hyperplane((1, 0), 0), Hyperplane((1, 0), 1)]
     with pytest.raises(SelectionExhausted) as ei:
-        select_cap(ball, planes, params, initial_budget=8, max_doublings=3)
+        select_cap(ball, planes, params)
     assert ei.value.quota == 2
     assert ei.value.best_strong <= 1
-    assert ei.value.tried > 0
+    assert ei.value.tried >= MAX_CANDIDATES
 
 
 # -- avoidance drive ----------------------------------------------------------
