@@ -2,28 +2,29 @@
 """Re-derive every strategy constant along an independent code path.
 
 The library derives (gamma, t, omega, k, tau, epsilon) with exact rational
-arithmetic plus a guarded dyadic rounding of one float.  This script rebuilds
-the same chain from scratch — high-precision mpmath for the transcendental
-step, stdlib fractions for everything else, its own greedy thinning for the
-flagship family — and compares against the package.  Any disagreement exits
-nonzero.  The pinned constants in the test suite were frozen only after this
-script agreed with the library.
+arithmetic; the cap measure behind omega is bracketed in scaled integers.
+This script rebuilds the same chain from scratch — high-precision mpmath for
+the transcendental step, stdlib fractions for everything else, its own greedy
+thinning for the flagship family — and compares against the package,
+including that every mpmath cap measure lies inside the package's exact
+bracket.  Any disagreement exits nonzero.  The pinned constants in the test
+suite were frozen only after this script agreed with the library.
 
 Usage:
     python3 scripts/independent_constants.py [--json out.json]
 """
 import argparse
 import json
-import math
 import sys
 from fractions import Fraction
 
 import mpmath
 
-from badapprox.geometry import cap_fraction
+from badapprox.geometry import cap_measure_bounds
 from badapprox.schedule import derive_params
 
 DYADIC_BITS = 40
+BRACKET_BITS = 128
 
 PARAM_SETS = {
     "golden": (Fraction(1, 4), Fraction(1, 2), 3, 1),
@@ -88,6 +89,8 @@ def independent_chain(alpha: Fraction, beta: Fraction, m: int, n: int) -> dict:
     return {
         "gamma": gamma, "t": t, "omega": omega, "k": k, "tau": tau, "epsilon": eps,
         "reduced_radius": None if reduced is None else float(reduced),
+        "cap_measure": None if reduced is None else w,
+        "sines": (gamma / 2, gamma * pt),
     }
 
 
@@ -111,12 +114,16 @@ def check(label: str, independent, package, failures: list) -> None:
         failures.append(label)
 
 
-def close(label: str, independent: float, package: float, tol: float, failures: list) -> None:
-    delta = abs(independent - package)
-    ok = delta <= tol
+def bracketed(label: str, independent, sin_a: Fraction, sin_b: Fraction, n: int,
+              failures: list) -> None:
+    """The mpmath value lies inside the package's exact bracket."""
+    lo, hi = cap_measure_bounds(sin_a, sin_b, n, BRACKET_BITS)
+    with mpmath.workdps(60):
+        scaled = independent * mpmath.mpf(2) ** BRACKET_BITS
+        ok = lo <= scaled <= hi
     mark = "ok " if ok else "MISMATCH"
-    print(f"  {label:<22} independent={independent:.17g}  package={package:.17g}  "
-          f"|delta|={delta:.2e}  [{mark}]")
+    print(f"  {label:<22} independent={mpmath.nstr(independent, 20)}  "
+          f"package in [{lo / 2**BRACKET_BITS:.17g}, {hi / 2**BRACKET_BITS:.17g}]  [{mark}]")
     if not ok:
         failures.append(label)
 
@@ -139,16 +146,19 @@ def main(argv=None) -> int:
         check("plane_budget", ind["k"], pkg.plane_budget, failures)
         check("avoidance_rounds", ind["tau"], pkg.avoidance_rounds, failures)
         check("margin", ind["epsilon"], pkg.margin, failures)
+        if n > 1:
+            bracketed("reduced cap measure", ind["cap_measure"], *ind["sines"], n, failures)
         dump[name] = {k: str(v) for k, v in ind.items()}
 
     print("[spherical caps] full escape cap at gamma=5/8")
+    caps = {}
     with mpmath.workdps(60):
         full = mpmath.asin(mpmath.mpf(5) / 16)
-        cap2 = float(full / mpmath.pi)
-        cap3 = float((1 - mpmath.cos(full)) / 2)
-    close("cap_fraction n=2", cap2, cap_fraction(Fraction(5, 8), 2), 1e-12, failures)
-    close("cap_fraction n=3", cap3, cap_fraction(Fraction(5, 8), 3), 1e-12, failures)
-    dump["caps"] = {"n2": cap2, "n3": cap3}
+        for n in range(2, 7):
+            caps[n] = mp_cap_fraction(full, n)
+    for n, cap in caps.items():
+        bracketed(f"cap measure n={n}", cap, Fraction(5, 16), Fraction(0), n, failures)
+    dump["caps"] = {f"n{n}": float(cap) for n, cap in caps.items()}
 
     print("[flagship family] greedy thinning and block thresholds (rho0=1/2)")
     sizes = fibonacci_thinning()

@@ -12,7 +12,7 @@ The public surface mirrors the pipeline:
     certify     independent brute-force badness functionals
 """
 
-from .exact import rat, rat_str
+from .exact import InvariantError, rat, rat_str
 from .geometry import Ball, Halfspace, Hyperplane, nearest_int_dist, rational_unit_direction
 from .engine import (
     GameParams,

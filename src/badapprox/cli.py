@@ -9,9 +9,10 @@ Subcommands:
     resonance  lacunary resonance family built from the records
     sweep      parameter grid -> one CSV row per cell, deterministic
 
-Exit codes: 0 success, 1 runtime/certification failure, 2 configuration
-error.  All reports embed the originating config and its content hash, and
-every byte of output is reproducible from the flags and the seed.
+Exit codes: 0 success, 1 runtime/certification failure or a broken internal
+invariant (InvariantError, named on stderr), 2 configuration error.  All
+reports embed the originating config and its content hash, and every byte of
+output is reproducible from the flags and the seed.
 """
 from __future__ import annotations
 
@@ -36,7 +37,7 @@ from .certify import (
 )
 from .engine import IllegalMove, concentric
 from .escape import EscapeAssertionFailed, SelectionExhausted
-from .exact import rat, rat_str
+from .exact import InvariantError, json_list, json_rat, rat, rat_str
 from .resonance import (
     EmptySequence,
     ResonanceSequence,
@@ -125,7 +126,11 @@ def _make_adversary(name: str, seq: ResonanceSequence, seed: int, script: Option
             raise ValueError("--script is required with --adversary scripted")
         with open(script) as fh:
             data = json.load(fh)
-        return Scripted(data["centers"], data.get("notes"))
+        centers = [
+            [json_rat(x, "script center coordinate") for x in json_list(ctr, "script center")]
+            for ctr in json_list(data["centers"], "centers")
+        ]
+        return Scripted(centers, data.get("notes"))
     raise ValueError(f"unknown adversary {name!r}")
 
 
@@ -192,7 +197,8 @@ def _parse_psi_arg(text: str):
         with open(path) as fh:
             obj = json.load(fh)
         tbl = obj.get("table", obj)
-        return DecayTable(tuple(tbl["sizes"]), tuple(rat(v) for v in tbl["values"]))
+        values = tuple(json_rat(v, "psi table value") for v in json_list(tbl["values"], "values"))
+        return DecayTable(tuple(json_list(tbl["sizes"], "sizes")), values)
     raise ValueError(f"psi spec must start with 'power:' or 'table:', got {text!r}")
 
 
@@ -429,6 +435,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except InvariantError as exc:
+        print(f"error: InvariantError: {exc}", file=sys.stderr)
+        return 1
     except _RUNTIME_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -2,8 +2,9 @@
 
 Everything on the game/certificate path works over ``fractions.Fraction``;
 comparisons against square roots are decided by squaring, never by floating
-point.  The only floats in the package live in reporting and in the
-measure-theoretic oracles, which are clearly marked as such.
+point.  Where a constant is irrational (the square roots, arcsines and pi of
+the spherical-cap measure) it is bracketed by integers scaled by 2^prec,
+rounded outward at every step, so a decision taken on the bracket is exact.
 
 The brute-force scans of ``certify`` and ``resonance`` share one integer
 kernel, ``box_distances``: every rational input is brought to a common
@@ -12,6 +13,7 @@ comparisons are between integers.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import re
@@ -20,6 +22,11 @@ from operator import mod, sub
 from typing import Iterable, Iterator, Sequence, Union
 
 Rat = Union[int, Fraction]
+
+
+class InvariantError(RuntimeError):
+    """An internal invariant broke: a bug in the package, never bad input."""
+
 
 #: The "p/q" form rat_str writes; rat parses it without Fraction's own regex.
 _CANONICAL = re.compile(r"(-?[0-9]+)/([0-9]+)")
@@ -39,6 +46,21 @@ def rat(value) -> Fraction:
     if isinstance(value, float):
         raise TypeError(f"refusing to coerce float {value!r}; pass a string or Fraction")
     raise TypeError(f"cannot coerce {type(value).__name__} to Fraction")
+
+
+def json_list(value, what: str) -> list:
+    """A JSON array read from a file; any other type is bad input (ValueError)."""
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a JSON list, got {value!r}")
+    return value
+
+
+def json_rat(value, what: str) -> Fraction:
+    """A rational read from a file as a "p/q" string or an integer; a float,
+    bool, list or object is bad input (ValueError)."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ValueError(f'{what} must be a "p/q" string or an integer, got {value!r}')
+    return rat(value)
 
 
 def rat_str(value: Rat) -> str:
@@ -83,39 +105,116 @@ def gt_sum_two_sqrt(lhs: Rat, x_sq: Rat, y_sq: Rat) -> bool:
     return d * d > 4 * x_sq * y_sq
 
 
-# -- rational sqrt bounds (reporting only) -----------------------------------
+# -- rational sqrt bounds ----------------------------------------------------
+
+
+def sqrt_bounds(x_sq: Rat, bits: int = 64) -> tuple[int, int]:
+    """Bracket sqrt(x_sq) at precision bits: lo = floor(sqrt(x_sq) * 2^bits)
+    and hi = isqrt(ceil(x_sq * 4^bits)) + 1, both 0 at x_sq = 0.  Feeds the
+    cosines of the spherical-cap measure (geometry.cap_measure_bounds)."""
+    x = Fraction(x_sq)
+    if x < 0:
+        raise ValueError("x_sq must be nonnegative")
+    if x == 0:
+        return 0, 0
+    n = x.numerator << (2 * bits)
+    d = x.denominator
+    return math.isqrt(n // d), math.isqrt(-(-n // d)) + 1
 
 
 def sqrt_lower(x_sq: Rat, bits: int = 64) -> Fraction:
-    """A rational lower bound on sqrt(x_sq), within 2^-bits relative-ish slack.
-
-    Used only for human-readable report fields, never for decisions.
-    """
-    x = Fraction(x_sq)
-    if x < 0:
-        raise ValueError("x_sq must be nonnegative")
-    if x == 0:
-        return Fraction(0)
-    scale = 1 << bits
-    n = x.numerator * scale * scale
-    d = x.denominator
-    # floor(sqrt(n/d)) / scale <= sqrt(x)
-    root = math.isqrt(n // d)
-    return Fraction(root, scale)
+    """floor(sqrt(x_sq) * 2^bits) / 2^bits: a dyadic lower bound on sqrt(x_sq)."""
+    return Fraction(sqrt_bounds(x_sq, bits)[0], 1 << bits)
 
 
 def sqrt_upper(x_sq: Rat, bits: int = 64) -> Fraction:
-    """A rational upper bound on sqrt(x_sq).  Reporting only."""
-    x = Fraction(x_sq)
-    if x < 0:
-        raise ValueError("x_sq must be nonnegative")
-    if x == 0:
-        return Fraction(0)
-    scale = 1 << bits
-    n = x.numerator * scale * scale
-    d = x.denominator
-    root = math.isqrt(-(-n // d)) + 1
-    return Fraction(root, scale)
+    """A dyadic upper bound on sqrt(x_sq), within 2^-(bits-1) of it; feeds the
+    certificate's residual lower bounds."""
+    return Fraction(sqrt_bounds(x_sq, bits)[1], 1 << bits)
+
+
+# -- scaled-integer brackets -------------------------------------------------
+#
+# A pair (lo, hi) of integers brackets a real x at precision prec when
+# lo <= x * 2^prec <= hi.  Every step rounds lo down and hi up.
+
+
+def scaled_bounds(x: Rat, prec: int) -> tuple[int, int]:
+    """(floor, ceil) of x * 2^prec."""
+    f = Fraction(x)
+    n = f.numerator << prec
+    return n // f.denominator, -(-n // f.denominator)
+
+
+def _series_bounds(num: int, den: int, prec: int, factor) -> tuple[int, int]:
+    """Bracket sum_k t_k at precision prec, where t_0 = x = num/den with
+    0 <= x <= 1/2 and t_(k+1) = t_k * x^2 * a_k / b_k for
+    (a_k, b_k) = factor(k), a_k <= b_k.  The terms are positive and their
+    ratio is at most x^2, so the tail from term k on is at most
+    t_k / (1 - x^2).  The sum stops once the rounded-up term is at most one
+    unit, which a ratio of at most 1/4 guarantees."""
+    n2, d2 = num * num, den * den
+    t_lo, t_hi = (num << prec) // den, -(-(num << prec) // den)
+    lo = hi = 0
+    k = 0
+    while t_hi > 1:
+        lo += t_lo
+        hi += t_hi
+        a, b = factor(k)
+        t_lo = t_lo * n2 * a // (d2 * b)
+        t_hi = -(-t_hi * n2 * a // (d2 * b))
+        k += 1
+    return lo, hi - (-t_hi * d2 // (d2 - n2))
+
+
+def asin_bounds(x: Rat, prec: int) -> tuple[int, int]:
+    """Bracket asin(x) at precision prec, for rational 0 <= x <= 1/2, by its
+    Taylor series: t_0 = x, t_(k+1) = t_k * x^2 (2k+1)^2 / ((2k+2)(2k+3))."""
+    f = Fraction(x)
+    if not 0 <= f <= Fraction(1, 2):
+        raise ValueError(f"asin_bounds needs 0 <= x <= 1/2, got {f}")
+    return _series_bounds(
+        f.numerator, f.denominator, prec, lambda k: ((2 * k + 1) ** 2, (2 * k + 2) * (2 * k + 3))
+    )
+
+
+def _atanh_bounds(num: int, den: int, prec: int) -> tuple[int, int]:
+    """Bracket atanh(y), y = num/den with 0 <= y <= 1/3, by its series
+    sum_k y^(2k+1) / (2k+1): t_(k+1) = t_k * y^2 (2k+1) / (2k+3)."""
+    return _series_bounds(num, den, prec, lambda k: (2 * k + 1, 2 * k + 3))
+
+
+@functools.lru_cache(maxsize=None)
+def _ln2_bounds(prec: int) -> tuple[int, int]:
+    lo, hi = _atanh_bounds(1, 3, prec)  # ln 2 = 2 atanh(1/3)
+    return 2 * lo, 2 * hi
+
+
+def log_bounds(x: Rat, prec: int) -> tuple[int, int]:
+    """Bracket ln(x) at precision prec, for rational x >= 1.
+
+    With x = 2^e f, 1 <= f < 2: ln x = e ln 2 + 2 atanh((f - 1)/(f + 1)),
+    and (f - 1)/(f + 1) < 1/3.
+    """
+    f = Fraction(x)
+    num, den = f.numerator, f.denominator
+    if num < den:
+        raise ValueError(f"log_bounds needs x >= 1, got {f}")
+    e = num.bit_length() - den.bit_length()
+    if num < den << e:
+        e -= 1
+    a_lo, a_hi = _atanh_bounds(num - (den << e), num + (den << e), prec)
+    l_lo, l_hi = _ln2_bounds(prec)
+    return e * l_lo + 2 * a_lo, e * l_hi + 2 * a_hi
+
+
+@functools.lru_cache(maxsize=None)
+def pi_bounds(prec: int) -> tuple[int, int]:
+    """Bracket pi = 6 asin(1/2) at precision prec.  The series is summed with
+    guard bits enough to absorb its rounding, about one unit per term."""
+    guard = prec.bit_length() + 4
+    lo, hi = asin_bounds(Fraction(1, 2), prec + guard)
+    return 6 * lo >> guard, -(-6 * hi >> guard)
 
 
 def ceil_frac(x: Rat) -> int:

@@ -1,11 +1,10 @@
 """Exact geometric primitives: balls, integer-normal hyperplanes, halfspaces.
 
 Containment predicates are exact (no epsilon anywhere on the legality path).
-Floats appear in two places only, never in an in-game decision: the chart
+Floats appear in one place only, never in an in-game decision: the chart
 that rational_unit_direction rationalizes (its output is an exact unit
-vector), and the spherical-cap measure helpers at the bottom, which feed
-derived constants (rounded conservatively before use) and the independent
-constants check.
+vector).  The spherical-cap measure at the bottom, which feeds the derived
+constants, is bracketed in scaled integers (exact.scaled_bounds).
 """
 from __future__ import annotations
 
@@ -15,7 +14,18 @@ from fractions import Fraction
 from operator import mul
 from typing import Sequence
 
-from .exact import Rat, over_common_denominator, rat, rat_str, rat_vec
+from .exact import (
+    InvariantError,
+    Rat,
+    asin_bounds,
+    over_common_denominator,
+    pi_bounds,
+    rat,
+    rat_str,
+    rat_vec,
+    scaled_bounds,
+    sqrt_bounds,
+)
 
 Vec = tuple[Fraction, ...]
 
@@ -227,38 +237,65 @@ def rational_unit_direction(v: Sequence[Rat]) -> Vec:
         if err < DIRECTION_TOL:
             return d
         max_den <<= 14
-    raise ValueError("direction refinement failed to reach tolerance")
+    raise InvariantError("direction refinement failed to reach tolerance")
 
 
-# -- spherical caps (float territory) ----------------------------------------
+# -- the spherical-cap measure, bracketed exactly ----------------------------
 
 
-def cap_fraction_angular(radius: float, n: int) -> float:
-    """Normalized (n-1)-sphere measure of a cap of angular radius `radius`.
+def cap_measure_bounds(sin_a: Fraction, sin_b: Fraction, n: int, prec: int) -> tuple[int, int]:
+    """Bracket, at precision prec (exact.scaled_bounds), the normalized
+    measure of a cap of angular radius r = A - B on the unit sphere of R^n,
+    n >= 2, where sin A = sin_a and sin B = sin_b, 0 <= sin_b < sin_a <= 1/2
+    (so 0 < r <= pi/6).
 
-    n = 1: the 0-sphere is two points; any positive radius captures one of
-    them, fraction 1/2.  n = 2: arc fraction radius/pi.  n >= 3: the standard
-    sin^(n-2) integral ratio, evaluated with mpmath.
+    cos r = cos A cos B + sin A sin B and sin r = sin A cos B - cos A sin B
+    take two rational square roots.  With k = n - 2 the measure is
+    I_k(r) / W_k, where I_k(r) is the integral of sin^k over [0, r]:
+        I_k = ((k-1) I_(k-2) - sin^(k-1) r cos r) / k,  I_0 = r,  I_1 = 1 - cos r,
+    and W_k = I_k(pi) = (k-1)/k W_(k-2), W_0 = pi, W_1 = 2.  So n = 3 gives
+    (1 - cos r)/2, odd n needs the square roots only, and even n also needs
+    r = asin(sin_a) - asin(sin_b) and pi.
     """
-    if n < 1:
-        raise ValueError("dimension must be >= 1")
-    if not 0 < radius <= math.pi:
-        raise ValueError(f"angular radius out of range: {radius}")
-    if n == 1:
-        return 0.5 if radius < math.pi else 1.0
-    if n == 2:
-        return radius / math.pi
-    import mpmath
-
-    with mpmath.workdps(40):
-        num = mpmath.quad(lambda t: mpmath.sin(t) ** (n - 2), [0, radius])
-        den = mpmath.quad(lambda t: mpmath.sin(t) ** (n - 2), [0, mpmath.pi])
-        return float(num / den)
-
-
-def cap_fraction(gamma: Rat, n: int) -> float:
-    """Fraction of the unit sphere within angle arcsin(gamma/2) of a point."""
-    g = float(Fraction(gamma))
-    if not 0 < g < 2:
-        raise ValueError("gamma must lie in (0, 2)")
-    return cap_fraction_angular(math.asin(g / 2), n)
+    if n < 2:
+        raise ValueError("the cap measure is bracketed for dimension >= 2")
+    if not 0 <= sin_b < sin_a <= Fraction(1, 2):
+        raise ValueError(f"need 0 <= sin_b < sin_a <= 1/2, got {sin_b}, {sin_a}")
+    one = 1 << prec
+    k = n - 2
+    odd = k % 2
+    if odd:
+        wallis = Fraction(2)  # W_k
+    else:
+        a_lo, a_hi = asin_bounds(sin_a, prec)
+        b_lo, b_hi = asin_bounds(sin_b, prec)
+        i_lo, i_hi = a_lo - b_hi, a_hi - b_lo
+        wallis = Fraction(1)  # W_k / pi
+    if k:
+        ca_lo, ca_hi = sqrt_bounds(1 - sin_a * sin_a, prec)
+        cb_lo, cb_hi = sqrt_bounds(1 - sin_b * sin_b, prec)
+        ss_lo, ss_hi = scaled_bounds(sin_a * sin_b, prec)
+        a_num, a_den = sin_a.numerator, sin_a.denominator
+        b_num, b_den = sin_b.numerator, sin_b.denominator
+        # 0 < r <= pi/6: sin r > 0 and cos r <= 1 clamp the brackets
+        cos_lo = (ca_lo * cb_lo >> prec) + ss_lo
+        cos_hi = min(one, -(-ca_hi * cb_hi >> prec) + ss_hi)
+        sin_lo = max(0, cb_lo * a_num // a_den + (-ca_hi * b_num // b_den))
+        sin_hi = -(-cb_hi * a_num // a_den) - ca_lo * b_num // b_den
+        sq_lo, sq_hi = sin_lo * sin_lo >> prec, -(-sin_hi * sin_hi >> prec)
+        if odd:
+            i_lo, i_hi = one - cos_hi, one - cos_lo
+            t_lo, t_hi = sq_lo, sq_hi  # sin^(j-1) r at j = 3
+        else:
+            t_lo, t_hi = sin_lo, sin_hi  # at j = 2
+        t_lo, t_hi = t_lo * cos_lo >> prec, -(-t_hi * cos_hi >> prec)
+        for j in range(2 + odd, k + 1, 2):
+            i_lo, i_hi = ((j - 1) * i_lo - t_hi) // j, -((t_lo - (j - 1) * i_hi) // j)
+            wallis *= Fraction(j - 1, j)
+            t_lo, t_hi = t_lo * sq_lo >> prec, -(-t_hi * sq_hi >> prec)
+    i_lo = max(0, i_lo)  # the cap has positive measure
+    num, den = wallis.numerator, wallis.denominator
+    if odd:
+        return i_lo * den // num, -(-i_hi * den // num)
+    pi_lo, pi_hi = pi_bounds(prec)
+    return (i_lo * den << prec) // (num * pi_hi), -(-(i_hi * den << prec) // (num * pi_lo))

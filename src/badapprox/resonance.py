@@ -17,7 +17,15 @@ from itertools import accumulate, chain, compress, islice, repeat, tee
 from operator import add, floordiv, lt, mod, mul
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .exact import box_distances, over_common_denominator, rat, rat_str, sup_norms
+from .exact import (
+    box_distances,
+    json_list,
+    json_rat,
+    over_common_denominator,
+    rat,
+    rat_str,
+    sup_norms,
+)
 from .geometry import nearest_int_dist
 
 #: F_30 / F_31 — the classic golden-section convergent used throughout the
@@ -27,21 +35,6 @@ GOLDEN_CONVERGENT = Fraction(832040, 1346269)
 
 class EmptySequence(Exception):
     """Raised when a resonance computation is handed nothing to work with."""
-
-
-def _json_list(value, what: str) -> list:
-    """A JSON array read from a file; any other type is bad input (ValueError)."""
-    if not isinstance(value, list):
-        raise ValueError(f"{what} must be a JSON list, got {value!r}")
-    return value
-
-
-def _json_rat(value, what: str) -> Fraction:
-    """A rational read from a file as a "p/q" string or an integer; a float,
-    bool, list or object is bad input (ValueError)."""
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise ValueError(f'{what} must be a "p/q" string or an integer, got {value!r}')
-    return rat(value)
 
 
 @dataclass(frozen=True)
@@ -111,12 +104,12 @@ class ThetaMatrix:
     @classmethod
     def from_jsonable(cls, obj: dict) -> "ThetaMatrix":
         rows = tuple(
-            tuple(_json_rat(x, "theta entry") for x in _json_list(row, "theta row"))
-            for row in _json_list(obj["entries"], "entries")
+            tuple(json_rat(x, "theta entry") for x in json_list(row, "theta row"))
+            for row in json_list(obj["entries"], "entries")
         )
         if len(rows) != obj["m"] or any(len(r) != obj["n"] for r in rows):
             raise ValueError("entries do not match declared shape")
-        cf = tuple(_json_list(obj["cf"], "cf")) if "cf" in obj else None
+        cf = tuple(json_list(obj["cf"], "cf")) if "cf" in obj else None
         return cls(rows, cf)
 
     @classmethod
@@ -285,9 +278,9 @@ class ResonanceEntry:
     def from_jsonable(cls, obj: dict) -> "ResonanceEntry":
         q = obj.get("quality")
         return cls(
-            tuple(_json_list(obj["u"], "u")),
+            tuple(json_list(obj["u"], "u")),
             obj["t_sq"],
-            _json_rat(q, "quality") if q is not None else None,
+            json_rat(q, "quality") if q is not None else None,
         )
 
 
@@ -353,8 +346,8 @@ class ResonanceSequence:
     @classmethod
     def from_jsonable(cls, obj: dict) -> "ResonanceSequence":
         return cls(
-            tuple(ResonanceEntry.from_jsonable(e) for e in _json_list(obj["entries"], "entries")),
-            _json_rat(obj["M"], "M"),
+            tuple(ResonanceEntry.from_jsonable(e) for e in json_list(obj["entries"], "entries")),
+            json_rat(obj["M"], "M"),
         )
 
 

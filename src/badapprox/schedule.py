@@ -1,21 +1,20 @@
 """Derived constants and the block schedule of the avoidance strategy.
 
 All scheduling decisions are exact.  The escape length is found on Fraction
-powers of alpha*beta; the plane-budget scan compares powers of alpha*beta,
-of the lacunarity M and of 1 - omega as integers, numerators against
-denominators; block thresholds are compared on squares.  The one float
-ingredient — the spherical-cap measure for dimension >= 2 — enters only as
-a conservative dyadic *lower* bound (rounded down at 2^-40 granularity), so
-every downstream guarantee still holds exactly.
+powers of alpha*beta; the plane-budget scan decides on scaled-integer
+brackets of (1 - omega)^c and of the logarithms of 1/(alpha*beta) and M, and
+compares integer powers only where a bracket straddles; block thresholds are
+compared on squares.  The spherical-cap measure for dimension >= 2 is
+bracketed in integers too (geometry.cap_measure_bounds) and enters as a
+dyadic *lower* bound: its floor at 2^-40 granularity, less two steps.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import ceil_frac, rat, rat_str
-from .geometry import Ball, Hyperplane, cap_fraction_angular, dot
+from .exact import InvariantError, ceil_frac, log_bounds, rat, rat_str
+from .geometry import Ball, Hyperplane, cap_measure_bounds, dot
 from .resonance import ResonanceSequence
 
 
@@ -75,6 +74,17 @@ class StrategyParams:
 
 _DYADIC_BITS = 40
 
+#: The cap-measure bracket starts at _CAP_PREC bits and doubles while it
+#: straddles a 2^-40 step, up to _MAX_PREC bits.
+_CAP_PREC = 64
+_MAX_PREC = 4096
+
+#: Bits of the brackets the plane-budget scan decides on.
+_SCAN_PREC = 64
+
+#: The plane-budget scan gives up past this budget k.
+_MAX_BUDGET = 100_000
+
 
 def _cap_measure_lower_bound(gamma: Fraction, shrink_t: Fraction, n: int) -> Fraction:
     """Dyadic lower bound on the measure of the *reduced* escape cap.
@@ -82,19 +92,37 @@ def _cap_measure_lower_bound(gamma: Fraction, shrink_t: Fraction, n: int) -> Fra
     The full cap has angular radius arcsin(gamma/2); escapes that remain
     clear after the drive need directions within the reduced radius
     arcsin(gamma/2) - arcsin(gamma * (alpha*beta)^t), which is positive
-    exactly when the escape-round condition holds.  For n = 1 both caps have
-    measure exactly 1/2.  For n >= 2 we evaluate in floats and round *down*
-    with a two-ulp guard band; the result only ever understates the truth.
+    exactly when gamma/2 > gamma * (alpha*beta)^t.  For n = 1 both caps have
+    measure exactly 1/2.  For n >= 2 the measure w is bracketed exactly
+    (geometry.cap_measure_bounds), the precision doubling until the bracket
+    decides floor(w * 2^40); the result is that floor less a guard of two
+    steps, and at least one step.
     """
     if n == 1:
         return Fraction(1, 2)
-    g = float(gamma)
-    reduced = math.asin(g / 2) - math.asin(g * float(shrink_t))
-    if reduced <= 0:
+    sin_a, sin_b = gamma / 2, gamma * shrink_t
+    if not sin_b < sin_a:
         raise ScheduleInfeasible("escape margin leaves no usable direction cap")
-    w = cap_fraction_angular(reduced, n)
-    scaled = math.floor(w * (1 << _DYADIC_BITS)) - 2
-    return Fraction(max(1, scaled), 1 << _DYADIC_BITS)
+    prec = _CAP_PREC
+    while True:
+        lo, hi = cap_measure_bounds(sin_a, sin_b, n, prec)
+        steps = lo >> (prec - _DYADIC_BITS)
+        if steps == hi >> (prec - _DYADIC_BITS):
+            return Fraction(max(1, steps - 2), 1 << _DYADIC_BITS)
+        prec *= 2
+        if prec > _MAX_PREC:
+            raise InvariantError(
+                f"cap measure bracket still straddles a 2^-{_DYADIC_BITS} step "
+                f"at {prec // 2} bits"
+            )
+
+
+def _schedule_holds(p: Fraction, m: Fraction, tau: int, k: int) -> bool:
+    """(1/p)^tau < m^(k-2) for p = P/Q and m = M1/M2, on integers."""
+    m1, m2 = m.numerator, m.denominator
+    return (
+        p.denominator**tau * m2**k * m1 * m1 < p.numerator**tau * m1**k * m2 * m2
+    )
 
 
 def derive_params(alpha, beta, lacunarity, dimension: int) -> StrategyParams:
@@ -126,33 +154,39 @@ def derive_params(alpha, beta, lacunarity, dimension: int) -> StrategyParams:
 
     omega = _cap_measure_lower_bound(gamma, pt, dimension)
 
-    # plane-budget scan, on integers.  sub_blocks(k) = smallest c with
-    # k*(1-omega)^c <= 1, i.e. k*(D-N)^c <= D^c for omega = N/D; it is
-    # nondecreasing in k, so both powers are maintained incrementally.  The
-    # schedule inequality (1/(alpha*beta))^tau < M^(k-2), with
-    # alpha*beta = P/Q and M = M1/M2, times M1^2*M2^2 (so k < 2 needs no
-    # negative power) reads  Q^tau * M2^k * M1^2 < P^tau * M1^k * M2^2;
-    # each side is kept as one integer and grows by a small factor per step.
+    # plane-budget scan.  sub_blocks(k) = smallest c with k*(1-omega)^c <= 1;
+    # it is nondecreasing in k, so c only grows.  (1-omega)^c = (D-N)^c / D^c
+    # for omega = N/D is bracketed at _SCAN_PREC bits and only a straddle
+    # compares k*(D-N)^c with D^c exactly.  The schedule inequality
+    # (1/(alpha*beta))^tau < M^(k-2) reads tau*ln(1/(alpha*beta)) < (k-2)*ln M
+    # on bracketed logarithms, and a straddle compares Q^tau*M2^k*M1^2 with
+    # P^tau*M1^k*M2^2 exactly, for alpha*beta = P/Q and M = M1/M2.  For
+    # k <= 2, (1/(alpha*beta))^tau >= 1 >= M^(k-2), so no such k qualifies;
+    # once tau*ln(1/(alpha*beta)) >= (_MAX_BUDGET-2)*ln M no k ever does,
+    # since tau only grows, and the scan stops there rather than raising c
+    # through a near-zero omega.
     num, den = omega.numerator, omega.denominator
-    m1, m2 = m.numerator, m.denominator
-    p_t, q_t = p.numerator**t, p.denominator**t
+    keep = den - num
+    one = 1 << _SCAN_PREC
+    kept_lo = kept_hi = one  # (1-omega)^c
+    lp_lo, lp_hi = log_bounds(1 / p, _SCAN_PREC)
+    lm_lo, lm_hi = log_bounds(m, _SCAN_PREC)
     c = 0
-    kept, whole = 1, 1  # (D-N)^c, D^c
-    lhs, rhs = m1 * m1, m2 * m2  # the two sides at k = 0, tau = 0
-    for k in range(1, 100_001):
-        lhs *= m2
-        rhs *= m1
-        while k * kept > whole:
+    tau_cap = (_MAX_BUDGET - 2) * lm_hi  # tau*lp_lo at or past it: infeasible
+    for k in range(1, _MAX_BUDGET + 1):
+        while k * kept_hi > one and (k * kept_lo > one or k * keep**c > den**c):
             c += 1
-            kept *= den - num
-            whole *= den
-            lhs *= q_t
-            rhs *= p_t
-        if lhs < rhs:
+            kept_lo, kept_hi = kept_lo * keep // den, -(-kept_hi * keep // den)
+            if t * c * lp_lo >= tau_cap:
+                raise ScheduleInfeasible("no plane budget satisfies the schedule inequality")
+        tau = t * c
+        if k > 2 and (
+            tau * lp_hi < (k - 2) * lm_lo
+            or tau * lp_lo < (k - 2) * lm_hi and _schedule_holds(p, m, tau, k)
+        ):
             break
     else:
         raise ScheduleInfeasible("no plane budget satisfies the schedule inequality")
-    tau = t * c
 
     eps = gamma / (4 * m ** (k + 2))
     return StrategyParams(
@@ -268,7 +302,7 @@ def dangerous_hyperplanes(
     for r in range(r_lo + 1, r_hi + 1):
         u = seq.vector(r)
         if 4 * ball.radius * ball.radius * seq.norm_sq_of(r) > 1:
-            raise ValueError(
+            raise InvariantError(
                 f"family {r} has multiple reachable offsets at radius {ball.radius}; "
                 "schedule should have prevented this"
             )

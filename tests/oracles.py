@@ -13,8 +13,11 @@ replaced, held to them by test_geometry.py and test_engine.py.  The three
 cap predicates and the ``select_cap`` built on them are the ``Fraction``
 tests that the escape layer's integer tests on (v, L) directions replaced,
 held to them by test_escape.py.  All of them are slow and obviously
-correct.  The Monte-Carlo cap estimate at the end is the definitional check
-of the closed-form cap measure.
+correct.  The spherical-cap measure at the end is the float route that
+``derive_params`` took before the measure was bracketed exactly: mpmath
+quadrature and a ``math.asin`` difference, floored with a two-step guard.
+The Monte-Carlo cap estimate beside it is the definitional check of the
+exact cap measure.
 """
 import itertools
 import json
@@ -39,11 +42,7 @@ from badapprox.geometry import (
     scale,
 )
 from badapprox.resonance import ApproximationRecord, ResonanceSequence, ThetaMatrix
-from badapprox.schedule import (
-    ScheduleInfeasible,
-    StrategyParams,
-    _cap_measure_lower_bound,
-)
+from badapprox.schedule import ScheduleInfeasible, StrategyParams
 
 
 def scan_min(
@@ -172,8 +171,9 @@ def decay_steps(theta: ThetaMatrix, t_max: int) -> list[tuple[int, str]]:
 
 
 def derive_params(alpha, beta, lacunarity, dimension: int) -> StrategyParams:
-    """derive_params with the plane-budget scan on Fraction powers (valid
-    inputs only: the range checks are not repeated here)."""
+    """derive_params with the float cap measure and the plane-budget scan
+    on Fraction powers (valid inputs only: the range checks are not
+    repeated here)."""
     a, b, m = rat(alpha), rat(beta), rat(lacunarity)
     gamma = 1 + a * b - 2 * a
     p = a * b
@@ -182,7 +182,7 @@ def derive_params(alpha, beta, lacunarity, dimension: int) -> StrategyParams:
     while not 2 * pt < gamma:
         t += 1
         pt *= p
-    omega = _cap_measure_lower_bound(gamma, pt, dimension)
+    omega = cap_measure_lb_float(gamma, pt, dimension)
     one_minus = 1 - omega
     c = 0
     pow_c = Fraction(1)
@@ -377,10 +377,56 @@ def select_cap(
 # -- the spherical-cap measure -------------------------------------------------
 
 
+def cap_fraction_angular(radius: float, n: int) -> float:
+    """Normalized (n-1)-sphere measure of a cap of angular radius `radius`.
+
+    n = 1: the 0-sphere is two points; any positive radius captures one of
+    them, fraction 1/2.  n = 2: arc fraction radius/pi.  n >= 3: the standard
+    sin^(n-2) integral ratio, evaluated with mpmath.
+    """
+    if n < 1:
+        raise ValueError("dimension must be >= 1")
+    if not 0 < radius <= math.pi:
+        raise ValueError(f"angular radius out of range: {radius}")
+    if n == 1:
+        return 0.5 if radius < math.pi else 1.0
+    if n == 2:
+        return radius / math.pi
+    import mpmath
+
+    with mpmath.workdps(40):
+        num = mpmath.quad(lambda t: mpmath.sin(t) ** (n - 2), [0, radius])
+        den = mpmath.quad(lambda t: mpmath.sin(t) ** (n - 2), [0, mpmath.pi])
+        return float(num / den)
+
+
+def cap_fraction(gamma, n: int) -> float:
+    """Fraction of the unit sphere within angle arcsin(gamma/2) of a point."""
+    g = float(Fraction(gamma))
+    if not 0 < g < 2:
+        raise ValueError("gamma must lie in (0, 2)")
+    return cap_fraction_angular(math.asin(g / 2), n)
+
+
+def cap_measure_lb_float(gamma: Fraction, shrink_t: Fraction, n: int) -> Fraction:
+    """The float route to schedule._cap_measure_lower_bound: the reduced
+    radius asin(gamma/2) - asin(gamma * shrink_t) in floats, its measure by
+    cap_fraction_angular, floored at 2^-40 less two steps, at least one."""
+    if n == 1:
+        return Fraction(1, 2)
+    g = float(gamma)
+    reduced = math.asin(g / 2) - math.asin(g * float(shrink_t))
+    if reduced <= 0:
+        raise ScheduleInfeasible("escape margin leaves no usable direction cap")
+    w = cap_fraction_angular(reduced, n)
+    scaled = math.floor(w * (1 << 40)) - 2
+    return Fraction(max(1, scaled), 1 << 40)
+
+
 def cap_fraction_montecarlo(
     gamma, n: int, samples: int = 1_000_000, seed: int = 0, grid: int = 1200
 ) -> float:
-    """Definitional Monte-Carlo estimate of geometry.cap_fraction.
+    """Definitional Monte-Carlo estimate of cap_fraction.
 
     Works from the defining property rather than the closed form: a unit
     y lies in the cap around x̂ of angular radius arcsin(γ/2) iff y has

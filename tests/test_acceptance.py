@@ -28,7 +28,7 @@ from badapprox.escape import (
     select_cap,
 )
 from badapprox.exact import ceil_frac
-from badapprox.geometry import Hyperplane, cap_fraction, norm_sq
+from badapprox.geometry import Hyperplane, cap_measure_bounds, norm_sq
 from badapprox.resonance import ThetaMatrix, golden_theta
 from badapprox.schedule import block_schedule, derive_params
 from badapprox.strategy import CertificateFailed, certificate, run_constructed_game
@@ -211,12 +211,13 @@ def test_criterion_06_cap_fraction_monte_carlo():
     gamma = F(5, 8)
     deltas = {}
     for n in (2, 3):
-        closed = cap_fraction(gamma, n)
+        # the exact bracket of the full cap, angular radius asin(gamma/2)
+        lo, hi = (F(v, 1 << 64) for v in cap_measure_bounds(gamma / 2, F(0), n, 64))
         mc = cap_fraction_montecarlo(gamma, n, samples=1_000_000, seed=0)
-        deltas[n] = abs(closed - mc)
+        deltas[n] = max(0.0, float(lo) - mc, mc - float(hi))
         assert deltas[n] <= 5e-3
-    report(6, True, "closed-form vs 1e6-sample Monte Carlo: "
-           + ", ".join(f"n={n} |delta|={d:.2e}" for n, d in deltas.items()))
+    report(6, True, "exact cap bracket vs 1e6-sample Monte Carlo: "
+           + ", ".join(f"n={n} distance={d:.2e}" for n, d in deltas.items()))
 
 
 def test_criterion_07_golden_thread_end_to_end(golden_seq):

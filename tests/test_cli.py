@@ -16,6 +16,7 @@ import pytest
 
 import badapprox
 from badapprox.cli import main
+from badapprox.exact import InvariantError
 from badapprox.resonance import ThetaMatrix
 
 
@@ -274,6 +275,35 @@ def test_wrong_typed_json_exits_2(tmp_path, capsys, argv, obj):
     assert "must be" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag,obj", [
+    ("--psi", {"sizes": [1, 3], "values": [0.5, "1/4"]}),  # float table value
+    ("--script", {"centers": [[0.5]]}),  # float center coordinate
+])
+def test_wrong_typed_table_or_script_exits_2(tmp_path, capsys, flag, obj):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(obj))
+    if flag == "--psi":
+        argv = ("certify", "--eta", "1/2", "--N", "3", "--functional", "decay",
+                "--psi", f"table:{path}")
+    else:
+        argv = (*GOLDEN_PLAY, "--adversary", "scripted", "--script", str(path))
+    assert run(tmp_path, *argv) == 2
+    assert 'must be a "p/q" string or an integer' in capsys.readouterr().err
+
+
+def test_invariant_error_exits_1_with_its_name(tmp_path, capsys, monkeypatch):
+    import badapprox.cli
+
+    def broken(*args, **kwargs):
+        raise InvariantError("schedule should have prevented this")
+
+    monkeypatch.setattr(badapprox.cli, "run_constructed_game", broken)
+    assert run(tmp_path, *GOLDEN_PLAY) == 1
+    err = capsys.readouterr().err
+    assert "InvariantError: schedule should have prevented this" in err
+    assert "config error" not in err
+
+
 def test_resonance_golden_family(tmp_path):
     rc = run(tmp_path, "resonance", "--theta", "golden")
     assert rc == 0
@@ -390,3 +420,27 @@ def test_pipeline_runs_without_numpy(tmp_path):
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "certificate.json").exists() and (tmp_path / "report.json").exists()
+
+
+NO_MPMATH = """
+import sys
+from fractions import Fraction
+from badapprox.cli import main
+from badapprox.schedule import derive_params
+out = sys.argv[1]
+for n in range(2, 7):
+    derive_params(Fraction(1, 8), Fraction(1, 4), 3, n)  # feasible up to n = 6
+assert main(["play", "--alpha", "1/4", "--beta", "1/2", "--blocks", "2", "--out", out]) == 0
+assert "mpmath" not in sys.modules, "mpmath was imported"
+assert "numpy" not in sys.modules, "numpy was imported"
+"""
+
+
+def test_derive_params_imports_no_mpmath(tmp_path):
+    # the cap measure is bracketed in integers: mpmath is a test-only dependency
+    src = str(Path(badapprox.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-c", NO_MPMATH, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

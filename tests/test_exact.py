@@ -1,4 +1,5 @@
-"""Exact-arithmetic helpers: coercion, square-root comparators, dyadic bounds."""
+"""Exact-arithmetic helpers: coercion, square-root comparators, dyadic bounds,
+scaled-integer brackets of asin, ln and pi (held to 60-digit mpmath)."""
 
 import math
 from fractions import Fraction
@@ -8,13 +9,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from badapprox.exact import (
+    asin_bounds,
     ceil_frac,
     floor_frac,
     gt_sqrt,
     gt_sum_two_sqrt,
+    log_bounds,
+    pi_bounds,
     rat,
     rat_str,
     rat_vec,
+    scaled_bounds,
     sqrt_lower,
     sqrt_upper,
 )
@@ -143,6 +148,68 @@ def test_sqrt_bounds_perfect_square():
     assert sqrt_upper(0) == 0
     with pytest.raises(ValueError):
         sqrt_lower(Fraction(-1))
+
+
+# -- scaled-integer brackets -------------------------------------------------
+
+
+def _brackets(bounds, prec, exact) -> bool:
+    """lo <= exact() * 2^prec <= hi, exact() evaluated by mpmath well past prec bits."""
+    import mpmath
+
+    lo, hi = bounds
+    with mpmath.workdps(prec // 3 + 30):
+        scaled = exact(mpmath) * mpmath.mpf(2) ** prec
+        return lo <= scaled <= hi
+
+
+@given(x=st.fractions(min_value=0, max_value=Fraction(1, 2), max_denominator=10**6))
+def test_asin_bounds_bracket(x):
+    for prec in (64, 128):
+        lo, hi = asin_bounds(x, prec)
+        assert hi - lo <= prec
+        assert _brackets((lo, hi), prec, lambda mp: mp.asin(mp.mpf(x.numerator) / x.denominator))
+
+
+def test_brackets_keep_the_tail_below_one_unit():
+    # the first term is already below one unit: the bracket is the tail bound
+    assert asin_bounds(Fraction(1, 1 << 70), 64) == (0, 2)
+    assert log_bounds(1 + Fraction(1, 1 << 70), 64) == (0, 4)
+
+
+def test_asin_bounds_domain():
+    assert asin_bounds(0, 64) == (0, 0)
+    with pytest.raises(ValueError):
+        asin_bounds(Fraction(51, 100), 64)
+    with pytest.raises(ValueError):
+        asin_bounds(Fraction(-1, 100), 64)
+
+
+@given(x=st.fractions(min_value=1, max_value=Fraction(10**6), max_denominator=10**6))
+def test_log_bounds_bracket(x):
+    for prec in (64, 128):
+        lo, hi = log_bounds(x, prec)
+        assert hi - lo <= prec * (x.numerator.bit_length() + 1)
+        assert _brackets((lo, hi), prec, lambda mp: mp.log(mp.mpf(x.numerator) / x.denominator))
+
+
+def test_log_bounds_domain():
+    assert log_bounds(1, 64) == (0, 0)
+    with pytest.raises(ValueError):
+        log_bounds(Fraction(99, 100), 64)
+
+
+@pytest.mark.parametrize("prec", [8, 64, 200, 1000])
+def test_pi_bounds_bracket(prec):
+    lo, hi = pi_bounds(prec)
+    assert hi - lo <= 2
+    assert _brackets((lo, hi), prec, lambda mp: +mp.pi)
+
+
+def test_scaled_bounds_are_floor_and_ceil():
+    assert scaled_bounds(Fraction(1, 3), 4) == (5, 6)
+    assert scaled_bounds(Fraction(-1, 3), 4) == (-6, -5)
+    assert scaled_bounds(Fraction(3, 4), 4) == (12, 12)
 
 
 @given(x=rationals)

@@ -1,4 +1,8 @@
-"""Geometric primitives: exact containment, unit directions, cap measures."""
+"""Geometric primitives: exact containment, unit directions, cap measures.
+
+The float cap fractions (cap_fraction, cap_fraction_angular) are test
+oracles from oracles.py; the package brackets the cap measure exactly.
+"""
 
 import math
 import random
@@ -9,13 +13,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
+from badapprox import geometry
+from badapprox.exact import InvariantError
 from badapprox.geometry import (
     Ball,
     Halfspace,
     Hyperplane,
     add,
-    cap_fraction,
-    cap_fraction_angular,
+    cap_measure_bounds,
     dot,
     lex_sign,
     nearest_int_dist,
@@ -24,6 +29,7 @@ from badapprox.geometry import (
     scale,
     sub,
 )
+from oracles import cap_fraction, cap_fraction_angular
 
 TINY = Fraction(1, 10**30)
 
@@ -275,6 +281,12 @@ def test_rational_unit_direction_axis_aligned_exact():
     assert rational_unit_direction((3,)) == (Fraction(1),)
 
 
+def test_rational_unit_direction_failed_refinement_is_an_invariant_error(monkeypatch):
+    monkeypatch.setattr(geometry, "DIRECTION_TOL", 0.0)
+    with pytest.raises(InvariantError, match="direction refinement failed"):
+        rational_unit_direction((1, 3))
+
+
 def test_rational_unit_direction_zero_vector():
     with pytest.raises(ValueError):
         rational_unit_direction((0, 0))
@@ -316,6 +328,73 @@ def test_cap_fraction_rejects_bad_gamma():
         cap_fraction(Fraction(2), 2)
     with pytest.raises(ValueError):
         cap_fraction_angular(0.1, 0)
+
+
+# -- cap measure, bracketed exactly ------------------------------------------
+
+
+def _cap_bracket(sin_a, sin_b, n, prec=64):
+    lo, hi = cap_measure_bounds(sin_a, sin_b, n, prec)
+    return Fraction(lo, 1 << prec), Fraction(hi, 1 << prec)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+@pytest.mark.parametrize("sin_a, sin_b", [
+    (Fraction(5, 16), Fraction(0)),
+    (Fraction(5, 16), Fraction(5, 64)),
+    (Fraction(1, 2), Fraction(49, 100)),
+    (Fraction(1, 1000), Fraction(1, 3000)),
+])
+def test_cap_measure_bounds_bracket_the_quadrature(n, sin_a, sin_b):
+    import mpmath
+
+    lo, hi = cap_measure_bounds(sin_a, sin_b, n, 64)
+    assert 0 <= lo <= hi and hi - lo < 1 << 12
+    with mpmath.workdps(40):  # the quadrature, far past 64 bits
+        r = mpmath.asin(mpmath.mpf(sin_a.numerator) / sin_a.denominator) - mpmath.asin(
+            mpmath.mpf(sin_b.numerator) / sin_b.denominator)
+        w = mpmath.quad(lambda t: mpmath.sin(t) ** (n - 2), [0, r]) / mpmath.quad(
+            lambda t: mpmath.sin(t) ** (n - 2), [0, mpmath.pi])
+        assert lo <= w * 2**64 <= hi
+
+
+def test_cap_measure_bounds_closed_forms():
+    # full cap at gamma = 5/8: n = 2 is r/pi and n = 3 is (1 - cos r)/2,
+    # with r = asin(5/16) and cos r = sqrt(231)/16
+    for n, pinned in ((2, CAP_N2_PINNED), (3, CAP_N3_PINNED)):
+        lo, hi = _cap_bracket(Fraction(5, 16), Fraction(0), n)
+        assert float(lo) == pytest.approx(pinned, abs=1e-15) == float(hi)
+    lo, hi = _cap_bracket(Fraction(5, 16), Fraction(0), 3, prec=200)
+    # (1 - 2w)^2 = cos^2 r = 231/256 on both ends, up to the bracket
+    assert (1 - 2 * hi) ** 2 <= Fraction(231, 256) <= (1 - 2 * lo) ** 2
+
+
+def test_cap_measure_bounds_tighten_with_precision():
+    widths = []
+    for prec in (64, 128, 256):
+        lo, hi = _cap_bracket(Fraction(5, 16), Fraction(5, 64), 4, prec)
+        widths.append(hi - lo)
+        if len(widths) > 1:
+            assert prev_lo <= lo <= hi <= prev_hi
+        prev_lo, prev_hi = lo, hi
+    assert widths[2] < Fraction(1, 1 << 240)
+
+
+def test_cap_measure_decreases_with_dimension():
+    his = [_cap_bracket(Fraction(5, 16), Fraction(0), n)[1] for n in range(2, 8)]
+    los = [_cap_bracket(Fraction(5, 16), Fraction(0), n)[0] for n in range(2, 8)]
+    assert all(lo > hi for lo, hi in zip(los, his[1:]))
+
+
+def test_cap_measure_bounds_rejects_bad_input():
+    with pytest.raises(ValueError):
+        cap_measure_bounds(Fraction(1, 4), Fraction(1, 8), 1, 64)
+    with pytest.raises(ValueError):
+        cap_measure_bounds(Fraction(1, 4), Fraction(1, 4), 3, 64)  # r = 0
+    with pytest.raises(ValueError):
+        cap_measure_bounds(Fraction(1, 4), Fraction(-1, 8), 3, 64)
+    with pytest.raises(ValueError):
+        cap_measure_bounds(Fraction(3, 5), Fraction(0), 2, 64)  # radius above pi/6
 
 
 def test_cap_montecarlo_agrees_at_small_sample():

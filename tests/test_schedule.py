@@ -4,10 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from badapprox.geometry import Ball, cap_fraction_angular
+from badapprox import schedule
+from badapprox.exact import InvariantError
+from badapprox.geometry import Ball
 from badapprox.resonance import golden_theta, best_approximations, lacunary_normalize
 from badapprox.schedule import (
     ScheduleInfeasible,
+    _cap_measure_lower_bound,
     block_schedule,
     dangerous_hyperplanes,
     derive_params,
@@ -15,8 +18,10 @@ from badapprox.schedule import (
 from conftest import make_sequence
 
 import math
+from random import Random
 
 import oracles
+from oracles import cap_fraction_angular
 
 
 # -- derive_params: golden pins ----------------------------------------------
@@ -124,6 +129,97 @@ def test_budget_scan_matches_fraction_oracle(alpha, beta, lacunarity, n):
     assert got.to_jsonable() == want.to_jsonable()
 
 
+def _grid_fractions(dens, below):
+    return sorted({Fraction(a, d) for d in dens for a in range(1, d) if Fraction(a, d) < below})
+
+
+def _escape_inputs(alpha, beta):
+    """(gamma, (alpha*beta)^t) as derive_params computes them."""
+    gamma = 1 + alpha * beta - 2 * alpha
+    pt = alpha * beta
+    while not 2 * pt < gamma:
+        pt *= alpha * beta
+    return gamma, pt
+
+
+def test_cap_measure_lb_equals_the_float_route_on_a_seeded_grid():
+    # alpha < 1/2 with denominator 3..12, beta with denominator 2..10, n <= 6:
+    # 3410 triples, of which a seeded 300 run here; the bracket decides every
+    # 2^-40 floor exactly where the float route had a guard band
+    alphas = _grid_fractions(range(3, 13), Fraction(1, 2))
+    betas = _grid_fractions(range(2, 11), Fraction(1))
+    grid = [(a, b, n) for a in alphas for b in betas for n in range(2, 7)]
+    assert len(grid) == 3410
+    for alpha, beta, n in Random(8).sample(grid, 300):
+        gamma, pt = _escape_inputs(alpha, beta)
+        want = oracles.cap_measure_lb_float(gamma, pt, n)
+        assert _cap_measure_lower_bound(gamma, pt, n) == want, (alpha, beta, n)
+
+
+def test_cap_measure_lb_refines_a_straddling_bracket(monkeypatch):
+    # at 41 bits the bracket spans several units of 2^-41 and straddles a
+    # 2^-40 step here, so the precision doubles until it decides; the
+    # result does not move
+    precisions = []
+    bounds = schedule.cap_measure_bounds
+
+    def spy(sin_a, sin_b, n, prec):
+        precisions.append(prec)
+        return bounds(sin_a, sin_b, n, prec)
+
+    gamma, pt = _escape_inputs(Fraction(1, 4), Fraction(1, 2))
+    want = _cap_measure_lower_bound(gamma, pt, 4)
+    monkeypatch.setattr(schedule, "cap_measure_bounds", spy)
+    monkeypatch.setattr(schedule, "_CAP_PREC", 41)
+    assert _cap_measure_lower_bound(gamma, pt, 4) == want
+    assert precisions[:2] == [41, 82]
+
+
+def test_cap_measure_lb_precision_ceiling_is_an_invariant_error(monkeypatch):
+    def straddles(sin_a, sin_b, n, prec):
+        half = 1 << (prec - 41)  # half a step of 2^-40
+        return (1 << prec) // 10 - half, (1 << prec) // 10 + half
+
+    monkeypatch.setattr(schedule, "cap_measure_bounds", straddles)
+    with pytest.raises(InvariantError, match="straddles"):
+        derive_params(Fraction(1, 4), Fraction(1, 2), 3, 3)
+
+
+@pytest.mark.parametrize("scan_prec", [4, 16, 64])
+@pytest.mark.parametrize(
+    "alpha, beta, lacunarity, n",
+    [
+        # exact ties (1/(alpha*beta))^tau == M^(k-2): 9^tau vs 3^(k-2), 8^tau vs 2^(k-2)
+        ("1/3", "1/3", "3", 1),
+        ("1/3", "1/3", "3", 2),
+        ("1/3", "1/3", "9", 3),
+        ("1/4", "1/2", "2", 2),
+        # omega = 1/2 at n = 1: k*(1-omega)^c == 1 exactly at k = 2^c
+        ("1/4", "1/2", "3", 1),
+        ("2/5", "3/4", "5/2", 2),
+        ("1/4", "1/2", "3", 3),
+    ],
+)
+def test_budget_scan_is_exact_at_any_bracket_precision(
+    monkeypatch, scan_prec, alpha, beta, lacunarity, n
+):
+    # coarse brackets straddle often, so the exact fallbacks decide the scan
+    monkeypatch.setattr(schedule, "_SCAN_PREC", scan_prec)
+    got = derive_params(Fraction(alpha), Fraction(beta), Fraction(lacunarity), n)
+    want = oracles.derive_params(Fraction(alpha), Fraction(beta), Fraction(lacunarity), n)
+    assert got.to_jsonable() == want.to_jsonable()
+
+
+def test_budget_scan_stops_once_no_budget_can_qualify():
+    # omega sits at its floor 2^-40 (the reduced cap measures about 2e-14 at
+    # n = 6), where raising c one step at a time to clear k = 2 alone would
+    # take about 2^40 steps; tau has passed what any k <= 100000 could carry
+    gamma, pt = _escape_inputs(Fraction(4999, 10000), Fraction(1, 100))
+    assert _cap_measure_lower_bound(gamma, pt, 6) == Fraction(1, 1 << 40)
+    with pytest.raises(ScheduleInfeasible, match="no plane budget"):
+        derive_params(Fraction(4999, 10000), Fraction(1, 100), 3, 6)
+
+
 def test_derive_params_input_validation():
     with pytest.raises(ValueError):
         derive_params(Fraction(1, 2), Fraction(1, 2), 3, 1)  # alpha must be < 1/2
@@ -222,7 +318,7 @@ def test_dangerous_hyperplanes_tie_rounds_half_even():
 
 def test_dangerous_hyperplanes_rejects_wide_ball(golden_seq):
     ball = Ball((Fraction(0),), Fraction(1, 2))
-    with pytest.raises(ValueError, match="multiple reachable offsets"):
+    with pytest.raises(InvariantError, match="multiple reachable offsets"):
         dangerous_hyperplanes(ball, golden_seq, 5, 6)  # 2 * (1/2) * 987 > 1
 
 
