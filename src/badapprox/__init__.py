@@ -25,7 +25,6 @@ from .engine import (
     run_game,
 )
 from .resonance import (
-    ApproximationRecord,
     EmptySequence,
     GOLDEN_CONVERGENT,
     ResonanceSequence,
@@ -48,7 +47,6 @@ from .schedule import (
 from .escape import (
     AvoidanceDrive,
     CapSelection,
-    EscapeAssertionFailed,
     SelectionExhausted,
     select_cap,
 )

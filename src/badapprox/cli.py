@@ -36,7 +36,7 @@ from .certify import (
     theorem1_constant,
 )
 from .engine import IllegalMove, concentric
-from .escape import EscapeAssertionFailed, SelectionExhausted
+from .escape import SelectionExhausted
 from .exact import InvariantError, json_list, json_rat, rat, rat_str
 from .resonance import (
     EmptySequence,
@@ -55,7 +55,6 @@ _RUNTIME_ERRORS = (
     ScheduleInfeasible,
     CertificateFailed,
     SelectionExhausted,
-    EscapeAssertionFailed,
     IllegalMove,
     TableRangeExceeded,
     EmptySequence,

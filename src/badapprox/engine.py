@@ -15,7 +15,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Optional, Sequence
 
-from .exact import rat, rat_str
+from .exact import json_rat, rat, rat_str
 from .geometry import Ball, Vec
 
 
@@ -55,7 +55,10 @@ class GameParams:
 
     @classmethod
     def from_jsonable(cls, obj: dict) -> "GameParams":
-        return cls(rat(obj["alpha"]), rat(obj["beta"]), int(obj["dimension"]))
+        dimension = obj["dimension"]
+        if type(dimension) is not int:  # a bool, float or string is a forgery
+            raise ValueError(f"dimension must be a JSON integer, got {dimension!r}")
+        return cls(json_rat(obj["alpha"], "alpha"), json_rat(obj["beta"], "beta"), dimension)
 
 
 @dataclass(frozen=True)
@@ -162,15 +165,12 @@ def _rats_json(values: Sequence[Fraction], indent: int) -> str:
     return f"[\n{pad}  {items}\n{pad}]"
 
 
-def forced_radius(params: GameParams, current: Ball, turn: str) -> Fraction:
-    return (params.alpha if turn == "W" else params.beta) * current.radius
-
-
-def legal_reply(params: GameParams, current: Ball, turn: str, center: Sequence) -> Ball:
-    """Build the forced-radius reply ball, or raise IllegalMove via caller."""
-    reply = Ball(center, forced_radius(params, current, turn))
-    if reply.dimension != current.dimension:
-        raise ValueError(f"center has dimension {reply.dimension}, expected {current.dimension}")
+def _half_move(params: GameParams, current: Ball, turn: str, center: Sequence, index: int) -> Ball:
+    """The reply at `center` with the forced radius, alpha or beta times the
+    current one; IllegalMove unless it lies inside `current`."""
+    reply = Ball(center, (params.alpha if turn == "W" else params.beta) * current.radius)
+    if not current.contains_ball(reply):
+        raise IllegalMove(turn, index, reply.center, "reply ball leaves current ball")
     return reply
 
 
@@ -199,9 +199,7 @@ def run_game(
         for turn, policy in (("W", white), ("B", black)):
             state = GameState(params, current, move_index, turn)
             center, note = policy(state)
-            reply = legal_reply(params, current, turn, center)
-            if not current.contains_ball(reply):
-                raise IllegalMove(turn, move_index, reply.center, "reply ball leaves current ball")
+            reply = _half_move(params, current, turn, center, move_index)
             trace.moves.append(MoveRecord(turn, reply, note))
             current = reply
             move_index += 1
@@ -226,11 +224,9 @@ def replay(trace: GameTrace) -> GameTrace:
     for i, mv in enumerate(trace.moves):
         if mv.player != expected_turn:
             raise IllegalMove(mv.player, i, mv.ball.center, "out-of-turn move")
-        rebuilt = legal_reply(params, current, mv.player, mv.ball.center)
+        rebuilt = _half_move(params, current, mv.player, mv.ball.center, i)
         if rebuilt.radius != mv.ball.radius:
             raise IllegalMove(mv.player, i, mv.ball.center, "radius law violated")
-        if not current.contains_ball(rebuilt):
-            raise IllegalMove(mv.player, i, mv.ball.center, "reply ball leaves current ball")
         out.moves.append(MoveRecord(mv.player, rebuilt, mv.note))
         current = rebuilt
         expected_turn = "B" if expected_turn == "W" else "W"

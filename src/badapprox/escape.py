@@ -21,7 +21,7 @@ from operator import mul
 from random import Random
 from typing import Optional, Sequence
 
-from .exact import ceil_frac, gt_sqrt, gt_sum_two_sqrt, over_common_denominator
+from .exact import InvariantError, ceil_frac, gt_sqrt, gt_sum_two_sqrt, over_common_denominator
 from .geometry import (
     Ball,
     Halfspace,
@@ -35,15 +35,6 @@ from .geometry import (
     stereo_unit,
 )
 from .schedule import StrategyParams
-
-
-class EscapeAssertionFailed(Exception):
-    """A structurally-guaranteed invariant of the escape machinery failed.
-
-    Reaching this means a bug (or a tampered policy), not bad luck: the
-    drives are chosen so the guarded conditions hold against every legal
-    opponent.
-    """
 
 
 class SelectionExhausted(Exception):
@@ -90,7 +81,7 @@ def integer_direction(direction: Vec) -> tuple[list[int], int]:
     v = L * direction, so that sum v^2 = L^2."""
     el, v = over_common_denominator(direction)
     if sum(x * x for x in v) != el * el:
-        raise EscapeAssertionFailed("direction is not a unit vector")
+        raise InvariantError("direction is not a unit vector")
     return v, el
 
 
@@ -253,7 +244,7 @@ def select_cap(
             if cap.cap_member(a, l_sq) and cap.verified_miss(a, el, l_sq):
                 esc.append(j)
             elif st:
-                raise EscapeAssertionFailed("strong hit without verified miss")
+                raise InvariantError("strong hit without verified miss")
         return tuple(strong), tuple(esc)
 
     best: Optional[tuple[int, int, Vec, tuple, tuple]] = None
@@ -321,8 +312,9 @@ class AvoidanceDrive:
     start the still-threatening planes are re-measured exactly; if any
     remain, a direction meeting the strong-hit quota is selected and driven.
     Strong hits are absorbed by the end of the sub-block — verified at the
-    next boundary, where failure raises EscapeAssertionFailed (a bug
-    detector: legal play cannot get there).
+    next boundary, where failure raises InvariantError: the drive is chosen
+    so that every legal opponent leaves them absorbed, so only a bug or a
+    tampered drive gets there.
     """
 
     def __init__(
@@ -345,12 +337,12 @@ class AvoidanceDrive:
         if self.pending is not None:
             halfspace, strong = self.pending
             if not halfspace.contains_ball(ball):
-                raise EscapeAssertionFailed(
+                raise InvariantError(
                     "escape drive failed to reach its certified halfspace"
                 )
             for j in strong:
                 if not absorbed(ball, self.planes[j], gamma):
-                    raise EscapeAssertionFailed(
+                    raise InvariantError(
                         f"plane {j} was strongly hit but is still a threat"
                     )
             self.pending = None

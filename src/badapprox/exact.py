@@ -17,11 +17,17 @@ import functools
 import itertools
 import math
 import re
+import sys
 from fractions import Fraction
 from operator import mod, sub
 from typing import Iterable, Iterator, Sequence, Union
 
 Rat = Union[int, Fraction]
+
+# Rationals cross the text boundary (rat, rat_str, trace files) at any size,
+# past the default limit of 4300 digits on int <-> str that 3.10.7 added.
+if hasattr(sys, "set_int_max_str_digits"):
+    sys.set_int_max_str_digits(0)
 
 
 class InvariantError(RuntimeError):
@@ -120,11 +126,6 @@ def sqrt_bounds(x_sq: Rat, bits: int = 64) -> tuple[int, int]:
     n = x.numerator << (2 * bits)
     d = x.denominator
     return math.isqrt(n // d), math.isqrt(-(-n // d)) + 1
-
-
-def sqrt_lower(x_sq: Rat, bits: int = 64) -> Fraction:
-    """floor(sqrt(x_sq) * 2^bits) / 2^bits: a dyadic lower bound on sqrt(x_sq)."""
-    return Fraction(sqrt_bounds(x_sq, bits)[0], 1 << bits)
 
 
 def sqrt_upper(x_sq: Rat, bits: int = 64) -> Fraction:
@@ -232,11 +233,11 @@ def floor_frac(x: Rat) -> int:
 CHUNK = 4096
 
 
-def over_common_denominator(values: Iterable) -> tuple[int, list[int]]:
-    """(D, [v * D for v in values]) with D the least common denominator."""
-    vals = [rat(v) for v in values]
-    den = math.lcm(*(v.denominator for v in vals))
-    return den, [v.numerator * (den // v.denominator) for v in vals]
+def over_common_denominator(values: Sequence[Rat]) -> tuple[int, list[int]]:
+    """(D, [v * D for v in values]) with D the least common denominator of
+    the ints and Fractions in values."""
+    den = math.lcm(*(v.denominator for v in values))
+    return den, [v.numerator * (den // v.denominator) for v in values]
 
 
 def int_dist(v: int, den: int) -> int:

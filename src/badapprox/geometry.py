@@ -148,9 +148,6 @@ class Hyperplane:
         """Signed u·p - a (NOT normalized; divide by |u| for distance)."""
         return dot(self.normal, p) - self.offset
 
-    def to_jsonable(self) -> dict:
-        return {"u": list(self.normal), "a": self.offset}
-
 
 @dataclass(frozen=True)
 class Halfspace:

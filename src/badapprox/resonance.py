@@ -125,7 +125,7 @@ def golden_theta() -> ThetaMatrix:
 def _dual_forms(theta: ThetaMatrix) -> tuple[list[list[int]], int]:
     """Coefficients of y -> row_i . y over the common denominator D of theta:
     coeffs[j][i] = D * theta[i][j], one list per coordinate of y."""
-    den, ints = over_common_denominator(x for row in theta.rows for x in row)
+    den, ints = over_common_denominator([x for row in theta.rows for x in row])
     n = theta.n
     return [ints[j::n] for j in range(n)], den
 
@@ -188,84 +188,12 @@ def _unrank_half(rank: int, t: int, n: int) -> tuple[int, ...]:
 
 
 @dataclass(frozen=True)
-class ApproximationRecord:
-    vector: tuple[int, ...]
-    norm_sq: int
-    quality: Fraction
-
-
-def best_approximations(theta: ThetaMatrix, t_max: int) -> list[ApproximationRecord]:
-    """Strict records of dual quality, by increasing Euclidean length.
-
-    Candidates are grouped into shells of equal |y|^2 and scanned in
-    (|y|^2, lex) order; a shell's minimum becomes a record iff it is strictly
-    below every earlier quality.  Only the canonical representative of each
-    ±pair is considered (quality is sign-symmetric).  A record of quality
-    zero is the last one (nothing can beat it).
-    """
-    if t_max < 1:
-        raise ValueError("t_max must be >= 1")
-
-    def norms_sq(head, lo, hi):
-        return map(sum(c * c for c in head).__add__, map(mul, range(lo, hi), range(lo, hi)))
-
-    found, den = _shell_records(theta, t_max, norms_sq)
-    records = [
-        ApproximationRecord(_unrank_half(rank, t_max, theta.n), nsq, Fraction(num, den))
-        for rank, nsq, num in found
-    ]
-    if not records:
-        raise EmptySequence("no approximation records found")
-    return records
-
-
-def convergents(cf: Sequence[int]) -> Iterator[tuple[int, int]]:
-    """Yield (p, q) convergents of a continued fraction [a0; a1, a2, ...]."""
-    p_prev, p_cur = 1, cf[0]
-    q_prev, q_cur = 0, 1
-    yield p_cur, q_cur
-    for a in cf[1:]:
-        p_prev, p_cur = p_cur, a * p_cur + p_prev
-        q_prev, q_cur = q_cur, a * q_cur + q_prev
-        yield p_cur, q_cur
-
-
-def best_approximations_cf(theta: ThetaMatrix, t_max: int) -> list[ApproximationRecord]:
-    """Records for a 1x1 theta via its continued-fraction convergents.
-
-    For a single rational angle the strict quality records at integer sizes
-    are exactly the convergent denominators; this route never enumerates and
-    is cross-checked against best_approximations in the test-suite.
-    """
-    if theta.cf is None:
-        raise ValueError("theta carries no continued-fraction expansion")
-    value = theta.rows[0][0]
-    records: list[ApproximationRecord] = []
-    best: Optional[Fraction] = None
-    for _, q in convergents(theta.cf):
-        if q > t_max:
-            break
-        if q < 1:
-            continue
-        qual = nearest_int_dist(value * q)
-        if best is None or qual < best:
-            records.append(ApproximationRecord((q,), q * q, qual))
-            best = qual
-            if qual == 0:
-                break
-    if not records:
-        raise EmptySequence("no records within t_max")
-    return records
-
-
-# -- lacunary thinning -------------------------------------------------------
-
-
-@dataclass(frozen=True)
 class ResonanceEntry:
+    """A record (y, |y|^2, dual quality of y), or lacunary padding (quality None)."""
+
     vector: tuple[int, ...]
     norm_sq: int
-    quality: Optional[Fraction]  # None for padding entries
+    quality: Optional[Fraction]
 
     def to_jsonable(self) -> dict:
         return {
@@ -284,6 +212,73 @@ class ResonanceEntry:
         )
 
 
+def best_approximations(theta: ThetaMatrix, t_max: int) -> list[ResonanceEntry]:
+    """Strict records of dual quality, by increasing Euclidean length.
+
+    Candidates are grouped into shells of equal |y|^2 and scanned in
+    (|y|^2, lex) order; a shell's minimum becomes a record iff it is strictly
+    below every earlier quality.  Only the canonical representative of each
+    ±pair is considered (quality is sign-symmetric).  A record of quality
+    zero is the last one (nothing can beat it).
+    """
+    if t_max < 1:
+        raise ValueError("t_max must be >= 1")
+
+    def norms_sq(head, lo, hi):
+        return map(sum(c * c for c in head).__add__, map(mul, range(lo, hi), range(lo, hi)))
+
+    found, den = _shell_records(theta, t_max, norms_sq)
+    records = [
+        ResonanceEntry(_unrank_half(rank, t_max, theta.n), nsq, Fraction(num, den))
+        for rank, nsq, num in found
+    ]
+    if not records:
+        raise EmptySequence("no approximation records found")
+    return records
+
+
+def convergents(cf: Sequence[int]) -> Iterator[tuple[int, int]]:
+    """Yield (p, q) convergents of a continued fraction [a0; a1, a2, ...]."""
+    p_prev, p_cur = 1, cf[0]
+    q_prev, q_cur = 0, 1
+    yield p_cur, q_cur
+    for a in cf[1:]:
+        p_prev, p_cur = p_cur, a * p_cur + p_prev
+        q_prev, q_cur = q_cur, a * q_cur + q_prev
+        yield p_cur, q_cur
+
+
+def best_approximations_cf(theta: ThetaMatrix, t_max: int) -> list[ResonanceEntry]:
+    """Records for a 1x1 theta via its continued-fraction convergents.
+
+    For a single rational angle the strict quality records at integer sizes
+    are exactly the convergent denominators; this route never enumerates and
+    is cross-checked against best_approximations in the test-suite.
+    """
+    if theta.cf is None:
+        raise ValueError("theta carries no continued-fraction expansion")
+    value = theta.rows[0][0]
+    records: list[ResonanceEntry] = []
+    best: Optional[Fraction] = None
+    for _, q in convergents(theta.cf):
+        if q > t_max:
+            break
+        if q < 1:
+            continue
+        qual = nearest_int_dist(value * q)
+        if best is None or qual < best:
+            records.append(ResonanceEntry((q,), q * q, qual))
+            best = qual
+            if qual == 0:
+                break
+    if not records:
+        raise EmptySequence("no records within t_max")
+    return records
+
+
+# -- lacunary thinning -------------------------------------------------------
+
+
 @dataclass(frozen=True)
 class ResonanceSequence:
     """A finite family u_1, u_2, ... with lacunary sizes t_r = |u_r|.
@@ -300,9 +295,6 @@ class ResonanceSequence:
         object.__setattr__(self, "entries", tuple(self.entries))
         if self.lacunarity <= 1:
             raise ValueError("lacunarity must exceed 1")
-        self.check_lacunary()
-
-    def check_lacunary(self) -> None:
         if not self.entries:
             raise EmptySequence("resonance sequence is empty")
         m2 = self.lacunarity**2
@@ -352,7 +344,7 @@ class ResonanceSequence:
 
 
 def lacunary_normalize(
-    records: Iterable[ApproximationRecord], lacunarity
+    records: Iterable[ResonanceEntry], lacunarity
 ) -> ResonanceSequence:
     """Thin (and where needed pad) size records into a lacunary family.
 
@@ -374,9 +366,7 @@ def lacunary_normalize(
         raise EmptySequence("no usable records (all exact resonances?)")
     dim = len(pending[0].vector)
 
-    out: list[ResonanceEntry] = [
-        ResonanceEntry(pending[0].vector, pending[0].norm_sq, pending[0].quality)
-    ]
+    out: list[ResonanceEntry] = [pending[0]]
     for rec in pending[1:]:
         while True:
             last_sq = out[-1].norm_sq
@@ -384,7 +374,7 @@ def lacunary_normalize(
             if ratio_sq < m2:
                 break  # too close to the last kept size: drop
             if ratio_sq <= m4:
-                out.append(ResonanceEntry(rec.vector, rec.norm_sq, rec.quality))
+                out.append(rec)
                 break
             # gap too wide: pad with the smallest admissible integer size
             target = m2 * last_sq

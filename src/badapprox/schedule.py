@@ -224,13 +224,6 @@ class BlockSchedule:
         """(lo, hi], 1-based resonance indices handled by `block`."""
         return self.cuts[block], self.cuts[block + 1]
 
-    def to_jsonable(self) -> dict:
-        return {
-            "rho0": rat_str(self.rho0),
-            "blocks": self.blocks,
-            "cuts": list(self.cuts),
-        }
-
 
 def block_schedule(
     params: StrategyParams, seq: ResonanceSequence, rho0, blocks: int

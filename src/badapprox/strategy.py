@@ -15,10 +15,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exact import floor_frac, rat, rat_str, sqrt_upper
+from .exact import InvariantError, floor_frac, rat, rat_str, sqrt_upper
 from .engine import GameParams, GameTrace, run_game
 from .geometry import Ball, Hyperplane, Vec, dot
-from .escape import AvoidanceDrive, EscapeAssertionFailed
+from .escape import AvoidanceDrive
 from .resonance import ResonanceSequence
 from .schedule import (
     BlockSchedule,
@@ -80,9 +80,7 @@ def gather_block_planes(
     return out
 
 
-def _family_clear(
-    center: Vec, radius: Fraction, norm_sq: int, s: Fraction, margin: Fraction
-) -> bool:
+def _family_clear(radius: Fraction, norm_sq: int, s: Fraction, margin: Fraction) -> bool:
     """Exact: every integer offset of the family stays > margin beyond the
     ball's reach.  With f = s - floor(s), requires both f - margin and
     1 - f - margin to be positive and to exceed |u|*radius (on squares)."""
@@ -116,10 +114,8 @@ class WhiteStrategy:
     def _check_handled_clear(self, ball: Ball) -> None:
         for h in self.handled:
             s = dot(h.plane.normal, ball.center)
-            if not _family_clear(
-                ball.center, ball.radius, h.plane.norm_sq, s, self.params.margin
-            ):
-                raise EscapeAssertionFailed(
+            if not _family_clear(ball.radius, h.plane.norm_sq, s, self.params.margin):
+                raise InvariantError(
                     f"family {h.r} (handled in block {h.block}) lost its "
                     f"clearance at move {self.moves}"
                 )
@@ -240,12 +236,9 @@ def certificate(
     final = trace.final_ball
     violations: list[dict] = []
     entries: list[CertificateEntry] = []
-    reach_ub_cache: dict[int, Fraction] = {}
     for h in handled:
         s = dot(h.plane.normal, final.center)
-        if not _family_clear(
-            final.center, final.radius, h.plane.norm_sq, s, params.margin
-        ):
+        if not _family_clear(final.radius, h.plane.norm_sq, s, params.margin):
             violations.append(
                 {
                     "r": h.r,
@@ -255,10 +248,7 @@ def certificate(
                 }
             )
             continue
-        nsq = h.plane.norm_sq
-        if nsq not in reach_ub_cache:
-            reach_ub_cache[nsq] = sqrt_upper(nsq * final.radius * final.radius)
-        lb = abs(s - h.plane.offset) - reach_ub_cache[nsq]
+        lb = abs(s - h.plane.offset) - sqrt_upper(h.plane.norm_sq * final.radius**2)
         # floor to a compact dyadic for the report; still a valid lower bound
         compact = Fraction(floor_frac(lb * (1 << 30)), 1 << 30)
         entries.append(

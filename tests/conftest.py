@@ -8,7 +8,6 @@ from hypothesis import HealthCheck, settings
 
 from badapprox.geometry import Ball, Hyperplane, add, scale
 from badapprox.resonance import (
-    ApproximationRecord,
     ResonanceEntry,
     ResonanceSequence,
     best_approximations,
@@ -61,11 +60,11 @@ def make_sequence(vectors, lacunarity=3, qualities=None):
 
 
 def make_records(pairs):
-    """ApproximationRecords from (vector, quality) pairs (test helper)."""
+    """Approximation records from (vector, quality) pairs (test helper)."""
     out = []
     for v, q in pairs:
         v = tuple(int(x) for x in v)
-        out.append(ApproximationRecord(v, sum(x * x for x in v), Fraction(q)))
+        out.append(ResonanceEntry(v, sum(x * x for x in v), Fraction(q)))
     return out
 
 

@@ -29,8 +29,8 @@ from typing import Callable, Optional, Sequence
 from badapprox import escape
 from badapprox.certify import DecayTable, PowerLaw
 from badapprox.engine import GameTrace
-from badapprox.escape import CapSelection, EscapeAssertionFailed, SelectionExhausted, plane_sign
-from badapprox.exact import ceil_frac, gt_sqrt, gt_sum_two_sqrt, rat, rat_str
+from badapprox.escape import CapSelection, SelectionExhausted, plane_sign
+from badapprox.exact import InvariantError, ceil_frac, gt_sqrt, gt_sum_two_sqrt, rat, rat_str
 from badapprox.geometry import (
     Ball,
     Hyperplane,
@@ -41,7 +41,7 @@ from badapprox.geometry import (
     rational_unit_direction,
     scale,
 )
-from badapprox.resonance import ApproximationRecord, ResonanceSequence, ThetaMatrix
+from badapprox.resonance import ResonanceEntry, ResonanceSequence, ThetaMatrix
 from badapprox.schedule import ScheduleInfeasible, StrategyParams
 
 
@@ -124,14 +124,14 @@ def psi_theta(theta: ThetaMatrix, t: int) -> Fraction:
     return best
 
 
-def best_approximations(theta: ThetaMatrix, t_max: int) -> list[ApproximationRecord]:
+def best_approximations(theta: ThetaMatrix, t_max: int) -> list[ResonanceEntry]:
     shells: dict[int, list[tuple[int, ...]]] = {}
     for y in itertools.product(range(-t_max, t_max + 1), repeat=theta.n):
         if not canonical_sign(y):
             continue
         nsq = sum(c * c for c in y)
         shells.setdefault(nsq, []).append(y)
-    records: list[ApproximationRecord] = []
+    records: list[ResonanceEntry] = []
     best: Optional[Fraction] = None
     for nsq in sorted(shells):
         shell_best: Optional[tuple[Fraction, tuple[int, ...]]] = None
@@ -142,7 +142,7 @@ def best_approximations(theta: ThetaMatrix, t_max: int) -> list[ApproximationRec
         assert shell_best is not None
         q, y = shell_best
         if best is None or q < best:
-            records.append(ApproximationRecord(y, nsq, q))
+            records.append(ResonanceEntry(y, nsq, q))
             best = q
             if q == 0:
                 break
@@ -290,7 +290,7 @@ def strong_cap_member(
         return False
     u_perp_sq = plane.norm_sq - a * a
     if u_perp_sq < 0:
-        raise EscapeAssertionFailed("direction is not a unit vector")
+        raise InvariantError("direction is not a unit vector")
     g2 = gamma * gamma
     return gt_sum_two_sqrt(
         a * gamma / 2,

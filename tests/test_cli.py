@@ -16,7 +16,8 @@ import pytest
 
 import badapprox
 from badapprox.cli import main
-from badapprox.exact import InvariantError
+from badapprox.engine import GameTrace, replay
+from badapprox.exact import InvariantError, rat
 from badapprox.resonance import ThetaMatrix
 
 
@@ -302,6 +303,35 @@ def test_invariant_error_exits_1_with_its_name(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert "InvariantError: schedule should have prevented this" in err
     assert "config error" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    GOLDEN_PLAY,
+    ("sweep", "--alphas", "1/4", "--betas", "1/2", "--blocks", "2"),
+])
+def test_broken_strategy_invariant_exits_1_with_its_name(tmp_path, capsys, monkeypatch, argv):
+    # a handled family losing its clearance mid-game is a bug in the strategy,
+    # not a failed cell of a sweep
+    import badapprox.strategy
+
+    monkeypatch.setattr(badapprox.strategy, "_family_clear", lambda *args: False)
+    assert run(tmp_path, *argv) == 1
+    err = capsys.readouterr().err
+    assert "error: InvariantError: family 1 (handled in block 0) lost its clearance" in err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_play_writes_a_margin_past_the_default_int_str_limit(tmp_path):
+    # alpha*beta = 1/22 in n=3 gives a margin with a 47813-bit (14393-digit)
+    # denominator, past the interpreter's default limit of 4300 digits
+    fam = tmp_path / "family.json"
+    fam.write_text(json.dumps({"M": "3", "entries": [{"u": [1, 0, 0], "t_sq": 1, "quality": None}]}))
+    argv = ("play", "--alpha", "5/11", "--beta", "1/10", "--blocks", "0", "--resonance", str(fam))
+    assert run(tmp_path, *argv) == 0
+    cert = json.loads((tmp_path / "certificate.json").read_text())
+    assert rat(cert["derived"]["margin"]).denominator.bit_length() == 47813
+    text = (tmp_path / "trace.json").read_text()
+    assert replay(GameTrace.loads(text)).dumps() + "\n" == text
 
 
 def test_resonance_golden_family(tmp_path):

@@ -1,12 +1,15 @@
 """Game engine: forced radii, exact legality, serialization, replay."""
 
+import dataclasses
 import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import oracles
-from badapprox.adversaries import RandomBlack
+from badapprox.adversaries import GreedyBlack, RandomBlack
 from badapprox.cli import main
 from badapprox.engine import (
     GameParams,
@@ -15,12 +18,12 @@ from badapprox.engine import (
     IllegalMove,
     MoveRecord,
     concentric,
-    forced_radius,
-    legal_reply,
     replay,
     run_game,
 )
 from badapprox.geometry import Ball
+from badapprox.strategy import run_constructed_game
+from conftest import make_sequence
 
 TINY = Fraction(1, 10**24)
 
@@ -82,13 +85,6 @@ def test_radius_law_exact():
     assert tr.final_ball == tr.moves[-1].ball
 
 
-def test_forced_radius():
-    p = params_1d()
-    b = unit_ball_1d()
-    assert forced_radius(p, b, "W") == Fraction(1, 4)
-    assert forced_radius(p, b, "B") == Fraction(1, 2)
-
-
 def test_max_legal_step_is_tight():
     # White inside radius-1 ball: forced radius 1/4, max center offset 3/4
     p = params_1d()
@@ -113,8 +109,9 @@ def test_dimension_mismatch_rejected():
     p = GameParams(Fraction(1, 4), Fraction(1, 2), 2)
     with pytest.raises(ValueError):
         run_game(p, unit_ball_1d(), concentric, concentric, 1)
-    with pytest.raises(ValueError):
-        legal_reply(p, Ball((Fraction(0), Fraction(0)), Fraction(1)), "W", (Fraction(0),))
+    square = Ball((Fraction(0), Fraction(0)), Fraction(1))
+    with pytest.raises(ValueError):  # a policy proposing a 1-D center in a 2-D game
+        run_game(p, square, lambda state: ((Fraction(0),), None), concentric, 1)
 
 
 def test_notes_recorded_and_cleared():
@@ -133,6 +130,26 @@ def test_trace_json_round_trip_byte_identical():
     assert again.final_ball == tr.final_ball
     # sorted keys: serialization is canonical
     assert text == json.dumps(json.loads(text), indent=2, sort_keys=True)
+
+
+def test_trace_round_trips_past_the_default_int_str_limit():
+    # 2^-15000 has 4516 decimal digits, past the interpreter's default 4300
+    start = Ball((Fraction(1, 3),), Fraction(1, 2**15000))
+    text = run_game(params_1d(), start, concentric, concentric, 1).dumps()
+    assert replay(GameTrace.loads(text)).dumps() == text
+
+
+@pytest.mark.parametrize("field, value", [
+    ("dimension", 1.5),
+    ("dimension", True),
+    ("dimension", "1"),
+    ("alpha", 0.25),
+])
+def test_loads_rejects_forged_params(field, value):
+    obj = json.loads(run_game(params_1d(), unit_ball_1d(), concentric, concentric, 1).dumps())
+    obj["params"][field] = value
+    with pytest.raises(ValueError, match="must be"):
+        GameTrace.loads(json.dumps(obj))
 
 
 def test_replay_accepts_legal_and_preserves():
@@ -187,6 +204,74 @@ def test_replay_accepts_a_respelled_center():
     obj = json.loads(tr.dumps())
     obj["moves"][4]["center"] = ["0/5"]
     assert replay(GameTrace.loads(json.dumps(obj))).dumps() == tr.dumps()
+
+
+# -- tampered traces ----------------------------------------------------------
+
+
+@pytest.fixture(scope="module", params=["flagship", "greedy-n2"])
+def legal_trace(request, golden_seq):
+    """The flagship trace (`play` defaults: n=1, two blocks against greedy
+    Black) and one n=2 block against greedy Black."""
+    if request.param == "flagship":
+        seq, rho0, blocks = golden_seq, Fraction(1, 2), 2
+    else:
+        seq, rho0, blocks = make_sequence([(1, 0), (3, 1), (13, 2)]), Fraction(1, 64), 1
+    trace, *_ = run_constructed_game(
+        seq, Fraction(1, 4), Fraction(1, 2), 3, rho0, blocks, GreedyBlack(seq)
+    )
+    return trace
+
+
+def _tampered(trace, index, **changes):
+    moves = list(trace.moves)
+    moves[index] = dataclasses.replace(moves[index], **changes)
+    return GameTrace(trace.params, trace.initial, moves)
+
+
+def _previous_ball(trace, index):
+    return trace.initial if index == 0 else trace.moves[index - 1].ball
+
+
+positive = st.fractions(min_value=0, max_value=4).filter(lambda x: x > 0)
+tiny = st.integers(1, 400).map(lambda k: Fraction(1, 2**k))
+
+
+@given(data=st.data())
+def test_replay_rejects_any_other_radius(legal_trace, data):
+    i = data.draw(st.integers(0, len(legal_trace.moves) - 1))
+    ball = legal_trace.moves[i].ball
+    radius = data.draw(st.one_of(
+        positive,
+        positive.map(ball.radius.__mul__),
+        tiny.map(lambda e: ball.radius * (1 + e)),
+        tiny.map(lambda e: ball.radius * (1 - e)),
+    ).filter(lambda r: r != ball.radius))
+    with pytest.raises(IllegalMove, match="radius law violated"):
+        replay(_tampered(legal_trace, i, ball=Ball(ball.center, radius)))
+
+
+@given(data=st.data())
+def test_replay_rejects_a_center_moved_past_its_slack(legal_trace, data):
+    # the reply center may lie at most R - r from the previous center; this
+    # one lies further out along one axis, by any positive excess
+    i = data.draw(st.integers(0, len(legal_trace.moves) - 1))
+    prev, ball = _previous_ball(legal_trace, i), legal_trace.moves[i].ball
+    axis = data.draw(st.integers(0, ball.dimension - 1))
+    sign = data.draw(st.sampled_from([1, -1]))
+    excess = data.draw(st.one_of(positive, tiny))
+    center = list(ball.center)
+    center[axis] = prev.center[axis] + sign * (prev.radius - ball.radius + excess)
+    with pytest.raises(IllegalMove, match="leaves current ball"):
+        replay(_tampered(legal_trace, i, ball=Ball(center, ball.radius)))
+
+
+def test_replay_rejects_every_flipped_player(legal_trace):
+    assert replay(legal_trace).dumps() == legal_trace.dumps()
+    for i, mv in enumerate(legal_trace.moves):
+        flipped = "B" if mv.player == "W" else "W"
+        with pytest.raises(IllegalMove, match="out-of-turn"):
+            replay(_tampered(legal_trace, i, player=flipped))
 
 
 # -- the direct trace writer against json.dumps -------------------------------

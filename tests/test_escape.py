@@ -11,7 +11,6 @@ from badapprox.engine import GameParams, run_game, concentric
 from badapprox.escape import (
     MAX_CANDIDATES,
     AvoidanceDrive,
-    EscapeAssertionFailed,
     PlaneCap,
     SelectionExhausted,
     _grid_direction,
@@ -22,6 +21,7 @@ from badapprox.escape import (
     plane_sign,
     select_cap,
 )
+from badapprox.exact import InvariantError
 from badapprox.geometry import (
     Ball,
     Hyperplane,
@@ -185,7 +185,7 @@ def test_strong_implies_cap_and_miss():
 
 def test_strong_cap_rejects_non_unit_direction():
     params = params_n(2)
-    with pytest.raises(EscapeAssertionFailed):
+    with pytest.raises(InvariantError):
         strong_cap_member(
             Hyperplane((1, 0), 0),
             1,
@@ -193,7 +193,7 @@ def test_strong_cap_rejects_non_unit_direction():
             params.gamma,
             params.shrink,
         )
-    with pytest.raises(EscapeAssertionFailed):  # sum v^2 = 4 != L^2 = 1
+    with pytest.raises(InvariantError):  # sum v^2 = 4 != L^2 = 1
         integer_direction((Fraction(2), Fraction(0)))
 
 
@@ -546,7 +546,7 @@ def test_avoidance_detects_tampered_halfspace(golden_params):
                 self.done = True
             return c, note
 
-    with pytest.raises(EscapeAssertionFailed, match="halfspace"):
+    with pytest.raises(InvariantError, match="halfspace"):
         run_game(gp, ball, Tamper(white), concentric, golden_params.avoidance_rounds)
 
 

@@ -20,7 +20,7 @@ from badapprox.exact import (
     rat_str,
     rat_vec,
     scaled_bounds,
-    sqrt_lower,
+    sqrt_bounds,
     sqrt_upper,
 )
 
@@ -138,16 +138,17 @@ def test_gt_sum_two_sqrt_irrational_case():
 
 @given(x=nonneg)
 def test_sqrt_bounds_bracket(x):
-    lo, hi = sqrt_lower(x), sqrt_upper(x)
+    lo, hi = (Fraction(v, 1 << 64) for v in sqrt_bounds(x))
     assert lo * lo <= x <= hi * hi
     assert hi - lo <= Fraction(3, 1 << 64)
+    assert sqrt_upper(x) == hi
 
 
 def test_sqrt_bounds_perfect_square():
-    assert sqrt_lower(Fraction(49)) == 7
+    assert sqrt_bounds(Fraction(49))[0] == 7 << 64
     assert sqrt_upper(0) == 0
     with pytest.raises(ValueError):
-        sqrt_lower(Fraction(-1))
+        sqrt_bounds(Fraction(-1))
 
 
 # -- scaled-integer brackets -------------------------------------------------

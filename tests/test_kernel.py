@@ -52,7 +52,7 @@ def test_int_dist_is_nearest_int_dist():
 
 
 def test_over_common_denominator():
-    den, ints = over_common_denominator(["1/6", Fraction(3, 4), 2])
+    den, ints = over_common_denominator([Fraction(1, 6), Fraction(3, 4), 2])
     assert den == 12
     assert ints == [2, 9, 24]
 

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from badapprox.resonance import (
     GOLDEN_CONVERGENT,
-    ApproximationRecord,
     EmptySequence,
     ResonanceEntry,
     ResonanceSequence,
