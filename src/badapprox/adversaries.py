@@ -16,20 +16,22 @@ from .geometry import Vec, add, rational_unit_direction, scale
 from .resonance import ResonanceSequence
 
 
+RANDOM_GRID = 512  # K: RandomBlack moves by integer multiples of 1/K of the max step
+
+
 class RandomBlack:
     """Uniform-ish legal reply: center displaced by (grid point)/K * max step.
 
-    Rejection-samples an integer vector k with |k| <= K and moves by
-    ((1-beta)*rho / K) * k — always legal, exactly representable.
+    Rejection-samples an integer vector k with |k| <= K = RANDOM_GRID and
+    moves by ((1-beta)*rho / K) * k — always legal, exactly representable.
     """
 
-    def __init__(self, seed: int = 0, grid: int = 512):
+    def __init__(self, seed: int = 0):
         self.rng = Random(seed)
-        self.grid = grid
 
     def __call__(self, state) -> tuple[Vec, None]:
         n = state.ball.dimension
-        k = self.grid
+        k = RANDOM_GRID
         while True:
             pt = [self.rng.randint(-k, k) for _ in range(n)]
             if sum(c * c for c in pt) <= k * k:

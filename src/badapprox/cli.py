@@ -46,6 +46,7 @@ from .resonance import (
     best_approximations_cf,
     golden_theta,
     lacunary_normalize,
+    psi_steps,
     psi_theta,
 )
 from .schedule import ScheduleInfeasible
@@ -92,8 +93,8 @@ def _parse_eta(text: str) -> tuple[Fraction, ...]:
     return tuple(rat(part) for part in text.split(","))
 
 
-def _records(theta: ThetaMatrix, tmax: int, no_cf: bool):
-    if theta.cf is not None and not no_cf:
+def _records(theta: ThetaMatrix, tmax: int):
+    if theta.shape == (1, 1):
         return best_approximations_cf(theta, tmax)
     return best_approximations(theta, tmax)
 
@@ -109,7 +110,7 @@ def _build_sequence(args) -> ResonanceSequence:
     if getattr(args, "resonance", None):
         return _load_sequence(args.resonance)
     theta = _load_theta(args.theta)
-    records = _records(theta, args.tmax, args.no_cf)
+    records = _records(theta, args.tmax)
     return lacunary_normalize(records, rat(args.lacunarity))
 
 
@@ -244,10 +245,9 @@ def cmd_certify(args) -> int:
 
 def cmd_psi(args) -> int:
     theta = _load_theta(args.theta)
-    records = _records(theta, args.tmax, args.no_cf)
-    sizes = [max(abs(c) for c in r.vector) for r in records]
-    usable = [(t, r.quality) for t, r in zip(sizes, records) if r.quality > 0]
-    config = {"command": "psi", "theta": args.theta, "tmax": args.tmax, "no_cf": args.no_cf}
+    records = _records(theta, args.tmax)
+    usable = [(t, v) for t, v in psi_steps(theta, args.tmax) if v > 0]
+    config = {"command": "psi", "theta": args.theta, "tmax": args.tmax}
     report = _config_block(config)
     report["records"] = [
         {"y": list(r.vector), "t_sq": r.norm_sq, "quality": rat_str(r.quality)}
@@ -274,14 +274,13 @@ def cmd_psi(args) -> int:
 
 def cmd_resonance(args) -> int:
     theta = _load_theta(args.theta)
-    records = _records(theta, args.tmax, args.no_cf)
+    records = _records(theta, args.tmax)
     seq = lacunary_normalize(records, rat(args.lacunarity))
     config = {
         "command": "resonance",
         "theta": args.theta,
         "lacunarity": args.lacunarity,
         "tmax": args.tmax,
-        "no_cf": args.no_cf,
     }
     report = _config_block(config)
     report["sequence"] = seq.to_jsonable()
@@ -367,8 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="'golden' or a path to a theta JSON file")
         p.add_argument("--tmax", type=int, default=1000,
                        help="record-enumeration size bound")
-        p.add_argument("--no-cf", action="store_true",
-                       help="force enumeration even when a continued fraction is available")
         if with_resonance:
             p.add_argument("--resonance", default=None,
                            help="pre-built resonance-family JSON (overrides --theta)")

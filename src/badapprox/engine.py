@@ -100,6 +100,10 @@ class GameTrace:
     initial: Ball
     moves: list[MoveRecord] = field(default_factory=list)
 
+    def __post_init__(self):  # run_game, replay and loads all build one
+        if self.initial.dimension != self.params.dimension:
+            raise ValueError("initial ball dimension does not match params")
+
     @property
     def final_ball(self) -> Ball:
         """The last (hence smallest) ball; every later point of the
@@ -190,8 +194,6 @@ def run_game(
     Raises IllegalMove as soon as a policy proposes a center whose forced
     ball is not contained in the current ball.  Nothing is clamped.
     """
-    if initial.dimension != params.dimension:
-        raise ValueError("initial ball dimension does not match params")
     trace = GameTrace(params, initial)
     current = initial
     move_index = 0

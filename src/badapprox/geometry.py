@@ -18,6 +18,8 @@ from .exact import (
     InvariantError,
     Rat,
     asin_bounds,
+    json_list,
+    json_rat,
     over_common_denominator,
     pi_bounds,
     rat,
@@ -124,7 +126,11 @@ class Ball:
 
     @classmethod
     def from_jsonable(cls, obj: dict) -> "Ball":
-        return cls(tuple(obj["center"]), obj["radius"])  # __post_init__ parses each value
+        center = json_list(obj["center"], "center")
+        if not set(map(type, center)) <= {str, int}:  # checked in one pass
+            for c in center:
+                json_rat(c, "center coordinate")  # raises, naming the culprit
+        return cls(tuple(center), json_rat(obj["radius"], "radius"))  # __post_init__ parses
 
 
 @dataclass(frozen=True)

@@ -42,14 +42,10 @@ class ThetaMatrix:
     """m x n rational matrix, stored row-major.
 
     Row i against an integer vector x in Z^m contributes theta[i][j]*x_i to
-    form j; the dual quality pairs rows with y in Z^n.  An optional
-    continued-fraction expansion may ride along for the 1x1 case; it must
-    be [a0; a1, ..., ak] with integer terms, a1..ak positive, and its last
-    convergent equal to the entry, since records are read off it.
+    form j; the dual quality pairs rows with y in Z^n.
     """
 
     rows: tuple[tuple[Fraction, ...], ...]
-    cf: Optional[tuple[int, ...]] = None
 
     def __post_init__(self):
         rows = tuple(tuple(rat(x) for x in r) for r in self.rows)
@@ -58,16 +54,6 @@ class ThetaMatrix:
             raise ValueError("theta must be a nonempty matrix")
         if len({len(r) for r in rows}) != 1:
             raise ValueError("ragged theta matrix")
-        if self.cf is not None:
-            if self.shape != (1, 1):
-                raise ValueError("continued-fraction data only makes sense for a 1x1 theta")
-            cf = tuple(self.cf)
-            if not cf or any(type(a) is not int for a in cf) or any(a <= 0 for a in cf[1:]):
-                raise ValueError(f"cf terms must be integers, positive after the first: {cf}")
-            p, q = list(convergents(cf))[-1]
-            if Fraction(p, q) != rows[0][0]:
-                raise ValueError(f"cf {cf} expands to {p}/{q}, not the entry {rat_str(rows[0][0])}")
-            object.__setattr__(self, "cf", cf)
 
     @property
     def m(self) -> int:
@@ -92,14 +78,11 @@ class ThetaMatrix:
         return best
 
     def to_jsonable(self) -> dict:
-        obj = {
+        return {
             "m": self.m,
             "n": self.n,
             "entries": [[rat_str(x) for x in row] for row in self.rows],
         }
-        if self.cf is not None:
-            obj["cf"] = list(self.cf)
-        return obj
 
     @classmethod
     def from_jsonable(cls, obj: dict) -> "ThetaMatrix":
@@ -109,17 +92,15 @@ class ThetaMatrix:
         )
         if len(rows) != obj["m"] or any(len(r) != obj["n"] for r in rows):
             raise ValueError("entries do not match declared shape")
-        cf = tuple(json_list(obj["cf"], "cf")) if "cf" in obj else None
-        return cls(rows, cf)
+        return cls(rows)
 
     @classmethod
-    def scalar(cls, value, cf: Optional[Sequence[int]] = None) -> "ThetaMatrix":
-        return cls(((rat(value),),), tuple(cf) if cf is not None else None)
+    def scalar(cls, value) -> "ThetaMatrix":
+        return cls(((rat(value),),))
 
 
 def golden_theta() -> ThetaMatrix:
-    # 832040/1346269 = [0; 1, 1, 1, ...] truncated at 30 terms
-    return ThetaMatrix.scalar(GOLDEN_CONVERGENT, cf=(0,) + (1,) * 30)
+    return ThetaMatrix.scalar(GOLDEN_CONVERGENT)
 
 
 def _dual_forms(theta: ThetaMatrix) -> tuple[list[list[int]], int]:
@@ -228,21 +209,21 @@ def best_approximations(theta: ThetaMatrix, t_max: int) -> list[ResonanceEntry]:
         return map(sum(c * c for c in head).__add__, map(mul, range(lo, hi), range(lo, hi)))
 
     found, den = _shell_records(theta, t_max, norms_sq)
-    records = [
+    return [
         ResonanceEntry(_unrank_half(rank, t_max, theta.n), nsq, Fraction(num, den))
         for rank, nsq, num in found
     ]
-    if not records:
-        raise EmptySequence("no approximation records found")
-    return records
 
 
-def convergents(cf: Sequence[int]) -> Iterator[tuple[int, int]]:
-    """Yield (p, q) convergents of a continued fraction [a0; a1, a2, ...]."""
-    p_prev, p_cur = 1, cf[0]
-    q_prev, q_cur = 0, 1
-    yield p_cur, q_cur
-    for a in cf[1:]:
+def convergents(x: Fraction) -> Iterator[tuple[int, int]]:
+    """Yield the (p, q) convergents of the rational x, whose continued
+    fraction [a0; a1, ..., ak] Euclid's algorithm reads off in O(log q) steps;
+    the last convergent is x itself."""
+    num, den = x.numerator, x.denominator
+    p_prev, p_cur = 0, 1
+    q_prev, q_cur = 1, 0
+    while den:
+        a, (num, den) = num // den, (den, num % den)
         p_prev, p_cur = p_cur, a * p_cur + p_prev
         q_prev, q_cur = q_cur, a * q_cur + q_prev
         yield p_cur, q_cur
@@ -252,28 +233,45 @@ def best_approximations_cf(theta: ThetaMatrix, t_max: int) -> list[ResonanceEntr
     """Records for a 1x1 theta via its continued-fraction convergents.
 
     For a single rational angle the strict quality records at integer sizes
-    are exactly the convergent denominators; this route never enumerates and
-    is cross-checked against best_approximations in the test-suite.
+    are exactly the convergent denominators (Lagrange); this route never
+    enumerates and is cross-checked against best_approximations in the
+    test-suite.
     """
-    if theta.cf is None:
-        raise ValueError("theta carries no continued-fraction expansion")
+    if theta.shape != (1, 1):
+        raise ValueError(f"the continued-fraction route needs a 1x1 theta, got {theta.shape}")
+    if t_max < 1:
+        raise ValueError("t_max must be >= 1")
     value = theta.rows[0][0]
     records: list[ResonanceEntry] = []
     best: Optional[Fraction] = None
-    for _, q in convergents(theta.cf):
+    for _, q in convergents(value):
         if q > t_max:
             break
-        if q < 1:
-            continue
         qual = nearest_int_dist(value * q)
         if best is None or qual < best:
             records.append(ResonanceEntry((q,), q * q, qual))
             best = qual
-            if qual == 0:
-                break
-    if not records:
-        raise EmptySequence("no records within t_max")
     return records
+
+
+def psi_steps(theta: ThetaMatrix, t_max: int) -> list[tuple[int, Fraction]]:
+    """The steps (t, psi_theta(t)) of psi up to t_max, in increasing t.
+
+    psi_theta is a non-increasing step function of t; it drops exactly at
+    the sup-norm shells holding a strict record of the dual quality, so one
+    scan over those shells gives every step.  A 1x1 theta's shells are its
+    sizes, whose records are the convergent denominators.
+    """
+    if t_max < 1:
+        raise ValueError("t_max must be >= 1")
+    if theta.shape == (1, 1):
+        return [(r.vector[0], r.quality) for r in best_approximations_cf(theta, t_max)]
+
+    def sup_norm(head, lo, hi):
+        return sup_norms(max(map(abs, head), default=0), lo, hi)
+
+    found, den = _shell_records(theta, t_max, sup_norm)
+    return [(t, Fraction(num, den)) for _, t, num in found]
 
 
 # -- lacunary thinning -------------------------------------------------------
@@ -396,20 +394,12 @@ def verify_decay_bound(
 ) -> dict:
     """Check psi_theta(t) <= profile(t) for every integer t in [1, t_max].
 
-    psi_theta is a non-increasing step function; its steps are the records
-    of one scan over sup-norm shells, and the claimed profile is evaluated at
-    both ends of each constant segment (for a non-increasing profile the
-    right end is the tight spot).  Failures are listed in increasing t.
-    Returns a small report dict; report["ok"] is the verdict.
+    The claimed profile is evaluated at both ends of each constant segment
+    of psi (psi_steps; for a non-increasing profile the right end is the
+    tight spot).  Failures are listed in increasing t.  Returns a small
+    report dict; report["ok"] is the verdict.
     """
-    if t_max < 1:
-        raise ValueError("t_max must be >= 1")
-
-    def sup_norm(head, lo, hi):
-        return sup_norms(max(map(abs, head), default=0), lo, hi)
-
-    found, den = _shell_records(theta, t_max, sup_norm)
-    steps = [(t, Fraction(num, den)) for _, t, num in found]
+    steps = psi_steps(theta, t_max)
 
     failures = []
     for idx, (t_start, value) in enumerate(steps):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from badapprox.adversaries import GreedyBlack, RandomBlack, Scripted
+from badapprox.adversaries import RANDOM_GRID, GreedyBlack, RandomBlack, Scripted
 from badapprox.engine import (
     GameParams,
     GameState,
@@ -40,32 +40,39 @@ def test_random_black_deterministic_per_seed():
 
 
 def test_random_black_centers_lie_on_grid():
-    gp = GameParams(Fraction(1, 4), Fraction(1, 2), 1)
-    start = Ball((Fraction(0),), Fraction(1))
-    tr = run_game(gp, start, concentric, RandomBlack(seed=5, grid=4), 4)
+    # every offset is k/K of the max step for an integer vector k with |k| <= K
+    gp = GameParams(Fraction(1, 4), Fraction(1, 2), 2)
+    start = Ball((Fraction(0), Fraction(0)), Fraction(1))
+    tr = run_game(gp, start, concentric, RandomBlack(seed=5), 8)
+    ks = []
     for prev, mv in zip([start] + [m.ball for m in tr.moves], tr.moves):
         if mv.player != "B":
             continue
-        step = (1 - gp.beta) * prev.radius
-        offset = mv.ball.center[0] - prev.center[0]
-        assert (offset / (step / 4)).denominator == 1  # integer grid multiples
+        unit = (1 - gp.beta) * prev.radius / RANDOM_GRID
+        k = [(c - p) / unit for c, p in zip(mv.ball.center, prev.center)]
+        assert all(c.denominator == 1 for c in k)  # integer grid multiples
+        assert sum(c * c for c in k) <= RANDOM_GRID**2
+        ks.append(k)
+    # the grid is fine: the multiples are not all even, nor all zero
+    assert any(c % 2 for k in ks for c in k)
 
 
 def test_random_black_steps_match_the_per_coordinate_fraction():
     # each step is Fraction(c * step, K) for the rejection-sampled grid point c
+    K = RANDOM_GRID
     gp = GameParams(Fraction(1, 3), Fraction(2, 5), 3)
     start = Ball((Fraction(1, 5), Fraction(-2, 7), Fraction(0)), Fraction(1))
-    tr = run_game(gp, start, concentric, RandomBlack(seed=9, grid=7), 5)
+    tr = run_game(gp, start, concentric, RandomBlack(seed=9), 5)
     rng = random.Random(9)
     for prev, mv in zip([start] + [m.ball for m in tr.moves], tr.moves):
         if mv.player != "B":
             continue
         while True:
-            pt = [rng.randint(-7, 7) for _ in range(3)]
-            if sum(c * c for c in pt) <= 49:
+            pt = [rng.randint(-K, K) for _ in range(3)]
+            if sum(c * c for c in pt) <= K * K:
                 break
         step = (1 - gp.beta) * prev.radius
-        want = tuple(x + Fraction(c * step, 7) for x, c in zip(prev.center, pt))
+        want = tuple(x + Fraction(c * step, K) for x, c in zip(prev.center, pt))
         assert mv.ball.center == want
 
 

@@ -18,7 +18,7 @@ import badapprox
 from badapprox.cli import main
 from badapprox.engine import GameTrace, replay
 from badapprox.exact import InvariantError, rat
-from badapprox.resonance import ThetaMatrix
+from badapprox.resonance import ThetaMatrix, psi_theta
 
 
 def run(tmp, *argv):
@@ -242,12 +242,49 @@ def test_psi_golden_table(tmp_path, capsys):
     ("1/3", [0, 3.0]),  # non-integer term
     ("2/5", [1, -2, 3]),  # expands to 2/5, but a term after the first is negative
 ])
-def test_psi_cf_that_does_not_match_its_entry_exits_2(tmp_path, capsys, entry, cf):
+def test_psi_ignores_a_stale_cf_key(tmp_path, capsys, entry, cf):
+    # the expansion is computed from the entry; a "cf" key is not read
+    with_cf, without = tmp_path / "with", tmp_path / "without"
     theta = tmp_path / "theta.json"
     theta.write_text(json.dumps({"m": 1, "n": 1, "entries": [[entry]], "cf": cf}))
-    assert run(tmp_path, "psi", "--theta", str(theta), "--tmax", "10") == 2
-    assert capsys.readouterr().err.startswith("config error: cf")
-    assert not (tmp_path / "psi.json").exists()
+    assert run(with_cf, "psi", "--theta", str(theta), "--tmax", "10") == 0
+    theta.write_text(json.dumps({"m": 1, "n": 1, "entries": [[entry]]}))
+    assert run(without, "psi", "--theta", str(theta), "--tmax", "10") == 0
+    assert (with_cf / "psi.json").read_bytes() == (without / "psi.json").read_bytes()
+    assert json.loads((without / "psi.json").read_text())["config"] == {
+        "command": "psi", "theta": str(theta), "tmax": 10,
+    }
+
+
+ONE_BY_TWO = {"m": 1, "n": 2, "entries": [["1234567891/2147483647", "987654321/2147483647"]]}
+
+
+def test_psi_table_of_a_1x2_theta_feeds_certify(tmp_path):
+    # the table holds psi's steps (sup-norm sizes), not the Euclidean record
+    # sizes 1, 1, 4, 5, so certify accepts it
+    theta = tmp_path / "theta.json"
+    theta.write_text(json.dumps(ONE_BY_TWO))
+    assert run(tmp_path, "psi", "--theta", str(theta), "--tmax", "30") == 0
+    table = json.loads((tmp_path / "psi.json").read_text())["table"]
+    assert table["sizes"] == [1, 4, 5]
+    th = ThetaMatrix.from_jsonable(ONE_BY_TWO)
+    assert [Fraction(v) for v in table["values"]] == [psi_theta(th, t) for t in table["sizes"]]
+    assert run(tmp_path, "certify", "--theta", str(theta), "--eta", "1/3,1/5", "--N", "100",
+               "--functional", "decay", "--psi", f"table:{tmp_path / 'psi.json'}") == 0
+
+
+def test_resonance_on_a_1x1_theta_file(tmp_path):
+    # a 1x1 file carries no expansion; its records are the convergents
+    theta = tmp_path / "theta.json"
+    theta.write_text(json.dumps({"m": 1, "n": 1, "entries": [["832040/1346269"]]}))
+    a, b = tmp_path / "file", tmp_path / "golden"
+    assert run(a, "resonance", "--theta", str(theta)) == 0
+    assert run(b, "resonance", "--theta", "golden") == 0
+    blobs = [json.loads((d / "resonance.json").read_text()) for d in (a, b)]
+    assert blobs[0]["sequence"] == blobs[1]["sequence"]
+    assert blobs[0]["config"] == {
+        "command": "resonance", "theta": str(theta), "lacunarity": "3", "tmax": 1000,
+    }
 
 
 @pytest.mark.parametrize("entry", [
@@ -265,7 +302,7 @@ def test_play_family_with_non_integer_numbers_exits_2(tmp_path, capsys, entry):
 
 @pytest.mark.parametrize("argv,obj", [
     (("psi", "--tmax", "10", "--theta"), {"m": 1, "n": 1, "entries": [[0.5]]}),
-    (("psi", "--tmax", "10", "--theta"), {"m": 1, "n": 1, "entries": [["1/2"]], "cf": 3}),
+    (("psi", "--tmax", "10", "--theta"), {"m": 1, "n": 1, "entries": ["1/2"]}),  # bare row
     (("play", "--alpha", "1/4", "--beta", "1/2", "--blocks", "1", "--rho0", "1/8", "--resonance"),
      {"M": "3/1", "entries": [{"u": 2, "t_sq": 4, "quality": None}]}),
 ])

@@ -152,6 +152,34 @@ def test_loads_rejects_forged_params(field, value):
         GameTrace.loads(json.dumps(obj))
 
 
+@pytest.mark.parametrize("where, field, value", [
+    ("initial", "radius", True),  # once loaded as radius 1
+    ("move", "radius", 0.5),  # once a TypeError
+    ("move", "center", [0.5]),
+    ("move", "center", "1/2"),  # not a list
+])
+def test_loads_rejects_a_non_rational_ball(where, field, value):
+    obj = json.loads(run_game(params_1d(), unit_ball_1d(), concentric, concentric, 1).dumps())
+    ball = obj["initial"] if where == "initial" else obj["moves"][1]
+    ball[field] = value
+    with pytest.raises(ValueError, match="must be"):
+        GameTrace.loads(json.dumps(obj))
+
+
+def test_replay_rejects_a_forged_dimension():
+    # a 1-D trace whose params claim dimension 2: the loader and replay
+    # refuse it with the check run_game makes, which every GameTrace runs
+    tr = run_game(params_1d(), unit_ball_1d(), concentric, concentric, 1)
+    obj = json.loads(tr.dumps())
+    obj["params"]["dimension"] = 2
+    mismatch = "initial ball dimension does not match params"
+    with pytest.raises(ValueError, match=mismatch):
+        GameTrace.loads(json.dumps(obj))
+    tr.params = GameParams(tr.params.alpha, tr.params.beta, 2)
+    with pytest.raises(ValueError, match=mismatch):
+        replay(tr)
+
+
 def test_replay_accepts_legal_and_preserves():
     p = params_1d()
     tr = run_game(p, unit_ball_1d(), RelativeStep((Fraction(-1, 2),)), concentric, 3)

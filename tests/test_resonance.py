@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from badapprox.resonance import (
     convergents,
     golden_theta,
     lacunary_normalize,
+    psi_steps,
     psi_theta,
     verify_decay_bound,
 )
@@ -35,24 +37,6 @@ def test_theta_validation():
         ThetaMatrix(((),))
     with pytest.raises(ValueError):
         ThetaMatrix(((Fraction(1, 2),), (Fraction(1, 3), Fraction(1, 5))))
-    with pytest.raises(ValueError):
-        # cf only makes sense for scalars
-        ThetaMatrix(((Fraction(1, 2), Fraction(1, 3)),), cf=(0, 2))
-    # a cf must be the entry's: integer terms, positive after the first,
-    # whose last convergent is the entry (2/7 = [0; 3, 2])
-    for cf in [
-        (0, 2),  # expands to 1/2
-        (0, 3, 3),  # expands to 3/10
-        (0, 3.5, 2),  # non-integer term
-        (0, True, 2),  # bool is not an integer term
-        (0, 3, 0, 2),  # a zero term after the first
-        (),  # no terms
-    ]:
-        with pytest.raises(ValueError, match="cf"):
-            ThetaMatrix.scalar(Fraction(2, 7), cf=cf)
-    # a negative term is refused even when the expansion lands on the entry
-    with pytest.raises(ValueError, match="positive"):
-        ThetaMatrix.scalar(Fraction(2, 5), cf=(1, -2, 3))
 
 
 def test_theta_json_round_trip():
@@ -60,17 +44,33 @@ def test_theta_json_round_trip():
     assert ThetaMatrix.from_jsonable(th.to_jsonable()) == th
     g = golden_theta()
     assert ThetaMatrix.from_jsonable(g.to_jsonable()) == g
-    th = ThetaMatrix.from_jsonable({"m": 1, "n": 1, "entries": [["2/7"]], "cf": [0, 3, 2]})
-    assert ThetaMatrix.from_jsonable(th.to_jsonable()) == th == ThetaMatrix.scalar(
-        Fraction(2, 7), cf=(0, 3, 2))
+    # a "cf" key, right or wrong, is ignored like any other key the loader
+    # does not read: the expansion is computed from the entry
+    for cf in ([0, 3, 2], [0, 2], 3):
+        th = ThetaMatrix.from_jsonable({"m": 1, "n": 1, "entries": [["2/7"]], "cf": cf})
+        assert th == ThetaMatrix.scalar(Fraction(2, 7))
+        assert ThetaMatrix.from_jsonable(th.to_jsonable()) == th
 
 
 def test_golden_theta_value():
     g = golden_theta()
     assert g.rows[0][0] == GOLDEN_CONVERGENT == Fraction(832040, 1346269)
-    assert g.cf == (0,) + (1,) * 30
-    # the cf really is the cf: its convergents end at the value itself
-    assert list(convergents(g.cf))[-1] == (832040, 1346269)
+    # Euclid reads off F_30/F_31 = [0; 1, ..., 1, 2] (28 ones): the
+    # convergents are the Fibonacci ratios F_(k-1)/F_k, except that the last
+    # term 2 steps from F_28/F_29 straight to the value itself
+    fib = [0, 1]
+    while len(fib) < 32:
+        fib.append(fib[-1] + fib[-2])
+    assert list(convergents(g.rows[0][0])) == (
+        [(0, 1)] + list(zip(fib[1:29], fib[2:30])) + [(832040, 1346269)]
+    )
+
+
+def test_convergents_of_pinned_rationals():
+    assert list(convergents(Fraction(2, 7))) == [(0, 1), (1, 3), (2, 7)]  # [0; 3, 2]
+    assert list(convergents(Fraction(-2, 7))) == [(-1, 1), (0, 1), (-1, 3), (-2, 7)]  # [-1; 1, 2, 2]
+    assert list(convergents(Fraction(5))) == [(5, 1)]
+    assert list(convergents(Fraction(1, 2))) == [(0, 1), (1, 2)]
 
 
 def test_dual_quality_scalar():
@@ -168,13 +168,73 @@ def test_records_canonical_sign():
 def test_cf_route_matches_enumeration():
     g = golden_theta()
     assert best_approximations_cf(g, 1000) == best_approximations(g, 1000)
-    th = ThetaMatrix.scalar(Fraction(2, 7), cf=(0, 3, 2))
+    th = ThetaMatrix.scalar(Fraction(2, 7))
     assert best_approximations_cf(th, 50) == best_approximations(th, 50)
 
 
-def test_cf_route_requires_cf():
+def test_cf_route_matches_enumeration_on_random_rationals():
+    # negatives, integers and 1/2 included; t_max just below, at and past
+    # the denominator, where the last convergent (quality 0) enters
+    rng = random.Random(10)
+    values = [Fraction(1, 2), Fraction(-1, 2), Fraction(0), Fraction(3), Fraction(-4)]
+    while len(values) < 1000:
+        q = rng.randint(1, 300)
+        values.append(Fraction(rng.randint(-3 * q, 3 * q), q))
+    for x in values:
+        th = ThetaMatrix.scalar(x)
+        q = x.denominator
+        for t_max in {max(1, q - 1), q, q + 3}:
+            assert best_approximations_cf(th, t_max) == best_approximations(th, t_max), (x, t_max)
+
+
+def test_cf_route_golden_records_up_to_ten_million():
+    recs = best_approximations_cf(golden_theta(), 10**7)
+    fib = [1, 2]
+    while len(fib) < 28:
+        fib.append(fib[-1] + fib[-2])
+    assert [r.vector[0] for r in recs] == fib + [1346269]  # F_2 .. F_29, F_31
+    assert recs[-1].quality == 0
+    assert recs[:15] == best_approximations_cf(golden_theta(), 1000)
+
+
+def test_cf_route_requires_a_1x1_theta():
+    with pytest.raises(ValueError, match="1x1"):
+        best_approximations_cf(ThetaMatrix(((Fraction(2, 7), Fraction(1, 3)),)), 10)
+    with pytest.raises(ValueError, match="1x1"):
+        best_approximations_cf(ThetaMatrix(((Fraction(2, 7),), (Fraction(1, 3),))), 10)
+    with pytest.raises(ValueError, match="t_max"):
+        best_approximations_cf(golden_theta(), 0)
+
+
+# -- psi steps ---------------------------------------------------------------
+
+
+def test_psi_steps_are_the_drops_of_psi_on_random_1x2_thetas():
+    # every step (t, v) has v == psi_theta(t) < psi_theta(t - 1), and psi is
+    # constant between steps
+    rng = random.Random(40)
+    den = 2**31 - 1
+    for _ in range(40):
+        theta = ThetaMatrix(((Fraction(rng.randrange(den), den), Fraction(rng.randrange(den), den)),))
+        t_max = 12
+        steps = psi_steps(theta, t_max)
+        psi = [None] + [psi_theta(theta, t) for t in range(1, t_max + 1)]
+        assert [t for t, _ in steps] == [
+            t for t in range(1, t_max + 1) if t == 1 or psi[t] < psi[t - 1]
+        ]
+        assert all(v == psi[t] for t, v in steps)
+
+
+def test_psi_steps_pinned_1x2():
+    # the 1x2 theta of the psi-table reproduction: the steps are t = 1, 4, 5,
+    # not the Euclidean record sizes 1, 1, 4, 5
+    den = 2**31 - 1
+    theta = ThetaMatrix(((Fraction(1234567891, den), Fraction(987654321, den)),))
+    assert [t for t, _ in psi_steps(theta, 30)] == [1, 4, 5]
+    assert [max(map(abs, r.vector)) for r in best_approximations(theta, 30)
+            if r.quality > 0][:4] == [1, 1, 4, 5]
     with pytest.raises(ValueError):
-        best_approximations_cf(ThetaMatrix.scalar(Fraction(2, 7)), 10)
+        psi_steps(theta, 0)
 
 
 # -- lacunary thinning -------------------------------------------------------
