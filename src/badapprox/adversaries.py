@@ -1,8 +1,9 @@
 """Opponent policies: random legal play, resonance-seeking play, replay.
 
-All of them propose exact rational centers; the random one samples on an
-integer sub-lattice of the legal disk so that runs are reproducible from the
-seed alone, with no float in the resulting trace.
+All of them propose exact rational steps, in units of the current radius
+(engine.Policy); the random one samples on an integer sub-lattice of the
+legal disk so that runs are reproducible from the seed alone, with no float
+in the resulting trace.
 """
 from __future__ import annotations
 
@@ -11,8 +12,9 @@ from operator import mul
 from random import Random
 from typing import Optional, Sequence
 
+from .engine import hold
 from .exact import over_common_denominator, rat
-from .geometry import Vec, add, rational_unit_direction, scale
+from .geometry import Vec, rational_unit_direction, scale, sub
 from .resonance import ResonanceSequence
 
 
@@ -23,7 +25,7 @@ class RandomBlack:
     """Uniform-ish legal reply: center displaced by (grid point)/K * max step.
 
     Rejection-samples an integer vector k with |k| <= K = RANDOM_GRID and
-    moves by ((1-beta)*rho / K) * k — always legal, exactly representable.
+    steps by ((1-beta) / K) * k radii — always legal, exactly representable.
     """
 
     def __init__(self, seed: int = 0):
@@ -36,8 +38,8 @@ class RandomBlack:
             pt = [self.rng.randint(-k, k) for _ in range(n)]
             if sum(c * c for c in pt) <= k * k:
                 break
-        unit = (1 - state.params.beta) * state.ball.radius / k
-        return add(state.ball.center, tuple(c * unit for c in pt)), None
+        unit = (1 - state.params.beta) / k
+        return tuple(c * unit for c in pt), None
 
 
 class GreedyBlack:
@@ -45,7 +47,7 @@ class GreedyBlack:
 
     Finds the family minimizing |residual| / |u| (compared exactly via
     cross-multiplied squares; ties to the smallest index), then steps the
-    whole (1-beta)*rho toward it along a rationalized unit direction.
+    whole 1 - beta radii toward it along a rationalized unit direction.
     """
 
     def __init__(self, seq: ResonanceSequence):
@@ -77,20 +79,20 @@ class GreedyBlack:
     def __call__(self, state) -> tuple[Vec, str]:
         r, res = self._nearest(state.ball.center)
         if res == 0:
-            return state.ball.center, f"on family {r}"
+            return hold(state), f"on family {r}"
         # step toward the plane: against the residual's sign
         side = -1 if res > 0 else 1
         direction = self._directions.get((r, side))
         if direction is None:
             direction = rational_unit_direction(scale(self.seq.vector(r), side))
             self._directions[r, side] = direction
-        step = (1 - state.params.beta) * state.ball.radius
-        return add(state.ball.center, scale(direction, step)), f"chasing family {r}"
+        return scale(direction, 1 - state.params.beta), f"chasing family {r}"
 
 
 class Scripted:
     """Replay a fixed list of centers (then hold).  Notes ride along so a
-    recorded trace can be reproduced byte-for-byte."""
+    recorded trace can be reproduced byte-for-byte.  Each center c' becomes
+    the step (c' - c) / R from the ball it is played in."""
 
     def __init__(self, centers: Sequence[Sequence], notes: Optional[Sequence[Optional[str]]] = None):
         self.centers = [tuple(rat(c) for c in ctr) for ctr in centers]
@@ -101,6 +103,6 @@ class Scripted:
         i = self.cursor
         self.cursor += 1
         if i >= len(self.centers):
-            return state.ball.center, None
+            return hold(state), None
         note = self.notes[i] if self.notes is not None and i < len(self.notes) else None
-        return self.centers[i], note
+        return scale(sub(self.centers[i], state.ball.center), 1 / state.ball.radius), note

@@ -46,8 +46,8 @@ from .resonance import (
     best_approximations_cf,
     golden_theta,
     lacunary_normalize,
-    psi_steps,
     psi_theta,
+    records_and_psi_steps,
 )
 from .schedule import ScheduleInfeasible
 from .strategy import CertificateFailed, run_constructed_game
@@ -245,8 +245,8 @@ def cmd_certify(args) -> int:
 
 def cmd_psi(args) -> int:
     theta = _load_theta(args.theta)
-    records = _records(theta, args.tmax)
-    usable = [(t, v) for t, v in psi_steps(theta, args.tmax) if v > 0]
+    records, steps = records_and_psi_steps(theta, args.tmax)
+    usable = [(t, v) for t, v in steps if v > 0]
     config = {"command": "psi", "theta": args.theta, "tmax": args.tmax}
     report = _config_block(config)
     report["records"] = [

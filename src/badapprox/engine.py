@@ -2,25 +2,35 @@
 
 Black owns the outer ball; White replies inside it with radius alpha*rho,
 Black replies inside that with radius beta*rho_white, and so on.  The engine
-owns the radii entirely — policies propose centers only — and every
-containment check is exact rational arithmetic.  A policy is any callable
-``state -> (center, note)``: the proposed center, and a short note saying
-why (or None), which the engine records on the move.
+owns the radii entirely.  A policy is any callable ``state -> (step, note)``:
+the step s is the move's displacement in units of the current radius R, so
+the reply center is c + R*s (a zero step holds the center), and the note
+says why (or None); the engine records it on the move.
+
+Legality is one exact integer predicate, within_slack: the reply ball lies
+inside the current one iff |c' - c| <= (1 - rho)*R, i.e. |s| <= 1 - rho,
+decided on the step's integers over their common denominator.  run_game
+keeps the center as an integer vector over one denominator and folds each
+step into it with small-integer products; each recorded coordinate is
+reduced once.  The trace still records every move's absolute center and
+radius, so its file layout does not depend on how the game was played.
 """
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from typing import Callable, Optional, Sequence
+from operator import sub
+from typing import Callable, Iterable, Optional, Sequence
 
-from .exact import json_rat, rat, rat_str
+from .exact import json_rat, over_common_denominator, rat, rat_str, rat_vec
 from .geometry import Ball, Vec
 
 
 class IllegalMove(Exception):
-    """A policy proposed a center whose forced ball leaves the current ball."""
+    """A reply ball leaves the current ball; `center` is its absolute center."""
 
     def __init__(self, player: str, move_index: int, center: Vec, reason: str):
         self.player = player
@@ -169,17 +179,29 @@ def _rats_json(values: Sequence[Fraction], indent: int) -> str:
     return f"[\n{pad}  {items}\n{pad}]"
 
 
-def _half_move(params: GameParams, current: Ball, turn: str, center: Sequence, index: int) -> Ball:
-    """The reply at `center` with the forced radius, alpha or beta times the
-    current one; IllegalMove unless it lies inside `current`."""
-    reply = Ball(center, (params.alpha if turn == "W" else params.beta) * current.radius)
-    if not current.contains_ball(reply):
-        raise IllegalMove(turn, index, reply.center, "reply ball leaves current ball")
-    return reply
+def within_slack(disp: Iterable[int], den: int, slack: Fraction) -> bool:
+    """Exact: does the displacement disp/den (integers over den > 0) have
+    length at most slack?  With slack = p/q >= 0 this is, on squares,
+    sum d_j^2 * q^2 <= p^2 * den^2.  A negative slack holds nothing."""
+    if slack < 0:
+        return False
+    p, q = slack.numerator, slack.denominator
+    return sum(d * d for d in disp) * q * q <= p * p * den * den
 
 
-#: A policy maps the state to its proposed center and a note (or None).
+def _check_dimension(values: Sequence, n: int, what: str) -> None:
+    if len(values) != n:
+        raise ValueError(f"dimension mismatch: {what} of length {len(values)} in dimension {n}")
+
+
+#: A policy maps the state to its step, in units of the current radius, and
+#: a note (or None).
 Policy = Callable[[GameState], tuple[Sequence, Optional[str]]]
+
+
+def hold(state: GameState) -> Vec:
+    """The zero step: the reply keeps the current center."""
+    return (Fraction(0),) * state.ball.dimension
 
 
 def run_game(
@@ -191,45 +213,84 @@ def run_game(
 ) -> GameTrace:
     """Play `rounds` full rounds (White then Black) from the initial ball.
 
-    Raises IllegalMove as soon as a policy proposes a center whose forced
-    ball is not contained in the current ball.  Nothing is clamped.
+    Raises IllegalMove as soon as a policy proposes a step longer than
+    1 - rho (rho = alpha for White, beta for Black), i.e. a reply ball not
+    contained in the current ball.  Nothing is clamped.
+
+    The center is N / (U * lam): U the unreduced radius denominator
+    den(rho0) * den(alpha)^w * den(beta)^b (the radius is P / U), and lam a
+    multiple of the initial center's and of every step's denominator.  A
+    step v/q moves it to N * b * (lam'/lam) + P * v * b * (lam'/q) over
+    U * b * lam', lam' = lcm(lam, q) and rho = a/b: products of integers, no
+    gcd.  Each recorded coordinate is reduced once; a zero step reuses the
+    current center.
     """
+    n = params.dimension
     trace = GameTrace(params, initial)
     current = initial
+    p, u = initial.radius.numerator, initial.radius.denominator
+    lam, nums = over_common_denominator(initial.center)
+    nums = [x * u for x in nums]
+    seats = [(turn, policy, rho, rho.numerator, rho.denominator, 1 - rho)
+             for turn, policy, rho in (("W", white, params.alpha), ("B", black, params.beta))]
     move_index = 0
     for _ in range(rounds):
-        for turn, policy in (("W", white), ("B", black)):
-            state = GameState(params, current, move_index, turn)
-            center, note = policy(state)
-            reply = _half_move(params, current, turn, center, move_index)
-            trace.moves.append(MoveRecord(turn, reply, note))
-            current = reply
+        for turn, policy, rho, a, b, slack in seats:
+            step, note = policy(GameState(params, current, move_index, turn))
+            step = rat_vec(step)
+            _check_dimension(step, n, "step")
+            q, v = over_common_denominator(step)
+            if not within_slack(v, q, slack):
+                center = tuple(c + current.radius * s for c, s in zip(current.center, step))
+                raise IllegalMove(turn, move_index, center, "reply ball leaves current ball")
+            if any(v):
+                grown = lam if lam % q == 0 else lam * (q // math.gcd(lam, q))
+                keep, push = b * (grown // lam), p * b * (grown // q)
+                nums = [x * keep + y * push for x, y in zip(nums, v)]
+                lam = grown
+                den = u * b * lam
+                center = tuple(Fraction(x, den) for x in nums)
+            else:
+                nums = [x * b for x in nums]
+                center = current.center
+            p, u = p * a, u * b
+            current = Ball(center, rho * current.radius)
+            trace.moves.append(MoveRecord(turn, current, note))
             move_index += 1
     return trace
 
 
 def concentric(state: GameState) -> tuple[Vec, None]:
     """The lazy policy: keep the current center."""
-    return state.ball.center, None
+    return hold(state), None
 
 
 def replay(trace: GameTrace) -> GameTrace:
     """Re-run a trace through the engine, re-checking every containment.
 
-    Returns a freshly constructed trace (equal to the input iff the input is
-    legal and internally consistent, including the radius law).
+    Each reply center c' must lie within slack (1 - rho)*R of the current
+    center c: within_slack on c' - c over the two centers' common
+    denominator.  Returns a freshly constructed trace (equal to the input
+    iff the input is legal and internally consistent, including the radius
+    law).
     """
     params = trace.params
+    n = params.dimension
     current = trace.initial
     out = GameTrace(params, trace.initial)
     expected_turn = "W"
     for i, mv in enumerate(trace.moves):
+        center = mv.ball.center
         if mv.player != expected_turn:
-            raise IllegalMove(mv.player, i, mv.ball.center, "out-of-turn move")
-        rebuilt = _half_move(params, current, mv.player, mv.ball.center, i)
-        if rebuilt.radius != mv.ball.radius:
-            raise IllegalMove(mv.player, i, mv.ball.center, "radius law violated")
-        out.moves.append(MoveRecord(mv.player, rebuilt, mv.note))
-        current = rebuilt
+            raise IllegalMove(mv.player, i, center, "out-of-turn move")
+        _check_dimension(center, n, "center")
+        radius = (params.alpha if mv.player == "W" else params.beta) * current.radius
+        den, nums = over_common_denominator(center + current.center)
+        if not within_slack(map(sub, nums[:n], nums[n:]), den, current.radius - radius):
+            raise IllegalMove(mv.player, i, center, "reply ball leaves current ball")
+        if radius != mv.ball.radius:
+            raise IllegalMove(mv.player, i, center, "radius law violated")
+        current = Ball(center, radius)
+        out.moves.append(MoveRecord(mv.player, current, mv.note))
         expected_turn = "B" if expected_turn == "W" else "W"
     return out

@@ -2,7 +2,8 @@
 
 The core maneuver: from a ball threatened by an affine hyperplane with
 integer normal u, pick a unit direction x̂ inside a spherical cap around the
-outward normal and push the center by (1-alpha)*rho along x̂ every round.
+outward normal and push the center by (1-alpha)*rho along x̂ every round:
+the step (1-alpha)*x̂, in units of the radius (engine.Policy).
 Against *any* legal opponent this drives the whole ball into the halfspace
 {x̂·(y - start) >= (gamma/2)*rho_start} within `escape_rounds` rounds, and for
 directions in a slightly smaller cap ("strong" hits) it leaves the final ball
@@ -21,13 +22,13 @@ from operator import mul
 from random import Random
 from typing import Optional, Sequence
 
+from .engine import hold
 from .exact import InvariantError, ceil_frac, gt_sqrt, gt_sum_two_sqrt, over_common_denominator
 from .geometry import (
     Ball,
     Halfspace,
     Hyperplane,
     Vec,
-    add,
     lex_sign,
     rational_unit_direction,
     scale,
@@ -310,7 +311,8 @@ class AvoidanceDrive:
 
     Play proceeds in sub-blocks of `escape_rounds` moves.  At each sub-block
     start the still-threatening planes are re-measured exactly; if any
-    remain, a direction meeting the strong-hit quota is selected and driven.
+    remain, a direction x̂ meeting the strong-hit quota is selected and
+    driven by the constant step (1-alpha)*x̂.
     Strong hits are absorbed by the end of the sub-block — verified at the
     next boundary, where failure raises InvariantError: the drive is chosen
     so that every legal opponent leaves them absorbed, so only a bug or a
@@ -330,6 +332,7 @@ class AvoidanceDrive:
         self.remaining = list(range(len(self.planes)))
         self.pos = 0
         self.direction: Optional[Vec] = None
+        self.step: Optional[Vec] = None  # (1-alpha) * direction
         self.pending: Optional[tuple[Halfspace, tuple[int, ...]]] = None
 
     def _boundary(self, ball: Ball) -> None:
@@ -367,13 +370,14 @@ class AvoidanceDrive:
         t = self.params.escape_rounds
         if self.pos < self.params.avoidance_rounds and self.pos % t == 0:
             self._boundary(state.ball)
+            if self.direction is not None:
+                self.step = scale(self.direction, 1 - state.params.alpha)
         sub = self.pos // t
         if self.pos >= self.params.avoidance_rounds or self.direction is None:
-            center = state.ball.center
+            step = hold(state)
             note = f"sub {sub} hold"
         else:
-            step = (1 - state.params.alpha) * state.ball.radius
-            center = add(state.ball.center, scale(self.direction, step))
+            step = self.step
             note = f"sub {sub} drive {self.pos % t + 1}/{t} ({len(self.remaining)} live)"
         self.pos += 1
-        return center, note
+        return step, note

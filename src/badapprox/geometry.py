@@ -20,7 +20,6 @@ from .exact import (
     asin_bounds,
     json_list,
     json_rat,
-    over_common_denominator,
     pi_bounds,
     rat,
     rat_str,
@@ -102,24 +101,6 @@ class Ball:
     @property
     def dimension(self) -> int:
         return len(self.center)
-
-    def contains_ball(self, inner: "Ball") -> bool:
-        """Exact test: inner ⊆ self.  ||c_i - c_o|| <= R - r, via squares.
-
-        Both centers are brought to one common denominator D and the slack
-        R - r = p/q, so the test is sum (a_j - b_j)^2 * q^2 <= p^2 * D^2 over
-        the integer numerators a, b: one gcd (for D), where the same test in
-        Fraction arithmetic reduces every intermediate sum and square.
-        """
-        n = len(self.center)
-        _same_dimension(inner.center, self.center)
-        slack = self.radius - inner.radius
-        if slack < 0:
-            return False
-        den, nums = over_common_denominator(inner.center + self.center)
-        dist_sq = sum((a - b) ** 2 for a, b in zip(nums[:n], nums[n:]))
-        p, q = slack.numerator, slack.denominator
-        return dist_sq * q * q <= p * p * den * den
 
     def to_jsonable(self) -> dict:
         return {"center": [rat_str(c) for c in self.center], "radius": rat_str(self.radius)}

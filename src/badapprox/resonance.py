@@ -90,7 +90,10 @@ class ThetaMatrix:
             tuple(json_rat(x, "theta entry") for x in json_list(row, "theta row"))
             for row in json_list(obj["entries"], "entries")
         )
-        if len(rows) != obj["m"] or any(len(r) != obj["n"] for r in rows):
+        m, n = obj["m"], obj["n"]
+        if type(m) is not int or type(n) is not int:  # a bool or float is a forgery
+            raise ValueError(f"theta m and n must be JSON integers, got {m!r} and {n!r}")
+        if len(rows) != m or any(len(r) != n for r in rows):
             raise ValueError("entries do not match declared shape")
         return cls(rows)
 
@@ -130,23 +133,33 @@ def psi_theta(theta: ThetaMatrix, t: int) -> Fraction:
     return Fraction(best, den)
 
 
-def _shell_records(theta: ThetaMatrix, t: int, shells) -> tuple[list[tuple[int, int, int]], int]:
-    """Strict records of the dual quality over shells in increasing order.
+def _shell_records(theta: ThetaMatrix, t: int, *shells) -> tuple[list[list[tuple[int, int, int]]], int]:
+    """Strict records of the dual quality over shells in increasing order,
+    for each shell function from one walk of the box.
 
     Scans one vector of each +/- pair in [-t, t]^n (lex order, first nonzero
-    entry positive); ``shells(head, lo, hi)`` gives the shell of each point
+    entry positive); ``shell(head, lo, hi)`` gives the shell of each point
     of a chunk.  A shell's minimum is a record iff it is strictly below the
-    minimum of every earlier shell.  Returns ([(rank, shell, num)], D): rank
-    is the lex-first minimizer's position in the scan and num/D its quality.
+    minimum of every earlier shell.  Returns ([found per shell function], D)
+    with found = [(rank, shell, num)]: rank is the lex-first minimizer's
+    position in the scan and num/D its quality.
     """
     coeffs, den = _dual_forms(theta)
     width = den // 2 + 1  # every distance numerator is at most den // 2
     total = ((2 * t + 1) ** theta.n - 1) // 2  # points in the scan
-    keys: list[int] = []  # (shell * width + num) * total + rank
+    keys: list[list[int]] = [[] for _ in shells]  # (shell * width + num) * total + rank
+    scanned = 0
     for head, lo, nums in box_distances(coeffs, [0] * theta.m, den, t, half=True):
-        shell_nums = map(add, map(mul, shells(head, lo, lo + len(nums)), repeat(width)), nums)
-        ranks = range(len(keys), len(keys) + len(nums))
-        keys += map(add, map(mul, shell_nums, repeat(total)), ranks)
+        ranks = range(scanned, scanned + len(nums))
+        for shell, shell_keys in zip(shells, keys):
+            shell_nums = map(add, map(mul, shell(head, lo, lo + len(nums)), repeat(width)), nums)
+            shell_keys += map(add, map(mul, shell_nums, repeat(total)), ranks)
+        scanned += len(nums)
+    return [_lowered(shell_keys, width, total) for shell_keys in keys], den
+
+
+def _lowered(keys: list[int], width: int, total: int) -> list[tuple[int, int, int]]:
+    """The (rank, shell, num) of each shell whose minimum is a strict record."""
     keys.sort()  # by shell, then quality, then lex order
     nums = map(mod, map(floordiv, keys, repeat(total)), repeat(width))
     prev, cur = tee(accumulate(nums, min))
@@ -155,7 +168,15 @@ def _shell_records(theta: ThetaMatrix, t: int, shells) -> tuple[list[tuple[int, 
     for key in compress(keys, lowered):
         shell_num, rank = divmod(key, total)
         found.append((rank, *divmod(shell_num, width)))
-    return found, den
+    return found
+
+
+def _euclidean_shells(head, lo, hi):
+    return map(sum(c * c for c in head).__add__, map(mul, range(lo, hi), range(lo, hi)))
+
+
+def _sup_norm_shells(head, lo, hi):
+    return sup_norms(max(map(abs, head), default=0), lo, hi)
 
 
 def _unrank_half(rank: int, t: int, n: int) -> tuple[int, ...]:
@@ -204,11 +225,11 @@ def best_approximations(theta: ThetaMatrix, t_max: int) -> list[ResonanceEntry]:
     """
     if t_max < 1:
         raise ValueError("t_max must be >= 1")
+    (found,), den = _shell_records(theta, t_max, _euclidean_shells)
+    return _entries(theta, t_max, found, den)
 
-    def norms_sq(head, lo, hi):
-        return map(sum(c * c for c in head).__add__, map(mul, range(lo, hi), range(lo, hi)))
 
-    found, den = _shell_records(theta, t_max, norms_sq)
+def _entries(theta: ThetaMatrix, t_max: int, found, den: int) -> list[ResonanceEntry]:
     return [
         ResonanceEntry(_unrank_half(rank, t_max, theta.n), nsq, Fraction(num, den))
         for rank, nsq, num in found
@@ -265,13 +286,24 @@ def psi_steps(theta: ThetaMatrix, t_max: int) -> list[tuple[int, Fraction]]:
     if t_max < 1:
         raise ValueError("t_max must be >= 1")
     if theta.shape == (1, 1):
-        return [(r.vector[0], r.quality) for r in best_approximations_cf(theta, t_max)]
-
-    def sup_norm(head, lo, hi):
-        return sup_norms(max(map(abs, head), default=0), lo, hi)
-
-    found, den = _shell_records(theta, t_max, sup_norm)
+        return records_and_psi_steps(theta, t_max)[1]
+    (found,), den = _shell_records(theta, t_max, _sup_norm_shells)
     return [(t, Fraction(num, den)) for _, t, num in found]
+
+
+def records_and_psi_steps(
+    theta: ThetaMatrix, t_max: int
+) -> tuple[list[ResonanceEntry], list[tuple[int, Fraction]]]:
+    """(records, psi_steps(theta, t_max)): the records by the route theta's
+    shape picks (best_approximations_cf for 1x1, else best_approximations),
+    and for n >= 2 both shell sorts fed from one walk of the box."""
+    if theta.shape == (1, 1):
+        records = best_approximations_cf(theta, t_max)
+        return records, [(r.vector[0], r.quality) for r in records]
+    if t_max < 1:
+        raise ValueError("t_max must be >= 1")
+    (records, steps), den = _shell_records(theta, t_max, _euclidean_shells, _sup_norm_shells)
+    return _entries(theta, t_max, records, den), [(t, Fraction(num, den)) for _, t, num in steps]
 
 
 # -- lacunary thinning -------------------------------------------------------

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .exact import InvariantError, floor_frac, rat, rat_str, sqrt_upper
-from .engine import GameParams, GameTrace, run_game
+from .engine import GameParams, GameTrace, hold, run_game
 from .geometry import Ball, Hyperplane, Vec, dot
 from .escape import AvoidanceDrive
 from .resonance import ResonanceSequence
@@ -125,7 +125,7 @@ class WhiteStrategy:
         block = self.moves // tau if tau else self.sched.blocks
         if block >= self.sched.blocks:
             self.moves += 1
-            return state.ball.center, "schedule complete"
+            return hold(state), "schedule complete"
         if self.moves % tau == 0:
             self._check_handled_clear(state.ball)
             gathered = gather_block_planes(state.ball, self.seq, self.sched, block)
@@ -136,9 +136,9 @@ class WhiteStrategy:
                 seed=self.seed + 7919 * block,
             )
         assert self.sub is not None
-        center, note = self.sub(state)
+        step, note = self.sub(state)
         self.moves += 1
-        return center, f"block {block} {note}"
+        return step, f"block {block} {note}"
 
 
 def build_strategy(

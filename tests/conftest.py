@@ -6,7 +6,7 @@ from random import Random
 import pytest
 from hypothesis import HealthCheck, settings
 
-from badapprox.geometry import Ball, Hyperplane, add, scale
+from badapprox.geometry import Ball, Hyperplane, scale
 from badapprox.resonance import (
     ResonanceEntry,
     ResonanceSequence,
@@ -73,8 +73,7 @@ def escape_drive(direction):
     direction on every move, the push that escape drives make."""
 
     def policy(state):
-        step = (1 - state.params.alpha) * state.ball.radius
-        return add(state.ball.center, scale(direction, step)), None
+        return scale(direction, 1 - state.params.alpha), None
 
     return policy
 

@@ -9,7 +9,11 @@ them value for value, argmin for argmin.  The plane-budget scan of
 them by test_schedule.py and test_adversaries.py.  The engine's ball
 containment and trace rendering are the ``Fraction`` test and the generic
 ``json.dumps`` call that the integer test and the direct trace writer
-replaced, held to them by test_geometry.py and test_engine.py.  The three
+replaced, held to them by test_geometry.py and test_engine.py; the
+absolute-center engine beside them adds each step to the center as a
+``Fraction`` sum and tests containment of the reply ball, where
+``engine.run_game`` decides legality on the step and folds it into an
+integer center, held to it by test_engine.py.  The three
 cap predicates and the ``select_cap`` built on them are the ``Fraction``
 tests that the escape layer's integer tests on (v, L) directions replaced,
 held to them by test_escape.py.  All of them are slow and obviously
@@ -28,9 +32,17 @@ from typing import Callable, Optional, Sequence
 
 from badapprox import escape
 from badapprox.certify import DecayTable, PowerLaw
-from badapprox.engine import GameTrace
+from badapprox.engine import GameParams, GameState, GameTrace, IllegalMove, MoveRecord, within_slack
 from badapprox.escape import CapSelection, SelectionExhausted, plane_sign
-from badapprox.exact import InvariantError, ceil_frac, gt_sqrt, gt_sum_two_sqrt, rat, rat_str
+from badapprox.exact import (
+    InvariantError,
+    ceil_frac,
+    gt_sqrt,
+    gt_sum_two_sqrt,
+    over_common_denominator,
+    rat,
+    rat_str,
+)
 from badapprox.geometry import (
     Ball,
     Hyperplane,
@@ -238,10 +250,9 @@ class GreedyBlack:
     def __call__(self, state):
         r, res = nearest_family(self.seq, state.ball.center)
         if res == 0:
-            return state.ball.center, f"on family {r}"
+            return (Fraction(0),) * state.ball.dimension, f"on family {r}"
         direction = rational_unit_direction(scale(self.seq.vector(r), -1 if res > 0 else 1))
-        step = (1 - state.params.beta) * state.ball.radius
-        return add(state.ball.center, scale(direction, step)), f"chasing family {r}"
+        return scale(direction, 1 - state.params.beta), f"chasing family {r}"
 
 
 # -- the engine ----------------------------------------------------------------
@@ -254,6 +265,41 @@ def contains_ball(outer: Ball, inner: Ball) -> bool:
     if slack < 0:
         return False
     return sum((a - b) ** 2 for a, b in zip(inner.center, outer.center)) <= slack * slack
+
+
+def integer_contains_ball(outer: Ball, inner: Ball) -> bool:
+    """inner ⊆ outer by the engine's legality predicate: c_i - c_o over the
+    two centers' common denominator, within slack R - r (the integer test
+    that Ball.contains_ball made before replay took it over)."""
+    n = len(outer.center)
+    if len(inner.center) != n:
+        raise ValueError(f"dimension mismatch: {len(inner.center)} vs {n}")
+    den, nums = over_common_denominator(inner.center + outer.center)
+    disp = [a - b for a, b in zip(nums[:n], nums[n:])]
+    return within_slack(disp, den, outer.radius - inner.radius)
+
+
+def run_game_absolute(
+    params: GameParams, initial: Ball, white, black, rounds: int
+) -> GameTrace:
+    """run_game on absolute centers: each reply center is c + R*s, a
+    Fraction sum, and the reply ball must pass contains_ball."""
+    trace = GameTrace(params, initial)
+    current = initial
+    index = 0
+    for _ in range(rounds):
+        for turn, policy, rho in (("W", white, params.alpha), ("B", black, params.beta)):
+            step, note = policy(GameState(params, current, index, turn))
+            if len(step) != params.dimension:
+                raise ValueError("dimension mismatch")
+            center = add(current.center, scale(step, current.radius))
+            reply = Ball(center, rho * current.radius)
+            if not contains_ball(current, reply):
+                raise IllegalMove(turn, index, reply.center, "reply ball leaves current ball")
+            trace.moves.append(MoveRecord(turn, reply, note))
+            current = reply
+            index += 1
+    return trace
 
 
 def trace_json(trace: GameTrace) -> str:

@@ -33,7 +33,7 @@ from badapprox.resonance import ThetaMatrix, golden_theta
 from badapprox.schedule import block_schedule, derive_params
 from badapprox.strategy import CertificateFailed, certificate, run_constructed_game
 from conftest import cap_selection_inputs, escape_drive, make_sequence
-from oracles import cap_fraction_montecarlo, strong_cap_member, verified_miss
+from oracles import cap_fraction_montecarlo, contains_ball, strong_cap_member, verified_miss
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -67,9 +67,8 @@ def jitter_policy(seed: int):
 
     def policy(state):
         shrink = state.params.alpha if state.turn == "W" else state.params.beta
-        slack = (1 - shrink) * state.ball.radius
         return tuple(
-            c + slack * F(rng.randrange(-9, 10), 16) for c in state.ball.center
+            (1 - shrink) * F(rng.randrange(-9, 10), 16) for _ in state.ball.center
         ), None
 
     return policy
@@ -108,7 +107,7 @@ def test_criterion_01_game_legality_replay_and_radius_law():
         for i, mv in enumerate(tr.moves):
             expect = rho0 * alpha ** ((i + 2) // 2) * beta ** ((i + 1) // 2)
             assert mv.ball.radius == expect  # exact radius law
-            assert prev.contains_ball(mv.ball)  # exact nesting
+            assert contains_ball(prev, mv.ball)  # exact nesting
             prev = mv.ball
         blob = tr.dumps()
         assert GameTrace.loads(blob).dumps() == blob  # byte round-trip
@@ -127,7 +126,7 @@ def test_criterion_02_drift_identity_exact():
         gp = GameParams(alpha, beta, 1)
 
         def opposed(state):
-            return (state.ball.center[0] - (1 - state.params.beta) * state.ball.radius,), None
+            return (-(1 - state.params.beta),), None
 
         white = escape_drive((F(1),))
         tr = run_game(gp, Ball((F(0),), F(1)), white, opposed, 1)

@@ -60,7 +60,8 @@ def test_play_outputs_are_byte_deterministic(tmp_path):
 
 def test_play_flagship_bytes_are_pinned(tmp_path):
     # sha256 of the flagship outputs as written before the engine's integer
-    # containment test and direct trace writer: both must keep every byte
+    # containment test, direct trace writer and step fold: all must keep
+    # every byte
     assert run(tmp_path, *GOLDEN_PLAY) == 0
     digest = {
         name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
@@ -303,6 +304,7 @@ def test_play_family_with_non_integer_numbers_exits_2(tmp_path, capsys, entry):
 @pytest.mark.parametrize("argv,obj", [
     (("psi", "--tmax", "10", "--theta"), {"m": 1, "n": 1, "entries": [[0.5]]}),
     (("psi", "--tmax", "10", "--theta"), {"m": 1, "n": 1, "entries": ["1/2"]}),  # bare row
+    (("psi", "--tmax", "10", "--theta"), {"m": True, "n": 1.0, "entries": [["1/2"]]}),
     (("play", "--alpha", "1/4", "--beta", "1/2", "--blocks", "1", "--rho0", "1/8", "--resonance"),
      {"M": "3/1", "entries": [{"u": 2, "t_sq": 4, "quality": None}]}),
 ])

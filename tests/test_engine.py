@@ -1,8 +1,10 @@
 """Game engine: forced radii, exact legality, serialization, replay."""
 
 import dataclasses
+import hashlib
 import json
 from fractions import Fraction
+from random import Random
 
 import pytest
 from hypothesis import given
@@ -18,6 +20,7 @@ from badapprox.engine import (
     IllegalMove,
     MoveRecord,
     concentric,
+    hold,
     replay,
     run_game,
 )
@@ -37,13 +40,14 @@ def unit_ball_1d():
 
 
 class StepPolicy:
-    """Always step a fixed offset from the current center (may be illegal)."""
+    """Always step a fixed offset from the current center (may be illegal):
+    the step offset / R, in units of the current radius R."""
 
     def __init__(self, offset):
         self.offset = tuple(Fraction(x) for x in offset)
 
     def __call__(self, state: GameState):
-        return tuple(c + o for c, o in zip(state.ball.center, self.offset)), None
+        return tuple(o / state.ball.radius for o in self.offset), None
 
 
 class RelativeStep:
@@ -53,8 +57,7 @@ class RelativeStep:
         self.frac = tuple(Fraction(x) for x in fractions_of_radius)
 
     def __call__(self, state: GameState):
-        r = state.ball.radius
-        return tuple(c + f * r for c, f in zip(state.ball.center, self.frac)), None
+        return self.frac, None
 
 
 class NotedPolicy:
@@ -63,7 +66,7 @@ class NotedPolicy:
 
     def __call__(self, state: GameState):
         self.count += 1
-        return state.ball.center, f"move {self.count}"
+        return hold(state), f"move {self.count}"
 
 
 def test_params_validation():
@@ -110,8 +113,9 @@ def test_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
         run_game(p, unit_ball_1d(), concentric, concentric, 1)
     square = Ball((Fraction(0), Fraction(0)), Fraction(1))
-    with pytest.raises(ValueError):  # a policy proposing a 1-D center in a 2-D game
-        run_game(p, square, lambda state: ((Fraction(0),), None), concentric, 1)
+    for step in [(Fraction(0),), (Fraction(0),) * 3, ()]:  # a step of the wrong length
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            run_game(p, square, lambda state: (step, None), concentric, 1)
 
 
 def test_notes_recorded_and_cleared():
@@ -368,3 +372,135 @@ def test_dumps_matches_json_oracle_on_flagship_traces(tmp_path, adversary):
     tr = GameTrace.loads(text)
     assert text == oracles.trace_json(tr) + "\n"
     assert replay(tr).dumps() == oracles.trace_json(tr)
+
+
+# -- steps: legality on the step, the integer fold ---------------------------
+
+
+def _seat_game(n, turn, step, center=None):
+    """One round in dimension n where `turn` takes `step` and the other seat holds."""
+    p = GameParams(Fraction(1, 4), Fraction(1, 2), n)
+    start = Ball(center or (Fraction(1, 3), Fraction(-2, 7))[:n], Fraction(3, 5))
+    mover = lambda state: (step, None)  # noqa: E731
+    white, black = (mover, concentric) if turn == "W" else (concentric, mover)
+    return run_game(p, start, white, black, 1)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("turn", ["W", "B"])
+def test_a_step_of_length_exactly_its_slack_is_legal(n, turn):
+    slack = 1 - (Fraction(1, 4) if turn == "W" else Fraction(1, 2))
+    unit = (Fraction(1),) if n == 1 else (Fraction(3, 5), Fraction(-4, 5))
+    step = tuple(slack * x for x in unit)
+    tr = _seat_game(n, turn, step)
+    i = 0 if turn == "W" else 1
+    prev = tr.initial if i == 0 else tr.moves[0].ball
+    assert tr.moves[i].ball.center == tuple(c + prev.radius * s for c, s in zip(prev.center, step))
+    assert oracles.contains_ball(prev, tr.moves[i].ball)
+    beyond = (step[0] + TINY,) + step[1:]
+    with pytest.raises(IllegalMove, match="leaves current ball") as ei:
+        _seat_game(n, turn, beyond)
+    assert (ei.value.player, ei.value.move_index) == (turn, i)
+
+
+def test_a_zero_step_keeps_the_center():
+    # holding reuses the center's coordinate objects, before and after a
+    # real step
+    steps = iter([(Fraction(0), 0), (Fraction(1, 3), Fraction(-1, 5)), (0, Fraction(0))])
+    p = GameParams(Fraction(2, 5), Fraction(1, 2), 2)
+    start = Ball((Fraction(1, 3), Fraction(-2, 7)), Fraction(3, 5))
+    tr = run_game(p, start, lambda state: (next(steps), None), concentric, 2)
+    balls = [tr.initial] + [m.ball for m in tr.moves]
+
+    def same(a, b):
+        return all(x is y for x, y in zip(a.center, b.center))
+
+    assert same(balls[1], start) and same(balls[2], start)
+    assert balls[3].center != balls[2].center
+    assert same(balls[4], balls[3])
+    assert replay(tr).dumps() == tr.dumps()
+
+
+def test_illegal_move_reports_the_absolute_center():
+    start = Ball((Fraction(1, 3), Fraction(-2, 7)), Fraction(3, 5))
+    step = (Fraction(3, 4), Fraction(1, 9))  # longer than 1 - alpha = 3/4
+    with pytest.raises(IllegalMove) as ei:
+        _seat_game(2, "W", step, start.center)
+    assert ei.value.center == (Fraction(1, 3) + Fraction(3, 5) * Fraction(3, 4),
+                               Fraction(-2, 7) + Fraction(3, 5) * Fraction(1, 9))
+
+
+def test_replay_rejects_a_move_of_the_wrong_dimension():
+    tr = run_game(params_1d(), unit_ball_1d(), concentric, concentric, 1)
+    forged = _tampered(tr, 1, ball=Ball((Fraction(0), Fraction(0)), tr.moves[1].ball.radius))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        replay(forged)
+
+
+class RandomSteps:
+    """Seeded steps with fresh denominators mid-game: mostly legal steps
+    of several kinds, sometimes a zero step, and rarely one just past the
+    slack (the game then ends in IllegalMove)."""
+
+    DENOMINATORS = [1, 2, 3, 7, 16, 105, 2**20 + 7, 10**9 + 9]
+
+    def __init__(self, seed: int, illegal_every: int):
+        self.rng = Random(seed)
+        self.illegal_every = illegal_every
+
+    def __call__(self, state: GameState):
+        rng, n = self.rng, state.ball.dimension
+        slack = 1 - (state.params.alpha if state.turn == "W" else state.params.beta)
+        kind = rng.randrange(10)
+        if kind == 0:
+            return (Fraction(0),) * n, "hold"
+        q = rng.choice(self.DENOMINATORS) if kind < 8 else rng.randint(1, 10**6)
+        step = tuple(slack * Fraction(rng.randint(-q, q), q * n) for _ in range(n))
+        if kind == 9 and n > 1:  # on the boundary: (3/5, 4/5) times the slack
+            step = (slack * Fraction(3, 5), slack * Fraction(-4, 5)) + (Fraction(0),) * (n - 2)
+        if rng.randrange(self.illegal_every) == 0:
+            step = (slack + Fraction(1, q + 1),) + step[1:]
+        return step, f"kind {kind} q {q}"
+
+
+def _outcome(play):
+    try:
+        return play().dumps()
+    except IllegalMove as e:
+        return (e.player, e.move_index, e.center, e.reason)
+
+
+@pytest.mark.parametrize("alpha, beta", [
+    ("1/4", "1/2"), ("2/5", "1/2"), ("2/3", "3/4"), ("4/9", "3/8"), ("5/6", "2/15"),
+])
+def test_run_game_equals_the_absolute_center_engine(alpha, beta):
+    # alpha = 2/5 and beta = 1/2 share the factor 2 between a numerator and
+    # a denominator, so the unreduced radius denominator outgrows the radius
+    illegal = 0
+    for trial in range(24):
+        n = trial % 3 + 1
+        gp = GameParams(Fraction(alpha), Fraction(beta), n)
+        rng = Random(f"{alpha}:{beta}:{trial}")
+        start = Ball(tuple(Fraction(rng.randint(-99, 99), rng.randint(1, 99)) for _ in range(n)),
+                     Fraction(rng.randint(1, 9), rng.randint(1, 9)))
+        ours, theirs = (
+            _outcome(lambda engine=engine: engine(
+                gp, start, RandomSteps(2 * trial, 40), RandomSteps(2 * trial + 1, 40), 12))
+            for engine in (run_game, oracles.run_game_absolute)
+        )
+        assert ours == theirs, trial
+        illegal += isinstance(ours, tuple)
+    assert 0 < illegal < 24  # both outcomes are exercised
+
+
+def test_constructed_n3_trace_is_pinned():
+    # sha256 of a one-block n = 3 construction against greedy Black, taken
+    # when the engine still added each step to the center as a Fraction sum
+    seq = make_sequence([(1, 0, 0), (3, 1, 0), (13, 2, 1)])
+    trace, *_ = run_constructed_game(
+        seq, Fraction(1, 4), Fraction(1, 2), 3, Fraction(1, 64), 1, GreedyBlack(seq),
+        center=(Fraction(3, 10), Fraction(-7, 9), Fraction(1, 5)), seed=5,
+    )
+    assert len(trace.moves) == 946
+    digest = hashlib.sha256(trace.dumps().encode()).hexdigest()
+    assert digest == "e166d091e4bf92b0a3bc0b18e819dbc9489f0f2e03676241a30e2519e90e5fba"

@@ -103,7 +103,7 @@ def test_absorbed_monotone_under_nesting():
         r = outer.radius * Fraction(rng.randrange(1, 100), 100)
         off = (outer.radius - r) * Fraction(rng.randrange(-99, 100), 100)
         inner = Ball((outer.center[0] + off,), r)
-        assert outer.contains_ball(inner)
+        assert oracles.contains_ball(outer, inner)
         assert absorbed(inner, plane, g)
 
 
@@ -538,13 +538,13 @@ def test_avoidance_detects_tampered_halfspace(golden_params):
             self.done = False
 
         def __call__(self, state):
-            c, note = self.inner(state)
+            step, note = self.inner(state)
             if not self.done and self.inner.pending is not None:
                 hs, strong = self.inner.pending
                 far = dataclasses.replace(hs, threshold=Fraction(10**6))
                 self.inner.pending = (far, strong)
                 self.done = True
-            return c, note
+            return step, note
 
     with pytest.raises(InvariantError, match="halfspace"):
         run_game(gp, ball, Tamper(white), concentric, golden_params.avoidance_rounds)

@@ -22,6 +22,7 @@ from badapprox.resonance import (
     lacunary_normalize,
     psi_steps,
     psi_theta,
+    records_and_psi_steps,
     verify_decay_bound,
 )
 from conftest import make_records, make_sequence
@@ -235,6 +236,24 @@ def test_psi_steps_pinned_1x2():
             if r.quality > 0][:4] == [1, 1, 4, 5]
     with pytest.raises(ValueError):
         psi_steps(theta, 0)
+
+
+def test_records_and_psi_steps_equal_the_two_separate_walks():
+    # one walk of the box feeds both shell sorts: the same records and steps
+    # as best_approximations (or the CF route for 1x1) and psi_steps
+    rng = random.Random(41)
+    shapes = [(1, 1), (1, 2), (2, 1), (1, 3), (2, 2)]
+    for trial in range(40):
+        m, n = shapes[trial % len(shapes)]
+        den = rng.choice([7, 30, 97, 2**31 - 1])
+        theta = ThetaMatrix(tuple(
+            tuple(Fraction(rng.randrange(den), den) for _ in range(n)) for _ in range(m)
+        ))
+        t_max = rng.randint(1, 12 if n < 3 else 5)
+        route = best_approximations_cf if (m, n) == (1, 1) else best_approximations
+        assert records_and_psi_steps(theta, t_max) == (route(theta, t_max), psi_steps(theta, t_max))
+    with pytest.raises(ValueError, match="t_max"):
+        records_and_psi_steps(ThetaMatrix(((Fraction(1, 3), Fraction(1, 5)),)), 0)
 
 
 # -- lacunary thinning -------------------------------------------------------
