@@ -14,13 +14,21 @@ minimum is known.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
 from operator import mul
 from typing import Callable, Iterable, Optional, Sequence
 
-from .exact import box_distances, int_dist, over_common_denominator, rat, rat_str, sup_norms
+from .exact import (
+    Rat,
+    Record,
+    box_distances,
+    int_dist,
+    over_common_denominator,
+    rat,
+    rat_str,
+    sup_norms,
+)
 from .resonance import EmptySequence, ResonanceSequence, ThetaMatrix
 
 
@@ -28,8 +36,7 @@ class TableRangeExceeded(Exception):
     """A table-backed decay profile was asked outside its covered range."""
 
 
-@dataclass(frozen=True)
-class PowerLaw:
+class PowerLaw(Record, frozen=True):
     """psi(t) = (c*t)^(-sigma) with sigma kept as the literal pair p/q.
 
     The pair is *not* reduced: comparisons use the normal form
@@ -38,16 +45,18 @@ class PowerLaw:
     the product functional r^n s^m.
     """
 
-    c: Fraction
-    sigma_num: int
-    sigma_den: int
+    __slots__ = ("c", "sigma_num", "sigma_den")
 
-    def __post_init__(self):
-        object.__setattr__(self, "c", rat(self.c))
-        if self.c <= 0:
+    def __init__(self, c: Rat, sigma_num: int, sigma_den: int):
+        c = rat(c)
+        if c <= 0:
             raise ValueError("c must be positive")
-        if self.sigma_num <= 0 or self.sigma_den <= 0:
+        if sigma_num <= 0 or sigma_den <= 0:
             raise ValueError("sigma must be a positive rational")
+        set_c, set_sigma_num, set_sigma_den = self._setters
+        set_c(self, c)
+        set_sigma_num(self, sigma_num)
+        set_sigma_den(self, sigma_den)
 
     def to_jsonable(self) -> dict:
         return {
@@ -57,8 +66,7 @@ class PowerLaw:
         }
 
 
-@dataclass(frozen=True)
-class DecayTable:
+class DecayTable(Record, frozen=True):
     """Tabulated decay profile: pairs (t_i, psi_i), sizes increasing and
     psi strictly decreasing.  rho(s) = largest t_i with 1/psi_i <= s.
 
@@ -68,23 +76,25 @@ class DecayTable:
     functional skips sizes below the window and refuses limits beyond it.
     """
 
-    sizes: tuple[int, ...]
-    values: tuple[Fraction, ...]
+    __slots__ = ("sizes", "values")
 
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(rat(v) for v in self.values))
-        if len(self.sizes) != len(self.values) or not self.sizes:
+    def __init__(self, sizes: tuple[int, ...], values: Sequence[Rat]):
+        values = tuple(rat(v) for v in values)
+        if len(sizes) != len(values) or not sizes:
             raise ValueError("table must be nonempty and aligned")
-        if any(type(t) is not int for t in self.sizes):
-            raise ValueError(f"table sizes must be integers: {list(self.sizes)}")
-        for a, b in zip(self.sizes, self.sizes[1:]):
+        if any(type(t) is not int for t in sizes):
+            raise ValueError(f"table sizes must be integers: {list(sizes)}")
+        for a, b in zip(sizes, sizes[1:]):
             if b <= a:
                 raise ValueError("table sizes must increase")
-        for a, b in zip(self.values, self.values[1:]):
+        for a, b in zip(values, values[1:]):
             if b >= a:
                 raise ValueError("table values must strictly decrease")
-        if any(v <= 0 for v in self.values):
+        if any(v <= 0 for v in values):
             raise ValueError("table values must be positive")
+        set_sizes, set_values = self._setters
+        set_sizes(self, sizes)
+        set_values(self, values)
 
     @property
     def s_min(self) -> int:
@@ -158,14 +168,24 @@ def parse_power_spec(text: str) -> PowerLaw:
     return PowerLaw(c, num, den)
 
 
-@dataclass
-class BadnessReport:
-    functional: str
-    value: Fraction
-    argmin: tuple[int, ...]
-    limit: int
-    extras: dict = field(default_factory=dict)
-    warnings: list[str] = field(default_factory=list)
+class BadnessReport(Record):
+    __slots__ = ("functional", "value", "argmin", "limit", "extras", "warnings")
+
+    def __init__(
+        self,
+        functional: str,
+        value: Fraction,
+        argmin: tuple[int, ...],
+        limit: int,
+        extras: Optional[dict] = None,
+        warnings: Optional[list[str]] = None,
+    ):
+        self.functional = functional
+        self.value = value
+        self.argmin = argmin
+        self.limit = limit
+        self.extras = {} if extras is None else extras
+        self.warnings = [] if warnings is None else warnings
 
     def to_jsonable(self) -> dict:
         return {

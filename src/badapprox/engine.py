@@ -19,13 +19,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from operator import sub
 from typing import Callable, Iterable, Optional, Sequence
 
-from .exact import json_rat, over_common_denominator, rat, rat_str, rat_vec
+from .exact import Rat, Record, json_rat, over_common_denominator, rat, rat_str, rat_vec
 from .geometry import Ball, Vec
 
 
@@ -40,21 +39,21 @@ class IllegalMove(Exception):
         super().__init__(f"illegal move by {player} at move {move_index}: {reason}")
 
 
-@dataclass(frozen=True)
-class GameParams:
-    alpha: Fraction
-    beta: Fraction
-    dimension: int
+class GameParams(Record, frozen=True):
+    __slots__ = ("alpha", "beta", "dimension")
 
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", rat(self.alpha))
-        object.__setattr__(self, "beta", rat(self.beta))
-        if not 0 < self.alpha < 1:
-            raise ValueError(f"alpha must lie in (0,1), got {self.alpha}")
-        if not 0 < self.beta < 1:
-            raise ValueError(f"beta must lie in (0,1), got {self.beta}")
-        if self.dimension < 1:
-            raise ValueError("dimension must be >= 1")
+    def __init__(self, alpha: Rat, beta: Rat, dimension: int):
+        alpha, beta = rat(alpha), rat(beta)
+        if not 0 < alpha < 1:
+            raise ValueError(f"alpha must lie in (0,1), got {alpha}")
+        if not 0 < beta < 1:
+            raise ValueError(f"beta must lie in (0,1), got {beta}")
+        if type(dimension) is not int or dimension < 1:  # a bool, float or string is refused
+            raise ValueError(f"dimension must be an integer >= 1, got {dimension!r}")
+        set_alpha, set_beta, set_dimension = self._setters
+        set_alpha(self, alpha)
+        set_beta(self, beta)
+        set_dimension(self, dimension)
 
     def to_jsonable(self) -> dict:
         return {
@@ -65,33 +64,36 @@ class GameParams:
 
     @classmethod
     def from_jsonable(cls, obj: dict) -> "GameParams":
-        dimension = obj["dimension"]
-        if type(dimension) is not int:  # a bool, float or string is a forgery
-            raise ValueError(f"dimension must be a JSON integer, got {dimension!r}")
-        return cls(json_rat(obj["alpha"], "alpha"), json_rat(obj["beta"], "beta"), dimension)
+        return cls(json_rat(obj["alpha"], "alpha"), json_rat(obj["beta"], "beta"), obj["dimension"])
 
 
-@dataclass(frozen=True)
-class GameState:
-    """What a policy sees: the ball it must reply inside, and whose turn it is."""
+class GameState(Record, frozen=True):
+    """What a policy sees: the ball it must reply inside, and whose turn it
+    is.  move_index is 0-based and counts half-moves (W, B, W, B, ...); turn
+    is "W" or "B"."""
 
-    params: GameParams
-    ball: Ball
-    move_index: int  # 0-based, counts half-moves (W, B, W, B, ...)
-    turn: str  # "W" or "B"
+    __slots__ = ("params", "ball", "move_index", "turn")
+
+    def __init__(self, params: GameParams, ball: Ball, move_index: int, turn: str):
+        set_params, set_ball, set_move_index, set_turn = self._setters
+        set_params(self, params)
+        set_ball(self, ball)
+        set_move_index(self, move_index)
+        set_turn(self, turn)
 
 
-@dataclass(frozen=True)
-class MoveRecord:
-    player: str
-    ball: Ball
-    note: Optional[str] = None
+class MoveRecord(Record, frozen=True):
+    __slots__ = ("player", "ball", "note")
 
-    def __post_init__(self):
+    def __init__(self, player: str, ball: Ball, note: Optional[str] = None):
         # dumps writes both as JSON strings; a trace file or a script may hold anything
-        if not isinstance(self.player, str) or not isinstance(self.note, (str, type(None))):
+        if not isinstance(player, str) or not isinstance(note, (str, type(None))):
             raise ValueError(f"player and note must be strings (note may be None), "
-                             f"got {self.player!r} and {self.note!r}")
+                             f"got {player!r} and {note!r}")
+        set_player, set_ball, set_note = self._setters
+        set_player(self, player)
+        set_ball(self, ball)
+        set_note(self, note)
 
     def to_jsonable(self) -> dict:
         obj = {"player": self.player}
@@ -104,15 +106,16 @@ class MoveRecord:
         return cls(obj["player"], Ball.from_jsonable(obj), obj.get("note"))
 
 
-@dataclass
-class GameTrace:
-    params: GameParams
-    initial: Ball
-    moves: list[MoveRecord] = field(default_factory=list)
+class GameTrace(Record):
+    __slots__ = ("params", "initial", "moves")
 
-    def __post_init__(self):  # run_game, replay and loads all build one
-        if self.initial.dimension != self.params.dimension:
+    def __init__(self, params: GameParams, initial: Ball, moves: Optional[list[MoveRecord]] = None):
+        # run_game, replay and loads all build one
+        if initial.dimension != params.dimension:
             raise ValueError("initial ball dimension does not match params")
+        self.params = params
+        self.initial = initial
+        self.moves = [] if moves is None else moves
 
     @property
     def final_ball(self) -> Ball:

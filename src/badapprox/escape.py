@@ -16,14 +16,20 @@ acceptance of a candidate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 from random import Random
 from typing import Optional, Sequence
 
 from .engine import hold
-from .exact import InvariantError, ceil_frac, gt_sqrt, gt_sum_two_sqrt, over_common_denominator
+from .exact import (
+    InvariantError,
+    Record,
+    ceil_frac,
+    gt_sqrt,
+    gt_sum_two_sqrt,
+    over_common_denominator,
+)
 from .geometry import (
     Ball,
     Halfspace,
@@ -189,12 +195,21 @@ def _random_direction(rng: Random, n: int) -> Vec:
 # -- direction selection -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CapSelection:
-    direction: Vec
-    escaped: tuple[int, ...]  # cap members whose end-region miss is verified
-    strong: tuple[int, ...]  # subset guaranteed to be absorbed after the drive
-    candidates_tried: int
+class CapSelection(Record, frozen=True):
+    """The chosen direction; escaped, the cap members whose end-region miss
+    is verified; strong, the subset guaranteed to be absorbed after the
+    drive; and the number of candidates tried."""
+
+    __slots__ = ("direction", "escaped", "strong", "candidates_tried")
+
+    def __init__(
+        self, direction: Vec, escaped: tuple[int, ...], strong: tuple[int, ...], candidates_tried: int
+    ):
+        set_direction, set_escaped, set_strong, set_candidates_tried = self._setters
+        set_direction(self, direction)
+        set_escaped(self, escaped)
+        set_strong(self, strong)
+        set_candidates_tried(self, candidates_tried)
 
 
 #: Grid directions in select_cap's first round; each later round doubles it.

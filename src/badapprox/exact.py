@@ -34,6 +34,61 @@ class InvariantError(RuntimeError):
     """An internal invariant broke: a bug in the package, never bad input."""
 
 
+def _refuse_assign(self, name, value):
+    raise AttributeError(f"cannot assign to field {name!r} of frozen {type(self).__name__}")
+
+
+def _refuse_delete(self, name):
+    raise AttributeError(f"cannot delete field {name!r} of frozen {type(self).__name__}")
+
+
+def _hash_fields(self) -> int:
+    return hash(self._values())
+
+
+class Record:
+    """Base of the package's value records.
+
+    A record's fields are its ``__slots__``, in order; its ``__init__`` takes
+    them in that order and sets each one once.  Records compare equal when
+    they are of the same class with equal fields, and ``repr`` shows each
+    field by name.  ``class X(Record, frozen=True)`` refuses assignment and
+    deletion with AttributeError and hashes by its fields; any other record
+    is mutable and unhashable.  A changed copy is built by calling the
+    constructor, so its checks and coercions run again.
+
+    ``_setters`` holds each field's slot setter, in field order: a frozen
+    record's ``__init__`` unpacks it to store its fields past the refusing
+    ``__setattr__``.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, frozen: bool = False, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._setters = tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
+        if frozen:
+            cls.__setattr__ = _refuse_assign
+            cls.__delattr__ = _refuse_delete
+            cls.__hash__ = _hash_fields
+
+    def _values(self) -> tuple:
+        return tuple(map(getattr, itertools.repeat(self), self.__slots__))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor, past a frozen __setattr__
+        return type(self), self._values()
+
+
 #: The "p/q" form rat_str writes; rat parses it without Fraction's own regex.
 _CANONICAL = re.compile(r"(-?[0-9]+)/([0-9]+)")
 

@@ -9,7 +9,6 @@ constants, is bracketed in scaled integers (exact.scaled_bounds).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 from typing import Sequence
@@ -17,6 +16,7 @@ from typing import Sequence
 from .exact import (
     InvariantError,
     Rat,
+    Record,
     asin_bounds,
     json_list,
     json_rat,
@@ -85,18 +85,18 @@ def lex_sign(v: Sequence[Rat]) -> int:
     return 0
 
 
-@dataclass(frozen=True)
-class Ball:
+class Ball(Record, frozen=True):
     """Closed Euclidean ball with exact rational center and radius."""
 
-    center: Vec
-    radius: Fraction
+    __slots__ = ("center", "radius")
 
-    def __post_init__(self):
-        object.__setattr__(self, "center", rat_vec(self.center))
-        object.__setattr__(self, "radius", rat(self.radius))
-        if self.radius <= 0:
-            raise ValueError(f"radius must be positive, got {self.radius}")
+    def __init__(self, center: Sequence[Rat], radius: Rat):
+        center, radius = rat_vec(center), rat(radius)
+        if radius <= 0:
+            raise ValueError(f"radius must be positive, got {radius}")
+        set_center, set_radius = self._setters
+        set_center(self, center)
+        set_radius(self, radius)
 
     @property
     def dimension(self) -> int:
@@ -111,21 +111,34 @@ class Ball:
         if not set(map(type, center)) <= {str, int}:  # checked in one pass
             for c in center:
                 json_rat(c, "center coordinate")  # raises, naming the culprit
-        return cls(tuple(center), json_rat(obj["radius"], "radius"))  # __post_init__ parses
+        return cls(center, json_rat(obj["radius"], "radius"))  # __init__ parses
 
 
-@dataclass(frozen=True)
-class Hyperplane:
+def _integer(value, what: str) -> int:
+    """An int, or a Fraction with denominator 1 as its int; a float, a bool or
+    any other rational is refused, never truncated."""
+    if isinstance(value, Fraction) and value.denominator == 1:
+        return value.numerator
+    if isinstance(value, int) and not isinstance(value, bool):
+        return int(value)
+    raise ValueError(f"hyperplane {what} must be an integer, got {value!r}")
+
+
+class Hyperplane(Record, frozen=True):
     """Affine hyperplane {y : u·y = a} with integer normal u and offset a."""
 
-    normal: tuple[int, ...]
-    offset: int
+    __slots__ = ("normal", "offset")
 
-    def __post_init__(self):
-        object.__setattr__(self, "normal", tuple(int(c) for c in self.normal))
-        object.__setattr__(self, "offset", int(self.offset))
-        if all(c == 0 for c in self.normal):
+    def __init__(self, normal: Sequence[int], offset: int):
+        normal = tuple(normal)
+        if not {type(offset), *map(type, normal)} <= {int}:  # checked in one pass
+            normal = tuple(_integer(c, "normal entry") for c in normal)
+            offset = _integer(offset, "offset")
+        if not any(normal):
             raise ValueError("hyperplane normal must be nonzero")
+        set_normal, set_offset = self._setters
+        set_normal(self, normal)
+        set_offset(self, offset)
 
     @property
     def norm_sq(self) -> int:
@@ -136,20 +149,19 @@ class Hyperplane:
         return dot(self.normal, p) - self.offset
 
 
-@dataclass(frozen=True)
-class Halfspace:
+class Halfspace(Record, frozen=True):
     """{y : direction · (y - anchor) >= threshold} with exact unit direction."""
 
-    direction: Vec
-    threshold: Fraction
-    anchor: Vec
+    __slots__ = ("direction", "threshold", "anchor")
 
-    def __post_init__(self):
-        object.__setattr__(self, "direction", rat_vec(self.direction))
-        object.__setattr__(self, "threshold", rat(self.threshold))
-        object.__setattr__(self, "anchor", rat_vec(self.anchor))
-        if norm_sq(self.direction) != 1:
+    def __init__(self, direction: Sequence[Rat], threshold: Rat, anchor: Sequence[Rat]):
+        direction, threshold, anchor = rat_vec(direction), rat(threshold), rat_vec(anchor)
+        if norm_sq(direction) != 1:
             raise ValueError("halfspace direction must be an exact unit vector")
+        set_direction, set_threshold, set_anchor = self._setters
+        set_direction(self, direction)
+        set_threshold(self, threshold)
+        set_anchor(self, anchor)
 
     def height(self, p: Vec) -> Fraction:
         return dot(self.direction, sub(p, self.anchor))

@@ -11,13 +11,14 @@ the avoidance strategy consumes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain, compress, islice, repeat, tee
 from operator import add, floordiv, lt, mod, mul
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .exact import (
+    Rat,
+    Record,
     box_distances,
     json_list,
     json_rat,
@@ -37,23 +38,23 @@ class EmptySequence(Exception):
     """Raised when a resonance computation is handed nothing to work with."""
 
 
-@dataclass(frozen=True)
-class ThetaMatrix:
+class ThetaMatrix(Record, frozen=True):
     """m x n rational matrix, stored row-major.
 
     Row i against an integer vector x in Z^m contributes theta[i][j]*x_i to
     form j; the dual quality pairs rows with y in Z^n.
     """
 
-    rows: tuple[tuple[Fraction, ...], ...]
+    __slots__ = ("rows",)
 
-    def __post_init__(self):
-        rows = tuple(tuple(rat(x) for x in r) for r in self.rows)
-        object.__setattr__(self, "rows", rows)
+    def __init__(self, rows: Sequence[Sequence[Rat]]):
+        rows = tuple(tuple(rat(x) for x in r) for r in rows)
         if not rows or not rows[0]:
             raise ValueError("theta must be a nonempty matrix")
         if len({len(r) for r in rows}) != 1:
             raise ValueError("ragged theta matrix")
+        (set_rows,) = self._setters
+        set_rows(self, rows)
 
     @property
     def m(self) -> int:
@@ -189,13 +190,16 @@ def _unrank_half(rank: int, t: int, n: int) -> tuple[int, ...]:
     return tuple(reversed(digits))
 
 
-@dataclass(frozen=True)
-class ResonanceEntry:
+class ResonanceEntry(Record, frozen=True):
     """A record (y, |y|^2, dual quality of y), or lacunary padding (quality None)."""
 
-    vector: tuple[int, ...]
-    norm_sq: int
-    quality: Optional[Fraction]
+    __slots__ = ("vector", "norm_sq", "quality")
+
+    def __init__(self, vector: tuple[int, ...], norm_sq: int, quality: Optional[Fraction]):
+        set_vector, set_norm_sq, set_quality = self._setters
+        set_vector(self, vector)
+        set_norm_sq(self, norm_sq)
+        set_quality(self, quality)
 
     def to_jsonable(self) -> dict:
         return {
@@ -309,41 +313,42 @@ def records_and_psi_steps(
 # -- lacunary thinning -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ResonanceSequence:
-    """A finite family u_1, u_2, ... with lacunary sizes t_r = |u_r|.
+class ResonanceSequence(Record, frozen=True):
+    """A finite family u_1, u_2, ... with lacunary sizes t_r = |u_r|, and the
+    lacunarity M.
 
     Invariant (checked): M^2 <= t_{r+1}^2 / t_r^2 <= M^4 for consecutive
     entries — i.e. the size ratio lies in [M, M^2], all verified on squares.
     """
 
-    entries: tuple[ResonanceEntry, ...]
-    lacunarity: Fraction  # M
+    __slots__ = ("entries", "lacunarity")
 
-    def __post_init__(self):
-        object.__setattr__(self, "lacunarity", rat(self.lacunarity))
-        object.__setattr__(self, "entries", tuple(self.entries))
-        if self.lacunarity <= 1:
+    def __init__(self, entries: Sequence[ResonanceEntry], lacunarity: Rat):
+        lacunarity, entries = rat(lacunarity), tuple(entries)
+        if lacunarity <= 1:
             raise ValueError("lacunarity must exceed 1")
-        if not self.entries:
+        if not entries:
             raise EmptySequence("resonance sequence is empty")
-        m2 = self.lacunarity**2
+        m2 = lacunarity**2
         m4 = m2 * m2
-        dims = {len(e.vector) for e in self.entries}
+        dims = {len(e.vector) for e in entries}
         if len(dims) != 1:
             raise ValueError("mixed dimensions in resonance sequence")
-        for e in self.entries:
+        for e in entries:
             if any(type(c) is not int for c in (*e.vector, e.norm_sq)):
                 raise ValueError(f"vector and norm_sq must be integers: {e.vector}, {e.norm_sq}")
             if e.norm_sq != sum(c * c for c in e.vector):
                 raise ValueError(f"stored norm_sq wrong for {e.vector}")
-        for prev, cur in zip(self.entries, self.entries[1:]):
+        for prev, cur in zip(entries, entries[1:]):
             ratio_sq = Fraction(cur.norm_sq, prev.norm_sq)
             if not m2 <= ratio_sq <= m4:
                 raise ValueError(
                     f"size ratio^2 {ratio_sq} outside [M^2, M^4] between "
                     f"{prev.vector} and {cur.vector}"
                 )
+        set_entries, set_lacunarity = self._setters
+        set_entries(self, entries)
+        set_lacunarity(self, lacunarity)
 
     def __len__(self) -> int:
         return len(self.entries)

@@ -10,10 +10,9 @@ dyadic *lower* bound: its floor at 2^-40 granularity, less two steps.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import InvariantError, ceil_frac, log_bounds, rat, rat_str
+from .exact import InvariantError, Record, ceil_frac, log_bounds, rat, rat_str
 from .geometry import Ball, Hyperplane, cap_measure_bounds, dot
 from .resonance import ResonanceSequence
 
@@ -22,8 +21,7 @@ class ScheduleInfeasible(Exception):
     """The requested schedule cannot be certified with the given inputs."""
 
 
-@dataclass(frozen=True)
-class StrategyParams:
+class StrategyParams(Record, frozen=True):
     """Everything the avoidance strategy needs, all exactly represented.
 
     gamma           1 + alpha*beta - 2*alpha (> 0): the per-round worst-case
@@ -41,16 +39,36 @@ class StrategyParams:
                     from every handled hyperplane's integer offsets.
     """
 
-    alpha: Fraction
-    beta: Fraction
-    dimension: int
-    lacunarity: Fraction
-    gamma: Fraction
-    escape_rounds: int
-    cap_measure_lb: Fraction
-    plane_budget: int
-    avoidance_rounds: int
-    margin: Fraction
+    __slots__ = (
+        "alpha", "beta", "dimension", "lacunarity", "gamma", "escape_rounds",
+        "cap_measure_lb", "plane_budget", "avoidance_rounds", "margin",
+    )
+
+    def __init__(
+        self,
+        alpha: Fraction,
+        beta: Fraction,
+        dimension: int,
+        lacunarity: Fraction,
+        gamma: Fraction,
+        escape_rounds: int,
+        cap_measure_lb: Fraction,
+        plane_budget: int,
+        avoidance_rounds: int,
+        margin: Fraction,
+    ):
+        (set_alpha, set_beta, set_dimension, set_lacunarity, set_gamma, set_escape_rounds,
+         set_cap_measure_lb, set_plane_budget, set_avoidance_rounds, set_margin) = self._setters
+        set_alpha(self, alpha)
+        set_beta(self, beta)
+        set_dimension(self, dimension)
+        set_lacunarity(self, lacunarity)
+        set_gamma(self, gamma)
+        set_escape_rounds(self, escape_rounds)
+        set_cap_measure_lb(self, cap_measure_lb)
+        set_plane_budget(self, plane_budget)
+        set_avoidance_rounds(self, avoidance_rounds)
+        set_margin(self, margin)
 
     @property
     def shrink(self) -> Fraction:
@@ -203,22 +221,26 @@ def derive_params(alpha, beta, lacunarity, dimension: int) -> StrategyParams:
     )
 
 
-@dataclass(frozen=True)
-class BlockSchedule:
+class BlockSchedule(Record, frozen=True):
     """Which resonance indices each block of tau_k rounds must retire.
 
     Block b (0-based, b < blocks) starts at ball index b*tau_k and handles
-    resonance indices r in (cut[b], cut[b+1]] where cut = (0, r_1, ..., r_J)
-    with r_1 = 1.  For b >= 1 the upper cut is the largest r whose size t_r
-    stays below 1/(2*rho0*(alpha*beta)^(b*tau_k)); the schedule also verifies
-    that the *next* family size has crossed that threshold, which is what
-    certifies that no family is ever handled too late.
+    resonance indices r in (cuts[b], cuts[b+1]] where
+    cuts = (0, r_1, ..., r_blocks) with r_1 = 1.  For b >= 1 the upper cut
+    is the largest r whose size t_r stays below
+    1/(2*rho0*(alpha*beta)^(b*tau_k)); the schedule also verifies that the
+    *next* family size has crossed that threshold, which is what certifies
+    that no family is ever handled too late.
     """
 
-    params: StrategyParams
-    rho0: Fraction
-    blocks: int
-    cuts: tuple[int, ...]  # length blocks+1, starting at 0, then r_1=1, ...
+    __slots__ = ("params", "rho0", "blocks", "cuts")
+
+    def __init__(self, params: StrategyParams, rho0: Fraction, blocks: int, cuts: tuple[int, ...]):
+        set_params, set_rho0, set_blocks, set_cuts = self._setters
+        set_params(self, params)
+        set_rho0(self, rho0)
+        set_blocks(self, blocks)
+        set_cuts(self, cuts)
 
     def handled_range(self, block: int) -> tuple[int, int]:
         """(lo, hi], 1-based resonance indices handled by `block`."""

@@ -11,11 +11,10 @@ fails it honestly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exact import InvariantError, floor_frac, rat, rat_str, sqrt_upper
+from .exact import InvariantError, Record, floor_frac, rat, rat_str, sqrt_upper
 from .engine import GameParams, GameTrace, hold, run_game
 from .geometry import Ball, Hyperplane, Vec, dot
 from .escape import AvoidanceDrive
@@ -39,11 +38,14 @@ class CertificateFailed(Exception):
         )
 
 
-@dataclass(frozen=True)
-class HandledPlane:
-    r: int
-    plane: Hyperplane
-    block: int
+class HandledPlane(Record, frozen=True):
+    __slots__ = ("r", "plane", "block")
+
+    def __init__(self, r: int, plane: Hyperplane, block: int):
+        set_r, set_plane, set_block = self._setters
+        set_r(self, r)
+        set_plane(self, plane)
+        set_block(self, block)
 
 
 def gather_block_planes(
@@ -159,13 +161,20 @@ def build_strategy(
 # -- certification from the trace alone --------------------------------------
 
 
-@dataclass(frozen=True)
-class CertificateEntry:
-    r: int
-    normal: tuple[int, ...]
-    offset: int
-    block: int
-    residual_lb: Fraction  # rational lower bound on |u·eta - a|, reporting
+class CertificateEntry(Record, frozen=True):
+    """residual_lb is a rational lower bound on |u·eta - a|, for reporting."""
+
+    __slots__ = ("r", "normal", "offset", "block", "residual_lb")
+
+    def __init__(
+        self, r: int, normal: tuple[int, ...], offset: int, block: int, residual_lb: Fraction
+    ):
+        set_r, set_normal, set_offset, set_block, set_residual_lb = self._setters
+        set_r(self, r)
+        set_normal(self, normal)
+        set_offset(self, offset)
+        set_block(self, block)
+        set_residual_lb(self, residual_lb)
 
     def to_jsonable(self) -> dict:
         return {
@@ -177,15 +186,28 @@ class CertificateEntry:
         }
 
 
-@dataclass
-class Certificate:
-    params: StrategyParams
-    rho0: Fraction
-    blocks: int
-    covered_through: int
-    eta_center: Vec
-    eta_radius: Fraction
-    entries: list[CertificateEntry]
+class Certificate(Record):
+    __slots__ = (
+        "params", "rho0", "blocks", "covered_through", "eta_center", "eta_radius", "entries",
+    )
+
+    def __init__(
+        self,
+        params: StrategyParams,
+        rho0: Fraction,
+        blocks: int,
+        covered_through: int,
+        eta_center: Vec,
+        eta_radius: Fraction,
+        entries: list[CertificateEntry],
+    ):
+        self.params = params
+        self.rho0 = rho0
+        self.blocks = blocks
+        self.covered_through = covered_through
+        self.eta_center = eta_center
+        self.eta_radius = eta_radius
+        self.entries = entries
 
     def to_jsonable(self) -> dict:
         return {

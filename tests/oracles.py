@@ -21,7 +21,8 @@ correct.  The spherical-cap measure at the end is the float route that
 ``derive_params`` took before the measure was bracketed exactly: mpmath
 quadrature and a ``math.asin`` difference, floored with a two-step guard.
 The Monte-Carlo cap estimate beside it is the definitional check of the
-exact cap measure.
+exact cap measure.  ``replace`` builds a changed copy of a record through
+its constructor, as the package's README describes.
 """
 import itertools
 import json
@@ -55,6 +56,13 @@ from badapprox.geometry import (
 )
 from badapprox.resonance import ResonanceEntry, ResonanceSequence, ThetaMatrix
 from badapprox.schedule import ScheduleInfeasible, StrategyParams
+
+
+def replace(record, **changes):
+    """A copy of the record with the given fields changed, built by its
+    constructor so that its checks and coercions run again."""
+    fields = {name: getattr(record, name) for name in record.__slots__}
+    return type(record)(**{**fields, **changes})
 
 
 def scan_min(

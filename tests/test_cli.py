@@ -513,3 +513,23 @@ def test_derive_params_imports_no_mpmath(tmp_path):
     proc = subprocess.run([sys.executable, "-c", NO_MPMATH, str(tmp_path)],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+NO_DATACLASSES = """
+import sys
+import badapprox
+import badapprox.cli
+loaded = [name for name in ("dataclasses", "inspect") if name in sys.modules]
+assert not loaded, f"importing badapprox loaded {loaded}"
+"""
+
+
+def test_import_loads_no_dataclasses_or_inspect():
+    # the records share one slots base; dataclasses (and the inspect it pulls
+    # in) was most of the package's import time
+    src = str(Path(badapprox.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-c", NO_DATACLASSES],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

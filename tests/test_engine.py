@@ -1,6 +1,5 @@
 """Game engine: forced radii, exact legality, serialization, replay."""
 
-import dataclasses
 import hashlib
 import json
 from fractions import Fraction
@@ -76,6 +75,16 @@ def test_params_validation():
         GameParams(Fraction(1, 2), Fraction(1), 1)
     with pytest.raises(ValueError):
         GameParams(Fraction(1, 2), Fraction(1, 2), 0)
+
+
+@pytest.mark.parametrize("dimension", [0, -1, 2.0, True, "2", None])
+def test_params_dimension_is_an_int_at_least_one(dimension):
+    # one check for the constructor and the trace loader alike
+    with pytest.raises(ValueError, match="dimension must be an integer >= 1"):
+        GameParams("1/4", "1/2", dimension)
+    obj = {"alpha": "1/4", "beta": "1/2", "dimension": dimension}
+    with pytest.raises(ValueError, match="dimension must be an integer >= 1"):
+        GameParams.from_jsonable(obj)
 
 
 def test_radius_law_exact():
@@ -257,7 +266,7 @@ def legal_trace(request, golden_seq):
 
 def _tampered(trace, index, **changes):
     moves = list(trace.moves)
-    moves[index] = dataclasses.replace(moves[index], **changes)
+    moves[index] = oracles.replace(moves[index], **changes)
     return GameTrace(trace.params, trace.initial, moves)
 
 

@@ -1,6 +1,5 @@
 """Escape drives, exact cap membership, direction selection, avoidance."""
 
-import dataclasses
 import math
 from fractions import Fraction
 from random import Random
@@ -483,7 +482,7 @@ def test_select_cap_exhaustion_is_reported():
     # an impossible quota: pretend the cap covers 99% of the sphere.  The two
     # parallel planes bracket the ball, so their escape caps point opposite
     # ways and no direction can strongly hit both.
-    params = dataclasses.replace(params_n(2), cap_measure_lb=Fraction(99, 100))
+    params = oracles.replace(params_n(2), cap_measure_lb=Fraction(99, 100))
     ball = Ball((Fraction(0), Fraction(0)), Fraction(1, 64))
     planes = [Hyperplane((1, 0), 0), Hyperplane((1, 0), 1)]
     with pytest.raises(SelectionExhausted) as ei:
@@ -541,7 +540,7 @@ def test_avoidance_detects_tampered_halfspace(golden_params):
             step, note = self.inner(state)
             if not self.done and self.inner.pending is not None:
                 hs, strong = self.inner.pending
-                far = dataclasses.replace(hs, threshold=Fraction(10**6))
+                far = oracles.replace(hs, threshold=Fraction(10**6))
                 self.inner.pending = (far, strong)
                 self.done = True
             return step, note

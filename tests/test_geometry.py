@@ -229,6 +229,25 @@ def test_hyperplane_residual_and_norm():
         Hyperplane((0, 0), 1)
 
 
+def test_hyperplane_refuses_non_integral_entries():
+    # an integral Fraction is its int; anything else is refused, never truncated
+    h = Hyperplane((Fraction(2), -1), Fraction(-6, 2))
+    assert (h.normal, h.offset) == ((2, -1), -3)
+    assert all(type(c) is int for c in (*h.normal, h.offset))
+    for normal, offset in [
+        ((2.5, 1), 3),
+        ((2.0, 1), 3),
+        ((True, 1), 3),
+        ((Fraction(5, 2), 1), 3),
+        ((2, 1), Fraction(7, 2)),
+        ((2, 1), 3.0),
+        ((2, 1), False),
+        ((2, 1), "3"),
+    ]:
+        with pytest.raises(ValueError, match="must be an integer"):
+            Hyperplane(normal, offset)
+
+
 def test_halfspace_requires_exact_unit_direction():
     with pytest.raises(ValueError):
         Halfspace((Fraction(1), Fraction(1)), Fraction(0), (Fraction(0), Fraction(0)))

@@ -278,11 +278,9 @@ def test_schedule_budget_exhaustion():
     # golden parameters, block 1's threshold 512 covers sizes 3..243, i.e.
     # 5 families in one block; shrink the budget artificially to force the
     # budget branch by using a densely packed synthetic family instead
-    import dataclasses
-
     p = derive_params(Fraction(1, 4), Fraction(1, 2), 3, 1)
     seq = make_sequence([(3**r,) for r in range(10)])
-    tight = dataclasses.replace(p, plane_budget=3)
+    tight = oracles.replace(p, plane_budget=3)
     with pytest.raises(ScheduleInfeasible, match="budget"):
         block_schedule(tight, seq, Fraction(1, 2), 2)
 

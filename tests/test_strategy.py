@@ -20,6 +20,7 @@ from badapprox.strategy import (
     run_constructed_game,
 )
 from conftest import make_sequence
+import oracles
 
 A, B, M = Fraction(1, 4), Fraction(1, 2), 3
 RHO0 = Fraction(1, 2)
@@ -79,12 +80,10 @@ def test_gather_adds_second_offset_on_tie(golden_params, golden_seq):
 
 
 def test_gather_respects_budget(golden_params):
-    import dataclasses
-
     seq = make_sequence([(3**r,) for r in range(8)])
-    tight = dataclasses.replace(golden_params, plane_budget=2)
+    tight = oracles.replace(golden_params, plane_budget=2)
     sched = block_schedule(golden_params, seq, RHO0, 2)
-    tight_sched = dataclasses.replace(sched, params=tight)
+    tight_sched = oracles.replace(sched, params=tight)
     ball = Ball((Fraction(1, 2),), RHO0)
     with pytest.raises(ScheduleInfeasible, match="gathered"):
         gather_block_planes(ball, seq, tight_sched, 0)
