@@ -14,6 +14,8 @@ keeps the center as an integer vector over one denominator and folds each
 step into it with small-integer products; each recorded coordinate is
 reduced once.  The trace still records every move's absolute center and
 radius, so its file layout does not depend on how the game was played.
+A held center is rendered, parsed and checked once: dumps, loads and replay
+reuse the previous move's center when a move repeats it.
 """
 from __future__ import annotations
 
@@ -24,7 +26,17 @@ from json.encoder import encode_basestring_ascii
 from operator import sub
 from typing import Callable, Iterable, Optional, Sequence
 
-from .exact import Rat, Record, json_rat, over_common_denominator, rat, rat_str, rat_vec
+from .exact import (
+    Rat,
+    Record,
+    json_list,
+    json_object,
+    json_rat,
+    over_common_denominator,
+    rat,
+    rat_str,
+    rat_vec,
+)
 from .geometry import Ball, Vec
 
 
@@ -101,10 +113,6 @@ class MoveRecord(Record, frozen=True):
         obj["note"] = self.note
         return obj
 
-    @classmethod
-    def from_jsonable(cls, obj: dict) -> "MoveRecord":
-        return cls(obj["player"], Ball.from_jsonable(obj), obj.get("note"))
-
 
 class GameTrace(Record):
     __slots__ = ("params", "initial", "moves")
@@ -145,22 +153,42 @@ class GameTrace(Record):
         )
         if not self.moves:
             return f"{head}[]{tail}"
-        moves = ",\n".join(
-            f'    {{\n      "center": {_rats_json(m.ball.center, 6)},\n'
-            f'      "note": {_str_json(m.note)},\n'
-            f'      "player": {_str_json(m.player)},\n'
-            f'      "radius": "{rat_str(m.ball.radius)}"\n    }}'
-            for m in self.moves
-        )
+        moves = []
+        center = None  # the initial center is written at another indent
+        for m in self.moves:
+            if m.ball.center != center:  # a held center is rendered once
+                center = m.ball.center
+                center_json = _rats_json(center, 6)
+            moves.append(
+                f'    {{\n      "center": {center_json},\n'
+                f'      "note": {_str_json(m.note)},\n'
+                f'      "player": {_str_json(m.player)},\n'
+                f'      "radius": "{rat_str(m.ball.radius)}"\n    }}'
+            )
+        moves = ",\n".join(moves)  # frees the pieces: at most two copies of the text live
         return f"{head}[\n{moves}\n  ]{tail}"
 
     @classmethod
     def from_jsonable(cls, obj: dict) -> "GameTrace":
-        return cls(
-            GameParams.from_jsonable(obj["params"]),
-            Ball.from_jsonable(obj["initial"]),
-            [MoveRecord.from_jsonable(m) for m in obj["moves"]],
-        )
+        """A move whose "center" list repeats the previous one's (the initial
+        ball's, for move 0) string for string reuses its parsed center; a
+        string is the one JSON type that equals only itself, since
+        [1] == [True] == [1.0] in Python.  Radius, player and note are read
+        on every move."""
+        obj = json_object(obj, "trace")
+        params = GameParams.from_jsonable(json_object(obj["params"], "params"))
+        initial = Ball.from_jsonable(json_object(obj["initial"], "initial"))
+        raw, center = obj["initial"]["center"], initial.center
+        moves = []
+        for i, m in enumerate(json_list(obj["moves"], "moves")):
+            m = json_object(m, f"move {i}")
+            if m["center"] == raw and all(type(c) is str for c in raw):
+                ball = Ball(center, json_rat(m["radius"], "radius"))
+            else:
+                ball = Ball.from_jsonable(m)
+                raw, center = m["center"], ball.center
+            moves.append(MoveRecord(m["player"], ball, m.get("note")))
+        return cls(params, initial, moves)
 
     @classmethod
     def loads(cls, text: str) -> "GameTrace":
@@ -273,23 +301,28 @@ def replay(trace: GameTrace) -> GameTrace:
 
     Each reply center c' must lie within slack (1 - rho)*R of the current
     center c: within_slack on c' - c over the two centers' common
-    denominator.  Returns a freshly constructed trace (equal to the input
-    iff the input is legal and internally consistent, including the radius
-    law).
+    denominator, or on the zero vector over 1 when c' == c.  Returns a
+    freshly constructed trace (equal to the input iff the input is legal and
+    internally consistent, including the radius law).
     """
     params = trace.params
     n = params.dimension
     current = trace.initial
     out = GameTrace(params, trace.initial)
     expected_turn = "W"
+    zero = (0,) * n
     for i, mv in enumerate(trace.moves):
         center = mv.ball.center
         if mv.player != expected_turn:
             raise IllegalMove(mv.player, i, center, "out-of-turn move")
         _check_dimension(center, n, "center")
         radius = (params.alpha if mv.player == "W" else params.beta) * current.radius
-        den, nums = over_common_denominator(center + current.center)
-        if not within_slack(map(sub, nums[:n], nums[n:]), den, current.radius - radius):
+        if center == current.center:  # a held center: no lcm of its denominators
+            den, disp = 1, zero
+        else:
+            den, nums = over_common_denominator(center + current.center)
+            disp = map(sub, nums[:n], nums[n:])
+        if not within_slack(disp, den, current.radius - radius):
             raise IllegalMove(mv.player, i, center, "reply ball leaves current ball")
         if radius != mv.ball.radius:
             raise IllegalMove(mv.player, i, center, "radius law violated")

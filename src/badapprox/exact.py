@@ -116,6 +116,13 @@ def json_list(value, what: str) -> list:
     return value
 
 
+def json_object(value, what: str) -> dict:
+    """A JSON object read from a file; any other type is bad input (ValueError)."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object, got {value!r}")
+    return value
+
+
 def json_rat(value, what: str) -> Fraction:
     """A rational read from a file as a "p/q" string or an integer; a float,
     bool, list or object is bad input (ValueError)."""

@@ -23,6 +23,7 @@ from badapprox.engine import (
     replay,
     run_game,
 )
+from badapprox.exact import rat_str
 from badapprox.geometry import Ball
 from badapprox.strategy import run_constructed_game
 from conftest import make_sequence
@@ -247,6 +248,24 @@ def test_replay_accepts_a_respelled_center():
     assert replay(GameTrace.loads(json.dumps(obj))).dumps() == tr.dumps()
 
 
+# -- a malformed layout is a load error that names the field ------------------
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("moves", {"a": 1}, "moves must be a JSON list"),  # once "string indices must be integers"
+    ("moves", None, "moves must be a JSON list"),  # once "'NoneType' object is not iterable"
+    ("moves", [1], "move 0 must be a JSON object"),  # once "'int' object is not subscriptable"
+    ("initial", ["0/1"], "initial must be a JSON object"),
+    ("params", "1/4 1/2 1", "params must be a JSON object"),
+    (None, [], "trace must be a JSON object"),
+])
+def test_loads_rejects_a_malformed_layout(key, value, message):
+    obj = json.loads(run_game(params_1d(), unit_ball_1d(), concentric, concentric, 1).dumps())
+    obj = value if key is None else {**obj, key: value}
+    with pytest.raises(ValueError, match=message):
+        GameTrace.loads(json.dumps(obj))
+
+
 # -- tampered traces ----------------------------------------------------------
 
 
@@ -313,6 +332,120 @@ def test_replay_rejects_every_flipped_player(legal_trace):
         flipped = "B" if mv.player == "W" else "W"
         with pytest.raises(IllegalMove, match="out-of-turn"):
             replay(_tampered(legal_trace, i, player=flipped))
+
+
+# -- held moves: a repeated center is rendered, parsed and checked once -------
+
+
+def _held(trace):
+    """Indices of the moves that repeat the previous ball's center."""
+    balls = [trace.initial] + [m.ball for m in trace.moves]
+    return [i for i in range(len(trace.moves)) if balls[i + 1].center == balls[i].center]
+
+
+def _some_held(trace):
+    held = _held(trace)
+    return sorted({held[0], held[len(held) // 2], held[-1]})
+
+
+def _repeat(obj, index, center):
+    """Write `center` on move `index` and on each later move that repeated
+    its old center, so those moves now repeat the new one string for string."""
+    old = obj["moves"][index]["center"]
+    for mv in obj["moves"][index:]:
+        if mv["center"] != old:
+            break
+        mv["center"] = center
+
+
+@pytest.mark.parametrize("forged", [True, 1.0])
+@pytest.mark.parametrize("center", [[1], [1, "1/3"]])
+def test_loads_rejects_a_repeated_int_entry_swapped_for_a_bool_or_float(center, forged):
+    # [1] == [True] == [1.0] in Python, so a repeated center is reused only
+    # when its entries are strings
+    p = GameParams("1/4", "1/2", len(center))
+    start = Ball(tuple(Fraction(1, 3) for _ in center), Fraction(1))
+    obj = json.loads(run_game(p, start, concentric, concentric, 2).dumps())
+    for ball in [obj["initial"], *obj["moves"]]:
+        ball["center"] = list(center)
+    assert GameTrace.loads(json.dumps(obj)).final_ball.center[0] == 1  # an int is a rational
+    for i in range(len(obj["moves"])):
+        tampered = json.loads(json.dumps(obj))
+        tampered["moves"][i]["center"][0] = forged
+        with pytest.raises(ValueError, match="center coordinate must be"):
+            GameTrace.loads(json.dumps(tampered))
+
+
+@pytest.mark.parametrize("later_moves_repeat_it", [False, True])
+def test_replay_rejects_a_held_move_moved_past_its_slack(legal_trace, later_moves_repeat_it):
+    text = legal_trace.dumps()
+    for i in _some_held(legal_trace):
+        prev, ball = _previous_ball(legal_trace, i), legal_trace.moves[i].ball
+        center = list(ball.center)
+        center[-1] = prev.center[-1] + prev.radius - ball.radius + TINY
+        obj = json.loads(text)
+        if later_moves_repeat_it:
+            _repeat(obj, i, [rat_str(c) for c in center])
+        else:
+            obj["moves"][i]["center"] = [rat_str(c) for c in center]
+        with pytest.raises(IllegalMove, match="leaves current ball") as ei:
+            replay(GameTrace.loads(json.dumps(obj)))
+        assert ei.value.move_index == i
+
+
+def test_replay_rejects_a_held_move_with_a_forged_radius(legal_trace):
+    text = legal_trace.dumps()
+    for i in _some_held(legal_trace):
+        radius = legal_trace.moves[i].ball.radius
+        for forged in (radius * (1 + TINY), radius / 2):
+            obj = json.loads(text)
+            obj["moves"][i]["radius"] = rat_str(forged)
+            with pytest.raises(IllegalMove, match="radius law violated") as ei:
+                replay(GameTrace.loads(json.dumps(obj)))
+            assert ei.value.move_index == i
+
+
+def test_replay_rejects_a_held_move_by_the_wrong_player(legal_trace):
+    text = legal_trace.dumps()
+    for i in _some_held(legal_trace):
+        obj = json.loads(text)
+        obj["moves"][i]["player"] = "B" if obj["moves"][i]["player"] == "W" else "W"
+        with pytest.raises(IllegalMove, match="out-of-turn") as ei:
+            replay(GameTrace.loads(json.dumps(obj)))
+        assert ei.value.move_index == i
+
+
+def test_a_respelled_held_center_replays_to_the_canonical_bytes(legal_trace):
+    # "0/5" for "0/1": a different string, the same center
+    text = legal_trace.dumps()
+    for i in _some_held(legal_trace):
+        obj = json.loads(text)
+        _repeat(obj, i, [f"{5 * c.numerator}/{5 * c.denominator}"
+                         for c in legal_trace.moves[i].ball.center])
+        assert replay(GameTrace.loads(json.dumps(obj))).dumps() == text
+
+
+@pytest.mark.parametrize("black", ["random", "greedy"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_held_moves_share_their_center_through_dumps_loads_and_replay(n, black):
+    seq = make_sequence([(1, 0, 0)[:n], (3, 1, 0)[:n], (13, 2, 1)[:n]])
+    adversary = GreedyBlack(seq) if black == "greedy" else RandomBlack(seed=n)
+    trace, *_ = run_constructed_game(
+        seq, Fraction(1, 4), Fraction(1, 2), 3, Fraction(1, 64), 1, adversary
+    )
+    text = trace.dumps()
+    assert text == oracles.trace_json(trace)
+    loaded = GameTrace.loads(text)
+    assert (loaded.params, loaded.initial) == (trace.params, trace.initial)
+    assert loaded.moves == trace.moves
+    assert replay(loaded).dumps() == text
+    # a held move's loaded center is its previous move's objects, not a
+    # second parse of the same text
+    held = _held(trace)
+    assert len(held) > len(trace.moves) // 3
+    balls = [loaded.initial] + [m.ball for m in loaded.moves]
+    for i in held:
+        assert all(x is y for x, y in zip(balls[i + 1].center, balls[i].center)), i
 
 
 # -- the direct trace writer against json.dumps -------------------------------
