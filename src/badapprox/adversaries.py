@@ -26,6 +26,9 @@ class RandomBlack:
 
     Rejection-samples an integer vector k with |k| <= K = RANDOM_GRID and
     steps by ((1-beta) / K) * k radii — always legal, exactly representable.
+    Each coordinate draws randrange(2K + 1) - K, the same stream as
+    randint(-K, K), and is built as one Fraction c * (b - a) / (b * K) for
+    beta = a/b.
     """
 
     def __init__(self, seed: int = 0):
@@ -34,12 +37,14 @@ class RandomBlack:
     def __call__(self, state) -> tuple[Vec, None]:
         n = state.ball.dimension
         k = RANDOM_GRID
+        draw = self.rng.randrange
         while True:
-            pt = [self.rng.randint(-k, k) for _ in range(n)]
+            pt = [draw(2 * k + 1) - k for _ in range(n)]
             if sum(c * c for c in pt) <= k * k:
                 break
-        unit = (1 - state.params.beta) / k
-        return tuple(c * unit for c in pt), None
+        beta = state.params.beta
+        num, den = beta.denominator - beta.numerator, beta.denominator * k
+        return tuple(Fraction(c * num, den) for c in pt), None
 
 
 class GreedyBlack:
@@ -48,21 +53,22 @@ class GreedyBlack:
     Finds the family minimizing |residual| / |u| (compared exactly via
     cross-multiplied squares; ties to the smallest index), then steps the
     whole 1 - beta radii toward it along a rationalized unit direction.
+    The direction is cached per (family, side) and the step per (family,
+    side, beta).
     """
 
     def __init__(self, seq: ResonanceSequence):
         self.seq = seq
         # rational_unit_direction(±u_r) depends on (r, sign) only
         self._directions: dict[tuple[int, int], Vec] = {}
+        self._steps: dict[tuple[int, int, Fraction], Vec] = {}
 
-    def _nearest(self, center: Vec) -> tuple[int, Fraction]:
-        """(r, u_r·center - a_r) of the nearest family, a_r the nearest integer.
-
-        With the center over one common denominator L, u·center = s/L and
-        the residual numerator is s - a*L, a rounded half to even as
-        Fraction rounding does; dist_r^2 = res_r^2 / (L^2 nsq_r), so
-        families compare on res^2 * nsq of the other as plain integers.
-        """
+    def _nearest_residual(self, center: Vec) -> tuple[int, int, int]:
+        """(r, s - a*L, L) for the nearest family r: with the center over
+        one common denominator L, u_r·center = s/L and a is the nearest
+        integer to s/L, rounded half to even as Fraction rounding does.
+        dist_r^2 = res_r^2 / (L^2 nsq_r), so families compare on
+        res^2 * nsq of the other as plain integers."""
         den, nums = over_common_denominator(center)
         best_r = best_res = None
         for r in range(1, len(self.seq) + 1):
@@ -74,19 +80,27 @@ class GreedyBlack:
                 < best_res * best_res * self.seq.norm_sq_of(r)
             ):
                 best_r, best_res = r, rem
-        return best_r, Fraction(best_res, den)
+        return best_r, best_res, den
+
+    def _nearest(self, center: Vec) -> tuple[int, Fraction]:
+        """(r, u_r·center - a_r) of the nearest family, a_r the nearest integer."""
+        r, res, den = self._nearest_residual(center)
+        return r, Fraction(res, den)
 
     def __call__(self, state) -> tuple[Vec, str]:
-        r, res = self._nearest(state.ball.center)
+        r, res, _ = self._nearest_residual(state.ball.center)
         if res == 0:
             return hold(state), f"on family {r}"
         # step toward the plane: against the residual's sign
-        side = -1 if res > 0 else 1
-        direction = self._directions.get((r, side))
-        if direction is None:
-            direction = rational_unit_direction(scale(self.seq.vector(r), side))
-            self._directions[r, side] = direction
-        return scale(direction, 1 - state.params.beta), f"chasing family {r}"
+        side, beta = (-1 if res > 0 else 1), state.params.beta
+        step = self._steps.get((r, side, beta))
+        if step is None:
+            direction = self._directions.get((r, side))
+            if direction is None:
+                direction = rational_unit_direction(scale(self.seq.vector(r), side))
+                self._directions[r, side] = direction
+            step = self._steps[r, side, beta] = scale(direction, 1 - beta)
+        return step, f"chasing family {r}"
 
 
 class Scripted:

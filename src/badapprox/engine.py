@@ -9,16 +9,21 @@ says why (or None); the engine records it on the move.
 
 Legality is one exact integer predicate, within_slack: the reply ball lies
 inside the current one iff |c' - c| <= (1 - rho)*R, i.e. |s| <= 1 - rho,
-decided on the step's integers over their common denominator.  run_game
-keeps the center as an integer vector over one denominator and folds each
-step into it with small-integer products; each recorded coordinate is
-reduced once.  The trace still records every move's absolute center and
-radius, so its file layout does not depend on how the game was played.
+decided on the step's integers over their common denominator.  A zero step
+is always legal, because GameParams keeps 1 - rho > 0, so run_game skips
+the test for it.  run_game keeps the center as an integer vector over one
+denominator and folds each step into it with small-integer products; each
+recorded coordinate is reduced once.  The trace still records every move's
+absolute center and radius, so its file layout does not depend on how the
+game was played.
 A held center is rendered, parsed and checked once: dumps, loads and replay
-reuse the previous move's center when a move repeats it.
+reuse the previous move's center when a move repeats it.  replay returns a
+new move list that shares the input's records, each once it has passed
+every check; records are frozen.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 from fractions import Fraction
@@ -230,9 +235,15 @@ def _check_dimension(values: Sequence, n: int, what: str) -> None:
 Policy = Callable[[GameState], tuple[Sequence, Optional[str]]]
 
 
+@functools.cache
+def _zero(n: int) -> Vec:
+    return (Fraction(0),) * n
+
+
 def hold(state: GameState) -> Vec:
-    """The zero step: the reply keeps the current center."""
-    return (Fraction(0),) * state.ball.dimension
+    """The zero step: the reply keeps the current center.  One tuple per
+    dimension is shared by every call."""
+    return _zero(state.ball.dimension)
 
 
 def run_game(
@@ -253,8 +264,9 @@ def run_game(
     multiple of the initial center's and of every step's denominator.  A
     step v/q moves it to N * b * (lam'/lam) + P * v * b * (lam'/q) over
     U * b * lam', lam' = lcm(lam, q) and rho = a/b: products of integers, no
-    gcd.  Each recorded coordinate is reduced once; a zero step reuses the
-    current center.
+    gcd.  Each recorded coordinate is reduced once.  A zero step is always
+    legal (GameParams keeps 1 - rho > 0), so it skips the slack test and
+    reuses the current center.
     """
     n = params.dimension
     trace = GameTrace(params, initial)
@@ -270,11 +282,11 @@ def run_game(
             step, note = policy(GameState(params, current, move_index, turn))
             step = rat_vec(step)
             _check_dimension(step, n, "step")
-            q, v = over_common_denominator(step)
-            if not within_slack(v, q, slack):
-                center = tuple(c + current.radius * s for c, s in zip(current.center, step))
-                raise IllegalMove(turn, move_index, center, "reply ball leaves current ball")
-            if any(v):
+            if any(step):
+                q, v = over_common_denominator(step)
+                if not within_slack(v, q, slack):
+                    center = tuple(c + current.radius * s for c, s in zip(current.center, step))
+                    raise IllegalMove(turn, move_index, center, "reply ball leaves current ball")
                 grown = lam if lam % q == 0 else lam * (q // math.gcd(lam, q))
                 keep, push = b * (grown // lam), p * b * (grown // q)
                 nums = [x * keep + y * push for x, y in zip(nums, v)]
@@ -301,9 +313,10 @@ def replay(trace: GameTrace) -> GameTrace:
 
     Each reply center c' must lie within slack (1 - rho)*R of the current
     center c: within_slack on c' - c over the two centers' common
-    denominator, or on the zero vector over 1 when c' == c.  Returns a
-    freshly constructed trace (equal to the input iff the input is legal and
-    internally consistent, including the radius law).
+    denominator, or on the zero vector over 1 when c' == c.  Returns a new
+    trace, equal to the input iff the input is legal and internally
+    consistent, including the radius law; its move list is new, and holds
+    the input's records themselves, each once it has passed every check.
     """
     params = trace.params
     n = params.dimension
@@ -326,7 +339,7 @@ def replay(trace: GameTrace) -> GameTrace:
             raise IllegalMove(mv.player, i, center, "reply ball leaves current ball")
         if radius != mv.ball.radius:
             raise IllegalMove(mv.player, i, center, "radius law violated")
-        current = Ball(center, radius)
-        out.moves.append(MoveRecord(mv.player, current, mv.note))
+        current = mv.ball
+        out.moves.append(mv)  # records are frozen: the verified one is shared
         expected_turn = "B" if expected_turn == "W" else "W"
     return out

@@ -94,16 +94,22 @@ _CANONICAL = re.compile(r"(-?[0-9]+)/([0-9]+)")
 
 
 def rat(value) -> Fraction:
-    """Coerce ints, Fractions and "p/q" strings to an exact Fraction."""
-    if isinstance(value, Fraction):
+    """Coerce ints, Fractions and "p/q" strings to an exact Fraction.
+
+    An exact Fraction and a string are recognized first: on any value that
+    is not exactly a Fraction, isinstance(value, Fraction) calls the Python
+    method ABCMeta.__instancecheck__."""
+    if type(value) is Fraction:
         return value
-    if isinstance(value, int):
-        return Fraction(value)
     if isinstance(value, str):
         m = _CANONICAL.fullmatch(value)
         if m:
             return Fraction(int(m[1]), int(m[2]))
         return Fraction(value.strip())
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int):
+        return Fraction(value)
     if isinstance(value, float):
         raise TypeError(f"refusing to coerce float {value!r}; pass a string or Fraction")
     raise TypeError(f"cannot coerce {type(value).__name__} to Fraction")
@@ -139,7 +145,11 @@ def rat_str(value: Rat) -> str:
 
 
 def rat_vec(values: Iterable) -> tuple[Fraction, ...]:
-    return tuple(rat(v) for v in values)
+    """The values as a tuple of Fractions; a tuple that already is one is
+    returned itself."""
+    if type(values) is tuple and all(type(v) is Fraction for v in values):
+        return values
+    return tuple(map(rat, values))
 
 
 # -- square-root comparators -------------------------------------------------

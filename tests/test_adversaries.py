@@ -1,5 +1,6 @@
 """Opponent policies: legality, determinism, chase semantics, replay."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -74,6 +75,28 @@ def test_random_black_steps_match_the_per_coordinate_fraction():
         step = (1 - gp.beta) * prev.radius
         want = tuple(x + Fraction(c * step, K) for x, c in zip(prev.center, pt))
         assert mv.ball.center == want
+
+
+@pytest.mark.parametrize("seed, n, digest", [
+    (0, 1, "f54f0eb1f2487f43eaa7c0565896321f285b2400085e9b517f4bdee6ff7fa0b6"),
+    (0, 2, "442d59140561d745d468559e128b15abc87d1dd60ae3f2fe22a41e260084044f"),
+    (0, 3, "4b0464649ff8bd4d542a721c5ed438cd7a98edd65ce04d8c83b43add754bc11a"),
+    (7, 1, "ecdc97170c924a3d5adaea37fd58c4c84e9244700b9b23184a246423fedb4aab"),
+    (7, 2, "1d7545324c33eb59346e0147b7d202402efb1f3b6d01da7902f589c96ecca586"),
+    (7, 3, "dc5a26028870dc3fe1f5dfe31f940c48c4751f8c14e7e9e5f40ec4260cb5cd88"),
+])
+def test_random_black_steps_are_pinned(seed, n, digest):
+    # sha256 of the first 300 steps, taken when each coordinate was drawn by
+    # randint(-K, K) and scaled by the Fraction (1 - beta) / K
+    gp = GameParams(Fraction(1, 3), Fraction(2, 5), n)
+    state = GameState(gp, Ball((Fraction(0),) * n, Fraction(1)), 1, "B")
+    black = RandomBlack(seed=seed)
+    h = hashlib.sha256()
+    for _ in range(300):
+        step, note = black(state)
+        assert note is None and all(type(s) is Fraction for s in step)
+        h.update((",".join(f"{s.numerator}/{s.denominator}" for s in step) + "\n").encode())
+    assert h.hexdigest() == digest
 
 
 def test_greedy_black_chases_nearest_family():
@@ -313,3 +336,20 @@ def test_greedy_direction_cache_is_keyed_by_family_and_side():
         state = GameState(gp, Ball(center, Fraction(1, 1000)), 2 * i + 1, "B")
         assert cached(state) == fresh(state)
     assert len(cached._directions) == 4
+
+
+def test_greedy_step_follows_beta_on_one_instance():
+    # the cached step is (1 - beta) * direction for the beta of each call,
+    # also when one instance is asked at beta = 1/2, 1/3 and 1/2 again
+    seq = make_sequence([(1, 1), (3, -4)])
+    greedy, fresh = GreedyBlack(seq), oracles.GreedyBlack(seq)
+    center = (Fraction(2, 1000), Fraction(-1, 1000))  # u_1 · center = 1/1000
+    for beta in (Fraction(1, 2), Fraction(1, 3), Fraction(1, 2)):
+        gp = GameParams(Fraction(1, 4), beta, 2)
+        state = GameState(gp, Ball(center, Fraction(1, 1000)), 1, "B")
+        step, note = greedy(state)
+        direction = greedy._directions[1, -1]
+        assert note == "chasing family 1"
+        assert step == tuple((1 - beta) * x for x in direction)
+        assert (step, note) == fresh(state)
+    assert len(greedy._directions) == 1

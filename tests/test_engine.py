@@ -201,6 +201,27 @@ def test_replay_accepts_legal_and_preserves():
     assert again.dumps() == tr.dumps()
 
 
+def test_replay_shares_the_verified_records(legal_trace):
+    again = replay(legal_trace)
+    assert again.moves is not legal_trace.moves
+    assert len(again.moves) == len(legal_trace.moves)
+    assert all(a is b for a, b in zip(again.moves, legal_trace.moves))
+    assert again.dumps() == legal_trace.dumps()
+
+
+def test_replay_accepts_an_equal_but_distinct_radius():
+    tr = run_game(params_1d(), unit_ball_1d(), RelativeStep((Fraction(-1, 2),)), concentric, 3)
+    moves = [
+        MoveRecord(m.player, Ball(m.ball.center, Fraction(m.ball.radius.numerator,
+                                                          m.ball.radius.denominator)), m.note)
+        for m in tr.moves
+    ]
+    assert all(a.ball.radius is not b.ball.radius for a, b in zip(moves, tr.moves))
+    copy = GameTrace(tr.params, tr.initial, moves)
+    assert replay(copy).dumps() == tr.dumps()
+    assert all(a is b for a, b in zip(replay(copy).moves, moves))
+
+
 def test_replay_rejects_radius_tampering():
     p = params_1d()
     tr = run_game(p, unit_ball_1d(), concentric, concentric, 1)
@@ -561,6 +582,59 @@ def test_a_zero_step_keeps_the_center():
     assert balls[3].center != balls[2].center
     assert same(balls[4], balls[3])
     assert replay(tr).dumps() == tr.dumps()
+
+
+@pytest.mark.parametrize("zero", [
+    (0, 0),
+    (Fraction(0), Fraction(0, 7)),
+    "hold",
+    (False, False),  # bools coerce as ints do
+])
+@pytest.mark.parametrize("turn", ["W", "B"])
+def test_every_zero_step_is_a_legal_hold(zero, turn):
+    if zero == "hold":
+        gp = GameParams(Fraction(1, 4), Fraction(1, 2), 2)
+        zero = hold(GameState(gp, Ball((Fraction(0), Fraction(0)), Fraction(1)), 0, "W"))
+    start = Ball((Fraction(1, 3), Fraction(-2, 7)), Fraction(3, 5))
+    tr = _seat_game(2, turn, zero)
+    assert [m.ball.center for m in tr.moves] == [start.center, start.center]
+    assert [m.ball.radius for m in tr.moves] == [Fraction(3, 20), Fraction(3, 40)]
+    assert replay(tr).dumps() == tr.dumps()
+
+
+def test_hold_shares_one_zero_tuple_per_dimension():
+    def state(n):
+        gp = GameParams(Fraction(1, 4), Fraction(1, 2), n)
+        return GameState(gp, Ball((Fraction(1, 3),) * n, Fraction(1)), 0, "W")
+
+    assert hold(state(2)) is hold(state(2)) == (Fraction(0), Fraction(0))
+    assert hold(state(3)) == (Fraction(0),) * 3
+    assert all(type(x) is Fraction for x in hold(state(3)))
+
+
+@pytest.mark.parametrize("step, error, match", [
+    ((0.0, 0.0), TypeError, "float"),  # coerced before the zero test
+    ((0, 0.0), TypeError, "float"),
+    ((0,), ValueError, "dimension mismatch"),
+    ((Fraction(0),) * 3, ValueError, "dimension mismatch"),
+    ((False,) * 3, ValueError, "dimension mismatch"),
+])
+@pytest.mark.parametrize("turn", ["W", "B"])
+def test_a_zero_step_is_checked_before_it_holds(step, error, match, turn):
+    with pytest.raises(error, match=match):
+        _seat_game(2, turn, step)
+
+
+@pytest.mark.parametrize("turn", ["W", "B"])
+def test_a_step_just_past_its_slack_still_fails_with_its_center(turn):
+    slack = 1 - (Fraction(1, 4) if turn == "W" else Fraction(1, 2))
+    step = (0, slack + TINY)
+    with pytest.raises(IllegalMove, match="leaves current ball") as ei:
+        _seat_game(2, turn, step)
+    start = Ball((Fraction(1, 3), Fraction(-2, 7)), Fraction(3, 5))
+    radius = start.radius if turn == "W" else start.radius / 4
+    assert ei.value.center == (start.center[0], start.center[1] + radius * (slack + TINY))
+    assert (ei.value.player, ei.value.move_index) == (turn, 0 if turn == "W" else 1)
 
 
 def test_illegal_move_reports_the_absolute_center():

@@ -76,6 +76,74 @@ def test_rat_strings_behave_like_fraction(text):
     assert outcome(rat) == outcome(lambda s: Fraction(s.strip()))
 
 
+class _Sub(Fraction):
+    pass
+
+
+_SUB = _Sub(1, 3)
+
+
+#: rat's outcome on each input, as the isinstance-first rat gave it: the
+#: result's type and value and whether it is the input itself, or the type
+#: of the exception
+RAT_PARITY = [
+    (Fraction(3, 6), (Fraction, Fraction(1, 2), True)),
+    (_SUB, (_Sub, Fraction(1, 3), True)),
+    (5, (Fraction, Fraction(5), False)),
+    (2**70, (Fraction, Fraction(2**70), False)),
+    (True, (Fraction, Fraction(1), False)),
+    (False, (Fraction, Fraction(0), False)),
+    ("3/6", (Fraction, Fraction(1, 2), False)),
+    ("0.25", (Fraction, Fraction(1, 4), False)),
+    (" 1/3 ", (Fraction, Fraction(1, 3), False)),
+    ("-0/5", (Fraction, Fraction(0), False)),
+    ("+1/2", (Fraction, Fraction(1, 2), False)),
+    ("3/0", ZeroDivisionError),
+    ("1/-2", ValueError),
+    ("1 /2", ValueError),
+    ("", ValueError),
+    (0.5, TypeError),
+    (0.0, TypeError),
+    (None, TypeError),
+    ([1], TypeError),
+    ((1,), TypeError),
+]
+
+
+def _rat_outcome(value):
+    try:
+        got = rat(value)
+    except Exception as exc:  # the exception type is the behaviour
+        return type(exc)
+    return type(got), got, got is value
+
+
+@pytest.mark.parametrize("value, want", RAT_PARITY)
+def test_rat_parity_table(value, want):
+    assert _rat_outcome(value) == want
+    try:
+        got = rat_vec([value, value])
+    except Exception as exc:
+        assert type(exc) is want
+    else:
+        assert [(type(x), x, x is value) for x in got] == [want, want]
+
+
+def test_rat_vec_returns_an_all_fraction_tuple_itself():
+    values = (Fraction(1, 3), Fraction(-2), Fraction(0))
+    assert rat_vec(values) is values
+    assert rat_vec(()) == ()
+    as_list = list(values)
+    got = rat_vec(as_list)
+    assert type(got) is tuple and got == values and got is not values
+    assert all(a is b for a, b in zip(got, values))
+    mixed = (Fraction(1, 3), 2, "1/4")  # a tuple with any other entry is rebuilt
+    assert rat_vec(mixed) == (Fraction(1, 3), Fraction(2), Fraction(1, 4))
+    subs = (_SUB, Fraction(1, 2))
+    got = rat_vec(subs)
+    assert got == subs and got is not subs and got[0] is _SUB
+
+
 def test_rat_str_always_shows_denominator():
     assert rat_str(Fraction(3, 5)) == "3/5"
     assert rat_str(2) == "2/1"
