@@ -53,14 +53,11 @@ class GreedyBlack:
     Finds the family minimizing |residual| / |u| (compared exactly via
     cross-multiplied squares; ties to the smallest index), then steps the
     whole 1 - beta radii toward it along a rationalized unit direction.
-    The direction is cached per (family, side) and the step per (family,
-    side, beta).
+    The step is cached per (family, side, beta).
     """
 
     def __init__(self, seq: ResonanceSequence):
         self.seq = seq
-        # rational_unit_direction(±u_r) depends on (r, sign) only
-        self._directions: dict[tuple[int, int], Vec] = {}
         self._steps: dict[tuple[int, int, Fraction], Vec] = {}
 
     def _nearest_residual(self, center: Vec) -> tuple[int, int, int]:
@@ -82,11 +79,6 @@ class GreedyBlack:
                 best_r, best_res = r, rem
         return best_r, best_res, den
 
-    def _nearest(self, center: Vec) -> tuple[int, Fraction]:
-        """(r, u_r·center - a_r) of the nearest family, a_r the nearest integer."""
-        r, res, den = self._nearest_residual(center)
-        return r, Fraction(res, den)
-
     def __call__(self, state) -> tuple[Vec, str]:
         r, res, _ = self._nearest_residual(state.ball.center)
         if res == 0:
@@ -95,10 +87,7 @@ class GreedyBlack:
         side, beta = (-1 if res > 0 else 1), state.params.beta
         step = self._steps.get((r, side, beta))
         if step is None:
-            direction = self._directions.get((r, side))
-            if direction is None:
-                direction = rational_unit_direction(scale(self.seq.vector(r), side))
-                self._directions[r, side] = direction
+            direction = rational_unit_direction(scale(self.seq.vector(r), side))
             step = self._steps[r, side, beta] = scale(direction, 1 - beta)
         return step, f"chasing family {r}"
 

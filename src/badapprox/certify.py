@@ -23,10 +23,13 @@ from .exact import (
     Rat,
     Record,
     box_distances,
+    ceil_frac,
+    floor_frac,
     int_dist,
     over_common_denominator,
     rat,
     rat_str,
+    rat_vec,
     sup_norms,
 )
 from .resonance import EmptySequence, ResonanceSequence, ThetaMatrix
@@ -98,27 +101,11 @@ class DecayTable(Record, frozen=True):
 
     @property
     def s_min(self) -> int:
-        v = 1 / self.values[0]
-        return -((-v.numerator) // v.denominator)  # ceil
+        return ceil_frac(1 / self.values[0])
 
     @property
     def s_max(self) -> int:
-        v = 1 / self.values[-1]
-        return v.numerator // v.denominator  # floor
-
-    def rho(self, s: int) -> int:
-        if s < self.s_min or s > self.s_max:
-            raise TableRangeExceeded(
-                f"s={s} outside table coverage [{self.s_min}, {self.s_max}]"
-            )
-        best: Optional[int] = None
-        for t, v in zip(self.sizes, self.values):
-            if v * s >= 1:  # 1/psi <= s
-                best = t
-            else:
-                break
-        assert best is not None
-        return best
+        return floor_frac(1 / self.values[-1])
 
     def rho_upto(self, limit: int) -> list[int]:
         """[rho(s) for s in s_min..limit], in one merge pass over the table.
@@ -128,7 +115,7 @@ class DecayTable(Record, frozen=True):
         """
         if limit > self.s_max:
             raise TableRangeExceeded(f"limit {limit} beyond table coverage {self.s_max}")
-        thresholds = [-((-v.denominator) // v.numerator) for v in self.values]
+        thresholds = [ceil_frac(1 / v) for v in self.values]
         out, i = [], 0
         for s in range(self.s_min, limit + 1):
             while i + 1 < len(thresholds) and thresholds[i + 1] <= s:
@@ -270,7 +257,7 @@ def theorem1_constant(
     A positive value is finite-range evidence that eta is a badly
     approximable shift for the system theta; zero pinpoints an exact hit.
     """
-    eta_v = tuple(rat(e) for e in eta)
+    eta_v = rat_vec(eta)
     if limit < 1:
         raise ValueError("limit must be >= 1")
     m, n = theta.shape
@@ -296,7 +283,7 @@ def jarnik_constant(
     are excluded (the table certifies nothing there).  Raises
     TableRangeExceeded when the limit itself falls outside coverage.
     """
-    eta_v = tuple(rat(e) for e in eta)
+    eta_v = rat_vec(eta)
     if limit < 1:
         raise ValueError("limit must be >= 1")
     if isinstance(psi, PowerLaw):
@@ -335,7 +322,7 @@ def resonance_margin(
     seq: ResonanceSequence, eta: Sequence, r_max: Optional[int] = None
 ) -> BadnessReport:
     """min over families r <= r_max of ||u_r · eta||, with the realizing r."""
-    eta_v = tuple(rat(e) for e in eta)
+    eta_v = rat_vec(eta)
     hi = len(seq) if r_max is None else min(r_max, len(seq))
     if hi < 1:
         raise EmptySequence("no families to measure against")

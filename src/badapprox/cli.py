@@ -114,24 +114,26 @@ def _build_sequence(args) -> ResonanceSequence:
     return lacunary_normalize(records, rat(args.lacunarity))
 
 
-def _make_adversary(name: str, seq: ResonanceSequence, seed: int, script: Optional[str]):
+def _make_adversary(name: str, seq: ResonanceSequence, seed: int):
     if name == "concentric":
         return concentric
     if name == "random":
         return RandomBlack(seed=seed)
     if name == "greedy":
         return GreedyBlack(seq)
-    if name == "scripted":
-        if not script:
-            raise ValueError("--script is required with --adversary scripted")
-        with open(script) as fh:
-            data = json.load(fh)
-        centers = [
-            [json_rat(x, "script center coordinate") for x in json_list(ctr, "script center")]
-            for ctr in json_list(data["centers"], "centers")
-        ]
-        return Scripted(centers, data.get("notes"))
     raise ValueError(f"unknown adversary {name!r}")
+
+
+def _load_script(script: Optional[str]) -> Scripted:
+    if not script:
+        raise ValueError("--script is required with --adversary scripted")
+    with open(script) as fh:
+        data = json.load(fh)
+    centers = [
+        [json_rat(x, "script center coordinate") for x in json_list(ctr, "script center")]
+        for ctr in json_list(data["centers"], "centers")
+    ]
+    return Scripted(centers, data.get("notes"))
 
 
 # -- play --------------------------------------------------------------------
@@ -140,7 +142,8 @@ def _make_adversary(name: str, seq: ResonanceSequence, seed: int, script: Option
 def cmd_play(args) -> int:
     seq = _build_sequence(args)
     center = _parse_eta(args.center) if args.center else None
-    black = _make_adversary(args.adversary, seq, args.seed, args.script)
+    black = (_load_script(args.script) if args.adversary == "scripted"
+             else _make_adversary(args.adversary, seq, args.seed))
     trace, cert, white, sched = run_constructed_game(
         seq,
         rat(args.alpha),
@@ -246,6 +249,7 @@ def cmd_certify(args) -> int:
 def cmd_psi(args) -> int:
     theta = _load_theta(args.theta)
     records, steps = records_and_psi_steps(theta, args.tmax)
+    checked = None if args.check is None else psi_theta(theta, args.check)  # before any write
     usable = [(t, v) for t, v in steps if v > 0]
     config = {"command": "psi", "theta": args.theta, "tmax": args.tmax}
     report = _config_block(config)
@@ -262,9 +266,8 @@ def cmd_psi(args) -> int:
     print(f"{len(records)} records up to size {args.tmax}")
     for r in records:
         print(f"  y={list(r.vector)}  |y|^2={r.norm_sq}  quality={rat_str(r.quality)}")
-    if args.check is not None:
-        val = psi_theta(theta, args.check)
-        print(f"psi({args.check}) = {rat_str(val)}")
+    if checked is not None:
+        print(f"psi({args.check}) = {rat_str(checked)}")
     print(f"wrote {out / 'psi.json'}")
     return 0
 
@@ -273,9 +276,7 @@ def cmd_psi(args) -> int:
 
 
 def cmd_resonance(args) -> int:
-    theta = _load_theta(args.theta)
-    records = _records(theta, args.tmax)
-    seq = lacunary_normalize(records, rat(args.lacunarity))
+    seq = _build_sequence(args)
     config = {
         "command": "resonance",
         "theta": args.theta,
@@ -322,7 +323,7 @@ def cmd_sweep(args) -> int:
                         "families": "",
                     }
                     try:
-                        black = _make_adversary(adv, seq, seed, None)
+                        black = _make_adversary(adv, seq, seed)
                         trace, cert, _, _ = run_constructed_game(
                             seq, rat(a), rat(b), rat(args.lacunarity),
                             rat(args.rho0), args.blocks, black, seed=seed,
@@ -359,7 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--out", default=None, help="output directory (or $BADAPPROX_OUT)")
-        p.add_argument("--seed", type=int, default=0)
 
     def theta_source(p, with_resonance=True):
         p.add_argument("--theta", default="golden",
@@ -372,6 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("play", help="run the constructing game end to end")
     common(p)
+    p.add_argument("--seed", type=int, default=0)
     theta_source(p)
     p.add_argument("--alpha", required=True)
     p.add_argument("--beta", required=True)
@@ -411,7 +412,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lacunarity", "-M", default="3")
     p.set_defaults(func=cmd_resonance)
 
-    p = sub.add_parser("sweep", help="grid of runs -> CSV")
+    # no abbreviations: a prefix such as --seed would land on --seeds
+    p = sub.add_parser("sweep", help="grid of runs -> CSV", allow_abbrev=False)
     common(p)
     theta_source(p)
     p.add_argument("--alphas", required=True, help="comma list, e.g. '1/4,1/3'")

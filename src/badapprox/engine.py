@@ -42,7 +42,7 @@ from .exact import (
     rat_str,
     rat_vec,
 )
-from .geometry import Ball, Vec
+from .geometry import Ball, Vec, same_dimension
 
 
 class IllegalMove(Exception):
@@ -90,13 +90,6 @@ class GameState(Record, frozen=True):
     is "W" or "B"."""
 
     __slots__ = ("params", "ball", "move_index", "turn")
-
-    def __init__(self, params: GameParams, ball: Ball, move_index: int, turn: str):
-        set_params, set_ball, set_move_index, set_turn = self._setters
-        set_params(self, params)
-        set_ball(self, ball)
-        set_move_index(self, move_index)
-        set_turn(self, turn)
 
 
 class MoveRecord(Record, frozen=True):
@@ -225,11 +218,6 @@ def within_slack(disp: Iterable[int], den: int, slack: Fraction) -> bool:
     return sum(d * d for d in disp) * q * q <= p * p * den * den
 
 
-def _check_dimension(values: Sequence, n: int, what: str) -> None:
-    if len(values) != n:
-        raise ValueError(f"dimension mismatch: {what} of length {len(values)} in dimension {n}")
-
-
 #: A policy maps the state to its step, in units of the current radius, and
 #: a note (or None).
 Policy = Callable[[GameState], tuple[Sequence, Optional[str]]]
@@ -268,7 +256,6 @@ def run_game(
     legal (GameParams keeps 1 - rho > 0), so it skips the slack test and
     reuses the current center.
     """
-    n = params.dimension
     trace = GameTrace(params, initial)
     current = initial
     p, u = initial.radius.numerator, initial.radius.denominator
@@ -281,7 +268,7 @@ def run_game(
         for turn, policy, rho, a, b, slack in seats:
             step, note = policy(GameState(params, current, move_index, turn))
             step = rat_vec(step)
-            _check_dimension(step, n, "step")
+            same_dimension(step, current.center)
             if any(step):
                 q, v = over_common_denominator(step)
                 if not within_slack(v, q, slack):
@@ -328,7 +315,7 @@ def replay(trace: GameTrace) -> GameTrace:
         center = mv.ball.center
         if mv.player != expected_turn:
             raise IllegalMove(mv.player, i, center, "out-of-turn move")
-        _check_dimension(center, n, "center")
+        same_dimension(center, current.center)
         radius = (params.alpha if mv.player == "W" else params.beta) * current.radius
         if center == current.center:  # a held center: no lcm of its denominators
             den, disp = 1, zero

@@ -202,15 +202,6 @@ class CapSelection(Record, frozen=True):
 
     __slots__ = ("direction", "escaped", "strong", "candidates_tried")
 
-    def __init__(
-        self, direction: Vec, escaped: tuple[int, ...], strong: tuple[int, ...], candidates_tried: int
-    ):
-        set_direction, set_escaped, set_strong, set_candidates_tried = self._setters
-        set_direction(self, direction)
-        set_escaped(self, escaped)
-        set_strong(self, strong)
-        set_candidates_tried(self, candidates_tried)
-
 
 #: Grid directions in select_cap's first round; each later round doubles it.
 INITIAL_BUDGET = 32

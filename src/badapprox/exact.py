@@ -49,17 +49,18 @@ def _hash_fields(self) -> int:
 class Record:
     """Base of the package's value records.
 
-    A record's fields are its ``__slots__``, in order; its ``__init__`` takes
-    them in that order and sets each one once.  Records compare equal when
+    A record's fields are its ``__slots__``, in order.  The base ``__init__``
+    stores them as given, by position or by name; a missing, unknown,
+    repeated or surplus field raises TypeError.  Records compare equal when
     they are of the same class with equal fields, and ``repr`` shows each
     field by name.  ``class X(Record, frozen=True)`` refuses assignment and
     deletion with AttributeError and hashes by its fields; any other record
     is mutable and unhashable.  A changed copy is built by calling the
     constructor, so its checks and coercions run again.
 
-    ``_setters`` holds each field's slot setter, in field order: a frozen
-    record's ``__init__`` unpacks it to store its fields past the refusing
-    ``__setattr__``.
+    ``_setters`` holds each field's slot setter, in field order: a record
+    that checks or coerces its fields stores them through it in its own
+    ``__init__``, past a frozen record's refusing ``__setattr__``.
     """
 
     __slots__ = ()
@@ -71,6 +72,23 @@ class Record:
             cls.__setattr__ = _refuse_assign
             cls.__delattr__ = _refuse_delete
             cls.__hash__ = _hash_fields
+
+    def __init__(self, *args, **kwargs):
+        name, fields = type(self).__name__, self.__slots__
+        if len(args) > len(fields):
+            raise TypeError(f"{name} takes {len(fields)} fields, got {len(args)}")
+        rest = fields[len(args):]
+        for field in rest:
+            if field not in kwargs:
+                raise TypeError(f"{name} is missing field {field!r}")
+        if len(kwargs) > len(rest):  # a keyword repeats a positional field or names none
+            extra = next(k for k in kwargs if k not in rest)
+            raise TypeError(f"{name} got field {extra!r} twice" if extra in fields
+                            else f"{name} has no field {extra!r}")
+        if rest:
+            args += tuple(map(kwargs.__getitem__, rest))
+        for setter, value in zip(self._setters, args):
+            setter(self, value)
 
     def _values(self) -> tuple:
         return tuple(map(getattr, itertools.repeat(self), self.__slots__))
@@ -291,7 +309,8 @@ def pi_bounds(prec: int) -> tuple[int, int]:
 
 
 def ceil_frac(x: Rat) -> int:
-    return -((-Fraction(x).numerator) // Fraction(x).denominator)
+    f = Fraction(x)
+    return -(-f.numerator // f.denominator)
 
 
 def floor_frac(x: Rat) -> int:

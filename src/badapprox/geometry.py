@@ -31,14 +31,15 @@ from .exact import (
 Vec = tuple[Fraction, ...]
 
 
-def _same_dimension(a: Sequence, b: Sequence) -> None:
+def same_dimension(a: Sequence, b: Sequence) -> None:
+    """Raise ValueError("dimension mismatch ...") unless a and b have one length."""
     if len(a) != len(b):
         raise ValueError(f"dimension mismatch: {len(a)} vs {len(b)}")
 
 
 def dot(a: Sequence[Rat], b: Sequence[Rat]) -> Fraction:
     """Exact inner product of int/Fraction vectors; a float operand raises."""
-    _same_dimension(a, b)
+    same_dimension(a, b)
     total = sum(map(mul, a, b))
     if isinstance(total, int):
         return Fraction(total)
@@ -47,13 +48,8 @@ def dot(a: Sequence[Rat], b: Sequence[Rat]) -> Fraction:
     return total
 
 
-def add(a: Vec, b: Vec) -> Vec:
-    _same_dimension(a, b)
-    return tuple(x + y for x, y in zip(a, b))
-
-
 def sub(a: Vec, b: Vec) -> Vec:
-    _same_dimension(a, b)
+    same_dimension(a, b)
     return tuple(x - y for x, y in zip(a, b))
 
 

@@ -195,12 +195,6 @@ class ResonanceEntry(Record, frozen=True):
 
     __slots__ = ("vector", "norm_sq", "quality")
 
-    def __init__(self, vector: tuple[int, ...], norm_sq: int, quality: Optional[Fraction]):
-        set_vector, set_norm_sq, set_quality = self._setters
-        set_vector(self, vector)
-        set_norm_sq(self, norm_sq)
-        set_quality(self, quality)
-
     def to_jsonable(self) -> dict:
         return {
             "u": list(self.vector),

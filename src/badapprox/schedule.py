@@ -44,32 +44,6 @@ class StrategyParams(Record, frozen=True):
         "cap_measure_lb", "plane_budget", "avoidance_rounds", "margin",
     )
 
-    def __init__(
-        self,
-        alpha: Fraction,
-        beta: Fraction,
-        dimension: int,
-        lacunarity: Fraction,
-        gamma: Fraction,
-        escape_rounds: int,
-        cap_measure_lb: Fraction,
-        plane_budget: int,
-        avoidance_rounds: int,
-        margin: Fraction,
-    ):
-        (set_alpha, set_beta, set_dimension, set_lacunarity, set_gamma, set_escape_rounds,
-         set_cap_measure_lb, set_plane_budget, set_avoidance_rounds, set_margin) = self._setters
-        set_alpha(self, alpha)
-        set_beta(self, beta)
-        set_dimension(self, dimension)
-        set_lacunarity(self, lacunarity)
-        set_gamma(self, gamma)
-        set_escape_rounds(self, escape_rounds)
-        set_cap_measure_lb(self, cap_measure_lb)
-        set_plane_budget(self, plane_budget)
-        set_avoidance_rounds(self, avoidance_rounds)
-        set_margin(self, margin)
-
     @property
     def shrink(self) -> Fraction:
         """alpha*beta: the per-round radius contraction."""
@@ -234,13 +208,6 @@ class BlockSchedule(Record, frozen=True):
     """
 
     __slots__ = ("params", "rho0", "blocks", "cuts")
-
-    def __init__(self, params: StrategyParams, rho0: Fraction, blocks: int, cuts: tuple[int, ...]):
-        set_params, set_rho0, set_blocks, set_cuts = self._setters
-        set_params(self, params)
-        set_rho0(self, rho0)
-        set_blocks(self, blocks)
-        set_cuts(self, cuts)
 
     def handled_range(self, block: int) -> tuple[int, int]:
         """(lo, hi], 1-based resonance indices handled by `block`."""

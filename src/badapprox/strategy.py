@@ -14,7 +14,7 @@ import json
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exact import InvariantError, Record, floor_frac, rat, rat_str, sqrt_upper
+from .exact import InvariantError, Record, floor_frac, rat_str, sqrt_upper
 from .engine import GameParams, GameTrace, hold, run_game
 from .geometry import Ball, Hyperplane, Vec, dot
 from .escape import AvoidanceDrive
@@ -22,7 +22,6 @@ from .resonance import ResonanceSequence
 from .schedule import (
     BlockSchedule,
     ScheduleInfeasible,
-    StrategyParams,
     block_schedule,
     dangerous_hyperplanes,
     derive_params,
@@ -40,12 +39,6 @@ class CertificateFailed(Exception):
 
 class HandledPlane(Record, frozen=True):
     __slots__ = ("r", "plane", "block")
-
-    def __init__(self, r: int, plane: Hyperplane, block: int):
-        set_r, set_plane, set_block = self._setters
-        set_r(self, r)
-        set_plane(self, plane)
-        set_block(self, block)
 
 
 def gather_block_planes(
@@ -166,16 +159,6 @@ class CertificateEntry(Record, frozen=True):
 
     __slots__ = ("r", "normal", "offset", "block", "residual_lb")
 
-    def __init__(
-        self, r: int, normal: tuple[int, ...], offset: int, block: int, residual_lb: Fraction
-    ):
-        set_r, set_normal, set_offset, set_block, set_residual_lb = self._setters
-        set_r(self, r)
-        set_normal(self, normal)
-        set_offset(self, offset)
-        set_block(self, block)
-        set_residual_lb(self, residual_lb)
-
     def to_jsonable(self) -> dict:
         return {
             "r": self.r,
@@ -190,24 +173,6 @@ class Certificate(Record):
     __slots__ = (
         "params", "rho0", "blocks", "covered_through", "eta_center", "eta_radius", "entries",
     )
-
-    def __init__(
-        self,
-        params: StrategyParams,
-        rho0: Fraction,
-        blocks: int,
-        covered_through: int,
-        eta_center: Vec,
-        eta_radius: Fraction,
-        entries: list[CertificateEntry],
-    ):
-        self.params = params
-        self.rho0 = rho0
-        self.blocks = blocks
-        self.covered_through = covered_through
-        self.eta_center = eta_center
-        self.eta_radius = eta_radius
-        self.entries = entries
 
     def to_jsonable(self) -> dict:
         return {
@@ -309,9 +274,8 @@ def run_constructed_game(
         seq, alpha, beta, lacunarity, rho0, blocks, seed=seed
     )
     n = seq.dimension
-    c0 = tuple(rat(c) for c in center) if center is not None else (Fraction(0),) * n
-    initial = Ball(c0, rat(rho0))
-    game_params = GameParams(rat(alpha), rat(beta), n)
+    initial = Ball(center if center is not None else (0,) * n, rho0)
+    game_params = GameParams(alpha, beta, n)
     trace = run_game(
         game_params, initial, white, black,
         rounds=sched.blocks * sched.params.avoidance_rounds,

@@ -21,8 +21,11 @@ correct.  The spherical-cap measure at the end is the float route that
 ``derive_params`` took before the measure was bracketed exactly: mpmath
 quadrature and a ``math.asin`` difference, floored with a two-step guard.
 The Monte-Carlo cap estimate beside it is the definitional check of the
-exact cap measure.  ``replace`` builds a changed copy of a record through
-its constructor, as the package's README describes.
+exact cap measure.  ``decay_rho`` is the definitional table lookup that
+``DecayTable.rho_upto``'s merge pass and ``jarnik`` are held to, and
+``add`` is the vector sum the tests build centers with.  ``replace``
+builds a changed copy of a record through its constructor, as the
+package's README describes.
 """
 import itertools
 import json
@@ -32,7 +35,7 @@ from random import Random
 from typing import Callable, Optional, Sequence
 
 from badapprox import escape
-from badapprox.certify import DecayTable, PowerLaw
+from badapprox.certify import DecayTable, PowerLaw, TableRangeExceeded
 from badapprox.engine import GameParams, GameState, GameTrace, IllegalMove, MoveRecord, within_slack
 from badapprox.escape import CapSelection, SelectionExhausted, plane_sign
 from badapprox.exact import (
@@ -48,10 +51,10 @@ from badapprox.geometry import (
     Ball,
     Hyperplane,
     Vec,
-    add,
     dot,
     nearest_int_dist,
     rational_unit_direction,
+    same_dimension,
     scale,
 )
 from badapprox.resonance import ResonanceEntry, ResonanceSequence, ThetaMatrix
@@ -63,6 +66,27 @@ def replace(record, **changes):
     constructor so that its checks and coercions run again."""
     fields = {name: getattr(record, name) for name in record.__slots__}
     return type(record)(**{**fields, **changes})
+
+
+def add(a: Vec, b: Vec) -> Vec:
+    same_dimension(a, b)
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def decay_rho(table: DecayTable, s: int) -> int:
+    """rho(s) = the largest size t_i with 1/psi_i <= s, by a walk of the table."""
+    if s < table.s_min or s > table.s_max:
+        raise TableRangeExceeded(
+            f"s={s} outside table coverage [{table.s_min}, {table.s_max}]"
+        )
+    best: Optional[int] = None
+    for t, v in zip(table.sizes, table.values):
+        if v * s >= 1:  # 1/psi <= s
+            best = t
+        else:
+            break
+    assert best is not None
+    return best
 
 
 def scan_min(
@@ -116,7 +140,7 @@ def jarnik(theta: ThetaMatrix, eta, psi, limit: int) -> tuple[Fraction, tuple[in
         p, q, c = psi.sigma_num, psi.sigma_den, psi.c
         return scan_min(theta, eta, limit, lambda r, s: r**p * (c * s) ** q)
     assert isinstance(psi, DecayTable)
-    rho_cache = {s: psi.rho(s) for s in range(psi.s_min, limit + 1)}
+    rho_cache = {s: decay_rho(psi, s) for s in range(psi.s_min, limit + 1)}
     return scan_min(
         theta, eta, limit, lambda r, s: r * rho_cache[s] if s in rho_cache else None
     )

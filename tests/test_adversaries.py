@@ -16,7 +16,7 @@ from badapprox.engine import (
     concentric,
     run_game,
 )
-from badapprox.geometry import Ball, dot
+from badapprox.geometry import Ball, dot, rational_unit_direction
 from badapprox.strategy import run_constructed_game
 from conftest import escape_drive, make_sequence
 
@@ -230,6 +230,13 @@ def _onto_half_integer(center, u):
     return center[:j] + (center[j] + shift,) + center[j + 1:]
 
 
+def _nearest(seq, center) -> tuple[int, Fraction]:
+    """(r, u_r·center - a_r) of GreedyBlack's nearest family r, a_r the
+    nearest integer, from its integer residual over the center's denominator."""
+    r, res, den = GreedyBlack(seq)._nearest_residual(center)
+    return r, Fraction(res, den)
+
+
 @pytest.mark.parametrize("seed", range(12))
 def test_greedy_nearest_matches_fraction_oracle(seed):
     rng = random.Random(seed)
@@ -247,7 +254,7 @@ def test_greedy_nearest_matches_fraction_oracle(seed):
         center = _random_center(rng, n)
         if rng.random() < 0.5:
             center = _onto_half_integer(center, rng.choice(vectors))
-        got = GreedyBlack(seq)._nearest(center)
+        got = _nearest(seq, center)
         assert got == oracles.nearest_family(seq, center)
         dists = [
             (dot(u, center) - round(dot(u, center))) ** 2 / seq.norm_sq_of(r)
@@ -270,7 +277,7 @@ def test_greedy_nearest_matches_fraction_oracle(seed):
 )
 def test_greedy_nearest_half_integer_rounds_to_even(x, want):
     seq = make_sequence([(1,)])
-    assert GreedyBlack(seq)._nearest((x,)) == want == oracles.nearest_family(seq, (x,))
+    assert _nearest(seq, (x,)) == want == oracles.nearest_family(seq, (x,))
 
 
 def test_greedy_nearest_equal_distances_go_to_smallest_index():
@@ -279,12 +286,12 @@ def test_greedy_nearest_equal_distances_go_to_smallest_index():
     for first, second in [((1,), (2,)), ((2,), (1,))]:
         seq = _Family([first, second])
         for x in (Fraction(1, 4), Fraction(3, 4)):
-            r, res = GreedyBlack(seq)._nearest((x,))
+            r, res = _nearest(seq, (x,))
             assert r == 1
             assert (r, res) == oracles.nearest_family(seq, (x,))
     seq = _Family([(1, 0), (0, 1)])
     center = (Fraction(1, 3), Fraction(-1, 3))
-    assert GreedyBlack(seq)._nearest(center) == (1, Fraction(1, 3))
+    assert _nearest(seq, center) == (1, Fraction(1, 3))
 
 
 def test_greedy_cached_directions_give_identical_traces(golden_seq):
@@ -316,9 +323,9 @@ def test_greedy_cached_directions_give_identical_traces(golden_seq):
 
         text = play(greedy).dumps()
         assert text == play(oracles.GreedyBlack).dumps()
-        # the cache was hit: more chasing moves than directions rationalized
+        # the cache was hit: more chasing moves than steps computed
         chases = text.count('"note": "chasing family')
-        assert chases > len(made[0]._directions) >= 1
+        assert chases > len(made[0]._steps) >= 1
 
 
 def test_greedy_direction_cache_is_keyed_by_family_and_side():
@@ -335,7 +342,7 @@ def test_greedy_direction_cache_is_keyed_by_family_and_side():
         center = (base[0] + side, base[1] + Fraction(rng.randint(-9, 9), 10**4))
         state = GameState(gp, Ball(center, Fraction(1, 1000)), 2 * i + 1, "B")
         assert cached(state) == fresh(state)
-    assert len(cached._directions) == 4
+    assert len(cached._steps) == 4
 
 
 def test_greedy_step_follows_beta_on_one_instance():
@@ -344,12 +351,12 @@ def test_greedy_step_follows_beta_on_one_instance():
     seq = make_sequence([(1, 1), (3, -4)])
     greedy, fresh = GreedyBlack(seq), oracles.GreedyBlack(seq)
     center = (Fraction(2, 1000), Fraction(-1, 1000))  # u_1 · center = 1/1000
+    direction = rational_unit_direction((-1, -1))  # toward the plane u_1 · y = 0
     for beta in (Fraction(1, 2), Fraction(1, 3), Fraction(1, 2)):
         gp = GameParams(Fraction(1, 4), beta, 2)
         state = GameState(gp, Ball(center, Fraction(1, 1000)), 1, "B")
         step, note = greedy(state)
-        direction = greedy._directions[1, -1]
         assert note == "chasing family 1"
         assert step == tuple((1 - beta) * x for x in direction)
         assert (step, note) == fresh(state)
-    assert len(greedy._directions) == 1
+    assert len(greedy._steps) == 2

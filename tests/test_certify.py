@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from badapprox.certify import (
     BadnessReport,
     DecayTable,
@@ -189,10 +190,10 @@ def test_table_coverage_window():
     tab = two_row_table()
     assert tab.s_min == 4  # ceil(7/2)
     assert tab.s_max == 7
-    assert [tab.rho(s) for s in range(4, 8)] == [1, 1, 1, 3]
+    assert [oracles.decay_rho(tab, s) for s in range(4, 8)] == [1, 1, 1, 3]
     for s in (3, 8):
         with pytest.raises(TableRangeExceeded):
-            tab.rho(s)
+            oracles.decay_rho(tab, s)
 
 
 def test_table_functional_hand_check():

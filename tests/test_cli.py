@@ -223,6 +223,20 @@ def test_certify_unknown_functional_rejected_by_parser(tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("certify", "--eta", "1/2", "--N", "5"),
+    ("psi", "--tmax", "10"),
+    ("resonance", "--tmax", "10"),
+    ("sweep", "--alphas", "1/4", "--betas", "1/2", "--blocks", "1"),
+])
+def test_only_play_takes_a_seed(tmp_path, argv):
+    # no other subcommand reads one
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path, *argv, "--seed", "3")
+    assert exc.value.code == 2
+    assert not any(tmp_path.iterdir())
+
+
 # ---------------------------------------------------------------------------
 # psi / resonance
 # ---------------------------------------------------------------------------
@@ -236,6 +250,13 @@ def test_psi_golden_table(tmp_path, capsys):
     assert blob["table"]["values"][0] == "514229/1346269"
     assert len(blob["records"]) == 5
     assert "psi(3) = 196418/1346269" in capsys.readouterr().out
+
+
+def test_psi_bad_check_exits_2_before_writing(tmp_path, capsys):
+    assert run(tmp_path, "psi", "--theta", "golden", "--tmax", "10", "--check", "0") == 2
+    assert not (tmp_path / "psi.json").exists()
+    out, err = capsys.readouterr()
+    assert out == "" and "config error" in err
 
 
 @pytest.mark.parametrize("entry,cf", [
@@ -452,6 +473,15 @@ def test_sweep_is_byte_deterministic(tmp_path):
     assert run(a, *SWEEP_8) == 0
     assert run(b, *SWEEP_8) == 0
     assert (a / "sweep.csv").read_bytes() == (b / "sweep.csv").read_bytes()
+
+
+def test_sweep_refuses_the_scripted_adversary(tmp_path, capsys):
+    # sweep has no --script, so "scripted" is not one of its adversaries
+    rc = run(tmp_path, "sweep", "--alphas", "1/4", "--betas", "1/2", "--blocks", "1",
+             "--adversaries", "scripted")
+    assert rc == 2
+    assert "unknown adversary 'scripted'" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()
 
 
 def test_sweep_reports_infeasible_cells_and_exits_1(tmp_path):

@@ -24,7 +24,6 @@ from badapprox.exact import InvariantError
 from badapprox.geometry import (
     Ball,
     Hyperplane,
-    add,
     dot,
     norm_sq,
     rational_unit_direction,
@@ -35,7 +34,7 @@ from badapprox.adversaries import RandomBlack
 from badapprox.schedule import derive_params
 import oracles
 from conftest import cap_selection_inputs, escape_drive
-from oracles import cap_member, strong_cap_member, verified_miss
+from oracles import add, cap_member, strong_cap_member, verified_miss
 
 F = Fraction
 TINY = Fraction(1, 10**24)

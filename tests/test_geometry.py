@@ -19,7 +19,6 @@ from badapprox.geometry import (
     Ball,
     Halfspace,
     Hyperplane,
-    add,
     cap_measure_bounds,
     dot,
     lex_sign,
@@ -29,7 +28,7 @@ from badapprox.geometry import (
     scale,
     sub,
 )
-from oracles import cap_fraction, cap_fraction_angular
+from oracles import add, cap_fraction, cap_fraction_angular
 
 TINY = Fraction(1, 10**30)
 

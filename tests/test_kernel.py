@@ -163,7 +163,7 @@ def test_decay_table_exclusion_window():
     # including the exact zeros the table would otherwise pick up there
     table = DecayTable(sizes=(1, 4, 9), values=(Fraction(1, 5), Fraction(1, 12), Fraction(1, 40)))
     assert (table.s_min, table.s_max) == (5, 40)
-    assert table.rho_upto(40) == [table.rho(s) for s in range(5, 41)]
+    assert table.rho_upto(40) == [oracles.decay_rho(table, s) for s in range(5, 41)]
     rng = random.Random(7)
     for m, n in SHAPES:
         theta, eta = random_instance(rng, m, n, 4)

@@ -173,6 +173,52 @@ def test_equality_is_by_field_and_by_class():
     assert len({plane, Hyperplane((1, -2), 3), Hyperplane((2, 1), 3)}) == 2
 
 
+#: Records that only store their fields: they take Record's constructor.
+PLAIN = {
+    HandledPlane, CertificateEntry, Certificate, CapSelection, StrategyParams, BlockSchedule,
+    ResonanceEntry, GameState,
+}
+
+
+@pytest.mark.parametrize(
+    "record", [r for r, _ in _records() if type(r) in PLAIN], ids=lambda r: type(r).__name__
+)
+def test_plain_records_are_built_by_position_or_by_name(record):
+    cls = type(record)
+    assert "__init__" not in cls.__dict__
+    values = [getattr(record, name) for name in cls.__slots__]
+    by_name = dict(zip(cls.__slots__, values))
+    assert cls(*values) == cls(**by_name) == cls(*values[:1], **dict(list(by_name.items())[1:]))
+    assert cls(**dict(reversed(by_name.items()))) == record  # keyword order is free
+
+
+class Pair(Record, frozen=True):
+    __slots__ = ("left", "right")
+
+
+@pytest.mark.parametrize("args, kwargs, match", [
+    ((1,), {}, "Pair is missing field 'right'"),
+    ((), {"left": 1}, "Pair is missing field 'right'"),
+    ((1, 2), {"middle": 3}, "Pair has no field 'middle'"),
+    ((1, 2), {"left": 3}, "Pair got field 'left' twice"),
+    ((1, 2, 3), {}, "Pair takes 2 fields, got 3"),
+])
+def test_the_base_constructor_refuses_a_wrong_field(args, kwargs, match):
+    with pytest.raises(TypeError, match=match):
+        Pair(*args, **kwargs)
+
+
+def test_a_plain_frozen_record_still_refuses_assignment():
+    pair = Pair(1, right=2)
+    assert (pair.left, pair.right) == (1, 2) and repr(pair).endswith("Pair(left=1, right=2)")
+    with pytest.raises(AttributeError, match="cannot assign to field 'left' of frozen Pair"):
+        pair.left = 3
+    plane = HandledPlane(1, Hyperplane((1, -2), 3), 0)
+    with pytest.raises(AttributeError, match="cannot assign to field 'r' of frozen HandledPlane"):
+        plane.r = 2
+    assert pair == Pair(left=1, right=2) and hash(pair) == hash((1, 2))
+
+
 def test_replace_rebuilds_through_the_constructor():
     ball = Ball((Fraction(1, 3),), Fraction(1, 4))
     assert oracles.replace(ball, radius="1/2") == Ball((Fraction(1, 3),), Fraction(1, 2))
