@@ -6,18 +6,20 @@ with the game/strategy machinery beyond the exact-arithmetic helpers, so a
 passing report is evidence, not circularity.  All minima are exact rationals
 with deterministic (value, then lexicographic argmin) tie-breaking.
 
-The scans run on ``exact.box_distances``: theta and eta are brought to one
-common denominator D, each functional is compared as an integer key, and
-the key is scaled back to a rational (by D^n, or D^p * c^q) only once the
-minimum is known.
+Theta and eta are brought to one common denominator D, each functional is
+compared as an integer key, and the key is scaled back to a rational (by
+D^n, or D^p * c^q) only once the minimum is known.  A 1x1 theta is scanned
+by ``exact.line_minimum``, a banded reduced-lattice enumeration; every
+other shape walks its box on ``exact.box_distances``.
 """
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from fractions import Fraction
 from itertools import repeat
 from operator import mul
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .exact import (
     Rat,
@@ -26,6 +28,7 @@ from .exact import (
     ceil_frac,
     floor_frac,
     int_dist,
+    line_minimum,
     over_common_denominator,
     rat,
     rat_str,
@@ -90,6 +93,8 @@ class DecayTable(Record, frozen=True):
         for a, b in zip(sizes, sizes[1:]):
             if b <= a:
                 raise ValueError("table sizes must increase")
+        if sizes[0] < 1:  # rho weighs a distance; the 1x1 scan needs it >= 1
+            raise ValueError(f"table sizes must be positive: {list(sizes)}")
         for a, b in zip(values, values[1:]):
             if b >= a:
                 raise ValueError("table values must strictly decrease")
@@ -107,6 +112,12 @@ class DecayTable(Record, frozen=True):
     def s_max(self) -> int:
         return floor_frac(1 / self.values[-1])
 
+    @property
+    def thresholds(self) -> list[int]:
+        """ceil(1/psi_i): rho(s) = sizes[i] for the largest i with
+        thresholds[i] <= s.  They do not decrease with i."""
+        return [ceil_frac(1 / v) for v in self.values]
+
     def rho_upto(self, limit: int) -> list[int]:
         """[rho(s) for s in s_min..limit], in one merge pass over the table.
 
@@ -115,7 +126,7 @@ class DecayTable(Record, frozen=True):
         """
         if limit > self.s_max:
             raise TableRangeExceeded(f"limit {limit} beyond table coverage {self.s_max}")
-        thresholds = [ceil_frac(1 / v) for v in self.values]
+        thresholds = self.thresholds
         out, i = [], 0
         for s in range(self.s_min, limit + 1):
             while i + 1 < len(thresholds) and thresholds[i + 1] <= s:
@@ -204,7 +215,7 @@ def _powers(e: int) -> Callable[[Iterable[int]], Iterable[int]]:
     return lambda sizes: sizes if e == 1 else map(pow, sizes, repeat(e))
 
 
-def _scan_min(
+def _box_min(
     theta: ThetaMatrix,
     eta: Sequence[Fraction],
     limit: int,
@@ -212,7 +223,8 @@ def _scan_min(
     weights: Callable[[Iterable[int]], Iterable[int]],
     s_floor: int = 1,
 ) -> tuple[int, int, tuple[int, ...]]:
-    """Exact min of (D r(x))^power * w(s) over s_floor <= s <= limit.
+    """Exact min of (D r(x))^power * w(s) over s_floor <= s <= limit, by a
+    walk of the whole box.
 
     r(x) = max_j || sum_i theta[i][j] x_i  -  eta[j] ||, s = max|x_i|, and
     D is the common denominator of theta and eta, so every key is an
@@ -222,8 +234,6 @@ def _scan_min(
     lex-smallest x.
     """
     m, n = theta.shape
-    if len(eta) != n:
-        raise ValueError(f"eta has dimension {len(eta)}, expected {n}")
     den, ints = over_common_denominator([x for row in theta.rows for x in row] + list(eta))
     coeffs = [ints[i * n:(i + 1) * n] for i in range(m)]
     offsets = [-v for v in ints[m * n:]]
@@ -249,6 +259,43 @@ def _scan_min(
     return best[0], den, best[1]
 
 
+def _table_rho(table: DecayTable) -> Callable[[int], int]:
+    """s -> rho(s) for s in the table's window, by bisection over its
+    thresholds."""
+    thresholds, sizes = table.thresholds, table.sizes
+    return lambda s: sizes[bisect_right(thresholds, s) - 1]
+
+
+def _scan_min(
+    theta: ThetaMatrix,
+    eta: Sequence[Fraction],
+    limit: int,
+    power: int,
+    weight: Union[int, DecayTable],
+) -> tuple[int, int, tuple[int, ...]]:
+    """``_box_min``'s result for a size weight given as an exponent q
+    (w(s) = s^q) or as a DecayTable (w(s) = rho(s), over its window).
+
+    A 1x1 theta goes to ``exact.line_minimum``, whose work grows with
+    log(limit); every other shape walks the box.
+    """
+    if len(eta) != theta.n:
+        raise ValueError(f"eta has dimension {len(eta)}, expected {theta.n}")
+    table = weight if isinstance(weight, DecayTable) else None
+    s_floor = table.s_min if table else 1
+    if theta.shape == (1, 1):
+        den, (a, e) = over_common_denominator([theta.rows[0][0], eta[0]])
+        w = _table_rho(table) if table else (lambda s: s**weight)
+        key, x = line_minimum(a, e, den, limit, power, w, s_floor)
+        return key, den, (x,)
+    if table:
+        rho = [0] * s_floor + table.rho_upto(limit)  # indexed by size
+        weights = lambda sizes: map(rho.__getitem__, sizes)
+    else:
+        weights = _powers(weight)
+    return _box_min(theta, eta, limit, power, weights, s_floor)
+
+
 def theorem1_constant(
     theta: ThetaMatrix, eta: Sequence, limit: int
 ) -> BadnessReport:
@@ -261,7 +308,7 @@ def theorem1_constant(
     if limit < 1:
         raise ValueError("limit must be >= 1")
     m, n = theta.shape
-    key, den, argmin = _scan_min(theta, eta_v, limit, n, _powers(m))
+    key, den, argmin = _scan_min(theta, eta_v, limit, n, m)
     return BadnessReport(
         functional="product",
         value=Fraction(key, den**n),
@@ -288,7 +335,7 @@ def jarnik_constant(
         raise ValueError("limit must be >= 1")
     if isinstance(psi, PowerLaw):
         p, q, c = psi.sigma_num, psi.sigma_den, psi.c
-        key, den, argmin = _scan_min(theta, eta_v, limit, p, _powers(q))
+        key, den, argmin = _scan_min(theta, eta_v, limit, p, q)
         value = Fraction(key * c.numerator**q, den**p * c.denominator**q)
         extras = {"psi": psi.to_jsonable(), "normal_form_power": p}
     elif isinstance(psi, DecayTable):
@@ -297,10 +344,7 @@ def jarnik_constant(
                 f"limit {limit} outside table coverage "
                 f"[{psi.s_min}, {psi.s_max}]"
             )
-        rho = [0] * psi.s_min + psi.rho_upto(limit)  # indexed by size
-        key, den, argmin = _scan_min(
-            theta, eta_v, limit, 1, lambda sizes: map(rho.__getitem__, sizes), psi.s_min
-        )
+        key, den, argmin = _scan_min(theta, eta_v, limit, 1, psi)
         value = Fraction(key, den)
         extras = {
             "psi": psi.to_jsonable(),

@@ -114,14 +114,18 @@ def _build_sequence(args) -> ResonanceSequence:
     return lacunary_normalize(records, rat(args.lacunarity))
 
 
-def _make_adversary(name: str, seq: ResonanceSequence, seed: int):
-    if name == "concentric":
-        return concentric
-    if name == "random":
-        return RandomBlack(seed=seed)
-    if name == "greedy":
-        return GreedyBlack(seq)
-    raise ValueError(f"unknown adversary {name!r}")
+#: Black policies by name: each builds one from the family and a seed.
+_ADVERSARIES = {
+    "concentric": lambda seq, seed: concentric,
+    "random": lambda seq, seed: RandomBlack(seed=seed),
+    "greedy": lambda seq, seed: GreedyBlack(seq),
+}
+
+
+def _adversary_factory(name: str):
+    if name not in _ADVERSARIES:
+        raise ValueError(f"unknown adversary {name!r}")
+    return _ADVERSARIES[name]
 
 
 def _load_script(script: Optional[str]) -> Scripted:
@@ -143,7 +147,7 @@ def cmd_play(args) -> int:
     seq = _build_sequence(args)
     center = _parse_eta(args.center) if args.center else None
     black = (_load_script(args.script) if args.adversary == "scripted"
-             else _make_adversary(args.adversary, seq, args.seed))
+             else _adversary_factory(args.adversary)(seq, args.seed))
     trace, cert, white, sched = run_constructed_game(
         seq,
         rat(args.alpha),
@@ -304,6 +308,10 @@ def cmd_sweep(args) -> int:
     betas = [b.strip() for b in args.betas.split(",")]
     adversaries = [a.strip() for a in args.adversaries.split(",")]
     seeds = [int(s) for s in args.seeds.split(",")]
+    # the whole grid is checked before the first game is played
+    values = {text: rat(text) for text in alphas + betas}
+    lacunarity, rho0 = rat(args.lacunarity), rat(args.rho0)
+    factories = {adv: _adversary_factory(adv) for adv in adversaries}
     out = _out_dir(args)
     rows = []
     failures = 0
@@ -323,10 +331,10 @@ def cmd_sweep(args) -> int:
                         "families": "",
                     }
                     try:
-                        black = _make_adversary(adv, seq, seed)
+                        black = factories[adv](seq, seed)
                         trace, cert, _, _ = run_constructed_game(
-                            seq, rat(a), rat(b), rat(args.lacunarity),
-                            rat(args.rho0), args.blocks, black, seed=seed,
+                            seq, values[a], values[b], lacunarity, rho0,
+                            args.blocks, black, seed=seed,
                         )
                         row["status"] = "certified"
                         row["final_radius"] = rat_str(trace.final_ball.radius)
@@ -358,6 +366,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def command(name, summary):
+        # no abbreviations: a prefix of one option (--seed) could land on another (--seeds)
+        return sub.add_parser(name, help=summary, allow_abbrev=False)
+
     def common(p):
         p.add_argument("--out", default=None, help="output directory (or $BADAPPROX_OUT)")
 
@@ -370,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--resonance", default=None,
                            help="pre-built resonance-family JSON (overrides --theta)")
 
-    p = sub.add_parser("play", help="run the constructing game end to end")
+    p = command("play", "run the constructing game end to end")
     common(p)
     p.add_argument("--seed", type=int, default=0)
     theta_source(p)
@@ -380,12 +392,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho0", default="1/2")
     p.add_argument("--center", default=None, help="initial center, e.g. '0,1/2'")
     p.add_argument("--blocks", type=int, required=True)
-    p.add_argument("--adversary", default="greedy",
-                   choices=["concentric", "random", "greedy", "scripted"])
+    p.add_argument("--adversary", default="greedy", choices=[*_ADVERSARIES, "scripted"])
     p.add_argument("--script", default=None, help="centers JSON for the scripted adversary")
     p.set_defaults(func=cmd_play)
 
-    p = sub.add_parser("certify", help="independent badness report for a shift")
+    p = command("certify", "independent badness report for a shift")
     common(p)
     p.add_argument("--theta", default="golden")
     p.add_argument("--eta", required=True, help="shift, e.g. '3/5,1/7'")
@@ -399,21 +410,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rmax", type=int, default=None, help="family cutoff (margin functional)")
     p.set_defaults(func=cmd_certify)
 
-    p = sub.add_parser("psi", help="approximation-record table of theta")
+    p = command("psi", "approximation-record table of theta")
     common(p)
     theta_source(p, with_resonance=False)
     p.add_argument("--check", type=int, default=None,
                    help="also print the exact minimum at this size")
     p.set_defaults(func=cmd_psi)
 
-    p = sub.add_parser("resonance", help="lacunary resonance family from records")
+    p = command("resonance", "lacunary resonance family from records")
     common(p)
     theta_source(p, with_resonance=False)
     p.add_argument("--lacunarity", "-M", default="3")
     p.set_defaults(func=cmd_resonance)
 
-    # no abbreviations: a prefix such as --seed would land on --seeds
-    p = sub.add_parser("sweep", help="grid of runs -> CSV", allow_abbrev=False)
+    p = command("sweep", "grid of runs -> CSV")
     common(p)
     theta_source(p)
     p.add_argument("--alphas", required=True, help="comma list, e.g. '1/4,1/3'")

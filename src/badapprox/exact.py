@@ -9,7 +9,9 @@ rounded outward at every step, so a decision taken on the bracket is exact.
 The brute-force scans of ``certify`` and ``resonance`` share one integer
 kernel, ``box_distances``: every rational input is brought to a common
 denominator D, so ``||v / D|| = min(v mod D, D - v mod D) / D`` and all
-comparisons are between integers.
+comparisons are between integers.  A scan in one variable is served by
+``line_minimum`` instead, which lists only the points of a plane lattice
+that can hold the minimum.
 """
 from __future__ import annotations
 
@@ -20,7 +22,7 @@ import re
 import sys
 from fractions import Fraction
 from operator import mod, sub
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Callable, Iterable, Iterator, Sequence, Union
 
 Rat = Union[int, Fraction]
 
@@ -394,3 +396,142 @@ def box_distances(
                 forms.append(map(abs, map(sub, vals, itertools.repeat(h))))
             yield head, lo, list(forms[0] if len(forms) == 1 else map(max, *forms))
             lo += count
+
+
+def iroot(n: int, k: int) -> int:
+    """floor(n^(1/k)) for integers n >= 0 and k >= 1, by integer Newton
+    steps from 2^ceil(bits/k), which is at least the root."""
+    if k == 1 or n < 2:
+        return n
+    if k == 2:
+        return math.isqrt(n)
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
+def _gauss_reduce(
+    basis: tuple[tuple[int, int], tuple[int, int]], wx: int, wu: int
+) -> tuple[tuple[int, int], tuple[int, int]]:
+    """Lagrange-Gauss reduction of a basis of a plane lattice in the norm
+    wx * x^2 + wu * u^2.  Returns (short, long) with short a shortest
+    nonzero vector and det(short, long) > 0."""
+    (x1, u1), (x2, u2) = basis
+    n1, n2 = x1 * x1 * wx + u1 * u1 * wu, x2 * x2 * wx + u2 * u2 * wu
+    if n2 < n1:
+        x1, u1, n1, x2, u2, n2 = x2, u2, n2, x1, u1, n1
+    while True:
+        mu = (2 * (x1 * x2 * wx + u1 * u2 * wu) + n1) // (2 * n1)  # nearest integer
+        if mu:
+            x2, u2 = x2 - mu * x1, u2 - mu * u1
+            n2 = x2 * x2 * wx + u2 * u2 * wu
+        if n2 >= n1:
+            break
+        x1, u1, n1, x2, u2, n2 = x2, u2, n2, x1, u1, n1
+    if x1 * u2 - x2 * u1 < 0:
+        x2, u2 = -x2, -u2
+    return (x1, u1), (x2, u2)
+
+
+def _span(lo: int, hi: int, step: int):
+    """The integers k with lo <= k * step <= hi, as (first, last), empty when
+    first > last.  For a zero step every k qualifies or none does: None or
+    (1, 0)."""
+    if step > 0:
+        return -(-lo // step), hi // step
+    if step < 0:
+        return -(-hi // step), lo // step
+    return None if lo <= 0 <= hi else (1, 0)
+
+
+def lattice_box(
+    short: tuple[int, int],
+    long: tuple[int, int],
+    xlo: int, xhi: int, ulo: int, uhi: int,
+) -> Iterator[tuple[int, int]]:
+    """Every point k1 * short + k2 * long of the lattice in the box
+    [xlo, xhi] x [ulo, uhi], for a basis with det(short, long) > 0.
+
+    By Cramer's rule k2 = det(short, P) / det, a linear form of P, so its
+    range over the box is set by the corners: one row per k2, and on each
+    row the interval of k1 that keeps both coordinates in the box.
+    """
+    (x1, u1), (x2, u2) = short, long
+    det = x1 * u2 - x2 * u1
+    corners = [x1 * u - u1 * x for x in (xlo, xhi) for u in (ulo, uhi)]
+    for k2 in range(-(-min(corners) // det), max(corners) // det + 1):
+        x0, u0 = k2 * x2, k2 * u2
+        spans = [s for s in (_span(xlo - x0, xhi - x0, x1), _span(ulo - u0, uhi - u0, u1))
+                 if s is not None]  # short is not zero, so one span at least
+        for k1 in range(max(a for a, _ in spans), min(b for _, b in spans) + 1):
+            yield x0 + k1 * x1, u0 + k1 * u1
+
+
+def line_minimum(
+    a: int,
+    e: int,
+    den: int,
+    limit: int,
+    power: int,
+    weight: Callable[[int], int],
+    s_floor: int = 1,
+) -> tuple[int, int]:
+    """Exact min of (key, x) over s_floor <= |x| <= limit, where
+    key = int_dist(a x - e, den)^power * weight(|x|): the one-variable
+    scan of ``box_distances``, with the same lex tie-break (the smallest
+    signed x), at a cost that grows with log(limit) and not with limit.
+
+    ``weight`` must be a positive integer that does not decrease with |x|.
+    The pairs (x, u) with u = x a - k den form a plane lattice with basis
+    (1, a), (0, den), and the distance at x is |u - e| for the lattice
+    point whose u lies within den/2 of e.
+    - An exact hit (u = e, key 0) exists iff gcd(a, den) divides e; the
+      hits are one residue class mod den / gcd, and its smallest signed
+      member in range is the answer.
+    - Otherwise every distance is at least 1.  The sizes are taken in
+      dyadic bands lo <= |x| <= hi in increasing order.  With K the best
+      key so far, a point of the band ties or beats K only if
+      |u - e| <= V, V the largest integer with V^power * weight(lo) <= K.
+      The basis (the previous band's, to start from) is Gauss-reduced in
+      the norm that makes the band's box square, and every lattice point
+      of the box (both signs of x) is listed and keyed.  Once
+      weight(lo) > K no later point can tie K.
+    """
+    if not 1 <= s_floor <= limit:
+        raise ValueError(f"empty size range [{s_floor}, {limit}]")
+    a %= den
+    e %= den
+    g = math.gcd(a, den)
+    if e % g == 0:
+        period = den // g
+        x0 = e // g * pow(a // g, -1, period) % period
+        x = (x0 + limit) % period - limit  # smallest hit >= -limit
+        if x <= -s_floor:
+            return 0, x
+        x = (x0 - s_floor) % period + s_floor  # smallest hit >= s_floor
+        if x <= limit:
+            return 0, x
+    half = den // 2
+    basis = ((1, a), (0, den))
+    best = None
+    lo = s_floor
+    while lo <= limit:
+        hi = min(limit, (1 << lo.bit_length()) - 1)
+        w = weight(lo)
+        if best is None:
+            best = (int_dist(-a * lo - e, den) ** power * w, -lo)
+        if w > best[0]:
+            break
+        cap = best[0] // w
+        v = half if half ** power <= cap else iroot(cap, power)
+        basis = short, long = _gauss_reduce(basis, (2 * v + 1) ** 2, (hi - lo + 1) ** 2)
+        for xlo, xhi in ((-hi, -lo), (lo, hi)):
+            for x, u in lattice_box(short, long, xlo, xhi, e - v, e + v):
+                cand = (abs(u - e) ** power * weight(abs(x)), x)
+                if cand < best:
+                    best = cand
+        lo = hi + 1
+    return best

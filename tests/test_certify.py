@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from badapprox import certify
 from badapprox.certify import (
     BadnessReport,
     DecayTable,
@@ -57,6 +58,16 @@ def test_product_golden_pin(golden):
     rep = theorem1_constant(golden, [GOLDEN_ETA], 100)
     assert rep.value == GOLDEN_VALUE
     assert rep.argmin == GOLDEN_ARGMIN
+
+
+def test_product_golden_pin_at_depth(golden):
+    # 10^5 is the flagship `certify --N 100000`, which the box walk still
+    # reaches; 10^9 only the 1x1 lattice route reaches in a test
+    for limit in (10**5, 10**9):
+        rep = theorem1_constant(golden, [GOLDEN_ETA], limit)
+        assert (rep.value, rep.argmin) == (GOLDEN_VALUE, GOLDEN_ARGMIN)
+    key, den, argmin = certify._box_min(golden, [GOLDEN_ETA], 10**5, 1, certify._powers(1))
+    assert (Fraction(key, den), argmin) == (GOLDEN_VALUE, GOLDEN_ARGMIN)
 
 
 def test_product_monotone_in_limit_and_positive(golden):
@@ -236,6 +247,14 @@ def test_table_validation():
         DecayTable(sizes=(1, 2), values=(Fraction(1, 3), Fraction(1, 2)))
     with pytest.raises(ValueError):
         DecayTable(sizes=(1, 2), values=(Fraction(1, 2), Fraction(0)))
+
+
+@pytest.mark.parametrize("sizes", [(0, 2), (-3, 1)])
+def test_table_sizes_must_be_positive(sizes):
+    # rho weighs a distance: a zero or negative weight would make a key of 0
+    # (or less) that no exact hit earned
+    with pytest.raises(ValueError, match="positive"):
+        DecayTable(sizes=sizes, values=(Fraction(1, 2), Fraction(1, 3)))
 
 
 # ---------------------------------------------------------------------------

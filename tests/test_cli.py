@@ -5,6 +5,7 @@ to tmp_path, and report bytes are compared across repeat runs: the CLI
 promises that flags + seed determine every output byte.
 """
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -15,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import badapprox
+from badapprox import cli
 from badapprox.cli import main
 from badapprox.engine import GameTrace, replay
 from badapprox.exact import InvariantError, rat
@@ -234,6 +236,21 @@ def test_only_play_takes_a_seed(tmp_path, argv):
     with pytest.raises(SystemExit) as exc:
         run(tmp_path, *argv, "--seed", "3")
     assert exc.value.code == 2
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    (*GOLDEN_PLAY, "--adv", "random"),  # would run as --adversary random
+    ("certify", "--eta", "1/2", "--N", "5", "--func", "margin"),
+    ("psi", "--tm", "10"),
+    ("resonance", "--tm", "10"),
+    ("sweep", "--alphas", "1/4", "--betas", "1/2", "--blocks", "1", "--adv", "random"),
+])
+def test_no_subcommand_takes_an_abbreviated_option(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path, *argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
 
 
@@ -481,6 +498,23 @@ def test_sweep_refuses_the_scripted_adversary(tmp_path, capsys):
              "--adversaries", "scripted")
     assert rc == 2
     assert "unknown adversary 'scripted'" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("flag,grid,message", [
+    ("--adversaries", "greedy,bogus", "unknown adversary 'bogus'"),
+    ("--betas", "1/2,half", "half"),
+])
+def test_sweep_checks_its_whole_grid_before_the_first_game(tmp_path, capsys, monkeypatch,
+                                                           flag, grid, message):
+    played = []
+    monkeypatch.setattr(cli, "run_constructed_game",
+                        lambda *args, **kwargs: played.append(args))
+    argv = {"--alphas": "1/4", "--betas": "1/2", "--adversaries": "greedy", flag: grid}
+    rc = run(tmp_path, "sweep", *itertools.chain(*argv.items()), "--blocks", "1")
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert played == []  # the good cell before the bad one was not played either
     assert not (tmp_path / "sweep.csv").exists()
 
 

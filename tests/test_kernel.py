@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from badapprox import exact
+from badapprox import certify, exact
 from badapprox.certify import (
     DecayTable,
     PowerLaw,
@@ -15,7 +15,15 @@ from badapprox.certify import (
     resonance_margin,
     theorem1_constant,
 )
-from badapprox.exact import box_distances, int_dist, over_common_denominator, sup_norms
+from badapprox.exact import (
+    box_distances,
+    int_dist,
+    iroot,
+    lattice_box,
+    line_minimum,
+    over_common_denominator,
+    sup_norms,
+)
 from badapprox.geometry import nearest_int_dist
 from badapprox.resonance import (
     ThetaMatrix,
@@ -185,6 +193,181 @@ def test_resonance_margin_matches_fraction_sum():
         ]
         assert rep.value == min(dists)
         assert rep.argmin == (dists.index(min(dists)) + 1,)
+
+
+# -- the 1x1 route against the box walk ------------------------------------------
+
+
+def box_walk(theta, eta, limit, power, weight):
+    """``certify._box_min`` with the weight ``_scan_min`` takes: the 1x1 oracle."""
+    if isinstance(weight, DecayTable):
+        rho = [0] * weight.s_min + weight.rho_upto(limit)
+        return certify._box_min(theta, eta, limit, power,
+                                lambda sizes: map(rho.__getitem__, sizes), weight.s_min)
+    return certify._box_min(theta, eta, limit, power, certify._powers(weight))
+
+
+def scalar(v):
+    return ThetaMatrix(((Fraction(v),),))
+
+
+#: (p, q) for the normal form |v|^p * s^q: the product functional and the
+#: power laws sigma = p/q
+POWERS = [(1, 1), (2, 1), (1, 2), (3, 2), (2, 3)]
+
+
+def test_iroot():
+    rng = random.Random(5)
+    for k in (1, 2, 3, 5):
+        for n in [0, 1, 2, 7, 8, 9, 10**6, 2**64 - 1] + [rng.randrange(10**40) for _ in range(30)]:
+            r = iroot(n, k)
+            assert r**k <= n < (r + 1) ** k
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_lattice_box_lists_every_point_once(seed):
+    rng = random.Random(seed)
+    den = rng.randrange(2, 60)
+    a = rng.randrange(den)
+    basis = ((1, a), (0, den))
+    # any basis of the lattice will do: mix it by a unimodular matrix
+    for _ in range(3):
+        mu = rng.randrange(-4, 5)
+        basis = (basis[1], (basis[0][0] + mu * basis[1][0], basis[0][1] + mu * basis[1][1]))
+    (x1, u1), (x2, u2) = basis
+    if x1 * u2 - x2 * u1 < 0:
+        basis = (basis[0], (-x2, -u2))
+    xlo, ulo = rng.randrange(-20, 20), rng.randrange(-80, 80)
+    xhi, uhi = xlo + rng.randrange(0, 15), ulo + rng.randrange(0, 90)
+    listed = list(lattice_box(*basis, xlo, xhi, ulo, uhi))
+    expected = [(x, u) for x in range(xlo, xhi + 1) for u in range(ulo, uhi + 1)
+                if (u - a * x) % den == 0]
+    assert sorted(listed) == expected
+
+
+def test_line_minimum_refuses_an_empty_size_range():
+    with pytest.raises(ValueError):
+        line_minimum(1, 0, 7, 3, 1, lambda s: s, s_floor=4)
+
+
+@pytest.mark.parametrize("p,q", POWERS)
+def test_1x1_route_matches_box_walk_exhaustively_on_small_denominators(p, q):
+    # every theta and eta over small denominators, N = 1, 2, 3 and past D:
+    # the distances repeat with period D, so ties across signs and bands abound
+    for den in range(1, 9):
+        for a in range(den):
+            theta = scalar(Fraction(a, den))
+            for e in range(2 * den):
+                eta = [Fraction(e, 2 * den)]
+                for limit in (1, 2, 3, 2 * den + 3):
+                    assert (certify._scan_min(theta, eta, limit, p, q)
+                            == box_walk(theta, eta, limit, p, q))
+
+
+def seeded_case(rng):
+    den = rng.choice([rng.randrange(2, 1000), rng.randrange(2, 10**6),
+                      rng.randrange(2, 10**12), rng.randrange(2, 10**19), 10**19])
+    theta = Fraction(rng.randrange(den), den)
+    limit = rng.choice([rng.randrange(1, 40), rng.randrange(1, 1500)])
+    kind = rng.randrange(3)
+    if kind == 0:  # an exact hit at x0, inside or outside [-limit, limit]
+        eta = theta * (rng.randrange(-2 * limit, 2 * limit + 1) or 1) % 1
+    elif kind == 1:  # a near-hit: off a multiple of theta by a few 1/(2D)
+        x0 = rng.randrange(-2 * limit, 2 * limit + 1)
+        eta = (theta * x0 + Fraction(rng.randrange(-3, 4), 2 * den)) % 1
+    else:
+        eta = Fraction(rng.randrange(2 * den), 2 * den)
+    return scalar(theta), [eta], limit
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_1x1_route_matches_box_walk_on_seeded_cases(seed):
+    rng = random.Random(1000 + seed)
+    for _ in range(60):
+        theta, eta, limit = seeded_case(rng)
+        p, q = rng.choice(POWERS)
+        assert (certify._scan_min(theta, eta, limit, p, q)
+                == box_walk(theta, eta, limit, p, q)), (theta, eta, limit, p, q)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_1x1_route_matches_box_walk_on_table_windows(seed):
+    rng = random.Random(2000 + seed)
+    for _ in range(40):
+        theta, eta, _ = seeded_case(rng)
+        sizes = tuple(sorted(rng.sample(range(1, 60), rng.randrange(1, 5))))
+        values = sorted({Fraction(1, rng.randrange(1, 400)) for _ in sizes}, reverse=True)
+        table = DecayTable(sizes[:len(values)], values)
+        if table.s_min > table.s_max:
+            continue
+        limit = rng.randrange(table.s_min, table.s_max + 1)
+        assert (certify._scan_min(theta, eta, limit, 1, table)
+                == box_walk(theta, eta, limit, 1, table)), (theta, eta, table, limit)
+
+
+def test_1x1_exact_hits_inside_and_outside_the_range():
+    # theta = 1/97, eta = 50/97: the hits are x = 50 + 97k, i.e. -47 and 50
+    theta, eta = scalar(Fraction(1, 97)), [Fraction(50, 97)]
+    for limit, hit in ((46, None), (47, -47), (49, -47), (50, -47), (200, -144)):
+        key, _, argmin = certify._scan_min(theta, eta, limit, 1, 1)
+        assert (key == 0) == (hit is not None)
+        if hit is not None:
+            assert argmin == (hit,)  # the smallest signed hit
+        assert (key, argmin) == box_walk(theta, eta, limit, 1, 1)[::2]
+    # a table window [5, 40] hides the hits at x = -3, 4 (theta = 1/7, eta = 4/7)
+    table = DecayTable(sizes=(1, 4, 9), values=(Fraction(1, 5), Fraction(1, 12), Fraction(1, 40)))
+    theta, eta = scalar(Fraction(1, 7)), [Fraction(4, 7)]
+    for limit, hit in ((5, None), (9, None), (10, -10), (16, -10), (17, -17), (40, -38)):
+        got = certify._scan_min(theta, eta, limit, 1, table)
+        assert got == box_walk(theta, eta, limit, 1, table)
+        assert (got[0] == 0) == (hit is not None)
+        if hit is not None:
+            assert got[2] == (hit,)
+
+
+def test_1x1_ties_go_to_the_smallest_signed_x():
+    # theta = 1/2, eta = 1/4: every x has distance 1/4, so the weight decides
+    theta, eta = scalar(Fraction(1, 2)), [Fraction(1, 4)]
+    for p, q in POWERS:
+        assert certify._scan_min(theta, eta, 9, p, q)[2] == (-1,)  # x = -1 ties x = 1
+    # rho = 3 on sizes 5..39 and 4 at 40: the tie spans six bands and both
+    # signs, and goes to the most negative x
+    table = DecayTable(sizes=(3, 4), values=(Fraction(1, 5), Fraction(1, 40)))
+    for limit in (5, 39, 40):
+        got = certify._scan_min(theta, eta, limit, 1, table)
+        assert got == box_walk(theta, eta, limit, 1, table)
+        assert got[2] == (-min(limit, 39),)
+
+
+def test_1x1_large_denominators_and_a_huge_partial_quotient():
+    # theta = 1/1000003: its second convergent denominator is 10^6 + 3
+    theta = scalar(Fraction(1, 1000003))
+    for eta in ([Fraction(1, 3)], [Fraction(7, 2000006)], [Fraction(500001, 1000003)]):
+        assert certify._scan_min(theta, eta, 1500, 1, 1) == box_walk(theta, eta, 1500, 1, 1)
+    assert 0 < theorem1_constant(theta, [Fraction(1, 3)], 10**9).value
+    # the hits x = 500001 + 1000003 k lie outside [-1500, 1500] but not [-10^9, 10^9]
+    far = theorem1_constant(theta, [Fraction(500001, 1000003)], 10**9)
+    assert (far.value, far.argmin) == (0, (500001 - 1000 * 1000003,))
+    den = 10**19 + 7
+    rng = random.Random(19)
+    for _ in range(6):
+        theta = scalar(Fraction(rng.randrange(den), den))
+        eta = [Fraction(rng.randrange(den), den)]
+        for p, q in POWERS:
+            assert (certify._scan_min(theta, eta, 1200, p, q)
+                    == box_walk(theta, eta, 1200, p, q))
+
+
+def test_1x1_table_route_builds_no_rho_list(monkeypatch):
+    table = DecayTable(sizes=(1, 4, 9), values=(Fraction(1, 5), Fraction(1, 12), Fraction(1, 40)))
+    expected = jarnik_constant(scalar(Fraction(2, 7)), [Fraction(1, 3)], table, 40)
+
+    def refuse(self, limit):
+        raise AssertionError("rho_upto called on the 1x1 route")
+
+    monkeypatch.setattr(DecayTable, "rho_upto", refuse)
+    got = jarnik_constant(scalar(Fraction(2, 7)), [Fraction(1, 3)], table, 40)
+    assert got.to_jsonable() == expected.to_jsonable()
 
 
 # -- resonance against the oracle ----------------------------------------------

@@ -1,5 +1,6 @@
 """Block-schedule execution and trace-based certification, end to end."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -220,3 +221,21 @@ def test_strategy_note_after_schedule(golden_seq):
     )
     tail_notes = [m.note for m in tr.moves if m.player == "W"][-2:]
     assert tail_notes == ["schedule complete", "schedule complete"]
+
+
+def test_white_wins_against_every_black_on_the_flagship_grid(golden_seq):
+    # Black picks each of its 6 steps (2 blocks) from {-(1 - beta), 0, 1 - beta}:
+    # all 3^6 games are played from scratch, and every one must certify with
+    # every family's residual lower bound above epsilon
+    grid = (-(1 - B), Fraction(0), 1 - B)
+    worst = None
+    for choices in itertools.product(grid, repeat=6):
+        steps = iter(choices)
+        trace, cert, _, sched = run_constructed_game(
+            golden_seq, A, B, M, RHO0, 2, lambda state: ((next(steps),), None)
+        )
+        assert next(steps, None) is None  # Black played every step
+        low = min(e.residual_lb for e in cert.entries)
+        worst = low if worst is None else min(worst, low)
+        assert cert.covered_through == 5
+    assert worst > sched.params.margin
