@@ -8,32 +8,33 @@ with deterministic (value, then lexicographic argmin) tie-breaking.
 
 Theta and eta are brought to one common denominator D, each functional is
 compared as an integer key, and the key is scaled back to a rational (by
-D^n, or D^p * c^q) only once the minimum is known.  A 1x1 theta is scanned
-by ``exact.line_minimum``, a banded reduced-lattice enumeration; every
-other shape walks its box on ``exact.box_distances``.
+D^n, or D^p * c^q) only once the minimum is known.  No scan walks its box
+point by point: the sizes go in dyadic bands, and each band lists only the
+points of the lattice {(x, u) : u = A x mod D} whose distances could tie or
+beat the best key so far.  A 1x1 theta is scanned by ``exact.line_minimum``
+on a plane lattice; every other shape by ``_lattice_min`` on
+``exact.box_points``.
 """
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
 from fractions import Fraction
-from itertools import repeat
-from operator import mul
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from .exact import (
     Rat,
     Record,
-    box_distances,
+    box_points,
     ceil_frac,
     floor_frac,
     int_dist,
+    iroot,
     line_minimum,
     over_common_denominator,
     rat,
     rat_str,
     rat_vec,
-    sup_norms,
 )
 from .resonance import EmptySequence, ResonanceSequence, ThetaMatrix
 
@@ -210,60 +211,73 @@ def _surrogate_warnings(theta: ThetaMatrix, limit: int) -> list[str]:
     return []
 
 
-def _powers(e: int) -> Callable[[Iterable[int]], Iterable[int]]:
-    """Size weights s -> s^e, applied to a stream of sizes."""
-    return lambda sizes: sizes if e == 1 else map(pow, sizes, repeat(e))
-
-
-def _box_min(
-    theta: ThetaMatrix,
-    eta: Sequence[Fraction],
-    limit: int,
-    power: int,
-    weights: Callable[[Iterable[int]], Iterable[int]],
-    s_floor: int = 1,
-) -> tuple[int, int, tuple[int, ...]]:
-    """Exact min of (D r(x))^power * w(s) over s_floor <= s <= limit, by a
-    walk of the whole box.
-
-    r(x) = max_j || sum_i theta[i][j] x_i  -  eta[j] ||, s = max|x_i|, and
-    D is the common denominator of theta and eta, so every key is an
-    integer; ``weights`` maps a stream of sizes s to their integer weights
-    w(s).  Returns (key, D, argmin).  The box is walked in lex order and a
-    later point wins only with a strictly smaller key, so ties go to the
-    lex-smallest x.
-    """
-    m, n = theta.shape
-    den, ints = over_common_denominator([x for row in theta.rows for x in row] + list(eta))
-    coeffs = [ints[i * n:(i + 1) * n] for i in range(m)]
-    offsets = [-v for v in ints[m * n:]]
-    best: Optional[tuple[int, tuple[int, ...]]] = None
-    for head, lo, nums in box_distances(coeffs, offsets, den, limit):
-        head_norm = max(map(abs, head), default=0)
-        hi = lo + len(nums)
-        if head_norm >= s_floor:
-            spans = [(lo, hi)]
-        else:  # sizes below s_floor sit in the middle of the row
-            spans = [(lo, min(hi, 1 - s_floor)), (max(lo, s_floor), hi)]
-        for a, b in spans:
-            if a >= b:
-                continue
-            part = nums[a - lo:b - lo]
-            if power != 1:
-                part = map(pow, part, repeat(power))
-            keys = list(map(mul, part, weights(sup_norms(head_norm, a, b))))
-            low = min(keys)
-            if best is None or low < best[0]:
-                best = (low, head + (a + keys.index(low),))
-    assert best is not None
-    return best[0], den, best[1]
-
-
 def _table_rho(table: DecayTable) -> Callable[[int], int]:
     """s -> rho(s) for s in the table's window, by bisection over its
     thresholds."""
     thresholds, sizes = table.thresholds, table.sizes
     return lambda s: sizes[bisect_right(thresholds, s) - 1]
+
+
+def _lattice_min(
+    coeffs: Sequence[Sequence[int]],
+    offsets: Sequence[int],
+    den: int,
+    limit: int,
+    power: int,
+    weight: Callable[[int], int],
+    s_floor: int,
+) -> tuple[int, tuple[int, ...]]:
+    """Exact min of (key, x) over s_floor <= s <= limit, s = max|x_i|, where
+    key = (max_j int_dist(sum_i coeffs[i][j] x_i - offsets[j], den))^power
+    * weight(s), ties going to the lex-smallest x (a walk of the box in lex
+    order keeps the first minimum).
+
+    ``weight`` must be a positive integer that does not decrease with s.
+    The pairs (x, u) with u = A x mod den, A = coeffs, form an
+    (m + n)-dimensional lattice, and the distance of form j at x is
+    |u_j - e_j| for the representative u_j within den/2 of e_j.  The sizes
+    go in dyadic bands lo <= s <= hi, in increasing order.  With K the best
+    key so far, a point of the band ties or beats K only if every
+    |u_j - e_j| <= V, V the largest integer with V^power * weight(lo) <= K
+    (at most den // 2), and ``exact.box_points`` lists every lattice point
+    of the box [-hi, hi]^m x [e - V, e + V]^n, its basis reduced from the
+    previous band's.  Before the first key, V starts where the box holds
+    about one lattice point (volume den^n) and doubles until the band holds
+    one; the band is then listed at the V of its key, so a size window that
+    starts far out does not list a share of its box.  The search never
+    stops early: once weight(lo) > K,
+    or K = 0, V is 0 and the later bands list only the exact hits, so the
+    lex-smallest hit anywhere in range still wins.
+    """
+    m, n = len(coeffs), len(offsets)
+    e = [v % den for v in offsets]
+    basis = [[int(i == h) for h in range(m)] + list(row) for i, row in enumerate(coeffs)]
+    basis += [[0] * m + [den * (j == h) for h in range(n)] for j in range(n)]
+    half = den // 2
+
+    def bound(key: int) -> int:  # the V of a band starting at lo, for the best key
+        cap = key // weight(lo)
+        return half if half**power <= cap else iroot(cap, power)
+
+    best = None
+    lo = s_floor
+    while lo <= limit:
+        hi = min(limit, (1 << lo.bit_length()) - 1)
+        v = bound(best[0]) if best else min(half, iroot(den**n // (2 * hi + 1) ** m, n) // 2)
+        while True:
+            basis, points = box_points(basis, [0] * m + e, [hi] * m + [v] * n)
+            for p in points:
+                x = p[:m]
+                s = max(map(abs, x))
+                if s >= lo:
+                    cand = (max(abs(u - ej) for u, ej in zip(p[m:], e)) ** power * weight(s), x)
+                    if best is None or cand < best:
+                        best = cand
+            if best and bound(best[0]) <= v:
+                break
+            v = bound(best[0]) if best else min(half, 2 * v + 1)
+        lo = hi + 1
+    return best
 
 
 def _scan_min(
@@ -273,27 +287,31 @@ def _scan_min(
     power: int,
     weight: Union[int, DecayTable],
 ) -> tuple[int, int, tuple[int, ...]]:
-    """``_box_min``'s result for a size weight given as an exponent q
-    (w(s) = s^q) or as a DecayTable (w(s) = rho(s), over its window).
+    """Exact min of (D r(x))^power * w(s) over the sizes s the weight
+    covers, s <= limit, with the argmin: (key, D, argmin).
 
-    A 1x1 theta goes to ``exact.line_minimum``, whose work grows with
-    log(limit); every other shape walks the box.
+    r(x) = max_j || sum_i theta[i][j] x_i  -  eta[j] ||, s = max|x_i|, and
+    D is the common denominator of theta and eta, so every key is an
+    integer.  The size weight is an exponent q (w(s) = s^q, s >= 1) or a
+    DecayTable (w(s) = rho(s), over its window).  Ties go to the
+    lex-smallest x.  A 1x1 theta goes to ``exact.line_minimum``, every other
+    shape to the banded lattice enumeration ``_lattice_min``; the work of
+    both grows with log(limit).
     """
     if len(eta) != theta.n:
         raise ValueError(f"eta has dimension {len(eta)}, expected {theta.n}")
     table = weight if isinstance(weight, DecayTable) else None
     s_floor = table.s_min if table else 1
+    w = _table_rho(table) if table else (lambda s: s**weight)
     if theta.shape == (1, 1):
         den, (a, e) = over_common_denominator([theta.rows[0][0], eta[0]])
-        w = _table_rho(table) if table else (lambda s: s**weight)
         key, x = line_minimum(a, e, den, limit, power, w, s_floor)
         return key, den, (x,)
-    if table:
-        rho = [0] * s_floor + table.rho_upto(limit)  # indexed by size
-        weights = lambda sizes: map(rho.__getitem__, sizes)
-    else:
-        weights = _powers(weight)
-    return _box_min(theta, eta, limit, power, weights, s_floor)
+    m, n = theta.shape
+    den, ints = over_common_denominator([x for row in theta.rows for x in row] + list(eta))
+    coeffs = [ints[i * n:(i + 1) * n] for i in range(m)]
+    key, argmin = _lattice_min(coeffs, ints[m * n:], den, limit, power, w, s_floor)
+    return key, den, argmin
 
 
 def theorem1_constant(

@@ -49,7 +49,7 @@ from .resonance import (
     psi_theta,
     records_and_psi_steps,
 )
-from .schedule import ScheduleInfeasible
+from .schedule import ScheduleInfeasible, check_ranges
 from .strategy import CertificateFailed, run_constructed_game
 
 _RUNTIME_ERRORS = (
@@ -311,6 +311,11 @@ def cmd_sweep(args) -> int:
     # the whole grid is checked before the first game is played
     values = {text: rat(text) for text in alphas + betas}
     lacunarity, rho0 = rat(args.lacunarity), rat(args.rho0)
+    for a in alphas:
+        for b in betas:
+            check_ranges(values[a], values[b], lacunarity)
+    if rho0 <= 0:
+        raise ValueError("rho0 must be positive")
     factories = {adv: _adversary_factory(adv) for adv in adversaries}
     out = _out_dir(args)
     rows = []

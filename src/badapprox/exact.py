@@ -6,12 +6,14 @@ point.  Where a constant is irrational (the square roots, arcsines and pi of
 the spherical-cap measure) it is bracketed by integers scaled by 2^prec,
 rounded outward at every step, so a decision taken on the bracket is exact.
 
-The brute-force scans of ``certify`` and ``resonance`` share one integer
-kernel, ``box_distances``: every rational input is brought to a common
-denominator D, so ``||v / D|| = min(v mod D, D - v mod D) / D`` and all
-comparisons are between integers.  A scan in one variable is served by
-``line_minimum`` instead, which lists only the points of a plane lattice
-that can hold the minimum.
+The exhaustive scans of ``certify`` and ``resonance`` bring every rational
+input to a common denominator D, so ``||v / D|| = min(v mod D, D - v mod D) / D``
+and all comparisons are between integers.  None of them walks its box point
+by point: they list only the points of an integer lattice that can hold a
+minimum or a record.  A scan in one variable uses ``line_minimum`` on a
+plane lattice; every other shape uses the k-dimensional kernel,
+``lll_reduce`` (Cohen's integral LLL) and ``box_points`` (Fincke-Pohst
+enumeration of the lattice points of an axis box).
 """
 from __future__ import annotations
 
@@ -21,7 +23,6 @@ import math
 import re
 import sys
 from fractions import Fraction
-from operator import mod, sub
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
 Rat = Union[int, Fraction]
@@ -322,9 +323,6 @@ def floor_frac(x: Rat) -> int:
 
 # -- integer lattice kernel --------------------------------------------------
 
-#: Most points one chunk of ``box_distances`` holds; bounds its memory.
-CHUNK = 4096
-
 
 def over_common_denominator(values: Sequence[Rat]) -> tuple[int, list[int]]:
     """(D, [v * D for v in values]) with D the least common denominator of
@@ -337,65 +335,6 @@ def int_dist(v: int, den: int) -> int:
     """Numerator of ||v / den|| over den: min(v mod den, den - v mod den)."""
     v %= den
     return min(v, den - v)
-
-
-def sup_norms(head_norm: int, lo: int, hi: int) -> Iterator[int]:
-    """max(head_norm, |x|) for x = lo, ..., hi - 1, as C-level ranges."""
-    return itertools.chain(
-        range(-lo, -min(hi, -head_norm), -1),
-        itertools.repeat(head_norm, max(0, min(hi, head_norm + 1) - max(lo, -head_norm))),
-        range(max(lo, head_norm + 1), hi),
-    )
-
-
-def box_distances(
-    coeffs: Sequence[Sequence[int]],
-    offsets: Sequence[int],
-    den: int,
-    limit: int,
-    half: bool = False,
-) -> Iterator[tuple[tuple[int, ...], int, list[int]]]:
-    """Walk the integer box [-limit, limit]^k in lex order, a chunk at a time.
-
-    Form f at the point x is ``offsets[f] + sum_i coeffs[i][f] * x_i`` over
-    the denominator ``den``.  Yields ``(head, lo, nums)``: head is
-    (x_1, ..., x_{k-1}), and nums[j] is the numerator over den of
-    max_f ||form_f|| at the point head + (lo + j,), i.e. the largest
-    ``int_dist`` of the forms.  Chunks hold at most CHUNK consecutive
-    points of one innermost row.  With ``half`` only the points after the
-    origin in lex order are walked: those whose first nonzero entry is
-    positive, one of each +/- pair.
-
-    Along a row each form is the progression ``(b + a * x) mod den``; it is
-    shifted by h = den // 2 so that the distance is ``|v - h|`` with
-    v = (b + h + a * x) mod den, and every pass is a C-level ``map``.
-    """
-    k = len(coeffs)
-    h = den // 2
-    steps = [c % den for c in coeffs[-1]]
-    heads: Iterator[tuple[int, ...]] = itertools.product(
-        range(-limit, limit + 1), repeat=k - 1
-    )
-    if half:  # the zero head sits in the middle of the product
-        heads = itertools.islice(heads, ((2 * limit + 1) ** (k - 1) - 1) // 2, None)
-    for head in heads:
-        base = [
-            off + h + sum(row[f] * x for row, x in zip(coeffs, head))
-            for f, off in enumerate(offsets)
-        ]
-        lo = 1 if half and not any(head) else -limit
-        while lo <= limit:
-            count = min(CHUNK, limit + 1 - lo)
-            forms = []
-            for b, a in zip(base, steps):
-                b = (b + a * lo) % den
-                vals = (
-                    map(mod, range(b, b + a * count, a), itertools.repeat(den))
-                    if a else itertools.repeat(b, count)
-                )
-                forms.append(map(abs, map(sub, vals, itertools.repeat(h))))
-            yield head, lo, list(forms[0] if len(forms) == 1 else map(max, *forms))
-            lo += count
 
 
 def iroot(n: int, k: int) -> int:
@@ -480,9 +419,9 @@ def line_minimum(
     s_floor: int = 1,
 ) -> tuple[int, int]:
     """Exact min of (key, x) over s_floor <= |x| <= limit, where
-    key = int_dist(a x - e, den)^power * weight(|x|): the one-variable
-    scan of ``box_distances``, with the same lex tie-break (the smallest
-    signed x), at a cost that grows with log(limit) and not with limit.
+    key = int_dist(a x - e, den)^power * weight(|x|), ties going to the
+    smallest signed x (a walk of the line in increasing x keeps the first
+    minimum), at a cost that grows with log(limit) and not with limit.
 
     ``weight`` must be a positive integer that does not decrease with |x|.
     The pairs (x, u) with u = x a - k den form a plane lattice with basis
@@ -535,3 +474,128 @@ def line_minimum(
                     best = cand
         lo = hi + 1
     return best
+
+
+def lll_reduce(
+    rows: Sequence[Sequence[int]],
+) -> tuple[list[list[int]], list[int], list[list[int]]]:
+    """LLL-reduce a basis of k linearly independent integer vectors, with
+    delta = 3/4, in integers only: Cohen's integral LLL (A Course in
+    Computational Algebraic Number Theory, Alg. 2.6.7).
+
+    Returns (basis, d, lam) for the reduced basis b_0..b_(k-1), with b*_i its
+    Gram-Schmidt vectors: d[i] = |b*_0|^2 ... |b*_(i-1)|^2, the Gram
+    determinant of the first i vectors (d[0] = 1), and lam[i][j] =
+    d[j+1] * mu_ij for j < i, where mu_ij = <b_i, b*_j> / |b*_j|^2.  The
+    basis is size-reduced, |2 lam[i][j]| <= d[j+1], and meets the Lovasz
+    condition 4 d[i+1] d[i-1] >= 3 d[i]^2 - 4 lam[i][i-1]^2.  Every division
+    below is exact.
+    """
+    b = [list(r) for r in rows]
+    k = len(b)
+    d = [1] + [0] * k
+    lam = [[0] * k for _ in range(k)]
+
+    def reduce(i: int, j: int) -> None:  # size-reduce b_i against b_j
+        dj = d[j + 1]
+        if 2 * abs(lam[i][j]) > dj:
+            q = (2 * lam[i][j] + dj) // (2 * dj)  # the nearest integer to mu_ij
+            b[i] = [x - q * y for x, y in zip(b[i], b[j])]
+            lam[i][j] -= q * dj
+            for h in range(j):
+                lam[i][h] -= q * lam[j][h]
+
+    def swap(i: int) -> None:  # exchange b_(i-1) and b_i
+        b[i - 1], b[i] = b[i], b[i - 1]
+        for h in range(i - 1):
+            lam[i - 1][h], lam[i][h] = lam[i][h], lam[i - 1][h]
+        mu = lam[i][i - 1]
+        new = (d[i - 1] * d[i + 1] + mu * mu) // d[i]
+        for h in range(i + 1, top + 1):
+            t = lam[h][i]
+            lam[h][i] = (d[i + 1] * lam[h][i - 1] - mu * t) // d[i]
+            lam[h][i - 1] = (new * t + mu * lam[h][i]) // d[i + 1]
+        d[i] = new
+
+    top = -1  # the last vector whose Gram-Schmidt data is known
+    i = 0
+    while i < k:
+        if i > top:
+            top = i
+            for j in range(i + 1):
+                u = sum(map(int.__mul__, b[i], b[j]))
+                for h in range(j):
+                    u = (d[h + 1] * u - lam[i][h] * lam[j][h]) // d[h]
+                if j < i:
+                    lam[i][j] = u
+                else:
+                    d[i + 1] = u
+            if not d[i + 1]:
+                raise ValueError("lll_reduce needs linearly independent rows")
+        if i == 0:
+            i = 1
+            continue
+        reduce(i, i - 1)
+        if 4 * d[i + 1] * d[i - 1] < 3 * d[i] * d[i] - 4 * lam[i][i - 1] ** 2:
+            swap(i)
+            i = max(1, i - 1)
+        else:
+            for j in range(i - 2, -1, -1):
+                reduce(i, j)
+            i += 1
+    return b, d, lam
+
+
+def box_points(
+    basis: Sequence[Sequence[int]], center: Sequence[int], half: Sequence[int]
+) -> tuple[list[list[int]], list[tuple[int, ...]]]:
+    """Every point P of the full-rank lattice spanned by ``basis`` with
+    |P_l - center_l| <= half_l for each coordinate l, each listed once.
+    Returns (basis, points), the basis LLL-reduced for this box, so that a
+    box of a similar shape can start from it.
+
+    Coordinate l is scaled by s_l = max(half) // half_l (2 max(half) + 1 for
+    a flat side), which makes the box close to a cube, and the basis is
+    reduced in the scaled norm (``lll_reduce``).  The scaled box lies in the
+    ball of radius^2 R = sum (s_l half_l)^2 about the scaled center t, and
+    Fincke-Pohst enumeration lists every lattice point of that ball: P - t
+    has the coordinate y_j = Y_j / d[j+1] along b*_j, Y_j = d[j+1] c_j +
+    sum_(i>j) lam[i][j] c_i - T_j with T_j = d[j] <t, b*_j>, and
+    G_j = d[j] |P - t projected off b_0..b_(j-1)|^2 is the integer
+    (d[j] G_(j+1) + Y_j^2) / d[j+1].  Choosing c_(k-1), ..., c_0 in turn,
+    c_j takes every value with Y_j^2 <= d[j] (d[j+1] R - G_(j+1)), which
+    keeps G_j <= d[j] R; the points of the ball that leave the box are
+    dropped.  Distinct coefficient vectors are distinct points, so none is
+    listed twice.  No Fraction is used.
+    """
+    k = len(center)
+    top = max(half)
+    scale = [top // h if h else 2 * top + 1 for h in half]
+    rows, d, lam = lll_reduce([[x * s for x, s in zip(row, scale)] for row in basis])
+    reduced = [[x // s for x, s in zip(row, scale)] for row in rows]
+    radius = sum((s * h) ** 2 for s, h in zip(scale, half))
+    target = [c * s for c, s in zip(center, scale)]
+    offs = []  # T_j, by the Gram-Schmidt recurrence with t in the place of b_j
+    for j in range(k):
+        u = sum(map(int.__mul__, target, rows[j]))
+        for h in range(j):
+            u = (d[h + 1] * u - lam[j][h] * offs[h]) // d[h]
+        offs.append(u)
+    points: list[tuple[int, ...]] = []
+
+    def walk(j: int, g: int, acc: list[int], point: list[int]) -> None:
+        dj, dj1 = d[j], d[j + 1]
+        r = math.isqrt(dj * (dj1 * radius - g))
+        z = offs[j] - acc[j]
+        row, lam_j = reduced[j], lam[j]
+        for c in range(-((r - z) // dj1), (z + r) // dj1 + 1):
+            y = dj1 * c - z
+            p = [a + c * x for a, x in zip(point, row)]
+            if j:
+                walk(j - 1, (dj * g + y * y) // dj1,
+                     [a + c * x for a, x in zip(acc, lam_j)], p)
+            elif all(abs(a - b) <= h for a, b, h in zip(p, center, half)):
+                points.append(tuple(p))
+
+    walk(k - 1, 0, [0] * k, [0] * k)
+    return reduced, points

@@ -7,25 +7,27 @@ nearest integer.  Records of this quality, enumerated in order of increasing
 Euclidean length, are the resonance vectors; thinning them to a lacunary
 family (consecutive size ratios pinned inside [M, M^2]) produces the input
 the avoidance strategy consumes.
+
+A 1x1 theta's records are its continued-fraction convergents.  Every other
+shape's records and psi steps are listed by banded enumeration of the
+lattice {(y, v) : v = C y mod D} (``exact.box_points``): each band lists
+only the y whose quality is below the least quality of the earlier bands.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import accumulate, chain, compress, islice, repeat, tee
-from operator import add, floordiv, lt, mod, mul
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .exact import (
     Rat,
     Record,
-    box_distances,
+    box_points,
     json_list,
     json_rat,
     over_common_denominator,
     rat,
     rat_str,
-    sup_norms,
 )
 from .geometry import nearest_int_dist
 
@@ -116,78 +118,60 @@ def _dual_forms(theta: ThetaMatrix) -> tuple[list[list[int]], int]:
 
 
 def psi_theta(theta: ThetaMatrix, t: int) -> Fraction:
-    """min over nonzero y in Z^n with max|y_j| <= t of the dual quality.
-
-    The quality is sign-symmetric, so one vector of each +/- pair is scanned.
-    """
-    if t < 1:
-        raise ValueError("t must be >= 1")
-    coeffs, den = _dual_forms(theta)
-    best: Optional[int] = None
-    for _, _, nums in box_distances(coeffs, [0] * theta.m, den, t, half=True):
-        low = min(nums)
-        if best is None or low < best:
-            best = low
-            if best == 0:
-                break
-    assert best is not None
-    return Fraction(best, den)
+    """min over nonzero y in Z^n with max|y_j| <= t of the dual quality: the
+    value of the last step of psi_steps."""
+    return psi_steps(theta, t)[-1][1]
 
 
-def _shell_records(theta: ThetaMatrix, t: int, *shells) -> tuple[list[list[tuple[int, int, int]]], int]:
-    """Strict records of the dual quality over shells in increasing order,
-    for each shell function from one walk of the box.
+def _shell_records(
+    theta: ThetaMatrix, t: int, euclidean: bool
+) -> tuple[list[tuple[int, int, tuple[int, ...]]], int]:
+    """Strict records of the dual quality over the shells of [-t, t]^n in
+    increasing order: shells of equal |y|^2 if ``euclidean``, else of equal
+    max|y_j|.  Returns ([(shell, num, y)], D): num / D is the quality of y,
+    the lex-first canonical minimizer of its shell (first nonzero entry
+    positive), and a shell's minimum is a record iff it is strictly below
+    the minimum of every earlier shell.
 
-    Scans one vector of each +/- pair in [-t, t]^n (lex order, first nonzero
-    entry positive); ``shell(head, lo, hi)`` gives the shell of each point
-    of a chunk.  A shell's minimum is a record iff it is strictly below the
-    minimum of every earlier shell.  Returns ([found per shell function], D)
-    with found = [(rank, shell, num)]: rank is the lex-first minimizer's
-    position in the scan and num/D its quality.
+    The pairs (y, v) with v = C y mod D, C the dual forms over the common
+    denominator D, form an (n + m)-dimensional lattice, and the quality of y
+    is max_i |v_i| for the representative with every |v_i| <= D/2.  The
+    shells go in bands whose norm lies in [lo, 2 lo), lo = 1, 2, 4, ...,
+    all inside the box max|y_j| <= min(t, 2 lo - 1).  With Q the least
+    quality below the band (D//2 + 1 for the first), ``exact.box_points``
+    lists every y of that box with quality below Q, both signs of each;
+    every record of the band is among them, and the shells of the
+    canonical ones are sorted by (shell, num, y).  After
+    a record of quality 0 nothing can be lower, and the search stops.
     """
     coeffs, den = _dual_forms(theta)
-    width = den // 2 + 1  # every distance numerator is at most den // 2
-    total = ((2 * t + 1) ** theta.n - 1) // 2  # points in the scan
-    keys: list[list[int]] = [[] for _ in shells]  # (shell * width + num) * total + rank
-    scanned = 0
-    for head, lo, nums in box_distances(coeffs, [0] * theta.m, den, t, half=True):
-        ranks = range(scanned, scanned + len(nums))
-        for shell, shell_keys in zip(shells, keys):
-            shell_nums = map(add, map(mul, shell(head, lo, lo + len(nums)), repeat(width)), nums)
-            shell_keys += map(add, map(mul, shell_nums, repeat(total)), ranks)
-        scanned += len(nums)
-    return [_lowered(shell_keys, width, total) for shell_keys in keys], den
-
-
-def _lowered(keys: list[int], width: int, total: int) -> list[tuple[int, int, int]]:
-    """The (rank, shell, num) of each shell whose minimum is a strict record."""
-    keys.sort()  # by shell, then quality, then lex order
-    nums = map(mod, map(floordiv, keys, repeat(total)), repeat(width))
-    prev, cur = tee(accumulate(nums, min))
-    lowered = chain((True,), map(lt, islice(cur, 1, None), prev))
+    n, m = theta.n, theta.m
+    basis = [[int(i == j) for i in range(n)] + coeffs[j] for j in range(n)]
+    basis += [[0] * n + [den * (i == h) for i in range(m)] for h in range(m)]
+    norm = (lambda y: sum(c * c for c in y)) if euclidean else (lambda y: max(map(abs, y)))
+    last = norm((t,) * n)  # the largest shell of the box
     found = []
-    for key in compress(keys, lowered):
-        shell_num, rank = divmod(key, total)
-        found.append((rank, *divmod(shell_num, width)))
-    return found
-
-
-def _euclidean_shells(head, lo, hi):
-    return map(sum(c * c for c in head).__add__, map(mul, range(lo, hi), range(lo, hi)))
-
-
-def _sup_norm_shells(head, lo, hi):
-    return sup_norms(max(map(abs, head), default=0), lo, hi)
-
-
-def _unrank_half(rank: int, t: int, n: int) -> tuple[int, ...]:
-    """The rank-th point after the origin of [-t, t]^n in lex order."""
-    index = ((2 * t + 1) ** n - 1) // 2 + 1 + rank
-    digits = []
-    for _ in range(n):
-        index, d = divmod(index, 2 * t + 1)
-        digits.append(d - t)
-    return tuple(reversed(digits))
+    best = den // 2 + 1
+    lo = 1
+    while norm((lo,)) <= last and best:
+        shell_lo, shell_hi = norm((lo,)), norm((2 * lo,))
+        box = min(t, 2 * lo - 1)
+        basis, points = box_points(basis, [0] * (n + m), [box] * n + [min(best - 1, den // 2)] * m)
+        shells: dict[int, tuple[int, tuple[int, ...]]] = {}
+        for p in points:  # the box is symmetric, so -y is listed too: keep canonical y
+            y = p[:n]
+            shell = norm(y)
+            if next(filter(None, y), 0) > 0 and shell_lo <= shell < shell_hi:
+                cand = (max(map(abs, p[n:])), y)
+                if shell not in shells or cand < shells[shell]:
+                    shells[shell] = cand
+        for shell in sorted(shells):
+            num, y = shells[shell]
+            if num < best:
+                found.append((shell, num, y))
+                best = num
+        lo *= 2
+    return found, den
 
 
 class ResonanceEntry(Record, frozen=True):
@@ -223,15 +207,8 @@ def best_approximations(theta: ThetaMatrix, t_max: int) -> list[ResonanceEntry]:
     """
     if t_max < 1:
         raise ValueError("t_max must be >= 1")
-    (found,), den = _shell_records(theta, t_max, _euclidean_shells)
-    return _entries(theta, t_max, found, den)
-
-
-def _entries(theta: ThetaMatrix, t_max: int, found, den: int) -> list[ResonanceEntry]:
-    return [
-        ResonanceEntry(_unrank_half(rank, t_max, theta.n), nsq, Fraction(num, den))
-        for rank, nsq, num in found
-    ]
+    found, den = _shell_records(theta, t_max, euclidean=True)
+    return [ResonanceEntry(y, nsq, Fraction(num, den)) for nsq, num, y in found]
 
 
 def convergents(x: Fraction) -> Iterator[tuple[int, int]]:
@@ -285,23 +262,20 @@ def psi_steps(theta: ThetaMatrix, t_max: int) -> list[tuple[int, Fraction]]:
         raise ValueError("t_max must be >= 1")
     if theta.shape == (1, 1):
         return records_and_psi_steps(theta, t_max)[1]
-    (found,), den = _shell_records(theta, t_max, _sup_norm_shells)
-    return [(t, Fraction(num, den)) for _, t, num in found]
+    found, den = _shell_records(theta, t_max, euclidean=False)
+    return [(t, Fraction(num, den)) for t, num, _ in found]
 
 
 def records_and_psi_steps(
     theta: ThetaMatrix, t_max: int
 ) -> tuple[list[ResonanceEntry], list[tuple[int, Fraction]]]:
     """(records, psi_steps(theta, t_max)): the records by the route theta's
-    shape picks (best_approximations_cf for 1x1, else best_approximations),
-    and for n >= 2 both shell sorts fed from one walk of the box."""
+    shape picks (best_approximations_cf for 1x1, else best_approximations).
+    A 1x1 theta's steps are its records."""
     if theta.shape == (1, 1):
         records = best_approximations_cf(theta, t_max)
         return records, [(r.vector[0], r.quality) for r in records]
-    if t_max < 1:
-        raise ValueError("t_max must be >= 1")
-    (records, steps), den = _shell_records(theta, t_max, _euclidean_shells, _sup_norm_shells)
-    return _entries(theta, t_max, records, den), [(t, Fraction(num, den)) for _, t, num in steps]
+    return best_approximations(theta, t_max), psi_steps(theta, t_max)
 
 
 # -- lacunary thinning -------------------------------------------------------

@@ -117,6 +117,16 @@ def _schedule_holds(p: Fraction, m: Fraction, tau: int, k: int) -> bool:
     )
 
 
+def check_ranges(alpha: Fraction, beta: Fraction, lacunarity: Fraction) -> None:
+    """Raise ValueError unless 0 < alpha < 1/2, 0 < beta < 1 and M > 1."""
+    if not 0 < alpha < Fraction(1, 2):
+        raise ValueError(f"alpha must lie in (0, 1/2), got {alpha}")
+    if not 0 < beta < 1:
+        raise ValueError(f"beta must lie in (0, 1), got {beta}")
+    if lacunarity <= 1:
+        raise ValueError(f"lacunarity must exceed 1, got {lacunarity}")
+
+
 def derive_params(alpha, beta, lacunarity, dimension: int) -> StrategyParams:
     """Derive the full parameter set from (alpha, beta, M, n).
 
@@ -124,12 +134,7 @@ def derive_params(alpha, beta, lacunarity, dimension: int) -> StrategyParams:
     inequality (does not happen for valid inputs, but the scan is capped).
     """
     a, b, m = rat(alpha), rat(beta), rat(lacunarity)
-    if not 0 < a < Fraction(1, 2):
-        raise ValueError(f"alpha must lie in (0, 1/2), got {a}")
-    if not 0 < b < 1:
-        raise ValueError(f"beta must lie in (0, 1), got {b}")
-    if m <= 1:
-        raise ValueError(f"lacunarity must exceed 1, got {m}")
+    check_ranges(a, b, m)
     if dimension < 1:
         raise ValueError("dimension must be >= 1")
 

@@ -1,12 +1,15 @@
 """Test-only oracles: the library's loops in plain ``Fraction`` arithmetic.
 
 The brute-force scans are the point-by-point loops the library used before
-they moved onto the integer kernel ``exact.box_distances``; the
-differential tests in test_kernel.py hold the kernel-based functions to
-them value for value, argmin for argmin.  The plane-budget scan of
-``derive_params`` and Greedy Black's nearest-plane search are the
-``Fraction`` versions of the construction path's integer loops, held to
-them by test_schedule.py and test_adversaries.py.  The engine's ball
+it moved onto integer kernels; the differential tests in test_kernel.py
+hold the library's functions to them value for value, argmin for argmin.
+The integer box walk ``box_distances`` beside them, with ``box_walk`` and
+``walk_records_and_steps`` built on it, served every scan and record
+search until the lattice routes replaced it; it is the fast oracle that
+holds those routes to boxes the Fraction loops cannot reach.  The
+plane-budget scan of ``derive_params`` and Greedy Black's nearest-plane
+search are the ``Fraction`` versions of the construction path's integer
+loops, held to them by test_schedule.py and test_adversaries.py.  The engine's ball
 containment and trace rendering are the ``Fraction`` test and the generic
 ``json.dumps`` call that the integer test and the direct trace writer
 replaced, held to them by test_geometry.py and test_engine.py; the
@@ -30,9 +33,10 @@ package's README describes.
 import itertools
 import json
 import math
+import operator
 from fractions import Fraction
 from random import Random
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from badapprox import escape
 from badapprox.certify import DecayTable, PowerLaw, TableRangeExceeded
@@ -209,6 +213,213 @@ def decay_steps(theta: ThetaMatrix, t_max: int) -> list[tuple[int, str]]:
             running = shell_min
             steps.append((t, rat_str(running)))
     return steps
+
+
+# -- the box walk ----------------------------------------------------------------
+#
+# The integer box walk that served every brute-force scan before the lattice
+# routes: fast enough to hold them to larger boxes than the Fraction loops
+# above, and written with none of their lattice arithmetic.
+
+#: Most points one chunk of ``box_distances`` holds; bounds its memory.
+CHUNK = 4096
+
+
+def sup_norms(head_norm: int, lo: int, hi: int) -> Iterator[int]:
+    """max(head_norm, |x|) for x = lo, ..., hi - 1, as C-level ranges."""
+    return itertools.chain(
+        range(-lo, -min(hi, -head_norm), -1),
+        itertools.repeat(head_norm, max(0, min(hi, head_norm + 1) - max(lo, -head_norm))),
+        range(max(lo, head_norm + 1), hi),
+    )
+
+
+def box_distances(
+    coeffs: Sequence[Sequence[int]],
+    offsets: Sequence[int],
+    den: int,
+    limit: int,
+    half: bool = False,
+) -> Iterator[tuple[tuple[int, ...], int, list[int]]]:
+    """Walk the integer box [-limit, limit]^k in lex order, a chunk at a time.
+
+    Form f at the point x is ``offsets[f] + sum_i coeffs[i][f] * x_i`` over
+    the denominator ``den``.  Yields ``(head, lo, nums)``: head is
+    (x_1, ..., x_{k-1}), and nums[j] is the numerator over den of
+    max_f ||form_f|| at the point head + (lo + j,), i.e. the largest
+    ``int_dist`` of the forms.  Chunks hold at most CHUNK consecutive
+    points of one innermost row.  With ``half`` only the points after the
+    origin in lex order are walked: those whose first nonzero entry is
+    positive, one of each +/- pair.
+
+    Along a row each form is the progression ``(b + a * x) mod den``; it is
+    shifted by h = den // 2 so that the distance is ``|v - h|`` with
+    v = (b + h + a * x) mod den, and every pass is a C-level ``map``.
+    """
+    k = len(coeffs)
+    h = den // 2
+    steps = [c % den for c in coeffs[-1]]
+    heads: Iterator[tuple[int, ...]] = itertools.product(
+        range(-limit, limit + 1), repeat=k - 1
+    )
+    if half:  # the zero head sits in the middle of the product
+        heads = itertools.islice(heads, ((2 * limit + 1) ** (k - 1) - 1) // 2, None)
+    for head in heads:
+        base = [
+            off + h + sum(row[f] * x for row, x in zip(coeffs, head))
+            for f, off in enumerate(offsets)
+        ]
+        lo = 1 if half and not any(head) else -limit
+        while lo <= limit:
+            count = min(CHUNK, limit + 1 - lo)
+            forms = []
+            for b, a in zip(base, steps):
+                b = (b + a * lo) % den
+                vals = (
+                    map(operator.mod, range(b, b + a * count, a), itertools.repeat(den))
+                    if a else itertools.repeat(b, count)
+                )
+                forms.append(map(abs, map(operator.sub, vals, itertools.repeat(h))))
+            yield head, lo, list(forms[0] if len(forms) == 1 else map(max, *forms))
+            lo += count
+
+
+def powers(e: int) -> Callable[[Iterable[int]], Iterable[int]]:
+    """Size weights s -> s^e, applied to a stream of sizes."""
+    return lambda sizes: sizes if e == 1 else map(pow, sizes, itertools.repeat(e))
+
+
+def box_min(
+    theta: ThetaMatrix,
+    eta: Sequence[Fraction],
+    limit: int,
+    power: int,
+    weights: Callable[[Iterable[int]], Iterable[int]],
+    s_floor: int = 1,
+) -> tuple[int, int, tuple[int, ...]]:
+    """Exact min of (D r(x))^power * w(s) over s_floor <= s <= limit, by a
+    walk of the whole box.
+
+    r(x) = max_j || sum_i theta[i][j] x_i  -  eta[j] ||, s = max|x_i|, and
+    D is the common denominator of theta and eta, so every key is an
+    integer; ``weights`` maps a stream of sizes s to their integer weights
+    w(s).  Returns (key, D, argmin).  The box is walked in lex order and a
+    later point wins only with a strictly smaller key, so ties go to the
+    lex-smallest x.
+    """
+    m, n = theta.shape
+    den, ints = over_common_denominator([x for row in theta.rows for x in row] + list(eta))
+    coeffs = [ints[i * n:(i + 1) * n] for i in range(m)]
+    offsets = [-v for v in ints[m * n:]]
+    best: Optional[tuple[int, tuple[int, ...]]] = None
+    for head, lo, nums in box_distances(coeffs, offsets, den, limit):
+        head_norm = max(map(abs, head), default=0)
+        hi = lo + len(nums)
+        if head_norm >= s_floor:
+            spans = [(lo, hi)]
+        else:  # sizes below s_floor sit in the middle of the row
+            spans = [(lo, min(hi, 1 - s_floor)), (max(lo, s_floor), hi)]
+        for a, b in spans:
+            if a >= b:
+                continue
+            part = nums[a - lo:b - lo]
+            if power != 1:
+                part = map(pow, part, itertools.repeat(power))
+            keys = list(map(operator.mul, part, weights(sup_norms(head_norm, a, b))))
+            low = min(keys)
+            if best is None or low < best[0]:
+                best = (low, head + (a + keys.index(low),))
+    assert best is not None
+    return best[0], den, best[1]
+
+
+def box_walk(theta, eta, limit, power, weight):
+    """``box_min`` with the weight ``certify._scan_min`` takes: an exponent q
+    or a DecayTable, whose window is read through ``rho_upto``."""
+    if isinstance(weight, DecayTable):
+        rho = [0] * weight.s_min + weight.rho_upto(limit)
+        return box_min(theta, eta, limit, power,
+                       lambda sizes: map(rho.__getitem__, sizes), weight.s_min)
+    return box_min(theta, eta, limit, power, powers(weight))
+
+
+def _dual_forms(theta: ThetaMatrix) -> tuple[list[list[int]], int]:
+    den, ints = over_common_denominator([x for row in theta.rows for x in row])
+    n = theta.n
+    return [ints[j::n] for j in range(n)], den
+
+
+def shell_records(
+    theta: ThetaMatrix, t: int, *shells
+) -> tuple[list[list[tuple[int, int, int]]], int]:
+    """Strict records of the dual quality over shells in increasing order,
+    for each shell function from one walk of the box.
+
+    Scans one vector of each +/- pair in [-t, t]^n (lex order, first nonzero
+    entry positive); ``shell(head, lo, hi)`` gives the shell of each point
+    of a chunk.  A shell's minimum is a record iff it is strictly below the
+    minimum of every earlier shell.  Returns ([found per shell function], D)
+    with found = [(rank, shell, num)]: rank is the lex-first minimizer's
+    position in the scan and num/D its quality.
+    """
+    coeffs, den = _dual_forms(theta)
+    width = den // 2 + 1  # every distance numerator is at most den // 2
+    total = ((2 * t + 1) ** theta.n - 1) // 2  # points in the scan
+    keys: list[list[int]] = [[] for _ in shells]  # (shell * width + num) * total + rank
+    scanned = 0
+    for head, lo, nums in box_distances(coeffs, [0] * theta.m, den, t, half=True):
+        ranks = range(scanned, scanned + len(nums))
+        for shell, shell_keys in zip(shells, keys):
+            shells_at = shell(head, lo, lo + len(nums))
+            scaled = map(operator.mul, shells_at, itertools.repeat(width))
+            shell_nums = map(operator.add, scaled, nums)
+            shell_keys += map(operator.add, map(operator.mul, shell_nums, itertools.repeat(total)),
+                              ranks)
+        scanned += len(nums)
+    return [lowered(shell_keys, width, total) for shell_keys in keys], den
+
+
+def lowered(keys: list[int], width: int, total: int) -> list[tuple[int, int, int]]:
+    """The (rank, shell, num) of each shell whose minimum is a strict record."""
+    keys.sort()  # by shell, then quality, then lex order
+    nums = map(operator.mod, map(operator.floordiv, keys, itertools.repeat(total)),
+               itertools.repeat(width))
+    prev, cur = itertools.tee(itertools.accumulate(nums, min))
+    drops = itertools.chain((True,), map(operator.lt, itertools.islice(cur, 1, None), prev))
+    found = []
+    for key in itertools.compress(keys, drops):
+        shell_num, rank = divmod(key, total)
+        found.append((rank, *divmod(shell_num, width)))
+    return found
+
+
+def euclidean_shells(head, lo, hi):
+    return map(sum(c * c for c in head).__add__, map(operator.mul, range(lo, hi), range(lo, hi)))
+
+
+def sup_norm_shells(head, lo, hi):
+    return sup_norms(max(map(abs, head), default=0), lo, hi)
+
+
+def unrank_half(rank: int, t: int, n: int) -> tuple[int, ...]:
+    """The rank-th point after the origin of [-t, t]^n in lex order."""
+    index = ((2 * t + 1) ** n - 1) // 2 + 1 + rank
+    digits = []
+    for _ in range(n):
+        index, d = divmod(index, 2 * t + 1)
+        digits.append(d - t)
+    return tuple(reversed(digits))
+
+
+def walk_records_and_steps(theta: ThetaMatrix, t: int):
+    """(best_approximations, psi_steps) of theta over [-t, t]^n, both shell
+    sorts fed from one walk of the box."""
+    (records, steps), den = shell_records(theta, t, euclidean_shells, sup_norm_shells)
+    return (
+        [ResonanceEntry(unrank_half(rank, t, theta.n), nsq, Fraction(num, den))
+         for rank, nsq, num in records],
+        [(s, Fraction(num, den)) for _, s, num in steps],
+    )
 
 
 # -- the construction path ---------------------------------------------------

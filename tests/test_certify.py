@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from badapprox import certify
 from badapprox.certify import (
     BadnessReport,
     DecayTable,
@@ -61,12 +60,12 @@ def test_product_golden_pin(golden):
 
 
 def test_product_golden_pin_at_depth(golden):
-    # 10^5 is the flagship `certify --N 100000`, which the box walk still
-    # reaches; 10^9 only the 1x1 lattice route reaches in a test
+    # 10^5 is the flagship `certify --N 100000`, which the oracle's box walk
+    # still reaches; 10^9 only the 1x1 lattice route reaches in a test
     for limit in (10**5, 10**9):
         rep = theorem1_constant(golden, [GOLDEN_ETA], limit)
         assert (rep.value, rep.argmin) == (GOLDEN_VALUE, GOLDEN_ARGMIN)
-    key, den, argmin = certify._box_min(golden, [GOLDEN_ETA], 10**5, 1, certify._powers(1))
+    key, den, argmin = oracles.box_walk(golden, [GOLDEN_ETA], 10**5, 1, 1)
     assert (Fraction(key, den), argmin) == (GOLDEN_VALUE, GOLDEN_ARGMIN)
 
 

@@ -518,6 +518,25 @@ def test_sweep_checks_its_whole_grid_before_the_first_game(tmp_path, capsys, mon
     assert not (tmp_path / "sweep.csv").exists()
 
 
+@pytest.mark.parametrize("flag,grid,message", [
+    ("--alphas", "1/4,2", "alpha must lie in (0, 1/2), got 2"),
+    ("--betas", "1/2,1", "beta must lie in (0, 1), got 1"),
+    ("--lacunarity", "1", "lacunarity must exceed 1"),
+    ("--rho0", "0", "rho0 must be positive"),
+])
+def test_sweep_checks_every_range_before_the_first_game(tmp_path, capsys, monkeypatch,
+                                                        flag, grid, message):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a game was played before the grid was checked")
+
+    monkeypatch.setattr(cli, "run_constructed_game", refuse)
+    argv = {"--alphas": "1/4", "--betas": "1/2", flag: grid}
+    rc = run(tmp_path, "sweep", *itertools.chain(*argv.items()), "--blocks", "1")
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
 def test_sweep_reports_infeasible_cells_and_exits_1(tmp_path):
     rc = run(tmp_path, "sweep", "--alphas", "1/4", "--betas", "1/3",
              "--seeds", "0", "--blocks", "2")

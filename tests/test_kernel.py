@@ -1,6 +1,7 @@
-"""The integer lattice kernel, and every scan built on it, against the
-Fraction oracles in oracles.py."""
+"""The integer lattice kernels, and every scan built on them, against the
+oracles in oracles.py: the Fraction loops and the integer box walk."""
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -16,22 +17,26 @@ from badapprox.certify import (
     theorem1_constant,
 )
 from badapprox.exact import (
-    box_distances,
+    box_points,
     int_dist,
     iroot,
     lattice_box,
     line_minimum,
+    lll_reduce,
     over_common_denominator,
-    sup_norms,
 )
 from badapprox.geometry import nearest_int_dist
 from badapprox.resonance import (
     ThetaMatrix,
     best_approximations,
+    best_approximations_cf,
+    convergents,
+    psi_steps,
     psi_theta,
     verify_decay_bound,
 )
 from conftest import make_sequence
+from oracles import box_distances, box_walk, sup_norms
 
 SHAPES = [(1, 1), (1, 2), (2, 1), (2, 2)]
 #: theta = (1/6, 1/4): many points share a value, so ties decide the argmin
@@ -96,7 +101,7 @@ def test_box_distances_chunks_long_rows():
     # one row of 2 * 2500 + 1 points: two chunks, the second one short
     chunks = list(box_distances([[3]], [1], 10, 2500))
     assert [(lo, len(nums)) for _, lo, nums in chunks] == [
-        (-2500, exact.CHUNK), (-2500 + exact.CHUNK, 5001 - exact.CHUNK)
+        (-2500, oracles.CHUNK), (-2500 + oracles.CHUNK, 5001 - oracles.CHUNK)
     ]
     nums = [v for _, _, part in chunks for v in part]
     assert nums == [int_dist(1 + 3 * x, 10) for x in range(-2500, 2501)]
@@ -196,15 +201,6 @@ def test_resonance_margin_matches_fraction_sum():
 
 
 # -- the 1x1 route against the box walk ------------------------------------------
-
-
-def box_walk(theta, eta, limit, power, weight):
-    """``certify._box_min`` with the weight ``_scan_min`` takes: the 1x1 oracle."""
-    if isinstance(weight, DecayTable):
-        rho = [0] * weight.s_min + weight.rho_upto(limit)
-        return certify._box_min(theta, eta, limit, power,
-                                lambda sizes: map(rho.__getitem__, sizes), weight.s_min)
-    return certify._box_min(theta, eta, limit, power, certify._powers(weight))
 
 
 def scalar(v):
@@ -370,6 +366,260 @@ def test_1x1_table_route_builds_no_rho_list(monkeypatch):
     assert got.to_jsonable() == expected.to_jsonable()
 
 
+# -- the k-dimensional kernel ------------------------------------------------------
+
+
+def coordinates(rows, point):
+    """The Fraction coefficients c with sum_i c_i rows[i] = point, by
+    Gauss-Jordan elimination on the transposed system."""
+    k = len(rows)
+    m = [[Fraction(rows[i][j]) for i in range(k)] + [Fraction(point[j])] for j in range(k)]
+    for col in range(k):
+        piv = next(r for r in range(col, k) if m[r][col])
+        m[col], m[piv] = m[piv], m[col]
+        m[col] = [v / m[col][col] for v in m[col]]
+        for r in range(k):
+            if r != col and m[r][col]:
+                m[r] = [a - m[r][col] * b for a, b in zip(m[r], m[col])]
+    return [m[j][k] for j in range(k)]
+
+
+def determinant(rows):
+    m = [[Fraction(v) for v in row] for row in rows]
+    det = Fraction(1)
+    for col in range(len(m)):
+        piv = next((r for r in range(col, len(m)) if m[r][col]), None)
+        if piv is None:
+            return 0
+        if piv != col:
+            m[col], m[piv], det = m[piv], m[col], -det
+        det *= m[col][col]
+        for r in range(col + 1, len(m)):
+            f = m[r][col] / m[col][col]
+            m[r] = [a - f * b for a, b in zip(m[r], m[col])]
+    return det
+
+
+def same_lattice(rows, other):
+    """Each row of other is an integer combination of rows, and the
+    determinants agree up to sign: a unimodular change of basis."""
+    return (abs(determinant(rows)) == abs(determinant(other))
+            and all(c.denominator == 1 for row in other for c in coordinates(rows, row)))
+
+
+def random_basis(rng, k, size):
+    while True:
+        rows = [[rng.randrange(-size, size + 1) for _ in range(k)] for _ in range(k)]
+        if determinant(rows):
+            return rows
+
+
+def scan_basis(rng, m, n, den):
+    """The scan lattice {(x, u) : u = A x mod den}: rows (e_i, A_i), (0, den e_j)."""
+    rows = [[int(i == h) for h in range(m)] + [rng.randrange(den) for _ in range(n)]
+            for i in range(m)]
+    return rows + [[0] * m + [den * (j == h) for h in range(n)] for j in range(n)]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_lll_reduce_is_a_reduced_basis_of_the_same_lattice(seed):
+    rng = random.Random(seed)
+    for _ in range(25):
+        k = rng.randrange(1, 6)
+        if k > 1 and rng.randrange(2):
+            rows = scan_basis(rng, k - 1, 1, 2**31 - 1)
+        else:
+            rows = random_basis(rng, k, 10 ** rng.randrange(1, 12))
+        basis, d, lam = lll_reduce(rows)
+        assert same_lattice(rows, basis) and same_lattice(basis, rows)
+        # d and lam are the Gram-Schmidt data of the output, in integers
+        stars, norms = [], []
+        for row in basis:
+            mus = [sum(map(Fraction.__mul__, map(Fraction, row), s)) / n
+                   for s, n in zip(stars, norms)]
+            star = [Fraction(v) - sum(mu * s[j] for mu, s in zip(mus, stars))
+                    for j, v in enumerate(row)]
+            i = len(stars)
+            assert lam[i][:i] == [mu * d[j + 1] for j, mu in enumerate(mus)]
+            stars.append(star)
+            norms.append(sum(v * v for v in star))
+            assert d[i + 1] == d[i] * norms[-1]
+        for i in range(1, k):
+            assert all(2 * abs(lam[i][j]) <= d[j + 1] for j in range(i))  # size-reduced
+            assert 4 * d[i + 1] * d[i - 1] >= 3 * d[i] ** 2 - 4 * lam[i][i - 1] ** 2  # Lovasz
+
+
+def test_lll_reduce_refuses_dependent_rows():
+    with pytest.raises(ValueError, match="independent"):
+        lll_reduce([[1, 2, 3], [2, 4, 6], [0, 0, 1]])
+
+
+def box_brute_force(rows, center, half):
+    """The points of the box whose coordinates in rows are integers, read
+    off an integer multiple L * rows^-1 of the inverse."""
+    k = len(rows)
+    inverse = [coordinates(rows, [int(i == j) for i in range(k)]) for j in range(k)]
+    scale = math.lcm(*(c.denominator for row in inverse for c in row))
+    adj = [[int(c * scale) for c in row] for row in inverse]
+    box = itertools.product(*(range(c - h, c + h + 1) for c, h in zip(center, half)))
+    return [p for p in box
+            if all(sum(map(int.__mul__, p, col)) % scale == 0 for col in zip(*adj))]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_box_points_lists_every_point_of_a_box_once(seed):
+    rng = random.Random(10 + seed)
+    for _ in range(30):
+        k = rng.randrange(1, 5)
+        rows = random_basis(rng, k, 6)
+        center = [rng.randrange(-8, 9) for _ in range(k)]
+        half = [rng.choice([0, 1, 2, 3, 6]) for _ in range(k)]
+        basis, points = box_points(rows, center, half)
+        assert same_lattice(rows, basis)
+        assert len(set(points)) == len(points)
+        assert sorted(points) == box_brute_force(rows, center, half)
+
+
+def test_box_points_on_flat_and_empty_boxes():
+    rng = random.Random(3)
+    for m, n, den in ((2, 1, 7), (1, 2, 12), (2, 2, 5), (3, 1, 11)):
+        rows = scan_basis(rng, m, n, den)
+        for _ in range(10):
+            e = [rng.randrange(den) for _ in range(n)]
+            # V = 0: only the exact hits u = e of the x box are listed
+            center, half = [0] * m + e, [rng.randrange(1, 5)] * m + [0] * n
+            assert sorted(box_points(rows, center, half)[1]) == box_brute_force(rows, center, half)
+    # u = 3x mod 7 with x = 0 leaves only u = 0 mod 7: the point (0, 1) is no lattice point
+    assert box_points([[1, 3], [0, 7]], [0, 1], [0, 0])[1] == []
+    assert box_points([[1, 3], [0, 7]], [0, 3], [0, 2])[1] == []
+    assert box_points([[1, 3], [0, 7]], [1, 3], [0, 0])[1] == [(1, 3)]
+
+
+# -- every other shape against the box walk ------------------------------------------
+
+AGREEMENT_SHAPES = [(1, 2), (2, 1), (2, 2), (1, 3), (3, 1)]
+#: box sizes the walk covers quickly, by the dimension it walks
+WALK_LIMIT = {1: 60, 2: 12, 3: 4, 4: 2}
+
+
+def agreement_instance(rng, m, n, den, trial):
+    theta, eta = random_instance(rng, m, n, den)
+    if trial % 3 == 0:  # an exact hit at x0, inside or outside the box
+        x0 = [rng.randint(-2 * WALK_LIMIT[m], 2 * WALK_LIMIT[m]) for _ in range(m)]
+        eta = [sum(theta.rows[i][j] * x0[i] for i in range(m)) % 1 for j in range(n)]
+    return theta, eta
+
+
+@pytest.mark.parametrize("den", [2**31 - 1, 12])
+@pytest.mark.parametrize("shape", AGREEMENT_SHAPES, ids=lambda s: "%dx%d" % s)
+def test_lattice_scans_match_the_box_walk(shape, den):
+    m, n = shape
+    rng = random.Random(f"scan {m}x{n} {den}")
+    limit = WALK_LIMIT[m]
+    table = DecayTable(sizes=(1, 2, 4), values=(Fraction(1, 2), Fraction(1, 3), Fraction(1, 9)))
+    for trial in range(6):
+        theta, eta = agreement_instance(rng, m, n, den, trial)
+        rep = theorem1_constant(theta, eta, limit)
+        key, d, argmin = box_walk(theta, eta, limit, n, m)
+        assert (rep.value, rep.argmin) == (Fraction(key, d**n), argmin)
+        psi = PowerLaw(Fraction(3, 2), *rng.choice(POWERS))
+        rep = jarnik_constant(theta, eta, psi, limit)
+        key, d, argmin = box_walk(theta, eta, limit, psi.sigma_num, psi.sigma_den)
+        assert (rep.value, rep.argmin) == (
+            Fraction(key * 3**psi.sigma_den, d**psi.sigma_num * 2**psi.sigma_den), argmin)
+        window = min(limit, table.s_max)
+        rep = jarnik_constant(theta, eta, table, window)
+        key, d, argmin = box_walk(theta, eta, window, 1, table)
+        assert (rep.value, rep.argmin) == (Fraction(key, d), argmin)
+        for p, q in POWERS:
+            assert certify._scan_min(theta, eta, limit, p, q) == box_walk(theta, eta, limit, p, q)
+
+
+@pytest.mark.parametrize("den", [2**31 - 1, 12])
+@pytest.mark.parametrize("shape", AGREEMENT_SHAPES + [(1, 4)], ids=lambda s: "%dx%d" % s)
+def test_lattice_records_match_the_box_walk(shape, den):
+    m, n = shape
+    rng = random.Random(f"records {m}x{n} {den}")
+    for trial in range(6):
+        theta, _ = random_instance(rng, m, n, den)
+        t = WALK_LIMIT[n] if trial < 2 else rng.randint(1, WALK_LIMIT[n])
+        records, steps = oracles.walk_records_and_steps(theta, t)
+        assert best_approximations(theta, t) == records
+        assert psi_steps(theta, t) == steps
+        assert psi_theta(theta, t) == steps[-1][1]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_lattice_scan_of_a_late_table_window_lists_few_points(n, monkeypatch):
+    # the window [40, 60] starts the first band at 40: its V comes from the
+    # first point found, not from an arbitrary one, so the three scans list
+    # under 2% of the 121^2 points of each box
+    m = 2
+    rng = random.Random(f"window {m}x{n}")
+    table = DecayTable(sizes=(1, 2), values=(Fraction(1, 40), Fraction(1, 60)))
+    listed = []
+
+    def counted(*args):
+        basis, points = exact.box_points(*args)
+        listed.extend(points)
+        return basis, points
+
+    monkeypatch.setattr(certify, "box_points", counted)
+    for _ in range(3):
+        theta, eta = random_instance(rng, m, n, 2**31 - 1)
+        rep = jarnik_constant(theta, eta, table, 60)
+        key, d, argmin = box_walk(theta, eta, 60, 1, table)
+        assert (rep.value, rep.argmin) == (Fraction(key, d), argmin)
+    assert len(listed) < 3 * 121**m // 50
+
+
+def test_lattice_records_stop_at_an_exact_resonance():
+    # y = (3, 0) and y = (0, 5) are exact: the first of them ends the records
+    theta = ThetaMatrix(((Fraction(1, 3), Fraction(1, 5)),))
+    for t in (3, 5, 40):
+        assert best_approximations(theta, t) == oracles.best_approximations(theta, t)
+        assert best_approximations(theta, t)[-1].quality == 0
+    assert psi_steps(theta, 40)[-1] == (3, 0)
+
+
+def test_lattice_records_keep_a_shell_whole_across_a_band_edge():
+    # in n = 4, the shell |y|^2 = 4 holds y = (1, 1, 1, 1) and its sign
+    # changes, inside the first band's box max|y_j| <= 1, and the exact
+    # resonance y = (0, 0, 2, 0) outside it: the shell belongs to the second
+    # band alone
+    theta = ThetaMatrix(((Fraction(7, 30), Fraction(1, 3), Fraction(1, 2), Fraction(2, 5)),))
+    for t in (1, 2, 3):
+        assert best_approximations(theta, t) == oracles.walk_records_and_steps(theta, t)[0]
+
+
+def test_lattice_scan_far_past_the_box_walk():
+    # a 2x1 theta at N = 10^6 (4 * 10^12 box points): the value at the
+    # argmin, from the definition, is the minimum, and it is at most the
+    # minimum at N = 100
+    den = 2**31 - 1
+    theta = ThetaMatrix(((Fraction(1234567891, den),), (Fraction(987654321, den),)))
+    eta = [Fraction(1, 3)]
+    near, far = theorem1_constant(theta, eta, 100), theorem1_constant(theta, eta, 10**6)
+    key, d, argmin = box_walk(theta, eta, 100, 1, 2)
+    assert (near.value, near.argmin) == (Fraction(key, d), argmin)
+    x = far.argmin
+    r = nearest_int_dist(theta.rows[0][0] * x[0] + theta.rows[1][0] * x[1] - eta[0])
+    assert far.value == r * max(map(abs, x)) ** 2
+    assert 0 < far.value <= near.value
+
+
+def test_psi_theta_reads_the_continued_fraction_steps_of_a_1x1_theta():
+    fib = [0, 1]
+    while len(fib) < 102:
+        fib.append(fib[-1] + fib[-2])
+    theta = ThetaMatrix.scalar(Fraction(fib[100], fib[101]))
+    t = 10**15
+    q = max(q for _, q in convergents(theta.rows[0][0]) if q <= t)
+    assert q == fib[73]
+    assert psi_theta(theta, t) == nearest_int_dist(theta.rows[0][0] * q)
+    assert psi_theta(theta, t) == best_approximations_cf(theta, t)[-1].quality
+
+
 # -- resonance against the oracle ----------------------------------------------
 
 THETAS = {
@@ -380,6 +630,8 @@ THETAS = {
         (Fraction(1234567, 2**31 - 1), Fraction(99991, 2**31 - 1)),
         (Fraction(7654321, 2**31 - 1), Fraction(31, 2**31 - 1)),
     )),
+    "1x1": ThetaMatrix(((Fraction(2, 7),),)),
+    "3x1": ThetaMatrix(((Fraction(1, 6),), (Fraction(3, 10),), (Fraction(4, 15),))),
 }
 
 
