@@ -9,15 +9,21 @@ says why (or None); the engine records it on the move.
 
 Legality is one exact integer predicate, within_slack: the reply ball lies
 inside the current one iff |c' - c| <= (1 - rho)*R, i.e. |s| <= 1 - rho,
-decided on the step's integers over their common denominator.  A zero step
-is always legal, because GameParams keeps 1 - rho > 0, so run_game skips
-the test for it.  run_game keeps the center as an integer vector over one
-denominator and folds each step into it with small-integer products; each
-recorded coordinate is reduced once.  The trace still records every move's
-absolute center and radius, so its file layout does not depend on how the
-game was played.
+decided on the step's integers over their common denominator, with the
+slack as an integer pair (b - a, b) for rho = a/b.  A zero step is always
+legal, because GameParams keeps 1 - rho > 0, so run_game skips the test for
+it.  run_game keeps the center as an integer vector over one denominator
+and folds each step into it with small-integer products; each recorded
+coordinate is reduced once, by exact.fraction.  Every round scales the
+radius by alpha*beta, so that denominator is mostly a power of two, and
+fraction takes it out by a shift and runs a gcd only on the small odd part:
+exact, because the two parts are coprime.  The trace still records every
+move's absolute center and radius, so its file layout does not depend on
+how the game was played.
 A held center is rendered, parsed and checked once: dumps, loads and replay
-reuse the previous move's center when a move repeats it.  replay returns a
+reuse the previous move's center when a move repeats it, and replay skips
+its slack test.  replay decides the slack on unreduced integers and the
+radius law by cross-multiplying, with no Fraction arithmetic.  It returns a
 new move list that shares the input's records, each once it has passed
 every check; records are frozen.
 """
@@ -27,6 +33,7 @@ import functools
 import json
 import math
 from fractions import Fraction
+from itertools import cycle, repeat
 from json.encoder import encode_basestring_ascii
 from operator import sub
 from typing import Callable, Iterable, Optional, Sequence
@@ -34,6 +41,7 @@ from typing import Callable, Iterable, Optional, Sequence
 from .exact import (
     Rat,
     Record,
+    fraction,
     json_list,
     json_object,
     json_rat,
@@ -208,13 +216,12 @@ def _rats_json(values: Sequence[Fraction], indent: int) -> str:
     return f"[\n{pad}  {items}\n{pad}]"
 
 
-def within_slack(disp: Iterable[int], den: int, slack: Fraction) -> bool:
+def within_slack(disp: Iterable[int], den: int, p: int, q: int) -> bool:
     """Exact: does the displacement disp/den (integers over den > 0) have
-    length at most slack?  With slack = p/q >= 0 this is, on squares,
+    length at most the slack p/q (q > 0, p/q in any terms)?  On squares,
     sum d_j^2 * q^2 <= p^2 * den^2.  A negative slack holds nothing."""
-    if slack < 0:
+    if p < 0:
         return False
-    p, q = slack.numerator, slack.denominator
     return sum(d * d for d in disp) * q * q <= p * p * den * den
 
 
@@ -252,26 +259,27 @@ def run_game(
     multiple of the initial center's and of every step's denominator.  A
     step v/q moves it to N * b * (lam'/lam) + P * v * b * (lam'/q) over
     U * b * lam', lam' = lcm(lam, q) and rho = a/b: products of integers, no
-    gcd.  Each recorded coordinate is reduced once.  A zero step is always
-    legal (GameParams keeps 1 - rho > 0), so it skips the slack test and
-    reuses the current center.
+    gcd.  Each recorded coordinate is reduced once, by exact.fraction.  A
+    step is legal iff within_slack holds on v/q with slack (b - a)/b.  A
+    zero step is always legal (GameParams keeps 1 - rho > 0), so it skips
+    the slack test and reuses the current center.
     """
     trace = GameTrace(params, initial)
     current = initial
     p, u = initial.radius.numerator, initial.radius.denominator
     lam, nums = over_common_denominator(initial.center)
     nums = [x * u for x in nums]
-    seats = [(turn, policy, rho, rho.numerator, rho.denominator, 1 - rho)
+    seats = [(turn, policy, rho, rho.numerator, rho.denominator)
              for turn, policy, rho in (("W", white, params.alpha), ("B", black, params.beta))]
     move_index = 0
     for _ in range(rounds):
-        for turn, policy, rho, a, b, slack in seats:
+        for turn, policy, rho, a, b in seats:
             step, note = policy(GameState(params, current, move_index, turn))
             step = rat_vec(step)
             same_dimension(step, current.center)
             if any(step):
                 q, v = over_common_denominator(step)
-                if not within_slack(v, q, slack):
+                if not within_slack(v, q, b - a, b):
                     center = tuple(c + current.radius * s for c, s in zip(current.center, step))
                     raise IllegalMove(turn, move_index, center, "reply ball leaves current ball")
                 grown = lam if lam % q == 0 else lam * (q // math.gcd(lam, q))
@@ -279,7 +287,7 @@ def run_game(
                 nums = [x * keep + y * push for x, y in zip(nums, v)]
                 lam = grown
                 den = u * b * lam
-                center = tuple(Fraction(x, den) for x in nums)
+                center = tuple(map(fraction, nums, repeat(den)))
             else:
                 nums = [x * b for x in nums]
                 center = current.center
@@ -298,35 +306,36 @@ def concentric(state: GameState) -> tuple[Vec, None]:
 def replay(trace: GameTrace) -> GameTrace:
     """Re-run a trace through the engine, re-checking every containment.
 
-    Each reply center c' must lie within slack (1 - rho)*R of the current
+    With rho = a/b and R = p/q the current radius, each reply center c'
+    must lie within slack (1 - rho)*R = (b - a)*p / (b*q) of the current
     center c: within_slack on c' - c over the two centers' common
-    denominator, or on the zero vector over 1 when c' == c.  Returns a new
+    denominator, with that slack as unreduced integers.  A held center
+    (c' == c) skips the test: GameParams keeps 1 - rho > 0, so a zero
+    displacement is always legal.  The reply radius r must be rho*R, checked
+    cross-multiplied: r.num * b * q == a * p * r.den.  Returns a new
     trace, equal to the input iff the input is legal and internally
-    consistent, including the radius law; its move list is new, and holds
-    the input's records themselves, each once it has passed every check.
+    consistent; its move list is new, and holds the input's records
+    themselves, each once it has passed every check.
     """
     params = trace.params
     n = params.dimension
     current = trace.initial
     out = GameTrace(params, trace.initial)
-    expected_turn = "W"
-    zero = (0,) * n
-    for i, mv in enumerate(trace.moves):
+    turns = cycle([("W", params.alpha.numerator, params.alpha.denominator),
+                   ("B", params.beta.numerator, params.beta.denominator)])
+    for i, (mv, (turn, a, b)) in enumerate(zip(trace.moves, turns)):
         center = mv.ball.center
-        if mv.player != expected_turn:
+        if mv.player != turn:
             raise IllegalMove(mv.player, i, center, "out-of-turn move")
         same_dimension(center, current.center)
-        radius = (params.alpha if mv.player == "W" else params.beta) * current.radius
-        if center == current.center:  # a held center: no lcm of its denominators
-            den, disp = 1, zero
-        else:
+        p, q = current.radius.numerator, current.radius.denominator
+        if center != current.center:
             den, nums = over_common_denominator(center + current.center)
-            disp = map(sub, nums[:n], nums[n:])
-        if not within_slack(disp, den, current.radius - radius):
-            raise IllegalMove(mv.player, i, center, "reply ball leaves current ball")
-        if radius != mv.ball.radius:
+            if not within_slack(map(sub, nums[:n], nums[n:]), den, (b - a) * p, b * q):
+                raise IllegalMove(mv.player, i, center, "reply ball leaves current ball")
+        r = mv.ball.radius
+        if r.numerator * b * q != a * p * r.denominator:
             raise IllegalMove(mv.player, i, center, "radius law violated")
         current = mv.ball
         out.moves.append(mv)  # records are frozen: the verified one is shared
-        expected_turn = "B" if expected_turn == "W" else "W"
     return out

@@ -6,6 +6,15 @@ point.  Where a constant is irrational (the square roots, arcsines and pi of
 the spherical-cap measure) it is bracketed by integers scaled by 2^prec,
 rounded outward at every step, so a decision taken on the bracket is exact.
 
+``fraction(n, d)`` is ``Fraction(n, d)`` for denominators that are mostly
+a power of two, as the game's centers are (every round scales the radius by
+alpha*beta).  It reduces by gcd(n, 2^k o) = 2^min(v2(n), k) gcd(n mod o, o)
+for odd o, a shift and a gcd on the small odd part, which is exact because
+2^k and o are coprime.  It is the one place that builds a Fraction from a
+pair already in lowest terms, through the private constructor of the
+running Python (``_from_coprime_ints`` on 3.12+, ``_normalize=False``
+before); ``rat`` parses every "p/q" string with it.
+
 The exhaustive scans of ``certify`` and ``resonance`` bring every rational
 input to a common denominator D, so ``||v / D|| = min(v mod D, D - v mod D) / D``
 and all comparisons are between integers.  None of them walks its box point
@@ -110,6 +119,41 @@ class Record:
         return type(self), self._values()
 
 
+if sys.version_info >= (3, 12):
+    _coprime = Fraction._from_coprime_ints
+else:
+    _coprime = functools.partial(Fraction, _normalize=False)
+
+
+def fraction(n: int, d: int) -> Fraction:
+    """Fraction(n, d) for ints n and d: the same value, numerator,
+    denominator, hash and type, and the same ZeroDivisionError at d = 0.
+
+    The game's coordinates have denominators of over a thousand bits that
+    are almost all a power of two, on which Fraction's general gcd is slow.
+    With d = 2^k * o, o odd, gcd(n, d) = 2^min(v2(n), k) * gcd(n mod o, o),
+    since the two factors of d are coprime: a shift and a gcd on the small
+    odd part.  The reduced pair is built without a second normalisation."""
+    if d <= 0:
+        if not d:
+            raise ZeroDivisionError(f"Fraction({n}, 0)")
+        n, d = -n, -d
+    if not n:
+        return _coprime(0, 1)
+    k = (d & -d).bit_length() - 1
+    o = d >> k
+    t = min((n & -n).bit_length() - 1, k)
+    if t:
+        n >>= t
+        d >>= t
+    if o > 1:
+        g = math.gcd(n % o, o)
+        if g > 1:
+            n //= g
+            d //= g
+    return _coprime(n, d)
+
+
 #: The "p/q" form rat_str writes; rat parses it without Fraction's own regex.
 _CANONICAL = re.compile(r"(-?[0-9]+)/([0-9]+)")
 
@@ -125,7 +169,7 @@ def rat(value) -> Fraction:
     if isinstance(value, str):
         m = _CANONICAL.fullmatch(value)
         if m:
-            return Fraction(int(m[1]), int(m[2]))
+            return fraction(int(m[1]), int(m[2]))
         return Fraction(value.strip())
     if isinstance(value, Fraction):
         return value

@@ -519,7 +519,8 @@ def integer_contains_ball(outer: Ball, inner: Ball) -> bool:
         raise ValueError(f"dimension mismatch: {len(inner.center)} vs {n}")
     den, nums = over_common_denominator(inner.center + outer.center)
     disp = [a - b for a, b in zip(nums[:n], nums[n:])]
-    return within_slack(disp, den, outer.radius - inner.radius)
+    slack = outer.radius - inner.radius
+    return within_slack(disp, den, slack.numerator, slack.denominator)
 
 
 def run_game_absolute(

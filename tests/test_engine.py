@@ -709,14 +709,108 @@ def test_run_game_equals_the_absolute_center_engine(alpha, beta):
     assert 0 < illegal < 24  # both outcomes are exercised
 
 
-def test_constructed_n3_trace_is_pinned():
-    # sha256 of a one-block n = 3 construction against greedy Black, taken
-    # when the engine still added each step to the center as a Fraction sum
+@pytest.fixture(scope="module")
+def n3_trace():
+    """A one-block n = 3 construction against greedy Black: 946 half-moves,
+    whose late center denominators are about 1500 bits, nearly all of them a
+    power of two."""
     seq = make_sequence([(1, 0, 0), (3, 1, 0), (13, 2, 1)])
     trace, *_ = run_constructed_game(
         seq, Fraction(1, 4), Fraction(1, 2), 3, Fraction(1, 64), 1, GreedyBlack(seq),
         center=(Fraction(3, 10), Fraction(-7, 9), Fraction(1, 5)), seed=5,
     )
-    assert len(trace.moves) == 946
-    digest = hashlib.sha256(trace.dumps().encode()).hexdigest()
+    return trace
+
+
+def test_constructed_n3_trace_is_pinned(n3_trace):
+    # sha256 of a one-block n = 3 construction against greedy Black, taken
+    # when the engine still added each step to the center as a Fraction sum
+    assert len(n3_trace.moves) == 946
+    digest = hashlib.sha256(n3_trace.dumps().encode()).hexdigest()
     assert digest == "e166d091e4bf92b0a3bc0b18e819dbc9489f0f2e03676241a30e2519e90e5fba"
+
+
+# -- replay's integer slack and radius law, late in an n = 3 construction -----
+
+LATE = 900
+HAIR = Fraction(1, 2**1500)
+
+
+def _late(trace, player, held):
+    """Indices past LATE of `player`'s moves that hold (or move) the center."""
+    balls = [trace.initial] + [m.ball for m in trace.moves]
+    return [i for i in range(LATE, len(trace.moves))
+            if trace.moves[i].player == player
+            and (balls[i + 1].center == balls[i].center) == held]
+
+
+def _replay_text(trace, index, center=None, radius=None):
+    """Replay the trace cut after move `index`, that move's center or radius
+    replaced, through its text (dumps, loads)."""
+    moves = list(trace.moves[:index + 1])
+    ball = moves[index].ball
+    moves[index] = oracles.replace(moves[index], ball=Ball(
+        ball.center if center is None else center, ball.radius if radius is None else radius))
+    text = GameTrace(trace.params, trace.initial, moves).dumps()
+    assert replay(GameTrace.loads(text)).dumps() == text
+
+
+def test_late_moves_of_the_n3_construction_are_past_a_thousand_bits(n3_trace):
+    # past move 900 greedy Black moves on every turn, and White holds
+    assert _late(n3_trace, "B", False) and _late(n3_trace, "W", True)
+    assert not _late(n3_trace, "B", True) and not _late(n3_trace, "W", False)
+    ball = n3_trace.moves[_late(n3_trace, "B", False)[-1]].ball
+    assert min(c.denominator.bit_length() for c in ball.center) > 1400
+
+
+@pytest.mark.parametrize("held", [False, True])
+@pytest.mark.parametrize("factor", [1 + HAIR, 1 - HAIR, Fraction(1, 2)])
+def test_replay_rejects_a_late_radius_off_by_a_hair(n3_trace, held, factor):
+    # a held center (White's) skips the slack test and still meets the law
+    for i in _late(n3_trace, "W" if held else "B", held)[-2:]:
+        ball = n3_trace.moves[i].ball
+        moves = list(n3_trace.moves)
+        moves[i] = oracles.replace(moves[i], ball=Ball(ball.center, ball.radius * factor))
+        with pytest.raises(IllegalMove, match="radius law violated") as ei:
+            replay(GameTrace(n3_trace.params, n3_trace.initial, moves))
+        assert ei.value.move_index == i
+
+
+#: unit directions with rational coordinates: a step along one is exactly
+#: the slack long
+UNITS = [
+    (Fraction(1), Fraction(0), Fraction(0)),
+    (Fraction(0), Fraction(-1), Fraction(0)),
+    (Fraction(3, 5), Fraction(0), Fraction(-4, 5)),
+    (Fraction(2, 3), Fraction(-1, 3), Fraction(2, 3)),
+]
+
+
+@pytest.mark.parametrize("unit", UNITS)
+def test_a_late_step_on_its_slack_boundary_replays_and_one_past_it_fails(n3_trace, unit):
+    # Black's moved centers, and a held White move moved onto White's own
+    # slack (1 - alpha)R, which differs from Black's
+    for i in _late(n3_trace, "B", False)[-3:] + _late(n3_trace, "W", True)[-1:]:
+        prev, ball = n3_trace.moves[i - 1].ball, n3_trace.moves[i].ball
+        slack = prev.radius - ball.radius
+        edge = tuple(c + slack * x for c, x in zip(prev.center, unit))
+        assert oracles.contains_ball(prev, Ball(edge, ball.radius))
+        _replay_text(n3_trace, i, center=edge)  # replays to its own bytes
+        axis = next(j for j, x in enumerate(unit) if x)
+        beyond = list(edge)
+        beyond[axis] += Fraction(1 if unit[axis] > 0 else -1, edge[axis].denominator)
+        assert not oracles.contains_ball(prev, Ball(beyond, ball.radius))
+        with pytest.raises(IllegalMove, match="leaves current ball") as ei:
+            _replay_text(n3_trace, i, center=beyond)
+        assert ei.value.move_index == i
+
+
+def test_a_late_move_past_both_slack_and_law_leaves_the_ball_first(n3_trace):
+    for i in _late(n3_trace, "W", True)[-1:] + _late(n3_trace, "B", False)[-1:]:
+        prev, ball = n3_trace.moves[i - 1].ball, n3_trace.moves[i].ball
+        center = list(prev.center)
+        center[0] += prev.radius - ball.radius + HAIR * ball.radius
+        for radius in (ball.radius * (1 + HAIR), ball.radius / 3):
+            with pytest.raises(IllegalMove, match="leaves current ball") as ei:
+                _replay_text(n3_trace, i, center=center, radius=radius)
+            assert ei.value.move_index == i

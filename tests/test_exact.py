@@ -3,6 +3,7 @@ scaled-integer brackets of asin, ln and pi (held to 60-digit mpmath)."""
 
 import math
 from fractions import Fraction
+from random import Random
 
 import pytest
 from hypothesis import given
@@ -12,6 +13,7 @@ from badapprox.exact import (
     asin_bounds,
     ceil_frac,
     floor_frac,
+    fraction,
     gt_sqrt,
     gt_sum_two_sqrt,
     log_bounds,
@@ -150,6 +152,76 @@ def test_rat_str_always_shows_denominator():
     assert rat_str(Fraction(-4, 8)) == "-1/2"
     assert rat_str(True) == "1/1"
     assert rat_vec(["1/2", 3]) == (Fraction(1, 2), Fraction(3))
+
+
+# -- fraction: Fraction(n, d) by a shift and a gcd on the odd part ------------
+
+
+def _fraction_outcome(make, n, d):
+    try:
+        got = make(n, d)
+    except Exception as exc:  # the exception and its message are the behaviour
+        return type(exc), str(exc)
+    return type(got), got.numerator, got.denominator, hash(got), type(got.numerator)
+
+
+def _assert_same_fraction(n, d):
+    assert _fraction_outcome(fraction, n, d) == _fraction_outcome(Fraction, n, d), (n, d)
+
+
+def _odd(rng, bits):
+    return rng.getrandbits(bits) | 1 | 1 << (bits - 1)
+
+
+@pytest.mark.parametrize("kind", ["power of two", "odd", "mixed"])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_fraction_equals_fraction_on_seeded_denominators(kind, seed):
+    # d = 2^k, d odd, or d = 2^k * o with o up to 2000 bits.  The odd part is
+    # a product of pieces, and n takes a random subset of them and a random
+    # power of two, so both the 2^min term and the odd gcd are exercised.
+    rng = Random(f"{kind}:{seed}")
+    for _ in range(150):
+        k = 0 if kind == "odd" else rng.randrange(0, 1700)
+        pieces = [] if kind == "power of two" else [
+            _odd(rng, rng.randrange(1, 700)) for _ in range(rng.randrange(1, 4))]
+        d = math.prod(pieces) << k
+        n = rng.getrandbits(rng.randrange(0, 2200)) | 1
+        n <<= rng.randrange(0, k + 3)
+        n *= math.prod(p for p in pieces if rng.random() < 0.5)
+        _assert_same_fraction(rng.choice([1, -1]) * n, d)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 12, 1 << 1500, 3 << 1500, (2**127 - 1) << 900,
+                               2**1279 - 1])
+def test_fraction_equals_fraction_on_edge_numerators(d):
+    for n in (0, 1, -1, 2, -2, d, -d, 2 * d, -6 * d, d * (2**200 + 1), d // 3, -(d >> 1),
+              d + 1, 1 << 1600, -(5 << 1600)):
+        _assert_same_fraction(n, d)
+
+
+def test_fraction_refuses_a_zero_denominator_as_fraction_does():
+    for n in (0, 1, -7, 3 << 1500):
+        assert _fraction_outcome(fraction, n, 0) == _fraction_outcome(Fraction, n, 0)
+    with pytest.raises(ZeroDivisionError, match=r"^Fraction\(5, 0\)$"):
+        fraction(5, 0)
+
+
+def test_fraction_normalises_a_negative_denominator_as_fraction_does():
+    for n, d in ((3, -4), (-3, -4), (0, -5), (6, -(3 << 700)), (-(1 << 800), -(9 << 800))):
+        _assert_same_fraction(n, d)
+
+
+def test_rat_parses_long_strings_in_any_terms():
+    # the trace's "p/q" strings, canonical or scaled by a common factor
+    rng = Random(7)
+    for _ in range(40):
+        d = _odd(rng, rng.randrange(1, 120)) << rng.randrange(1300, 1600)
+        n = rng.getrandbits(1600) - (1 << 1599)
+        for scale in (1, 2, 6, 2**40 * 17):
+            text = f"{n * scale}/{d * scale}"
+            got, want = rat(text), Fraction(text)
+            assert (type(got), got.numerator, got.denominator) == (
+                Fraction, want.numerator, want.denominator)
 
 
 # -- comparators: exactness at the boundary ----------------------------------
