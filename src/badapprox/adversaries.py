@@ -13,7 +13,7 @@ from random import Random
 from typing import Optional, Sequence
 
 from .engine import hold
-from .exact import over_common_denominator, rat
+from .exact import over_common_denominator, rat, round_half_even
 from .geometry import Vec, rational_unit_direction, scale, sub
 from .resonance import ResonanceSequence
 
@@ -69,9 +69,7 @@ class GreedyBlack:
         den, nums = over_common_denominator(center)
         best_r = best_res = None
         for r in range(1, len(self.seq) + 1):
-            a, rem = divmod(sum(map(mul, self.seq.vector(r), nums)), den)
-            if 2 * rem > den or (2 * rem == den and a & 1):
-                rem -= den
+            _, rem = round_half_even(sum(map(mul, self.seq.vector(r), nums)), den)
             if best_r is None or (
                 rem * rem * self.seq.norm_sq_of(best_r)
                 < best_res * best_res * self.seq.norm_sq_of(r)

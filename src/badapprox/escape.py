@@ -11,7 +11,9 @@ at distance > gamma*rho from the plane — a state that nested play can never
 undo.  Every membership test below is an exact integer test on the
 direction's (v, L) form, integer v over its common denominator L (at most
 two squarings); floats appear only inside candidate *generation*, never in
-acceptance of a candidate.
+acceptance of a candidate.  The plane's side, its absorption and the cap's
+clearance read the center residual u·center - a as an integer over the
+center's common denominator.
 """
 from __future__ import annotations
 
@@ -26,6 +28,7 @@ from .exact import (
     InvariantError,
     Record,
     ceil_frac,
+    fraction,
     gt_sqrt,
     gt_sum_two_sqrt,
     over_common_denominator,
@@ -57,16 +60,19 @@ class SelectionExhausted(Exception):
         )
 
 
+def _residual(ball: Ball, plane: Hyperplane) -> tuple[int, int]:
+    """(res, den): the center residual u·center - a as res/den, with den the
+    center's common denominator."""
+    den, nums = over_common_denominator(ball.center)
+    return sum(map(mul, plane.normal, nums)) - plane.offset * den, den
+
+
 def plane_sign(ball: Ball, plane: Hyperplane) -> int:
     """Which side of the plane the escape pushes toward: the sign of the
     center residual, falling back to the lexicographic sign of the normal
     when the plane passes exactly through the center."""
-    s0 = plane.residual(ball.center)
-    if s0 > 0:
-        return 1
-    if s0 < 0:
-        return -1
-    return lex_sign(plane.normal)
+    res, _ = _residual(ball, plane)
+    return 1 if res > 0 else -1 if res < 0 else lex_sign(plane.normal)
 
 
 def absorbed(ball: Ball, plane: Hyperplane, gamma: Fraction) -> bool:
@@ -74,10 +80,13 @@ def absorbed(ball: Ball, plane: Hyperplane, gamma: Fraction) -> bool:
 
     The state is monotone under play: later balls are nested (distance can
     only grow) while gamma*radius shrinks, so once absorbed, always absorbed.
+    On integers, with the residual res/den, radius p/q and gamma = g/h:
+        (res q h)^2 > |u|^2 (p (h + g) den)^2.
     """
-    r = plane.residual(ball.center)
-    bound = plane.norm_sq * ball.radius * ball.radius * (1 + gamma) ** 2
-    return r * r > bound
+    res, den = _residual(ball, plane)
+    p, q = ball.radius.numerator, ball.radius.denominator
+    g, h = gamma.numerator, gamma.denominator
+    return (res * q * h) ** 2 > plane.norm_sq * (p * (h + g) * den) ** 2
 
 
 # -- exact cap membership on integer directions -------------------------------
@@ -108,9 +117,11 @@ class PlaneCap:
 
     def __init__(self, ball: Ball, plane: Hyperplane, gamma: Fraction, shrink_t: Fraction):
         sgn = plane_sign(ball, plane)
+        res, den = _residual(ball, plane)
         p, q = gamma.numerator, gamma.denominator
         s, t = shrink_t.numerator, shrink_t.denominator
-        clearance = abs(plane.residual(ball.center)) / ball.radius
+        # |s0|/rho in lowest terms, so that the per-candidate tests stay small
+        clearance = fraction(abs(res) * ball.radius.denominator, den * ball.radius.numerator)
         r1, r2 = clearance.numerator, clearance.denominator
         k = 4 * q * q - p * p  # 4Q^2 (1 - gamma^2/4)
         self.outward = tuple(sgn * c for c in plane.normal)

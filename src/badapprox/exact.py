@@ -1,9 +1,11 @@
 """Exact rational arithmetic helpers.
 
-Everything on the game/certificate path works over ``fractions.Fraction``;
-comparisons against square roots are decided by squaring, never by floating
-point.  Where a constant is irrational (the square roots, arcsines and pi of
-the spherical-cap measure) it is bracketed by integers scaled by 2^prec,
+The game's values are ``fractions.Fraction``s; where only a comparison is
+needed they are brought to integers over positive common denominators
+(``over_common_denominator``, ``round_half_even``), and comparisons against
+square roots are decided by squaring, never by floating point.  Where a
+constant is irrational (the square roots, arcsines and pi of the
+spherical-cap measure) it is bracketed by integers scaled by 2^prec,
 rounded outward at every step, so a decision taken on the bracket is exact.
 
 ``fraction(n, d)`` is ``Fraction(n, d)`` for denominators that are mostly
@@ -254,7 +256,8 @@ def gt_sum_two_sqrt(lhs: Rat, x_sq: Rat, y_sq: Rat) -> bool:
 def sqrt_bounds(x_sq: Rat, bits: int = 64) -> tuple[int, int]:
     """Bracket sqrt(x_sq) at precision bits: lo = floor(sqrt(x_sq) * 2^bits)
     and hi = isqrt(ceil(x_sq * 4^bits)) + 1, both 0 at x_sq = 0.  Feeds the
-    cosines of the spherical-cap measure (geometry.cap_measure_bounds)."""
+    cosines of the spherical-cap measure (geometry.cap_measure_bounds) and
+    the certificate's residual lower bounds."""
     x = Fraction(x_sq)
     if x < 0:
         raise ValueError("x_sq must be nonnegative")
@@ -263,12 +266,6 @@ def sqrt_bounds(x_sq: Rat, bits: int = 64) -> tuple[int, int]:
     n = x.numerator << (2 * bits)
     d = x.denominator
     return math.isqrt(n // d), math.isqrt(-(-n // d)) + 1
-
-
-def sqrt_upper(x_sq: Rat, bits: int = 64) -> Fraction:
-    """A dyadic upper bound on sqrt(x_sq), within 2^-(bits-1) of it; feeds the
-    certificate's residual lower bounds."""
-    return Fraction(sqrt_bounds(x_sq, bits)[1], 1 << bits)
 
 
 # -- scaled-integer brackets -------------------------------------------------
@@ -373,6 +370,16 @@ def over_common_denominator(values: Sequence[Rat]) -> tuple[int, list[int]]:
     the ints and Fractions in values."""
     den = math.lcm(*(v.denominator for v in values))
     return den, [v.numerator * (den // v.denominator) for v in values]
+
+
+def round_half_even(s: int, den: int) -> tuple[int, int]:
+    """(a, s - a*den) for a the integer nearest s/den (den > 0), a tie going
+    to the even one, as round() of a Fraction does."""
+    a, rem = divmod(s, den)
+    if 2 * rem > den or (2 * rem == den and a & 1):
+        a += 1
+        rem -= den
+    return a, rem
 
 
 def int_dist(v: int, den: int) -> int:

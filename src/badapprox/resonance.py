@@ -23,6 +23,7 @@ from .exact import (
     Rat,
     Record,
     box_points,
+    int_dist,
     json_list,
     json_rat,
     over_common_denominator,
@@ -231,22 +232,25 @@ def best_approximations_cf(theta: ThetaMatrix, t_max: int) -> list[ResonanceEntr
     For a single rational angle the strict quality records at integer sizes
     are exactly the convergent denominators (Lagrange); this route never
     enumerates and is cross-checked against best_approximations in the
-    test-suite.
+    test-suite.  With theta = num/den, the quality ||q theta|| is
+    int_dist(num*q, den)/den, so records compare on integers over den and
+    a Fraction is built only for a record.
     """
     if theta.shape != (1, 1):
         raise ValueError(f"the continued-fraction route needs a 1x1 theta, got {theta.shape}")
     if t_max < 1:
         raise ValueError("t_max must be >= 1")
     value = theta.rows[0][0]
+    num, den = value.numerator, value.denominator
     records: list[ResonanceEntry] = []
-    best: Optional[Fraction] = None
+    best: Optional[int] = None
     for _, q in convergents(value):
         if q > t_max:
             break
-        qual = nearest_int_dist(value * q)
-        if best is None or qual < best:
-            records.append(ResonanceEntry((q,), q * q, qual))
-            best = qual
+        dist = int_dist(num * q, den)
+        if best is None or dist < best:
+            records.append(ResonanceEntry((q,), q * q, Fraction(dist, den)))
+            best = dist
     return records
 
 
@@ -286,7 +290,9 @@ class ResonanceSequence(Record, frozen=True):
     lacunarity M.
 
     Invariant (checked): M^2 <= t_{r+1}^2 / t_r^2 <= M^4 for consecutive
-    entries — i.e. the size ratio lies in [M, M^2], all verified on squares.
+    entries — i.e. the size ratio lies in [M, M^2], all verified on squares,
+    by cross-multiplication with M = m/d: m^2 t_r^2 <= d^2 t_{r+1}^2 and
+    d^4 t_{r+1}^2 <= m^4 t_r^2.
     """
 
     __slots__ = ("entries", "lacunarity")
@@ -297,8 +303,8 @@ class ResonanceSequence(Record, frozen=True):
             raise ValueError("lacunarity must exceed 1")
         if not entries:
             raise EmptySequence("resonance sequence is empty")
-        m2 = lacunarity**2
-        m4 = m2 * m2
+        m2, d2 = lacunarity.numerator**2, lacunarity.denominator**2
+        m4, d4 = m2 * m2, d2 * d2
         dims = {len(e.vector) for e in entries}
         if len(dims) != 1:
             raise ValueError("mixed dimensions in resonance sequence")
@@ -308,11 +314,10 @@ class ResonanceSequence(Record, frozen=True):
             if e.norm_sq != sum(c * c for c in e.vector):
                 raise ValueError(f"stored norm_sq wrong for {e.vector}")
         for prev, cur in zip(entries, entries[1:]):
-            ratio_sq = Fraction(cur.norm_sq, prev.norm_sq)
-            if not m2 <= ratio_sq <= m4:
+            if not (m2 * prev.norm_sq <= d2 * cur.norm_sq and d4 * cur.norm_sq <= m4 * prev.norm_sq):
                 raise ValueError(
-                    f"size ratio^2 {ratio_sq} outside [M^2, M^4] between "
-                    f"{prev.vector} and {cur.vector}"
+                    f"size ratio^2 {Fraction(cur.norm_sq, prev.norm_sq)} outside [M^2, M^4] "
+                    f"between {prev.vector} and {cur.vector}"
                 )
         set_entries, set_lacunarity = self._setters
         set_entries(self, entries)
@@ -356,14 +361,15 @@ def lacunary_normalize(
     is kept, and one beyond M^2 forces padding — an axis-aligned filler of
     the smallest integer size s with s^2 >= M^2 * t_kept^2 is inserted, then
     the same record is reconsidered.  Ratio tests compare squares against
-    [M^2, M^4]; no roots are taken.  Records with quality zero never enter
-    (they mark exact resonances, not usable sizes).
+    [M^2, M^4] by cross-multiplication on integers; no roots are taken.
+    Records with quality zero never enter (they mark exact resonances, not
+    usable sizes).
     """
     m = rat(lacunarity)
     if m <= 1:
         raise ValueError("lacunarity must exceed 1")
-    m2 = m * m
-    m4 = m2 * m2
+    m2, d2 = m.numerator**2, m.denominator**2
+    m4, d4 = m2 * m2, d2 * d2
     pending = [r for r in records if r.quality != 0]
     if not pending:
         raise EmptySequence("no usable records (all exact resonances?)")
@@ -373,17 +379,14 @@ def lacunary_normalize(
     for rec in pending[1:]:
         while True:
             last_sq = out[-1].norm_sq
-            ratio_sq = Fraction(rec.norm_sq, last_sq)
-            if ratio_sq < m2:
+            if d2 * rec.norm_sq < m2 * last_sq:
                 break  # too close to the last kept size: drop
-            if ratio_sq <= m4:
+            if d4 * rec.norm_sq <= m4 * last_sq:
                 out.append(rec)
                 break
-            # gap too wide: pad with the smallest admissible integer size
-            target = m2 * last_sq
-            s = math.isqrt(math.ceil(target))
-            while s * s < target:
-                s += 1
+            # gap too wide: pad with the smallest admissible integer size,
+            # the least s with s^2 >= M^2 last_sq, i.e. s^2 >= ceil(M^2 last_sq)
+            s = math.isqrt(-(-m2 * last_sq // d2) - 1) + 1
             filler = (s,) + (0,) * (dim - 1)
             out.append(ResonanceEntry(filler, s * s, None))
     return ResonanceSequence(tuple(out), m)

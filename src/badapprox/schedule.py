@@ -11,9 +11,19 @@ dyadic *lower* bound: its floor at 2^-40 granularity, less two steps.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 
-from .exact import InvariantError, Record, ceil_frac, log_bounds, rat, rat_str
-from .geometry import Ball, Hyperplane, cap_measure_bounds, dot
+from .exact import (
+    InvariantError,
+    Record,
+    ceil_frac,
+    log_bounds,
+    over_common_denominator,
+    rat,
+    rat_str,
+    round_half_even,
+)
+from .geometry import Ball, Hyperplane, cap_measure_bounds
 from .resonance import ResonanceSequence
 
 
@@ -283,17 +293,21 @@ def dangerous_hyperplanes(
     For family r with vector u, the hyperplanes are {y : u·y = a}, a in Z;
     at scales where 2*radius*|u| <= 1 at most one offset can meet the ball,
     and the nearest one is a = round(u·center) (ties to even, exactly as
-    Fraction rounding does).
+    Fraction rounding does).  Decided on integers: with the center as N/D
+    and radius = p/q, the scale test is 4 p^2 |u|^2 > q^2 and
+    a = round_half_even(u·N, D).
     """
+    den, nums = over_common_denominator(ball.center)
+    p, q = ball.radius.numerator, ball.radius.denominator
+    reach, bound = 4 * p * p, q * q
     out = []
     for r in range(r_lo + 1, r_hi + 1):
         u = seq.vector(r)
-        if 4 * ball.radius * ball.radius * seq.norm_sq_of(r) > 1:
+        if reach * seq.norm_sq_of(r) > bound:
             raise InvariantError(
                 f"family {r} has multiple reachable offsets at radius {ball.radius}; "
                 "schedule should have prevented this"
             )
-        s = dot(u, ball.center)
-        a = round(s)
+        a, _ = round_half_even(sum(map(mul, u, nums)), den)
         out.append((r, Hyperplane(u, a)))
     return out

@@ -7,16 +7,29 @@ avoidance drive to retire them all.  The certificate is recomputed from the
 finished trace alone (gather points are read off the recorded balls), so a
 trace produced by any policy whatsoever can be checked — a do-nothing player
 fails it honestly.
+
+Every gather, clearance and certificate test is decided on integers: the
+ball's center as N over one common denominator D, its radius p/q and the
+margin e/E, each rational comparison multiplied through by positive
+denominators.  Only the reported residual lower bounds are Fractions.
 """
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from operator import mul
 from typing import Optional, Sequence
 
-from .exact import InvariantError, Record, floor_frac, rat_str, sqrt_upper
+from .exact import (
+    InvariantError,
+    Record,
+    over_common_denominator,
+    rat_str,
+    round_half_even,
+    sqrt_bounds,
+)
 from .engine import GameParams, GameTrace, hold, run_game
-from .geometry import Ball, Hyperplane, Vec, dot
+from .geometry import Ball, Hyperplane, Vec
 from .escape import AvoidanceDrive
 from .resonance import ResonanceSequence
 from .schedule import (
@@ -41,6 +54,17 @@ class HandledPlane(Record, frozen=True):
     __slots__ = ("r", "plane", "block")
 
 
+def _integer_form(ball: Ball, margin: Fraction) -> tuple[int, list[int], tuple[int, int, int, int]]:
+    """(den, nums, scales): the ball's center as nums over one common
+    denominator den, and scales = (E, e*den, q^2, (p*den*E)^2) for the
+    margin e/E and the radius p/q.  A clearance c/(den*E) exceeds the reach
+    |u|*radius iff c > 0 and c^2 q^2 > |u|^2 (p*den*E)^2."""
+    den, nums = over_common_denominator(ball.center)
+    p, q = ball.radius.numerator, ball.radius.denominator
+    e, big_e = margin.numerator, margin.denominator
+    return den, nums, (big_e, e * den, q * q, (p * den * big_e) ** 2)
+
+
 def gather_block_planes(
     ball: Ball, seq: ResonanceSequence, sched: BlockSchedule, block: int
 ) -> list[HandledPlane]:
@@ -51,20 +75,22 @@ def gather_block_planes(
     certified from this radius (margin <= |u| * radius, tested on squares),
     that offset's plane is gathered as well.  The total must stay strictly
     below the plane budget, or the schedule was infeasible after all.
+    Decided on integers: u·center - a = lean/den, and the margin
+    1 - |lean|/den - epsilon times den*E (_integer_form).
     """
     params = sched.params
     lo, hi = sched.handled_range(block)
+    den, nums, (big_e, slack, q_sq, reach) = _integer_form(ball, params.margin)
     out: list[HandledPlane] = []
     for r, plane in dangerous_hyperplanes(ball, seq, lo, hi):
         out.append(HandledPlane(r, plane, block))
-        s = dot(plane.normal, ball.center)
-        lean = s - plane.offset  # in [-1/2, 1/2] by nearest rounding
-        margin = 1 - abs(lean) - params.margin
+        lean = sum(map(mul, plane.normal, nums)) - plane.offset * den  # |lean| <= den/2
+        margin = (den - abs(lean)) * big_e - slack
         if margin <= 0:
             raise ScheduleInfeasible(
                 f"family {r}: margin to the second offset is non-positive"
             )
-        if margin * margin <= plane.norm_sq * ball.radius * ball.radius:
+        if margin * margin * q_sq <= plane.norm_sq * reach:
             a2 = plane.offset + (1 if lean >= 0 else -1)
             out.append(HandledPlane(r, Hyperplane(plane.normal, a2), block))
     if len(out) > params.plane_budget - 1:
@@ -75,17 +101,16 @@ def gather_block_planes(
     return out
 
 
-def _family_clear(radius: Fraction, norm_sq: int, s: Fraction, margin: Fraction) -> bool:
+def _family_clear(s: int, den: int, norm_sq: int, scales: tuple[int, int, int, int]) -> bool:
     """Exact: every integer offset of the family stays > margin beyond the
-    ball's reach.  With f = s - floor(s), requires both f - margin and
-    1 - f - margin to be positive and to exceed |u|*radius (on squares)."""
-    f = s - floor_frac(s)
-    reach_sq = norm_sq * radius * radius
-    a1 = f - margin
-    a2 = 1 - f - margin
-    if a1 <= 0 or a2 <= 0:
-        return False
-    return a1 * a1 > reach_sq and a2 * a2 > reach_sq
+    ball's reach.  With u·center = s/den and f = s mod den, both f/den -
+    margin and 1 - f/den - margin must be positive and exceed |u|*radius;
+    the nearer side, min(f, den - f)*E - e*den over den*E, decides, on the
+    scales of _integer_form."""
+    big_e, slack, q_sq, reach = scales
+    f = s % den
+    near = min(f, den - f) * big_e - slack
+    return near > 0 and near * near * q_sq > norm_sq * reach
 
 
 class WhiteStrategy:
@@ -107,9 +132,10 @@ class WhiteStrategy:
         self.sub: Optional[AvoidanceDrive] = None
 
     def _check_handled_clear(self, ball: Ball) -> None:
+        den, nums, scales = _integer_form(ball, self.params.margin)
         for h in self.handled:
-            s = dot(h.plane.normal, ball.center)
-            if not _family_clear(ball.radius, h.plane.norm_sq, s, self.params.margin):
+            s = sum(map(mul, h.plane.normal, nums))
+            if not _family_clear(s, den, h.plane.norm_sq, scales):
                 raise InvariantError(
                     f"family {h.r} (handled in block {h.block}) lost its "
                     f"clearance at move {self.moves}"
@@ -221,27 +247,30 @@ def certificate(
             gather_block_planes(block_start_ball(trace, sched, b), seq, sched, b)
         )
     final = trace.final_ball
+    den, nums, scales = _integer_form(final, params.margin)
     violations: list[dict] = []
     entries: list[CertificateEntry] = []
     for h in handled:
-        s = dot(h.plane.normal, final.center)
-        if not _family_clear(final.radius, h.plane.norm_sq, s, params.margin):
+        s = sum(map(mul, h.plane.normal, nums))
+        if not _family_clear(s, den, h.plane.norm_sq, scales):
             violations.append(
                 {
                     "r": h.r,
                     "block": h.block,
                     "offset": h.plane.offset,
-                    "residual": rat_str(abs(s - round(s))),
+                    "residual": rat_str(Fraction(abs(round_half_even(s, den)[1]), den)),
                 }
             )
             continue
-        lb = abs(s - h.plane.offset) - sqrt_upper(h.plane.norm_sq * final.radius**2)
+        # |u·eta - a| - hi/2^64 with hi/2^64 >= |u|*radius, over den*2^64
+        hi = sqrt_bounds(h.plane.norm_sq * final.radius**2)[1]
+        lb = (abs(s - h.plane.offset * den) << 64) - hi * den
         # floor to a compact dyadic for the report; still a valid lower bound
-        compact = Fraction(floor_frac(lb * (1 << 30)), 1 << 30)
+        compact = lb // (den << 34)
         entries.append(
             CertificateEntry(
                 h.r, h.plane.normal, h.plane.offset, h.block,
-                compact if compact > 0 else lb,
+                Fraction(compact, 1 << 30) if compact > 0 else Fraction(lb, den << 64),
             )
         )
     if violations:

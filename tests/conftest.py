@@ -59,6 +59,13 @@ def make_sequence(vectors, lacunarity=3, qualities=None):
     return ResonanceSequence(tuple(entries), Fraction(lacunarity))
 
 
+def long_rational(rng, lo, hi) -> Fraction:
+    """A rational in [lo, hi) over 2^k * o, k up to 1500 and o a small odd
+    number, as the game's late centers and radii are (test helper)."""
+    den = (1 << rng.randrange(1501)) * (2 * rng.randrange(40) + 1)
+    return lo + (hi - lo) * Fraction(rng.randrange(den), den)
+
+
 def make_records(pairs):
     """Approximation records from (vector, quality) pairs (test helper)."""
     out = []

@@ -19,7 +19,12 @@ absolute-center engine beside them adds each step to the center as a
 integer center, held to it by test_engine.py.  The three
 cap predicates and the ``select_cap`` built on them are the ``Fraction``
 tests that the escape layer's integer tests on (v, L) directions replaced,
-held to them by test_escape.py.  All of them are slow and obviously
+held to them by test_escape.py.  The gather, clearance and certificate of
+White's strategy, the nearest offsets of ``dangerous_hyperplanes``,
+``absorbed``, ``plane_sign``, the continued-fraction records and the
+lacunary ratio tests are the ``Fraction`` bodies that their integer forms
+replaced, held to them by test_strategy.py, test_schedule.py,
+test_escape.py and test_resonance.py.  All of them are slow and obviously
 correct.  The spherical-cap measure at the end is the float route that
 ``derive_params`` took before the measure was bracketed exactly: mpmath
 quadrature and a ``math.asin`` difference, floored with a two-step guard.
@@ -41,28 +46,38 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 from badapprox import escape
 from badapprox.certify import DecayTable, PowerLaw, TableRangeExceeded
 from badapprox.engine import GameParams, GameState, GameTrace, IllegalMove, MoveRecord, within_slack
-from badapprox.escape import CapSelection, SelectionExhausted, plane_sign
+from badapprox.escape import CapSelection, SelectionExhausted
 from badapprox.exact import (
     InvariantError,
     ceil_frac,
+    floor_frac,
     gt_sqrt,
     gt_sum_two_sqrt,
     over_common_denominator,
     rat,
     rat_str,
+    sqrt_bounds,
 )
 from badapprox.geometry import (
     Ball,
     Hyperplane,
     Vec,
     dot,
+    lex_sign,
     nearest_int_dist,
     rational_unit_direction,
     same_dimension,
     scale,
 )
-from badapprox.resonance import ResonanceEntry, ResonanceSequence, ThetaMatrix
-from badapprox.schedule import ScheduleInfeasible, StrategyParams
+from badapprox.resonance import ResonanceEntry, ResonanceSequence, ThetaMatrix, convergents
+from badapprox.schedule import BlockSchedule, ScheduleInfeasible, StrategyParams
+from badapprox.strategy import (
+    Certificate,
+    CertificateEntry,
+    CertificateFailed,
+    HandledPlane,
+    block_start_ball,
+)
 
 
 def replace(record, **changes):
@@ -496,6 +511,164 @@ class GreedyBlack:
             return (Fraction(0),) * state.ball.dimension, f"on family {r}"
         direction = rational_unit_direction(scale(self.seq.vector(r), -1 if res > 0 else 1))
         return scale(direction, 1 - state.params.beta), f"chasing family {r}"
+
+
+# -- the strategy's predicates and the 1x1 records ----------------------------
+
+
+def dangerous_hyperplanes(
+    ball: Ball, seq: ResonanceSequence, r_lo: int, r_hi: int
+) -> list[tuple[int, Hyperplane]]:
+    """schedule.dangerous_hyperplanes in Fraction arithmetic: the scale test
+    4 R^2 |u|^2 > 1 and a = round(u·center)."""
+    out = []
+    for r in range(r_lo + 1, r_hi + 1):
+        u = seq.vector(r)
+        if 4 * ball.radius * ball.radius * seq.norm_sq_of(r) > 1:
+            raise InvariantError(
+                f"family {r} has multiple reachable offsets at radius {ball.radius}; "
+                "schedule should have prevented this"
+            )
+        out.append((r, Hyperplane(u, round(dot(u, ball.center)))))
+    return out
+
+
+def gather_block_planes(
+    ball: Ball, seq: ResonanceSequence, sched: BlockSchedule, block: int
+) -> list[HandledPlane]:
+    """strategy.gather_block_planes in Fraction arithmetic: the lean
+    u·center - a, the margin 1 - |lean| - epsilon, and the second offset when
+    margin^2 <= |u|^2 R^2."""
+    params = sched.params
+    lo, hi = sched.handled_range(block)
+    out: list[HandledPlane] = []
+    for r, plane in dangerous_hyperplanes(ball, seq, lo, hi):
+        out.append(HandledPlane(r, plane, block))
+        lean = dot(plane.normal, ball.center) - plane.offset
+        margin = 1 - abs(lean) - params.margin
+        if margin <= 0:
+            raise ScheduleInfeasible(
+                f"family {r}: margin to the second offset is non-positive"
+            )
+        if margin * margin <= plane.norm_sq * ball.radius * ball.radius:
+            a2 = plane.offset + (1 if lean >= 0 else -1)
+            out.append(HandledPlane(r, Hyperplane(plane.normal, a2), block))
+    if len(out) > params.plane_budget - 1:
+        raise ScheduleInfeasible(
+            f"block {block} gathered {len(out)} planes; the avoidance "
+            f"guarantee needs at most {params.plane_budget - 1}"
+        )
+    return out
+
+
+def family_clear(radius: Fraction, norm_sq: int, s: Fraction, margin: Fraction) -> bool:
+    """With f = s - floor(s), both f - margin and 1 - f - margin are positive
+    and exceed |u|*radius, on squares."""
+    f = s - floor_frac(s)
+    reach_sq = norm_sq * radius * radius
+    a1 = f - margin
+    a2 = 1 - f - margin
+    if a1 <= 0 or a2 <= 0:
+        return False
+    return a1 * a1 > reach_sq and a2 * a2 > reach_sq
+
+
+def certificate(trace: GameTrace, seq: ResonanceSequence, sched: BlockSchedule) -> Certificate:
+    """strategy.certificate in Fraction arithmetic, on the gathers and the
+    clearance test above; residual_lb is |s - a| less a 64-bit upper bound on
+    |u|*radius, floored to a multiple of 2^-30 when that stays positive."""
+    params = sched.params
+    if 2 * sched.blocks * params.avoidance_rounds > len(trace.moves):
+        raise ValueError("trace does not cover the full schedule")
+    handled: list[HandledPlane] = []
+    for b in range(sched.blocks):
+        handled.extend(gather_block_planes(block_start_ball(trace, sched, b), seq, sched, b))
+    final = trace.final_ball
+    violations: list[dict] = []
+    entries: list[CertificateEntry] = []
+    for h in handled:
+        s = dot(h.plane.normal, final.center)
+        if not family_clear(final.radius, h.plane.norm_sq, s, params.margin):
+            violations.append({"r": h.r, "block": h.block, "offset": h.plane.offset,
+                               "residual": rat_str(abs(s - round(s)))})
+            continue
+        reach = Fraction(sqrt_bounds(h.plane.norm_sq * final.radius**2)[1], 1 << 64)
+        lb = abs(s - h.plane.offset) - reach
+        compact = Fraction(floor_frac(lb * (1 << 30)), 1 << 30)
+        entries.append(CertificateEntry(h.r, h.plane.normal, h.plane.offset, h.block,
+                                        compact if compact > 0 else lb))
+    if violations:
+        raise CertificateFailed(violations)
+    return Certificate(params, sched.rho0, sched.blocks, sched.cuts[-1],
+                       final.center, final.radius, entries)
+
+
+def plane_sign(ball: Ball, plane: Hyperplane) -> int:
+    """The sign of the Fraction residual u·center - a, or the normal's
+    lexicographic sign when it is 0."""
+    s0 = plane.residual(ball.center)
+    return 1 if s0 > 0 else -1 if s0 < 0 else lex_sign(plane.normal)
+
+
+def absorbed(ball: Ball, plane: Hyperplane, gamma: Fraction) -> bool:
+    """dist(ball, plane) > gamma * radius on Fraction squares."""
+    r = plane.residual(ball.center)
+    return r * r > plane.norm_sq * ball.radius * ball.radius * (1 + gamma) ** 2
+
+
+def best_approximations_cf(theta: ThetaMatrix, t_max: int) -> list[ResonanceEntry]:
+    """The strict quality records among the convergent denominators q <= t_max,
+    each quality nearest_int_dist(theta * q) as a Fraction."""
+    value = theta.rows[0][0]
+    records: list[ResonanceEntry] = []
+    best: Optional[Fraction] = None
+    for _, q in convergents(value):
+        if q > t_max:
+            break
+        qual = nearest_int_dist(value * q)
+        if best is None or qual < best:
+            records.append(ResonanceEntry((q,), q * q, qual))
+            best = qual
+    return records
+
+
+def ratio_error(entries: Sequence[ResonanceEntry], lacunarity: Fraction) -> Optional[str]:
+    """The message ResonanceSequence raises for the first consecutive pair
+    whose Fraction ratio of squared sizes leaves [M^2, M^4], or None."""
+    m2 = lacunarity**2
+    m4 = m2 * m2
+    for prev, cur in zip(entries, entries[1:]):
+        ratio_sq = Fraction(cur.norm_sq, prev.norm_sq)
+        if not m2 <= ratio_sq <= m4:
+            return (f"size ratio^2 {ratio_sq} outside [M^2, M^4] between "
+                    f"{prev.vector} and {cur.vector}")
+    return None
+
+
+def lacunary_normalize(records: Iterable[ResonanceEntry], lacunarity) -> ResonanceSequence:
+    """resonance.lacunary_normalize on Fraction ratios, padding with the
+    least s whose s^2 reaches the Fraction target M^2 t^2."""
+    m = rat(lacunarity)
+    m2 = m * m
+    m4 = m2 * m2
+    pending = [r for r in records if r.quality != 0]
+    dim = len(pending[0].vector)
+    out: list[ResonanceEntry] = [pending[0]]
+    for rec in pending[1:]:
+        while True:
+            last_sq = out[-1].norm_sq
+            ratio_sq = Fraction(rec.norm_sq, last_sq)
+            if ratio_sq < m2:
+                break
+            if ratio_sq <= m4:
+                out.append(rec)
+                break
+            target = m2 * last_sq
+            s = math.isqrt(math.ceil(target))
+            while s * s < target:
+                s += 1
+            out.append(ResonanceEntry((s,) + (0,) * (dim - 1), s * s, None))
+    return ResonanceSequence(tuple(out), m)
 
 
 # -- the engine ----------------------------------------------------------------

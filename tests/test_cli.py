@@ -485,6 +485,14 @@ def test_sweep_eight_rows_all_certified(tmp_path):
     assert all(",certified," in line for line in lines[1:])
 
 
+def test_sweep_csv_is_pinned(tmp_path):
+    # sha256 of SWEEP_8's sweep.csv, taken while White's gather, clearance and
+    # certificate still decided in Fraction arithmetic
+    assert run(tmp_path, *SWEEP_8) == 0
+    digest = hashlib.sha256((tmp_path / "sweep.csv").read_bytes()).hexdigest()
+    assert digest == "063732597df0bbe9e163e4b9699a72d2d6297fd9c8db3e623ca31b3b681180bf"
+
+
 def test_sweep_is_byte_deterministic(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     assert run(a, *SWEEP_8) == 0

@@ -33,7 +33,7 @@ from badapprox.geometry import (
 from badapprox.adversaries import RandomBlack
 from badapprox.schedule import derive_params
 import oracles
-from conftest import cap_selection_inputs, escape_drive
+from conftest import cap_selection_inputs, escape_drive, long_rational
 from oracles import add, cap_member, strong_cap_member, verified_miss
 
 F = Fraction
@@ -103,6 +103,50 @@ def test_absorbed_monotone_under_nesting():
         inner = Ball((outer.center[0] + off,), r)
         assert oracles.contains_ball(outer, inner)
         assert absorbed(inner, plane, g)
+
+
+HAIR = Fraction(1, 2**1500)
+
+
+def test_absorbed_sign_and_clearance_match_fraction_oracles_on_long_denominators():
+    # absorbed, plane_sign and PlaneCap's outward normal and clearance |s0|/rho
+    # against their Fraction forms; a ninth of the planes pass through the center
+    rng = Random(37)
+    seen = set()
+    for trial in range(600):
+        n = rng.randint(1, 3)
+        u = tuple(rng.randint(-50, 50) for _ in range(n - 1)) + (rng.choice([-1, 1]) * rng.randint(1, 50),)
+        center = tuple(long_rational(rng, -3, 3) for _ in range(n))
+        a = round(dot(u, center)) + rng.randint(-2, 2)
+        if trial % 9 == 0:  # move the last coordinate onto the plane
+            center = center[:-1] + (center[-1] + (a - dot(u, center)) / u[-1],)
+        ball, plane = Ball(center, long_rational(rng, HAIR, Fraction(1, 50))), Hyperplane(u, a)
+        gamma = rng.choice([params_n(n).gamma, long_rational(rng, HAIR, Fraction(1))])
+        want = oracles.absorbed(ball, plane, gamma)
+        assert absorbed(ball, plane, gamma) is want, trial
+        sgn = oracles.plane_sign(ball, plane)
+        assert plane_sign(ball, plane) == sgn
+        cap = PlaneCap(ball, plane, gamma, Fraction(1, 8))
+        clearance = abs(plane.residual(ball.center)) / ball.radius
+        assert cap.outward == tuple(sgn * c for c in u)
+        assert (cap.miss_clearance, cap.miss_lhs) == (
+            2 * gamma.denominator * clearance.numerator, gamma.numerator * clearance.denominator)
+        seen.add((want, clearance == 0))
+    assert seen == {(True, False), (False, False), (False, True)}
+
+
+@pytest.mark.parametrize("side", [1, -1])
+def test_absorbed_is_strict_at_the_boundary_on_long_denominators(side):
+    # |u·c - a| = |u| * radius * (1 + gamma) exactly, over 1500-bit denominators
+    gamma = params_n(2).gamma
+    radius = 7 * HAIR
+    for extra, want in ((0, False), (HAIR * HAIR, True), (-HAIR * HAIR, False)):
+        target = 4 + side * (5 * radius * (1 + gamma) + extra)
+        y = Fraction(5, 3) - HAIR
+        ball = Ball(((target - 4 * y) / 3, y), radius)
+        assert dot((3, 4), ball.center) == target
+        for test in (absorbed, oracles.absorbed):
+            assert test(ball, Hyperplane((3, 4), 4), gamma) is want
 
 
 # -- cap membership vs a float-angle oracle ----------------------------------
@@ -216,7 +260,7 @@ def integer_decisions(ball, plane, direction, gamma, shrink_t, factor=1):
 
 
 def oracle_decisions(ball, plane, direction, gamma, shrink_t):
-    sgn = plane_sign(ball, plane)
+    sgn = oracles.plane_sign(ball, plane)
     return (
         cap_member(plane, sgn, direction, gamma),
         strong_cap_member(plane, sgn, direction, gamma, shrink_t),

@@ -21,9 +21,9 @@ from badapprox.exact import (
     rat,
     rat_str,
     rat_vec,
+    round_half_even,
     scaled_bounds,
     sqrt_bounds,
-    sqrt_upper,
 )
 
 rationals = st.fractions(
@@ -281,12 +281,11 @@ def test_sqrt_bounds_bracket(x):
     lo, hi = (Fraction(v, 1 << 64) for v in sqrt_bounds(x))
     assert lo * lo <= x <= hi * hi
     assert hi - lo <= Fraction(3, 1 << 64)
-    assert sqrt_upper(x) == hi
 
 
 def test_sqrt_bounds_perfect_square():
     assert sqrt_bounds(Fraction(49))[0] == 7 << 64
-    assert sqrt_upper(0) == 0
+    assert sqrt_bounds(0) == (0, 0)
     with pytest.raises(ValueError):
         sqrt_bounds(Fraction(-1))
 
@@ -359,3 +358,22 @@ def test_floor_ceil(x):
     assert f <= x <= c
     assert c - f == (0 if x.denominator == 1 else 1)
     assert f == math.floor(x) and c == math.ceil(x)
+
+
+def test_round_half_even_is_fraction_rounding():
+    # (a, s - a*den) with a = round(Fraction(s, den)): every tie k + 1/2 goes to
+    # the even neighbour, over small and 1500-bit denominators, unreduced too
+    rng = Random(47)
+    cases = [(2 * k + 1, 2) for k in range(-6, 7)] + [(s, 1) for s in range(-3, 4)]
+    for _ in range(2000):
+        den = (1 << rng.randrange(1501)) * (2 * rng.randrange(50) + 1)
+        s = rng.randrange(-5 * den, 5 * den)
+        if rng.random() < 0.2 and den % 2 == 0:
+            s = rng.randrange(-5, 5) * den + den // 2  # an exact tie
+        cases.append((s, den))
+    ties = 0
+    for s, den in cases:
+        a = round(Fraction(s, den))
+        assert round_half_even(s, den) == (a, s - a * den), (s, den)
+        ties += 2 * abs(s - a * den) == den
+    assert ties > 100

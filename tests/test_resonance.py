@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -26,6 +27,7 @@ from badapprox.resonance import (
     verify_decay_bound,
 )
 from conftest import make_records, make_sequence
+import oracles
 
 FIB = [1, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 610, 987]
 
@@ -188,6 +190,27 @@ def test_cf_route_matches_enumeration_on_random_rationals():
             assert best_approximations_cf(th, t_max) == best_approximations(th, t_max), (x, t_max)
 
 
+def test_cf_route_matches_fraction_oracle_on_long_denominators():
+    # thetas over denominators up to 1500 bits, integer thetas, and t_max at
+    # convergent denominators q exactly, at q - 1 and past the last
+    rng = random.Random(41)
+    values = [Fraction(3), Fraction(-2), Fraction(0), golden_theta().rows[0][0]]
+    for _ in range(12):
+        den = (1 << rng.randrange(1501)) * (2 * rng.randrange(400) + 1)
+        values.append(Fraction(rng.randrange(-3 * den, 3 * den), den))
+    for x in values:
+        th = ThetaMatrix.scalar(x)
+        qs = [q for _, q in convergents(x)]
+        picked = [qs[0], qs[-1], *rng.sample(qs, min(3, len(qs)))]
+        for t_max in sorted({1, *picked, *(q - 1 for q in picked if q > 1), qs[-1] + 5}):
+            got = best_approximations_cf(th, t_max)
+            assert got == oracles.best_approximations_cf(th, t_max), (x, t_max)
+            assert all(type(r.quality) is Fraction for r in got)
+    assert best_approximations_cf(ThetaMatrix.scalar(Fraction(3)), 7) == [ResonanceEntry((1,), 1, Fraction(0))]
+    assert best_approximations_cf(golden_theta(), 233)[-1].vector == (233,)  # q == t_max enters
+    assert best_approximations_cf(golden_theta(), 232)[-1].vector == (144,)
+
+
 def test_cf_route_golden_records_up_to_ten_million():
     recs = best_approximations_cf(golden_theta(), 10**7)
     fib = [1, 2]
@@ -327,6 +350,23 @@ def test_thinning_output_always_lacunary(sizes, m):
     assert kept[0] == sizes[0]
 
 
+@pytest.mark.parametrize("m", [2, 3, Fraction(3, 2), Fraction(7, 3)])
+def test_thinning_matches_fraction_oracle(m):
+    # drops, keeps at ratios exactly M and M^2, and padding, against the
+    # Fraction ratio tests and the Fraction padding target
+    rng = random.Random(43)
+    m = Fraction(m)
+    for _ in range(60):
+        sizes, t = [], 1
+        for _ in range(rng.randint(1, 14)):
+            t = rng.choice([t + 1, math.ceil(t * m), math.ceil(t * m * m), t * rng.randint(1, 400)])
+            sizes.append(t)
+        if m.denominator == 1:  # ratios exactly M and M^2
+            sizes += [sizes[-1] * m.numerator, sizes[-1] * m.numerator ** 3]
+        recs = make_records([((s,), Fraction(1, 2 * i + 3)) for i, s in enumerate(sizes)])
+        assert lacunary_normalize(recs, m) == oracles.lacunary_normalize(recs, m)
+
+
 # -- the sequence container --------------------------------------------------
 
 
@@ -342,6 +382,28 @@ def test_sequence_invariant_enforced():
         )
     with pytest.raises(EmptySequence):
         ResonanceSequence((), Fraction(3))
+
+
+@pytest.mark.parametrize("m, sizes", [
+    (Fraction(3), [(1,), (3,), (27,)]),  # ratio^2 exactly M^2 = 9, then exactly M^4 = 81
+    (Fraction(3, 2), [(4,), (6,), (12,)]),  # exactly M^2 = 9/4, then 4
+    (Fraction(3, 2), [(4,), (9,)]),  # exactly M^4 = 81/16
+    (Fraction(3, 2), [(4,), (5, 3, 1)]),  # 35/16 < M^2
+    (Fraction(3, 2), [(4,), (9, 1)]),  # 41/8 > M^4
+    (Fraction(3), [(1,), (2, 2)]),  # 8 < M^2
+    (Fraction(3), [(1,), (3,), (27, 1)]),  # 730/9 > M^4
+    (Fraction(3), [(9,), (1,)]),  # shrinking
+])
+def test_sequence_ratio_bounds_match_fraction_oracle(m, sizes):
+    vectors = [v + (0,) * (3 - len(v)) for v in sizes]
+    entries = tuple(ResonanceEntry(v, sum(c * c for c in v), None) for v in vectors)
+    error = oracles.ratio_error(entries, m)
+    if error is None:
+        assert len(ResonanceSequence(entries, m)) == len(entries)
+    else:
+        with pytest.raises(ValueError) as e:
+            ResonanceSequence(entries, m)
+        assert str(e.value) == error
 
 
 def test_sequence_one_based_access(golden_seq):

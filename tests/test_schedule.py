@@ -15,7 +15,7 @@ from badapprox.schedule import (
     dangerous_hyperplanes,
     derive_params,
 )
-from conftest import make_sequence
+from conftest import long_rational, make_sequence
 
 import math
 from random import Random
@@ -318,6 +318,42 @@ def test_dangerous_hyperplanes_rejects_wide_ball(golden_seq):
     ball = Ball((Fraction(0),), Fraction(1, 2))
     with pytest.raises(InvariantError, match="multiple reachable offsets"):
         dangerous_hyperplanes(ball, golden_seq, 5, 6)  # 2 * (1/2) * 987 > 1
+
+
+def _picked(fn, *args):
+    try:
+        return fn(*args)
+    except InvariantError as e:
+        return str(e)
+
+
+def test_dangerous_hyperplanes_match_fraction_oracle_on_long_denominators():
+    # 3-dimensional families of sizes 1..87, centers and radii over
+    # denominators up to 1500 bits; radii reach a tenth past 2*radius*|u| = 1
+    # for the largest family handled, and a seventh of them sit exactly on it
+    rng = Random(31)
+    seq = make_sequence([(1, 0, 0), (2, 2, 1), (4, 4, 7), (12, 16, 21), (36, 48, 63)])
+    kinds = set()
+    for trial in range(400):
+        lo = rng.randrange(5)
+        hi = rng.randrange(lo + 1, 6)
+        edge = Fraction(1, 2 * math.isqrt(seq.norm_sq_of(hi)))
+        radius = edge if trial % 7 == 0 else long_rational(rng, Fraction(1, 10**6), edge * Fraction(11, 10))
+        ball = Ball(tuple(long_rational(rng, -9, 9) for _ in range(3)), radius)
+        got = _picked(dangerous_hyperplanes, ball, seq, lo, hi)
+        assert got == _picked(oracles.dangerous_hyperplanes, ball, seq, lo, hi), trial
+        kinds.add(type(got))
+    assert kinds == {list, str}
+
+
+def test_dangerous_hyperplanes_scale_test_is_inclusive():
+    # 4 R^2 |u|^2 = 1 exactly is allowed, one part in 2^1500 more is not
+    seq = make_sequence([(3, 4)])
+    center = (Fraction(1, 2**1500), Fraction(7, 3))
+    for radius, ok in ((Fraction(1, 10), True), (Fraction(1, 10) * (1 + Fraction(1, 2**1500)), False)):
+        ball = Ball(center, radius)
+        for fn in (dangerous_hyperplanes, oracles.dangerous_hyperplanes):
+            assert isinstance(_picked(fn, ball, seq, 0, 1), list) is ok
 
 
 def test_dangerous_hyperplanes_two_dim():

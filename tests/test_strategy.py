@@ -1,15 +1,19 @@
 """Block-schedule execution and trace-based certification, end to end."""
 
+import hashlib
 import itertools
 from fractions import Fraction
+from random import Random
 
 import pytest
 
+from badapprox import strategy
 from badapprox.adversaries import GreedyBlack, RandomBlack
 from badapprox.engine import GameParams, concentric, run_game
-from badapprox.geometry import Ball, Hyperplane
+from badapprox.exact import InvariantError
+from badapprox.geometry import Ball, Hyperplane, dot
 from badapprox.resonance import ResonanceSequence
-from badapprox.schedule import ScheduleInfeasible, block_schedule
+from badapprox.schedule import ScheduleInfeasible, block_schedule, derive_params
 from badapprox.strategy import (
     Certificate,
     CertificateFailed,
@@ -20,7 +24,7 @@ from badapprox.strategy import (
     gather_block_planes,
     run_constructed_game,
 )
-from conftest import make_sequence
+from conftest import long_rational, make_sequence
 import oracles
 
 A, B, M = Fraction(1, 4), Fraction(1, 2), 3
@@ -239,3 +243,177 @@ def test_white_wins_against_every_black_on_the_flagship_grid(golden_seq):
         worst = low if worst is None else min(worst, low)
         assert cert.covered_through == 5
     assert worst > sched.params.margin
+
+
+def test_random_black_constructions_are_pinned(golden_seq):
+    # sha256 of the trace and certificate of the seeded golden constructions
+    # against random Black, taken while White's gather, clearance and
+    # certificate still decided in Fraction arithmetic
+    pins = {
+        0: ("5cc3f7169b9eee2bd6203107f2947354c34f5eb189deef53d41faccd01966db4",
+            "9ac74d549fe32713bbf98d904f3ccaec13c1b343d67adfcc25638baa9441a2ae"),
+        3: ("4b1c6753a806609306a3297bb2d6f6722acf89308ce38c02461f561dd0e4f142",
+            "c4fb92351121259614ad6a2398b5aa7cbcff5ba399776111807267cac75052bf"),
+    }
+    for seed, digests in pins.items():
+        trace, cert, _, _ = run_constructed_game(
+            golden_seq, A, B, M, RHO0, 2, RandomBlack(seed=seed), seed=seed
+        )
+        got = tuple(hashlib.sha256(text.encode()).hexdigest()
+                    for text in (trace.dumps(), cert.dumps()))
+        assert got == digests, seed
+
+
+# -- the integer predicates against their Fraction oracles ---------------------
+
+HAIR = Fraction(1, 2**1500)
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except (ScheduleInfeasible, InvariantError) as e:
+        return type(e), str(e)
+
+
+def _with_margin(sched, eps):
+    return oracles.replace(sched, params=oracles.replace(sched.params, margin=eps))
+
+
+def test_gather_matches_fraction_oracle_on_long_denominators(golden_params, golden_seq):
+    rng = Random(19)
+    sched = block_schedule(golden_params, golden_seq, RHO0, 2)
+    kinds = set()
+    for trial in range(600):
+        block = trial % 2
+        size = 1 if block == 0 else 233  # the largest |u| the block handles
+        eps = rng.choice([golden_params.margin, long_rational(rng, 0, Fraction(1, 2)), Fraction(1, 2)])
+        radius = Fraction(1, 2 * size) * (1 - long_rational(rng, 0, 1))
+        center = long_rational(rng, -3, 3)
+        if trial % 7 == 0:  # a family with two reachable offsets
+            radius = Fraction(1, 2 * size) * (1 + HAIR)
+        if trial % 11 == 0:  # every |u| is odd: each u·c is a half-integer
+            center = rng.randint(-3, 3) + Fraction(1, 2)
+        ball = Ball((center,), radius)
+        s = _with_margin(sched, eps)
+        ours = _outcome(lambda: gather_block_planes(ball, golden_seq, s, block))
+        assert ours == _outcome(lambda: oracles.gather_block_planes(ball, golden_seq, s, block))
+        if isinstance(ours, tuple):
+            kinds.add(ours[0])
+        else:
+            kinds.add(len(ours) > len(set(h.r for h in ours)))
+    assert kinds == {False, True, ScheduleInfeasible, InvariantError}
+
+
+@pytest.mark.parametrize("k", [-3, -2, 0, 1, 2, 7])
+def test_gather_on_a_half_integer_rounds_to_even(k):
+    # u·c = k + 1/2 over a 1500-bit common denominator: the nearest offset is
+    # the even one of k, k + 1 and the other is gathered second
+    params = derive_params(A, B, M, 2)
+    seq = make_sequence([(1, 0)])
+    sched = block_schedule(params, seq, RHO0, 1)
+    ball = Ball((k + Fraction(1, 2), 3 * HAIR), RHO0)
+    gathered = gather_block_planes(ball, seq, sched, 0)
+    even, odd = (k, k + 1) if k % 2 == 0 else (k + 1, k)
+    assert [h.plane.offset for h in gathered] == [even, odd]
+    assert gathered == oracles.gather_block_planes(ball, seq, sched, 0)
+
+
+def test_gather_margin_edges_at_epsilon_one_half(golden_params, golden_seq):
+    sched = block_schedule(golden_params, golden_seq, RHO0, 2)
+    ball = Ball((Fraction(5, 2),), RHO0)
+    for gather in (gather_block_planes, oracles.gather_block_planes):
+        with pytest.raises(ScheduleInfeasible, match="margin to the second offset is non-positive"):
+            gather(ball, golden_seq, _with_margin(sched, Fraction(1, 2)), 0)
+        near = _with_margin(sched, Fraction(1, 2) - HAIR)  # margin 2^-1500: both offsets
+        assert [h.plane.offset for h in gather(ball, golden_seq, near, 0)] == [2, 3]
+        # on the plane (lean 0), margin 1 - 1/2 = |u|*radius: the second offset is a + 1
+        on = Ball((Fraction(5),), RHO0)
+        assert [h.plane.offset for h in gather(on, golden_seq, _with_margin(sched, Fraction(1, 2)), 0)] == [5, 6]
+
+
+def test_gather_second_offset_at_margin_equal_to_reach(golden_params, golden_seq):
+    # margin = 1 - |lean| - eps equals |u|*radius exactly: the second offset is
+    # gathered (<=); one part in 2^1500 less radius and it is not
+    sched = block_schedule(golden_params, golden_seq, RHO0, 2)
+    eps = golden_params.margin
+    center = Fraction(1, 2) - eps / 2 + HAIR
+    reach = Fraction(1, 2) - eps / 2 - HAIR
+    for radius, offsets in ((reach, [0, 1]), (reach * (1 - HAIR), [0])):
+        ball = Ball((center,), radius)
+        for gather in (gather_block_planes, oracles.gather_block_planes):
+            assert [h.plane.offset for h in gather(ball, golden_seq, sched, 0)] == offsets
+
+
+def _clear(ball, u, eps) -> bool:
+    den, nums, scales = strategy._integer_form(ball, eps)
+    s = sum(c * x for c, x in zip(u, nums))
+    return strategy._family_clear(s, den, sum(c * c for c in u), scales)
+
+
+def test_family_clear_matches_fraction_oracle_on_long_denominators(golden_params):
+    rng = Random(23)
+    seen = set()
+    for trial in range(800):
+        n = rng.randint(1, 3)
+        u = tuple(rng.randint(-300, 300) for _ in range(n))
+        if not any(u):
+            u = (1,) + u[1:]
+        ball = Ball(tuple(long_rational(rng, -5, 5) for _ in range(n)), long_rational(rng, HAIR, Fraction(1, 400)))
+        eps = rng.choice([golden_params.margin, long_rational(rng, 0, Fraction(1, 2))])
+        want = oracles.family_clear(ball.radius, sum(c * c for c in u), dot(u, ball.center), eps)
+        assert _clear(ball, u, eps) == want, trial
+        seen.add(want)
+    assert seen == {False, True}
+
+
+@pytest.mark.parametrize("side", [1, -1])
+def test_family_clear_is_strict_where_the_clearance_equals_the_reach(golden_params, side):
+    # u·c = 7 + eps + |u|*radius (or 8 - eps - |u|*radius): the clearance equals
+    # the reach exactly, which is not clear; a hair more clearance is
+    eps, u, radius = golden_params.margin, (3, 4), 11 * HAIR
+    for extra, clear in ((0, False), (HAIR * HAIR, True)):
+        f = eps + 5 * radius + extra
+        target = 7 + f if side == 1 else 8 - f
+        y = Fraction(-2, 3) + HAIR
+        ball = Ball(((target - 4 * y) / 3, y), radius)
+        assert dot(u, ball.center) == target
+        assert _clear(ball, u, eps) is clear
+        assert oracles.family_clear(radius, 25, target, eps) is clear
+
+
+def test_certificate_matches_fraction_oracle_on_long_games(golden_params, golden_seq):
+    # concentric White or the strategy against random or greedy Black for 500
+    # rounds: against random Black the final ball's denominators pass 1400
+    # bits, and either outcome (entries or violations) must equal the
+    # Fraction oracle's
+    sched = block_schedule(golden_params, golden_seq, RHO0, 2)
+    gp = GameParams(A, B, 1)
+    outcomes = set()
+    for seed in range(12):
+        white = concentric if seed % 3 else WhiteStrategy(golden_seq, sched, seed=seed)
+        # greedy Black from 0, on family 1's plane: concentric White leaves it there
+        black, start = (RandomBlack(seed=seed), Fraction(seed, 7)) if seed % 2 else (
+            GreedyBlack(golden_seq), Fraction(0))
+        trace = run_game(gp, Ball((start,), RHO0), white, black, 500)
+        if seed % 2:  # greedy Black stops once it sits on a plane
+            assert trace.final_ball.center[0].denominator.bit_length() > 1400
+        got = []
+        for certify in (certificate, oracles.certificate):
+            try:
+                got.append(certify(trace, golden_seq, sched).dumps())
+            except CertificateFailed as e:
+                got.append(e.violations)
+        assert got[0] == got[1], seed
+        outcomes.add(isinstance(got[0], str))
+    assert outcomes == {False, True}
+
+
+def test_grid_certificates_match_fraction_oracle(golden_seq):
+    grid = (-(1 - B), Fraction(0), 1 - B)
+    for choices in itertools.islice(itertools.product(grid, repeat=6), 0, None, 7):
+        steps = iter(choices)
+        trace, cert, _, sched = run_constructed_game(
+            golden_seq, A, B, M, RHO0, 2, lambda state: ((next(steps),), None)
+        )
+        assert cert.dumps() == oracles.certificate(trace, golden_seq, sched).dumps()
