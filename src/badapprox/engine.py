@@ -22,10 +22,15 @@ move's absolute center and radius, so its file layout does not depend on
 how the game was played.
 A held center is rendered, parsed and checked once: dumps, loads and replay
 reuse the previous move's center when a move repeats it, and replay skips
-its slack test.  replay decides the slack on unreduced integers and the
-radius law by cross-multiplying, with no Fraction arithmetic.  It returns a
-new move list that shares the input's records, each once it has passed
-every check; records are frozen.
+its slack test.  A loaded trace writes back the canonical text it was read
+from: each ball that loads builds keeps its strings when every one is what
+rat_str writes, and dumps copies them instead of rendering 1500-bit integers
+again; replay shares the loaded records, so the replayed trace does too.
+Any other spelling is rendered afresh, so every written copy is canonical.
+replay decides the slack on unreduced integers and the radius law by
+cross-multiplying, with no Fraction arithmetic.  It returns a new move list
+that shares the input's records, each once it has passed every check;
+records are frozen.
 """
 from __future__ import annotations
 
@@ -147,52 +152,62 @@ class GameTrace(Record):
     def dumps(self) -> str:
         """The bytes of ``json.dumps(self.to_jsonable(), indent=2, sort_keys=True)``,
         written directly: the layout is fixed, and any ``indent`` sends
-        ``json`` to its pure-Python encoder."""
-        p = self.params
-        head = (
-            f'{{\n  "initial": {{\n    "center": {_rats_json(self.initial.center, 4)},\n'
-            f'    "radius": "{rat_str(self.initial.radius)}"\n  }},\n  "moves": '
-        )
-        tail = (
+        ``json`` to its pure-Python encoder.  A ball that kept the canonical
+        text it was loaded from (Ball.from_jsonable) is written from that
+        text; any other is rendered by rat_str."""
+        p, initial = self.params, self.initial
+        text = initial._text
+        parts = [
+            '{\n  "initial": {\n    "center": ',
+            *_json_list(map(rat_str, initial.center) if text is None else text[0], 4),
+            f',\n    "radius": "{rat_str(initial.radius) if text is None else text[1]}"\n  }},\n  "moves": ',
+        ]
+        if self.moves:
+            parts.append("[\n")
+            center = None  # the initial center is written at another indent
+            for m in self.moves:
+                ball = m.ball
+                text = ball._text
+                if ball.center != center:  # a held center is rendered once
+                    center = ball.center
+                    center_parts = _json_list(map(rat_str, center) if text is None else text[0], 6)
+                parts += (
+                    '    {\n      "center": ', *center_parts,
+                    ',\n      "note": ', _str_json(m.note), ',\n      "player": ', _str_json(m.player),
+                    ',\n      "radius": "', rat_str(ball.radius) if text is None else text[1], '"\n    },\n',
+                )
+            parts[-1] = '"\n    }\n  ]'
+        else:
+            parts.append("[]")
+        parts.append(
             f',\n  "params": {{\n    "alpha": "{rat_str(p.alpha)}",\n    "beta": "{rat_str(p.beta)}",\n'
             f'    "dimension": {p.dimension}\n  }}\n}}'
         )
-        if not self.moves:
-            return f"{head}[]{tail}"
-        moves = []
-        center = None  # the initial center is written at another indent
-        for m in self.moves:
-            if m.ball.center != center:  # a held center is rendered once
-                center = m.ball.center
-                center_json = _rats_json(center, 6)
-            moves.append(
-                f'    {{\n      "center": {center_json},\n'
-                f'      "note": {_str_json(m.note)},\n'
-                f'      "player": {_str_json(m.player)},\n'
-                f'      "radius": "{rat_str(m.ball.radius)}"\n    }}'
-            )
-        moves = ",\n".join(moves)  # frees the pieces: at most two copies of the text live
-        return f"{head}[\n{moves}\n  ]{tail}"
+        # the parts are references, to kept text or to one rendering of each
+        # center, so the join makes the one copy of the text
+        return "".join(parts)
 
     @classmethod
     def from_jsonable(cls, obj: dict) -> "GameTrace":
         """A move whose "center" list repeats the previous one's (the initial
-        ball's, for move 0) string for string reuses its parsed center; a
-        string is the one JSON type that equals only itself, since
-        [1] == [True] == [1.0] in Python.  Radius, player and note are read
-        on every move."""
+        ball's, for move 0) string for string reuses its parsed center and
+        the center strings it kept; a string is the one JSON type that
+        equals only itself, since [1] == [True] == [1.0] in Python.  Radius,
+        player and note are read on every move.  A ball read from canonical
+        strings keeps them (Ball.from_jsonable), and dumps writes them back."""
         obj = json_object(obj, "trace")
         params = GameParams.from_jsonable(json_object(obj["params"], "params"))
         initial = Ball.from_jsonable(json_object(obj["initial"], "initial"))
-        raw, center = obj["initial"]["center"], initial.center
+        raw, held = obj["initial"]["center"], initial
         moves = []
         for i, m in enumerate(json_list(obj["moves"], "moves")):
             m = json_object(m, f"move {i}")
-            if m["center"] == raw and all(type(c) is str for c in raw):
-                ball = Ball(center, json_rat(m["radius"], "radius"))
+            # kept text means raw held nothing but strings
+            if m["center"] == raw and (held._text is not None or all(type(c) is str for c in raw)):
+                ball = Ball.from_jsonable(m, held)
             else:
-                ball = Ball.from_jsonable(m)
-                raw, center = m["center"], ball.center
+                ball = held = Ball.from_jsonable(m)
+                raw = m["center"]
             moves.append(MoveRecord(m["player"], ball, m.get("note")))
         return cls(params, initial, moves)
 
@@ -206,14 +221,20 @@ def _str_json(s: Optional[str]) -> str:
     return "null" if s is None else encode_basestring_ascii(s)
 
 
-def _rats_json(values: Sequence[Fraction], indent: int) -> str:
-    """A list of "p/q" strings as json.dumps(indent=2) writes it, the closing
-    bracket `indent` spaces in."""
-    if not values:
-        return "[]"
+def _json_list(items: Iterable[str], indent: int, quote: str = '"') -> list[str]:
+    """The pieces of a list as json.dumps(indent=2) writes it, the closing
+    bracket `indent` spaces in, each item wrapped in `quote`: strings that
+    need no escaping by default, rendered JSON values with quote="".  The
+    items themselves are pieces, not copied."""
     pad = " " * indent
-    items = f",\n{pad}  ".join(f'"{v.numerator}/{v.denominator}"' for v in values)
-    return f"[\n{pad}  {items}\n{pad}]"
+    sep = f"{quote},\n{pad}  {quote}"
+    pieces = [f"[\n{pad}  {quote}"]
+    for item in items:
+        pieces += (item, sep)
+    if len(pieces) == 1:
+        return ["[]"]
+    pieces[-1] = f"{quote}\n{pad}]"
+    return pieces
 
 
 def within_slack(disp: Iterable[int], den: int, p: int, q: int) -> bool:

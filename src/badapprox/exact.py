@@ -156,8 +156,29 @@ def fraction(n: int, d: int) -> Fraction:
     return _coprime(n, d)
 
 
-#: The "p/q" form rat_str writes; rat parses it without Fraction's own regex.
-_CANONICAL = re.compile(r"(-?[0-9]+)/([0-9]+)")
+#: rat_str's spelling of a rational, and any "p/q" string of ASCII digits:
+#: rat parses both without Fraction's own regex.
+_CANONICAL = re.compile(r"(0|-?[1-9][0-9]*)/([1-9][0-9]*)")
+_RATIO = re.compile(r"(-?[0-9]+)/([0-9]+)")
+
+
+def _read_rat(text: str) -> tuple[Fraction, bool]:
+    """rat(text) for a string, and whether text is exactly what rat_str
+    writes for it: (0|-?[1-9][0-9]*)/([1-9][0-9]*), so no leading zero and
+    no minus zero, in lowest terms.  A canonical string is matched once: the
+    match decides the spelling and the denominator fraction keeps decides
+    the terms, with no second scan of the digits.  Any other "p/q" string
+    is parsed by a second, looser match."""
+    m = _CANONICAL.fullmatch(text)
+    if m:
+        d = int(m[2])
+        value = fraction(int(m[1]), d)
+        # the slot itself: the denominator property is a Python-level call
+        return value, value._denominator == d
+    m = _RATIO.fullmatch(text)
+    if m:
+        return fraction(int(m[1]), int(m[2])), False
+    return Fraction(text.strip()), False
 
 
 def rat(value) -> Fraction:
@@ -169,10 +190,7 @@ def rat(value) -> Fraction:
     if type(value) is Fraction:
         return value
     if isinstance(value, str):
-        m = _CANONICAL.fullmatch(value)
-        if m:
-            return fraction(int(m[1]), int(m[2]))
-        return Fraction(value.strip())
+        return _read_rat(value)[0]
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
@@ -211,10 +229,13 @@ def rat_str(value: Rat) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+_FRACTION_ONLY = frozenset([Fraction])
+
+
 def rat_vec(values: Iterable) -> tuple[Fraction, ...]:
     """The values as a tuple of Fractions; a tuple that already is one is
     returned itself."""
-    if type(values) is tuple and all(type(v) is Fraction for v in values):
+    if type(values) is tuple and set(map(type, values)) <= _FRACTION_ONLY:  # one C-level pass
         return values
     return tuple(map(rat, values))
 

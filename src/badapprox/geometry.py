@@ -11,12 +11,13 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from operator import mul
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .exact import (
     InvariantError,
     Rat,
     Record,
+    _read_rat,
     asin_bounds,
     json_list,
     json_rat,
@@ -81,18 +82,30 @@ def lex_sign(v: Sequence[Rat]) -> int:
     return 0
 
 
-class Ball(Record, frozen=True):
+class _Text:
+    """The slot where a ball read from JSON keeps the strings it was read
+    from (Ball.from_jsonable).  It is not a field of the record: equality,
+    hash, repr, copy and pickle never see it."""
+
+    __slots__ = ("_text",)
+
+
+_set_text = _Text._text.__set__
+
+
+class Ball(Record, _Text, frozen=True):
     """Closed Euclidean ball with exact rational center and radius."""
 
     __slots__ = ("center", "radius")
 
     def __init__(self, center: Sequence[Rat], radius: Rat):
         center, radius = rat_vec(center), rat(radius)
-        if radius <= 0:
+        if radius.numerator <= 0:  # a Fraction's denominator is positive
             raise ValueError(f"radius must be positive, got {radius}")
         set_center, set_radius = self._setters
         set_center(self, center)
         set_radius(self, radius)
+        _set_text(self, None)
 
     @property
     def dimension(self) -> int:
@@ -102,12 +115,40 @@ class Ball(Record, frozen=True):
         return {"center": [rat_str(c) for c in self.center], "radius": rat_str(self.radius)}
 
     @classmethod
-    def from_jsonable(cls, obj: dict) -> "Ball":
-        center = json_list(obj["center"], "center")
-        if not set(map(type, center)) <= {str, int}:  # checked in one pass
-            for c in center:
-                json_rat(c, "center coordinate")  # raises, naming the culprit
-        return cls(center, json_rat(obj["radius"], "radius"))  # __init__ parses
+    def from_jsonable(cls, obj: dict, held: Optional["Ball"] = None) -> "Ball":
+        """The ball of {"center": [...], "radius": ...}.  With `held`, a ball
+        read before from the same "center" list, string for string, whose
+        parsed center (and its text) is reused.
+
+        When the radius and every center entry are strings spelled as
+        rat_str writes them, the ball keeps them as its text, a tuple of the
+        center strings and the radius string: the very strings of `obj`,
+        never copies, which a writer reuses instead of rendering 1500-bit
+        integers again.  Any other spelling keeps no text."""
+        if held is None:
+            center = json_list(obj["center"], "center")
+            kinds = set(map(type, center))
+            if not kinds <= {str, int}:  # checked in one pass
+                for c in center:
+                    json_rat(c, "center coordinate")  # raises, naming the culprit
+        radius = obj["radius"]
+        if type(radius) is str:
+            value, canonical = _read_rat(radius)
+        else:
+            value, canonical = json_rat(radius, "radius"), False
+        if held is not None:
+            center, text = held.center, held._text and held._text[0]
+        elif kinds == {str}:
+            text = tuple(center)
+            center, canonical_entries = zip(*map(_read_rat, text))
+            if not all(canonical_entries):
+                text = None
+        else:
+            text = None
+        ball = cls(center, value)  # __init__ parses a center that holds an int
+        if canonical and text:
+            _set_text(ball, (text, radius))
+        return ball
 
 
 def _integer(value, what: str) -> int:

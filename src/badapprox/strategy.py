@@ -15,7 +15,6 @@ denominators.  Only the reported residual lower bounds are Fractions.
 """
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from operator import mul
 from typing import Optional, Sequence
@@ -28,7 +27,7 @@ from .exact import (
     round_half_even,
     sqrt_bounds,
 )
-from .engine import GameParams, GameTrace, hold, run_game
+from .engine import GameParams, GameTrace, _json_list, hold, run_game
 from .geometry import Ball, Hyperplane, Vec
 from .escape import AvoidanceDrive
 from .resonance import ResonanceSequence
@@ -213,7 +212,28 @@ class Certificate(Record):
         }
 
     def dumps(self) -> str:
-        return json.dumps(self.to_jsonable(), indent=2, sort_keys=True)
+        """The bytes of ``json.dumps(self.to_jsonable(), indent=2, sort_keys=True)``,
+        written directly, as GameTrace.dumps is: the layout is fixed, and any
+        ``indent`` sends ``json`` to its pure-Python encoder."""
+        p = self.params
+        handled = "".join(_json_list((
+            f'{{\n      "a": {e.offset},\n      "block": {e.block},\n      "r": {e.r},\n'
+            f'      "residual_lb": "{rat_str(e.residual_lb)}",\n'
+            f'      "u": {"".join(_json_list(map(str, e.normal), 6, ""))}\n    }}'
+            for e in self.entries
+        ), 2, ""))
+        return (
+            f'{{\n  "blocks": {self.blocks},\n  "covered_through": {self.covered_through},\n'
+            f'  "epsilon": "{rat_str(p.margin)}",\n'
+            f'  "eta_center": {"".join(_json_list(map(rat_str, self.eta_center), 2))},\n'
+            f'  "eta_radius": "{rat_str(self.eta_radius)}",\n  "handled": {handled},\n'
+            f'  "params": {{\n    "alpha": "{rat_str(p.alpha)}",\n'
+            f'    "avoidance_rounds": {p.avoidance_rounds},\n    "beta": "{rat_str(p.beta)}",\n'
+            f'    "cap_measure_lb": "{rat_str(p.cap_measure_lb)}",\n    "dimension": {p.dimension},\n'
+            f'    "escape_rounds": {p.escape_rounds},\n    "gamma": "{rat_str(p.gamma)}",\n'
+            f'    "lacunarity": "{rat_str(p.lacunarity)}",\n    "margin": "{rat_str(p.margin)}",\n'
+            f'    "plane_budget": {p.plane_budget}\n  }},\n  "rho0": "{rat_str(self.rho0)}"\n}}'
+        )
 
 
 def block_start_ball(trace: GameTrace, sched: BlockSchedule, block: int) -> Ball:

@@ -724,6 +724,11 @@ def trace_json(trace: GameTrace) -> str:
     return json.dumps(trace.to_jsonable(), indent=2, sort_keys=True)
 
 
+def certificate_json(cert) -> str:
+    """The certificate's text as the generic JSON encoder writes it."""
+    return json.dumps(cert.to_jsonable(), indent=2, sort_keys=True)
+
+
 # -- cap selection -------------------------------------------------------------
 
 

@@ -23,6 +23,7 @@ from badapprox.engine import (
     replay,
     run_game,
 )
+from badapprox import geometry
 from badapprox.exact import rat_str
 from badapprox.geometry import Ball
 from badapprox.strategy import run_constructed_game
@@ -813,4 +814,155 @@ def test_a_late_move_past_both_slack_and_law_leaves_the_ball_first(n3_trace):
         for radius in (ball.radius * (1 + HAIR), ball.radius / 3):
             with pytest.raises(IllegalMove, match="leaves current ball") as ei:
                 _replay_text(n3_trace, i, center=center, radius=radius)
+            assert ei.value.move_index == i
+
+
+# -- a loaded trace writes back the canonical text it was read from ----------
+
+
+@pytest.fixture(scope="module")
+def constructions(golden_seq):
+    """Seeded constructions from the origin against random Black: the golden
+    one in n = 1 (two blocks) and one block in n = 2 and 3."""
+    traces = []
+    for n in (1, 2, 3):
+        if n == 1:
+            seq, rho0, blocks = golden_seq, Fraction(1, 2), 2
+        else:
+            seq = make_sequence([(1, 0, 0)[:n], (3, 1, 0)[:n], (13, 2, 1)[:n]])
+            rho0, blocks = Fraction(1, 64), 1
+        trace, *_ = run_constructed_game(
+            seq, Fraction(1, 4), Fraction(1, 2), 3, rho0, blocks, RandomBlack(seed=n), seed=n
+        )
+        traces.append(trace)
+    return traces
+
+
+def _balls(trace):
+    return [trace.initial] + [m.ball for m in trace.moves]
+
+
+def test_a_loaded_ball_keeps_the_very_strings_it_was_read_from(constructions):
+    for trace in constructions:
+        assert all(b._text is None for b in _balls(trace))  # a played trace keeps none
+        obj = json.loads(trace.dumps())
+        made = {id(s) for ball in [obj["initial"], *obj["moves"]]
+                for s in [*ball["center"], ball["radius"]]}
+        loaded = GameTrace.from_jsonable(obj)
+        balls = _balls(loaded)
+        for ball in balls:
+            centers, radius = ball._text
+            assert centers == tuple(map(rat_str, ball.center)) and radius == rat_str(ball.radius)
+            assert {id(s) for s in [*centers, radius]} <= made  # never copies
+        for i in _held(loaded):  # a held move keeps its source's center strings
+            assert balls[i + 1]._text[0] is balls[i]._text[0]
+        again = replay(loaded)  # shares the loaded records, text and all
+        assert all(a.ball._text is b.ball._text for a, b in zip(again.moves, loaded.moves))
+        assert again.dumps() == loaded.dumps() == trace.dumps()
+
+
+def test_dumps_writes_the_kept_text_and_renders_no_value_again(constructions):
+    # text no rational renders to can only have come from the kept strings
+    loaded = GameTrace.loads(constructions[-1].dumps())
+    for ball in (loaded.initial, loaded.moves[-1].ball):
+        geometry._set_text(ball, (("C",) * ball.dimension, "R"))
+    text = loaded.dumps()
+    assert text.count('"C"') == 2 * loaded.params.dimension
+    assert text.count('"radius": "R"') == 2
+
+
+def _decimal(value):
+    """value as a decimal string, or None when its expansion does not end."""
+    d = value.denominator
+    twos, fives = (d & -d).bit_length() - 1, 0
+    while d % 5 ** (fives + 1) == 0:
+        fives += 1
+    if d != 2**twos * 5**fives:
+        return None
+    k = max(twos, fives)
+    digits = str(abs(value.numerator) * 10**k // d).rjust(k + 1, "0")
+    return f"{'-' if value < 0 else ''}{digits[:len(digits) - k]}.{digits[len(digits) - k:]}"
+
+
+#: Spellings of a value that parse to it but are not rat_str's; None where a
+#: form cannot spell the value.
+RESPELLINGS = {
+    "2/4": lambda v: f"{2 * v.numerator}/{2 * v.denominator}",
+    "007/3": lambda v: f"{'-' if v < 0 else ''}00{abs(v.numerator)}/{v.denominator}",
+    "-0/1": lambda v: "-0/1" if v == 0 else None,
+    "1/02": lambda v: f"{v.numerator}/0{v.denominator}",
+    "+1/2": lambda v: f"+{v.numerator}/{v.denominator}" if v >= 0 else None,
+    " 1/2": lambda v: f" {v.numerator}/{v.denominator}",
+    "0.5": _decimal,
+    "3": lambda v: str(v.numerator) if v.denominator == 1 else None,
+    "JSON int": lambda v: v.numerator if v.denominator == 1 else None,
+}
+
+
+#: a radius is positive and, in these games, never an integer
+NOT_A_RADIUS = {"-0/1", "3", "JSON int"}
+
+
+@pytest.mark.parametrize("form, field", [(form, "center") for form in RESPELLINGS] + [
+    (form, "radius") for form in RESPELLINGS if form not in NOT_A_RADIUS])
+def test_a_respelled_trace_writes_canonical_text_not_its_input(constructions, form, field):
+    # each value the form can spell is respelled, consistently, so a held
+    # move still repeats its center string for string; with field="radius"
+    # the held moves keep canonical centers under a respelled radius
+    respell, respelled = RESPELLINGS[form], 0
+    for trace in constructions:
+        text = trace.dumps()
+        obj = json.loads(text)
+        changed = []
+        for raw, ball in zip([obj["initial"], *obj["moves"]], _balls(trace)):
+            if field == "center":
+                spelled = [respell(c) for c in ball.center]
+                raw["center"] = [c if s is None else s for c, s in zip(raw["center"], spelled)]
+            else:
+                spelled = [respell(ball.radius)]
+                raw["radius"] = raw["radius"] if spelled[0] is None else spelled[0]
+            changed.append(any(s is not None for s in spelled))
+        respelled += sum(changed)
+        loaded = GameTrace.loads(json.dumps(obj))
+        assert loaded.dumps() == oracles.trace_json(loaded) == text
+        assert replay(loaded).dumps() == text
+        for ball, was_changed in zip(_balls(loaded), changed):
+            if was_changed:
+                assert ball._text is None
+            elif ball._text is not None:
+                assert ball._text == (tuple(map(rat_str, ball.center)), rat_str(ball.radius))
+    assert respelled
+
+
+def test_a_held_move_under_a_respelled_radius_keeps_no_text(legal_trace):
+    text = legal_trace.dumps()
+    for i in _some_held(legal_trace):
+        obj = json.loads(text)
+        radius = legal_trace.moves[i].ball.radius
+        obj["moves"][i]["radius"] = f"{3 * radius.numerator}/{3 * radius.denominator}"
+        loaded = GameTrace.loads(json.dumps(obj))
+        balls = _balls(loaded)
+        assert balls[i]._text is not None and balls[i + 1]._text is None
+        assert balls[i + 1].center is balls[i].center
+        assert loaded.dumps() == replay(loaded).dumps() == text
+
+
+def test_replay_refuses_a_canonical_forgery_that_keeps_its_text(legal_trace):
+    text = legal_trace.dumps()
+    balls = _balls(legal_trace)
+    moved = [i for i in range(len(legal_trace.moves)) if balls[i + 1].center != balls[i].center]
+    for i in (moved[0], moved[-1]):
+        prev, ball = balls[i], balls[i + 1]
+        center = list(ball.center)
+        center[-1] = prev.center[-1] + prev.radius - ball.radius + TINY
+        for field, forged, reason in [
+            ("center", [rat_str(c) for c in center], "leaves current ball"),
+            ("radius", rat_str(ball.radius * (1 + TINY)), "radius law violated"),
+        ]:
+            obj = json.loads(text)
+            obj["moves"][i][field] = forged
+            loaded = GameTrace.loads(json.dumps(obj))
+            assert loaded.moves[i].ball._text is not None
+            with pytest.raises(IllegalMove, match=reason) as ei:
+                replay(loaded)
             assert ei.value.move_index == i

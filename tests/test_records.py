@@ -173,6 +173,26 @@ def test_equality_is_by_field_and_by_class():
     assert len({plane, Hyperplane((1, -2), 3), Hyperplane((2, 1), 3)}) == 2
 
 
+def test_the_text_a_loaded_ball_keeps_is_not_a_field():
+    loaded = Ball.from_jsonable({"center": ["1/3", "2/1"], "radius": "1/4"})
+    plain = Ball((Fraction(1, 3), 2), "1/4")
+    assert loaded._text == (("1/3", "2/1"), "1/4") and plain._text is None
+    assert loaded == plain and plain == loaded and not loaded != plain
+    assert hash(loaded) == hash(plain) and repr(loaded) == repr(plain) == BALL
+    for again in (copy.copy(loaded), copy.deepcopy(loaded), pickle.loads(pickle.dumps(loaded))):
+        assert type(again) is Ball and again == plain and again._text is None
+    with pytest.raises(AttributeError, match="frozen Ball"):
+        loaded._text = None
+
+
+def test_a_balls_text_is_the_one_slot_outside_the_fields():
+    # whatever a record holds beside its fields is invisible to equality,
+    # hash, repr, copy and pickle: only a loaded Ball's text may be
+    for cls in _package_records():
+        slots = {s for k in cls.__mro__ for s in k.__dict__.get("__slots__", ())}
+        assert slots - set(cls.__slots__) == ({"_text"} if cls is Ball else set()), cls
+
+
 #: Records that only store their fields: they take Record's constructor.
 PLAIN = {
     HandledPlane, CertificateEntry, Certificate, CapSelection, StrategyParams, BlockSchedule,

@@ -264,6 +264,26 @@ def test_random_black_constructions_are_pinned(golden_seq):
         assert got == digests, seed
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_certificate_dumps_matches_json_oracle(golden_seq, n):
+    # the direct writer against the generic encoder, on seeded certificates
+    # with handled entries and on the same certificates without any
+    if n == 1:
+        seq, rho0, blocks = golden_seq, RHO0, 2
+    else:
+        seq = make_sequence([(1, 0, 0)[:n], (3, 1, 0)[:n], (13, 2, 1)[:n]])
+        rho0, blocks = Fraction(1, 64), 1
+    for seed in range(2):
+        _, cert, _, _ = run_constructed_game(
+            seq, A, B, M, rho0, blocks, RandomBlack(seed=seed), seed=seed
+        )
+        bare = oracles.replace(cert, entries=[])
+        assert cert.entries and len(cert.eta_center) == n
+        assert cert.dumps() == oracles.certificate_json(cert)
+        assert bare.dumps() == oracles.certificate_json(bare)
+        assert '"handled": []' in bare.dumps()
+
+
 # -- the integer predicates against their Fraction oracles ---------------------
 
 HAIR = Fraction(1, 2**1500)
