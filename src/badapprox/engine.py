@@ -156,25 +156,22 @@ class GameTrace(Record):
         text it was loaded from (Ball.from_jsonable) is written from that
         text; any other is rendered by rat_str."""
         p, initial = self.params, self.initial
-        text = initial._text
         parts = [
-            '{\n  "initial": {\n    "center": ',
-            *_json_list(map(rat_str, initial.center) if text is None else text[0], 4),
-            f',\n    "radius": "{rat_str(initial.radius) if text is None else text[1]}"\n  }},\n  "moves": ',
+            '{\n  "initial": {\n    "center": ', *_json_list(initial._center_strs(), 4),
+            f',\n    "radius": "{initial._radius_str()}"\n  }},\n  "moves": ',
         ]
         if self.moves:
             parts.append("[\n")
             center = None  # the initial center is written at another indent
             for m in self.moves:
                 ball = m.ball
-                text = ball._text
                 if ball.center != center:  # a held center is rendered once
                     center = ball.center
-                    center_parts = _json_list(map(rat_str, center) if text is None else text[0], 6)
+                    center_parts = _json_list(ball._center_strs(), 6)
                 parts += (
                     '    {\n      "center": ', *center_parts,
                     ',\n      "note": ', _str_json(m.note), ',\n      "player": ', _str_json(m.player),
-                    ',\n      "radius": "', rat_str(ball.radius) if text is None else text[1], '"\n    },\n',
+                    ',\n      "radius": "', ball._radius_str(), '"\n    },\n',
                 )
             parts[-1] = '"\n    }\n  ]'
         else:
@@ -189,12 +186,12 @@ class GameTrace(Record):
 
     @classmethod
     def from_jsonable(cls, obj: dict) -> "GameTrace":
-        """A move whose "center" list repeats the previous one's (the initial
-        ball's, for move 0) string for string reuses its parsed center and
-        the center strings it kept; a string is the one JSON type that
-        equals only itself, since [1] == [True] == [1.0] in Python.  Radius,
-        player and note are read on every move.  A ball read from canonical
-        strings keeps them (Ball.from_jsonable), and dumps writes them back."""
+        """A move whose "center" list equals the previous one's (the initial
+        ball's, for move 0) is read with that ball held: Ball.from_jsonable
+        reuses its parsed center and the center strings it kept when the list
+        holds only strings.  Radius, player and note are read on every move.
+        A ball read from canonical strings keeps them, and dumps writes them
+        back."""
         obj = json_object(obj, "trace")
         params = GameParams.from_jsonable(json_object(obj["params"], "params"))
         initial = Ball.from_jsonable(json_object(obj["initial"], "initial"))
@@ -202,8 +199,7 @@ class GameTrace(Record):
         moves = []
         for i, m in enumerate(json_list(obj["moves"], "moves")):
             m = json_object(m, f"move {i}")
-            # kept text means raw held nothing but strings
-            if m["center"] == raw and (held._text is not None or all(type(c) is str for c in raw)):
+            if m["center"] == raw:
                 ball = Ball.from_jsonable(m, held)
             else:
                 ball = held = Ball.from_jsonable(m)

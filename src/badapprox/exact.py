@@ -156,29 +156,25 @@ def fraction(n: int, d: int) -> Fraction:
     return _coprime(n, d)
 
 
-#: rat_str's spelling of a rational, and any "p/q" string of ASCII digits:
-#: rat parses both without Fraction's own regex.
-_CANONICAL = re.compile(r"(0|-?[1-9][0-9]*)/([1-9][0-9]*)")
+#: The "p/q" form of ASCII digits; rat parses it without Fraction's own regex.
 _RATIO = re.compile(r"(-?[0-9]+)/([0-9]+)")
 
 
 def _read_rat(text: str) -> tuple[Fraction, bool]:
     """rat(text) for a string, and whether text is exactly what rat_str
-    writes for it: (0|-?[1-9][0-9]*)/([1-9][0-9]*), so no leading zero and
-    no minus zero, in lowest terms.  A canonical string is matched once: the
-    match decides the spelling and the denominator fraction keeps decides
-    the terms, with no second scan of the digits.  Any other "p/q" string
-    is parsed by a second, looser match."""
-    m = _CANONICAL.fullmatch(text)
-    if m:
-        d = int(m[2])
-        value = fraction(int(m[1]), d)
-        # the slot itself: the denominator property is a Python-level call
-        return value, value._denominator == d
+    writes for it: (0|-?[1-9][0-9]*)/([1-9][0-9]*) in lowest terms.  The
+    string is matched once: the spelling is decided from the first digit of
+    each group (no leading zero, no minus zero) and the terms from the
+    denominator fraction keeps, with no second scan of the digits."""
     m = _RATIO.fullmatch(text)
-    if m:
-        return fraction(int(m[1]), int(m[2])), False
-    return Fraction(text.strip()), False
+    if m is None:
+        return Fraction(text.strip()), False
+    n, d = m[1], m[2]
+    den = int(d)
+    value = fraction(int(n), den)
+    lead = n[1] if n[0] == "-" else n[0]
+    # the slot itself: the denominator property is a Python-level call
+    return value, d[0] != "0" and (lead != "0" or n == "0") and value._denominator == den
 
 
 def rat(value) -> Fraction:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from operator import mul
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .exact import (
     InvariantError,
@@ -114,19 +114,35 @@ class Ball(Record, _Text, frozen=True):
     def to_jsonable(self) -> dict:
         return {"center": [rat_str(c) for c in self.center], "radius": rat_str(self.radius)}
 
+    def _center_strs(self) -> Iterable[str]:
+        """The center's "p/q" strings: the text the ball was read from, when
+        it kept any (from_jsonable), else rat_str's rendering."""
+        text = self._text
+        return map(rat_str, self.center) if text is None else text[0]
+
+    def _radius_str(self) -> str:
+        """The radius's "p/q" string, kept or rendered as _center_strs."""
+        text = self._text
+        return rat_str(self.radius) if text is None else text[1]
+
     @classmethod
     def from_jsonable(cls, obj: dict, held: Optional["Ball"] = None) -> "Ball":
-        """The ball of {"center": [...], "radius": ...}.  With `held`, a ball
-        read before from the same "center" list, string for string, whose
-        parsed center (and its text) is reused.
+        """The ball of {"center": [...], "radius": ...}.  `held` is a ball
+        read before from a "center" list equal to obj's; when that list holds
+        only strings, the one JSON type that equals only itself ([1] == [True]
+        == [1.0] in Python), its parsed center and center text are reused.
 
         When the radius and every center entry are strings spelled as
         rat_str writes them, the ball keeps them as its text, a tuple of the
         center strings and the radius string: the very strings of `obj`,
         never copies, which a writer reuses instead of rendering 1500-bit
         integers again.  Any other spelling keeps no text."""
+        center = obj["center"]
+        # kept text means held was read from nothing but strings
+        if held is not None and not (held._text is not None or all(type(c) is str for c in center)):
+            held = None
         if held is None:
-            center = json_list(obj["center"], "center")
+            center = json_list(center, "center")
             kinds = set(map(type, center))
             if not kinds <= {str, int}:  # checked in one pass
                 for c in center:

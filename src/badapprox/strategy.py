@@ -15,6 +15,7 @@ denominators.  Only the reported residual lower bounds are Fractions.
 """
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from operator import mul
 from typing import Optional, Sequence
@@ -212,28 +213,31 @@ class Certificate(Record):
         }
 
     def dumps(self) -> str:
-        """The bytes of ``json.dumps(self.to_jsonable(), indent=2, sort_keys=True)``,
-        written directly, as GameTrace.dumps is: the layout is fixed, and any
-        ``indent`` sends ``json`` to its pure-Python encoder."""
-        p = self.params
-        handled = "".join(_json_list((
-            f'{{\n      "a": {e.offset},\n      "block": {e.block},\n      "r": {e.r},\n'
-            f'      "residual_lb": "{rat_str(e.residual_lb)}",\n'
-            f'      "u": {"".join(_json_list(map(str, e.normal), 6, ""))}\n    }}'
-            for e in self.entries
+        """The bytes of ``json.dumps(self.to_jsonable(), indent=2, sort_keys=True)``
+        without the pure-Python encoder that any ``indent`` selects: the
+        scalars and the flat params object of to_jsonable take json's C
+        encoder, which runs without an indent, and only the nested lists are
+        written here."""
+        obj = self.to_jsonable()
+        members = {k: json.dumps(v) for k, v in obj.items() if not isinstance(v, (dict, list))}
+        members["eta_center"] = "".join(_json_list(obj["eta_center"], 2))
+        members["handled"] = "".join(_json_list((
+            f'{{\n      "a": {e["a"]},\n      "block": {e["block"]},\n      "r": {e["r"]},\n'
+            f'      "residual_lb": "{e["residual_lb"]}",\n'
+            f'      "u": {"".join(_json_list(map(str, e["u"]), 6, ""))}\n    }}'
+            for e in obj["handled"]
         ), 2, ""))
-        return (
-            f'{{\n  "blocks": {self.blocks},\n  "covered_through": {self.covered_through},\n'
-            f'  "epsilon": "{rat_str(p.margin)}",\n'
-            f'  "eta_center": {"".join(_json_list(map(rat_str, self.eta_center), 2))},\n'
-            f'  "eta_radius": "{rat_str(self.eta_radius)}",\n  "handled": {handled},\n'
-            f'  "params": {{\n    "alpha": "{rat_str(p.alpha)}",\n'
-            f'    "avoidance_rounds": {p.avoidance_rounds},\n    "beta": "{rat_str(p.beta)}",\n'
-            f'    "cap_measure_lb": "{rat_str(p.cap_measure_lb)}",\n    "dimension": {p.dimension},\n'
-            f'    "escape_rounds": {p.escape_rounds},\n    "gamma": "{rat_str(p.gamma)}",\n'
-            f'    "lacunarity": "{rat_str(p.lacunarity)}",\n    "margin": "{rat_str(p.margin)}",\n'
-            f'    "plane_budget": {p.plane_budget}\n  }},\n  "rho0": "{rat_str(self.rho0)}"\n}}'
-        )
+        members["params"] = _flat_json(obj["params"], 2)
+        return "{\n  " + ",\n  ".join(f'"{k}": {v}' for k, v in sorted(members.items())) + "\n}"
+
+
+def _flat_json(obj: dict, indent: int) -> str:
+    """A non-empty dict of JSON scalars as json.dumps(indent=2,
+    sort_keys=True) writes it, the closing brace `indent` spaces in, through
+    json's C encoder."""
+    pad = " " * indent
+    body = json.dumps(obj, sort_keys=True, separators=(f",\n{pad}  ", ": "))
+    return f"{{\n{pad}  {body[1:-1]}\n{pad}}}"
 
 
 def block_start_ball(trace: GameTrace, sched: BlockSchedule, block: int) -> Ball:

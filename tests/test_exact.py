@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from badapprox.exact import (
+    _read_rat,
     asin_bounds,
     ceil_frac,
     floor_frac,
@@ -222,6 +223,16 @@ def test_rat_parses_long_strings_in_any_terms():
             got, want = rat(text), Fraction(text)
             assert (type(got), got.numerator, got.denominator) == (
                 Fraction, want.numerator, want.denominator)
+
+
+@pytest.mark.parametrize("text", [
+    "0/1", "3/4", "-3/4", "10/3", "-10/3", "2/4", "0/5", "007/3", "-007/3", "00/1", "-0/1",
+    "1/02", "+1/2", " 1/2", "0.5", "3",
+])
+def test_read_rat_calls_only_rat_strs_own_spelling_canonical(text):
+    value, canonical = _read_rat(text)
+    assert (type(value), value) == (Fraction, Fraction(text))
+    assert canonical is (rat_str(value) == text)
 
 
 # -- comparators: exactness at the boundary ----------------------------------
