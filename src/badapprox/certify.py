@@ -11,9 +11,9 @@ compared as an integer key, and the key is scaled back to a rational (by
 D^n, or D^p * c^q) only once the minimum is known.  No scan walks its box
 point by point: the sizes go in dyadic bands, and each band lists only the
 points of the lattice {(x, u) : u = A x mod D} whose distances could tie or
-beat the best key so far.  A 1x1 theta is scanned by ``exact.line_minimum``
-on a plane lattice; every other shape by ``_lattice_min`` on
-``exact.box_points``.
+beat the best key so far (``_lattice_min`` on ``exact.box_points``), for
+every shape.  A 1x1 theta first looks for an exact hit, which is found in
+O(1) and never listed.
 """
 from __future__ import annotations
 
@@ -30,7 +30,6 @@ from .exact import (
     floor_frac,
     int_dist,
     iroot,
-    line_minimum,
     over_common_denominator,
     rat,
     rat_str,
@@ -94,7 +93,7 @@ class DecayTable(Record, frozen=True):
         for a, b in zip(sizes, sizes[1:]):
             if b <= a:
                 raise ValueError("table sizes must increase")
-        if sizes[0] < 1:  # rho weighs a distance; the 1x1 scan needs it >= 1
+        if sizes[0] < 1:  # rho weighs a distance; the scan needs it >= 1
             raise ValueError(f"table sizes must be positive: {list(sizes)}")
         for a, b in zip(values, values[1:]):
             if b >= a:
@@ -118,22 +117,6 @@ class DecayTable(Record, frozen=True):
         """ceil(1/psi_i): rho(s) = sizes[i] for the largest i with
         thresholds[i] <= s.  They do not decrease with i."""
         return [ceil_frac(1 / v) for v in self.values]
-
-    def rho_upto(self, limit: int) -> list[int]:
-        """[rho(s) for s in s_min..limit], in one merge pass over the table.
-
-        1/psi_i <= s  iff  s >= ceil(1/psi_i), and these thresholds increase
-        with i, so rho only moves forward as s grows.
-        """
-        if limit > self.s_max:
-            raise TableRangeExceeded(f"limit {limit} beyond table coverage {self.s_max}")
-        thresholds = self.thresholds
-        out, i = [], 0
-        for s in range(self.s_min, limit + 1):
-            while i + 1 < len(thresholds) and thresholds[i + 1] <= s:
-                i += 1
-            out.append(self.sizes[i])
-        return out
 
     def to_jsonable(self) -> dict:
         return {
@@ -254,6 +237,7 @@ def _lattice_min(
     basis = [[int(i == h) for h in range(m)] + list(row) for i, row in enumerate(coeffs)]
     basis += [[0] * m + [den * (j == h) for h in range(n)] for j in range(n)]
     half = den // 2
+    center = [0] * m + e
 
     def bound(key: int) -> int:  # the V of a band starting at lo, for the best key
         cap = key // weight(lo)
@@ -265,7 +249,7 @@ def _lattice_min(
         hi = min(limit, (1 << lo.bit_length()) - 1)
         v = bound(best[0]) if best else min(half, iroot(den**n // (2 * hi + 1) ** m, n) // 2)
         while True:
-            basis, points = box_points(basis, [0] * m + e, [hi] * m + [v] * n)
+            basis, points = box_points(basis, center, [hi] * m + [v] * n)
             for p in points:
                 x = p[:m]
                 s = max(map(abs, x))
@@ -294,22 +278,32 @@ def _scan_min(
     D is the common denominator of theta and eta, so every key is an
     integer.  The size weight is an exponent q (w(s) = s^q, s >= 1) or a
     DecayTable (w(s) = rho(s), over its window).  Ties go to the
-    lex-smallest x.  A 1x1 theta goes to ``exact.line_minimum``, every other
-    shape to the banded lattice enumeration ``_lattice_min``; the work of
-    both grows with log(limit).
+    lex-smallest x.  Every shape goes to the banded lattice enumeration
+    ``_lattice_min``, whose work grows with log(limit).  A 1x1 theta
+    (theta = a/D, eta = e/D) first looks for an exact hit: the x with
+    a x = e mod D are one residue class mod D / gcd(a, D), or none, and the
+    class's smallest signed member with s_floor <= |x| <= limit, if any,
+    scores 0 and wins the lex tie, so dense hits are never listed.
     """
     if len(eta) != theta.n:
         raise ValueError(f"eta has dimension {len(eta)}, expected {theta.n}")
     table = weight if isinstance(weight, DecayTable) else None
     s_floor = table.s_min if table else 1
     w = _table_rho(table) if table else (lambda s: s**weight)
-    if theta.shape == (1, 1):
-        den, (a, e) = over_common_denominator([theta.rows[0][0], eta[0]])
-        key, x = line_minimum(a, e, den, limit, power, w, s_floor)
-        return key, den, (x,)
     m, n = theta.shape
     den, ints = over_common_denominator([x for row in theta.rows for x in row] + list(eta))
     coeffs = [ints[i * n:(i + 1) * n] for i in range(m)]
+    if (m, n) == (1, 1):
+        a, e = ints
+        g = math.gcd(a, den)
+        if e % g == 0:
+            period = den // g
+            x0 = e // g * pow(a // g, -1, period) % period
+            x = (x0 + limit) % period - limit  # the smallest hit >= -limit
+            if x > -s_floor:
+                x = (x0 - s_floor) % period + s_floor  # the smallest hit >= s_floor
+            if x <= limit:
+                return 0, den, (x,)
     key, argmin = _lattice_min(coeffs, ints[m * n:], den, limit, power, w, s_floor)
     return key, den, argmin
 

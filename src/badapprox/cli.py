@@ -21,6 +21,7 @@ import csv
 import hashlib
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -443,9 +444,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: A separate value that starts like a negative number: "-1/3", "-2,1/5", "-.5"
+_NEGATIVE = re.compile(r"-[0-9.]")
+
+
+def _attach_negative_values(argv: Sequence[str]) -> list[str]:
+    """argv with "--eta -1/3,1/5" spelled "--eta=-1/3,1/5", and so for
+    --center.  argparse reads a separate value that starts with "-" as an
+    option unless it is a plain number, so a vector whose first entry is a
+    negative rational would have no value."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in ("--eta", "--center") and _NEGATIVE.match(arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except InvariantError as exc:

@@ -21,10 +21,10 @@ The exhaustive scans of ``certify`` and ``resonance`` bring every rational
 input to a common denominator D, so ``||v / D|| = min(v mod D, D - v mod D) / D``
 and all comparisons are between integers.  None of them walks its box point
 by point: they list only the points of an integer lattice that can hold a
-minimum or a record.  A scan in one variable uses ``line_minimum`` on a
-plane lattice; every other shape uses the k-dimensional kernel,
-``lll_reduce`` (Cohen's integral LLL) and ``box_points`` (Fincke-Pohst
-enumeration of the lattice points of an axis box).
+minimum or a record.  ``box_points`` lists the lattice points of an axis
+box: a plane lattice by Lagrange-Gauss reduction and ``lattice_box``, any
+other by ``lll_reduce`` (Cohen's integral LLL) and Fincke-Pohst
+enumeration.
 """
 from __future__ import annotations
 
@@ -34,7 +34,7 @@ import math
 import re
 import sys
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 Rat = Union[int, Fraction]
 
@@ -477,73 +477,6 @@ def lattice_box(
             yield x0 + k1 * x1, u0 + k1 * u1
 
 
-def line_minimum(
-    a: int,
-    e: int,
-    den: int,
-    limit: int,
-    power: int,
-    weight: Callable[[int], int],
-    s_floor: int = 1,
-) -> tuple[int, int]:
-    """Exact min of (key, x) over s_floor <= |x| <= limit, where
-    key = int_dist(a x - e, den)^power * weight(|x|), ties going to the
-    smallest signed x (a walk of the line in increasing x keeps the first
-    minimum), at a cost that grows with log(limit) and not with limit.
-
-    ``weight`` must be a positive integer that does not decrease with |x|.
-    The pairs (x, u) with u = x a - k den form a plane lattice with basis
-    (1, a), (0, den), and the distance at x is |u - e| for the lattice
-    point whose u lies within den/2 of e.
-    - An exact hit (u = e, key 0) exists iff gcd(a, den) divides e; the
-      hits are one residue class mod den / gcd, and its smallest signed
-      member in range is the answer.
-    - Otherwise every distance is at least 1.  The sizes are taken in
-      dyadic bands lo <= |x| <= hi in increasing order.  With K the best
-      key so far, a point of the band ties or beats K only if
-      |u - e| <= V, V the largest integer with V^power * weight(lo) <= K.
-      The basis (the previous band's, to start from) is Gauss-reduced in
-      the norm that makes the band's box square, and every lattice point
-      of the box (both signs of x) is listed and keyed.  Once
-      weight(lo) > K no later point can tie K.
-    """
-    if not 1 <= s_floor <= limit:
-        raise ValueError(f"empty size range [{s_floor}, {limit}]")
-    a %= den
-    e %= den
-    g = math.gcd(a, den)
-    if e % g == 0:
-        period = den // g
-        x0 = e // g * pow(a // g, -1, period) % period
-        x = (x0 + limit) % period - limit  # smallest hit >= -limit
-        if x <= -s_floor:
-            return 0, x
-        x = (x0 - s_floor) % period + s_floor  # smallest hit >= s_floor
-        if x <= limit:
-            return 0, x
-    half = den // 2
-    basis = ((1, a), (0, den))
-    best = None
-    lo = s_floor
-    while lo <= limit:
-        hi = min(limit, (1 << lo.bit_length()) - 1)
-        w = weight(lo)
-        if best is None:
-            best = (int_dist(-a * lo - e, den) ** power * w, -lo)
-        if w > best[0]:
-            break
-        cap = best[0] // w
-        v = half if half ** power <= cap else iroot(cap, power)
-        basis = short, long = _gauss_reduce(basis, (2 * v + 1) ** 2, (hi - lo + 1) ** 2)
-        for xlo, xhi in ((-hi, -lo), (lo, hi)):
-            for x, u in lattice_box(short, long, xlo, xhi, e - v, e + v):
-                cand = (abs(u - e) ** power * weight(abs(x)), x)
-                if cand < best:
-                    best = cand
-        lo = hi + 1
-    return best
-
-
 def lll_reduce(
     rows: Sequence[Sequence[int]],
 ) -> tuple[list[list[int]], list[int], list[list[int]]]:
@@ -616,17 +549,20 @@ def lll_reduce(
 
 def box_points(
     basis: Sequence[Sequence[int]], center: Sequence[int], half: Sequence[int]
-) -> tuple[list[list[int]], list[tuple[int, ...]]]:
+) -> tuple[Sequence[Sequence[int]], list[tuple[int, ...]]]:
     """Every point P of the full-rank lattice spanned by ``basis`` with
     |P_l - center_l| <= half_l for each coordinate l, each listed once.
-    Returns (basis, points), the basis LLL-reduced for this box, so that a
-    box of a similar shape can start from it.
+    Returns (basis, points), the basis reduced for this box, so that a box
+    of a similar shape can start from it.
 
-    Coordinate l is scaled by s_l = max(half) // half_l (2 max(half) + 1 for
-    a flat side), which makes the box close to a cube, and the basis is
-    reduced in the scaled norm (``lll_reduce``).  The scaled box lies in the
-    ball of radius^2 R = sum (s_l half_l)^2 about the scaled center t, and
-    Fincke-Pohst enumeration lists every lattice point of that ball: P - t
+    A plane lattice is Gauss-reduced in the norm that makes the box square,
+    (2 half_1 + 1)^2 x^2 + (2 half_0 + 1)^2 u^2, and ``lattice_box`` lists
+    the box row by row.  In any other dimension coordinate l is scaled by
+    s_l = max(half) // half_l (2 max(half) + 1 for a flat side), which makes
+    the box close to a cube, and the basis is reduced in the scaled norm
+    (``lll_reduce``).  The scaled box lies in the ball of radius^2
+    R = sum (s_l half_l)^2 about the scaled center t, and Fincke-Pohst
+    enumeration lists every lattice point of that ball: P - t
     has the coordinate y_j = Y_j / d[j+1] along b*_j, Y_j = d[j+1] c_j +
     sum_(i>j) lam[i][j] c_i - T_j with T_j = d[j] <t, b*_j>, and
     G_j = d[j] |P - t projected off b_0..b_(j-1)|^2 is the integer
@@ -637,6 +573,11 @@ def box_points(
     listed twice.  No Fraction is used.
     """
     k = len(center)
+    if k == 2:
+        (x, u), (hx, hu) = center, half
+        short, long = _gauss_reduce(basis, (2 * hu + 1) ** 2, (2 * hx + 1) ** 2)
+        points = list(lattice_box(short, long, x - hx, x + hx, u - hu, u + hu))
+        return (short, long), points
     top = max(half)
     scale = [top // h if h else 2 * top + 1 for h in half]
     rows, d, lam = lll_reduce([[x * s for x, s in zip(row, scale)] for row in basis])

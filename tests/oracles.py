@@ -30,7 +30,7 @@ correct.  The spherical-cap measure at the end is the float route that
 quadrature and a ``math.asin`` difference, floored with a two-step guard.
 The Monte-Carlo cap estimate beside it is the definitional check of the
 exact cap measure.  ``decay_rho`` is the definitional table lookup that
-``DecayTable.rho_upto``'s merge pass and ``jarnik`` are held to, and
+``rho_upto``'s merge pass over a table and ``jarnik`` are held to, and
 ``add`` is the vector sum the tests build centers with.  ``replace``
 builds a changed copy of a record through its constructor, as the
 package's README describes.
@@ -348,11 +348,29 @@ def box_min(
     return best[0], den, best[1]
 
 
+def rho_upto(table: DecayTable, limit: int) -> list[int]:
+    """[rho(s) for s in s_min..limit] of a DecayTable, in one merge pass
+    over the table.
+
+    1/psi_i <= s  iff  s >= ceil(1/psi_i), and these thresholds increase
+    with i, so rho only moves forward as s grows.
+    """
+    if limit > table.s_max:
+        raise TableRangeExceeded(f"limit {limit} beyond table coverage {table.s_max}")
+    thresholds = table.thresholds
+    out, i = [], 0
+    for s in range(table.s_min, limit + 1):
+        while i + 1 < len(thresholds) and thresholds[i + 1] <= s:
+            i += 1
+        out.append(table.sizes[i])
+    return out
+
+
 def box_walk(theta, eta, limit, power, weight):
     """``box_min`` with the weight ``certify._scan_min`` takes: an exponent q
     or a DecayTable, whose window is read through ``rho_upto``."""
     if isinstance(weight, DecayTable):
-        rho = [0] * weight.s_min + weight.rho_upto(limit)
+        rho = [0] * weight.s_min + rho_upto(weight, limit)
         return box_min(theta, eta, limit, power,
                        lambda sizes: map(rho.__getitem__, sizes), weight.s_min)
     return box_min(theta, eta, limit, power, powers(weight))

@@ -312,6 +312,40 @@ def test_psi_table_of_a_1x2_theta_feeds_certify(tmp_path):
                "--functional", "decay", "--psi", f"table:{tmp_path / 'psi.json'}") == 0
 
 
+def spellings_agree(tmp_path, argv, option, value, files):
+    """argv run with "option value" and with "option=value" writes the same
+    files, byte for byte."""
+    spaced, joined = tmp_path / "spaced", tmp_path / "joined"
+    assert run(spaced, *argv, option, value) == 0
+    assert run(joined, *argv, f"{option}={value}") == 0
+    for name in files:
+        assert (spaced / name).read_bytes() == (joined / name).read_bytes()
+    return spaced
+
+
+def test_certify_takes_a_negative_eta_after_a_space(tmp_path):
+    out = spellings_agree(tmp_path, ("certify", "--N", "1000"), "--eta", "-1/3", ["report.json"])
+    report = json.loads((out / "report.json").read_text())
+    assert report["config"]["eta"] == "-1/3"
+    assert report["report"]["value"] != "0/1"
+
+
+def test_certify_margin_takes_a_negative_eta_after_a_space(tmp_path):
+    theta = tmp_path / "theta.json"
+    theta.write_text(json.dumps(ONE_BY_TWO))
+    assert run(tmp_path, "resonance", "--theta", str(theta), "--tmax", "50") == 0
+    argv = ("certify", "--functional", "margin", "--resonance", str(tmp_path / "resonance.json"))
+    out = spellings_agree(tmp_path, argv, "--eta", "-1/3,1/5", ["report.json"])
+    assert json.loads((out / "report.json").read_text())["config"]["eta"] == "-1/3,1/5"
+
+
+def test_play_takes_a_negative_center_after_a_space(tmp_path):
+    out = spellings_agree(tmp_path, GOLDEN_PLAY, "--center", "-1/3",
+                          ["trace.json", "certificate.json"])
+    trace = json.loads((out / "trace.json").read_text())
+    assert trace["initial"]["center"] == ["-1/3"]
+
+
 def test_resonance_on_a_1x1_theta_file(tmp_path):
     # a 1x1 file carries no expansion; its records are the convergents
     theta = tmp_path / "theta.json"

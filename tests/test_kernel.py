@@ -21,7 +21,6 @@ from badapprox.exact import (
     int_dist,
     iroot,
     lattice_box,
-    line_minimum,
     lll_reduce,
     over_common_denominator,
 )
@@ -176,7 +175,7 @@ def test_decay_table_exclusion_window():
     # including the exact zeros the table would otherwise pick up there
     table = DecayTable(sizes=(1, 4, 9), values=(Fraction(1, 5), Fraction(1, 12), Fraction(1, 40)))
     assert (table.s_min, table.s_max) == (5, 40)
-    assert table.rho_upto(40) == [oracles.decay_rho(table, s) for s in range(5, 41)]
+    assert oracles.rho_upto(table, 40) == [oracles.decay_rho(table, s) for s in range(5, 41)]
     rng = random.Random(7)
     for m, n in SHAPES:
         theta, eta = random_instance(rng, m, n, 4)
@@ -239,11 +238,6 @@ def test_lattice_box_lists_every_point_once(seed):
     expected = [(x, u) for x in range(xlo, xhi + 1) for u in range(ulo, uhi + 1)
                 if (u - a * x) % den == 0]
     assert sorted(listed) == expected
-
-
-def test_line_minimum_refuses_an_empty_size_range():
-    with pytest.raises(ValueError):
-        line_minimum(1, 0, 7, 3, 1, lambda s: s, s_floor=4)
 
 
 @pytest.mark.parametrize("p,q", POWERS)
@@ -319,6 +313,40 @@ def test_1x1_exact_hits_inside_and_outside_the_range():
         assert (got[0] == 0) == (hit is not None)
         if hit is not None:
             assert got[2] == (hit,)
+    # theta = 2/7, eta = 3/7: the hits x = 5 mod 7 fill the line; at N = 10^12
+    # the smallest signed one is -10^12 + 6
+    theta, eta = scalar(Fraction(2, 7)), [Fraction(3, 7)]
+    assert certify._scan_min(theta, eta, 10**12, 1, 1) == (0, 7, (-999999999994,))
+    # theta = 0, eta = 0: every x is a hit, and the lex tie goes to x = -N
+    theta, eta = scalar(0), [Fraction(0)]
+    for limit in (1, 5, 10**12):
+        assert certify._scan_min(theta, eta, limit, 1, 1) == (0, 1, (-limit,))
+    assert certify._scan_min(theta, eta, 5, 1, 1) == box_walk(theta, eta, 5, 1, 1)
+
+
+@pytest.fixture
+def listed(monkeypatch):
+    """Every lattice point that certify's scans list, in order."""
+    points = []
+
+    def counted(*args):
+        basis, found = exact.box_points(*args)
+        points.extend(found)
+        return basis, found
+
+    monkeypatch.setattr(certify, "box_points", counted)
+    return points
+
+
+def test_1x1_exact_hit_lists_no_lattice_point(listed):
+    # the hit is found from its residue class, before any band is listed
+    for theta, eta, limit in ((Fraction(1, 97), Fraction(50, 97), 200),
+                              (Fraction(2, 7), Fraction(3, 7), 1000), (0, 0, 40)):
+        assert certify._scan_min(scalar(theta), [Fraction(eta)], limit, 1, 1)[0] == 0
+    assert listed == []
+    # a scan with no hit in range does list points
+    certify._scan_min(scalar(Fraction(1, 97)), [Fraction(50, 97)], 46, 1, 1)
+    assert listed
 
 
 def test_1x1_ties_go_to_the_smallest_signed_x():
@@ -355,15 +383,22 @@ def test_1x1_large_denominators_and_a_huge_partial_quotient():
 
 
 def test_1x1_table_route_builds_no_rho_list(monkeypatch):
-    table = DecayTable(sizes=(1, 4, 9), values=(Fraction(1, 5), Fraction(1, 12), Fraction(1, 40)))
-    expected = jarnik_constant(scalar(Fraction(2, 7)), [Fraction(1, 3)], table, 40)
+    # a window of 10^6 sizes: the scan reads rho at a few sizes per band,
+    # never size by size over the window
+    table = DecayTable(sizes=(1, 4), values=(Fraction(1, 5), Fraction(1, 10**6)))
+    theta, eta = scalar(Fraction(832040, 1346269)), [Fraction(1, 3)]
+    table_rho, reads = certify._table_rho, []
 
-    def refuse(self, limit):
-        raise AssertionError("rho_upto called on the 1x1 route")
+    def counted(table):
+        rho = table_rho(table)
+        return lambda s: reads.append(s) or rho(s)
 
-    monkeypatch.setattr(DecayTable, "rho_upto", refuse)
-    got = jarnik_constant(scalar(Fraction(2, 7)), [Fraction(1, 3)], table, 40)
-    assert got.to_jsonable() == expected.to_jsonable()
+    monkeypatch.setattr(certify, "_table_rho", counted)
+    rep = jarnik_constant(theta, eta, table, 10**6)
+    (x,) = rep.argmin
+    r = nearest_int_dist(theta.rows[0][0] * x - eta[0])
+    assert rep.value == r * oracles.decay_rho(table, abs(x))
+    assert 0 < len(reads) < 200
 
 
 # -- the k-dimensional kernel ------------------------------------------------------
@@ -550,21 +585,13 @@ def test_lattice_records_match_the_box_walk(shape, den):
 
 
 @pytest.mark.parametrize("n", [1, 2])
-def test_lattice_scan_of_a_late_table_window_lists_few_points(n, monkeypatch):
+def test_lattice_scan_of_a_late_table_window_lists_few_points(n, listed):
     # the window [40, 60] starts the first band at 40: its V comes from the
     # first point found, not from an arbitrary one, so the three scans list
     # under 2% of the 121^2 points of each box
     m = 2
     rng = random.Random(f"window {m}x{n}")
     table = DecayTable(sizes=(1, 2), values=(Fraction(1, 40), Fraction(1, 60)))
-    listed = []
-
-    def counted(*args):
-        basis, points = exact.box_points(*args)
-        listed.extend(points)
-        return basis, points
-
-    monkeypatch.setattr(certify, "box_points", counted)
     for _ in range(3):
         theta, eta = random_instance(rng, m, n, 2**31 - 1)
         rep = jarnik_constant(theta, eta, table, 60)
