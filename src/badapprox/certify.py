@@ -377,8 +377,11 @@ def jarnik_constant(
 def resonance_margin(
     seq: ResonanceSequence, eta: Sequence, r_max: Optional[int] = None
 ) -> BadnessReport:
-    """min over families r <= r_max of ||u_r · eta||, with the realizing r."""
+    """min over families r <= r_max of ||u_r · eta||, with the realizing r.
+    eta must have the family's dimension (ValueError otherwise)."""
     eta_v = rat_vec(eta)
+    if len(eta_v) != seq.dimension:
+        raise ValueError(f"eta has dimension {len(eta_v)}, expected {seq.dimension}")
     hi = len(seq) if r_max is None else min(r_max, len(seq))
     if hi < 1:
         raise EmptySequence("no families to measure against")

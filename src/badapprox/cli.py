@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import os
@@ -365,7 +366,12 @@ def cmd_sweep(args) -> int:
 # -- parser ------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built on the first call and shared by
+    every later one.  Parsing writes only to the namespace it returns, and
+    every default is an immutable string, int or None, so no call leaves
+    anything for the next."""
     parser = argparse.ArgumentParser(
         prog="badapprox",
         description="exact nested-ball games constructing badly approximable shifts",

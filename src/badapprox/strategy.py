@@ -181,7 +181,10 @@ def build_strategy(
 
 
 class CertificateEntry(Record, frozen=True):
-    """residual_lb is a rational lower bound on |u·eta - a|, for reporting."""
+    """residual_lb is a rational lower bound on |u·eta - a|, for reporting,
+    where a is the offset gathered at the family's block.  It bounds no
+    other offset, so ||u·eta|| can be smaller than it when eta ends nearer
+    another integer."""
 
     __slots__ = ("r", "normal", "offset", "block", "residual_lb")
 

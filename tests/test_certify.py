@@ -24,6 +24,7 @@ from badapprox.certify import (
 )
 from badapprox.geometry import nearest_int_dist
 from badapprox.resonance import EmptySequence, ThetaMatrix
+from conftest import make_sequence
 
 # Frozen outputs for the flagship scalar target (denominator 1346269) with
 # the shift produced by the constructed game; recomputed independently
@@ -328,6 +329,14 @@ def test_resonance_margin_r_max_truncates(golden_seq):
 def test_resonance_margin_empty(golden_seq):
     with pytest.raises(EmptySequence):
         resonance_margin(golden_seq, [GOLDEN_ETA], r_max=0)
+
+
+@pytest.mark.parametrize("eta", [["1/3"], ["1/3", "1/5", "1/7"]])
+def test_resonance_margin_refuses_eta_of_another_dimension(eta):
+    # zip would drop the surplus coordinate, or the family's second one
+    seq = make_sequence([(1, 0), (3, 2)])
+    with pytest.raises(ValueError, match=f"eta has dimension {len(eta)}, expected 2"):
+        resonance_margin(seq, eta)
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,14 @@ Every subcommand is invoked in-process via main(argv) with outputs routed
 to tmp_path, and report bytes are compared across repeat runs: the CLI
 promises that flags + seed determine every output byte.
 """
+import gc
 import hashlib
 import itertools
 import json
 import os
 import subprocess
 import sys
+import types
 from fractions import Fraction
 from pathlib import Path
 
@@ -25,6 +27,16 @@ from badapprox.resonance import ThetaMatrix, psi_theta
 
 def run(tmp, *argv):
     return main([*argv, "--out", str(tmp)])
+
+
+def run_fresh(script, tmp_path):
+    """script run in a fresh interpreter that imports this checkout's package,
+    with tmp_path as its argument."""
+    src = str(Path(badapprox.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    return subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=120)
 
 
 GOLDEN_PLAY = ("play", "--alpha", "1/4", "--beta", "1/2", "--blocks", "2")
@@ -60,19 +72,21 @@ def test_play_outputs_are_byte_deterministic(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+# sha256 of the flagship outputs as written before the engine's integer
+# containment test, direct trace writer and step fold: all must keep every byte
+FLAGSHIP_SHA256 = {
+    "trace.json": "35a27a35a79d54762228b2e0082be0231c879d6ac087902db4da6fd059f49395",
+    "certificate.json": "dd7a8890c93071f8841b7f133f22ac1075397e46c3db8ad4375663cc71214414",
+}
+
+
+def sha256_of(out, names):
+    return {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in names}
+
+
 def test_play_flagship_bytes_are_pinned(tmp_path):
-    # sha256 of the flagship outputs as written before the engine's integer
-    # containment test, direct trace writer and step fold: all must keep
-    # every byte
     assert run(tmp_path, *GOLDEN_PLAY) == 0
-    digest = {
-        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-        for name in ("trace.json", "certificate.json")
-    }
-    assert digest == {
-        "trace.json": "35a27a35a79d54762228b2e0082be0231c879d6ac087902db4da6fd059f49395",
-        "certificate.json": "dd7a8890c93071f8841b7f133f22ac1075397e46c3db8ad4375663cc71214414",
-    }
+    assert sha256_of(tmp_path, FLAGSHIP_SHA256) == FLAGSHIP_SHA256
 
 
 def test_play_honors_output_env_var(tmp_path, monkeypatch):
@@ -339,6 +353,20 @@ def test_certify_margin_takes_a_negative_eta_after_a_space(tmp_path):
     assert json.loads((out / "report.json").read_text())["config"]["eta"] == "-1/3,1/5"
 
 
+@pytest.mark.parametrize("eta", ["1/3", "1/3,1/5,1/7"])
+def test_certify_margin_eta_of_another_dimension_exits_2(tmp_path, capsys, eta):
+    theta = tmp_path / "theta.json"
+    theta.write_text(json.dumps(ONE_BY_TWO))
+    family = tmp_path / "family"
+    assert run(family, "resonance", "--theta", str(theta), "--tmax", "50") == 0
+    rc = run(tmp_path / "margin", "certify", "--functional", "margin", "--eta", eta,
+             "--resonance", str(family / "resonance.json"))
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: eta has dimension {eta.count(',') + 1}, expected 2")
+    assert not (tmp_path / "margin").exists()
+
+
 def test_play_takes_a_negative_center_after_a_space(tmp_path):
     out = spellings_agree(tmp_path, GOLDEN_PLAY, "--center", "-1/3",
                           ["trace.json", "certificate.json"])
@@ -588,6 +616,82 @@ def test_sweep_reports_infeasible_cells_and_exits_1(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# the shared parser
+# ---------------------------------------------------------------------------
+
+
+def test_the_shared_parser_carries_nothing_between_calls(tmp_path):
+    # main builds one parser per process: a call with other flags, or one that
+    # argparse refuses, must leave nothing behind for the flagship runs
+    assert run(tmp_path / "other", "play", "--alpha", "1/4", "--beta", "1/2", "--blocks", "1",
+               "--seed", "7", "--adversary", "random", "--center", "1/3", "--rho0", "1/4") == 0
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path / "refused", *GOLDEN_PLAY, "--adversary", "nobody")
+    assert exc.value.code == 2
+    flagship = tmp_path / "flagship"
+    assert run(flagship, *GOLDEN_PLAY) == 0
+    assert sha256_of(flagship, FLAGSHIP_SHA256) == FLAGSHIP_SHA256
+    assert run(flagship, "resonance") == 0
+    assert run(tmp_path / "margin", "certify", "--functional", "margin", "--eta",
+               "160567/524288", "--resonance", str(flagship / "resonance.json"),
+               "--rmax", "5") == 0
+    assert run(flagship, "certify", "--eta", "160567/524288", "--N", "100000") == 0
+    blob = json.loads((flagship / "report.json").read_text())
+    assert (blob["report"]["value"], blob["report"]["argmin"]) == (
+        "6450562909/176458170368", [28])
+    assert blob["config"] == {
+        "command": "certify", "functional": "product", "eta": "160567/524288", "N": 100000,
+        "theta": "golden", "psi": None, "resonance": None, "rmax": None,
+    }
+
+
+PARSER_BUILDS = """
+import argparse, sys
+built = 0
+init = argparse.ArgumentParser.__init__
+def counting_init(self, *args, **kwargs):
+    global built
+    built += 1
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting_init
+from badapprox.cli import main
+assert built == 0, f"{built} parsers built at import"
+assert main(["psi", "--tmax", "10", "--out", sys.argv[1]]) == 0
+first = built
+assert main(["resonance", "--tmax", "10", "--out", sys.argv[1]]) == 0
+assert first > 0 and built == first, (first, built)
+"""
+
+
+def test_the_parser_is_built_on_the_first_call_only(tmp_path):
+    # not at import (perfbench times a fresh import), and not again later
+    proc = run_fresh(PARSER_BUILDS, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+
+
+def from_argparse(obj) -> bool:
+    return type(obj).__module__ == "argparse" or (
+        isinstance(obj, types.FunctionType) and obj.__module__ == "argparse")
+
+
+def test_a_flagship_pair_leaves_no_argparse_garbage(tmp_path):
+    # a parser holds its formatters, actions and groups in reference cycles,
+    # so one built per call would leave them all to the cyclic GC
+    assert run(tmp_path, "psi", "--tmax", "10") == 0  # warm-up: builds the parser
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert run(tmp_path, *GOLDEN_PLAY) == 0
+        assert run(tmp_path, "certify", "--eta", "160567/524288", "--N", "100000") == 0
+        gc.collect()
+        left = [type(obj).__name__ for obj in gc.garbage if from_argparse(obj)]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert left == []
+
+
+# ---------------------------------------------------------------------------
 # dependencies
 # ---------------------------------------------------------------------------
 
@@ -607,11 +711,7 @@ assert main(["certify", "--eta", "160567/524288", "--N", "1000", "--out", out]) 
 
 def test_pipeline_runs_without_numpy(tmp_path):
     # numpy is a test-only dependency: derive_params, play and certify never import it
-    src = str(Path(badapprox.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    proc = subprocess.run([sys.executable, "-c", NO_NUMPY, str(tmp_path)],
-                          env=env, capture_output=True, text=True, timeout=120)
+    proc = run_fresh(NO_NUMPY, tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "certificate.json").exists() and (tmp_path / "report.json").exists()
 
@@ -632,11 +732,7 @@ assert "numpy" not in sys.modules, "numpy was imported"
 
 def test_derive_params_imports_no_mpmath(tmp_path):
     # the cap measure is bracketed in integers: mpmath is a test-only dependency
-    src = str(Path(badapprox.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    proc = subprocess.run([sys.executable, "-c", NO_MPMATH, str(tmp_path)],
-                          env=env, capture_output=True, text=True, timeout=120)
+    proc = run_fresh(NO_MPMATH, tmp_path)
     assert proc.returncode == 0, proc.stderr
 
 
@@ -649,12 +745,8 @@ assert not loaded, f"importing badapprox loaded {loaded}"
 """
 
 
-def test_import_loads_no_dataclasses_or_inspect():
+def test_import_loads_no_dataclasses_or_inspect(tmp_path):
     # the records share one slots base; dataclasses (and the inspect it pulls
     # in) was most of the package's import time
-    src = str(Path(badapprox.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    proc = subprocess.run([sys.executable, "-c", NO_DATACLASSES],
-                          env=env, capture_output=True, text=True, timeout=120)
+    proc = run_fresh(NO_DATACLASSES, tmp_path)
     assert proc.returncode == 0, proc.stderr
