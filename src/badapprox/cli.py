@@ -11,8 +11,9 @@ Subcommands:
 
 Exit codes: 0 success, 1 runtime/certification failure or a broken internal
 invariant (InvariantError, named on stderr), 2 configuration error.  All
-reports embed the originating config and its content hash, and every byte of
-output is reproducible from the flags and the seed.
+reports embed the originating config (the parsed options minus --out and
+--check) and its content hash, and every byte of output is reproducible from
+the flags and the seed.
 """
 from __future__ import annotations
 
@@ -39,7 +40,7 @@ from .certify import (
 )
 from .engine import IllegalMove, concentric
 from .escape import SelectionExhausted
-from .exact import InvariantError, json_list, json_rat, rat, rat_str
+from .exact import InvariantError, json_list, json_object, json_rat, json_text, rat, rat_str
 from .resonance import (
     EmptySequence,
     ResonanceSequence,
@@ -68,9 +69,22 @@ def _git_blob_sha1(content: bytes) -> str:
     return hashlib.sha1(b"blob %d\0" % len(content) + content).hexdigest()
 
 
-def _config_block(config: dict) -> dict:
-    canon = json.dumps(config, sort_keys=True).encode()
-    return {"config": config, "config_hash": _git_blob_sha1(canon)}
+#: Parsed options that are not part of a run's config: where it writes, the
+#: handler, and a value psi only prints.
+_NOT_CONFIG = ("out", "func", "check")
+
+
+def _write_report(args, name: str, **body) -> Path:
+    """Write body to `name` in the output directory, beside the run's config
+    and its content hash.  The config is the parsed options minus
+    _NOT_CONFIG, with --script only for the scripted adversary."""
+    config = {k: v for k, v in vars(args).items() if k not in _NOT_CONFIG}
+    if config.get("adversary") != "scripted":
+        config.pop("script", None)
+    config_hash = _git_blob_sha1(json.dumps(config, sort_keys=True).encode())
+    path = _out_dir(args) / name
+    path.write_text(json_text({"config": config, "config_hash": config_hash, **body}) + "\n")
+    return path
 
 
 def _out_dir(args) -> Path:
@@ -80,15 +94,16 @@ def _out_dir(args) -> Path:
     return p
 
 
-def _write_json(path: Path, obj: dict) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+def _read_json(path: str, what: str) -> dict:
+    """The JSON object of an input file; any other top level is bad input."""
+    with open(path) as fh:
+        return json_object(json.load(fh), what)
 
 
 def _load_theta(spec: str) -> ThetaMatrix:
     if spec == "golden":
         return golden_theta()
-    with open(spec) as fh:
-        return ThetaMatrix.from_jsonable(json.load(fh))
+    return ThetaMatrix.from_jsonable(_read_json(spec, "theta"))
 
 
 def _parse_eta(text: str) -> tuple[Fraction, ...]:
@@ -103,8 +118,7 @@ def _records(theta: ThetaMatrix, tmax: int):
 
 def _load_sequence(path: str) -> ResonanceSequence:
     """A resonance family from a bare sequence JSON or a `resonance` report."""
-    with open(path) as fh:
-        obj = json.load(fh)
+    obj = _read_json(path, "family")
     return ResonanceSequence.from_jsonable(obj.get("sequence", obj))
 
 
@@ -133,8 +147,7 @@ def _adversary_factory(name: str):
 def _load_script(script: Optional[str]) -> Scripted:
     if not script:
         raise ValueError("--script is required with --adversary scripted")
-    with open(script) as fh:
-        data = json.load(fh)
+    data = _read_json(script, "script")
     centers = [
         [json_rat(x, "script center coordinate") for x in json_list(ctr, "script center")]
         for ctr in json_list(data["centers"], "centers")
@@ -161,27 +174,10 @@ def cmd_play(args) -> int:
         center=center,
         seed=args.seed,
     )
-    out = _out_dir(args)
-    config = {
-        "command": "play",
-        "alpha": args.alpha,
-        "beta": args.beta,
-        "lacunarity": args.lacunarity,
-        "rho0": args.rho0,
-        "blocks": args.blocks,
-        "center": args.center,
-        "adversary": args.adversary,
-        "seed": args.seed,
-        "theta": getattr(args, "theta", None),
-        "resonance": getattr(args, "resonance", None),
-        "tmax": args.tmax,
-    }
-    (out / "trace.json").write_text(trace.dumps() + "\n")
-    report = _config_block(config)
-    report["certificate"] = cert.to_jsonable()
-    report["derived"] = sched.params.to_jsonable()
-    report["cuts"] = list(sched.cuts)
-    _write_json(out / "certificate.json", report)
+    trace_path = _out_dir(args) / "trace.json"
+    trace_path.write_text(trace.dumps() + "\n")
+    path = _write_report(args, "certificate.json", certificate=cert.to_jsonable(),
+                         derived=sched.params.to_jsonable(), cuts=list(sched.cuts))
     print(f"played {len(trace.moves)} half-moves over {args.blocks} blocks")
     print(f"final center: ({', '.join(rat_str(c) for c in trace.final_ball.center)})")
     print(f"final radius: {rat_str(trace.final_ball.radius)}")
@@ -191,7 +187,7 @@ def cmd_play(args) -> int:
               f"worst residual lower bound {rat_str(worst)}")
     else:
         print("families certified: none (empty schedule)")
-    print(f"wrote {out / 'trace.json'} and {out / 'certificate.json'}")
+    print(f"wrote {trace_path} and {path}")
     return 0
 
 
@@ -202,10 +198,8 @@ def _parse_psi_arg(text: str):
     if text.startswith("power:"):
         return parse_power_spec(text)
     if text.startswith("table:"):
-        path = text.split(":", 1)[1]
-        with open(path) as fh:
-            obj = json.load(fh)
-        tbl = obj.get("table", obj)
+        obj = _read_json(text.split(":", 1)[1], "psi table")
+        tbl = json_object(obj.get("table", obj), "psi table")
         values = tuple(json_rat(v, "psi table value") for v in json_list(tbl["values"], "values"))
         return DecayTable(tuple(json_list(tbl["sizes"], "sizes")), values)
     raise ValueError(f"psi spec must start with 'power:' or 'table:', got {text!r}")
@@ -213,16 +207,6 @@ def _parse_psi_arg(text: str):
 
 def cmd_certify(args) -> int:
     eta = _parse_eta(args.eta)
-    config = {
-        "command": "certify",
-        "functional": args.functional,
-        "eta": args.eta,
-        "N": args.N,
-        "theta": getattr(args, "theta", None),
-        "psi": args.psi,
-        "resonance": getattr(args, "resonance", None),
-        "rmax": args.rmax,
-    }
     if args.functional in ("product", "decay") and args.N is None:
         raise ValueError(f"--N is required for the {args.functional} functional")
     if args.functional == "product":
@@ -237,15 +221,12 @@ def cmd_certify(args) -> int:
         if not args.resonance:
             raise ValueError("--resonance is required for the margin functional")
         rep = resonance_margin(_load_sequence(args.resonance), eta, args.rmax)
-    out = _out_dir(args)
-    report = _config_block(config)
-    report["report"] = rep.to_jsonable()
-    _write_json(out / "report.json", report)
+    path = _write_report(args, "report.json", report=rep.to_jsonable())
     print(f"{rep.functional} value: {rat_str(rep.value)}")
     print(f"argmin: {list(rep.argmin)} (limit {rep.limit})")
     for w in rep.warnings:
         print(f"warning: {w}")
-    print(f"wrote {out / 'report.json'}")
+    print(f"wrote {path}")
     return 0
 
 
@@ -257,24 +238,18 @@ def cmd_psi(args) -> int:
     records, steps = records_and_psi_steps(theta, args.tmax)
     checked = None if args.check is None else psi_theta(theta, args.check)  # before any write
     usable = [(t, v) for t, v in steps if v > 0]
-    config = {"command": "psi", "theta": args.theta, "tmax": args.tmax}
-    report = _config_block(config)
-    report["records"] = [
-        {"y": list(r.vector), "t_sq": r.norm_sq, "quality": rat_str(r.quality)}
-        for r in records
-    ]
-    report["table"] = {
-        "sizes": [t for t, _ in usable],
-        "values": [rat_str(q) for _, q in usable],
-    }
-    out = _out_dir(args)
-    _write_json(out / "psi.json", report)
+    path = _write_report(
+        args, "psi.json",
+        records=[{"y": list(r.vector), "t_sq": r.norm_sq, "quality": rat_str(r.quality)}
+                 for r in records],
+        table={"sizes": [t for t, _ in usable], "values": [rat_str(q) for _, q in usable]},
+    )
     print(f"{len(records)} records up to size {args.tmax}")
     for r in records:
         print(f"  y={list(r.vector)}  |y|^2={r.norm_sq}  quality={rat_str(r.quality)}")
     if checked is not None:
         print(f"psi({args.check}) = {rat_str(checked)}")
-    print(f"wrote {out / 'psi.json'}")
+    print(f"wrote {path}")
     return 0
 
 
@@ -283,21 +258,12 @@ def cmd_psi(args) -> int:
 
 def cmd_resonance(args) -> int:
     seq = _build_sequence(args)
-    config = {
-        "command": "resonance",
-        "theta": args.theta,
-        "lacunarity": args.lacunarity,
-        "tmax": args.tmax,
-    }
-    report = _config_block(config)
-    report["sequence"] = seq.to_jsonable()
-    out = _out_dir(args)
-    _write_json(out / "resonance.json", report)
+    path = _write_report(args, "resonance.json", sequence=seq.to_jsonable())
     print(f"lacunary family of {len(seq)} vectors (M = {args.lacunarity}):")
     for i, e in enumerate(seq.entries, start=1):
         tag = "" if e.quality is not None else "  [padding]"
         print(f"  r={i}  u={list(e.vector)}  t^2={e.norm_sq}{tag}")
-    print(f"wrote {out / 'resonance.json'}")
+    print(f"wrote {path}")
     return 0
 
 

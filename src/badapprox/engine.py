@@ -39,7 +39,6 @@ import json
 import math
 from fractions import Fraction
 from itertools import cycle, repeat
-from json.encoder import encode_basestring_ascii
 from operator import sub
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -48,8 +47,10 @@ from .exact import (
     Record,
     fraction,
     json_list,
+    json_list_pieces,
     json_object,
     json_rat,
+    json_text,
     over_common_denominator,
     rat,
     rat_str,
@@ -150,14 +151,13 @@ class GameTrace(Record):
         }
 
     def dumps(self) -> str:
-        """The bytes of ``json.dumps(self.to_jsonable(), indent=2, sort_keys=True)``,
-        written directly: the layout is fixed, and any ``indent`` sends
-        ``json`` to its pure-Python encoder.  A ball that kept the canonical
-        text it was loaded from (Ball.from_jsonable) is written from that
-        text; any other is rendered by rat_str."""
-        p, initial = self.params, self.initial
+        """The bytes of ``json_text(self.to_jsonable())``, with the move list
+        written here: a ball that kept the canonical text it was loaded from
+        (Ball.from_jsonable) is written from that text, any other is
+        rendered by rat_str, and a held center is rendered once."""
+        initial = self.initial
         parts = [
-            '{\n  "initial": {\n    "center": ', *_json_list(initial._center_strs(), 4),
+            '{\n  "initial": {\n    "center": ', *json_list_pieces(initial._center_strs(), 4),
             f',\n    "radius": "{initial._radius_str()}"\n  }},\n  "moves": ',
         ]
         if self.moves:
@@ -167,19 +167,16 @@ class GameTrace(Record):
                 ball = m.ball
                 if ball.center != center:  # a held center is rendered once
                     center = ball.center
-                    center_parts = _json_list(ball._center_strs(), 6)
+                    center_parts = json_list_pieces(ball._center_strs(), 6)
                 parts += (
                     '    {\n      "center": ', *center_parts,
-                    ',\n      "note": ', _str_json(m.note), ',\n      "player": ', _str_json(m.player),
+                    ',\n      "note": ', json_text(m.note), ',\n      "player": ', json_text(m.player),
                     ',\n      "radius": "', ball._radius_str(), '"\n    },\n',
                 )
             parts[-1] = '"\n    }\n  ]'
         else:
             parts.append("[]")
-        parts.append(
-            f',\n  "params": {{\n    "alpha": "{rat_str(p.alpha)}",\n    "beta": "{rat_str(p.beta)}",\n'
-            f'    "dimension": {p.dimension}\n  }}\n}}'
-        )
+        parts += (',\n  "params": ', json_text(self.params.to_jsonable(), 2), "\n}")
         # the parts are references, to kept text or to one rendering of each
         # center, so the join makes the one copy of the text
         return "".join(parts)
@@ -210,27 +207,6 @@ class GameTrace(Record):
     @classmethod
     def loads(cls, text: str) -> "GameTrace":
         return cls.from_jsonable(json.loads(text))
-
-
-def _str_json(s: Optional[str]) -> str:
-    """A note or player as json.dumps writes it (ASCII-escaped, None as null)."""
-    return "null" if s is None else encode_basestring_ascii(s)
-
-
-def _json_list(items: Iterable[str], indent: int, quote: str = '"') -> list[str]:
-    """The pieces of a list as json.dumps(indent=2) writes it, the closing
-    bracket `indent` spaces in, each item wrapped in `quote`: strings that
-    need no escaping by default, rendered JSON values with quote="".  The
-    items themselves are pieces, not copied."""
-    pad = " " * indent
-    sep = f"{quote},\n{pad}  {quote}"
-    pieces = [f"[\n{pad}  {quote}"]
-    for item in items:
-        pieces += (item, sep)
-    if len(pieces) == 1:
-        return ["[]"]
-    pieces[-1] = f"{quote}\n{pad}]"
-    return pieces
 
 
 def within_slack(disp: Iterable[int], den: int, p: int, q: int) -> bool:

@@ -30,10 +30,12 @@ from __future__ import annotations
 
 import functools
 import itertools
+import json
 import math
 import re
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Iterable, Iterator, Sequence, Union
 
 Rat = Union[int, Fraction]
@@ -223,6 +225,59 @@ def rat_str(value: Rat) -> str:
     if not isinstance(value, (int, Fraction)):
         value = Fraction(value)
     return f"{value.numerator}/{value.denominator}"
+
+
+# -- JSON text ---------------------------------------------------------------
+
+
+def json_text(obj, indent: int = 0) -> str:
+    """The text of ``json.dumps(obj, indent=2, sort_keys=True)``, with the
+    closing bracket of a non-empty container `indent` spaces in, for a tree
+    of dicts with string keys, lists, tuples and JSON scalars.  Strings take
+    encode_basestring_ascii and ints int.__repr__, as json's own encoder
+    does; any other scalar is written by json.dumps.  Any indent sends json
+    to its pure-Python encoder, whose closures leave reference cycles to the
+    garbage collector, so every file the package writes is laid out here."""
+    kind = type(obj)
+    if kind is str:
+        return encode_basestring_ascii(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    if obj is None:
+        return "null"
+    inner = indent + 2
+    items = []
+    # loops, not comprehensions: before 3.12 a comprehension would make obj
+    # and inner closure cells, a cost on every call, the scalar ones too
+    if isinstance(obj, dict):
+        for key in sorted(obj):
+            items.append(f"{encode_basestring_ascii(key)}: {json_text(obj[key], inner)}")
+        brackets = "{}"
+    elif isinstance(obj, (list, tuple)):
+        for item in obj:
+            items.append(json_text(item, inner))
+        brackets = "[]"
+    else:
+        return json.dumps(obj)
+    if not items:
+        return brackets
+    pad = "\n" + " " * inner
+    return brackets[0] + pad + ("," + pad).join(items) + pad[:-2] + brackets[1]
+
+
+def json_list_pieces(items: Iterable[str], indent: int) -> list[str]:
+    """The pieces of ``json_text(list(items), indent)`` for strings that need
+    no escaping, such as "p/q" rationals.  The items themselves are pieces,
+    not copied, so a writer that joins them once copies each string once."""
+    pad = " " * indent
+    sep = f'",\n{pad}  "'
+    pieces = [f'[\n{pad}  "']
+    for item in items:
+        pieces += (item, sep)
+    if len(pieces) == 1:
+        return ["[]"]
+    pieces[-1] = f'"\n{pad}]'
+    return pieces
 
 
 _FRACTION_ONLY = frozenset([Fraction])

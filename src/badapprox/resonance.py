@@ -25,6 +25,7 @@ from .exact import (
     box_points,
     int_dist,
     json_list,
+    json_object,
     json_rat,
     over_common_denominator,
     rat,
@@ -189,6 +190,7 @@ class ResonanceEntry(Record, frozen=True):
 
     @classmethod
     def from_jsonable(cls, obj: dict) -> "ResonanceEntry":
+        obj = json_object(obj, "family entry")
         q = obj.get("quality")
         return cls(
             tuple(json_list(obj["u"], "u")),
@@ -345,6 +347,7 @@ class ResonanceSequence(Record, frozen=True):
 
     @classmethod
     def from_jsonable(cls, obj: dict) -> "ResonanceSequence":
+        obj = json_object(obj, "family")
         return cls(
             tuple(ResonanceEntry.from_jsonable(e) for e in json_list(obj["entries"], "entries")),
             json_rat(obj["M"], "M"),

@@ -15,7 +15,6 @@ denominators.  Only the reported residual lower bounds are Fractions.
 """
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from operator import mul
 from typing import Optional, Sequence
@@ -23,12 +22,13 @@ from typing import Optional, Sequence
 from .exact import (
     InvariantError,
     Record,
+    json_text,
     over_common_denominator,
     rat_str,
     round_half_even,
     sqrt_bounds,
 )
-from .engine import GameParams, GameTrace, _json_list, hold, run_game
+from .engine import GameParams, GameTrace, hold, run_game
 from .geometry import Ball, Hyperplane, Vec
 from .escape import AvoidanceDrive
 from .resonance import ResonanceSequence
@@ -216,31 +216,7 @@ class Certificate(Record):
         }
 
     def dumps(self) -> str:
-        """The bytes of ``json.dumps(self.to_jsonable(), indent=2, sort_keys=True)``
-        without the pure-Python encoder that any ``indent`` selects: the
-        scalars and the flat params object of to_jsonable take json's C
-        encoder, which runs without an indent, and only the nested lists are
-        written here."""
-        obj = self.to_jsonable()
-        members = {k: json.dumps(v) for k, v in obj.items() if not isinstance(v, (dict, list))}
-        members["eta_center"] = "".join(_json_list(obj["eta_center"], 2))
-        members["handled"] = "".join(_json_list((
-            f'{{\n      "a": {e["a"]},\n      "block": {e["block"]},\n      "r": {e["r"]},\n'
-            f'      "residual_lb": "{e["residual_lb"]}",\n'
-            f'      "u": {"".join(_json_list(map(str, e["u"]), 6, ""))}\n    }}'
-            for e in obj["handled"]
-        ), 2, ""))
-        members["params"] = _flat_json(obj["params"], 2)
-        return "{\n  " + ",\n  ".join(f'"{k}": {v}' for k, v in sorted(members.items())) + "\n}"
-
-
-def _flat_json(obj: dict, indent: int) -> str:
-    """A non-empty dict of JSON scalars as json.dumps(indent=2,
-    sort_keys=True) writes it, the closing brace `indent` spaces in, through
-    json's C encoder."""
-    pad = " " * indent
-    body = json.dumps(obj, sort_keys=True, separators=(f",\n{pad}  ", ": "))
-    return f"{{\n{pad}  {body[1:-1]}\n{pad}}}"
+        return json_text(self.to_jsonable())
 
 
 def block_start_ball(trace: GameTrace, sched: BlockSchedule, block: int) -> Ball:

@@ -11,7 +11,6 @@ import json
 import os
 import subprocess
 import sys
-import types
 from fractions import Fraction
 from pathlib import Path
 
@@ -107,6 +106,25 @@ def test_play_scripted_adversary_replays_byte_for_byte(tmp_path):
     }))
     assert run(d2, *GOLDEN_PLAY, "--adversary", "scripted", "--script", str(script)) == 0
     assert (d1 / "trace.json").read_bytes() == (d2 / "trace.json").read_bytes()
+
+
+def test_play_scripted_config_names_its_script(tmp_path):
+    # two scripts play two games, so their configs differ; a script held
+    # beside another adversary plays no part and stays out of the config
+    assert run(tmp_path / "rec", *GOLDEN_PLAY) == 0
+    moves = json.loads((tmp_path / "rec" / "trace.json").read_text())["moves"]
+    hashes = []
+    for name, ctr in (("hold", moves[0]["center"]), ("move", moves[1]["center"])):
+        script = tmp_path / f"{name}.json"
+        script.write_text(json.dumps({"centers": [ctr]}))
+        out = tmp_path / name
+        assert run(out, *GOLDEN_PLAY, "--adversary", "scripted", "--script", str(script)) == 0
+        blob = json.loads((out / "certificate.json").read_text())
+        assert blob["config"]["script"] == str(script)
+        hashes.append(blob["config_hash"])
+    assert hashes[0] != hashes[1]
+    assert run(tmp_path / "beside", *GOLDEN_PLAY, "--script", str(script)) == 0
+    assert sha256_of(tmp_path / "beside", FLAGSHIP_SHA256) == FLAGSHIP_SHA256
 
 
 def test_play_scripted_non_string_note_exits_2(tmp_path):
@@ -402,17 +420,27 @@ def test_play_family_with_non_integer_numbers_exits_2(tmp_path, capsys, entry):
 
 
 @pytest.mark.parametrize("argv,obj", [
-    (("psi", "--tmax", "10", "--theta"), {"m": 1, "n": 1, "entries": [[0.5]]}),
-    (("psi", "--tmax", "10", "--theta"), {"m": 1, "n": 1, "entries": ["1/2"]}),  # bare row
-    (("psi", "--tmax", "10", "--theta"), {"m": True, "n": 1.0, "entries": [["1/2"]]}),
-    (("play", "--alpha", "1/4", "--beta", "1/2", "--blocks", "1", "--rho0", "1/8", "--resonance"),
-     {"M": "3/1", "entries": [{"u": 2, "t_sq": 4, "quality": None}]}),
+    (("psi", "--tmax", "10", "--theta", "{}"), {"m": 1, "n": 1, "entries": [[0.5]]}),
+    (("psi", "--tmax", "10", "--theta", "{}"), {"m": 1, "n": 1, "entries": ["1/2"]}),  # bare row
+    (("psi", "--tmax", "10", "--theta", "{}"), {"m": True, "n": 1.0, "entries": [["1/2"]]}),
+    (("play", "--alpha", "1/4", "--beta", "1/2", "--blocks", "1", "--rho0", "1/8",
+      "--resonance", "{}"), {"M": "3/1", "entries": [{"u": 2, "t_sq": 4, "quality": None}]}),
+    # each input whose top level, family entry or psi table is not a JSON object
+    (("psi", "--tmax", "10", "--theta", "{}"), [1, 2]),  # theta
+    (("certify", "--functional", "margin", "--eta", "1/3", "--resonance", "{}"), [1, 2]),  # family
+    ((*GOLDEN_PLAY, "--resonance", "{}"), {"M": "3/1", "entries": [1]}),  # family entry
+    (("certify", "--eta", "1/2", "--N", "3", "--functional", "decay", "--psi", "table:{}"),
+     {"table": [1, 2]}),  # psi table
+    ((*GOLDEN_PLAY, "--adversary", "scripted", "--script", "{}"), [1, 2]),  # script
 ])
 def test_wrong_typed_json_exits_2(tmp_path, capsys, argv, obj):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(obj))
-    assert run(tmp_path, *argv, str(path)) == 2
-    assert "must be" in capsys.readouterr().err
+    out = tmp_path / "out"
+    assert run(out, *(arg.format(path) for arg in argv)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "must be" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flag,obj", [
@@ -669,14 +697,10 @@ def test_the_parser_is_built_on_the_first_call_only(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
-def from_argparse(obj) -> bool:
-    return type(obj).__module__ == "argparse" or (
-        isinstance(obj, types.FunctionType) and obj.__module__ == "argparse")
-
-
 def test_a_flagship_pair_leaves_no_argparse_garbage(tmp_path):
     # a parser holds its formatters, actions and groups in reference cycles,
-    # so one built per call would leave them all to the cyclic GC
+    # so one built per call would leave them all to the cyclic GC; so would
+    # json's indenting encoder, whose closures refer to each other
     assert run(tmp_path, "psi", "--tmax", "10") == 0  # warm-up: builds the parser
     gc.collect()
     gc.set_debug(gc.DEBUG_SAVEALL)
@@ -684,7 +708,7 @@ def test_a_flagship_pair_leaves_no_argparse_garbage(tmp_path):
         assert run(tmp_path, *GOLDEN_PLAY) == 0
         assert run(tmp_path, "certify", "--eta", "160567/524288", "--N", "100000") == 0
         gc.collect()
-        left = [type(obj).__name__ for obj in gc.garbage if from_argparse(obj)]
+        left = [f"{type(obj).__module__}.{type(obj).__qualname__}" for obj in gc.garbage]
     finally:
         gc.set_debug(0)
         gc.garbage.clear()

@@ -1,6 +1,8 @@
 """Exact-arithmetic helpers: coercion, square-root comparators, dyadic bounds,
-scaled-integer brackets of asin, ln and pi (held to 60-digit mpmath)."""
+scaled-integer brackets of asin, ln and pi (held to 60-digit mpmath), and
+the JSON writer (held to json.dumps)."""
 
+import json
 import math
 from fractions import Fraction
 from random import Random
@@ -17,6 +19,7 @@ from badapprox.exact import (
     fraction,
     gt_sqrt,
     gt_sum_two_sqrt,
+    json_text,
     log_bounds,
     pi_bounds,
     rat,
@@ -233,6 +236,35 @@ def test_read_rat_calls_only_rat_strs_own_spelling_canonical(text):
     value, canonical = _read_rat(text)
     assert (type(value), value) == (Fraction, Fraction(text))
     assert canonical is (rat_str(value) == text)
+
+
+# -- JSON text ---------------------------------------------------------------
+
+# quotes, backslashes, control characters, non-ASCII and astral text
+json_strings = (
+    st.text(alphabet='"\\/\x00\x08\x1f\x7f\n\t ab\u00e9\u2028\U0001f600', max_size=6)
+    | st.text(max_size=4)
+)
+json_scalars = (
+    json_strings
+    | st.integers(min_value=-(2**2000), max_value=2**2000)
+    | st.booleans()
+    | st.none()
+    | st.floats()
+)
+json_trees = st.recursive(
+    json_scalars,
+    lambda kids: (st.lists(kids, max_size=4) | st.lists(kids, max_size=4).map(tuple)
+                  | st.dictionaries(json_strings, kids, max_size=4)),
+    max_leaves=24,
+)
+
+
+@given(tree=json_trees)
+def test_json_text_is_the_indented_sorted_dump(tree):
+    assert json_text(tree) == json.dumps(tree, indent=2, sort_keys=True)
+    # nested under one key, the tree is written at its own indent
+    assert json_text({"k": tree}) == '{\n  "k": ' + json_text(tree, 2) + "\n}"
 
 
 # -- comparators: exactness at the boundary ----------------------------------
