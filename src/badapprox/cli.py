@@ -46,11 +46,10 @@ from .resonance import (
     ResonanceSequence,
     ThetaMatrix,
     best_approximations,
-    best_approximations_cf,
     golden_theta,
     lacunary_normalize,
+    psi_steps,
     psi_theta,
-    records_and_psi_steps,
 )
 from .schedule import ScheduleInfeasible, check_ranges
 from .strategy import CertificateFailed, run_constructed_game
@@ -110,12 +109,6 @@ def _parse_eta(text: str) -> tuple[Fraction, ...]:
     return tuple(rat(part) for part in text.split(","))
 
 
-def _records(theta: ThetaMatrix, tmax: int):
-    if theta.shape == (1, 1):
-        return best_approximations_cf(theta, tmax)
-    return best_approximations(theta, tmax)
-
-
 def _load_sequence(path: str) -> ResonanceSequence:
     """A resonance family from a bare sequence JSON or a `resonance` report."""
     obj = _read_json(path, "family")
@@ -125,8 +118,7 @@ def _load_sequence(path: str) -> ResonanceSequence:
 def _build_sequence(args) -> ResonanceSequence:
     if getattr(args, "resonance", None):
         return _load_sequence(args.resonance)
-    theta = _load_theta(args.theta)
-    records = _records(theta, args.tmax)
+    records = best_approximations(_load_theta(args.theta), args.tmax)
     return lacunary_normalize(records, rat(args.lacunarity))
 
 
@@ -159,6 +151,8 @@ def _load_script(script: Optional[str]) -> Scripted:
 
 
 def cmd_play(args) -> int:
+    if args.script and args.adversary != "scripted":
+        raise ValueError("--script needs --adversary scripted")
     seq = _build_sequence(args)
     center = _parse_eta(args.center) if args.center else None
     black = (_load_script(args.script) if args.adversary == "scripted"
@@ -220,6 +214,8 @@ def cmd_certify(args) -> int:
     else:  # margin
         if not args.resonance:
             raise ValueError("--resonance is required for the margin functional")
+        if args.rmax is not None and args.rmax < 1:
+            raise ValueError(f"--rmax must be at least 1, got {args.rmax}")
         rep = resonance_margin(_load_sequence(args.resonance), eta, args.rmax)
     path = _write_report(args, "report.json", report=rep.to_jsonable())
     print(f"{rep.functional} value: {rat_str(rep.value)}")
@@ -235,7 +231,7 @@ def cmd_certify(args) -> int:
 
 def cmd_psi(args) -> int:
     theta = _load_theta(args.theta)
-    records, steps = records_and_psi_steps(theta, args.tmax)
+    records, steps = best_approximations(theta, args.tmax), psi_steps(theta, args.tmax)
     checked = None if args.check is None else psi_theta(theta, args.check)  # before any write
     usable = [(t, v) for t, v in steps if v > 0]
     path = _write_report(

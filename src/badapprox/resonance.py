@@ -8,10 +8,13 @@ Euclidean length, are the resonance vectors; thinning them to a lacunary
 family (consecutive size ratios pinned inside [M, M^2]) produces the input
 the avoidance strategy consumes.
 
-A 1x1 theta's records are its continued-fraction convergents.  Every other
-shape's records and psi steps are listed by banded enumeration of the
-lattice {(y, v) : v = C y mod D} (``exact.box_points``): each band lists
-only the y whose quality is below the least quality of the earlier bands.
+Theta's shape picks its records route here alone.  A 1x1 theta's records
+are its continued-fraction convergents.  Every other shape's records are
+listed by banded enumeration of the lattice {(y, v) : v = C y mod D}
+(``exact.box_points``): each band lists only the y whose quality is below
+the least quality of the earlier bands.  When y is a number (n = 1) its
+Euclidean and sup-norm shells coincide, so psi's steps are the records;
+for n >= 2 they come from the same enumeration in the sup norm.
 """
 from __future__ import annotations
 
@@ -129,8 +132,9 @@ def _shell_records(
     theta: ThetaMatrix, t: int, euclidean: bool
 ) -> tuple[list[tuple[int, int, tuple[int, ...]]], int]:
     """Strict records of the dual quality over the shells of [-t, t]^n in
-    increasing order: shells of equal |y|^2 if ``euclidean``, else of equal
-    max|y_j|.  Returns ([(shell, num, y)], D): num / D is the quality of y,
+    increasing order: shells of equal |y|^2 if ``euclidean`` (the records
+    of every shape but 1x1), else of equal max|y_j| (psi's steps for
+    n >= 2).  Returns ([(shell, num, y)], D): num / D is the quality of y,
     the lex-first canonical minimizer of its shell (first nonzero entry
     positive), and a shell's minimum is a record iff it is strictly below
     the minimum of every earlier shell.
@@ -206,8 +210,12 @@ def best_approximations(theta: ThetaMatrix, t_max: int) -> list[ResonanceEntry]:
     (|y|^2, lex) order; a shell's minimum becomes a record iff it is strictly
     below every earlier quality.  Only the canonical representative of each
     ±pair is considered (quality is sign-symmetric).  A record of quality
-    zero is the last one (nothing can beat it).
+    zero is the last one (nothing can beat it).  A 1x1 theta's records are
+    its convergent denominators (best_approximations_cf); every other shape
+    is enumerated (_shell_records).
     """
+    if theta.shape == (1, 1):
+        return best_approximations_cf(theta, t_max)
     if t_max < 1:
         raise ValueError("t_max must be >= 1")
     found, den = _shell_records(theta, t_max, euclidean=True)
@@ -233,8 +241,8 @@ def best_approximations_cf(theta: ThetaMatrix, t_max: int) -> list[ResonanceEntr
 
     For a single rational angle the strict quality records at integer sizes
     are exactly the convergent denominators (Lagrange); this route never
-    enumerates and is cross-checked against best_approximations in the
-    test-suite.  With theta = num/den, the quality ||q theta|| is
+    enumerates and is cross-checked against the brute-force enumeration in
+    the test-suite.  With theta = num/den, the quality ||q theta|| is
     int_dist(num*q, den)/den, so records compare on integers over den and
     a Fraction is built only for a record.
     """
@@ -261,27 +269,16 @@ def psi_steps(theta: ThetaMatrix, t_max: int) -> list[tuple[int, Fraction]]:
 
     psi_theta is a non-increasing step function of t; it drops exactly at
     the sup-norm shells holding a strict record of the dual quality, so one
-    scan over those shells gives every step.  A 1x1 theta's shells are its
-    sizes, whose records are the convergent denominators.
+    scan over those shells gives every step.  When n = 1, y is a number, its
+    sup-norm and Euclidean shells coincide, and the steps are the records
+    (y, quality) of best_approximations.
     """
+    if theta.n == 1:
+        return [(r.vector[0], r.quality) for r in best_approximations(theta, t_max)]
     if t_max < 1:
         raise ValueError("t_max must be >= 1")
-    if theta.shape == (1, 1):
-        return records_and_psi_steps(theta, t_max)[1]
     found, den = _shell_records(theta, t_max, euclidean=False)
     return [(t, Fraction(num, den)) for t, num, _ in found]
-
-
-def records_and_psi_steps(
-    theta: ThetaMatrix, t_max: int
-) -> tuple[list[ResonanceEntry], list[tuple[int, Fraction]]]:
-    """(records, psi_steps(theta, t_max)): the records by the route theta's
-    shape picks (best_approximations_cf for 1x1, else best_approximations).
-    A 1x1 theta's steps are its records."""
-    if theta.shape == (1, 1):
-        records = best_approximations_cf(theta, t_max)
-        return records, [(r.vector[0], r.quality) for r in records]
-    return best_approximations(theta, t_max), psi_steps(theta, t_max)
 
 
 # -- lacunary thinning -------------------------------------------------------

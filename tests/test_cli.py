@@ -109,8 +109,8 @@ def test_play_scripted_adversary_replays_byte_for_byte(tmp_path):
 
 
 def test_play_scripted_config_names_its_script(tmp_path):
-    # two scripts play two games, so their configs differ; a script held
-    # beside another adversary plays no part and stays out of the config
+    # two scripts play two games, so their configs differ; a script beside
+    # another adversary could play no part, so it is refused before any write
     assert run(tmp_path / "rec", *GOLDEN_PLAY) == 0
     moves = json.loads((tmp_path / "rec" / "trace.json").read_text())["moves"]
     hashes = []
@@ -123,8 +123,8 @@ def test_play_scripted_config_names_its_script(tmp_path):
         assert blob["config"]["script"] == str(script)
         hashes.append(blob["config_hash"])
     assert hashes[0] != hashes[1]
-    assert run(tmp_path / "beside", *GOLDEN_PLAY, "--script", str(script)) == 0
-    assert sha256_of(tmp_path / "beside", FLAGSHIP_SHA256) == FLAGSHIP_SHA256
+    assert run(tmp_path / "beside", *GOLDEN_PLAY, "--script", str(script)) == 2
+    assert not (tmp_path / "beside").exists()
 
 
 def test_play_scripted_non_string_note_exits_2(tmp_path):
@@ -211,6 +211,18 @@ def test_certify_margin_runs_without_N(tmp_path):
     blob = json.loads((tmp_path / "report.json").read_text())
     assert (blob["report"]["value"], blob["report"]["argmin"]) == ("9781/524288", [3])
     assert blob["config"]["N"] is None
+
+
+@pytest.mark.parametrize("rmax", ["0", "-3"])
+def test_certify_margin_rmax_below_1_exits_2(tmp_path, capsys, rmax):
+    assert run(tmp_path / "fam", "resonance", "--theta", "golden") == 0
+    out = tmp_path / "out"
+    rc = run(out, "certify", "--functional", "margin", "--eta", "160567/524288",
+             "--resonance", str(tmp_path / "fam" / "resonance.json"), "--rmax", rmax)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "--rmax" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("functional", ["product", "decay"])

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from badapprox import resonance
 from badapprox.resonance import (
     GOLDEN_CONVERGENT,
     EmptySequence,
@@ -23,7 +24,6 @@ from badapprox.resonance import (
     lacunary_normalize,
     psi_steps,
     psi_theta,
-    records_and_psi_steps,
     verify_decay_bound,
 )
 from conftest import make_records, make_sequence
@@ -170,9 +170,9 @@ def test_records_canonical_sign():
 
 def test_cf_route_matches_enumeration():
     g = golden_theta()
-    assert best_approximations_cf(g, 1000) == best_approximations(g, 1000)
+    assert best_approximations_cf(g, 1000) == oracles.best_approximations(g, 1000)
     th = ThetaMatrix.scalar(Fraction(2, 7))
-    assert best_approximations_cf(th, 50) == best_approximations(th, 50)
+    assert best_approximations_cf(th, 50) == oracles.best_approximations(th, 50)
 
 
 def test_cf_route_matches_enumeration_on_random_rationals():
@@ -187,7 +187,8 @@ def test_cf_route_matches_enumeration_on_random_rationals():
         th = ThetaMatrix.scalar(x)
         q = x.denominator
         for t_max in {max(1, q - 1), q, q + 3}:
-            assert best_approximations_cf(th, t_max) == best_approximations(th, t_max), (x, t_max)
+            records = oracles.walk_records_and_steps(th, t_max)[0]
+            assert best_approximations_cf(th, t_max) == records, (x, t_max)
 
 
 def test_cf_route_matches_fraction_oracle_on_long_denominators():
@@ -261,22 +262,66 @@ def test_psi_steps_pinned_1x2():
         psi_steps(theta, 0)
 
 
-def test_records_and_psi_steps_equal_the_two_separate_walks():
-    # one walk of the box feeds both shell sorts: the same records and steps
-    # as best_approximations (or the CF route for 1x1) and psi_steps
+def test_records_and_psi_steps_match_the_box_walk():
+    # each shape's route (the CF route for 1x1, the records' scan for any
+    # other n = 1, one sup-norm scan for n >= 2) gives the records and steps
+    # of one walk of the box
     rng = random.Random(41)
-    shapes = [(1, 1), (1, 2), (2, 1), (1, 3), (2, 2)]
-    for trial in range(40):
+    shapes = [(1, 1), (1, 2), (2, 1), (3, 1), (1, 3), (2, 2)]
+    for trial in range(48):
         m, n = shapes[trial % len(shapes)]
         den = rng.choice([7, 30, 97, 2**31 - 1])
         theta = ThetaMatrix(tuple(
             tuple(Fraction(rng.randrange(den), den) for _ in range(n)) for _ in range(m)
         ))
         t_max = rng.randint(1, 12 if n < 3 else 5)
-        route = best_approximations_cf if (m, n) == (1, 1) else best_approximations
-        assert records_and_psi_steps(theta, t_max) == (route(theta, t_max), psi_steps(theta, t_max))
-    with pytest.raises(ValueError, match="t_max"):
-        records_and_psi_steps(ThetaMatrix(((Fraction(1, 3), Fraction(1, 5)),)), 0)
+        assert (best_approximations(theta, t_max), psi_steps(theta, t_max)) == \
+            oracles.walk_records_and_steps(theta, t_max)
+    for theta in (ThetaMatrix(((Fraction(1, 3), Fraction(1, 5)),)), golden_theta(),
+                  ThetaMatrix(((Fraction(1, 3),), (Fraction(1, 5),)))):
+        for walk in (best_approximations, psi_steps):
+            with pytest.raises(ValueError, match="t_max"):
+                walk(theta, 0)
+
+
+def test_each_shape_takes_one_route(monkeypatch):
+    # a 1x1 theta never enumerates: its records are its convergents and its
+    # steps are its records, at any size, an exact resonance included
+    def refuse(*args):
+        raise AssertionError("a 1x1 theta enumerated a lattice")
+
+    fib = [0, 1]
+    while len(fib) < 102:
+        fib.append(fib[-1] + fib[-2])
+    monkeypatch.setattr(resonance, "box_points", refuse)
+    for theta, t in ((golden_theta(), 1000), (ThetaMatrix.scalar(Fraction(2, 7)), 50),
+                     (ThetaMatrix.scalar(Fraction(fib[100], fib[101])), 10**15)):
+        records = best_approximations(theta, t)
+        assert records == oracles.best_approximations_cf(theta, t)
+        assert psi_steps(theta, t) == [(r.vector[0], r.quality) for r in records]
+    assert records[-1].vector == (fib[73],)
+    assert best_approximations(ThetaMatrix.scalar(Fraction(2, 7)), 50)[-1].quality == 0
+    monkeypatch.undo()
+
+    # an m x 1 theta's steps are its records: one Euclidean scan, no sup-norm one
+    scans = []
+    shell_records = resonance._shell_records
+
+    def counted(theta, t, euclidean):
+        scans.append(euclidean)
+        return shell_records(theta, t, euclidean)
+
+    monkeypatch.setattr(resonance, "_shell_records", counted)
+    den = 2**31 - 1
+    for theta in (ThetaMatrix(((Fraction(1234567891, den),), (Fraction(987654321, den),))),
+                  ThetaMatrix(((Fraction(1234567891, den),), (Fraction(987654321, den),),
+                               (Fraction(31415926, den),)))):
+        for t in (1, 10, 100, 10**4):
+            scans.clear()
+            steps = psi_steps(theta, t)
+            assert scans == [True]
+            assert steps == [(r.vector[0], r.quality) for r in best_approximations(theta, t)]
+            assert steps == oracles.walk_records_and_steps(theta, t)[1]
 
 
 # -- lacunary thinning -------------------------------------------------------
