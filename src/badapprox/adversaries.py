@@ -7,13 +7,13 @@ in the resulting trace.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 from operator import mul
 from random import Random
-from typing import Optional, Sequence
 
 from .engine import hold
-from .exact import over_common_denominator, rat, round_half_even
+from .exact import over_common_denominator, rat
 from .geometry import Vec, rational_unit_direction, scale, sub
 from .resonance import ResonanceSequence
 
@@ -50,43 +50,63 @@ class RandomBlack:
 class GreedyBlack:
     """Chase the nearest resonance hyperplane at full legal speed.
 
-    Finds the family minimizing |residual| / |u| (compared exactly via
-    cross-multiplied squares; ties to the smallest index), then steps the
-    whole 1 - beta radii toward it along a rationalized unit direction.
-    The step is cached per (family, side, beta).
+    Finds the family minimizing |residual| / |u| (exactly, on integers; ties
+    to the smallest index), then steps the whole 1 - beta radii toward it
+    along a rationalized unit direction.  The step is cached per (family,
+    side, beta).
     """
 
     def __init__(self, seq: ResonanceSequence):
         self.seq = seq
-        self._steps: dict[tuple[int, int, Fraction], Vec] = {}
+        # (r, u_r, |u_r|^2, bit length of |u_r|^2), read once
+        self._families = [
+            (r, seq.vector(r), nsq, nsq.bit_length())
+            for r in range(1, len(seq) + 1)
+            for nsq in (seq.norm_sq_of(r),)
+        ]
+        self._steps: dict[tuple[int, int, int, int], Vec] = {}
 
     def _nearest_residual(self, center: Vec) -> tuple[int, int, int]:
         """(r, s - a*L, L) for the nearest family r: with the center over
         one common denominator L, u_r·center = s/L and a is the nearest
         integer to s/L, rounded half to even as Fraction rounding does.
-        dist_r^2 = res_r^2 / (L^2 nsq_r), so families compare on
-        res^2 * nsq of the other as plain integers."""
+
+        dist_r^2 = res_r^2 / (L^2 nsq_r), so family r beats the best so far
+        when res_r^2 nsq_best < res_best^2 nsq_r.  A product whose factors
+        have bit lengths 2i and j lies in [2^(2i+j-3), 2^(2i+j)), so the two
+        sides' bit lengths decide the comparison unless they are within 2 of
+        each other; only then are the products formed.  A zero residual has
+        no such lower bound and is the nearest possible: it ends the scan,
+        since a later family can at most tie it."""
         den, nums = over_common_denominator(center)
-        best_r = best_res = None
-        for r in range(1, len(self.seq) + 1):
-            _, rem = round_half_even(sum(map(mul, self.seq.vector(r), nums)), den)
-            if best_r is None or (
-                rem * rem * self.seq.norm_sq_of(best_r)
-                < best_res * best_res * self.seq.norm_sq_of(r)
-            ):
-                best_r, best_res = r, rem
+        best_r = None
+        for r, u, nsq, nbits in self._families:
+            a, res = divmod(sum(map(mul, u, nums)), den)
+            twice = 2 * res
+            if twice > den or (twice == den and a & 1):
+                res -= den
+            if not res:
+                return r, 0, den
+            res_bits = 2 * res.bit_length()
+            if best_r is None:
+                best_r, best_res, best_bits, best_nsq, best_nbits = r, res, res_bits, nsq, nbits
+                continue
+            lb, rb = res_bits + best_nbits, best_bits + nbits
+            if lb + 2 < rb or (lb <= rb + 2 and res * res * best_nsq < best_res * best_res * nsq):
+                best_r, best_res, best_bits, best_nsq, best_nbits = r, res, res_bits, nsq, nbits
         return best_r, best_res, den
 
     def __call__(self, state) -> tuple[Vec, str]:
         r, res, _ = self._nearest_residual(state.ball.center)
-        if res == 0:
+        if not res:
             return hold(state), f"on family {r}"
         # step toward the plane: against the residual's sign
         side, beta = (-1 if res > 0 else 1), state.params.beta
-        step = self._steps.get((r, side, beta))
+        key = (r, side, beta.numerator, beta.denominator)
+        step = self._steps.get(key)
         if step is None:
             direction = rational_unit_direction(scale(self.seq.vector(r), side))
-            step = self._steps[r, side, beta] = scale(direction, 1 - beta)
+            step = self._steps[key] = scale(direction, 1 - beta)
         return step, f"chasing family {r}"
 
 
@@ -95,12 +115,12 @@ class Scripted:
     recorded trace can be reproduced byte-for-byte.  Each center c' becomes
     the step (c' - c) / R from the ball it is played in."""
 
-    def __init__(self, centers: Sequence[Sequence], notes: Optional[Sequence[Optional[str]]] = None):
+    def __init__(self, centers: Sequence[Sequence], notes: Sequence[str | None] | None = None):
         self.centers = [tuple(rat(c) for c in ctr) for ctr in centers]
         self.notes = list(notes) if notes is not None else None
         self.cursor = 0
 
-    def __call__(self, state) -> tuple[Vec, Optional[str]]:
+    def __call__(self, state) -> tuple[Vec, str | None]:
         i = self.cursor
         self.cursor += 1
         if i >= len(self.centers):

@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from collections.abc import Callable, Sequence
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Union
 
 from .exact import (
     Rat,
@@ -159,8 +159,8 @@ class BadnessReport(Record):
         value: Fraction,
         argmin: tuple[int, ...],
         limit: int,
-        extras: Optional[dict] = None,
-        warnings: Optional[list[str]] = None,
+        extras: dict | None = None,
+        warnings: list[str] | None = None,
     ):
         self.functional = functional
         self.value = value
@@ -269,7 +269,7 @@ def _scan_min(
     eta: Sequence[Fraction],
     limit: int,
     power: int,
-    weight: Union[int, DecayTable],
+    weight: int | DecayTable,
 ) -> tuple[int, int, tuple[int, ...]]:
     """Exact min of (D r(x))^power * w(s) over the sizes s the weight
     covers, s <= limit, with the argmin: (key, D, argmin).
@@ -375,7 +375,7 @@ def jarnik_constant(
 
 
 def resonance_margin(
-    seq: ResonanceSequence, eta: Sequence, r_max: Optional[int] = None
+    seq: ResonanceSequence, eta: Sequence, r_max: int | None = None
 ) -> BadnessReport:
     """min over families r <= r_max of ||u_r · eta||, with the realizing r.
     eta must have the family's dimension (ValueError otherwise)."""
@@ -386,7 +386,7 @@ def resonance_margin(
     if hi < 1:
         raise EmptySequence("no families to measure against")
     den, eta_ints = over_common_denominator(eta_v)
-    best: Optional[tuple[int, int]] = None
+    best: tuple[int, int] | None = None
     for r in range(1, hi + 1):
         d = int_dist(sum(c * e for c, e in zip(seq.vector(r), eta_ints)), den)
         if best is None or d < best[0]:

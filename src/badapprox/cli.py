@@ -25,9 +25,9 @@ import json
 import os
 import re
 import sys
+from collections.abc import Sequence
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional, Sequence
 
 from .adversaries import GreedyBlack, RandomBlack, Scripted
 from .certify import (
@@ -136,7 +136,7 @@ def _adversary_factory(name: str):
     return _ADVERSARIES[name]
 
 
-def _load_script(script: Optional[str]) -> Scripted:
+def _load_script(script: str | None) -> Scripted:
     if not script:
         raise ValueError("--script is required with --adversary scripted")
     data = _read_json(script, "script")
@@ -430,7 +430,7 @@ def _attach_negative_values(argv: Sequence[str]) -> list[str]:
     return out
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     try:

@@ -37,10 +37,10 @@ from __future__ import annotations
 import functools
 import json
 import math
+from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
 from itertools import cycle, repeat
 from operator import sub
-from typing import Callable, Iterable, Optional, Sequence
 
 from .exact import (
     Rat,
@@ -109,7 +109,7 @@ class GameState(Record, frozen=True):
 class MoveRecord(Record, frozen=True):
     __slots__ = ("player", "ball", "note")
 
-    def __init__(self, player: str, ball: Ball, note: Optional[str] = None):
+    def __init__(self, player: str, ball: Ball, note: str | None = None):
         # dumps writes both as JSON strings; a trace file or a script may hold anything
         if not isinstance(player, str) or not isinstance(note, (str, type(None))):
             raise ValueError(f"player and note must be strings (note may be None), "
@@ -129,7 +129,7 @@ class MoveRecord(Record, frozen=True):
 class GameTrace(Record):
     __slots__ = ("params", "initial", "moves")
 
-    def __init__(self, params: GameParams, initial: Ball, moves: Optional[list[MoveRecord]] = None):
+    def __init__(self, params: GameParams, initial: Ball, moves: list[MoveRecord] | None = None):
         # run_game, replay and loads all build one
         if initial.dimension != params.dimension:
             raise ValueError("initial ball dimension does not match params")
@@ -220,7 +220,7 @@ def within_slack(disp: Iterable[int], den: int, p: int, q: int) -> bool:
 
 #: A policy maps the state to its step, in units of the current radius, and
 #: a note (or None).
-Policy = Callable[[GameState], tuple[Sequence, Optional[str]]]
+Policy = Callable[[GameState], tuple[Sequence, str | None]]
 
 
 @functools.cache

@@ -11,17 +11,18 @@ at distance > gamma*rho from the plane — a state that nested play can never
 undo.  Every membership test below is an exact integer test on the
 direction's (v, L) form, integer v over its common denominator L (at most
 two squarings); floats appear only inside candidate *generation*, never in
-acceptance of a candidate.  The plane's side, its absorption and the cap's
+acceptance of a candidate.  Grid and random candidates are lifted from
+their chart points straight to (v, L).  The plane's side, its absorption and the cap's
 clearance read the center residual u·center - a as an integer over the
 center's common denominator.
 """
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from fractions import Fraction
 from operator import mul
 from random import Random
-from typing import Optional, Sequence
 
 from .engine import hold
 from .exact import (
@@ -42,7 +43,6 @@ from .geometry import (
     rational_unit_direction,
     scale,
     stereo_chart,
-    stereo_unit,
 )
 from .schedule import StrategyParams
 
@@ -181,26 +181,41 @@ _LDS_STEPS = [math.sqrt(p) % 1.0 for p in (2, 3, 5, 7, 11, 13, 17, 19)]
 _CHART_DENOM = 1 << 12
 
 
-def _grid_direction(idx: int, n: int) -> Vec:
-    """Deterministic low-discrepancy direction, exactly unit by construction."""
+def _chart_lift(a: list[int], axis: int, sign: int) -> tuple[tuple[int, ...], int]:
+    """(v, L) of the unit direction over the chart point w = a / c, c =
+    _CHART_DENOM: geometry.stereo_unit's lift times c^2, with A = sum a_j^2,
+    is sign (c^2 - A) on the axis and 2 c a_j elsewhere, over c^2 + A;
+    dividing by the gcd of all n + 1 integers gives the least common
+    denominator, so (v, L) equals integer_direction(stereo_unit(w, ...))."""
+    c = _CHART_DENOM
+    c_sq, big_a = c * c, sum(x * x for x in a)
+    v = [2 * c * x for x in a]
+    v.insert(axis, sign * (c_sq - big_a))
+    el = c_sq + big_a
+    g = math.gcd(el, *v)
+    return tuple(x // g for x in v), el // g
+
+
+def _grid_direction(idx: int, n: int) -> tuple[tuple[int, ...], int]:
+    """(v, L) of a deterministic low-discrepancy direction."""
     axis = idx % n
     sign = 1 if (idx // n) % 2 == 0 else -1
     base = idx // (2 * n) + 1
-    w = []
+    a = []
     for j in range(n - 1):
         val = (0.5 + base * _LDS_STEPS[j % len(_LDS_STEPS)]) % 1.0
-        w.append(Fraction(round((2 * val - 1) * 2 * _CHART_DENOM), _CHART_DENOM))
-    return stereo_unit(w, n, axis, sign)
+        a.append(round((2 * val - 1) * 2 * _CHART_DENOM))
+    return _chart_lift(a, axis, sign)
 
 
-def _random_direction(rng: Random, n: int) -> Vec:
+def _random_direction(rng: Random, n: int) -> tuple[tuple[int, ...], int]:
+    """(v, L) of a seeded random direction: a Gaussian draw, charted."""
     v = [rng.gauss(0.0, 1.0) for _ in range(n)]
     norm = math.sqrt(math.fsum(x * x for x in v))
     if norm == 0.0:
-        return stereo_unit((), n, 0, 1) if n == 1 else _grid_direction(0, n)
+        return _grid_direction(0, n)
     axis, sign, w = stereo_chart([x / norm for x in v])
-    w = [Fraction(round(x * _CHART_DENOM), _CHART_DENOM) for x in w]
-    return stereo_unit(w, n, axis, sign)
+    return _chart_lift([round(x * _CHART_DENOM) for x in w], axis, sign)
 
 
 # -- direction selection -----------------------------------------------------
@@ -249,8 +264,7 @@ def select_cap(
     quota = ceil_frac(params.cap_measure_lb * kprime)
     caps = [PlaneCap(ball, p, params.gamma, shrink_t) for p in planes]
 
-    def evaluate(direction: Vec) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        v, el = integer_direction(direction)
+    def evaluate(v: tuple[int, ...], el: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
         l_sq = el * el
         strong = []
         esc = []
@@ -265,31 +279,38 @@ def select_cap(
                 raise InvariantError("strong hit without verified miss")
         return tuple(strong), tuple(esc)
 
-    best: Optional[tuple[int, int, Vec, tuple, tuple]] = None
-    seen: set[Vec] = set()
+    # (strong count, escaped count, v, L, strong, escaped) of the best so far
+    best: tuple[int, int, tuple[int, ...], int, tuple, tuple] | None = None
+    seen: set[tuple[tuple[int, ...], int]] = set()
     tried = 0
 
-    def consider(direction: Vec):
+    def consider(direction: tuple[tuple[int, ...], int]):
+        """Judge the direction v/L given as (v, L); an equal score goes to
+        the lexicographically smaller direction, v_i/L against w_i/M
+        compared as v_i M against w_i L."""
         nonlocal best, tried
         if direction in seen:
             return
         seen.add(direction)
         tried += 1
-        strong, esc = evaluate(direction)
+        v, el = direction
+        strong, esc = evaluate(v, el)
         key = (len(strong), len(esc))
         if (
             best is None
             or key > (best[0], best[1])
-            or (key == (best[0], best[1]) and direction < best[2])
+            or (key == (best[0], best[1])
+                and [x * best[3] for x in v] < [x * el for x in best[2]])
         ):
-            best = (len(strong), len(esc), direction, strong, esc)
+            best = (len(strong), len(esc), v, el, strong, esc)
 
     if n == 1:
-        consider((Fraction(1),))
-        consider((Fraction(-1),))
+        consider(((1,), 1))
+        consider(((-1,), 1))
     else:
         for cap in caps:
-            consider(rational_unit_direction(cap.outward))
+            v, el = integer_direction(rational_unit_direction(cap.outward))
+            consider((tuple(v), el))
         rng = Random(seed)
         grid_cursor = 0
         budget = INITIAL_BUDGET
@@ -306,10 +327,11 @@ def select_cap(
     assert best is not None
     if best[0] < quota:
         raise SelectionExhausted(quota, best[0], tried)
+    _, _, v, el, strong, esc = best
     return CapSelection(
-        direction=best[2],
-        escaped=best[4],
-        strong=best[3],
+        direction=tuple(Fraction(x, el) for x in v),
+        escaped=esc,
+        strong=strong,
         candidates_tried=tried,
     )
 
@@ -348,9 +370,9 @@ class AvoidanceDrive:
         self.seed = seed
         self.remaining = list(range(len(self.planes)))
         self.pos = 0
-        self.direction: Optional[Vec] = None
-        self.step: Optional[Vec] = None  # (1-alpha) * direction
-        self.pending: Optional[tuple[Halfspace, tuple[int, ...]]] = None
+        self.direction: Vec | None = None
+        self.step: Vec | None = None  # (1-alpha) * direction
+        self.pending: tuple[Halfspace, tuple[int, ...]] | None = None
 
     def _boundary(self, ball: Ball) -> None:
         gamma = self.params.gamma

@@ -34,11 +34,11 @@ import json
 import math
 import re
 import sys
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from typing import Iterable, Iterator, Sequence, Union
 
-Rat = Union[int, Fraction]
+Rat = int | Fraction
 
 # Rationals cross the text boundary (rat, rat_str, trace files) at any size,
 # past the default limit of 4300 digits on int <-> str that 3.10.7 added.

@@ -9,9 +9,9 @@ constants, is bracketed in scaled integers (exact.scaled_bounds).
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from operator import mul
-from typing import Iterable, Optional, Sequence
 
 from .exact import (
     InvariantError,
@@ -21,6 +21,7 @@ from .exact import (
     asin_bounds,
     json_list,
     json_rat,
+    over_common_denominator,
     pi_bounds,
     rat,
     rat_str,
@@ -126,7 +127,7 @@ class Ball(Record, _Text, frozen=True):
         return rat_str(self.radius) if text is None else text[1]
 
     @classmethod
-    def from_jsonable(cls, obj: dict, held: Optional["Ball"] = None) -> "Ball":
+    def from_jsonable(cls, obj: dict, held: Ball | None = None) -> "Ball":
         """The ball of {"center": [...], "radius": ...}.  `held` is a ball
         read before from a "center" list equal to obj's; when that list holds
         only strings, the one JSON type that equals only itself ([1] == [True]
@@ -203,13 +204,18 @@ class Hyperplane(Record, frozen=True):
 
 
 class Halfspace(Record, frozen=True):
-    """{y : direction · (y - anchor) >= threshold} with exact unit direction."""
+    """{y : direction · (y - anchor) >= threshold} with exact unit direction.
+
+    Both the unit check and contains_ball are decided on integers: the
+    direction as v/L over its common denominator, so it is a unit vector
+    when sum v^2 = L^2."""
 
     __slots__ = ("direction", "threshold", "anchor")
 
     def __init__(self, direction: Sequence[Rat], threshold: Rat, anchor: Sequence[Rat]):
         direction, threshold, anchor = rat_vec(direction), rat(threshold), rat_vec(anchor)
-        if norm_sq(direction) != 1:
+        el, v = over_common_denominator(direction)
+        if sum(x * x for x in v) != el * el:
             raise ValueError("halfspace direction must be an exact unit vector")
         set_direction, set_threshold, set_anchor = self._setters
         set_direction(self, direction)
@@ -220,8 +226,18 @@ class Halfspace(Record, frozen=True):
         return dot(self.direction, sub(p, self.anchor))
 
     def contains_ball(self, ball: Ball) -> bool:
-        """Exact: height of the center clears threshold + radius."""
-        return self.height(ball.center) - self.threshold >= ball.radius
+        """Exact: height of the center clears threshold + radius.  With the
+        direction v/L, and the center and anchor C/D and A/D over one common
+        denominator, the height is h/(LD) for h = v·(C - A); for threshold
+        p/q and radius r/s the test is h q s >= (p s + r q) L D."""
+        n = len(self.anchor)
+        same_dimension(ball.center, self.anchor)
+        el, v = over_common_denominator(self.direction)
+        den, nums = over_common_denominator(ball.center + self.anchor)
+        h = sum(x * (c - a) for x, c, a in zip(v, nums, nums[n:]))
+        t, r = self.threshold, ball.radius
+        q, s = t.denominator, r.denominator
+        return h * q * s >= (t.numerator * s + r.numerator * q) * el * den
 
 
 # -- exact unit directions from a stereographic chart ------------------------

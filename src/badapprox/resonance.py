@@ -19,8 +19,8 @@ for n >= 2 they come from the same enumeration in the sup norm.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence
 
 from .exact import (
     Rat,
@@ -253,7 +253,7 @@ def best_approximations_cf(theta: ThetaMatrix, t_max: int) -> list[ResonanceEntr
     value = theta.rows[0][0]
     num, den = value.numerator, value.denominator
     records: list[ResonanceEntry] = []
-    best: Optional[int] = None
+    best: int | None = None
     for _, q in convergents(value):
         if q > t_max:
             break

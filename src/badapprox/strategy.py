@@ -15,9 +15,9 @@ denominators.  Only the reported residual lower bounds are Fractions.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 from operator import mul
-from typing import Optional, Sequence
 
 from .exact import (
     InvariantError,
@@ -129,7 +129,7 @@ class WhiteStrategy:
         self.seed = seed
         self.handled: list[HandledPlane] = []
         self.moves = 0
-        self.sub: Optional[AvoidanceDrive] = None
+        self.sub: AvoidanceDrive | None = None
 
     def _check_handled_clear(self, ball: Ball) -> None:
         den, nums, scales = _integer_form(ball, self.params.margin)
@@ -298,7 +298,7 @@ def run_constructed_game(
     blocks: int,
     black,
     *,
-    center: Optional[Sequence] = None,
+    center: Sequence | None = None,
     seed: int = 0,
 ) -> tuple[GameTrace, Certificate, WhiteStrategy, BlockSchedule]:
     """Derive, schedule, play and certify in one call."""

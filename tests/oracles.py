@@ -19,10 +19,14 @@ absolute-center engine beside them adds each step to the center as a
 integer center, held to it by test_engine.py.  The three
 cap predicates and the ``select_cap`` built on them are the ``Fraction``
 tests that the escape layer's integer tests on (v, L) directions replaced,
-held to them by test_escape.py.  The gather, clearance and certificate of
-White's strategy, the nearest offsets of ``dangerous_hyperplanes``,
-``absorbed``, ``plane_sign``, the continued-fraction records and the
-lacunary ratio tests are the ``Fraction`` bodies that their integer forms
+held to them by test_escape.py; its grid and random candidates are lifted
+from their chart points by ``geometry.stereo_unit`` in ``Fraction``s, where
+``escape`` lifts them straight to (v, L).  ``halfspace_contains_ball`` is
+the ``Fraction`` height test that ``Halfspace.contains_ball`` decides on
+integers, held to it by test_geometry.py.  The gather, clearance and
+certificate of White's strategy, the nearest offsets of
+``dangerous_hyperplanes``, ``absorbed``, ``plane_sign``, the
+continued-fraction records and the lacunary ratio tests are the ``Fraction`` bodies that their integer forms
 replaced, held to them by test_strategy.py, test_schedule.py,
 test_escape.py and test_resonance.py.  All of them are slow and obviously
 correct.  The spherical-cap measure at the end is the float route that
@@ -60,6 +64,7 @@ from badapprox.exact import (
 )
 from badapprox.geometry import (
     Ball,
+    Halfspace,
     Hyperplane,
     Vec,
     dot,
@@ -68,6 +73,8 @@ from badapprox.geometry import (
     rational_unit_direction,
     same_dimension,
     scale,
+    stereo_chart,
+    stereo_unit,
 )
 from badapprox.resonance import ResonanceEntry, ResonanceSequence, ThetaMatrix, convergents
 from badapprox.schedule import BlockSchedule, ScheduleInfeasible, StrategyParams
@@ -805,12 +812,43 @@ def verified_miss(
     return gt_sqrt(lhs, u_perp_sq * (1 - gamma * gamma / 4))
 
 
-def select_cap(
+LDS_STEPS = [math.sqrt(p) % 1.0 for p in (2, 3, 5, 7, 11, 13, 17, 19)]
+CHART_DENOM = 1 << 12
+
+
+def grid_direction(idx: int, n: int) -> Vec:
+    """select_cap's grid candidate idx as a Fraction vector: a
+    low-discrepancy chart point with coordinates in (1/2^12)Z, lifted by
+    stereo_unit on axis idx mod n with a sign that alternates every n."""
+    axis = idx % n
+    sign = 1 if (idx // n) % 2 == 0 else -1
+    base = idx // (2 * n) + 1
+    w = []
+    for j in range(n - 1):
+        val = (0.5 + base * LDS_STEPS[j % len(LDS_STEPS)]) % 1.0
+        w.append(Fraction(round((2 * val - 1) * 2 * CHART_DENOM), CHART_DENOM))
+    return stereo_unit(w, n, axis, sign)
+
+
+def random_direction(rng: Random, n: int) -> Vec:
+    """select_cap's random candidate as a Fraction vector: a Gaussian draw,
+    charted by stereo_chart, rounded to (1/2^12)Z and lifted by stereo_unit."""
+    v = [rng.gauss(0.0, 1.0) for _ in range(n)]
+    norm = math.sqrt(math.fsum(x * x for x in v))
+    if norm == 0.0:
+        return stereo_unit((), n, 0, 1) if n == 1 else grid_direction(0, n)
+    axis, sign, w = stereo_chart([x / norm for x in v])
+    w = [Fraction(round(x * CHART_DENOM), CHART_DENOM) for x in w]
+    return stereo_unit(w, n, axis, sign)
+
+
+def cap_candidates(
     ball: Ball, planes: Sequence[Hyperplane], params: StrategyParams, *, seed: int = 0
-) -> CapSelection:
-    """escape.select_cap with every candidate judged by the Fraction
-    predicates above: the same candidates in the same order, the same
-    rounds, quota, bound and lex tie-break."""
+) -> dict[Vec, tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Every candidate escape.select_cap judges, in the order tried, with
+    its (strong, escaped) plane indices from the Fraction predicates above:
+    the same candidates in the same order, the same rounds, quota and
+    bound."""
     n = params.dimension
     gamma = params.gamma
     shrink_t = params.shrink**params.escape_rounds
@@ -846,18 +884,36 @@ def select_cap(
         grid_start, budget = 0, escape.INITIAL_BUDGET
         while True:
             for i in range(grid_start, budget):
-                consider(escape._grid_direction(i, n))
+                consider(grid_direction(i, n))
             grid_start = budget
             for _ in range(budget // 2):
-                consider(escape._random_direction(rng, n))
+                consider(random_direction(rng, n))
             if best_strong() >= quota or len(results) >= escape.MAX_CANDIDATES:
                 break
             budget *= 2
-    if best_strong() < quota:
-        raise SelectionExhausted(quota, best_strong(), len(results))
+    return results
+
+
+def select_cap(
+    ball: Ball, planes: Sequence[Hyperplane], params: StrategyParams, *, seed: int = 0
+) -> CapSelection:
+    """escape.select_cap on cap_candidates: the most strong hits, then the
+    most escaped planes, then the lexicographically least Fraction vector."""
+    quota = ceil_frac(params.cap_measure_lb * len(planes))
+    results = cap_candidates(ball, planes, params, seed=seed)
+    best_strong = max(len(strong) for strong, _ in results.values())
+    if best_strong < quota:
+        raise SelectionExhausted(quota, best_strong, len(results))
     direction = min(results, key=lambda d: (-len(results[d][0]), -len(results[d][1]), d))
     strong, esc = results[direction]
     return CapSelection(direction, esc, strong, len(results))
+
+
+def halfspace_contains_ball(hs: Halfspace, ball: Ball) -> bool:
+    """Halfspace.contains_ball in Fraction arithmetic: the height of the
+    center above the anchor, less the threshold, is at least the radius."""
+    height = sum((d * (c - a) for d, c, a in zip(hs.direction, ball.center, hs.anchor)), Fraction(0))
+    return height - hs.threshold >= ball.radius
 
 
 # -- the spherical-cap measure -------------------------------------------------

@@ -1,6 +1,7 @@
 """Opponent policies: legality, determinism, chase semantics, replay."""
 
 import hashlib
+import math
 import random
 from fractions import Fraction
 
@@ -18,7 +19,7 @@ from badapprox.engine import (
 )
 from badapprox.geometry import Ball, dot, rational_unit_direction
 from badapprox.strategy import run_constructed_game
-from conftest import escape_drive, make_sequence
+from conftest import escape_drive, long_rational, make_sequence
 
 
 def test_random_black_always_legal_many_rounds():
@@ -360,3 +361,120 @@ def test_greedy_step_follows_beta_on_one_instance():
         assert step == tuple((1 - beta) * x for x in direction)
         assert (step, note) == fresh(state)
     assert len(greedy._steps) == 2
+
+
+# -- the ranking by bit length, on ~1500-bit denominators ---------------------
+
+#: A center denominator as the game's late ones: a power of two past 1500
+#: bits times a small odd part.  Family sizes k below are prime to it.
+LONG = 2**1500 * 5**3
+
+
+def _placed(k1, res1, k2, res2):
+    """Families u_1 = (k1, 0) and u_2 = (0, k2), and a center over LONG at
+    which u_r·center lies res_r / LONG from its nearest integer."""
+    center = tuple(Fraction(res * pow(k, -1, LONG) % LONG, LONG)
+                   for k, res in ((k1, res1), (k2, res2)))
+    return _Family([(k1, 0), (0, k2)]), center
+
+
+def _bit_gap(seq, center):
+    """lb - rb of family 2 against family 1: the bit lengths of res_2^2 nsq_1
+    and res_1^2 nsq_2, with each residual over the center's denominator."""
+    (r1, res1), (r2, res2) = (oracles.nearest_family(_Family([seq.vector(r)]), center)
+                              for r in (1, 2))
+    den = math.lcm(*(c.denominator for c in center))
+    a, b = (abs(res * den) for res in (res2, res1))
+    assert a.denominator == b.denominator == 1
+    lb = 2 * int(a).bit_length() + seq.norm_sq_of(1).bit_length()
+    rb = 2 * int(b).bit_length() + seq.norm_sq_of(2).bit_length()
+    return lb - rb
+
+
+@pytest.mark.parametrize("k1, res1, k2, res2, gap, winner", [
+    # each product sits at its range's edge: 11^2 = 121 is near the top of
+    # [64, 128), 3^2 = 9 and 1 near or at the bottom of theirs
+    (11, 2**703, 1, 2**700 - 1, -2, 1),      # the bits lean toward 2, the products do not
+    (1, 2**700 - 1, 11, 2**703, 2, 2),       # the bits lean toward 1, the products do not
+    (11, -(2**703), 1, 1 - 2**700, -2, 1),   # the same with negative residuals
+    (1, 1 - 2**700, 11, -(2**703), 2, 2),
+    (1, 2**700, 1, 2**699, -2, 2),
+    (1, 2**700, 1, 2**701, 2, 1),
+    (11, 2**702, 3, 2**700 - 1, -3, 2),      # 121 against 144: decided by bits
+    (3, 2**700 - 1, 11, 2**702, 3, 1),
+])
+def test_greedy_ranking_at_bit_gaps_two_and_three(k1, res1, k2, res2, gap, winner):
+    seq, center = _placed(k1, res1, k2, res2)
+    assert _bit_gap(seq, center) == gap
+    got = _nearest(seq, center)
+    assert got == oracles.nearest_family(seq, center)
+    assert got[0] == winner
+    assert got[1] * LONG == (res1, res2)[winner - 1]
+
+
+def test_greedy_exact_hit_after_and_before_a_nonzero_best():
+    # a zero residual has no lower bound 2^(bits - 3): it wins on the spot,
+    # also against a family whose tiny residual over a huge |u|^2 has far
+    # fewer bits, and once found no later family replaces it
+    huge = 2**20 + 1
+    for k1, res1, k2, res2, want in [
+        (huge, 1, 1, 0, (2, 0)),   # after a nonzero best
+        (1, 0, huge, 1, (1, 0)),   # before one
+        (1, 0, 1, 0, (1, 0)),      # two exact hits: the smaller index
+    ]:
+        seq, center = _placed(k1, res1, k2, res2)
+        assert _nearest(seq, center) == want == oracles.nearest_family(seq, center)
+
+
+def test_greedy_equal_distances_on_long_denominators_go_to_smallest_index():
+    # res 3b over |u| = 3 and res b over |u| = 1: one distance, in either order
+    for b in (1, 2**700 + 7, -(2**1000 - 3)):
+        for k1, res1, k2, res2 in [(1, b, 3, 3 * b), (3, 3 * b, 1, b)]:
+            seq, center = _placed(k1, res1, k2, res2)
+            assert _nearest(seq, center) == (1, Fraction(res1, LONG))
+            assert _nearest(seq, center) == oracles.nearest_family(seq, center)
+
+
+@pytest.mark.parametrize("m", [2, 3, -3, 2**900 + 1])
+def test_greedy_half_integer_rounds_to_even_on_long_denominators(m):
+    # u·center = m + 1/2 over a ~1500-bit common denominator: the residual is
+    # +1/2 when m is even (rounded down to m) and -1/2 when m is odd
+    shift = Fraction(12345, LONG)
+    center = (Fraction(2 * m + 1, 2) + shift, -shift)
+    seq = _Family([(1, 1), (1, 1)])  # one distance twice: the smaller index
+    assert _nearest(seq, center) == (1, Fraction(1 if m % 2 == 0 else -1, 2))
+    assert _nearest(seq, center) == oracles.nearest_family(seq, center)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_greedy_nearest_matches_fraction_oracle_on_long_denominators(seed):
+    # seeded centers over ~1500-bit denominators, and the balls of an n = 3
+    # construction against greedy Black, against families of 1 to 40 vectors
+    rng = random.Random(100 + seed)
+    for _ in range(30):
+        n = rng.randint(1, 3)
+        size = rng.randint(1, 40)
+        bound = rng.choice([3, 50, 10**6])
+        vectors = [tuple(rng.randint(-bound, bound) for _ in range(n)) for _ in range(size)]
+        vectors = [u if any(u) else (1,) + (0,) * (n - 1) for u in vectors]
+        seq = _Family(vectors)
+        center = tuple(long_rational(rng, -3, 3) for _ in range(n))
+        assert _nearest(seq, center) == oracles.nearest_family(seq, center)
+
+
+def test_greedy_nearest_matches_fraction_oracle_on_an_n3_construction():
+    seq = make_sequence([(1, 0, 0), (3, 1, 0), (13, 2, 1)])
+    trace, *_ = run_constructed_game(
+        seq, Fraction(1, 4), Fraction(1, 2), 3, Fraction(1, 64), 1, GreedyBlack(seq),
+        center=(Fraction(3, 10), Fraction(-7, 9), Fraction(1, 5)), seed=5,
+    )
+    rng = random.Random(7)
+    families = [seq] + [
+        _Family([tuple(rng.randint(-10**k, 10**k) or 1 for _ in range(3)) for _ in range(25)])
+        for k in (1, 3, 9)
+    ]
+    balls = [mv.ball for mv in trace.moves[::17]]
+    assert max(c.denominator.bit_length() for b in balls for c in b.center) > 1400
+    for ball in balls:
+        for fam in families:
+            assert _nearest(fam, ball.center) == oracles.nearest_family(fam, ball.center)

@@ -418,7 +418,7 @@ def test_cap_tests_match_the_fraction_oracles(n):
         if n == 1:
             directions = [(F(1),), (F(-1),)]
         else:
-            directions = [_grid_direction(rng.randrange(200), n), _random_direction(rng, n)]
+            directions = [oracles.grid_direction(rng.randrange(200), n), oracles.random_direction(rng, n)]
             for _ in range(3):  # near the outward normal, where the caps are
                 jitter = [F(rng.randrange(-400, 401), 1000) for _ in range(n)]
                 directions.append(rational_unit_direction([sgn * c + x for c, x in zip(u, jitter)]))
@@ -437,6 +437,42 @@ def test_select_cap_matches_the_fraction_oracle():
         assert select_cap(ball, planes, params, seed=seed) == oracles.select_cap(
             ball, planes, params, seed=seed
         )
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_candidate_lift_equals_the_fraction_lift(n):
+    # select_cap's (v, L) of every grid index it can reach, and of seeded
+    # random draws, is integer_direction of the stereo_unit lift
+    for idx in range(MAX_CANDIDATES):
+        v, el = integer_direction(oracles.grid_direction(idx, n))
+        assert _grid_direction(idx, n) == (tuple(v), el), idx
+    for seed in range(4):
+        ours, theirs = Random(seed), Random(seed)
+        for _ in range(300):
+            v, el = integer_direction(oracles.random_direction(theirs, n))
+            assert _random_direction(ours, n) == (tuple(v), el)
+    # the lift's denominator c^2 + A is at least c^2 = 2^24: below it, the
+    # gcd division reduced it, as it must for many grid indices
+    assert sum(_grid_direction(idx, n)[1] < 2**24 for idx in range(MAX_CANDIDATES)) >= 500
+
+
+def test_select_cap_breaks_a_lex_tie_across_denominators():
+    # one plane far from the ball: every candidate in its cap clears it, so
+    # the best score is shared and the lexicographically least direction
+    # wins; the tied candidates have different L, and comparing numerators
+    # without cross-multiplying by the other L would pick another one
+    params = params_n(2)
+    ball = Ball((F(0), F(0)), F(1, 64))
+    planes = [Hyperplane((1, 0), -10)]
+    results = oracles.cap_candidates(ball, planes, params)
+    top = max((len(strong), len(esc)) for strong, esc in results.values())
+    tied = [d for d, (strong, esc) in results.items() if (len(strong), len(esc)) == top]
+    want = min(tied)
+    assert want != tied[0]
+    assert len({integer_direction(d)[1] for d in tied}) > 1
+    assert min(tied, key=lambda d: integer_direction(d)[0]) != want
+    assert select_cap(ball, planes, params) == oracles.select_cap(ball, planes, params)
+    assert select_cap(ball, planes, params).direction == want
 
 
 # -- drive halfspace and the escape guarantee --------------------------------

@@ -28,6 +28,7 @@ from badapprox.geometry import (
     scale,
     sub,
 )
+from conftest import long_rational
 from oracles import add, cap_fraction, cap_fraction_angular
 
 TINY = Fraction(1, 10**30)
@@ -271,6 +272,56 @@ def test_halfspace_contains_ball_boundary():
     # exactly touching: height - threshold == radius passes (closed halfspace)
     assert hs.contains_ball(Ball((Fraction(6, 16),), Fraction(1, 16)))
     assert not hs.contains_ball(Ball((Fraction(6, 16) - TINY,), Fraction(1, 16)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_halfspace_decides_touching_balls_on_long_denominators(n):
+    # anchor, threshold and radius over ~1500-bit denominators, the direction
+    # a rationalized unit vector: a ball whose height - threshold equals its
+    # radius is contained, and the ball one unit 1/D lower is not
+    rng = random.Random(31 + n)
+    long_den = 2**1500 * 3**5
+    for _ in range(20):
+        direction = rational_unit_direction([rng.randint(-9, 9) or 1 for _ in range(n)])
+        anchor = tuple(Fraction(rng.randrange(-long_den, long_den), long_den) for _ in range(n))
+        threshold = Fraction(rng.randrange(-long_den, long_den), 2**1499)
+        radius = Fraction(rng.randrange(1, long_den), long_den)
+        hs = Halfspace(direction, threshold, anchor)
+        center = tuple(a + (threshold + radius) * d for a, d in zip(anchor, direction))
+        lower = tuple(c - d / long_den for c, d in zip(center, direction))
+        assert hs.height(center) - threshold == radius
+        assert hs.contains_ball(Ball(center, radius))
+        assert not hs.contains_ball(Ball(lower, radius))
+        assert oracles.halfspace_contains_ball(hs, Ball(center, radius))
+        assert not oracles.halfspace_contains_ball(hs, Ball(lower, radius))
+        # the unit check on the same long scale: one unit off is refused
+        with pytest.raises(ValueError, match="exact unit vector"):
+            Halfspace((direction[0] + Fraction(1, long_den),) + direction[1:], threshold, anchor)
+
+
+def test_halfspace_contains_ball_matches_fraction_oracle():
+    # centers at height threshold + radius + delta, moved off the direction
+    # by a random perpendicular: delta < 0, = 0 and > 0 all come up
+    rng = random.Random(12)
+    outcomes = set()
+    for _ in range(300):
+        n = rng.randint(1, 3)
+        direction = rational_unit_direction([rng.randint(-5, 5) or 2 for _ in range(n)])
+        anchor = tuple(long_rational(rng, -1, 1) for _ in range(n))
+        hs = Halfspace(direction, long_rational(rng, -1, 1), anchor)
+        radius = long_rational(rng, 0, 1) or Fraction(1, 3)
+        delta = rng.choice([Fraction(0), long_rational(rng, -1, 1) / 2**rng.randrange(200)])
+        p = tuple(long_rational(rng, -1, 1) for _ in range(n))
+        off = dot(p, direction)
+        center = tuple(a + (hs.threshold + radius + delta) * d + x - off * d
+                       for a, d, x in zip(anchor, direction, p))
+        ball = Ball(center, radius)
+        got = hs.contains_ball(ball)
+        assert got == oracles.halfspace_contains_ball(hs, ball) == (delta >= 0)
+        outcomes.add((got, delta == 0))
+    assert outcomes == {(True, True), (True, False), (False, False)}
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        hs.contains_ball(Ball((Fraction(0),) * (n + 1), Fraction(1)))
 
 
 # -- rational unit directions ------------------------------------------------
