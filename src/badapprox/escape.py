@@ -12,9 +12,10 @@ undo.  Every membership test below is an exact integer test on the
 direction's (v, L) form, integer v over its common denominator L (at most
 two squarings); floats appear only inside candidate *generation*, never in
 acceptance of a candidate.  Grid and random candidates are lifted from
-their chart points straight to (v, L).  The plane's side, its absorption and the cap's
-clearance read the center residual u·center - a as an integer over the
-center's common denominator.
+their chart points straight to (v, L) by geometry.chart_lift, the lift
+behind rational_unit_direction's escort directions too.  The plane's side,
+its absorption and the cap's clearance read the center residual
+u·center - a as an integer over the center's common denominator.
 """
 from __future__ import annotations
 
@@ -39,6 +40,7 @@ from .geometry import (
     Halfspace,
     Hyperplane,
     Vec,
+    chart_lift,
     lex_sign,
     rational_unit_direction,
     scale,
@@ -67,12 +69,17 @@ def _residual(ball: Ball, plane: Hyperplane) -> tuple[int, int]:
     return sum(map(mul, plane.normal, nums)) - plane.offset * den, den
 
 
-def plane_sign(ball: Ball, plane: Hyperplane) -> int:
-    """Which side of the plane the escape pushes toward: the sign of the
-    center residual, falling back to the lexicographic sign of the normal
-    when the plane passes exactly through the center."""
-    res, _ = _residual(ball, plane)
+def _side(res: int, plane: Hyperplane) -> int:
+    """The sign of the center residual res, falling back to the
+    lexicographic sign of the normal when the plane passes exactly
+    through the center."""
     return 1 if res > 0 else -1 if res < 0 else lex_sign(plane.normal)
+
+
+def plane_sign(ball: Ball, plane: Hyperplane) -> int:
+    """Which side of the plane the escape pushes toward: the _side of the
+    center residual."""
+    return _side(_residual(ball, plane)[0], plane)
 
 
 def absorbed(ball: Ball, plane: Hyperplane, gamma: Fraction) -> bool:
@@ -116,8 +123,8 @@ class PlaneCap:
                  "strong_perp", "strong_rim", "miss_clearance", "miss_lhs", "miss_perp")
 
     def __init__(self, ball: Ball, plane: Hyperplane, gamma: Fraction, shrink_t: Fraction):
-        sgn = plane_sign(ball, plane)
         res, den = _residual(ball, plane)
+        sgn = _side(res, plane)
         p, q = gamma.numerator, gamma.denominator
         s, t = shrink_t.numerator, shrink_t.denominator
         # |s0|/rho in lowest terms, so that the per-candidate tests stay small
@@ -181,21 +188,6 @@ _LDS_STEPS = [math.sqrt(p) % 1.0 for p in (2, 3, 5, 7, 11, 13, 17, 19)]
 _CHART_DENOM = 1 << 12
 
 
-def _chart_lift(a: list[int], axis: int, sign: int) -> tuple[tuple[int, ...], int]:
-    """(v, L) of the unit direction over the chart point w = a / c, c =
-    _CHART_DENOM: geometry.stereo_unit's lift times c^2, with A = sum a_j^2,
-    is sign (c^2 - A) on the axis and 2 c a_j elsewhere, over c^2 + A;
-    dividing by the gcd of all n + 1 integers gives the least common
-    denominator, so (v, L) equals integer_direction(stereo_unit(w, ...))."""
-    c = _CHART_DENOM
-    c_sq, big_a = c * c, sum(x * x for x in a)
-    v = [2 * c * x for x in a]
-    v.insert(axis, sign * (c_sq - big_a))
-    el = c_sq + big_a
-    g = math.gcd(el, *v)
-    return tuple(x // g for x in v), el // g
-
-
 def _grid_direction(idx: int, n: int) -> tuple[tuple[int, ...], int]:
     """(v, L) of a deterministic low-discrepancy direction."""
     axis = idx % n
@@ -205,7 +197,7 @@ def _grid_direction(idx: int, n: int) -> tuple[tuple[int, ...], int]:
     for j in range(n - 1):
         val = (0.5 + base * _LDS_STEPS[j % len(_LDS_STEPS)]) % 1.0
         a.append(round((2 * val - 1) * 2 * _CHART_DENOM))
-    return _chart_lift(a, axis, sign)
+    return chart_lift(a, _CHART_DENOM, axis, sign)
 
 
 def _random_direction(rng: Random, n: int) -> tuple[tuple[int, ...], int]:
@@ -215,7 +207,7 @@ def _random_direction(rng: Random, n: int) -> tuple[tuple[int, ...], int]:
     if norm == 0.0:
         return _grid_direction(0, n)
     axis, sign, w = stereo_chart([x / norm for x in v])
-    return _chart_lift([round(x * _CHART_DENOM) for x in w], axis, sign)
+    return chart_lift([round(x * _CHART_DENOM) for x in w], _CHART_DENOM, axis, sign)
 
 
 # -- direction selection -----------------------------------------------------

@@ -247,7 +247,7 @@ DIRECTION_TOL = 2.0**-30
 
 
 def stereo_chart(u: Sequence[float]) -> tuple[int, int, list[float]]:
-    """Chart of a float unit vector u for stereo_unit: the axis of largest
+    """Chart of a float unit vector u for chart_lift: the axis of largest
     |u_i| (the first on a tie), the sign s of u_axis, and the chart point
     w_j = u_j / (1 + |u_axis|) over the other axes, so the lift of w is u."""
     axis = max(range(len(u)), key=lambda i: abs(u[i]))
@@ -256,18 +256,17 @@ def stereo_chart(u: Sequence[float]) -> tuple[int, int, list[float]]:
     return axis, sign, [x / denom for i, x in enumerate(u) if i != axis]
 
 
-def stereo_unit(w: Sequence[Fraction], n: int, axis: int, sign: int) -> Vec:
-    """Inverse stereographic projection of a rational chart point w in Q^(n-1):
-    d_axis = s(1-|w|^2)/(1+|w|^2) and d_j = 2 w_j/(1+|w|^2) over the other
-    axes, so |d| = 1 identically."""
-    wsq = sum((x * x for x in w), Fraction(0))
-    lift = 1 + wsq
-    d = [Fraction(0)] * n
-    d[axis] = Fraction(sign) * (1 - wsq) / lift
-    rest = [i for i in range(n) if i != axis]
-    for j, i in enumerate(rest):
-        d[i] = 2 * w[j] / lift
-    return tuple(d)
+def chart_lift(a: Sequence[int], c: int, axis: int, sign: int) -> tuple[tuple[int, ...], int]:
+    """(v, L) of the inverse stereographic lift of the chart point w = a/c,
+    v over its least common denominator L, so that sum v^2 = L^2.  Times c^2,
+    with A = sum a_j^2, the lift is s(c^2 - A) on the axis and 2c a_j on the
+    other axes, over c^2 + A; the gcd of all n + 1 integers divides out."""
+    c_sq, big_a = c * c, sum(x * x for x in a)
+    v = [2 * c * x for x in a]
+    v.insert(axis, sign * (c_sq - big_a))
+    el = c_sq + big_a
+    g = math.gcd(el, *v)
+    return tuple(x // g for x in v), el // g
 
 
 def rational_unit_direction(v: Sequence[Rat]) -> Vec:
@@ -275,7 +274,8 @@ def rational_unit_direction(v: Sequence[Rat]) -> Vec:
 
     The chart point of v/|v| (stereo_chart, well conditioned around the axis
     of largest |component|) is rationalized with a growing denominator
-    bound until the lift lands within DIRECTION_TOL, in float distance.
+    bound, brought to one denominator c and lifted by chart_lift, until the
+    lift lands within DIRECTION_TOL, in float distance.
     """
     v = rat_vec(v)
     n = len(v)
@@ -297,10 +297,12 @@ def rational_unit_direction(v: Sequence[Rat]) -> Vec:
 
     max_den = 1 << 20
     for _ in range(8):
-        d = stereo_unit([Fraction(x).limit_denominator(max_den) for x in w_ideal], n, axis, sign)
-        err = math.sqrt(math.fsum((float(d[i]) - target[i]) ** 2 for i in range(n)))
+        w = [Fraction(x).limit_denominator(max_den) for x in w_ideal]
+        c = math.lcm(*(x.denominator for x in w))
+        d, el = chart_lift([x.numerator * (c // x.denominator) for x in w], c, axis, sign)
+        err = math.sqrt(math.fsum((x / el - t) ** 2 for x, t in zip(d, target)))
         if err < DIRECTION_TOL:
-            return d
+            return tuple(Fraction(x, el) for x in d)
         max_den <<= 14
     raise InvariantError("direction refinement failed to reach tolerance")
 

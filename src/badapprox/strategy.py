@@ -22,6 +22,7 @@ from operator import mul
 from .exact import (
     InvariantError,
     Record,
+    int_dist,
     json_text,
     over_common_denominator,
     rat_str,
@@ -108,8 +109,7 @@ def _family_clear(s: int, den: int, norm_sq: int, scales: tuple[int, int, int, i
     the nearer side, min(f, den - f)*E - e*den over den*E, decides, on the
     scales of _integer_form."""
     big_e, slack, q_sq, reach = scales
-    f = s % den
-    near = min(f, den - f) * big_e - slack
+    near = int_dist(s, den) * big_e - slack
     return near > 0 and near * near * q_sq > norm_sq * reach
 
 

@@ -19,9 +19,11 @@ absolute-center engine beside them adds each step to the center as a
 integer center, held to it by test_engine.py.  The three
 cap predicates and the ``select_cap`` built on them are the ``Fraction``
 tests that the escape layer's integer tests on (v, L) directions replaced,
-held to them by test_escape.py; its grid and random candidates are lifted
-from their chart points by ``geometry.stereo_unit`` in ``Fraction``s, where
-``escape`` lifts them straight to (v, L).  ``halfspace_contains_ball`` is
+held to them by test_escape.py; its escort, grid and random candidates are
+lifted from their chart points by ``stereo_unit`` in ``Fraction``s, where
+``geometry.chart_lift`` lifts them straight to (v, L), and
+``rational_unit_direction`` is the library's refinement with each round
+lifted by ``stereo_unit``, held to it by test_geometry.py.  ``halfspace_contains_ball`` is
 the ``Fraction`` height test that ``Halfspace.contains_ball`` decides on
 integers, held to it by test_geometry.py.  The gather, clearance and
 certificate of White's strategy, the nearest offsets of
@@ -63,6 +65,7 @@ from badapprox.exact import (
     sqrt_bounds,
 )
 from badapprox.geometry import (
+    DIRECTION_TOL,
     Ball,
     Halfspace,
     Hyperplane,
@@ -70,11 +73,9 @@ from badapprox.geometry import (
     dot,
     lex_sign,
     nearest_int_dist,
-    rational_unit_direction,
     same_dimension,
     scale,
     stereo_chart,
-    stereo_unit,
 )
 from badapprox.resonance import ResonanceEntry, ResonanceSequence, ThetaMatrix, convergents
 from badapprox.schedule import BlockSchedule, ScheduleInfeasible, StrategyParams
@@ -810,6 +811,45 @@ def verified_miss(
     u_perp_sq = plane.norm_sq - a * a
     lhs = s_abs / ball.radius + a * gamma / 2
     return gt_sqrt(lhs, u_perp_sq * (1 - gamma * gamma / 4))
+
+
+def stereo_unit(w: Sequence[Fraction], n: int, axis: int, sign: int) -> Vec:
+    """Inverse stereographic projection of a rational chart point w in Q^(n-1):
+    d_axis = s(1-|w|^2)/(1+|w|^2) and d_j = 2 w_j/(1+|w|^2) over the other
+    axes, so |d| = 1 identically."""
+    wsq = sum((x * x for x in w), Fraction(0))
+    lift = 1 + wsq
+    d = [Fraction(0)] * n
+    d[axis] = Fraction(sign) * (1 - wsq) / lift
+    rest = [i for i in range(n) if i != axis]
+    for j, i in enumerate(rest):
+        d[i] = 2 * w[j] / lift
+    return tuple(d)
+
+
+def rational_unit_direction(v: Sequence) -> Vec:
+    """geometry.rational_unit_direction with its chart points lifted by
+    stereo_unit: the same chart, denominator bounds, refinement schedule and
+    float tolerance, each round's lift taken in Fractions."""
+    v = tuple(map(Fraction, v))
+    n = len(v)
+    if not any(v):
+        raise ValueError("cannot normalize the zero vector")
+    nonzero = [i for i, x in enumerate(v) if x]
+    if len(nonzero) == 1:
+        i = nonzero[0]
+        return tuple(Fraction(0 if j != i else 1 if v[i] > 0 else -1) for j in range(n))
+    fv = [float(x) for x in v]
+    fnorm = math.sqrt(math.fsum(x * x for x in fv))
+    target = [x / fnorm for x in fv]
+    axis, sign, w_ideal = stereo_chart(target)
+    max_den = 1 << 20
+    for _ in range(8):
+        d = stereo_unit([Fraction(x).limit_denominator(max_den) for x in w_ideal], n, axis, sign)
+        if math.sqrt(math.fsum((float(x) - t) ** 2 for x, t in zip(d, target))) < DIRECTION_TOL:
+            return d
+        max_den <<= 14
+    raise InvariantError("direction refinement failed to reach tolerance")
 
 
 LDS_STEPS = [math.sqrt(p) % 1.0 for p in (2, 3, 5, 7, 11, 13, 17, 19)]

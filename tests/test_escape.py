@@ -28,13 +28,12 @@ from badapprox.geometry import (
     norm_sq,
     rational_unit_direction,
     scale,
-    stereo_unit,
 )
 from badapprox.adversaries import RandomBlack
 from badapprox.schedule import derive_params
 import oracles
 from conftest import cap_selection_inputs, escape_drive, long_rational
-from oracles import add, cap_member, strong_cap_member, verified_miss
+from oracles import add, cap_member, stereo_unit, strong_cap_member, verified_miss
 
 F = Fraction
 TINY = Fraction(1, 10**24)

@@ -14,12 +14,14 @@ from hypothesis import strategies as st
 
 import oracles
 from badapprox import geometry
+from badapprox.escape import integer_direction
 from badapprox.exact import InvariantError
 from badapprox.geometry import (
     Ball,
     Halfspace,
     Hyperplane,
     cap_measure_bounds,
+    chart_lift,
     dot,
     lex_sign,
     nearest_int_dist,
@@ -359,6 +361,51 @@ def test_rational_unit_direction_failed_refinement_is_an_invariant_error(monkeyp
 def test_rational_unit_direction_zero_vector():
     with pytest.raises(ValueError):
         rational_unit_direction((0, 0))
+
+
+def test_rational_unit_direction_equals_the_fraction_reference():
+    # the integer lift returns, tuple for tuple, the Fraction directions of
+    # the same refinement on oracles.stereo_unit
+    rng = random.Random(26)
+    for n in range(2, 6):
+        for _ in range(120):
+            bits = rng.randrange(1, 60)
+            v = [rng.randrange(-(1 << bits), 1 << bits) for _ in range(n)]
+            if any(v):
+                assert rational_unit_direction(v) == oracles.rational_unit_direction(v), v
+        for i in range(n):  # axis-aligned, and one axis far longer than the rest
+            for sign in (1, -1):
+                e = [0] * n
+                e[i] = sign * rng.randrange(1, 100)
+                assert rational_unit_direction(e) == oracles.rational_unit_direction(e)
+                e[(i + 1) % n] = 1
+                e[i] *= 3 * 10**6
+                assert rational_unit_direction(e) == oracles.rational_unit_direction(e), e
+    # (1, 3*10^6)'s chart point needs a denominator bound past the first
+    # round's 2^20, so its L exceeds c^2 + A <= 2^41
+    d = rational_unit_direction((1, 3 * 10**6))
+    assert d[0].denominator > 2**41
+
+
+@pytest.mark.parametrize("c", [3, 12, 10**6 + 3])
+def test_chart_lift_equals_the_fraction_lift(c):
+    # chart points a/c over denominators other than the grid's 2^12
+    rng = random.Random(c)
+    reduced = 0
+    for n in range(2, 6):
+        for _ in range(60):
+            a = [rng.randrange(-3 * c, 3 * c + 1) for _ in range(n - 1)]
+            axis, sign = rng.randrange(n), rng.choice((1, -1))
+            v, el = chart_lift(a, c, axis, sign)
+            want_v, want_el = integer_direction(
+                oracles.stereo_unit([Fraction(x, c) for x in a], n, axis, sign)
+            )
+            assert (v, el) == (tuple(want_v), want_el), (a, c, axis, sign)
+            reduced += el < c * c + sum(x * x for x in a)
+    assert reduced  # the gcd division shortened L
+    # w = 6/12 = 1/2: (108, 144) over 180 reduces to (3, 4) over 5
+    assert chart_lift([6], 12, 0, 1) == ((3, 4), 5)
+    assert chart_lift([6], 12, 1, -1) == ((4, -3), 5)
 
 
 # -- cap fractions (float oracles) -------------------------------------------
