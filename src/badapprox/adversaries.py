@@ -8,17 +8,17 @@ in the resulting trace.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from fractions import Fraction
 from operator import mul
 from random import Random
 
 from .engine import hold
-from .exact import over_common_denominator, rat
+from .exact import fraction, rat
 from .geometry import Vec, rational_unit_direction, scale, sub
 from .resonance import ResonanceSequence
 
 
 RANDOM_GRID = 512  # K: RandomBlack moves by integer multiples of 1/K of the max step
+_DRAW_BITS = (2 * RANDOM_GRID + 1).bit_length()  # the bits randrange(2K + 1) draws
 
 
 class RandomBlack:
@@ -26,9 +26,11 @@ class RandomBlack:
 
     Rejection-samples an integer vector k with |k| <= K = RANDOM_GRID and
     steps by ((1-beta) / K) * k radii — always legal, exactly representable.
-    Each coordinate draws randrange(2K + 1) - K, the same stream as
-    randint(-K, K), and is built as one Fraction c * (b - a) / (b * K) for
-    beta = a/b.
+    Each coordinate is drawn as CPython's randrange(2K + 1) draws it, by
+    getrandbits(11) until the value is below 2K + 1 = 1025, less K: the
+    same stream as randint(-K, K).  For beta = a/b it is built as the
+    reduced Fraction c * (b - a) / (b * K) by exact.fraction, whose
+    denominator b * K is a power of two times b.
     """
 
     def __init__(self, seed: int = 0):
@@ -37,14 +39,19 @@ class RandomBlack:
     def __call__(self, state) -> tuple[Vec, None]:
         n = state.ball.dimension
         k = RANDOM_GRID
-        draw = self.rng.randrange
+        draw = self.rng.getrandbits
         while True:
-            pt = [draw(2 * k + 1) - k for _ in range(n)]
+            pt = []
+            for _ in range(n):
+                c = draw(_DRAW_BITS)
+                while c > 2 * k:
+                    c = draw(_DRAW_BITS)
+                pt.append(c - k)
             if sum(c * c for c in pt) <= k * k:
                 break
         beta = state.params.beta
         num, den = beta.denominator - beta.numerator, beta.denominator * k
-        return tuple(Fraction(c * num, den) for c in pt), None
+        return tuple(fraction(c * num, den) for c in pt), None
 
 
 class GreedyBlack:
@@ -54,6 +61,17 @@ class GreedyBlack:
     to the smallest index), then steps the whole 1 - beta radii toward it
     along a rationalized unit direction.  The step is cached per (family,
     side, beta).
+
+    The center is read as the engine's integer form N/D
+    (GameState.integer_center), and s_r = u_r·N is kept for every family
+    between calls, as its quotient and remainder by D.  From the N'/D' of
+    the last call, K = D/D' and W = N - K*N' give s_r = K*s'_r + u_r·W
+    exactly, whatever W is, so s'_r = a*D' + f carries over as a*D plus
+    K*f + u_r·W, which needs a division only when it leaves [0, D).  In
+    run_game D' divides D and W is the small push of the moves between, so
+    no move divides a long s_r by D, however long the family vectors are.
+    When D' does not divide D (the first call, another game), every s_r is
+    computed afresh.
     """
 
     def __init__(self, seq: ResonanceSequence):
@@ -65,23 +83,42 @@ class GreedyBlack:
             for nsq in (seq.norm_sq_of(r),)
         ]
         self._steps: dict[tuple[int, int, int, int], Vec] = {}
+        # D', N' and divmod(s'_r, D') for every family, of the last call
+        self._kept: tuple[int, tuple[int, ...], list[tuple[int, int]]] | None = None
 
-    def _nearest_residual(self, center: Vec) -> tuple[int, int, int]:
-        """(r, s - a*L, L) for the nearest family r: with the center over
-        one common denominator L, u_r·center = s/L and a is the nearest
-        integer to s/L, rounded half to even as Fraction rounding does.
+    def _family_sums(self, den: int, nums: tuple[int, ...]) -> list[tuple[int, int]]:
+        """[divmod(u_r·N, den) for every family r] at the center N/den,
+        carried over from the last call when its denominator divides den."""
+        kept = self._kept
+        k, rest = divmod(den, kept[0]) if kept is not None else (0, 1)
+        if rest:
+            sums = [divmod(sum(map(mul, u, nums)), den) for _, u, _, _ in self._families]
+        else:
+            w = [x - k * y for x, y in zip(nums, kept[1])]
+            sums = []
+            for (_, u, _, _), (a, rem) in zip(self._families, kept[2]):
+                rem = k * rem + sum(map(mul, u, w))
+                if not 0 <= rem < den:
+                    q, rem = divmod(rem, den)
+                    a += q
+                sums.append((a, rem))
+        self._kept = (den, nums, sums)
+        return sums
 
-        dist_r^2 = res_r^2 / (L^2 nsq_r), so family r beats the best so far
+    def _nearest_residual(self, den: int, nums: tuple[int, ...]) -> tuple[int, int, int]:
+        """(r, s - a*den, den) for the nearest family r at the center
+        nums/den: u_r·center = s/den and a is the nearest integer to s/den,
+        rounded half to even as Fraction rounding does.
+
+        dist_r^2 = res_r^2 / (den^2 nsq_r), so family r beats the best so far
         when res_r^2 nsq_best < res_best^2 nsq_r.  A product whose factors
         have bit lengths 2i and j lies in [2^(2i+j-3), 2^(2i+j)), so the two
         sides' bit lengths decide the comparison unless they are within 2 of
         each other; only then are the products formed.  A zero residual has
         no such lower bound and is the nearest possible: it ends the scan,
         since a later family can at most tie it."""
-        den, nums = over_common_denominator(center)
         best_r = None
-        for r, u, nsq, nbits in self._families:
-            a, res = divmod(sum(map(mul, u, nums)), den)
+        for (r, _, nsq, nbits), (a, res) in zip(self._families, self._family_sums(den, nums)):
             twice = 2 * res
             if twice > den or (twice == den and a & 1):
                 res -= den
@@ -97,7 +134,7 @@ class GreedyBlack:
         return best_r, best_res, den
 
     def __call__(self, state) -> tuple[Vec, str]:
-        r, res, _ = self._nearest_residual(state.ball.center)
+        r, res, _ = self._nearest_residual(*state.integer_center)
         if not res:
             return hold(state), f"on family {r}"
         # step toward the plane: against the residual's sign

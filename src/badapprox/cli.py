@@ -50,6 +50,7 @@ from .resonance import (
     lacunary_normalize,
     psi_steps,
     psi_theta,
+    record_steps,
 )
 from .schedule import ScheduleInfeasible, check_ranges
 from .strategy import CertificateFailed, run_constructed_game
@@ -231,7 +232,9 @@ def cmd_certify(args) -> int:
 
 def cmd_psi(args) -> int:
     theta = _load_theta(args.theta)
-    records, steps = best_approximations(theta, args.tmax), psi_steps(theta, args.tmax)
+    records = best_approximations(theta, args.tmax)
+    # an m x 1 theta's steps are its records: the lattice is scanned once
+    steps = record_steps(records) if theta.n == 1 else psi_steps(theta, args.tmax)
     checked = None if args.check is None else psi_theta(theta, args.check)  # before any write
     usable = [(t, v) for t, v in steps if v > 0]
     path = _write_report(

@@ -14,12 +14,17 @@ slack as an integer pair (b - a, b) for rho = a/b.  A zero step is always
 legal, because GameParams keeps 1 - rho > 0, so run_game skips the test for
 it.  run_game keeps the center as an integer vector over one denominator
 and folds each step into it with small-integer products; each recorded
-coordinate is reduced once, by exact.fraction.  Every round scales the
-radius by alpha*beta, so that denominator is mostly a power of two, and
-fraction takes it out by a shift and runs a gcd only on the small odd part:
-exact, because the two parts are coprime.  The trace still records every
-move's absolute center and radius, so its file layout does not depend on
-how the game was played.
+coordinate, and each radius, is reduced once, by exact.fraction.  Every
+round scales the radius by alpha*beta, so that denominator is mostly a
+power of two, and fraction takes it out by a shift and runs a gcd only on
+the small odd part: exact, because the two parts are coprime.  Each
+GameState hands its policy that integer center as a tuple
+(GameState.integer_center), so no policy rebuilds a common denominator of
+the Fraction center.  A step object is converted and checked once per seat:
+when a policy returns the very tuple of Fractions it returned last, as a
+drive, a cached chase or hold does, its integer form is reused.  The trace
+still records every move's absolute center and radius, so its file layout
+does not depend on how the game was played.
 A held center is rendered, parsed and checked once: dumps, loads and replay
 reuse the previous move's center when a move repeats it, and replay skips
 its slack test.  A loaded trace writes back the canonical text it was read
@@ -56,7 +61,7 @@ from .exact import (
     rat_str,
     rat_vec,
 )
-from .geometry import Ball, Vec, same_dimension
+from .geometry import Ball, Vec, integer_center, same_dimension
 
 
 class IllegalMove(Exception):
@@ -98,12 +103,37 @@ class GameParams(Record, frozen=True):
         return cls(json_rat(obj["alpha"], "alpha"), json_rat(obj["beta"], "beta"), obj["dimension"])
 
 
-class GameState(Record, frozen=True):
+class _Form:
+    """The slot where a GameState keeps its center's integer form
+    (GameState.integer_center).  It is not a field of the record: equality,
+    hash, repr, copy and pickle never see it."""
+
+    __slots__ = ("_form",)
+
+
+_set_form = _Form._form.__set__
+
+
+class GameState(Record, _Form, frozen=True):
     """What a policy sees: the ball it must reply inside, and whose turn it
     is.  move_index is 0-based and counts half-moves (W, B, W, B, ...); turn
     is "W" or "B"."""
 
     __slots__ = ("params", "ball", "move_index", "turn")
+
+    @property
+    def integer_center(self) -> tuple[int, tuple[int, ...]]:
+        """(D, N): the ball's center as the integers N over a common
+        denominator D > 0, not always the least one, so a policy may only
+        read from it what is the same over every common denominator.
+        run_game hands out the form its fold already holds; a state built
+        by hand computes geometry.integer_center once, on the first read."""
+        try:
+            return self._form
+        except AttributeError:
+            form = integer_center(self.ball)
+            _set_form(self, form)
+            return form
 
 
 class MoveRecord(Record, frozen=True):
@@ -249,43 +279,65 @@ def run_game(
 
     The center is N / (U * lam): U the unreduced radius denominator
     den(rho0) * den(alpha)^w * den(beta)^b (the radius is P / U), and lam a
-    multiple of the initial center's and of every step's denominator.  A
+    multiple of the initial center's and of every step's denominator.  Each
+    state hands that (U * lam, N) to its policy as its integer_center.  A
     step v/q moves it to N * b * (lam'/lam) + P * v * b * (lam'/q) over
     U * b * lam', lam' = lcm(lam, q) and rho = a/b: products of integers, no
-    gcd.  Each recorded coordinate is reduced once, by exact.fraction.  A
-    step is legal iff within_slack holds on v/q with slack (b - a)/b.  A
-    zero step is always legal (GameParams keeps 1 - rho > 0), so it skips
-    the slack test and reuses the current center.
+    gcd.  Each recorded coordinate is reduced once, and each radius P/U
+    too, by exact.fraction.  A step is legal iff within_slack holds on v/q
+    with slack (b - a)/b.  A zero step is always legal (GameParams keeps
+    1 - rho > 0), so it skips the slack test and reuses the current center.
+
+    A step is checked once per seat: when a policy returns the very tuple
+    it returned last, its (q, v) is reused with no conversion and no test.
+    Only a tuple that rat_vec returns unchanged is remembered; it holds
+    only Fractions, so it cannot have changed.  Any other step, a list
+    among them, is converted and checked on every call.
     """
     trace = GameTrace(params, initial)
     current = initial
     p, u = initial.radius.numerator, initial.radius.denominator
     lam, nums = over_common_denominator(initial.center)
-    nums = [x * u for x in nums]
-    seats = [(turn, policy, rho, rho.numerator, rho.denominator)
+    nums = tuple(x * u for x in nums)
+    den = u * lam
+    # per seat: turn, policy, a, b, and the last remembered step with its
+    # (q, v), None for a zero step
+    seats = [[turn, policy, rho.numerator, rho.denominator, None, None]
              for turn, policy, rho in (("W", white, params.alpha), ("B", black, params.beta))]
     move_index = 0
     for _ in range(rounds):
-        for turn, policy, rho, a, b in seats:
-            step, note = policy(GameState(params, current, move_index, turn))
-            step = rat_vec(step)
-            same_dimension(step, current.center)
-            if any(step):
-                q, v = over_common_denominator(step)
-                if not within_slack(v, q, b - a, b):
-                    center = tuple(c + current.radius * s for c, s in zip(current.center, step))
-                    raise IllegalMove(turn, move_index, center, "reply ball leaves current ball")
+        for seat in seats:
+            turn, policy, a, b, known, form = seat
+            state = GameState(params, current, move_index, turn)
+            _set_form(state, (den, nums))
+            step, note = policy(state)
+            if step is not known:
+                checked = rat_vec(step)
+                same_dimension(checked, nums)
+                form = None
+                if any(checked):
+                    form = over_common_denominator(checked)
+                    if not within_slack(form[1], form[0], b - a, b):
+                        center = tuple(c + current.radius * s
+                                       for c, s in zip(current.center, checked))
+                        raise IllegalMove(turn, move_index, center, "reply ball leaves current ball")
+                if checked is step:
+                    seat[4:] = step, form
+            u *= b
+            if form is None:
+                nums = tuple(x * b for x in nums)
+                den *= b
+                center = current.center
+            else:
+                q, v = form
                 grown = lam if lam % q == 0 else lam * (q // math.gcd(lam, q))
                 keep, push = b * (grown // lam), p * b * (grown // q)
-                nums = [x * keep + y * push for x, y in zip(nums, v)]
+                nums = tuple(x * keep + y * push for x, y in zip(nums, v))
                 lam = grown
-                den = u * b * lam
+                den = u * lam
                 center = tuple(map(fraction, nums, repeat(den)))
-            else:
-                nums = [x * b for x in nums]
-                center = current.center
-            p, u = p * a, u * b
-            current = Ball(center, rho * current.radius)
+            p *= a
+            current = Ball(center, fraction(p, u))
             trace.moves.append(MoveRecord(turn, current, note))
             move_index += 1
     return trace

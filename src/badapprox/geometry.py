@@ -168,6 +168,15 @@ class Ball(Record, _Text, frozen=True):
         return ball
 
 
+def integer_center(ball: Ball) -> tuple[int, tuple[int, ...]]:
+    """(D, N): the ball's center as the integers N over their least common
+    denominator D > 0.  Every integer predicate on a center starts from this
+    form; a policy reads the engine's own (engine.GameState.integer_center),
+    whose D is a common denominator but not always the least."""
+    den, nums = over_common_denominator(ball.center)
+    return den, tuple(nums)
+
+
 def _integer(value, what: str) -> int:
     """An int, or a Fraction with denominator 1 as its int; a float, a bool or
     any other rational is refused, never truncated."""
@@ -227,23 +236,27 @@ class Halfspace(Record, frozen=True):
 
     def contains_ball(self, ball: Ball) -> bool:
         """Exact: height of the center clears threshold + radius.  With the
-        direction v/L, and the center and anchor C/D and A/D over one common
-        denominator, the height is h/(LD) for h = v·(C - A); for threshold
-        p/q and radius r/s the test is h q s >= (p s + r q) L D."""
-        n = len(self.anchor)
+        direction v/L, the center C/D (integer_center) and the anchor A/E,
+        the height is h/(LDE) for h = v·(CE - AD); for threshold p/q and
+        radius r/s the test is h q s >= (p s + r q) L D E."""
         same_dimension(ball.center, self.anchor)
         el, v = over_common_denominator(self.direction)
-        den, nums = over_common_denominator(ball.center + self.anchor)
-        h = sum(x * (c - a) for x, c, a in zip(v, nums, nums[n:]))
+        den, nums = integer_center(ball)
+        aden, anchor = over_common_denominator(self.anchor)
+        h = sum(x * (c * aden - a * den) for x, c, a in zip(v, nums, anchor))
         t, r = self.threshold, ball.radius
         q, s = t.denominator, r.denominator
-        return h * q * s >= (t.numerator * s + r.numerator * q) * el * den
+        return h * q * s >= (t.numerator * s + r.numerator * q) * el * den * aden
 
 
 # -- exact unit directions from a stereographic chart ------------------------
 
 #: rational_unit_direction refines until its float distance to v/|v| is below this.
 DIRECTION_TOL = 2.0**-30
+
+#: rational_unit_direction first divides a vector whose largest |entry| reaches
+#: 2^500 by a power of two, so that the sum of its squares stays a finite float.
+_FLOAT_BITS = 500
 
 
 def stereo_chart(u: Sequence[float]) -> tuple[int, int, list[float]]:
@@ -275,7 +288,9 @@ def rational_unit_direction(v: Sequence[Rat]) -> Vec:
     The chart point of v/|v| (stereo_chart, well conditioned around the axis
     of largest |component|) is rationalized with a growing denominator
     bound, brought to one denominator c and lifted by chart_lift, until the
-    lift lands within DIRECTION_TOL, in float distance.
+    lift lands within DIRECTION_TOL, in float distance.  The direction of v
+    is that of v / 2^k, and floats scale exactly by powers of two, so a v
+    past the float range is first divided down to entries below 2^501.
     """
     v = rat_vec(v)
     n = len(v)
@@ -290,6 +305,12 @@ def rational_unit_direction(v: Sequence[Rat]) -> Vec:
         out[i] = Fraction(1 if v[i] > 0 else -1)
         return tuple(out)
 
+    top = max(map(abs, v))
+    shift = top.numerator.bit_length() - top.denominator.bit_length() - _FLOAT_BITS
+    if shift > 0:
+        # an exact division by a power of two keeps every float bit of an
+        # input that fits, and brings the squares of any other into range
+        v = tuple(x / (1 << shift) for x in v)
     fv = [float(x) for x in v]
     fnorm = math.sqrt(math.fsum(x * x for x in fv))
     target = [x / fnorm for x in fv]

@@ -264,6 +264,13 @@ def best_approximations_cf(theta: ThetaMatrix, t_max: int) -> list[ResonanceEntr
     return records
 
 
+def record_steps(records: Sequence[ResonanceEntry]) -> list[tuple[int, Fraction]]:
+    """The steps (y, quality) of psi for an m x 1 theta, read off its records
+    (best_approximations): y is a number, so its sup-norm and Euclidean
+    shells coincide."""
+    return [(r.vector[0], r.quality) for r in records]
+
+
 def psi_steps(theta: ThetaMatrix, t_max: int) -> list[tuple[int, Fraction]]:
     """The steps (t, psi_theta(t)) of psi up to t_max, in increasing t.
 
@@ -271,10 +278,10 @@ def psi_steps(theta: ThetaMatrix, t_max: int) -> list[tuple[int, Fraction]]:
     the sup-norm shells holding a strict record of the dual quality, so one
     scan over those shells gives every step.  When n = 1, y is a number, its
     sup-norm and Euclidean shells coincide, and the steps are the records
-    (y, quality) of best_approximations.
+    of best_approximations (record_steps).
     """
     if theta.n == 1:
-        return [(r.vector[0], r.quality) for r in best_approximations(theta, t_max)]
+        return record_steps(best_approximations(theta, t_max))
     if t_max < 1:
         raise ValueError("t_max must be >= 1")
     found, den = _shell_records(theta, t_max, euclidean=False)

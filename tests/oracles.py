@@ -9,7 +9,9 @@ search until the lattice routes replaced it; it is the fast oracle that
 holds those routes to boxes the Fraction loops cannot reach.  The
 plane-budget scan of ``derive_params`` and Greedy Black's nearest-plane
 search are the ``Fraction`` versions of the construction path's integer
-loops, held to them by test_schedule.py and test_adversaries.py.  The engine's ball
+loops, held to them by test_schedule.py and test_adversaries.py; beside
+them, Random Black's first route draws each coordinate by ``randrange``
+where the package draws it by ``getrandbits``.  The engine's ball
 containment and trace rendering are the ``Fraction`` test and the generic
 ``json.dumps`` call that the integer test and the direct trace writer
 replaced, held to them by test_geometry.py and test_engine.py; the
@@ -522,6 +524,24 @@ def nearest_family(seq: ResonanceSequence, center) -> tuple[int, Fraction]:
         ):
             best_r, best_res = r, res
     return best_r, best_res
+
+
+class RandomBlack:
+    """RandomBlack by its first route: each coordinate of the grid point drawn
+    by randrange(2K + 1) - K and scaled by the Fraction (1 - beta) / K."""
+
+    def __init__(self, seed: int = 0):
+        self.rng = Random(seed)
+
+    def __call__(self, state):
+        n, k = state.ball.dimension, 512
+        while True:
+            pt = [self.rng.randrange(2 * k + 1) - k for _ in range(n)]
+            if sum(c * c for c in pt) <= k * k:
+                break
+        beta = state.params.beta
+        return tuple(Fraction(c * (beta.denominator - beta.numerator), beta.denominator * k)
+                     for c in pt), None
 
 
 class GreedyBlack:

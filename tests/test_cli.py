@@ -21,7 +21,8 @@ from badapprox import cli
 from badapprox.cli import main
 from badapprox.engine import GameTrace, replay
 from badapprox.exact import InvariantError, rat
-from badapprox.resonance import ThetaMatrix, psi_theta
+from badapprox import resonance
+from badapprox.resonance import ThetaMatrix, psi_steps, psi_theta
 
 
 def run(tmp, *argv):
@@ -354,6 +355,28 @@ def test_psi_table_of_a_1x2_theta_feeds_certify(tmp_path):
     assert [Fraction(v) for v in table["values"]] == [psi_theta(th, t) for t in table["sizes"]]
     assert run(tmp_path, "certify", "--theta", str(theta), "--eta", "1/3,1/5", "--N", "100",
                "--functional", "decay", "--psi", f"table:{tmp_path / 'psi.json'}") == 0
+
+
+def test_psi_of_a_2x1_theta_scans_its_lattice_once(tmp_path, monkeypatch):
+    # an m x 1 theta's psi steps are its records: the table is read off the
+    # records' scan, and equals the steps psi_steps scans for on its own
+    two_by_one = {"m": 2, "n": 1, "entries": [["1234567891/2147483647"], ["987654321/2147483647"]]}
+    theta = tmp_path / "theta.json"
+    theta.write_text(json.dumps(two_by_one))
+    scans, shell_records = [], resonance._shell_records
+
+    def counted(*args, **kwargs):
+        scans.append(args[1:])
+        return shell_records(*args, **kwargs)
+
+    monkeypatch.setattr(resonance, "_shell_records", counted)
+    assert run(tmp_path, "psi", "--theta", str(theta), "--tmax", "100000") == 0
+    assert scans == [(100000,)]
+    blob = json.loads((tmp_path / "psi.json").read_text())
+    steps = [(t, q) for t, q in psi_steps(ThetaMatrix.from_jsonable(two_by_one), 100000) if q > 0]
+    assert len(steps) > 5
+    assert blob["table"] == {"sizes": [t for t, _ in steps],
+                             "values": [f"{q.numerator}/{q.denominator}" for _, q in steps]}
 
 
 def spellings_agree(tmp_path, argv, option, value, files):

@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from badapprox.adversaries import GreedyBlack, RandomBlack
+from badapprox.adversaries import GreedyBlack, RandomBlack, Scripted
 from badapprox.cli import main
 from badapprox.engine import (
     GameParams,
@@ -24,9 +24,11 @@ from badapprox.engine import (
     run_game,
 )
 from badapprox import geometry
+from badapprox.escape import AvoidanceDrive
 from badapprox.exact import rat_str
-from badapprox.geometry import Ball
-from badapprox.strategy import run_constructed_game
+from badapprox.geometry import Ball, Hyperplane
+from badapprox.schedule import block_schedule, derive_params
+from badapprox.strategy import WhiteStrategy, run_constructed_game
 from conftest import make_sequence
 
 TINY = Fraction(1, 10**24)
@@ -708,6 +710,118 @@ def test_run_game_equals_the_absolute_center_engine(alpha, beta):
         assert ours == theirs, trial
         illegal += isinstance(ours, tuple)
     assert 0 < illegal < 24  # both outcomes are exercised
+
+
+# -- each step object checked once per seat ---------------------------------
+
+
+@pytest.mark.parametrize("turn", ["W", "B"])
+@pytest.mark.parametrize("illegal", [
+    lambda step, slack: step.__setitem__(0, slack + TINY),  # past the slack
+    lambda step, slack: step.append(Fraction(0)),           # of the wrong dimension
+    lambda step, slack: step.__setitem__(1, 0.0),            # a float
+])
+def test_a_list_step_mutated_after_a_legal_move_is_checked_again(turn, illegal):
+    # one list object, legal on its first two calls and then mutated in
+    # place: a list is never remembered, so its third call fails
+    slack = 1 - (Fraction(1, 4) if turn == "W" else Fraction(1, 2))
+    step, calls = [slack * Fraction(3, 5), slack * Fraction(-4, 5)], []
+
+    def mover(state):
+        calls.append(state.move_index)
+        if len(calls) == 3:
+            illegal(step, slack)
+        return step, None
+
+    p = GameParams(Fraction(1, 4), Fraction(1, 2), 2)
+    white, black = (mover, concentric) if turn == "W" else (concentric, mover)
+    with pytest.raises((IllegalMove, ValueError, TypeError)) as ei:
+        run_game(p, Ball((Fraction(1, 3), Fraction(-2, 7)), Fraction(3, 5)), white, black, 4)
+    assert len(calls) == 3
+    if ei.type is IllegalMove:
+        assert (ei.value.player, ei.value.move_index) == (turn, calls[-1])
+
+
+class Repeating:
+    """RandomSteps' legal steps, each returned several calls in a row: as
+    the very tuple it first returned (repeat=True), or as a fresh tuple of
+    fresh Fractions (repeat=False); a third of the holds are hold's own
+    shared tuple, and every fifth step is a list."""
+
+    def __init__(self, seed: int, repeat: bool):
+        self.inner, self.repeat, self.rng = RandomSteps(seed, 10**9), repeat, Random(seed)
+        self.step, self.left = None, 0
+
+    def __call__(self, state: GameState):
+        if not self.left:
+            self.step, self.note = self.inner(state)
+            kind = self.rng.randrange(15)
+            if kind == 0:
+                self.step = hold(state)
+            elif kind < 3:
+                self.step = list(self.step)
+            self.left = self.rng.randint(1, 6)
+        self.left -= 1
+        step = self.step
+        if not self.repeat:
+            step = type(step)(Fraction(x.numerator, x.denominator) for x in step)
+        return step, self.note
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_a_repeated_step_tuple_plays_as_fresh_tuples(n):
+    gp = GameParams(Fraction(2, 5), Fraction(3, 8), n)
+    start = Ball(tuple(Fraction(k, 7 + k) for k in range(1, n + 1)), Fraction(5, 9))
+    same, fresh = (
+        run_game(gp, start, Repeating(n, repeat), Repeating(n + 10, repeat), 40).dumps()
+        for repeat in (True, False)
+    )
+    assert same == fresh == oracles.run_game_absolute(
+        gp, start, Repeating(n, True), Repeating(n + 10, True), 40).dumps()
+
+
+class Twin:
+    """Two instances of one policy: the first is asked with run_game's own
+    state, the second with the state built anew by hand, which computes its
+    integer center from the ball; their decisions must agree."""
+
+    def __init__(self, make):
+        self.ours, self.by_hand = make(), make()
+        self.calls = 0
+
+    def __call__(self, state: GameState):
+        den, nums = state._form  # run_game's own, set before the call
+        assert tuple(Fraction(x, den) for x in nums) == state.ball.center
+        decision = self.ours(state)
+        again = GameState(state.params, state.ball, state.move_index, state.turn)
+        assert self.by_hand(again) == decision
+        self.calls += 1
+        return decision
+
+
+def test_every_policy_decides_alike_on_a_hand_built_state():
+    a, b = Fraction(1, 4), Fraction(1, 2)
+    for n, vectors, center in [
+        (2, [(1, 1), (3, 4), (-12, 9), (40, 30)], (Fraction(3, 10), Fraction(-7, 9))),
+        (3, [(1, 0, 0), (3, 1, 0), (13, 2, 1)], (Fraction(3, 10), Fraction(-7, 9), Fraction(1, 5))),
+    ]:
+        seq = make_sequence(vectors)
+        params = derive_params(a, b, 3, n)
+        sched = block_schedule(params, seq, Fraction(1, 64), 1)
+        start = Ball(center, Fraction(1, 64))
+        planes = [Hyperplane(u, round(sum(x * c for x, c in zip(u, center)))) for u in vectors]
+        whites = [lambda: WhiteStrategy(seq, sched, seed=5),
+                  lambda: AvoidanceDrive(planes, params, seed=5)]
+        for make_white in whites:
+            # Black's first moves of a greedy game against this White, replayed
+            played = run_game(GameParams(a, b, n), start, make_white(), GreedyBlack(seq), 9)
+            script = [m.ball.center for m in played.moves if m.player == "B"][:7]
+            blacks = [lambda: GreedyBlack(seq), lambda: RandomBlack(seed=7), lambda: concentric,
+                      lambda: Scripted(script, notes=[f"s{k}" for k in range(7)])]
+            for make_black in blacks:
+                white, black = Twin(make_white), Twin(make_black)
+                run_game(GameParams(a, b, n), start, white, black, params.avoidance_rounds)
+                assert white.calls == black.calls == params.avoidance_rounds
 
 
 @pytest.fixture(scope="module")

@@ -387,6 +387,32 @@ def test_rational_unit_direction_equals_the_fraction_reference():
     assert d[0].denominator > 2**41
 
 
+@pytest.mark.parametrize("v", [(10**200, 10**200), (10**154, 10**154), (10**400, 1)])
+def test_rational_unit_direction_past_the_float_range(v):
+    # the squares of the first two, and the first entry of the third, overflow
+    # a float: the vector is divided by 2^k first, which keeps its direction
+    d = rational_unit_direction(v)
+    assert norm_sq(d) == 1
+    k = max(map(abs, v)).bit_length() - 500
+    scaled = [Fraction(x, 1 << k) for x in v]
+    assert d == rational_unit_direction(scaled) == oracles.rational_unit_direction(scaled)
+    fnorm = math.sqrt(math.fsum(float(x) ** 2 for x in scaled))
+    assert math.dist(map(float, d), [float(x) / fnorm for x in scaled]) < 2.0**-30
+
+
+def test_rational_unit_direction_is_unchanged_below_two_to_the_500():
+    # seeded integer and rational vectors up to 2^500, and past it up to the
+    # 2^510 where the sum of squares still fits a float: the direction the
+    # unscaled chart gives
+    rng = random.Random(500)
+    for bits in (1, 40, 300, 499, 500, 505, 510):
+        for n in range(2, 5):
+            for _ in range(6):
+                v = [rng.randrange(-(1 << bits), 1 << bits) for _ in range(n - 1)]
+                v.append(rng.choice([1 << bits, -(1 << bits), Fraction(rng.randrange(1, 1 << bits), 3)]))
+                assert rational_unit_direction(v) == oracles.rational_unit_direction(v), v
+
+
 @pytest.mark.parametrize("c", [3, 12, 10**6 + 3])
 def test_chart_lift_equals_the_fraction_lift(c):
     # chart points a/c over denominators other than the grid's 2^12
