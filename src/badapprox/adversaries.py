@@ -63,15 +63,8 @@ class GreedyBlack:
     side, beta).
 
     The center is read as the engine's integer form N/D
-    (GameState.integer_center), and s_r = u_r·N is kept for every family
-    between calls, as its quotient and remainder by D.  From the N'/D' of
-    the last call, K = D/D' and W = N - K*N' give s_r = K*s'_r + u_r·W
-    exactly, whatever W is, so s'_r = a*D' + f carries over as a*D plus
-    K*f + u_r·W, which needs a division only when it leaves [0, D).  In
-    run_game D' divides D and W is the small push of the moves between, so
-    no move divides a long s_r by D, however long the family vectors are.
-    When D' does not divide D (the first call, another game), every s_r is
-    computed afresh.
+    (GameState.integer_center), so no call rebuilds a common denominator of
+    the Fraction center.
     """
 
     def __init__(self, seq: ResonanceSequence):
@@ -83,27 +76,6 @@ class GreedyBlack:
             for nsq in (seq.norm_sq_of(r),)
         ]
         self._steps: dict[tuple[int, int, int, int], Vec] = {}
-        # D', N' and divmod(s'_r, D') for every family, of the last call
-        self._kept: tuple[int, tuple[int, ...], list[tuple[int, int]]] | None = None
-
-    def _family_sums(self, den: int, nums: tuple[int, ...]) -> list[tuple[int, int]]:
-        """[divmod(u_r·N, den) for every family r] at the center N/den,
-        carried over from the last call when its denominator divides den."""
-        kept = self._kept
-        k, rest = divmod(den, kept[0]) if kept is not None else (0, 1)
-        if rest:
-            sums = [divmod(sum(map(mul, u, nums)), den) for _, u, _, _ in self._families]
-        else:
-            w = [x - k * y for x, y in zip(nums, kept[1])]
-            sums = []
-            for (_, u, _, _), (a, rem) in zip(self._families, kept[2]):
-                rem = k * rem + sum(map(mul, u, w))
-                if not 0 <= rem < den:
-                    q, rem = divmod(rem, den)
-                    a += q
-                sums.append((a, rem))
-        self._kept = (den, nums, sums)
-        return sums
 
     def _nearest_residual(self, den: int, nums: tuple[int, ...]) -> tuple[int, int, int]:
         """(r, s - a*den, den) for the nearest family r at the center
@@ -118,7 +90,8 @@ class GreedyBlack:
         no such lower bound and is the nearest possible: it ends the scan,
         since a later family can at most tie it."""
         best_r = None
-        for (r, _, nsq, nbits), (a, res) in zip(self._families, self._family_sums(den, nums)):
+        for r, u, nsq, nbits in self._families:
+            a, res = divmod(sum(map(mul, u, nums)), den)
             twice = 2 * res
             if twice > den or (twice == den and a & 1):
                 res -= den

@@ -61,7 +61,7 @@ from .exact import (
     rat_str,
     rat_vec,
 )
-from .geometry import Ball, Vec, integer_center, same_dimension
+from .geometry import Ball, Vec, same_dimension
 
 
 class IllegalMove(Exception):
@@ -127,11 +127,12 @@ class GameState(Record, _Form, frozen=True):
         denominator D > 0, not always the least one, so a policy may only
         read from it what is the same over every common denominator.
         run_game hands out the form its fold already holds; a state built
-        by hand computes geometry.integer_center once, on the first read."""
+        by hand computes the least one once, on the first read."""
         try:
             return self._form
         except AttributeError:
-            form = integer_center(self.ball)
+            den, nums = over_common_denominator(self.ball.center)
+            form = den, tuple(nums)
             _set_form(self, form)
             return form
 

@@ -41,7 +41,6 @@ from .geometry import (
     Hyperplane,
     Vec,
     chart_lift,
-    integer_center,
     lex_sign,
     rational_unit_direction,
     scale,
@@ -66,7 +65,7 @@ class SelectionExhausted(Exception):
 def _residual(ball: Ball, plane: Hyperplane) -> tuple[int, int]:
     """(res, den): the center residual u·center - a as res/den, with den the
     center's common denominator."""
-    den, nums = integer_center(ball)
+    den, nums = over_common_denominator(ball.center)
     return sum(map(mul, plane.normal, nums)) - plane.offset * den, den
 
 

@@ -168,15 +168,6 @@ class Ball(Record, _Text, frozen=True):
         return ball
 
 
-def integer_center(ball: Ball) -> tuple[int, tuple[int, ...]]:
-    """(D, N): the ball's center as the integers N over their least common
-    denominator D > 0.  Every integer predicate on a center starts from this
-    form; a policy reads the engine's own (engine.GameState.integer_center),
-    whose D is a common denominator but not always the least."""
-    den, nums = over_common_denominator(ball.center)
-    return den, tuple(nums)
-
-
 def _integer(value, what: str) -> int:
     """An int, or a Fraction with denominator 1 as its int; a float, a bool or
     any other rational is refused, never truncated."""
@@ -236,17 +227,17 @@ class Halfspace(Record, frozen=True):
 
     def contains_ball(self, ball: Ball) -> bool:
         """Exact: height of the center clears threshold + radius.  With the
-        direction v/L, the center C/D (integer_center) and the anchor A/E,
-        the height is h/(LDE) for h = v·(CE - AD); for threshold p/q and
-        radius r/s the test is h q s >= (p s + r q) L D E."""
+        direction v/L, and the center and anchor C/D and A/D over one common
+        denominator, the height is h/(LD) for h = v·(C - A); for threshold
+        p/q and radius r/s the test is h q s >= (p s + r q) L D."""
+        n = len(self.anchor)
         same_dimension(ball.center, self.anchor)
         el, v = over_common_denominator(self.direction)
-        den, nums = integer_center(ball)
-        aden, anchor = over_common_denominator(self.anchor)
-        h = sum(x * (c * aden - a * den) for x, c, a in zip(v, nums, anchor))
+        den, nums = over_common_denominator(ball.center + self.anchor)
+        h = sum(x * (c - a) for x, c, a in zip(v, nums, nums[n:]))
         t, r = self.threshold, ball.radius
         q, s = t.denominator, r.denominator
-        return h * q * s >= (t.numerator * s + r.numerator * q) * el * den * aden
+        return h * q * s >= (t.numerator * s + r.numerator * q) * el * den
 
 
 # -- exact unit directions from a stereographic chart ------------------------

@@ -18,11 +18,12 @@ from .exact import (
     Record,
     ceil_frac,
     log_bounds,
+    over_common_denominator,
     rat,
     rat_str,
     round_half_even,
 )
-from .geometry import Ball, Hyperplane, cap_measure_bounds, integer_center
+from .geometry import Ball, Hyperplane, cap_measure_bounds
 from .resonance import ResonanceSequence
 
 
@@ -296,7 +297,7 @@ def dangerous_hyperplanes(
     and radius = p/q, the scale test is 4 p^2 |u|^2 > q^2 and
     a = round_half_even(u·N, D).
     """
-    den, nums = integer_center(ball)
+    den, nums = over_common_denominator(ball.center)
     p, q = ball.radius.numerator, ball.radius.denominator
     reach, bound = 4 * p * p, q * q
     out = []

@@ -24,12 +24,13 @@ from .exact import (
     Record,
     int_dist,
     json_text,
+    over_common_denominator,
     rat_str,
     round_half_even,
     sqrt_bounds,
 )
 from .engine import GameParams, GameTrace, hold, run_game
-from .geometry import Ball, Hyperplane, Vec, integer_center
+from .geometry import Ball, Hyperplane, Vec
 from .escape import AvoidanceDrive
 from .resonance import ResonanceSequence
 from .schedule import (
@@ -59,7 +60,7 @@ def _integer_form(ball: Ball, margin: Fraction) -> tuple[int, list[int], tuple[i
     denominator den, and scales = (E, e*den, q^2, (p*den*E)^2) for the
     margin e/E and the radius p/q.  A clearance c/(den*E) exceeds the reach
     |u|*radius iff c > 0 and c^2 q^2 > |u|^2 (p*den*E)^2."""
-    den, nums = integer_center(ball)
+    den, nums = over_common_denominator(ball.center)
     p, q = ball.radius.numerator, ball.radius.denominator
     e, big_e = margin.numerator, margin.denominator
     return den, nums, (big_e, e * den, q * q, (p * den * big_e) ** 2)

@@ -2,7 +2,6 @@
 
 import hashlib
 import math
-import operator
 import random
 from fractions import Fraction
 
@@ -18,7 +17,8 @@ from badapprox.engine import (
     concentric,
     run_game,
 )
-from badapprox.geometry import Ball, dot, integer_center, rational_unit_direction
+from badapprox.exact import over_common_denominator
+from badapprox.geometry import Ball, dot, rational_unit_direction
 from badapprox.resonance import ThetaMatrix, best_approximations, lacunary_normalize
 from badapprox.strategy import run_constructed_game
 from conftest import escape_drive, long_rational, make_sequence
@@ -252,7 +252,7 @@ def _onto_half_integer(center, u):
 def _nearest(seq, center) -> tuple[int, Fraction]:
     """(r, u_r·center - a_r) of GreedyBlack's nearest family r, a_r the
     nearest integer, from its integer residual over the center's denominator."""
-    r, res, den = GreedyBlack(seq)._nearest_residual(*integer_center(Ball(center, 1)))
+    r, res, den = GreedyBlack(seq)._nearest_residual(*over_common_denominator(center))
     return r, Fraction(res, den)
 
 
@@ -498,41 +498,30 @@ def test_greedy_nearest_matches_fraction_oracle_on_an_n3_construction():
             assert _nearest(fam, ball.center) == oracles.nearest_family(fam, ball.center)
 
 
-# -- the kept sums u_r·N, move by move ---------------------------------------
+# -- greedy on the engine's integer center, move by move ----------------------
 
 
 class CheckedGreedy(GreedyBlack):
-    """GreedyBlack that checks, after every call, that its kept s_r equal
-    u_r·N for the state's integer center N/D and that its choice is
-    oracles.nearest_family's; it counts the calls that carried the sums
-    over from the call before."""
-
-    carried = calls = 0
+    """GreedyBlack that checks, on every call, that the state's integer
+    center N/D is the ball's center and that its choice is
+    oracles.nearest_family's."""
 
     def __call__(self, state):
         den, nums = state.integer_center
-        self.carried += self._kept is not None and den % self._kept[0] == 0
-        self.calls += 1
+        assert tuple(Fraction(x, den) for x in nums) == state.ball.center
         step, note = super().__call__(state)
-        kept_den, kept_nums, sums = self._kept
-        assert (kept_den, kept_nums) == (den, nums)
-        assert all(0 <= rem < den for _, rem in sums)
-        assert [a * den + rem for a, rem in sums] == [
-            sum(map(operator.mul, self.seq.vector(r), nums)) for r in range(1, len(self.seq) + 1)]
         r, res = oracles.nearest_family(self.seq, state.ball.center)
         assert note == (f"on family {r}" if res == 0 else f"chasing family {r}")
         return step, note
 
 
-def test_greedy_kept_sums_and_choices_through_an_n3_construction():
+def test_greedy_choices_through_an_n3_construction():
     seq = make_sequence([(1, 0, 0), (3, 1, 0), (13, 2, 1)])
-    black = CheckedGreedy(seq)
     trace, *_ = run_constructed_game(
-        seq, Fraction(1, 4), Fraction(1, 2), 3, Fraction(1, 64), 1, black,
+        seq, Fraction(1, 4), Fraction(1, 2), 3, Fraction(1, 64), 1, CheckedGreedy(seq),
         center=(Fraction(3, 10), Fraction(-7, 9), Fraction(1, 5)), seed=5,
     )
-    assert black.calls == len(trace.moves) // 2 == 473
-    assert black.carried == black.calls - 1  # all but the first call
+    assert len(trace.moves) == 2 * 473
 
 
 @pytest.fixture(scope="module")
@@ -545,25 +534,9 @@ def deep2_seq():
     return lacunary_normalize(best_approximations(theta, 10**130), 3)
 
 
-def test_greedy_kept_sums_and_choices_through_the_deep2_game(deep2_seq):
+def test_greedy_choices_through_the_deep2_game(deep2_seq):
     # 211 families up to 10^130 long, over centers that grow past 600 bits
-    black = CheckedGreedy(deep2_seq)
     trace, *_ = run_constructed_game(
-        deep2_seq, Fraction(1, 4), Fraction(1, 2), 3, Fraction(1, 2), 3, black)
-    assert len(deep2_seq) == 211 and black.calls == 180 and black.carried == 179
+        deep2_seq, Fraction(1, 4), Fraction(1, 2), 3, Fraction(1, 2), 3, CheckedGreedy(deep2_seq))
+    assert len(deep2_seq) == 211 and len(trace.moves) == 2 * 180
     assert max(c.denominator.bit_length() for c in trace.final_ball.center) > 600
-
-
-def test_greedy_sums_hold_for_any_next_center():
-    # centers from unrelated balls, one after another: over a multiple of
-    # the last denominator the sums carry over, with a long W = N - K N',
-    # and over any other denominator they are computed afresh
-    seq = make_sequence([(1, 1), (3, -4), (12, 9)])
-    black = CheckedGreedy(seq)
-    gp = GameParams(Fraction(1, 4), Fraction(1, 2), 2)
-    centers = [(Fraction(1, 7), Fraction(2, 9)), (Fraction(-5, 21), Fraction(8, 63)),
-               (Fraction(3, 10), Fraction(-1, 3)), (Fraction(7, 2**80), Fraction(1, 30)),
-               (Fraction(1, 5), Fraction(0))]
-    for i, center in enumerate(centers):
-        black(GameState(gp, Ball(center, Fraction(1, 1000)), 2 * i + 1, "B"))
-    assert (black.calls, black.carried) == (5, 2)  # over 63 after 63, over 2^80 * 15 after 30
