@@ -1,9 +1,9 @@
 """Opponent policies: random legal play, resonance-seeking play, replay.
 
-All of them propose exact rational steps, in units of the current radius
-(engine.Policy); the random one samples on an integer sub-lattice of the
-legal disk so that runs are reproducible from the seed alone, with no float
-in the resulting trace.
+All of them propose exact steps (q, v), the integers v over q in units of
+the current radius (engine.Policy), built where each value is made; the
+random one samples on an integer sub-lattice of the legal disk so that runs
+are reproducible from the seed alone, with no float in the resulting trace.
 """
 from __future__ import annotations
 
@@ -11,9 +11,9 @@ from collections.abc import Sequence
 from operator import mul
 from random import Random
 
-from .engine import hold
-from .exact import fraction, rat
-from .geometry import Vec, rational_unit_direction, scale, sub
+from .engine import Step, hold
+from .exact import over_common_denominator, rat
+from .geometry import rational_unit_direction, scale, sub
 from .resonance import ResonanceSequence
 
 
@@ -28,15 +28,14 @@ class RandomBlack:
     steps by ((1-beta) / K) * k radii — always legal, exactly representable.
     Each coordinate is drawn as CPython's randrange(2K + 1) draws it, by
     getrandbits(11) until the value is below 2K + 1 = 1025, less K: the
-    same stream as randint(-K, K).  For beta = a/b it is built as the
-    reduced Fraction c * (b - a) / (b * K) by exact.fraction, whose
-    denominator b * K is a power of two times b.
+    same stream as randint(-K, K).  For beta = a/b the step is the
+    integers c * (b - a) over b * K, not reduced.
     """
 
     def __init__(self, seed: int = 0):
         self.rng = Random(seed)
 
-    def __call__(self, state) -> tuple[Vec, None]:
+    def __call__(self, state) -> tuple[Step, None]:
         n = state.ball.dimension
         k = RANDOM_GRID
         draw = self.rng.getrandbits
@@ -50,8 +49,8 @@ class RandomBlack:
             if sum(c * c for c in pt) <= k * k:
                 break
         beta = state.params.beta
-        num, den = beta.denominator - beta.numerator, beta.denominator * k
-        return tuple(fraction(c * num, den) for c in pt), None
+        num = beta.denominator - beta.numerator
+        return (beta.denominator * k, tuple(c * num for c in pt)), None
 
 
 class GreedyBlack:
@@ -59,8 +58,8 @@ class GreedyBlack:
 
     Finds the family minimizing |residual| / |u| (exactly, on integers; ties
     to the smallest index), then steps the whole 1 - beta radii toward it
-    along a rationalized unit direction.  The step is cached per (family,
-    side, beta).
+    along a rationalized unit direction.  The step, as integers over their
+    least common denominator, is cached per (family, side, beta).
 
     The center is read as the engine's integer form N/D
     (GameState.integer_center), so no call rebuilds a common denominator of
@@ -75,7 +74,7 @@ class GreedyBlack:
             for r in range(1, len(seq) + 1)
             for nsq in (seq.norm_sq_of(r),)
         ]
-        self._steps: dict[tuple[int, int, int, int], Vec] = {}
+        self._steps: dict[tuple[int, int, int, int], Step] = {}
 
     def _nearest_residual(self, den: int, nums: tuple[int, ...]) -> tuple[int, int, int]:
         """(r, s - a*den, den) for the nearest family r at the center
@@ -106,7 +105,7 @@ class GreedyBlack:
                 best_r, best_res, best_bits, best_nsq, best_nbits = r, res, res_bits, nsq, nbits
         return best_r, best_res, den
 
-    def __call__(self, state) -> tuple[Vec, str]:
+    def __call__(self, state) -> tuple[Step, str]:
         r, res, _ = self._nearest_residual(*state.integer_center)
         if not res:
             return hold(state), f"on family {r}"
@@ -116,24 +115,26 @@ class GreedyBlack:
         step = self._steps.get(key)
         if step is None:
             direction = rational_unit_direction(scale(self.seq.vector(r), side))
-            step = self._steps[key] = scale(direction, 1 - beta)
+            step = self._steps[key] = over_common_denominator(scale(direction, 1 - beta))
         return step, f"chasing family {r}"
 
 
 class Scripted:
     """Replay a fixed list of centers (then hold).  Notes ride along so a
     recorded trace can be reproduced byte-for-byte.  Each center c' becomes
-    the step (c' - c) / R from the ball it is played in."""
+    the step (c' - c) / R from the ball it is played in, as integers over
+    their least common denominator."""
 
     def __init__(self, centers: Sequence[Sequence], notes: Sequence[str | None] | None = None):
         self.centers = [tuple(rat(c) for c in ctr) for ctr in centers]
         self.notes = list(notes) if notes is not None else None
         self.cursor = 0
 
-    def __call__(self, state) -> tuple[Vec, str | None]:
+    def __call__(self, state) -> tuple[Step, str | None]:
         i = self.cursor
         self.cursor += 1
         if i >= len(self.centers):
             return hold(state), None
         note = self.notes[i] if self.notes is not None and i < len(self.notes) else None
-        return scale(sub(self.centers[i], state.ball.center), 1 / state.ball.radius), note
+        step = scale(sub(self.centers[i], state.ball.center), 1 / state.ball.radius)
+        return over_common_denominator(step), note

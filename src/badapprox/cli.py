@@ -235,7 +235,10 @@ def cmd_psi(args) -> int:
     records = best_approximations(theta, args.tmax)
     # an m x 1 theta's steps are its records: the lattice is scanned once
     steps = record_steps(records) if theta.n == 1 else psi_steps(theta, args.tmax)
-    checked = None if args.check is None else psi_theta(theta, args.check)  # before any write
+    checked = None  # decided before any write; steps are prefix-closed in t
+    if args.check is not None:
+        checked = ([v for t, v in steps if t <= args.check][-1] if 1 <= args.check <= args.tmax
+                   else psi_theta(theta, args.check))
     usable = [(t, v) for t, v in steps if v > 0]
     path = _write_report(
         args, "psi.json",

@@ -2,29 +2,29 @@
 
 Black owns the outer ball; White replies inside it with radius alpha*rho,
 Black replies inside that with radius beta*rho_white, and so on.  The engine
-owns the radii entirely.  A policy is any callable ``state -> (step, note)``:
-the step s is the move's displacement in units of the current radius R, so
-the reply center is c + R*s (a zero step holds the center), and the note
-says why (or None); the engine records it on the move.
+owns the radii entirely.  A policy is any callable ``state -> ((q, v), note)``:
+the step is the move's displacement v/q in units of the current radius R,
+q a positive int and v a sequence of n ints, in any common terms (the order
+(den, nums) of exact.over_common_denominator), so the reply center is
+c + R*v/q (a zero v holds the center), and the note says why (or None); the
+engine records it on the move.  A policy builds the integers where it makes
+its value, and run_game reads every step in this one form.
 
 Legality is one exact integer predicate, within_slack: the reply ball lies
-inside the current one iff |c' - c| <= (1 - rho)*R, i.e. |s| <= 1 - rho,
-decided on the step's integers over their common denominator, with the
-slack as an integer pair (b - a, b) for rho = a/b.  A zero step is always
-legal, because GameParams keeps 1 - rho > 0, so run_game skips the test for
-it.  run_game keeps the center as an integer vector over one denominator
-and folds each step into it with small-integer products; each recorded
-coordinate, and each radius, is reduced once, by exact.fraction.  Every
-round scales the radius by alpha*beta, so that denominator is mostly a
-power of two, and fraction takes it out by a shift and runs a gcd only on
-the small odd part: exact, because the two parts are coprime.  Each
-GameState hands its policy that integer center as a tuple
-(GameState.integer_center), so no policy rebuilds a common denominator of
-the Fraction center.  A step object is converted and checked once per seat:
-when a policy returns the very tuple of Fractions it returned last, as a
-drive, a cached chase or hold does, its integer form is reused.  The trace
-still records every move's absolute center and radius, so its file layout
-does not depend on how the game was played.
+inside the current one iff |c' - c| <= (1 - rho)*R, i.e. |v/q| <= 1 - rho,
+decided on v and q with the slack as an integer pair (b - a, b) for
+rho = a/b.  A zero step is always legal, because GameParams keeps
+1 - rho > 0, so run_game skips the test for it.  run_game keeps the center
+as an integer vector over one denominator and folds each step into it with
+small-integer products; each recorded coordinate, and each radius, is
+reduced once, by exact.fraction.  Every round scales the radius by
+alpha*beta, so that denominator is mostly a power of two, and fraction
+takes it out by a shift and runs a gcd only on the small odd part: exact,
+because the two parts are coprime.  Each GameState hands its policy that
+integer center as a tuple (GameState.integer_center), so no policy
+rebuilds a common denominator of the Fraction center.  The trace still
+records every move's absolute center and radius, so its file layout does
+not depend on how the game was played.
 A held center is rendered, parsed and checked once: dumps, loads and replay
 reuse the previous move's center when a move repeats it, and replay skips
 its slack test.  A loaded trace writes back the canonical text it was read
@@ -59,7 +59,6 @@ from .exact import (
     over_common_denominator,
     rat,
     rat_str,
-    rat_vec,
 )
 from .geometry import Ball, Vec, same_dimension
 
@@ -240,6 +239,9 @@ class GameTrace(Record):
         return cls.from_jsonable(json.loads(text))
 
 
+_INT_ONLY = {int}
+
+
 def within_slack(disp: Iterable[int], den: int, p: int, q: int) -> bool:
     """Exact: does the displacement disp/den (integers over den > 0) have
     length at most the slack p/q (q > 0, p/q in any terms)?  On squares,
@@ -249,19 +251,20 @@ def within_slack(disp: Iterable[int], den: int, p: int, q: int) -> bool:
     return sum(d * d for d in disp) * q * q <= p * p * den * den
 
 
-#: A policy maps the state to its step, in units of the current radius, and
-#: a note (or None).
-Policy = Callable[[GameState], tuple[Sequence, str | None]]
+#: A step: the displacement v/q radii as (q, v), q > 0 and v n ints.
+Step = tuple[int, Sequence[int]]
+#: A policy maps the state to its step and a note (or None).
+Policy = Callable[[GameState], tuple[Step, str | None]]
 
 
 @functools.cache
-def _zero(n: int) -> Vec:
-    return (Fraction(0),) * n
+def _zero(n: int) -> Step:
+    return 1, (0,) * n
 
 
-def hold(state: GameState) -> Vec:
-    """The zero step: the reply keeps the current center.  One tuple per
-    dimension is shared by every call."""
+def hold(state: GameState) -> Step:
+    """The zero step (1, (0, ..., 0)): the reply keeps the current center.
+    One pair per dimension is shared by every call."""
     return _zero(state.ball.dimension)
 
 
@@ -274,8 +277,10 @@ def run_game(
 ) -> GameTrace:
     """Play `rounds` full rounds (White then Black) from the initial ball.
 
-    Raises IllegalMove as soon as a policy proposes a step longer than
-    1 - rho (rho = alpha for White, beta for Black), i.e. a reply ball not
+    Each step (q, v) must be an int q > 0 and n ints v, or run_game raises
+    TypeError (a float, bool, Fraction or string) or ValueError.  It raises
+    IllegalMove as soon as a policy proposes a step longer than 1 - rho
+    (rho = alpha for White, beta for Black), i.e. a reply ball not
     contained in the current ball.  Nothing is clamped.
 
     The center is N / (U * lam): U the unreduced radius denominator
@@ -286,14 +291,9 @@ def run_game(
     U * b * lam', lam' = lcm(lam, q) and rho = a/b: products of integers, no
     gcd.  Each recorded coordinate is reduced once, and each radius P/U
     too, by exact.fraction.  A step is legal iff within_slack holds on v/q
-    with slack (b - a)/b.  A zero step is always legal (GameParams keeps
-    1 - rho > 0), so it skips the slack test and reuses the current center.
-
-    A step is checked once per seat: when a policy returns the very tuple
-    it returned last, its (q, v) is reused with no conversion and no test.
-    Only a tuple that rat_vec returns unchanged is remembered; it holds
-    only Fractions, so it cannot have changed.  Any other step, a list
-    among them, is converted and checked on every call.
+    with slack (b - a)/b; every nonzero step is tested on every call.  A
+    zero step is always legal (GameParams keeps 1 - rho > 0), so it skips
+    the slack test and reuses the current center.
     """
     trace = GameTrace(params, initial)
     current = initial
@@ -301,42 +301,36 @@ def run_game(
     lam, nums = over_common_denominator(initial.center)
     nums = tuple(x * u for x in nums)
     den = u * lam
-    # per seat: turn, policy, a, b, and the last remembered step with its
-    # (q, v), None for a zero step
-    seats = [[turn, policy, rho.numerator, rho.denominator, None, None]
+    seats = [(turn, policy, rho.numerator, rho.denominator)
              for turn, policy, rho in (("W", white, params.alpha), ("B", black, params.beta))]
     move_index = 0
     for _ in range(rounds):
-        for seat in seats:
-            turn, policy, a, b, known, form = seat
+        for turn, policy, a, b in seats:
             state = GameState(params, current, move_index, turn)
             _set_form(state, (den, nums))
-            step, note = policy(state)
-            if step is not known:
-                checked = rat_vec(step)
-                same_dimension(checked, nums)
-                form = None
-                if any(checked):
-                    form = over_common_denominator(checked)
-                    if not within_slack(form[1], form[0], b - a, b):
-                        center = tuple(c + current.radius * s
-                                       for c, s in zip(current.center, checked))
-                        raise IllegalMove(turn, move_index, center, "reply ball leaves current ball")
-                if checked is step:
-                    seat[4:] = step, form
+            (q, v), note = policy(state)
+            if type(q) is not int or not set(map(type, v)) <= _INT_ONLY:
+                raise TypeError(f"a step (q, v) holds ints only, got "
+                                f"{[type(x).__name__ for x in (q, *v)]}")
+            if q <= 0:
+                raise ValueError(f"a step's denominator must be positive, got {q}")
+            same_dimension(v, nums)
             u *= b
-            if form is None:
-                nums = tuple(x * b for x in nums)
-                den *= b
-                center = current.center
-            else:
-                q, v = form
+            if any(v):
+                if not within_slack(v, q, b - a, b):
+                    center = tuple(c + current.radius * Fraction(x, q)
+                                   for c, x in zip(current.center, v))
+                    raise IllegalMove(turn, move_index, center, "reply ball leaves current ball")
                 grown = lam if lam % q == 0 else lam * (q // math.gcd(lam, q))
                 keep, push = b * (grown // lam), p * b * (grown // q)
                 nums = tuple(x * keep + y * push for x, y in zip(nums, v))
                 lam = grown
                 den = u * lam
                 center = tuple(map(fraction, nums, repeat(den)))
+            else:
+                nums = tuple(x * b for x in nums)
+                den *= b
+                center = current.center
             p *= a
             current = Ball(center, fraction(p, u))
             trace.moves.append(MoveRecord(turn, current, note))
@@ -344,7 +338,7 @@ def run_game(
     return trace
 
 
-def concentric(state: GameState) -> tuple[Vec, None]:
+def concentric(state: GameState) -> tuple[Step, None]:
     """The lazy policy: keep the current center."""
     return hold(state), None
 

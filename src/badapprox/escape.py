@@ -3,7 +3,8 @@
 The core maneuver: from a ball threatened by an affine hyperplane with
 integer normal u, pick a unit direction x̂ inside a spherical cap around the
 outward normal and push the center by (1-alpha)*rho along x̂ every round:
-the step (1-alpha)*x̂, in units of the radius (engine.Policy).
+the step (1-alpha)*x̂, in units of the radius, as integers over their least
+common denominator (engine.Policy).
 Against *any* legal opponent this drives the whole ball into the halfspace
 {x̂·(y - start) >= (gamma/2)*rho_start} within `escape_rounds` rounds, and for
 directions in a slightly smaller cap ("strong" hits) it leaves the final ball
@@ -25,7 +26,7 @@ from fractions import Fraction
 from operator import mul
 from random import Random
 
-from .engine import hold
+from .engine import Step, hold
 from .exact import (
     InvariantError,
     Record,
@@ -69,19 +70,6 @@ def _residual(ball: Ball, plane: Hyperplane) -> tuple[int, int]:
     return sum(map(mul, plane.normal, nums)) - plane.offset * den, den
 
 
-def _side(res: int, plane: Hyperplane) -> int:
-    """The sign of the center residual res, falling back to the
-    lexicographic sign of the normal when the plane passes exactly
-    through the center."""
-    return 1 if res > 0 else -1 if res < 0 else lex_sign(plane.normal)
-
-
-def plane_sign(ball: Ball, plane: Hyperplane) -> int:
-    """Which side of the plane the escape pushes toward: the _side of the
-    center residual."""
-    return _side(_residual(ball, plane)[0], plane)
-
-
 def absorbed(ball: Ball, plane: Hyperplane, gamma: Fraction) -> bool:
     """Exact: dist(ball, plane) > gamma * radius.
 
@@ -111,12 +99,14 @@ def integer_direction(direction: Vec) -> tuple[list[int], int]:
 class PlaneCap:
     """The three cap tests of one plane against one ball, in integers.
 
-    A direction x̂ enters as (v, L) from integer_direction, and
-    a = projection(v) = L*A with A = sgn*(u · x̂) the component along the
-    outward normal.  With gamma = P/Q, shrink_t = (alpha*beta)^escape_rounds
-    = S/T and |s0|/rho = R1/R2, each test below is its rational form
-    multiplied through by positive denominators, so it is decided on
-    integers with at most two squarings.
+    The outward normal is sgn*u, sgn the sign of the center residual, or
+    the lexicographic sign of u when the plane passes through the center:
+    the side the escape pushes toward.  A direction x̂ enters as (v, L) from
+    integer_direction, and a = projection(v) = L*A with A = sgn*(u · x̂)
+    the component along the outward normal.  With gamma = P/Q, shrink_t =
+    (alpha*beta)^escape_rounds = S/T and |s0|/rho = R1/R2, each test below
+    is its rational form multiplied through by positive denominators, so it
+    is decided on integers with at most two squarings.
     """
 
     __slots__ = ("outward", "norm_sq", "cap_scale", "cap_bound", "strong_lhs",
@@ -124,7 +114,7 @@ class PlaneCap:
 
     def __init__(self, ball: Ball, plane: Hyperplane, gamma: Fraction, shrink_t: Fraction):
         res, den = _residual(ball, plane)
-        sgn = _side(res, plane)
+        sgn = 1 if res > 0 else -1 if res < 0 else lex_sign(plane.normal)
         p, q = gamma.numerator, gamma.denominator
         s, t = shrink_t.numerator, shrink_t.denominator
         # |s0|/rho in lowest terms, so that the per-candidate tests stay small
@@ -363,7 +353,7 @@ class AvoidanceDrive:
         self.remaining = list(range(len(self.planes)))
         self.pos = 0
         self.direction: Vec | None = None
-        self.step: Vec | None = None  # (1-alpha) * direction
+        self.step: Step | None = None  # (1-alpha) * direction, over one denominator
         self.pending: tuple[Halfspace, tuple[int, ...]] | None = None
 
     def _boundary(self, ball: Ball) -> None:
@@ -397,12 +387,12 @@ class AvoidanceDrive:
         else:
             self.direction = None
 
-    def __call__(self, state) -> tuple[Vec, str]:
+    def __call__(self, state) -> tuple[Step, str]:
         t = self.params.escape_rounds
         if self.pos < self.params.avoidance_rounds and self.pos % t == 0:
             self._boundary(state.ball)
             if self.direction is not None:
-                self.step = scale(self.direction, 1 - state.params.alpha)
+                self.step = over_common_denominator(scale(self.direction, 1 - state.params.alpha))
         sub = self.pos // t
         if self.pos >= self.params.avoidance_rounds or self.direction is None:
             step = hold(state)

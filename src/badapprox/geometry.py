@@ -222,9 +222,6 @@ class Halfspace(Record, frozen=True):
         set_threshold(self, threshold)
         set_anchor(self, anchor)
 
-    def height(self, p: Vec) -> Fraction:
-        return dot(self.direction, sub(p, self.anchor))
-
     def contains_ball(self, ball: Ball) -> bool:
         """Exact: height of the center clears threshold + radius.  With the
         direction v/L, and the center and anchor C/D and A/D over one common

@@ -29,8 +29,8 @@ from .exact import (
     round_half_even,
     sqrt_bounds,
 )
-from .engine import GameParams, GameTrace, hold, run_game
-from .geometry import Ball, Hyperplane, Vec
+from .engine import GameParams, GameTrace, Step, hold, run_game
+from .geometry import Ball, Hyperplane
 from .escape import AvoidanceDrive
 from .resonance import ResonanceSequence
 from .schedule import (
@@ -141,7 +141,7 @@ class WhiteStrategy:
                     f"clearance at move {self.moves}"
                 )
 
-    def __call__(self, state) -> tuple[Vec, str]:
+    def __call__(self, state) -> tuple[Step, str]:
         tau = self.params.avoidance_rounds
         block = self.moves // tau if tau else self.sched.blocks
         if block >= self.sched.blocks:

@@ -6,6 +6,7 @@ from random import Random
 import pytest
 from hypothesis import HealthCheck, settings
 
+from badapprox.exact import over_common_denominator
 from badapprox.geometry import Ball, Hyperplane, scale
 from badapprox.resonance import (
     ResonanceEntry,
@@ -80,7 +81,7 @@ def escape_drive(direction):
     direction on every move, the push that escape drives make."""
 
     def policy(state):
-        return scale(direction, 1 - state.params.alpha), None
+        return over_common_denominator(scale(direction, 1 - state.params.alpha)), None
 
     return policy
 

@@ -15,7 +15,8 @@ where the package draws it by ``getrandbits``.  The engine's ball
 containment and trace rendering are the ``Fraction`` test and the generic
 ``json.dumps`` call that the integer test and the direct trace writer
 replaced, held to them by test_geometry.py and test_engine.py; the
-absolute-center engine beside them adds each step to the center as a
+absolute-center engine beside them reads each step (q, v) as the
+``Fraction``s v/q (``step_fractions``), adds it to the center as a
 ``Fraction`` sum and tests containment of the reply ball, where
 ``engine.run_game`` decides legality on the step and folds it into an
 integer center, held to it by test_engine.py.  The three
@@ -528,7 +529,8 @@ def nearest_family(seq: ResonanceSequence, center) -> tuple[int, Fraction]:
 
 class RandomBlack:
     """RandomBlack by its first route: each coordinate of the grid point drawn
-    by randrange(2K + 1) - K and scaled by the Fraction (1 - beta) / K."""
+    by randrange(2K + 1) - K and scaled by the Fraction (1 - beta) / K, the
+    step brought to its least common denominator."""
 
     def __init__(self, seed: int = 0):
         self.rng = Random(seed)
@@ -540,8 +542,9 @@ class RandomBlack:
             if sum(c * c for c in pt) <= k * k:
                 break
         beta = state.params.beta
-        return tuple(Fraction(c * (beta.denominator - beta.numerator), beta.denominator * k)
-                     for c in pt), None
+        return over_common_denominator(
+            [Fraction(c * (beta.denominator - beta.numerator), beta.denominator * k) for c in pt]
+        ), None
 
 
 class GreedyBlack:
@@ -554,9 +557,9 @@ class GreedyBlack:
     def __call__(self, state):
         r, res = nearest_family(self.seq, state.ball.center)
         if res == 0:
-            return (Fraction(0),) * state.ball.dimension, f"on family {r}"
+            return (1, (0,) * state.ball.dimension), f"on family {r}"
         direction = rational_unit_direction(scale(self.seq.vector(r), -1 if res > 0 else 1))
-        return scale(direction, 1 - state.params.beta), f"chasing family {r}"
+        return over_common_denominator(scale(direction, 1 - state.params.beta)), f"chasing family {r}"
 
 
 # -- the strategy's predicates and the 1x1 records ----------------------------
@@ -742,17 +745,25 @@ def integer_contains_ball(outer: Ball, inner: Ball) -> bool:
     return within_slack(disp, den, slack.numerator, slack.denominator)
 
 
+def step_fractions(step) -> Vec:
+    """The step (q, v) of a policy as the Fractions v/q."""
+    q, v = step
+    return tuple(Fraction(x, q) for x in v)
+
+
 def run_game_absolute(
     params: GameParams, initial: Ball, white, black, rounds: int
 ) -> GameTrace:
-    """run_game on absolute centers: each reply center is c + R*s, a
-    Fraction sum, and the reply ball must pass contains_ball."""
+    """run_game on absolute centers: each reply center is c + R*s, s the
+    step as Fractions, a Fraction sum, and the reply ball must pass
+    contains_ball."""
     trace = GameTrace(params, initial)
     current = initial
     index = 0
     for _ in range(rounds):
         for turn, policy, rho in (("W", white, params.alpha), ("B", black, params.beta)):
             step, note = policy(GameState(params, current, index, turn))
+            step = step_fractions(step)
             if len(step) != params.dimension:
                 raise ValueError("dimension mismatch")
             center = add(current.center, scale(step, current.radius))

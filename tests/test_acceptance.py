@@ -24,16 +24,21 @@ from badapprox.engine import Ball, GameParams, GameTrace, concentric, replay, ru
 from badapprox.escape import (
     AvoidanceDrive,
     drive_halfspace,
-    plane_sign,
     select_cap,
 )
-from badapprox.exact import ceil_frac
+from badapprox.exact import ceil_frac, over_common_denominator
 from badapprox.geometry import Hyperplane, cap_measure_bounds, norm_sq
 from badapprox.resonance import ThetaMatrix, golden_theta
 from badapprox.schedule import block_schedule, derive_params
 from badapprox.strategy import CertificateFailed, certificate, run_constructed_game
 from conftest import cap_selection_inputs, escape_drive, make_sequence
-from oracles import cap_fraction_montecarlo, contains_ball, strong_cap_member, verified_miss
+from oracles import (
+    cap_fraction_montecarlo,
+    contains_ball,
+    plane_sign,
+    strong_cap_member,
+    verified_miss,
+)
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -67,9 +72,9 @@ def jitter_policy(seed: int):
 
     def policy(state):
         shrink = state.params.alpha if state.turn == "W" else state.params.beta
-        return tuple(
+        return over_common_denominator([
             (1 - shrink) * F(rng.randrange(-9, 10), 16) for _ in state.ball.center
-        ), None
+        ]), None
 
     return policy
 
@@ -126,7 +131,7 @@ def test_criterion_02_drift_identity_exact():
         gp = GameParams(alpha, beta, 1)
 
         def opposed(state):
-            return (-(1 - state.params.beta),), None
+            return over_common_denominator([-(1 - state.params.beta)]), None
 
         white = escape_drive((F(1),))
         tr = run_game(gp, Ball((F(0),), F(1)), white, opposed, 1)

@@ -83,16 +83,18 @@ def test_random_black_steps_match_the_per_coordinate_fraction():
 @pytest.mark.parametrize("beta", [Fraction(1, 2), Fraction(2, 5), Fraction(3, 7), Fraction(5, 12)])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_random_black_draws_equal_the_randrange_route(n, beta):
-    # getrandbits(11) below 1025 is randrange(1025)'s own draw, and
-    # exact.fraction builds the Fraction that (1 - beta) / K scaling builds
+    # getrandbits(11) below 1025 is randrange(1025)'s own draw, and the
+    # integers c * (b - a) over b * K are the Fractions (1 - beta) / K builds
     gp = GameParams(Fraction(1, 4), beta, n)
     state = GameState(gp, Ball((Fraction(0),) * n, Fraction(1)), 1, "B")
     for seed in (0, 5, 2**40 + 3):
         ours, theirs = RandomBlack(seed=seed), oracles.RandomBlack(seed=seed)
         for _ in range(200):
-            step, note = ours(state)
-            assert (step, note) == theirs(state)
-            assert all(type(s) is Fraction for s in step)
+            (q, v), note = ours(state)
+            want, want_note = theirs(state)
+            assert note is want_note is None
+            assert oracles.step_fractions((q, v)) == oracles.step_fractions(want)
+            assert q == beta.denominator * RANDOM_GRID and all(type(x) is int for x in v)
         assert ours.rng.getstate() == theirs.rng.getstate()
 
 
@@ -112,8 +114,9 @@ def test_random_black_steps_are_pinned(seed, n, digest):
     black = RandomBlack(seed=seed)
     h = hashlib.sha256()
     for _ in range(300):
-        step, note = black(state)
-        assert note is None and all(type(s) is Fraction for s in step)
+        (q, v), note = black(state)
+        assert note is None and type(q) is int and all(type(x) is int for x in v)
+        step = oracles.step_fractions((q, v))
         h.update((",".join(f"{s.numerator}/{s.denominator}" for s in step) + "\n").encode())
     assert h.hexdigest() == digest
 
@@ -376,7 +379,7 @@ def test_greedy_step_follows_beta_on_one_instance():
         state = GameState(gp, Ball(center, Fraction(1, 1000)), 1, "B")
         step, note = greedy(state)
         assert note == "chasing family 1"
-        assert step == tuple((1 - beta) * x for x in direction)
+        assert oracles.step_fractions(step) == tuple((1 - beta) * x for x in direction)
         assert (step, note) == fresh(state)
     assert len(greedy._steps) == 2
 

@@ -20,7 +20,7 @@ import badapprox
 from badapprox import cli
 from badapprox.cli import main
 from badapprox.engine import GameTrace, replay
-from badapprox.exact import InvariantError, rat
+from badapprox.exact import InvariantError, rat, rat_str
 from badapprox import resonance
 from badapprox.resonance import ThetaMatrix, psi_steps, psi_theta
 
@@ -377,6 +377,36 @@ def test_psi_of_a_2x1_theta_scans_its_lattice_once(tmp_path, monkeypatch):
     assert len(steps) > 5
     assert blob["table"] == {"sizes": [t for t, _ in steps],
                              "values": [f"{q.numerator}/{q.denominator}" for _, q in steps]}
+
+
+@pytest.mark.parametrize("entries, tmax, sup_scans", [
+    ([["1234567891/2147483647"], ["987654321/2147483647"]], 1000, False),  # 2x1
+    ([["1234567891/2147483647", "987654321/2147483647"]], 120, True),      # 1x2
+])
+def test_psi_check_within_tmax_reads_the_scan_it_ran(tmp_path, capsys, monkeypatch,
+                                                     entries, tmax, sup_scans):
+    # --check t <= --tmax reads psi(t) off the steps already scanned; only a
+    # t above --tmax scans again.  An m x 1 theta's steps come from its
+    # records' Euclidean scan, any other shape's from one sup-norm scan.
+    theta = tmp_path / "theta.json"
+    theta.write_text(json.dumps({"m": len(entries), "n": len(entries[0]), "entries": entries}))
+    matrix = ThetaMatrix.from_jsonable(json.loads(theta.read_text()))
+    plain = tmp_path / "plain"
+    assert run(plain, "psi", "--theta", str(theta), "--tmax", str(tmax)) == 0
+    capsys.readouterr()
+    scans, shell_records = [], resonance._shell_records
+    monkeypatch.setattr(resonance, "_shell_records",
+                        lambda *args, **kw: scans.append(args[1:] + (kw["euclidean"],))
+                        or shell_records(*args, **kw))
+    first = [(tmax, True)] + [(tmax, False)] * sup_scans
+    for check in (1, 2, 37, tmax - 1, tmax, tmax + 1, 3 * tmax):
+        out = tmp_path / str(check)
+        scans.clear()
+        assert run(out, "psi", "--theta", str(theta), "--tmax", str(tmax), "--check", str(check)) == 0
+        assert scans == first + ([] if check <= tmax else [(check, not sup_scans)])
+        assert (out / "psi.json").read_bytes() == (plain / "psi.json").read_bytes()
+        want = psi_theta(matrix, check)
+        assert f"psi({check}) = {rat_str(want)}\n" in capsys.readouterr().out
 
 
 def spellings_agree(tmp_path, argv, option, value, files):

@@ -25,7 +25,7 @@ from badapprox.engine import (
 )
 from badapprox import geometry
 from badapprox.escape import AvoidanceDrive
-from badapprox.exact import rat_str
+from badapprox.exact import over_common_denominator, rat_str
 from badapprox.geometry import Ball, Hyperplane
 from badapprox.schedule import block_schedule, derive_params
 from badapprox.strategy import WhiteStrategy, run_constructed_game
@@ -50,17 +50,17 @@ class StepPolicy:
         self.offset = tuple(Fraction(x) for x in offset)
 
     def __call__(self, state: GameState):
-        return tuple(o / state.ball.radius for o in self.offset), None
+        return over_common_denominator([o / state.ball.radius for o in self.offset]), None
 
 
 class RelativeStep:
     """Step a fixed fraction of the current radius along each coordinate."""
 
     def __init__(self, fractions_of_radius):
-        self.frac = tuple(Fraction(x) for x in fractions_of_radius)
+        self.step = over_common_denominator([Fraction(x) for x in fractions_of_radius])
 
     def __call__(self, state: GameState):
-        return self.frac, None
+        return self.step, None
 
 
 class NotedPolicy:
@@ -126,7 +126,7 @@ def test_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
         run_game(p, unit_ball_1d(), concentric, concentric, 1)
     square = Ball((Fraction(0), Fraction(0)), Fraction(1))
-    for step in [(Fraction(0),), (Fraction(0),) * 3, ()]:  # a step of the wrong length
+    for step in [(1, (0,)), (1, (0,) * 3), (1, ())]:  # a step of the wrong length
         with pytest.raises(ValueError, match="dimension mismatch"):
             run_game(p, square, lambda state: (step, None), concentric, 1)
 
@@ -555,24 +555,29 @@ def _seat_game(n, turn, step, center=None):
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("turn", ["W", "B"])
 def test_a_step_of_length_exactly_its_slack_is_legal(n, turn):
+    # v/q on the slack is legal, in least terms and in terms 10^24 times
+    # larger, and v one unit of 1/q longer along its first coordinate is not
     slack = 1 - (Fraction(1, 4) if turn == "W" else Fraction(1, 2))
     unit = (Fraction(1),) if n == 1 else (Fraction(3, 5), Fraction(-4, 5))
-    step = tuple(slack * x for x in unit)
-    tr = _seat_game(n, turn, step)
+    q, v = over_common_denominator([slack * x for x in unit])
     i = 0 if turn == "W" else 1
-    prev = tr.initial if i == 0 else tr.moves[0].ball
-    assert tr.moves[i].ball.center == tuple(c + prev.radius * s for c, s in zip(prev.center, step))
-    assert oracles.contains_ball(prev, tr.moves[i].ball)
-    beyond = (step[0] + TINY,) + step[1:]
-    with pytest.raises(IllegalMove, match="leaves current ball") as ei:
-        _seat_game(n, turn, beyond)
-    assert (ei.value.player, ei.value.move_index) == (turn, i)
+    for k in (1, 10**24):
+        step = (k * q, tuple(k * x for x in v))
+        tr = _seat_game(n, turn, step)
+        prev = tr.initial if i == 0 else tr.moves[0].ball
+        moved = tuple(c + prev.radius * s for c, s in zip(prev.center, oracles.step_fractions(step)))
+        assert tr.moves[i].ball.center == moved
+        assert oracles.contains_ball(prev, tr.moves[i].ball)
+        beyond = (k * q, (k * v[0] + 1,) + step[1][1:])
+        with pytest.raises(IllegalMove, match="leaves current ball") as ei:
+            _seat_game(n, turn, beyond)
+        assert (ei.value.player, ei.value.move_index) == (turn, i)
 
 
 def test_a_zero_step_keeps_the_center():
     # holding reuses the center's coordinate objects, before and after a
-    # real step
-    steps = iter([(Fraction(0), 0), (Fraction(1, 3), Fraction(-1, 5)), (0, Fraction(0))])
+    # real step, whatever the zero step's denominator
+    steps = iter([(1, (0, 0)), (15, (5, -3)), (7, [0, 0])])
     p = GameParams(Fraction(2, 5), Fraction(1, 2), 2)
     start = Ball((Fraction(1, 3), Fraction(-2, 7)), Fraction(3, 5))
     tr = run_game(p, start, lambda state: (next(steps), None), concentric, 2)
@@ -588,10 +593,10 @@ def test_a_zero_step_keeps_the_center():
 
 
 @pytest.mark.parametrize("zero", [
-    (0, 0),
-    (Fraction(0), Fraction(0, 7)),
+    (1, (0, 0)),
+    (7, [0, 0]),
     "hold",
-    (False, False),  # bools coerce as ints do
+    (2**80 + 1, (0, 0)),
 ])
 @pytest.mark.parametrize("turn", ["W", "B"])
 def test_every_zero_step_is_a_legal_hold(zero, turn):
@@ -610,17 +615,18 @@ def test_hold_shares_one_zero_tuple_per_dimension():
         gp = GameParams(Fraction(1, 4), Fraction(1, 2), n)
         return GameState(gp, Ball((Fraction(1, 3),) * n, Fraction(1)), 0, "W")
 
-    assert hold(state(2)) is hold(state(2)) == (Fraction(0), Fraction(0))
-    assert hold(state(3)) == (Fraction(0),) * 3
-    assert all(type(x) is Fraction for x in hold(state(3)))
+    assert hold(state(2)) is hold(state(2)) == (1, (0, 0))
+    assert hold(state(3)) == (1, (0,) * 3)
+    q, v = hold(state(3))
+    assert type(q) is int and all(type(x) is int for x in v)
 
 
 @pytest.mark.parametrize("step, error, match", [
-    ((0.0, 0.0), TypeError, "float"),  # coerced before the zero test
-    ((0, 0.0), TypeError, "float"),
-    ((0,), ValueError, "dimension mismatch"),
-    ((Fraction(0),) * 3, ValueError, "dimension mismatch"),
-    ((False,) * 3, ValueError, "dimension mismatch"),
+    ((1, (0.0, 0.0)), TypeError, "float"),  # checked before the zero test
+    ((1, (0, 0.0)), TypeError, "float"),
+    ((1, (0,)), ValueError, "dimension mismatch"),
+    ((1, (0,) * 3), ValueError, "dimension mismatch"),
+    ((3, [0] * 3), ValueError, "dimension mismatch"),
 ])
 @pytest.mark.parametrize("turn", ["W", "B"])
 def test_a_zero_step_is_checked_before_it_holds(step, error, match, turn):
@@ -628,21 +634,59 @@ def test_a_zero_step_is_checked_before_it_holds(step, error, match, turn):
         _seat_game(2, turn, step)
 
 
+#: Steps of the wrong form, each with a zero v and with a nonzero one
+BAD_STEPS = [
+    ((1, (0.0, 0)), (4, (1.0, 0)), TypeError, "float"),
+    ((1, (False, 0)), (4, (True, 0)), TypeError, "bool"),
+    ((1, (Fraction(0), 0)), (4, (Fraction(1), 0)), TypeError, "Fraction"),
+    ((1, "00"), (4, "10"), TypeError, "str"),
+    ((1.0, (0, 0)), (4.0, (1, 0)), TypeError, "float"),
+    ((True, (0, 0)), (True, (1, 0)), TypeError, "bool"),
+    ((Fraction(1), (0, 0)), (Fraction(4), (1, 0)), TypeError, "Fraction"),
+    (("1", (0, 0)), ("4", (1, 0)), TypeError, "str"),
+    ((0, (0, 0)), (0, (1, 0)), ValueError, "positive"),
+    ((-1, (0, 0)), (-4, (-1, 0)), ValueError, "positive"),
+    ((1, (0,)), (4, (1,)), ValueError, "dimension mismatch"),
+    ((1, (0, 0, 0)), (4, (1, 0, 0)), ValueError, "dimension mismatch"),
+]
+
+
+@pytest.mark.parametrize("zero, moved, error, match", BAD_STEPS)
+@pytest.mark.parametrize("turn", ["W", "B"])
+def test_a_bad_step_raises_before_its_move_is_recorded(monkeypatch, zero, moved, error, match, turn):
+    # the only records built are the other seat's moves before the bad one
+    built = []
+
+    def record(*args):
+        built.append(args[0])
+        return MoveRecord(*args)
+
+    monkeypatch.setattr("badapprox.engine.MoveRecord", record)
+    for step in (zero, moved):
+        built.clear()
+        with pytest.raises(error, match=match):
+            _seat_game(2, turn, step)
+        assert built == ([] if turn == "W" else ["W"])
+
+
 @pytest.mark.parametrize("turn", ["W", "B"])
 def test_a_step_just_past_its_slack_still_fails_with_its_center(turn):
-    slack = 1 - (Fraction(1, 4) if turn == "W" else Fraction(1, 2))
-    step = (0, slack + TINY)
+    # (0, slack + 1/q) for q = 10^24 b, the slack's denominator times 10^24
+    a, b = (1, 4) if turn == "W" else (1, 2)
+    q = b * 10**24
+    step = (q, (0, (b - a) * 10**24 + 1))
     with pytest.raises(IllegalMove, match="leaves current ball") as ei:
         _seat_game(2, turn, step)
     start = Ball((Fraction(1, 3), Fraction(-2, 7)), Fraction(3, 5))
     radius = start.radius if turn == "W" else start.radius / 4
-    assert ei.value.center == (start.center[0], start.center[1] + radius * (slack + TINY))
+    slack = 1 - Fraction(a, b)
+    assert ei.value.center == (start.center[0], start.center[1] + radius * (slack + Fraction(1, q)))
     assert (ei.value.player, ei.value.move_index) == (turn, 0 if turn == "W" else 1)
 
 
 def test_illegal_move_reports_the_absolute_center():
     start = Ball((Fraction(1, 3), Fraction(-2, 7)), Fraction(3, 5))
-    step = (Fraction(3, 4), Fraction(1, 9))  # longer than 1 - alpha = 3/4
+    step = (36, (27, 4))  # (3/4, 1/9): longer than 1 - alpha = 3/4
     with pytest.raises(IllegalMove) as ei:
         _seat_game(2, "W", step, start.center)
     assert ei.value.center == (Fraction(1, 3) + Fraction(3, 5) * Fraction(3, 4),
@@ -657,9 +701,10 @@ def test_replay_rejects_a_move_of_the_wrong_dimension():
 
 
 class RandomSteps:
-    """Seeded steps with fresh denominators mid-game: mostly legal steps
-    of several kinds, sometimes a zero step, and rarely one just past the
-    slack (the game then ends in IllegalMove)."""
+    """Seeded steps with fresh denominators mid-game, in terms that are
+    seldom the least: mostly legal steps of several kinds, sometimes a zero
+    step, and rarely one just past the slack (the game then ends in
+    IllegalMove)."""
 
     DENOMINATORS = [1, 2, 3, 7, 16, 105, 2**20 + 7, 10**9 + 9]
 
@@ -669,16 +714,18 @@ class RandomSteps:
 
     def __call__(self, state: GameState):
         rng, n = self.rng, state.ball.dimension
-        slack = 1 - (state.params.alpha if state.turn == "W" else state.params.beta)
+        rho = state.params.alpha if state.turn == "W" else state.params.beta
+        s, b = rho.denominator - rho.numerator, rho.denominator  # the slack s/b
         kind = rng.randrange(10)
         if kind == 0:
-            return (Fraction(0),) * n, "hold"
+            return (rng.choice(self.DENOMINATORS), (0,) * n), "hold"
         q = rng.choice(self.DENOMINATORS) if kind < 8 else rng.randint(1, 10**6)
-        step = tuple(slack * Fraction(rng.randint(-q, q), q * n) for _ in range(n))
+        step = (b * q * n, [s * rng.randint(-q, q) for _ in range(n)])
         if kind == 9 and n > 1:  # on the boundary: (3/5, 4/5) times the slack
-            step = (slack * Fraction(3, 5), slack * Fraction(-4, 5)) + (Fraction(0),) * (n - 2)
-        if rng.randrange(self.illegal_every) == 0:
-            step = (slack + Fraction(1, q + 1),) + step[1:]
+            step = (5 * b, [3 * s, -4 * s] + [0] * (n - 2))
+        if rng.randrange(self.illegal_every) == 0:  # the first coordinate s/b + 1/(q + 1)
+            d, v = step
+            step = (d * b * (q + 1), [d * (s * (q + 1) + b)] + [x * b * (q + 1) for x in v[1:]])
         return step, f"kind {kind} q {q}"
 
 
@@ -712,25 +759,26 @@ def test_run_game_equals_the_absolute_center_engine(alpha, beta):
     assert 0 < illegal < 24  # both outcomes are exercised
 
 
-# -- each step object checked once per seat ---------------------------------
+# -- every step is checked on every call -------------------------------------
 
 
 @pytest.mark.parametrize("turn", ["W", "B"])
 @pytest.mark.parametrize("illegal", [
-    lambda step, slack: step.__setitem__(0, slack + TINY),  # past the slack
-    lambda step, slack: step.append(Fraction(0)),           # of the wrong dimension
-    lambda step, slack: step.__setitem__(1, 0.0),            # a float
+    lambda v: v.__setitem__(0, v[0] + 1),  # past the slack
+    lambda v: v.append(0),                 # of the wrong dimension
+    lambda v: v.__setitem__(1, 0.0),       # a float
 ])
 def test_a_list_step_mutated_after_a_legal_move_is_checked_again(turn, illegal):
-    # one list object, legal on its first two calls and then mutated in
-    # place: a list is never remembered, so its third call fails
-    slack = 1 - (Fraction(1, 4) if turn == "W" else Fraction(1, 2))
-    step, calls = [slack * Fraction(3, 5), slack * Fraction(-4, 5)], []
+    # one pair whose list v lies on the slack on its first two calls and is
+    # then mutated in place: its third call fails
+    b = 4 if turn == "W" else 2
+    v, calls = [3 * (b - 1), -4 * (b - 1)], []
+    step = (5 * b, v)
 
     def mover(state):
         calls.append(state.move_index)
         if len(calls) == 3:
-            illegal(step, slack)
+            illegal(v)
         return step, None
 
     p = GameParams(Fraction(1, 4), Fraction(1, 2), 2)
@@ -744,12 +792,12 @@ def test_a_list_step_mutated_after_a_legal_move_is_checked_again(turn, illegal):
 
 class Repeating:
     """RandomSteps' legal steps, each returned several calls in a row: as
-    the very tuple it first returned (repeat=True), or as a fresh tuple of
-    fresh Fractions (repeat=False); a third of the holds are hold's own
-    shared tuple, and every fifth step is a list."""
+    the very pair it first returned (scaled=False), or as a fresh pair
+    (k q, k v) for a k >= 2 (scaled=True); a third of the holds are
+    hold's own shared pair, and every fifth v is a list."""
 
-    def __init__(self, seed: int, repeat: bool):
-        self.inner, self.repeat, self.rng = RandomSteps(seed, 10**9), repeat, Random(seed)
+    def __init__(self, seed: int, scaled: bool):
+        self.inner, self.scaled, self.rng = RandomSteps(seed, 10**9), scaled, Random(seed)
         self.step, self.left = None, 0
 
     def __call__(self, state: GameState):
@@ -759,22 +807,25 @@ class Repeating:
             if kind == 0:
                 self.step = hold(state)
             elif kind < 3:
-                self.step = list(self.step)
+                self.step = (self.step[0], list(self.step[1]))
             self.left = self.rng.randint(1, 6)
         self.left -= 1
         step = self.step
-        if not self.repeat:
-            step = type(step)(Fraction(x.numerator, x.denominator) for x in step)
+        if self.scaled:
+            q, v = step
+            k = (2, 3, 2**64, 10**30 + 1)[self.left % 4]
+            step = (k * q, type(v)(k * x for x in v))
         return step, self.note
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_a_repeated_step_tuple_plays_as_fresh_tuples(n):
+    # a step in any common terms, returned again or afresh, plays alike
     gp = GameParams(Fraction(2, 5), Fraction(3, 8), n)
     start = Ball(tuple(Fraction(k, 7 + k) for k in range(1, n + 1)), Fraction(5, 9))
     same, fresh = (
-        run_game(gp, start, Repeating(n, repeat), Repeating(n + 10, repeat), 40).dumps()
-        for repeat in (True, False)
+        run_game(gp, start, Repeating(n, scaled), Repeating(n + 10, scaled), 40).dumps()
+        for scaled in (False, True)
     )
     assert same == fresh == oracles.run_game_absolute(
         gp, start, Repeating(n, True), Repeating(n + 10, True), 40).dumps()
@@ -822,6 +873,32 @@ def test_every_policy_decides_alike_on_a_hand_built_state():
                 white, black = Twin(make_white), Twin(make_black)
                 run_game(GameParams(a, b, n), start, white, black, params.avoidance_rounds)
                 assert white.calls == black.calls == params.avoidance_rounds
+
+
+def test_every_policy_plays_as_the_absolute_center_engine():
+    # each policy of the package, against each other seat's, gives the trace
+    # of the engine that adds its step to the center as Fractions
+    a, b = Fraction(1, 4), Fraction(1, 2)
+    vectors = [(1, 1), (3, 4), (-12, 9), (40, 30)]
+    seq, center = make_sequence(vectors), (Fraction(1, 10**6), Fraction(-3, 10**6))
+    params = derive_params(a, b, 3, 2)
+    sched = block_schedule(params, seq, Fraction(1, 64), 1)
+    gp, start = GameParams(a, b, 2), Ball(center, Fraction(1, 64))
+    planes = [Hyperplane(u, 0) for u in vectors]  # near the center: the drive moves
+    whites = [lambda: WhiteStrategy(seq, sched, seed=5),
+              lambda: AvoidanceDrive(planes, params, seed=5), lambda: concentric]
+    rounds, drives = params.avoidance_rounds + 2, 0
+    for make_white in whites:
+        played = run_game(gp, start, make_white(), RandomBlack(seed=3), rounds)
+        script = [m.ball.center for m in played.moves if m.player == "B"][:9]
+        blacks = [lambda: GreedyBlack(seq), lambda: RandomBlack(seed=7), lambda: concentric,
+                  lambda: Scripted(script, notes=[f"s{k}" for k in range(9)])]
+        for make_black in blacks:
+            ours, theirs = (engine(gp, start, make_white(), make_black(), rounds).dumps()
+                            for engine in (run_game, oracles.run_game_absolute))
+            assert ours == theirs
+            drives += ours.count(" drive ")
+    assert drives
 
 
 @pytest.fixture(scope="module")

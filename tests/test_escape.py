@@ -17,7 +17,6 @@ from badapprox.escape import (
     absorbed,
     drive_halfspace,
     integer_direction,
-    plane_sign,
     select_cap,
 )
 from badapprox.exact import InvariantError
@@ -33,7 +32,7 @@ from badapprox.adversaries import RandomBlack
 from badapprox.schedule import derive_params
 import oracles
 from conftest import cap_selection_inputs, escape_drive, long_rational
-from oracles import add, cap_member, stereo_unit, strong_cap_member, verified_miss
+from oracles import add, cap_member, plane_sign, stereo_unit, strong_cap_member, verified_miss
 
 F = Fraction
 TINY = Fraction(1, 10**24)
@@ -47,14 +46,19 @@ def params_n(n):
 # -- signs, escorts, absorption ----------------------------------------------
 
 
-def test_plane_sign_and_tie():
+def test_plane_cap_outward_side_and_tie():
+    def outward(ball, plane):
+        return PlaneCap(ball, plane, Fraction(1, 2), Fraction(1, 8)).outward
+
     ball = Ball((Fraction(1, 3),), Fraction(1, 10))
-    assert plane_sign(ball, Hyperplane((1,), 0)) == 1  # residual 1/3 > 0
-    assert plane_sign(ball, Hyperplane((1,), 1)) == -1
-    through = Ball((Fraction(0),), Fraction(1, 10))
+    assert outward(ball, Hyperplane((1,), 0)) == (1,)  # residual 1/3 > 0
+    assert outward(ball, Hyperplane((1,), 1)) == (-1,)
+    assert outward(ball, Hyperplane((-3,), -2)) == (-3,)  # residual 3 > 0
+    through = Ball((Fraction(0), Fraction(1, 2)), Fraction(1, 10))
     # plane through the center: tie broken toward lexicographic sign of u
-    assert plane_sign(through, Hyperplane((1,), 0)) == 1
-    assert plane_sign(through, Hyperplane((-3,), 0)) == -1
+    assert outward(through, Hyperplane((1, 2), 1)) == (1, 2)
+    assert outward(through, Hyperplane((-3, 2), 1)) == (3, -2)
+    assert outward(through, Hyperplane((0, -2), -1)) == (0, 2)
 
 
 def escort_point(ball, plane):
@@ -108,7 +112,7 @@ HAIR = Fraction(1, 2**1500)
 
 
 def test_absorbed_sign_and_clearance_match_fraction_oracles_on_long_denominators():
-    # absorbed, plane_sign and PlaneCap's outward normal and clearance |s0|/rho
+    # absorbed and PlaneCap's outward normal (its side) and clearance |s0|/rho
     # against their Fraction forms; a ninth of the planes pass through the center
     rng = Random(37)
     seen = set()
@@ -124,7 +128,6 @@ def test_absorbed_sign_and_clearance_match_fraction_oracles_on_long_denominators
         want = oracles.absorbed(ball, plane, gamma)
         assert absorbed(ball, plane, gamma) is want, trial
         sgn = oracles.plane_sign(ball, plane)
-        assert plane_sign(ball, plane) == sgn
         cap = PlaneCap(ball, plane, gamma, Fraction(1, 8))
         clearance = abs(plane.residual(ball.center)) / ball.radius
         assert cap.outward == tuple(sgn * c for c in u)

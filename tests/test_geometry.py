@@ -257,14 +257,16 @@ def test_halfspace_requires_exact_unit_direction():
     hs = Halfspace(
         (Fraction(3, 5), Fraction(4, 5)), Fraction(1, 4), (Fraction(0), Fraction(0))
     )
-    assert hs.height((Fraction(3, 5), Fraction(4, 5))) == 1
-    assert hs.height((Fraction(0), Fraction(0))) == 0
+    # heights 5/4 and 1 above the anchor, against threshold 1/4 + radius 1
+    assert hs.contains_ball(Ball((Fraction(3, 4), Fraction(1)), Fraction(1)))
+    assert not hs.contains_ball(Ball((Fraction(3, 5), Fraction(4, 5)), Fraction(1)))
 
 
 def test_halfspace_height_dimension_mismatch():
+    # contains_ball measures the center's height against the anchor
     hs = Halfspace((Fraction(3, 5), Fraction(4, 5)), Fraction(0), (Fraction(0), Fraction(0)))
     with pytest.raises(ValueError, match="dimension mismatch"):
-        hs.height((Fraction(1),))
+        hs.contains_ball(Ball((Fraction(1),), Fraction(1, 2)))
 
 
 def test_halfspace_contains_ball_boundary():
@@ -291,7 +293,7 @@ def test_halfspace_decides_touching_balls_on_long_denominators(n):
         hs = Halfspace(direction, threshold, anchor)
         center = tuple(a + (threshold + radius) * d for a, d in zip(anchor, direction))
         lower = tuple(c - d / long_den for c, d in zip(center, direction))
-        assert hs.height(center) - threshold == radius
+        assert dot(direction, [c - a for c, a in zip(center, anchor)]) - threshold == radius
         assert hs.contains_ball(Ball(center, radius))
         assert not hs.contains_ball(Ball(lower, radius))
         assert oracles.halfspace_contains_ball(hs, Ball(center, radius))

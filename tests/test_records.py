@@ -191,7 +191,7 @@ def test_the_form_a_state_keeps_is_not_a_field():
     params = GameParams("1/4", "1/2", 2)
     ball = Ball((Fraction(1, 3), 2), "1/4")
     seen = []
-    run_game(params, ball, lambda state: seen.append(state) or ((0, 0), None), concentric, 1)
+    run_game(params, ball, lambda state: seen.append(state) or ((1, (0, 0)), None), concentric, 1)
     played, plain = seen[0], GameState(params, ball, 0, "W")
     assert played._form == (12, (4, 24)) and not hasattr(plain, "_form")
     assert plain.integer_center == (3, (1, 6)) == plain._form

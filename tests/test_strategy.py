@@ -10,7 +10,7 @@ import pytest
 from badapprox import strategy
 from badapprox.adversaries import GreedyBlack, RandomBlack
 from badapprox.engine import GameParams, concentric, run_game
-from badapprox.exact import InvariantError
+from badapprox.exact import InvariantError, over_common_denominator
 from badapprox.geometry import Ball, Hyperplane, dot
 from badapprox.resonance import ResonanceSequence
 from badapprox.schedule import ScheduleInfeasible, block_schedule, derive_params
@@ -236,7 +236,7 @@ def test_white_wins_against_every_black_on_the_flagship_grid(golden_seq):
     for choices in itertools.product(grid, repeat=6):
         steps = iter(choices)
         trace, cert, _, sched = run_constructed_game(
-            golden_seq, A, B, M, RHO0, 2, lambda state: ((next(steps),), None)
+            golden_seq, A, B, M, RHO0, 2, lambda state: (over_common_denominator([next(steps)]), None)
         )
         assert next(steps, None) is None  # Black played every step
         low = min(e.residual_lb for e in cert.entries)
@@ -434,6 +434,6 @@ def test_grid_certificates_match_fraction_oracle(golden_seq):
     for choices in itertools.islice(itertools.product(grid, repeat=6), 0, None, 7):
         steps = iter(choices)
         trace, cert, _, sched = run_constructed_game(
-            golden_seq, A, B, M, RHO0, 2, lambda state: ((next(steps),), None)
+            golden_seq, A, B, M, RHO0, 2, lambda state: (over_common_denominator([next(steps)]), None)
         )
         assert cert.dumps() == oracles.certificate(trace, golden_seq, sched).dumps()
