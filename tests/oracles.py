@@ -559,7 +559,8 @@ class GreedyBlack:
         if res == 0:
             return (1, (0,) * state.ball.dimension), f"on family {r}"
         direction = rational_unit_direction(scale(self.seq.vector(r), -1 if res > 0 else 1))
-        return over_common_denominator(scale(direction, 1 - state.params.beta)), f"chasing family {r}"
+        step = over_common_denominator(scale(direction, 1 - state.params.beta))
+        return step, f"chasing family {r}"
 
 
 # -- the strategy's predicates and the 1x1 records ----------------------------

@@ -402,7 +402,8 @@ def test_psi_check_within_tmax_reads_the_scan_it_ran(tmp_path, capsys, monkeypat
     for check in (1, 2, 37, tmax - 1, tmax, tmax + 1, 3 * tmax):
         out = tmp_path / str(check)
         scans.clear()
-        assert run(out, "psi", "--theta", str(theta), "--tmax", str(tmax), "--check", str(check)) == 0
+        argv = ("psi", "--theta", str(theta), "--tmax", str(tmax), "--check", str(check))
+        assert run(out, *argv) == 0
         assert scans == first + ([] if check <= tmax else [(check, not sup_scans)])
         assert (out / "psi.json").read_bytes() == (plain / "psi.json").read_bytes()
         want = psi_theta(matrix, check)

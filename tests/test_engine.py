@@ -565,8 +565,8 @@ def test_a_step_of_length_exactly_its_slack_is_legal(n, turn):
         step = (k * q, tuple(k * x for x in v))
         tr = _seat_game(n, turn, step)
         prev = tr.initial if i == 0 else tr.moves[0].ball
-        moved = tuple(c + prev.radius * s for c, s in zip(prev.center, oracles.step_fractions(step)))
-        assert tr.moves[i].ball.center == moved
+        s = oracles.step_fractions(step)
+        assert tr.moves[i].ball.center == tuple(c + prev.radius * x for c, x in zip(prev.center, s))
         assert oracles.contains_ball(prev, tr.moves[i].ball)
         beyond = (k * q, (k * v[0] + 1,) + step[1][1:])
         with pytest.raises(IllegalMove, match="leaves current ball") as ei:
@@ -653,7 +653,8 @@ BAD_STEPS = [
 
 @pytest.mark.parametrize("zero, moved, error, match", BAD_STEPS)
 @pytest.mark.parametrize("turn", ["W", "B"])
-def test_a_bad_step_raises_before_its_move_is_recorded(monkeypatch, zero, moved, error, match, turn):
+def test_a_bad_step_raises_before_its_move_is_recorded(monkeypatch, zero, moved, error, match,
+                                                       turn):
     # the only records built are the other seat's moves before the bad one
     built = []
 

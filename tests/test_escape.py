@@ -53,7 +53,7 @@ def test_plane_cap_outward_side_and_tie():
     ball = Ball((Fraction(1, 3),), Fraction(1, 10))
     assert outward(ball, Hyperplane((1,), 0)) == (1,)  # residual 1/3 > 0
     assert outward(ball, Hyperplane((1,), 1)) == (-1,)
-    assert outward(ball, Hyperplane((-3,), -2)) == (-3,)  # residual 3 > 0
+    assert outward(ball, Hyperplane((-3,), -2)) == (-3,)  # residual 1 > 0
     through = Ball((Fraction(0), Fraction(1, 2)), Fraction(1, 10))
     # plane through the center: tie broken toward lexicographic sign of u
     assert outward(through, Hyperplane((1, 2), 1)) == (1, 2)
