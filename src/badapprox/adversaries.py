@@ -11,7 +11,7 @@ from collections.abc import Sequence
 from operator import mul
 from random import Random
 
-from .engine import Step, hold
+from .engine import Step, full_step, hold
 from .exact import over_common_denominator, rat
 from .geometry import rational_unit_direction, scale, sub
 from .resonance import ResonanceSequence
@@ -58,8 +58,8 @@ class GreedyBlack:
 
     Finds the family minimizing |residual| / |u| (exactly, on integers; ties
     to the smallest index), then steps the whole 1 - beta radii toward it
-    along a rationalized unit direction.  The step, as integers over their
-    least common denominator, is cached per (family, side, beta).
+    along a rationalized unit direction (engine.full_step).  The step is
+    cached per (family, side, beta).
 
     The center is read as the engine's integer form N/D
     (GameState.integer_center), so no call rebuilds a common denominator of
@@ -114,8 +114,8 @@ class GreedyBlack:
         key = (r, side, beta.numerator, beta.denominator)
         step = self._steps.get(key)
         if step is None:
-            direction = rational_unit_direction(scale(self.seq.vector(r), side))
-            step = self._steps[key] = over_common_denominator(scale(direction, 1 - beta))
+            direction = rational_unit_direction([side * x for x in self.seq.vector(r)])
+            step = self._steps[key] = full_step(direction, beta)
         return step, f"chasing family {r}"
 
 

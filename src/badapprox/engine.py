@@ -60,7 +60,7 @@ from .exact import (
     rat,
     rat_str,
 )
-from .geometry import Ball, Vec, same_dimension
+from .geometry import Ball, Direction, Vec, same_dimension
 
 
 class IllegalMove(Exception):
@@ -266,6 +266,15 @@ def hold(state: GameState) -> Step:
     """The zero step (1, (0, ..., 0)): the reply keeps the current center.
     One pair per dimension is shared by every call."""
     return _zero(state.ball.dimension)
+
+
+def full_step(direction: Direction, rho: Fraction) -> Step:
+    """The longest step of a reply of ratio rho = a/b, 1 - rho radii along
+    the exact unit direction (v, L): (L b, (b - a) v) divided by its gcd."""
+    v, el = direction
+    q, push = el * rho.denominator, rho.denominator - rho.numerator
+    g = math.gcd(q, push * math.gcd(*v))  # the gcd of q and every push * v_i
+    return q // g, [push * x // g for x in v]
 
 
 def run_game(

@@ -3,15 +3,14 @@
 The core maneuver: from a ball threatened by an affine hyperplane with
 integer normal u, pick a unit direction x̂ inside a spherical cap around the
 outward normal and push the center by (1-alpha)*rho along x̂ every round:
-the step (1-alpha)*x̂, in units of the radius, as integers over their least
-common denominator (engine.Policy).
+the step (1-alpha)*x̂, in units of the radius, built by engine.full_step.
 Against *any* legal opponent this drives the whole ball into the halfspace
 {x̂·(y - start) >= (gamma/2)*rho_start} within `escape_rounds` rounds, and for
 directions in a slightly smaller cap ("strong" hits) it leaves the final ball
 at distance > gamma*rho from the plane — a state that nested play can never
-undo.  Every membership test below is an exact integer test on the
-direction's (v, L) form, integer v over its common denominator L (at most
-two squarings); floats appear only inside candidate *generation*, never in
+undo.  A direction is the integer pair (v, L) of geometry.Direction, and
+every membership test below is an exact integer test on it (at most two
+squarings); floats appear only inside candidate *generation*, never in
 acceptance of a candidate.  Grid and random candidates are lifted from
 their chart points straight to (v, L) by geometry.chart_lift, the lift
 behind rational_unit_direction's escort directions too.  The plane's side,
@@ -26,7 +25,7 @@ from fractions import Fraction
 from operator import mul
 from random import Random
 
-from .engine import Step, hold
+from .engine import Step, full_step, hold
 from .exact import (
     InvariantError,
     Record,
@@ -38,13 +37,13 @@ from .exact import (
 )
 from .geometry import (
     Ball,
+    Direction,
     Halfspace,
     Hyperplane,
-    Vec,
     chart_lift,
     lex_sign,
     rational_unit_direction,
-    scale,
+    same_dimension,
     stereo_chart,
 )
 from .schedule import StrategyParams
@@ -65,7 +64,8 @@ class SelectionExhausted(Exception):
 
 def _residual(ball: Ball, plane: Hyperplane) -> tuple[int, int]:
     """(res, den): the center residual u·center - a as res/den, with den the
-    center's common denominator."""
+    center's common denominator; ValueError if u is of another dimension."""
+    same_dimension(plane.normal, ball.center)
     den, nums = over_common_denominator(ball.center)
     return sum(map(mul, plane.normal, nums)) - plane.offset * den, den
 
@@ -87,23 +87,14 @@ def absorbed(ball: Ball, plane: Hyperplane, gamma: Fraction) -> bool:
 # -- exact cap membership on integer directions -------------------------------
 
 
-def integer_direction(direction: Vec) -> tuple[list[int], int]:
-    """(v, L): L the least common denominator of an exact unit direction and
-    v = L * direction, so that sum v^2 = L^2."""
-    el, v = over_common_denominator(direction)
-    if sum(x * x for x in v) != el * el:
-        raise InvariantError("direction is not a unit vector")
-    return v, el
-
-
 class PlaneCap:
     """The three cap tests of one plane against one ball, in integers.
 
     The outward normal is sgn*u, sgn the sign of the center residual, or
     the lexicographic sign of u when the plane passes through the center:
-    the side the escape pushes toward.  A direction x̂ enters as (v, L) from
-    integer_direction, and a = projection(v) = L*A with A = sgn*(u · x̂)
-    the component along the outward normal.  With gamma = P/Q, shrink_t =
+    the side the escape pushes toward.  A direction x̂ enters as (v, L), and
+    a = projection(v) = L*A with A = sgn*(u · x̂) the component along the
+    outward normal.  With gamma = P/Q, shrink_t =
     (alpha*beta)^escape_rounds = S/T and |s0|/rho = R1/R2, each test below
     is its rational form multiplied through by positive denominators, so it
     is decided on integers with at most two squarings.
@@ -178,7 +169,7 @@ _LDS_STEPS = [math.sqrt(p) % 1.0 for p in (2, 3, 5, 7, 11, 13, 17, 19)]
 _CHART_DENOM = 1 << 12
 
 
-def _grid_direction(idx: int, n: int) -> tuple[tuple[int, ...], int]:
+def _grid_direction(idx: int, n: int) -> Direction:
     """(v, L) of a deterministic low-discrepancy direction."""
     axis = idx % n
     sign = 1 if (idx // n) % 2 == 0 else -1
@@ -190,7 +181,7 @@ def _grid_direction(idx: int, n: int) -> tuple[tuple[int, ...], int]:
     return chart_lift(a, _CHART_DENOM, axis, sign)
 
 
-def _random_direction(rng: Random, n: int) -> tuple[tuple[int, ...], int]:
+def _random_direction(rng: Random, n: int) -> Direction:
     """(v, L) of a seeded random direction: a Gaussian draw, charted."""
     v = [rng.gauss(0.0, 1.0) for _ in range(n)]
     norm = math.sqrt(math.fsum(x * x for x in v))
@@ -204,9 +195,9 @@ def _random_direction(rng: Random, n: int) -> tuple[tuple[int, ...], int]:
 
 
 class CapSelection(Record, frozen=True):
-    """The chosen direction; escaped, the cap members whose end-region miss
-    is verified; strong, the subset guaranteed to be absorbed after the
-    drive; and the number of candidates tried."""
+    """The chosen direction (v, L); escaped, the cap members whose
+    end-region miss is verified; strong, the subset guaranteed to be
+    absorbed after the drive; and the number of candidates tried."""
 
     __slots__ = ("direction", "escaped", "strong", "candidates_tried")
 
@@ -263,10 +254,10 @@ def select_cap(
 
     # (strong count, escaped count, v, L, strong, escaped) of the best so far
     best: tuple[int, int, tuple[int, ...], int, tuple, tuple] | None = None
-    seen: set[tuple[tuple[int, ...], int]] = set()
+    seen: set[Direction] = set()
     tried = 0
 
-    def consider(direction: tuple[tuple[int, ...], int]):
+    def consider(direction: Direction):
         """Judge the direction v/L given as (v, L); an equal score goes to
         the lexicographically smaller direction, v_i/L against w_i/M
         compared as v_i M against w_i L."""
@@ -291,8 +282,7 @@ def select_cap(
         consider(((-1,), 1))
     else:
         for cap in caps:
-            v, el = integer_direction(rational_unit_direction(cap.outward))
-            consider((tuple(v), el))
+            consider(rational_unit_direction(cap.outward))
         rng = Random(seed)
         grid_cursor = 0
         budget = INITIAL_BUDGET
@@ -311,7 +301,7 @@ def select_cap(
         raise SelectionExhausted(quota, best[0], tried)
     _, _, v, el, strong, esc = best
     return CapSelection(
-        direction=tuple(Fraction(x, el) for x in v),
+        direction=(v, el),
         escaped=esc,
         strong=strong,
         candidates_tried=tried,
@@ -321,7 +311,7 @@ def select_cap(
 # -- policies ----------------------------------------------------------------
 
 
-def drive_halfspace(start: Ball, direction: Vec, gamma: Fraction) -> Halfspace:
+def drive_halfspace(start: Ball, direction: Direction, gamma: Fraction) -> Halfspace:
     """The halfspace the escape drive certifies: height >= (gamma/2)*rho_start
     above the start center, along the drive direction."""
     return Halfspace(direction, gamma * start.radius / 2, start.center)
@@ -333,7 +323,7 @@ class AvoidanceDrive:
     Play proceeds in sub-blocks of `escape_rounds` moves.  At each sub-block
     start the still-threatening planes are re-measured exactly; if any
     remain, a direction x̂ meeting the strong-hit quota is selected and
-    driven by the constant step (1-alpha)*x̂.
+    driven by the constant step (1-alpha)*x̂ (engine.full_step).
     Strong hits are absorbed by the end of the sub-block — verified at the
     next boundary, where failure raises InvariantError: the drive is chosen
     so that every legal opponent leaves them absorbed, so only a bug or a
@@ -352,8 +342,8 @@ class AvoidanceDrive:
         self.seed = seed
         self.remaining = list(range(len(self.planes)))
         self.pos = 0
-        self.direction: Vec | None = None
-        self.step: Step | None = None  # (1-alpha) * direction, over one denominator
+        self.direction: Direction | None = None
+        self.step: Step | None = None  # (1-alpha) * direction
         self.pending: tuple[Halfspace, tuple[int, ...]] | None = None
 
     def _boundary(self, ball: Ball) -> None:
@@ -392,7 +382,7 @@ class AvoidanceDrive:
         if self.pos < self.params.avoidance_rounds and self.pos % t == 0:
             self._boundary(state.ball)
             if self.direction is not None:
-                self.step = over_common_denominator(scale(self.direction, 1 - state.params.alpha))
+                self.step = full_step(self.direction, state.params.alpha)
         sub = self.pos // t
         if self.pos >= self.params.avoidance_rounds or self.direction is None:
             step = hold(state)

@@ -3,8 +3,8 @@
 Containment predicates are exact (no epsilon anywhere on the legality path).
 Floats appear in one place only, never in an in-game decision: the chart
 that rational_unit_direction rationalizes (its output is an exact unit
-vector).  The spherical-cap measure at the bottom, which feeds the derived
-constants, is bracketed in scaled integers (exact.scaled_bounds).
+direction (v, L)).  The spherical-cap measure at the bottom, which feeds the
+derived constants, is bracketed in scaled integers (exact.scaled_bounds).
 """
 from __future__ import annotations
 
@@ -31,6 +31,8 @@ from .exact import (
 )
 
 Vec = tuple[Fraction, ...]
+#: An exact unit direction v/L as ints (v, L): sum v^2 = L^2, L > 0, gcd(L, v) = 1.
+Direction = tuple[tuple[int, ...], int]
 
 
 def same_dimension(a: Sequence, b: Sequence) -> None:
@@ -204,21 +206,21 @@ class Hyperplane(Record, frozen=True):
 
 
 class Halfspace(Record, frozen=True):
-    """{y : direction · (y - anchor) >= threshold} with exact unit direction.
-
-    Both the unit check and contains_ball are decided on integers: the
-    direction as v/L over its common denominator, so it is a unit vector
-    when sum v^2 = L^2."""
+    """{y : direction · (y - anchor) >= threshold} for the exact unit
+    direction (v, L) (Direction).  The unit check and contains_ball are
+    decided on integers."""
 
     __slots__ = ("direction", "threshold", "anchor")
 
-    def __init__(self, direction: Sequence[Rat], threshold: Rat, anchor: Sequence[Rat]):
-        direction, threshold, anchor = rat_vec(direction), rat(threshold), rat_vec(anchor)
-        el, v = over_common_denominator(direction)
-        if sum(x * x for x in v) != el * el:
-            raise ValueError("halfspace direction must be an exact unit vector")
+    def __init__(self, direction: Direction, threshold: Rat, anchor: Sequence[Rat]):
+        v, el = direction
+        v, threshold, anchor = tuple(v), rat(threshold), rat_vec(anchor)
+        same_dimension(v, anchor)
+        # math.gcd raises TypeError on anything but ints
+        if el <= 0 or sum(x * x for x in v) != el * el or math.gcd(el, *v) != 1:
+            raise ValueError("halfspace direction must be an exact unit (v, L) in lowest terms")
         set_direction, set_threshold, set_anchor = self._setters
-        set_direction(self, direction)
+        set_direction(self, (v, el))
         set_threshold(self, threshold)
         set_anchor(self, anchor)
 
@@ -227,11 +229,10 @@ class Halfspace(Record, frozen=True):
         direction v/L, and the center and anchor C/D and A/D over one common
         denominator, the height is h/(LD) for h = v·(C - A); for threshold
         p/q and radius r/s the test is h q s >= (p s + r q) L D."""
-        n = len(self.anchor)
-        same_dimension(ball.center, self.anchor)
-        el, v = over_common_denominator(self.direction)
+        v, el = self.direction
+        same_dimension(ball.center, v)
         den, nums = over_common_denominator(ball.center + self.anchor)
-        h = sum(x * (c - a) for x, c, a in zip(v, nums, nums[n:]))
+        h = sum(x * (c - a) for x, c, a in zip(v, nums, nums[len(v):]))
         t, r = self.threshold, ball.radius
         q, s = t.denominator, r.denominator
         return h * q * s >= (t.numerator * s + r.numerator * q) * el * den
@@ -242,8 +243,8 @@ class Halfspace(Record, frozen=True):
 #: rational_unit_direction refines until its float distance to v/|v| is below this.
 DIRECTION_TOL = 2.0**-30
 
-#: rational_unit_direction first divides a vector whose largest |entry| reaches
-#: 2^500 by a power of two, so that the sum of its squares stays a finite float.
+#: rational_unit_direction first scales a vector whose largest |entry| reaches
+#: 2^500, or lies below 2^-500, by a power of two, so its squares stay floats.
 _FLOAT_BITS = 500
 
 
@@ -270,35 +271,33 @@ def chart_lift(a: Sequence[int], c: int, axis: int, sign: int) -> tuple[tuple[in
     return tuple(x // g for x in v), el // g
 
 
-def rational_unit_direction(v: Sequence[Rat]) -> Vec:
-    """An exact unit vector (sum of squares == 1) within DIRECTION_TOL of v/|v|.
+def rational_unit_direction(v: Sequence[Rat]) -> Direction:
+    """An exact unit direction (v, L) within DIRECTION_TOL of v/|v|.
 
     The chart point of v/|v| (stereo_chart, well conditioned around the axis
     of largest |component|) is rationalized with a growing denominator
     bound, brought to one denominator c and lifted by chart_lift, until the
     lift lands within DIRECTION_TOL, in float distance.  The direction of v
-    is that of v / 2^k, and floats scale exactly by powers of two, so a v
-    past the float range is first divided down to entries below 2^501.
+    is that of v * 2^k, and floats scale exactly by powers of two, so a v
+    past the float range is divided down to entries below 2^501 first, and
+    one below it multiplied up to entries near 1.
     """
     v = rat_vec(v)
-    n = len(v)
     if all(x == 0 for x in v):
         raise ValueError("cannot normalize the zero vector")
 
-    nonzero = [i for i, x in enumerate(v) if x != 0]
-    if len(nonzero) == 1:
-        # axis-aligned: exact unit vector, no approximation needed
-        i = nonzero[0]
-        out = [Fraction(0)] * n
-        out[i] = Fraction(1 if v[i] > 0 else -1)
-        return tuple(out)
+    if sum(x != 0 for x in v) == 1:
+        # axis-aligned: the signs of the entries are the exact (±e_i, 1)
+        return tuple((x > 0) - (x < 0) for x in v), 1
 
     top = max(map(abs, v))
-    shift = top.numerator.bit_length() - top.denominator.bit_length() - _FLOAT_BITS
-    if shift > 0:
-        # an exact division by a power of two keeps every float bit of an
-        # input that fits, and brings the squares of any other into range
-        v = tuple(x / (1 << shift) for x in v)
+    bits = top.numerator.bit_length() - top.denominator.bit_length()
+    # an exact scaling by a power of two keeps every float bit of an input
+    # that fits, and brings the squares of any other into range
+    if bits > _FLOAT_BITS:
+        v = tuple(x / (1 << (bits - _FLOAT_BITS)) for x in v)
+    elif bits < -_FLOAT_BITS:
+        v = tuple(x * (1 << -bits) for x in v)
     fv = [float(x) for x in v]
     fnorm = math.sqrt(math.fsum(x * x for x in fv))
     target = [x / fnorm for x in fv]
@@ -311,7 +310,7 @@ def rational_unit_direction(v: Sequence[Rat]) -> Vec:
         d, el = chart_lift([x.numerator * (c // x.denominator) for x in w], c, axis, sign)
         err = math.sqrt(math.fsum((x / el - t) ** 2 for x, t in zip(d, target)))
         if err < DIRECTION_TOL:
-            return tuple(Fraction(x, el) for x in d)
+            return d, el
         max_den <<= 14
     raise InvariantError("direction refinement failed to reach tolerance")
 

@@ -6,8 +6,8 @@ from random import Random
 import pytest
 from hypothesis import HealthCheck, settings
 
-from badapprox.exact import over_common_denominator
-from badapprox.geometry import Ball, Hyperplane, scale
+from badapprox.engine import full_step
+from badapprox.geometry import Ball, Hyperplane
 from badapprox.resonance import (
     ResonanceEntry,
     ResonanceSequence,
@@ -78,10 +78,10 @@ def make_records(pairs):
 
 def escape_drive(direction):
     """White policy (test helper): step (1 - alpha) * rho along a fixed unit
-    direction on every move, the push that escape drives make."""
+    direction (v, L) on every move, the push that escape drives make."""
 
     def policy(state):
-        return over_common_denominator(scale(direction, 1 - state.params.alpha)), None
+        return full_step(direction, state.params.alpha), None
 
     return policy
 

@@ -26,7 +26,10 @@ held to them by test_escape.py; its escort, grid and random candidates are
 lifted from their chart points by ``stereo_unit`` in ``Fraction``s, where
 ``geometry.chart_lift`` lifts them straight to (v, L), and
 ``rational_unit_direction`` is the library's refinement with each round
-lifted by ``stereo_unit``, held to it by test_geometry.py.  ``halfspace_contains_ball`` is
+lifted by ``stereo_unit``, held to it by test_geometry.py.  These are the
+only ``Fraction`` directions left: the package carries every direction as
+its integer pair (v, L), and ``unit_pair`` and ``unit_fractions`` convert
+between the two forms.  ``halfspace_contains_ball`` is
 the ``Fraction`` height test that ``Halfspace.contains_ball`` decides on
 integers, held to it by test_geometry.py.  The gather, clearance and
 certificate of White's strategy, the nearest offsets of
@@ -845,6 +848,20 @@ def verified_miss(
     return gt_sqrt(lhs, u_perp_sq * (1 - gamma * gamma / 4))
 
 
+def unit_pair(direction: Vec) -> tuple[tuple[int, ...], int]:
+    """The (v, L) form of a Fraction unit direction: v over its least common
+    denominator L, so that sum v^2 = L^2 and gcd(L, v) = 1."""
+    el, v = over_common_denominator(direction)
+    assert sum(x * x for x in v) == el * el, direction
+    return tuple(v), el
+
+
+def unit_fractions(direction: tuple[Sequence[int], int]) -> Vec:
+    """The Fractions v/L of a direction (v, L)."""
+    v, el = direction
+    return tuple(Fraction(x, el) for x in v)
+
+
 def stereo_unit(w: Sequence[Fraction], n: int, axis: int, sign: int) -> Vec:
     """Inverse stereographic projection of a rational chart point w in Q^(n-1):
     d_axis = s(1-|w|^2)/(1+|w|^2) and d_j = 2 w_j/(1+|w|^2) over the other
@@ -970,7 +987,8 @@ def select_cap(
     ball: Ball, planes: Sequence[Hyperplane], params: StrategyParams, *, seed: int = 0
 ) -> CapSelection:
     """escape.select_cap on cap_candidates: the most strong hits, then the
-    most escaped planes, then the lexicographically least Fraction vector."""
+    most escaped planes, then the lexicographically least Fraction vector,
+    returned as its (v, L) form."""
     quota = ceil_frac(params.cap_measure_lb * len(planes))
     results = cap_candidates(ball, planes, params, seed=seed)
     best_strong = max(len(strong) for strong, _ in results.values())
@@ -978,13 +996,14 @@ def select_cap(
         raise SelectionExhausted(quota, best_strong, len(results))
     direction = min(results, key=lambda d: (-len(results[d][0]), -len(results[d][1]), d))
     strong, esc = results[direction]
-    return CapSelection(direction, esc, strong, len(results))
+    return CapSelection(unit_pair(direction), esc, strong, len(results))
 
 
 def halfspace_contains_ball(hs: Halfspace, ball: Ball) -> bool:
     """Halfspace.contains_ball in Fraction arithmetic: the height of the
     center above the anchor, less the threshold, is at least the radius."""
-    height = sum((d * (c - a) for d, c, a in zip(hs.direction, ball.center, hs.anchor)), Fraction(0))
+    direction = unit_fractions(hs.direction)
+    height = sum((d * (c - a) for d, c, a in zip(direction, ball.center, hs.anchor)), Fraction(0))
     return height - hs.threshold >= ball.radius
 
 

@@ -37,6 +37,7 @@ from oracles import (
     contains_ball,
     plane_sign,
     strong_cap_member,
+    unit_fractions,
     verified_miss,
 )
 
@@ -133,7 +134,7 @@ def test_criterion_02_drift_identity_exact():
         def opposed(state):
             return over_common_denominator([-(1 - state.params.beta)]), None
 
-        white = escape_drive((F(1),))
+        white = escape_drive(((1,), 1))
         tr = run_game(gp, Ball((F(0),), F(1)), white, opposed, 1)
         assert tr.moves[1].ball.center[0] == gamma  # rho_B = 1, exact identity
         checked += 1
@@ -173,12 +174,13 @@ def test_criterion_04_cap_selection_quota():
         quota = ceil_frac(params.cap_measure_lb * len(planes))
         assert len(sel.strong) >= quota
         shrink_t = params.shrink ** params.escape_rounds
+        direction = unit_fractions(sel.direction)
         for j in sel.strong:  # independent exact re-verification
             sgn = plane_sign(ball, planes[j])
-            assert strong_cap_member(planes[j], sgn, sel.direction, params.gamma, shrink_t)
+            assert strong_cap_member(planes[j], sgn, direction, params.gamma, shrink_t)
         for j in sel.escaped:
             sgn = plane_sign(ball, planes[j])
-            assert verified_miss(ball, planes[j], sgn, sel.direction, params.gamma)
+            assert verified_miss(ball, planes[j], sgn, direction, params.gamma)
     report(4, True, f"{len(inputs)} selections met ceil(omega_lb*k) with exact re-verification")
 
 

@@ -178,7 +178,7 @@ def test_greedy_drift_identity_against_escape():
         # start below 1/2 so the nearest integer plane stays below even after
         # White's upward push: Black's full chase is exactly opposed
         start = Ball((Fraction(1, 4),), Fraction(1, 100))
-        white = escape_drive((Fraction(1),))
+        white = escape_drive(((1,), 1))
         tr = run_game(gp, start, white, GreedyBlack(seq), 1)
         drift = tr.final_ball.center[0] - start.center[0]
         assert drift == gamma * start.radius
@@ -373,7 +373,8 @@ def test_greedy_step_follows_beta_on_one_instance():
     seq = make_sequence([(1, 1), (3, -4)])
     greedy, fresh = GreedyBlack(seq), oracles.GreedyBlack(seq)
     center = (Fraction(2, 1000), Fraction(-1, 1000))  # u_1 · center = 1/1000
-    direction = rational_unit_direction((-1, -1))  # toward the plane u_1 · y = 0
+    # toward the plane u_1 · y = 0
+    direction = oracles.unit_fractions(rational_unit_direction((-1, -1)))
     for beta in (Fraction(1, 2), Fraction(1, 3), Fraction(1, 2)):
         gp = GameParams(Fraction(1, 4), beta, 2)
         state = GameState(gp, Ball(center, Fraction(1, 1000)), 1, "B")

@@ -19,6 +19,7 @@ from badapprox.engine import (
     IllegalMove,
     MoveRecord,
     concentric,
+    full_step,
     hold,
     replay,
     run_game,
@@ -608,6 +609,26 @@ def test_every_zero_step_is_a_legal_hold(zero, turn):
     assert [m.ball.center for m in tr.moves] == [start.center, start.center]
     assert [m.ball.radius for m in tr.moves] == [Fraction(3, 20), Fraction(3, 40)]
     assert replay(tr).dumps() == tr.dumps()
+
+
+def test_full_step_is_the_slack_along_the_direction_in_least_terms():
+    # (1 - rho) v/L over its least common denominator, the form the policies
+    # built from the Fraction direction, and exactly as long as the slack
+    assert full_step(((3, 4), 5), Fraction(1, 4)) == (20, [9, 12])
+    assert full_step(((3, 4), 5), Fraction(4, 9)) == (9, [3, 4])  # (45, [15, 20]) over 5
+    assert full_step(((-1,), 1), Fraction(1, 2)) == (2, [-1])
+    rng = Random(29)
+    for n in (1, 2, 3, 4):
+        for _ in range(50):
+            raw = [rng.randint(-9, 9) or 1 for _ in range(n)]
+            direction = geometry.rational_unit_direction(raw)
+            a = rng.randint(1, 40)
+            rho = Fraction(a, a + rng.randint(1, 40))
+            q, v = full_step(direction, rho)
+            unit = oracles.unit_fractions(direction)
+            assert (q, v) == over_common_denominator([(1 - rho) * x for x in unit])
+            b = rho.denominator
+            assert sum(x * x for x in v) * b * b == (b - rho.numerator) ** 2 * q * q
 
 
 def test_hold_shares_one_zero_tuple_per_dimension():

@@ -16,7 +16,6 @@ from badapprox.escape import (
     _random_direction,
     absorbed,
     drive_halfspace,
-    integer_direction,
     select_cap,
 )
 from badapprox.exact import InvariantError
@@ -24,7 +23,6 @@ from badapprox.geometry import (
     Ball,
     Hyperplane,
     dot,
-    norm_sq,
     rational_unit_direction,
     scale,
 )
@@ -32,7 +30,15 @@ from badapprox.adversaries import RandomBlack
 from badapprox.schedule import derive_params
 import oracles
 from conftest import cap_selection_inputs, escape_drive, long_rational
-from oracles import add, cap_member, plane_sign, stereo_unit, strong_cap_member, verified_miss
+from oracles import (
+    add,
+    cap_member,
+    plane_sign,
+    strong_cap_member,
+    unit_fractions,
+    unit_pair,
+    verified_miss,
+)
 
 F = Fraction
 TINY = Fraction(1, 10**24)
@@ -65,7 +71,7 @@ def escort_point(ball, plane):
     """The boundary point of the ball farthest from the plane on the side
     plane_sign picks; its direction is select_cap's first candidate."""
     direction = rational_unit_direction(scale(plane.normal, plane_sign(ball, plane)))
-    return add(ball.center, scale(direction, ball.radius))
+    return add(ball.center, scale(unit_fractions(direction), ball.radius))
 
 
 def test_escort_point_pinned():
@@ -81,6 +87,34 @@ def test_escort_point_on_tie_uses_lex_direction():
     ball = Ball((Fraction(0), Fraction(0)), Fraction(2))
     p = escort_point(ball, Hyperplane((0, -5), 0))
     assert p == (Fraction(0), Fraction(2))
+
+
+def _refuse_absorbed(ball, plane, params):
+    absorbed(ball, plane, Fraction(1, 2))
+
+
+def _refuse_plane_cap(ball, plane, params):
+    PlaneCap(ball, plane, params.gamma, Fraction(1, 8))
+
+
+def _refuse_select_cap(ball, plane, params):
+    select_cap(ball, [Hyperplane((1, 0), 0), plane], params)
+
+
+def _refuse_avoidance_drive(ball, plane, params):
+    gp = GameParams(params.alpha, params.beta, ball.dimension)
+    run_game(gp, ball, AvoidanceDrive([plane], params), concentric, params.avoidance_rounds)
+
+
+@pytest.mark.parametrize("use", [_refuse_absorbed, _refuse_plane_cap, _refuse_select_cap,
+                                 _refuse_avoidance_drive])
+def test_a_plane_of_another_dimension_is_refused(use):
+    # the center residual once zipped the normal against the center, so a
+    # 3-d plane was measured on the 2-d ball's first two coordinates: absorbed
+    # held, and select_cap returned a selection after 49 candidates
+    ball, plane = Ball((Fraction(0), Fraction(0)), Fraction(1, 100)), Hyperplane((1, 1, 1), 5)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        use(ball, plane, params_n(2))
 
 
 def test_absorbed_is_strict_at_the_boundary():
@@ -187,7 +221,7 @@ def test_cap_member_matches_angle_oracle_n2():
         )
         if all(x == 0 for x in raw):
             continue
-        d = rational_unit_direction(raw)
+        d = unit_fractions(rational_unit_direction(raw))
         sgn = 1 if rng.random() < 0.5 else -1
         ang = float_angle(u, sgn, d)
         got = cap_member(Hyperplane(u, 0), sgn, d, g)
@@ -219,7 +253,7 @@ def test_strong_implies_cap_and_miss():
         )
         if all(x == 0 for x in raw):
             continue
-        d = rational_unit_direction(raw)
+        d = unit_fractions(rational_unit_direction(raw))
         if strong_cap_member(plane, sgn, d, g, shrink_t):
             hits += 1
             assert cap_member(plane, sgn, d, g)
@@ -237,8 +271,6 @@ def test_strong_cap_rejects_non_unit_direction():
             params.gamma,
             params.shrink,
         )
-    with pytest.raises(InvariantError):  # sum v^2 = 4 != L^2 = 1
-        integer_direction((Fraction(2), Fraction(0)))
 
 
 def test_verified_miss_plane_through_center():
@@ -255,7 +287,7 @@ def test_verified_miss_plane_through_center():
 def integer_decisions(ball, plane, direction, gamma, shrink_t, factor=1):
     """PlaneCap's (cap, strong, miss) on the (v, L) form scaled by factor."""
     cap = PlaneCap(ball, plane, gamma, shrink_t)
-    v, el = integer_direction(direction)
+    v, el = unit_pair(direction)
     v, el = [factor * x for x in v], factor * el
     a = cap.projection(v)
     return cap.cap_member(a, el * el), cap.strong_cap_member(a, el * el), cap.verified_miss(a, el, el * el)
@@ -388,14 +420,6 @@ def test_verified_miss_at_equality(n, side):
     assert lhs * lhs == (plane.norm_sq - a * a) * (1 - gamma * gamma / 4)
 
 
-def test_integer_direction_takes_the_least_common_denominator():
-    assert integer_direction((F(3, 5), F(-4, 5))) == ([3, -4], 5)
-    assert integer_direction((F(1, 3), F(2, 3), F(-2, 3))) == ([1, 2, -2], 3)
-    assert integer_direction((F(0), F(-1))) == ([0, -1], 1)
-    # a lift whose denominator 1 + |w|^2 = 5/4 cancels against its numerators
-    assert integer_direction(stereo_unit([F(1, 2)], 2, 0, 1)) == ([3, 4], 5)
-
-
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_cap_tests_match_the_fraction_oracles(n):
     rng = Random(70 + n)
@@ -423,7 +447,8 @@ def test_cap_tests_match_the_fraction_oracles(n):
             directions = [oracles.grid_direction(rng.randrange(200), n), oracles.random_direction(rng, n)]
             for _ in range(3):  # near the outward normal, where the caps are
                 jitter = [F(rng.randrange(-400, 401), 1000) for _ in range(n)]
-                directions.append(rational_unit_direction([sgn * c + x for c, x in zip(u, jitter)]))
+                near = [sgn * c + x for c, x in zip(u, jitter)]
+                directions.append(unit_fractions(rational_unit_direction(near)))
         for gamma, shrink_t in gammas:
             for d in directions:
                 got = assert_decisions_match(ball, plane, d, gamma, shrink_t)
@@ -444,15 +469,13 @@ def test_select_cap_matches_the_fraction_oracle():
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_candidate_lift_equals_the_fraction_lift(n):
     # select_cap's (v, L) of every grid index it can reach, and of seeded
-    # random draws, is integer_direction of the stereo_unit lift
+    # random draws, is the (v, L) form of the stereo_unit lift
     for idx in range(MAX_CANDIDATES):
-        v, el = integer_direction(oracles.grid_direction(idx, n))
-        assert _grid_direction(idx, n) == (tuple(v), el), idx
+        assert _grid_direction(idx, n) == unit_pair(oracles.grid_direction(idx, n)), idx
     for seed in range(4):
         ours, theirs = Random(seed), Random(seed)
         for _ in range(300):
-            v, el = integer_direction(oracles.random_direction(theirs, n))
-            assert _random_direction(ours, n) == (tuple(v), el)
+            assert _random_direction(ours, n) == unit_pair(oracles.random_direction(theirs, n))
     # the lift's denominator c^2 + A is at least c^2 = 2^24: below it, the
     # gcd division reduced it, as it must for many grid indices
     assert sum(_grid_direction(idx, n)[1] < 2**24 for idx in range(MAX_CANDIDATES)) >= 500
@@ -471,10 +494,10 @@ def test_select_cap_breaks_a_lex_tie_across_denominators():
     tied = [d for d, (strong, esc) in results.items() if (len(strong), len(esc)) == top]
     want = min(tied)
     assert want != tied[0]
-    assert len({integer_direction(d)[1] for d in tied}) > 1
-    assert min(tied, key=lambda d: integer_direction(d)[0]) != want
+    assert len({unit_pair(d)[1] for d in tied}) > 1
+    assert min(tied, key=lambda d: unit_pair(d)[0]) != want
     assert select_cap(ball, planes, params) == oracles.select_cap(ball, planes, params)
-    assert select_cap(ball, planes, params).direction == want
+    assert select_cap(ball, planes, params).direction == unit_pair(want)
 
 
 # -- drive halfspace and the escape guarantee --------------------------------
@@ -482,7 +505,7 @@ def test_select_cap_breaks_a_lex_tie_across_denominators():
 
 def test_drive_halfspace_anchored_at_start():
     ball = Ball((Fraction(1, 3),), Fraction(1, 2))
-    hs = drive_halfspace(ball, (Fraction(1),), Fraction(5, 8))
+    hs = drive_halfspace(ball, ((1,), 1), Fraction(5, 8))
     assert hs.anchor == ball.center
     assert hs.threshold == Fraction(5, 32)
     assert not hs.contains_ball(ball)
@@ -508,7 +531,7 @@ def test_select_cap_dimension_one_majority(golden_params):
     ball = Ball((Fraction(1, 10),), Fraction(1, 4))
     planes = [Hyperplane((1,), 0), Hyperplane((3,), 1), Hyperplane((13,), -2)]
     sel = select_cap(ball, planes, golden_params)
-    assert sel.direction in {(Fraction(1),), (Fraction(-1),)}
+    assert sel.direction in {((1,), 1), ((-1,), 1)}
     assert len(sel.strong) >= 2  # quota = ceil(3/2)
     assert set(sel.strong) <= set(sel.escaped)
 
@@ -519,7 +542,7 @@ def test_select_cap_dimension_one_tie_prefers_lex_smaller(golden_params):
     planes = [Hyperplane((1,), 0), Hyperplane((1,), 1)]
     sel = select_cap(ball, planes, golden_params)
     assert len(sel.strong) == 1
-    assert sel.direction == (Fraction(-1),)  # tie on counts, lex-smaller wins
+    assert sel.direction == ((-1,), 1)  # tie on counts, lex-smaller wins
 
 
 def test_select_cap_deterministic(golden_params):
@@ -547,11 +570,12 @@ def test_select_cap_two_dim_meets_quota_and_verifies():
             a = round(sum(c * x for c, x in zip(u, ball.center)))
             planes.append(Hyperplane(u, a))
         sel = select_cap(ball, planes, params, seed=trial)
-        assert norm_sq(sel.direction) == 1
+        v, el = sel.direction
+        assert sum(x * x for x in v) == el * el and el > 0 and math.gcd(el, *v) == 1
         assert len(sel.strong) >= ceil_frac(params.cap_measure_lb * len(planes))
         for j in sel.escaped:
             sgn = plane_sign(ball, planes[j])
-            assert verified_miss(ball, planes[j], sgn, sel.direction, params.gamma)
+            assert verified_miss(ball, planes[j], sgn, unit_fractions(sel.direction), params.gamma)
 
 
 def test_select_cap_requires_planes(golden_params):

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 import oracles
 from badapprox import geometry
-from badapprox.escape import integer_direction
 from badapprox.exact import InvariantError
 from badapprox.geometry import (
     Ball,
@@ -31,7 +30,7 @@ from badapprox.geometry import (
     sub,
 )
 from conftest import long_rational
-from oracles import add, cap_fraction, cap_fraction_angular
+from oracles import add, cap_fraction, cap_fraction_angular, unit_fractions, unit_pair
 
 TINY = Fraction(1, 10**30)
 
@@ -176,7 +175,7 @@ def _containment_case(rng, n, kind):
         v = tuple(rng.randint(-9, 9) for _ in range(n))
         if not any(v):
             v = (1,) + v[1:]
-        d = scale(rational_unit_direction(v), R - r)
+        d = scale(unit_fractions(rational_unit_direction(v)), R - r)
         if kind == "tight-out":
             d = scale(d, 1 + Fraction(1, 1 << 60))
         return outer, Ball(add(outer.center, d), r)
@@ -251,26 +250,43 @@ def test_hyperplane_refuses_non_integral_entries():
 
 
 def test_halfspace_requires_exact_unit_direction():
-    with pytest.raises(ValueError):
-        Halfspace((Fraction(1), Fraction(1)), Fraction(0), (Fraction(0), Fraction(0)))
+    with pytest.raises(ValueError, match="exact unit"):
+        Halfspace(((1, 1), 1), Fraction(0), (Fraction(0), Fraction(0)))
     # 3-4-5 direction is exactly unit
-    hs = Halfspace(
-        (Fraction(3, 5), Fraction(4, 5)), Fraction(1, 4), (Fraction(0), Fraction(0))
-    )
+    hs = Halfspace(((3, 4), 5), Fraction(1, 4), (Fraction(0), Fraction(0)))
     # heights 5/4 and 1 above the anchor, against threshold 1/4 + radius 1
     assert hs.contains_ball(Ball((Fraction(3, 4), Fraction(1)), Fraction(1)))
     assert not hs.contains_ball(Ball((Fraction(3, 5), Fraction(4, 5)), Fraction(1)))
 
 
+def test_halfspace_direction_is_an_integer_pair_in_lowest_terms():
+    assert Halfspace([[3, -4], 5], Fraction(0), (0, 0)).direction == ((3, -4), 5)
+    # L > 0 and gcd(L, v) = 1: one direction has one pair
+    for direction in [((-3, 4), -5), ((6, -8), 10), ((0, 2), 2)]:
+        with pytest.raises(ValueError, match="exact unit"):
+            Halfspace(direction, Fraction(0), (0, 0))
+    for direction in [((Fraction(3), 4), 5), ((3, 4), 5.0), ((3, 4), Fraction(5, 1))]:
+        with pytest.raises(TypeError):
+            Halfspace(direction, Fraction(0), (0, 0))
+
+
 def test_halfspace_height_dimension_mismatch():
     # contains_ball measures the center's height against the anchor
-    hs = Halfspace((Fraction(3, 5), Fraction(4, 5)), Fraction(0), (Fraction(0), Fraction(0)))
+    hs = Halfspace(((3, 4), 5), Fraction(0), (Fraction(0), Fraction(0)))
     with pytest.raises(ValueError, match="dimension mismatch"):
         hs.contains_ball(Ball((Fraction(1),), Fraction(1, 2)))
 
 
+def test_halfspace_refuses_a_direction_of_another_dimension():
+    # a 2-d direction on a 1-d anchor once measured heights on the first
+    # coordinate alone, and held the ball (5,) of radius 1
+    for direction, anchor in [(((1, 0), 1), (0,)), (((1,), 1), (0, 0))]:
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            Halfspace(direction, 0, anchor)
+
+
 def test_halfspace_contains_ball_boundary():
-    hs = Halfspace((Fraction(1),), Fraction(5, 16), (Fraction(0),))
+    hs = Halfspace(((1,), 1), Fraction(5, 16), (Fraction(0),))
     # center height 5/8, radius 1/16: 5/8 - 5/16 = 5/16 >= 1/16
     assert hs.contains_ball(Ball((Fraction(5, 8),), Fraction(1, 16)))
     # exactly touching: height - threshold == radius passes (closed halfspace)
@@ -287,20 +303,23 @@ def test_halfspace_decides_touching_balls_on_long_denominators(n):
     long_den = 2**1500 * 3**5
     for _ in range(20):
         direction = rational_unit_direction([rng.randint(-9, 9) or 1 for _ in range(n)])
+        d = unit_fractions(direction)
         anchor = tuple(Fraction(rng.randrange(-long_den, long_den), long_den) for _ in range(n))
         threshold = Fraction(rng.randrange(-long_den, long_den), 2**1499)
         radius = Fraction(rng.randrange(1, long_den), long_den)
         hs = Halfspace(direction, threshold, anchor)
-        center = tuple(a + (threshold + radius) * d for a, d in zip(anchor, direction))
-        lower = tuple(c - d / long_den for c, d in zip(center, direction))
-        assert dot(direction, [c - a for c, a in zip(center, anchor)]) - threshold == radius
+        center = tuple(a + (threshold + radius) * x for a, x in zip(anchor, d))
+        lower = tuple(c - x / long_den for c, x in zip(center, d))
+        assert dot(d, [c - a for c, a in zip(center, anchor)]) - threshold == radius
         assert hs.contains_ball(Ball(center, radius))
         assert not hs.contains_ball(Ball(lower, radius))
         assert oracles.halfspace_contains_ball(hs, Ball(center, radius))
         assert not oracles.halfspace_contains_ball(hs, Ball(lower, radius))
         # the unit check on the same long scale: one unit off is refused
-        with pytest.raises(ValueError, match="exact unit vector"):
-            Halfspace((direction[0] + Fraction(1, long_den),) + direction[1:], threshold, anchor)
+        v, el = direction
+        off = (v[0] * long_den + 1,) + tuple(x * long_den for x in v[1:])
+        with pytest.raises(ValueError, match="exact unit"):
+            Halfspace((off, el * long_den), threshold, anchor)
 
 
 def test_halfspace_contains_ball_matches_fraction_oracle():
@@ -313,6 +332,7 @@ def test_halfspace_contains_ball_matches_fraction_oracle():
         direction = rational_unit_direction([rng.randint(-5, 5) or 2 for _ in range(n)])
         anchor = tuple(long_rational(rng, -1, 1) for _ in range(n))
         hs = Halfspace(direction, long_rational(rng, -1, 1), anchor)
+        direction = unit_fractions(direction)
         radius = long_rational(rng, 0, 1) or Fraction(1, 3)
         delta = rng.choice([Fraction(0), long_rational(rng, -1, 1) / 2**rng.randrange(200)])
         p = tuple(long_rational(rng, -1, 1) for _ in range(n))
@@ -336,22 +356,37 @@ int_vecs = st.lists(
 ).filter(lambda v: any(c != 0 for c in v))
 
 
+def assert_unit_pair(direction):
+    """(v, L) is an exact unit direction: ints, sum v^2 = L^2, L > 0 and
+    gcd(L, v) = 1."""
+    v, el = direction
+    assert type(v) is tuple and type(el) is int and all(type(x) is int for x in v)
+    assert el > 0 and sum(x * x for x in v) == el * el and math.gcd(el, *v) == 1
+
+
+def reference(v):
+    """oracles.rational_unit_direction in its (v, L) form."""
+    return unit_pair(oracles.rational_unit_direction(v))
+
+
+def float_distance(direction, v):
+    """Float distance from the direction v/L to x/|x|."""
+    fv = [float(x) for x in v]
+    fnorm = math.sqrt(math.fsum(x * x for x in fv))
+    return math.dist(map(float, unit_fractions(direction)), [x / fnorm for x in fv])
+
+
 @given(v=int_vecs)
 def test_rational_unit_direction_postconditions(v):
     d = rational_unit_direction(v)
-    assert norm_sq(d) == 1  # exact, not approximate
-    fnorm = math.sqrt(sum(c * c for c in v))
-    err_sq = sum((float(x) - c / fnorm) ** 2 for x, c in zip(d, v))
-    assert math.sqrt(err_sq) < 2 * float(Fraction(1, 2**30)) + 1e-12
+    assert_unit_pair(d)  # exact, not approximate
+    assert float_distance(d, v) < 2 * float(Fraction(1, 2**30)) + 1e-12
 
 
 def test_rational_unit_direction_axis_aligned_exact():
-    assert rational_unit_direction((0, -7, 0)) == (
-        Fraction(0),
-        Fraction(-1),
-        Fraction(0),
-    )
-    assert rational_unit_direction((3,)) == (Fraction(1),)
+    assert rational_unit_direction((0, -7, 0)) == ((0, -1, 0), 1)
+    assert rational_unit_direction((3,)) == ((1,), 1)
+    assert rational_unit_direction((Fraction(1, 10**400), 0)) == ((1, 0), 1)
 
 
 def test_rational_unit_direction_failed_refinement_is_an_invariant_error(monkeypatch):
@@ -366,27 +401,26 @@ def test_rational_unit_direction_zero_vector():
 
 
 def test_rational_unit_direction_equals_the_fraction_reference():
-    # the integer lift returns, tuple for tuple, the Fraction directions of
-    # the same refinement on oracles.stereo_unit
+    # the integer lift returns, pair for pair, the (v, L) form of the
+    # Fraction directions of the same refinement on oracles.stereo_unit
     rng = random.Random(26)
     for n in range(2, 6):
         for _ in range(120):
             bits = rng.randrange(1, 60)
             v = [rng.randrange(-(1 << bits), 1 << bits) for _ in range(n)]
             if any(v):
-                assert rational_unit_direction(v) == oracles.rational_unit_direction(v), v
+                assert rational_unit_direction(v) == reference(v), v
         for i in range(n):  # axis-aligned, and one axis far longer than the rest
             for sign in (1, -1):
                 e = [0] * n
                 e[i] = sign * rng.randrange(1, 100)
-                assert rational_unit_direction(e) == oracles.rational_unit_direction(e)
+                assert rational_unit_direction(e) == reference(e)
                 e[(i + 1) % n] = 1
                 e[i] *= 3 * 10**6
-                assert rational_unit_direction(e) == oracles.rational_unit_direction(e), e
+                assert rational_unit_direction(e) == reference(e), e
     # (1, 3*10^6)'s chart point needs a denominator bound past the first
     # round's 2^20, so its L exceeds c^2 + A <= 2^41
-    d = rational_unit_direction((1, 3 * 10**6))
-    assert d[0].denominator > 2**41
+    assert rational_unit_direction((1, 3 * 10**6))[1] > 2**41
 
 
 @pytest.mark.parametrize("v", [(10**200, 10**200), (10**154, 10**154), (10**400, 1)])
@@ -394,12 +428,28 @@ def test_rational_unit_direction_past_the_float_range(v):
     # the squares of the first two, and the first entry of the third, overflow
     # a float: the vector is divided by 2^k first, which keeps its direction
     d = rational_unit_direction(v)
-    assert norm_sq(d) == 1
+    assert_unit_pair(d)
     k = max(map(abs, v)).bit_length() - 500
     scaled = [Fraction(x, 1 << k) for x in v]
-    assert d == rational_unit_direction(scaled) == oracles.rational_unit_direction(scaled)
-    fnorm = math.sqrt(math.fsum(float(x) ** 2 for x in scaled))
-    assert math.dist(map(float, d), [float(x) / fnorm for x in scaled]) < 2.0**-30
+    assert d == rational_unit_direction(scaled) == reference(scaled)
+    assert float_distance(d, scaled) < 2.0**-30
+
+
+@pytest.mark.parametrize("v", [
+    (Fraction(1, 10**400), Fraction(1, 10**400)),
+    (Fraction(1, 10**400), Fraction(2, 10**400), 0),
+    (Fraction(1, 2**1100), Fraction(3, 2**1100)),
+])
+def test_rational_unit_direction_below_the_float_range(v):
+    # every entry underflows a float to 0: the vector is multiplied by 2^k
+    # first, which brings its largest entry near 1 and keeps its direction
+    d = rational_unit_direction(v)
+    assert_unit_pair(d)
+    top = max(map(abs, v))
+    k = top.denominator.bit_length() - top.numerator.bit_length()
+    scaled = [x * (1 << k) for x in v]
+    assert d == rational_unit_direction(scaled) == reference(scaled)
+    assert float_distance(d, scaled) < 2.0**-30
 
 
 def test_rational_unit_direction_is_unchanged_below_two_to_the_500():
@@ -412,7 +462,22 @@ def test_rational_unit_direction_is_unchanged_below_two_to_the_500():
             for _ in range(6):
                 v = [rng.randrange(-(1 << bits), 1 << bits) for _ in range(n - 1)]
                 v.append(rng.choice([1 << bits, -(1 << bits), Fraction(rng.randrange(1, 1 << bits), 3)]))
-                assert rational_unit_direction(v) == oracles.rational_unit_direction(v), v
+                assert rational_unit_direction(v) == reference(v), v
+
+
+def test_rational_unit_direction_is_unchanged_above_two_to_the_minus_500():
+    # seeded vectors whose largest entry lies near 2^-bits, down to the
+    # 2^-500 below which the vector is scaled: the direction the unscaled
+    # chart gives
+    rng = random.Random(-500)
+    for bits in (1, 40, 300, 499, 500):
+        for n in range(2, 5):
+            for _ in range(6):
+                den = 1 << (bits + 40)
+                v = [Fraction(rng.randrange(-(1 << 40), 1 << 40), den) for _ in range(n - 1)]
+                v.append(rng.choice([Fraction(1, 1 << bits), Fraction(-1, 1 << bits),
+                                     Fraction(rng.randrange(1 << 39, 1 << 40), 3 << (bits + 38))]))
+                assert rational_unit_direction(v) == reference(v), v
 
 
 @pytest.mark.parametrize("c", [3, 12, 10**6 + 3])
@@ -425,10 +490,8 @@ def test_chart_lift_equals_the_fraction_lift(c):
             a = [rng.randrange(-3 * c, 3 * c + 1) for _ in range(n - 1)]
             axis, sign = rng.randrange(n), rng.choice((1, -1))
             v, el = chart_lift(a, c, axis, sign)
-            want_v, want_el = integer_direction(
-                oracles.stereo_unit([Fraction(x, c) for x in a], n, axis, sign)
-            )
-            assert (v, el) == (tuple(want_v), want_el), (a, c, axis, sign)
+            want = unit_pair(oracles.stereo_unit([Fraction(x, c) for x in a], n, axis, sign))
+            assert (v, el) == want, (a, c, axis, sign)
             reduced += el < c * c + sum(x * x for x in a)
     assert reduced  # the gcd division shortened L
     # w = 6/12 = 1/2: (108, 144) over 180 reduces to (3, 4) over 5

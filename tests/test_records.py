@@ -55,8 +55,8 @@ def _records() -> list[tuple[Record, str]]:
         (ball, BALL),
         (plane, PLANE),
         (
-            Halfspace((Fraction(3, 5), Fraction(4, 5)), Fraction(1, 7), (0, 1)),
-            "Halfspace(direction=(Fraction(3, 5), Fraction(4, 5)), threshold=Fraction(1, 7), "
+            Halfspace(((3, 4), 5), Fraction(1, 7), (0, 1)),
+            "Halfspace(direction=((3, 4), 5), threshold=Fraction(1, 7), "
             "anchor=(Fraction(0, 1), Fraction(1, 1)))",
         ),
         (params, PARAMS),
