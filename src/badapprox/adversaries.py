@@ -13,7 +13,7 @@ from random import Random
 
 from .engine import Step, full_step, hold
 from .exact import over_common_denominator, rat
-from .geometry import rational_unit_direction, scale, sub
+from .geometry import rational_unit_direction, same_dimension, scale, sub
 from .resonance import ResonanceSequence
 
 
@@ -63,7 +63,8 @@ class GreedyBlack:
 
     The center is read as the engine's integer form N/D
     (GameState.integer_center), so no call rebuilds a common denominator of
-    the Fraction center.
+    the Fraction center.  A ball of another dimension than the families
+    raises ValueError ("dimension mismatch") before any step is built.
     """
 
     def __init__(self, seq: ResonanceSequence):
@@ -106,7 +107,9 @@ class GreedyBlack:
         return best_r, best_res, den
 
     def __call__(self, state) -> tuple[Step, str]:
-        r, res, _ = self._nearest_residual(*state.integer_center)
+        den, nums = state.integer_center
+        same_dimension(nums, self._families[0][1])  # the scan's zip would truncate
+        r, res, _ = self._nearest_residual(den, nums)
         if not res:
             return hold(state), f"on family {r}"
         # step toward the plane: against the residual's sign

@@ -16,15 +16,19 @@ decided on v and q with the slack as an integer pair (b - a, b) for
 rho = a/b.  A zero step is always legal, because GameParams keeps
 1 - rho > 0, so run_game skips the test for it.  run_game keeps the center
 as an integer vector over one denominator and folds each step into it with
-small-integer products; each recorded coordinate, and each radius, is
-reduced once, by exact.fraction.  Every round scales the radius by
-alpha*beta, so that denominator is mostly a power of two, and fraction
-takes it out by a shift and runs a gcd only on the small odd part: exact,
-because the two parts are coprime.  Each GameState hands its policy that
-integer center as a tuple (GameState.integer_center), so no policy
-rebuilds a common denominator of the Fraction center.  The trace still
-records every move's absolute center and radius, so its file layout does
-not depend on how the game was played.
+small-integer products.  Every round scales the radius by alpha*beta, so
+that denominator is mostly a power of two: a moved center's coordinates
+are reduced by exact.fractions_over, which splits the shared denominator
+into 2^k * o once per move and runs a gcd only on the small odd part o.
+The recorded radius is kept in lowest terms move by move, by two gcds
+against the small terms of rho.  run_game builds each Ball and MoveRecord
+from these values, which it made and checked itself, by setting their
+slots; the policy's note, the one value it did not make, is type-checked
+as MoveRecord checks it.  Each GameState hands its policy that integer
+center as a tuple (GameState.integer_center), so no policy rebuilds a
+common denominator of the Fraction center.  The trace still records every
+move's absolute center and radius, so its file layout does not depend on
+how the game was played.
 A held center is rendered, parsed and checked once: dumps, loads and replay
 reuse the previous move's center when a move repeats it, and replay skips
 its slack test.  A loaded trace writes back the canonical text it was read
@@ -32,10 +36,12 @@ from: each ball that loads builds keeps its strings when every one is what
 rat_str writes, and dumps copies them instead of rendering 1500-bit integers
 again; replay shares the loaded records, so the replayed trace does too.
 Any other spelling is rendered afresh, so every written copy is canonical.
-replay decides the slack on unreduced integers and the radius law by
-cross-multiplying, with no Fraction arithmetic.  It returns a new move list
-that shares the input's records, each once it has passed every check;
-records are frozen.
+replay carries the current center as integers over its least common
+denominator, brings each moved center to its own once and meets the two
+over their lcm, decides the slack there on unreduced integers and the
+radius law by cross-multiplying, with no Fraction arithmetic.  It returns
+a new move list that shares the input's records, each once it has passed
+every check; records are frozen.
 """
 from __future__ import annotations
 
@@ -44,13 +50,13 @@ import json
 import math
 from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
-from itertools import cycle, repeat
-from operator import sub
+from itertools import cycle
 
 from .exact import (
     Rat,
     Record,
-    fraction,
+    _coprime,
+    fractions_over,
     json_list,
     json_list_pieces,
     json_object,
@@ -60,7 +66,7 @@ from .exact import (
     rat,
     rat_str,
 )
-from .geometry import Ball, Direction, Vec, same_dimension
+from .geometry import Ball, Direction, Vec, _set_text, same_dimension
 
 
 class IllegalMove(Exception):
@@ -136,14 +142,19 @@ class GameState(Record, _Form, frozen=True):
             return form
 
 
+def _check_labels(player, note) -> None:
+    """dumps writes a move's player and note as JSON strings; a trace file,
+    a script or a policy may hold anything."""
+    if not isinstance(player, str) or not isinstance(note, (str, type(None))):
+        raise ValueError(f"player and note must be strings (note may be None), "
+                         f"got {player!r} and {note!r}")
+
+
 class MoveRecord(Record, frozen=True):
     __slots__ = ("player", "ball", "note")
 
     def __init__(self, player: str, ball: Ball, note: str | None = None):
-        # dumps writes both as JSON strings; a trace file or a script may hold anything
-        if not isinstance(player, str) or not isinstance(note, (str, type(None))):
-            raise ValueError(f"player and note must be strings (note may be None), "
-                             f"got {player!r} and {note!r}")
+        _check_labels(player, note)
         set_player, set_ball, set_note = self._setters
         set_player(self, player)
         set_ball(self, ball)
@@ -277,6 +288,13 @@ def full_step(direction: Direction, rho: Fraction) -> Step:
     return q // g, [push * x // g for x in v]
 
 
+#: run_game builds each Ball and MoveRecord from values it made and checked
+#: itself: a bare instance whose slots it sets, past the constructors' checks.
+_new = object.__new__
+_set_center, _set_radius = Ball._setters
+_set_player, _set_ball, _set_note = MoveRecord._setters
+
+
 def run_game(
     params: GameParams,
     initial: Ball,
@@ -290,28 +308,38 @@ def run_game(
     TypeError (a float, bool, Fraction or string) or ValueError.  It raises
     IllegalMove as soon as a policy proposes a step longer than 1 - rho
     (rho = alpha for White, beta for Black), i.e. a reply ball not
-    contained in the current ball.  Nothing is clamped.
+    contained in the current ball.  Nothing is clamped.  A note that is not
+    a string or None raises MoveRecord's ValueError, once the step has
+    passed.  Each Ball and MoveRecord is built from values run_game made
+    and checked itself, as a bare instance whose slots it sets.
 
-    The center is N / (U * lam): U the unreduced radius denominator
-    den(rho0) * den(alpha)^w * den(beta)^b (the radius is P / U), and lam a
+    The center is N / (u * lam): u the unreduced radius denominator
+    den(rho0) * den(alpha)^w * den(beta)^b (the radius is p / u), and lam a
     multiple of the initial center's and of every step's denominator.  Each
-    state hands that (U * lam, N) to its policy as its integer_center.  A
-    step v/q moves it to N * b * (lam'/lam) + P * v * b * (lam'/q) over
-    U * b * lam', lam' = lcm(lam, q) and rho = a/b: products of integers, no
-    gcd.  Each recorded coordinate is reduced once, and each radius P/U
-    too, by exact.fraction.  A step is legal iff within_slack holds on v/q
-    with slack (b - a)/b; every nonzero step is tested on every call.  A
-    zero step is always legal (GameParams keeps 1 - rho > 0), so it skips
-    the slack test and reuses the current center.
+    state hands that (u * lam, N) to its policy as its integer_center.  A
+    step v/q moves it to N * b * (lam'/lam) + p * v * b * (lam'/q) over
+    u * b * lam', lam' = lcm(lam, q) and rho = a/b: products of integers, no
+    gcd.  The recorded coordinates are reduced by exact.fractions_over, one
+    2-adic split of the shared denominator per move.  The recorded radius
+    r_num/r_den is kept in lowest terms beside p/u: with a/b in lowest terms
+    too, gcd(r_num a, r_den b) = gcd(r_num, b) * gcd(a, r_den), two gcds
+    against a small int, and no division at all when both are 1.
+    A step is legal iff within_slack holds on v/q with slack (b - a)/b;
+    every nonzero step is tested on every call.  A zero step is always
+    legal (GameParams keeps 1 - rho > 0), so it skips the slack test and
+    reuses the current center.
     """
     trace = GameTrace(params, initial)
+    moves = trace.moves
     current = initial
-    p, u = initial.radius.numerator, initial.radius.denominator
+    r_num, r_den = initial.radius.numerator, initial.radius.denominator
+    p, u = r_num, r_den
     lam, nums = over_common_denominator(initial.center)
     nums = tuple(x * u for x in nums)
     den = u * lam
     seats = [(turn, policy, rho.numerator, rho.denominator)
              for turn, policy, rho in (("W", white, params.alpha), ("B", black, params.beta))]
+    gcd, new = math.gcd, _new
     move_index = 0
     for _ in range(rounds):
         for turn, policy, a, b in seats:
@@ -330,19 +358,33 @@ def run_game(
                     center = tuple(c + current.radius * Fraction(x, q)
                                    for c, x in zip(current.center, v))
                     raise IllegalMove(turn, move_index, center, "reply ball leaves current ball")
-                grown = lam if lam % q == 0 else lam * (q // math.gcd(lam, q))
+                grown = lam if lam % q == 0 else lam * (q // gcd(lam, q))
                 keep, push = b * (grown // lam), p * b * (grown // q)
                 nums = tuple(x * keep + y * push for x, y in zip(nums, v))
                 lam = grown
                 den = u * lam
-                center = tuple(map(fraction, nums, repeat(den)))
+                center = fractions_over(nums, den)
             else:
                 nums = tuple(x * b for x in nums)
                 den *= b
                 center = current.center
+            if note is not None and type(note) is not str:
+                _check_labels(turn, note)  # raises unless note is a str subclass
             p *= a
-            current = Ball(center, fraction(p, u))
-            trace.moves.append(MoveRecord(turn, current, note))
+            g, h = gcd(r_num, b), gcd(a, r_den)
+            if g == h == 1:  # a big int divided even by 1 costs a pass over its digits
+                r_num, r_den = r_num * a, r_den * b
+            else:
+                r_num, r_den = r_num // g * (a // h), r_den // h * (b // g)
+            current = new(Ball)
+            _set_center(current, center)
+            _set_radius(current, _coprime(r_num, r_den))
+            _set_text(current, None)
+            record = new(MoveRecord)
+            _set_player(record, turn)
+            _set_ball(record, current)
+            _set_note(record, note)
+            moves.append(record)
             move_index += 1
     return trace
 
@@ -357,19 +399,23 @@ def replay(trace: GameTrace) -> GameTrace:
 
     With rho = a/b and R = p/q the current radius, each reply center c'
     must lie within slack (1 - rho)*R = (b - a)*p / (b*q) of the current
-    center c: within_slack on c' - c over the two centers' common
-    denominator, with that slack as unreduced integers.  A held center
-    (c' == c) skips the test: GameParams keeps 1 - rho > 0, so a zero
-    displacement is always legal.  The reply radius r must be rho*R, checked
-    cross-multiplied: r.num * b * q == a * p * r.den.  Returns a new
-    trace, equal to the input iff the input is legal and internally
-    consistent; its move list is new, and holds the input's records
-    themselves, each once it has passed every check.
+    center c: within_slack on c' - c over a common denominator of the two
+    centers, with that slack as unreduced integers.  The current center is
+    carried as integers N over its least common denominator D; a moved
+    center c' is brought to its own, N'/D', once, and the two meet over
+    lcm(D, D') = D * D'/g, g = gcd(D, D'), where c' - c is
+    (N' * (D/g) - N * (D'/g)) / lcm(D, D').  N'/D' is then carried to the
+    next move.  A held center (c' == c) skips the test: GameParams keeps
+    1 - rho > 0, so a zero displacement is always legal.  The reply radius
+    r must be rho*R, checked cross-multiplied: r.num * b * q == a * p * r.den.
+    Returns a new trace, equal to the input iff the input is legal and
+    internally consistent; its move list is new, and holds the input's
+    records themselves, each once it has passed every check.
     """
     params = trace.params
-    n = params.dimension
     current = trace.initial
-    out = GameTrace(params, trace.initial)
+    out = GameTrace(params, current)
+    den, nums = over_common_denominator(current.center)
     turns = cycle([("W", params.alpha.numerator, params.alpha.denominator),
                    ("B", params.beta.numerator, params.beta.denominator)])
     for i, (mv, (turn, a, b)) in enumerate(zip(trace.moves, turns)):
@@ -379,9 +425,13 @@ def replay(trace: GameTrace) -> GameTrace:
         same_dimension(center, current.center)
         p, q = current.radius.numerator, current.radius.denominator
         if center != current.center:
-            den, nums = over_common_denominator(center + current.center)
-            if not within_slack(map(sub, nums[:n], nums[n:]), den, (b - a) * p, b * q):
+            moved_den, moved = over_common_denominator(center)
+            g = math.gcd(den, moved_den)
+            scale_moved, scale_held = den // g, moved_den // g
+            disp = [x * scale_moved - y * scale_held for x, y in zip(moved, nums)]
+            if not within_slack(disp, den * scale_held, (b - a) * p, b * q):
                 raise IllegalMove(mv.player, i, center, "reply ball leaves current ball")
+            den, nums = moved_den, moved
         r = mv.ball.radius
         if r.numerator * b * q != a * p * r.denominator:
             raise IllegalMove(mv.player, i, center, "radius law violated")

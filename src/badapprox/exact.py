@@ -15,8 +15,10 @@ for odd o, a shift and a gcd on the small odd part, which is exact because
 2^k and o are coprime.  It is the one place that builds a Fraction from a
 pair already in lowest terms: a bare instance whose two slots,
 ``_numerator`` and ``_denominator``, it sets itself, the one route on every
-Python version.  ``rat`` parses every "p/q" string with it, and the engine
-builds every recorded center and radius with it.
+Python version.  ``rat`` parses every "p/q" string with it, reading the two
+halves by int() without a regular expression; ``fractions_over`` reduces
+the coordinates of a center over one shared denominator, split once, and
+the engine builds every moved center with it.
 
 The exhaustive scans of ``certify`` and ``resonance`` bring every rational
 input to a common denominator D, so ``||v / D|| = min(v mod D, D - v mod D) / D``
@@ -33,7 +35,6 @@ import functools
 import itertools
 import json
 import math
-import re
 import sys
 from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
@@ -138,23 +139,10 @@ def _coprime(n: int, d: int) -> Fraction:
     return f
 
 
-def fraction(n: int, d: int) -> Fraction:
-    """Fraction(n, d) for ints n and d: the same value, numerator,
-    denominator, hash and type, and the same ZeroDivisionError at d = 0.
-
-    The game's coordinates have denominators of over a thousand bits that
-    are almost all a power of two, on which Fraction's general gcd is slow.
-    With d = 2^k * o, o odd, gcd(n, d) = 2^min(v2(n), k) * gcd(n mod o, o),
-    since the two factors of d are coprime: a shift and a gcd on the small
-    odd part.  The reduced pair is built without a second normalisation."""
-    if d <= 0:
-        if not d:
-            raise ZeroDivisionError(f"Fraction({n}, 0)")
-        n, d = -n, -d
-    if not n:
-        return _coprime(0, 1)
-    k = (d & -d).bit_length() - 1
-    o = d >> k
+def _lowest(n: int, d: int, k: int, o: int) -> Fraction:
+    """n/d in lowest terms, for an int n != 0 and d = 2^k * o > 0 with o
+    odd: gcd(n, d) = 2^min(v2(n), k) * gcd(n mod o, o), since the two
+    factors of d are coprime."""
     t = min((n & -n).bit_length() - 1, k)
     if t:
         n >>= t
@@ -167,25 +155,59 @@ def fraction(n: int, d: int) -> Fraction:
     return _coprime(n, d)
 
 
-#: The "p/q" form of ASCII digits; rat parses it without Fraction's own regex.
-_RATIO = re.compile(r"(-?[0-9]+)/([0-9]+)")
+def fraction(n: int, d: int) -> Fraction:
+    """Fraction(n, d) for ints n and d: the same value, numerator,
+    denominator, hash and type, and the same ZeroDivisionError at d = 0.
+
+    The game's coordinates have denominators of over a thousand bits that
+    are almost all a power of two, on which Fraction's general gcd is slow.
+    With d = 2^k * o, o odd, the gcd is a shift and a gcd on the small odd
+    part (_lowest).  The reduced pair is built without a second
+    normalisation."""
+    if d <= 0:
+        if not d:
+            raise ZeroDivisionError(f"Fraction({n}, 0)")
+        n, d = -n, -d
+    if not n:
+        return _coprime(0, 1)
+    k = (d & -d).bit_length() - 1
+    return _lowest(n, d, k, d >> k)
+
+
+def fractions_over(nums: Iterable[int], den: int) -> tuple[Fraction, ...]:
+    """tuple(fraction(x, den) for x in nums) for den > 0, with den split
+    into 2^k * o once for all the coordinates instead of once per coordinate."""
+    k = (den & -den).bit_length() - 1
+    o = den >> k
+    return tuple([_lowest(x, den, k, o) if x else _coprime(0, 1) for x in nums])
 
 
 def _read_rat(text: str) -> tuple[Fraction, bool]:
     """rat(text) for a string, and whether text is exactly what rat_str
-    writes for it: (0|-?[1-9][0-9]*)/([1-9][0-9]*) in lowest terms.  The
-    string is matched once: the spelling is decided from the first digit of
-    each group (no leading zero, no minus zero) and the terms from the
-    denominator fraction keeps, with no second scan of the digits."""
-    m = _RATIO.fullmatch(text)
-    if m is None:
-        return Fraction(text.strip()), False
-    n, d = m[1], m[2]
-    den = int(d)
-    value = fraction(int(n), den)
-    lead = n[1] if n[0] == "-" else n[0]
-    # the slot itself: the denominator property is a Python-level call
-    return value, d[0] != "0" and (lead != "0" or n == "0") and value._denominator == den
+    writes for it: (0|-?[1-9][0-9]*)/([1-9][0-9]*) in lowest terms.
+
+    A string of the form -?[0-9]+/[0-9]+ is read by int() on its two halves:
+    it is ASCII (isascii, O(1)) with no "_", and each half starts and ends
+    with a digit, the numerator after one optional "-", so int() accepts it
+    exactly when every other character is a digit too.  Any other string,
+    or one that int() refuses (a second "/", say), goes to Fraction, and is
+    never canonical.  The spelling is decided from the first digit of each
+    half (no leading zero, no minus zero) and the terms from the
+    denominator fraction keeps, with no scan of the digits beyond int()'s."""
+    cut = text.find("/")
+    if cut > 0 and text.isascii() and "_" not in text:
+        n, d = text[:cut], text[cut + 1:]
+        lead = n[1:2] if n[0] == "-" else n[0]
+        if d and lead.isdigit() and n[-1].isdigit() and d[0].isdigit() and d[-1].isdigit():
+            try:
+                num, den = int(n), int(d)
+            except ValueError:
+                pass
+            else:
+                value = fraction(num, den)
+                # the slot itself: the denominator property is a Python-level call
+                return value, d[0] != "0" and (lead != "0" or n == "0") and value._denominator == den
+    return Fraction(text.strip()), False
 
 
 def rat(value) -> Fraction:

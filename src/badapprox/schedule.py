@@ -23,7 +23,7 @@ from .exact import (
     rat_str,
     round_half_even,
 )
-from .geometry import Ball, Hyperplane, cap_measure_bounds
+from .geometry import Ball, Hyperplane, cap_measure_bounds, same_dimension
 from .resonance import ResonanceSequence
 
 
@@ -295,8 +295,10 @@ def dangerous_hyperplanes(
     and the nearest one is a = round(u·center) (ties to even, exactly as
     Fraction rounding does).  Decided on integers: with the center as N/D
     and radius = p/q, the scale test is 4 p^2 |u|^2 > q^2 and
-    a = round_half_even(u·N, D).
+    a = round_half_even(u·N, D).  A family of another dimension than the
+    ball raises ValueError ("dimension mismatch").
     """
+    same_dimension(ball.center, seq.vector(1))  # every family has one dimension
     den, nums = over_common_denominator(ball.center)
     p, q = ball.radius.numerator, ball.radius.denominator
     reach, bound = 4 * p * p, q * q

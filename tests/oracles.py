@@ -14,8 +14,9 @@ them, Random Black's first route draws each coordinate by ``randrange``
 where the package draws it by ``getrandbits``.  The engine's ball
 containment and trace rendering are the ``Fraction`` test and the generic
 ``json.dumps`` call that the integer test and the direct trace writer
-replaced, held to them by test_geometry.py and test_engine.py; the
-absolute-center engine beside them reads each step (q, v) as the
+replaced, held to them by test_geometry.py and test_engine.py, and
+``read_rat_regex`` is the one-regex-match reader that ``exact._read_rat``
+replaced, held to it by test_exact.py; the absolute-center engine beside them reads each step (q, v) as the
 ``Fraction``s v/q (``step_fractions``), adds it to the center as a
 ``Fraction`` sum and tests containment of the reply ball, where
 ``engine.run_game`` decides legality on the step and folds it into an
@@ -51,6 +52,7 @@ import itertools
 import json
 import math
 import operator
+import re
 from fractions import Fraction
 from random import Random
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -783,6 +785,23 @@ def run_game_absolute(
 def trace_json(trace: GameTrace) -> str:
     """The trace file's text as the generic JSON encoder writes it."""
     return json.dumps(trace.to_jsonable(), indent=2, sort_keys=True)
+
+
+#: The "p/q" form of ASCII digits, as one regular expression.
+_RATIO = re.compile(r"(-?[0-9]+)/([0-9]+)")
+
+
+def read_rat_regex(text: str) -> tuple[Fraction, bool]:
+    """exact._read_rat by one regex match, as the package read a string
+    before it checked the two halves' ends and let int() judge the rest: a
+    string of the form -?[0-9]+/[0-9]+ is the Fraction of its two groups,
+    and canonical iff it is rat_str's spelling of that value; any other
+    string is Fraction(text.strip()), never canonical."""
+    m = _RATIO.fullmatch(text)
+    if m is None:
+        return Fraction(text.strip()), False
+    value = Fraction(int(m[1]), int(m[2]))
+    return value, rat_str(value) == text
 
 
 def certificate_json(cert) -> str:

@@ -168,6 +168,22 @@ def test_greedy_black_two_dim_moves_toward_plane():
     assert after < before
 
 
+@pytest.mark.parametrize("vectors", [[(1, 1, 1), (3, 4, 5)], [(1,), (3,)]])
+@pytest.mark.parametrize("center", [(Fraction(1, 3), Fraction(1, 5)), (Fraction(0), Fraction(0))])
+def test_greedy_black_refuses_a_family_of_another_dimension(vectors, center):
+    # before any step is built: at the origin every family's residual is 0,
+    # which used to end the scan with a hold
+    seq = make_sequence(vectors)
+    black = GreedyBlack(seq)
+    gp = GameParams(Fraction(1, 4), Fraction(1, 2), 2)
+    start = Ball(center, Fraction(1, 1000))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        black(GameState(gp, start, 1, "B"))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        run_game(gp, start, concentric, black, 1)
+    assert black._steps == {}
+
+
 def test_greedy_drift_identity_against_escape():
     # one full round: White escape drive up, Black full chase down toward a
     # far-below plane; the center climbs by exactly gamma * rho

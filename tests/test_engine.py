@@ -2,7 +2,9 @@
 
 import hashlib
 import json
+import math
 from fractions import Fraction
+from itertools import cycle
 from random import Random
 
 import pytest
@@ -24,7 +26,7 @@ from badapprox.engine import (
     replay,
     run_game,
 )
-from badapprox import geometry
+from badapprox import engine, geometry
 from badapprox.escape import AvoidanceDrive
 from badapprox.exact import over_common_denominator, rat_str
 from badapprox.geometry import Ball, Hyperplane
@@ -676,19 +678,24 @@ BAD_STEPS = [
 @pytest.mark.parametrize("turn", ["W", "B"])
 def test_a_bad_step_raises_before_its_move_is_recorded(monkeypatch, zero, moved, error, match,
                                                        turn):
-    # the only records built are the other seat's moves before the bad one
+    # run_game builds each Ball and MoveRecord as a bare instance whose slots
+    # it sets; the only ones built are the other seat's move before the bad one
     built = []
+    new = engine._new
 
-    def record(*args):
-        built.append(args[0])
-        return MoveRecord(*args)
+    def record(cls):
+        built.append(cls)
+        return new(cls)
 
-    monkeypatch.setattr("badapprox.engine.MoveRecord", record)
+    monkeypatch.setattr(engine, "_new", record)
     for step in (zero, moved):
         built.clear()
         with pytest.raises(error, match=match):
             _seat_game(2, turn, step)
-        assert built == ([] if turn == "W" else ["W"])
+        assert built == ([] if turn == "W" else [Ball, MoveRecord])
+    built.clear()
+    assert len(_seat_game(2, turn, (1, (0, 0))).moves) == 2
+    assert built == [Ball, MoveRecord] * 2
 
 
 @pytest.mark.parametrize("turn", ["W", "B"])
@@ -1179,3 +1186,110 @@ def test_replay_refuses_a_canonical_forgery_that_keeps_its_text(legal_trace):
             with pytest.raises(IllegalMove, match=reason) as ei:
                 replay(loaded)
             assert ei.value.move_index == i
+
+
+# -- run_game's recorded radius, note check and replay's carried center ------
+
+
+def test_the_recorded_radius_stays_in_lowest_terms_over_200_moves():
+    # alpha = 2/9, beta = 3/4 from 2^150/125: each Black move cancels 4 from
+    # the numerator (gcd(R.num, b)) and 3 from the denominator (gcd(a, R.den))
+    gp = GameParams(Fraction(2, 9), Fraction(3, 4), 2)
+    start = Ball((Fraction(1, 3), Fraction(-2, 7)), Fraction(2**150, 125))
+    white = lambda state: ((9, (1, 2)) if state.move_index % 4 == 0 else hold(state), None)  # noqa: E731
+    tr = run_game(gp, start, white, concentric, 100)
+    p, u = 2**150, 125
+    cancels = {"gcd(R.num, b)": 0, "gcd(a, R.den)": 0}
+    prev = start.radius
+    for mv, (a, b) in zip(tr.moves, cycle([(2, 9), (3, 4)])):
+        cancels["gcd(R.num, b)"] += math.gcd(prev.numerator, b) > 1
+        cancels["gcd(a, R.den)"] += math.gcd(a, prev.denominator) > 1
+        p, u = p * a, u * b
+        r, want = mv.ball.radius, Fraction(p, u)
+        assert (type(r), r.numerator, r.denominator, hash(r)) == (
+            Fraction, want.numerator, want.denominator, hash(want))
+        assert type(r.numerator) is int and type(r.denominator) is int
+        prev = r
+    assert cancels == {"gcd(R.num, b)": 100, "gcd(a, R.den)": 100}
+    assert len(tr.moves) == 200 and replay(tr).dumps() == tr.dumps()
+
+
+@pytest.mark.parametrize("turn", ["W", "B"])
+def test_a_policys_note_is_checked_after_its_step(turn):
+    class Label(str):
+        pass
+
+    def game(step, note):
+        mover = lambda state: (step, note)  # noqa: E731
+        white, black = (mover, concentric) if turn == "W" else (concentric, mover)
+        return run_game(params_1d(), unit_ball_1d(), white, black, 1)
+
+    for note in (5, b"x", ["x"]):
+        with pytest.raises(ValueError, match="must be strings"):
+            game((4, (1,)), note)
+        with pytest.raises(IllegalMove, match="leaves current ball"):
+            game((1, (1,)), note)  # the step is checked first
+    tr = game((4, (1,)), Label("x"))
+    assert [m.note for m in tr.moves if m.player == turn] == ["x"]
+
+
+def _moved_then_held(rounds):
+    """A 2-d game where White's first move is the only one that moves."""
+    gp = GameParams(Fraction(1, 4), Fraction(1, 2), 2)
+    start = Ball((Fraction(1, 3), Fraction(-2, 7)), Fraction(3, 5))
+    white = lambda state: ((4, (1, 2)) if state.move_index == 0 else hold(state), None)  # noqa: E731
+    return run_game(gp, start, white, concentric, rounds)
+
+
+def _with_center(trace, index, center):
+    """The trace cut after move `index`, that move's center replaced."""
+    moves = list(trace.moves[:index + 1])
+    moves[index] = oracles.replace(moves[index], ball=Ball(center, moves[index].ball.radius))
+    return GameTrace(trace.params, trace.initial, moves)
+
+
+def _on_slack(prev, ball, excess):
+    """prev's center moved along the first axis by the slack and `excess`."""
+    return (prev.center[0] + prev.radius - ball.radius + excess,) + prev.center[1:]
+
+
+@pytest.mark.parametrize("index", [5, 6, 11])
+def test_replay_rejects_a_move_just_past_its_slack_after_held_moves(index):
+    # the center carried since move 0 is the one the slack is measured from
+    tr = _moved_then_held(6)
+    balls = [tr.initial] + [m.ball for m in tr.moves]
+    assert all(b.center == balls[1].center for b in balls[1:])
+    prev, ball = balls[index], balls[index + 1]
+    assert replay(_with_center(tr, index, _on_slack(prev, ball, 0))).moves
+    with pytest.raises(IllegalMove, match="leaves current ball") as ei:
+        replay(_with_center(tr, index, _on_slack(prev, ball, TINY * ball.radius)))
+    assert (ei.value.move_index, ei.value.player) == (index, "W" if index % 2 == 0 else "B")
+
+
+def test_replay_rejects_a_moved_center_over_a_coprime_denominator():
+    # every coordinate of the forged center is over 11^40 * 13, coprime to
+    # the carried denominator (a power of two times 3 * 7)
+    tr = _moved_then_held(4)
+    index = 3
+    prev, ball = tr.moves[index - 1].ball, tr.moves[index].ball
+    q = 11**40 * 13
+    assert all(math.gcd(c.denominator, q) == 1 for c in prev.center)
+    near = tuple(Fraction(round(c * q), q) for c in prev.center)  # within sqrt(2)/(2q)
+    assert all(c.denominator == q for c in near)
+    assert replay(_with_center(tr, index, near)).moves[index].ball.center == near
+    slack = prev.radius - ball.radius
+    past = (Fraction(math.ceil((prev.center[0] + slack) * q) + 1, q), near[1])
+    assert math.gcd(past[0].denominator, prev.center[0].denominator) == 1
+    with pytest.raises(IllegalMove, match="leaves current ball") as ei:
+        replay(_with_center(tr, index, past))
+    assert (ei.value.move_index, ei.value.player) == (index, "B")
+
+
+@pytest.mark.parametrize("excess", [TINY, Fraction(1, 3)])
+def test_replay_rejects_a_bad_first_move_from_the_initial_ball(excess):
+    tr = _moved_then_held(2)
+    prev, ball = tr.initial, tr.moves[0].ball
+    assert replay(_with_center(tr, 0, _on_slack(prev, ball, 0))).moves
+    with pytest.raises(IllegalMove, match="leaves current ball") as ei:
+        replay(_with_center(tr, 0, _on_slack(prev, ball, excess)))
+    assert (ei.value.move_index, ei.value.player) == (0, "W")

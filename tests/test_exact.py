@@ -11,12 +11,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import oracles
 from badapprox.exact import (
     _read_rat,
     asin_bounds,
     ceil_frac,
     floor_frac,
     fraction,
+    fractions_over,
     gt_sqrt,
     gt_sum_two_sqrt,
     json_text,
@@ -215,6 +217,39 @@ def test_fraction_normalises_a_negative_denominator_as_fraction_does():
         _assert_same_fraction(n, d)
 
 
+@pytest.mark.parametrize("den, nums", [
+    (12 << 1500, (0, 5, -(7 << 1600), 0)),  # zero and negative coordinates
+    (3**5 * 7 * 11, (1, -2, 3**5 * 7 * 4, -(3**9 << 800), 0)),  # an odd D
+    ((2**521 - 1) * (2**127 - 1) << 700, ((2**521 - 1) << 3, -(2**127 - 1) * 5, 1, -(1 << 1400))),
+    (1 << 40, (3 << 90, -(1 << 41), 1 << 40, -(5 << 40), 1)),  # more 2s than D has
+    (1, (0, -1, 7 << 2000)),
+])
+def test_fractions_over_equals_fraction_per_coordinate(den, nums):
+    got = fractions_over(nums, den)
+    assert type(got) is tuple and len(got) == len(nums)
+    for x, f in zip(nums, got):
+        assert _fraction_outcome(lambda n, d: f, x, den) == _fraction_outcome(Fraction, x, den)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_fractions_over_equals_fraction_on_seeded_centers(seed):
+    # a game center's shape: D = 2^k o with a small or a long odd part o,
+    # and numerators that share part of o and any power of two
+    rng = Random(seed)
+    for _ in range(60):
+        pieces = [_odd(rng, rng.randrange(1, 300)) for _ in range(rng.randrange(0, 3))]
+        k = rng.randrange(0, 1600)
+        den = math.prod(pieces) << k
+        nums = []
+        for _ in range(rng.randrange(1, 5)):
+            x = (rng.getrandbits(rng.randrange(1, 1700)) | 1) << rng.randrange(0, k + 3)
+            x *= math.prod(p for p in pieces if rng.random() < 0.5)
+            nums.append(rng.choice([0, 1, -1]) * x)
+        assert fractions_over(nums, den) == tuple(Fraction(x, den) for x in nums)
+        for x, f in zip(nums, fractions_over(nums, den)):
+            assert _fraction_outcome(lambda n, d: f, x, den) == _fraction_outcome(Fraction, x, den)
+
+
 def test_rat_parses_long_strings_in_any_terms():
     # the trace's "p/q" strings, canonical or scaled by a common factor
     rng = Random(7)
@@ -236,6 +271,37 @@ def test_read_rat_calls_only_rat_strs_own_spelling_canonical(text):
     value, canonical = _read_rat(text)
     assert (type(value), value) == (Fraction, Fraction(text))
     assert canonical is (rat_str(value) == text)
+
+
+def _read_outcome(read, text):
+    try:
+        value, canonical = read(text)
+    except Exception as exc:  # the exception and its message are the behaviour
+        return type(exc), str(exc)
+    return type(value), value.numerator, value.denominator, canonical
+
+
+@pytest.mark.parametrize("text", [
+    "1/2", "0/1", "-0/1", "01/2", "1/02", " 1/2", "1/2 ", "+1/2", "1_0/3", "2/4", "1/-3",
+    "\u0661/\u0662", "1/0", "3", "1.5", "/", "1/", "-/2",
+    "--1/2", "1/2/3", "1 2/3", "1/2-3", "-1/2", "1/2\n", "\t1/2", "\uff11/2",
+])
+def test_read_rat_matches_the_regex_reader(text):
+    assert _read_outcome(_read_rat, text) == _read_outcome(oracles.read_rat_regex, text)
+
+
+def test_read_rat_matches_the_regex_reader_on_seeded_spellings():
+    # short strings over digits, the separators and signs, spaces and
+    # non-ASCII digits, and long canonical and respelled coordinates
+    rng = Random(30)
+    alphabet = "0123456789/-+_ .e\t\n\u0661\u0662"
+    texts = ["".join(rng.choice(alphabet) for _ in range(rng.randrange(0, 8)))
+             for _ in range(20000)]
+    for _ in range(50):
+        f = Fraction(rng.getrandbits(1600) - (1 << 1599), (rng.getrandbits(40) | 1) << 1500)
+        texts += [rat_str(f), f"{2 * f.numerator}/{2 * f.denominator}", f"0{f.numerator}/{f.denominator}"]
+    for text in texts:
+        assert _read_outcome(_read_rat, text) == _read_outcome(oracles.read_rat_regex, text), text
 
 
 # -- JSON text ---------------------------------------------------------------

@@ -356,6 +356,17 @@ def test_dangerous_hyperplanes_scale_test_is_inclusive():
             assert isinstance(_picked(fn, ball, seq, 0, 1), list) is ok
 
 
+@pytest.mark.parametrize("vectors", [[(1, 1, 1), (3, 4, 5)], [(1,), (3,)]])
+def test_dangerous_hyperplanes_refuses_a_family_of_another_dimension(vectors):
+    # a 2-d ball against 3-d or 1-d families: zip used to truncate, and 3-d
+    # planes came back with offsets read off the first two coordinates
+    seq = make_sequence(vectors)
+    ball = Ball((Fraction(1, 3), Fraction(1, 5)), Fraction(1, 1000))
+    for lo, hi in ((0, 2), (1, 2), (0, 0)):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            dangerous_hyperplanes(ball, seq, lo, hi)
+
+
 def test_dangerous_hyperplanes_two_dim():
     seq = make_sequence([(1, 0), (2, 2)], lacunarity=2)
     ball = Ball((Fraction(1, 5), Fraction(3, 5)), Fraction(1, 20))
