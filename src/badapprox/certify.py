@@ -9,11 +9,13 @@ with deterministic (value, then lexicographic argmin) tie-breaking.
 Theta and eta are brought to one common denominator D, each functional is
 compared as an integer key, and the key is scaled back to a rational (by
 D^n, or D^p * c^q) only once the minimum is known.  No scan walks its box
-point by point: the sizes go in dyadic bands, and each band lists only the
-points of the lattice {(x, u) : u = A x mod D} whose distances could tie or
-beat the best key so far (``_lattice_min`` on ``exact.box_points``), for
-every shape.  A 1x1 theta first looks for an exact hit, which is found in
-O(1) and never listed.
+point by point: the sizes go in bands, and each band lists only the points
+of the lattice {(x, u) : u = A x mod D} whose distances could tie or beat
+the best key so far (``_lattice_min`` on ``exact.box_points``), for every
+shape.  Once a key is known, each band is as wide as a box of about three
+lattice points allows, by volume, and never narrower than a dyadic band.
+A 1x1 theta first looks for an exact hit, which is found in O(1) and never
+listed, and its scan stops once only an exact hit could still win.
 """
 from __future__ import annotations
 
@@ -201,6 +203,10 @@ def _table_rho(table: DecayTable) -> Callable[[int], int]:
     return lambda s: sizes[bisect_right(thresholds, s) - 1]
 
 
+#: the lattice points a band's box holds by volume, once a key is known
+_BAND_POINTS = 3
+
+
 def _lattice_min(
     coeffs: Sequence[Sequence[int]],
     offsets: Sequence[int],
@@ -217,20 +223,31 @@ def _lattice_min(
 
     ``weight`` must be a positive integer that does not decrease with s.
     The pairs (x, u) with u = A x mod den, A = coeffs, form an
-    (m + n)-dimensional lattice, and the distance of form j at x is
-    |u_j - e_j| for the representative u_j within den/2 of e_j.  The sizes
-    go in dyadic bands lo <= s <= hi, in increasing order.  With K the best
-    key so far, a point of the band ties or beats K only if every
+    (m + n)-dimensional lattice of covolume den^n, and the distance of form
+    j at x is |u_j - e_j| for the representative u_j within den/2 of e_j.
+    The sizes go in bands lo <= s <= hi, in increasing order.  With K the
+    best key so far, a point of the band ties or beats K only if every
     |u_j - e_j| <= V, V the largest integer with V^power * weight(lo) <= K
     (at most den // 2), and ``exact.box_points`` lists every lattice point
     of the box [-hi, hi]^m x [e - V, e + V]^n, its basis reduced from the
-    previous band's.  Before the first key, V starts where the box holds
-    about one lattice point (volume den^n) and doubles until the band holds
-    one; the band is then listed at the V of its key, so a size window that
-    starts far out does not list a share of its box.  The search never
-    stops early: once weight(lo) > K,
-    or K = 0, V is 0 and the later bands list only the exact hits, so the
-    lex-smallest hit anywhere in range still wins.
+    previous band's.  The first band is dyadic (hi = 2^(j+1) - 1 for
+    2^j <= lo).  Before the first key, V starts where its box holds about
+    one lattice point (volume den^n) and doubles until the band holds one;
+    the band is then listed at the V of its key, so a size window that
+    starts far out does not list a share of its box.  Every later band is
+    sized by volume: V is fixed by K at lo, and hi is the largest size with
+    (2 hi + 1)^m (2 V + 1)^n <= 3 den^n, a box of about three lattice
+    points (``_BAND_POINTS``; of 1 to 8, 2 to 4 timed best on every shape),
+    so each reduction is paid for a few points, not for none.  hi is never
+    below the dyadic top nor above limit.  V is read at weight(lo) and
+    weight does not decrease, so every point of a band that can tie or beat
+    K lies in its box, however wide the band.
+
+    Once weight(lo) > K, or K = 0, V is 0 and the later bands list only the
+    exact hits, so the lex-smallest hit anywhere in range still wins.  A
+    1x1 theta stops there instead: ``_scan_min`` rules out every exact hit
+    in range before it calls this, so nothing later can tie or beat K.
+    Every other shape visits the bands up to limit.
     """
     m, n = len(coeffs), len(offsets)
     e = [v % den for v in offsets]
@@ -243,11 +260,20 @@ def _lattice_min(
         cap = key // weight(lo)
         return half if half**power <= cap else iroot(cap, power)
 
+    covolume = den**n
     best = None
     lo = s_floor
     while lo <= limit:
-        hi = min(limit, (1 << lo.bit_length()) - 1)
-        v = bound(best[0]) if best else min(half, iroot(den**n // (2 * hi + 1) ** m, n) // 2)
+        top = (1 << lo.bit_length()) - 1  # the dyadic band's top
+        if best:
+            v = bound(best[0])
+            if not v and m == n == 1:
+                break  # only an exact hit could tie K, and none is in range
+            side = iroot(_BAND_POINTS * covolume // (2 * v + 1) ** n, m)  # 2 hi + 1, by volume
+            hi = min(limit, max(top, (side - 1) // 2))
+        else:
+            hi = min(limit, top)
+            v = min(half, iroot(covolume // (2 * hi + 1) ** m, n) // 2)
         while True:
             basis, points = box_points(basis, center, [hi] * m + [v] * n)
             for p in points:
@@ -283,7 +309,8 @@ def _scan_min(
     (theta = a/D, eta = e/D) first looks for an exact hit: the x with
     a x = e mod D are one residue class mod D / gcd(a, D), or none, and the
     class's smallest signed member with s_floor <= |x| <= limit, if any,
-    scores 0 and wins the lex tie, so dense hits are never listed.
+    scores 0 and wins the lex tie, so dense hits are never listed, and
+    ``_lattice_min`` stops once only an exact hit could tie its best key.
     """
     if len(eta) != theta.n:
         raise ValueError(f"eta has dimension {len(eta)}, expected {theta.n}")

@@ -6,7 +6,10 @@ hold the library's functions to them value for value, argmin for argmin.
 The integer box walk ``box_distances`` beside them, with ``box_walk`` and
 ``walk_records_and_steps`` built on it, served every scan and record
 search until the lattice routes replaced it; it is the fast oracle that
-holds those routes to boxes the Fraction loops cannot reach.  The
+holds those routes to boxes the Fraction loops cannot reach.
+``lattice_min_dyadic`` is the all-dyadic band schedule that the scans'
+volume-sized bands replaced, held to them by test_kernel.py far past the
+box walk's reach.  The
 plane-budget scan of ``derive_params`` and Greedy Black's nearest-plane
 search are the ``Fraction`` versions of the construction path's integer
 loops, held to them by test_schedule.py and test_adversaries.py; beside
@@ -63,10 +66,12 @@ from badapprox.engine import GameParams, GameState, GameTrace, IllegalMove, Move
 from badapprox.escape import CapSelection, SelectionExhausted
 from badapprox.exact import (
     InvariantError,
+    box_points,
     ceil_frac,
     floor_frac,
     gt_sqrt,
     gt_sum_two_sqrt,
+    iroot,
     over_common_denominator,
     rat,
     rat_str,
@@ -390,6 +395,52 @@ def box_walk(theta, eta, limit, power, weight):
         return box_min(theta, eta, limit, power,
                        lambda sizes: map(rho.__getitem__, sizes), weight.s_min)
     return box_min(theta, eta, limit, power, powers(weight))
+
+
+def lattice_min_dyadic(
+    coeffs: Sequence[Sequence[int]],
+    offsets: Sequence[int],
+    den: int,
+    limit: int,
+    power: int,
+    weight: Callable[[int], int],
+    s_floor: int,
+) -> tuple[int, tuple[int, ...]]:
+    """``certify._lattice_min`` with every band dyadic, lo <= s <= hi for
+    2^j <= lo <= hi = 2^(j+1) - 1, and no early stop: the bands go up to
+    limit on every shape.  V and the first band's doubling are the
+    library's.  It is the schedule the volume-sized bands replaced, and
+    the reference they are held to past the box walk's reach."""
+    m, n = len(coeffs), len(offsets)
+    e = [v % den for v in offsets]
+    basis = [[int(i == h) for h in range(m)] + list(row) for i, row in enumerate(coeffs)]
+    basis += [[0] * m + [den * (j == h) for h in range(n)] for j in range(n)]
+    half = den // 2
+    center = [0] * m + e
+
+    def bound(key: int) -> int:
+        cap = key // weight(lo)
+        return half if half**power <= cap else iroot(cap, power)
+
+    best = None
+    lo = s_floor
+    while lo <= limit:
+        hi = min(limit, (1 << lo.bit_length()) - 1)
+        v = bound(best[0]) if best else min(half, iroot(den**n // (2 * hi + 1) ** m, n) // 2)
+        while True:
+            basis, points = box_points(basis, center, [hi] * m + [v] * n)
+            for p in points:
+                x = p[:m]
+                s = max(map(abs, x))
+                if s >= lo:
+                    cand = (max(abs(u - ej) for u, ej in zip(p[m:], e)) ** power * weight(s), x)
+                    if best is None or cand < best:
+                        best = cand
+            if best and bound(best[0]) <= v:
+                break
+            v = bound(best[0]) if best else min(half, 2 * v + 1)
+        lo = hi + 1
+    return best
 
 
 def _dual_forms(theta: ThetaMatrix) -> tuple[list[list[int]], int]:

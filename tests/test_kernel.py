@@ -338,6 +338,21 @@ def listed(monkeypatch):
     return points
 
 
+@pytest.fixture
+def boxes(monkeypatch):
+    """How many lattice points each of certify's ``box_points`` calls
+    lists, one entry a call."""
+    counts = []
+
+    def counted(*args):
+        basis, found = exact.box_points(*args)
+        counts.append(len(found))
+        return basis, found
+
+    monkeypatch.setattr(certify, "box_points", counted)
+    return counts
+
+
 def test_1x1_exact_hit_lists_no_lattice_point(listed):
     # the hit is found from its residue class, before any band is listed
     for theta, eta, limit in ((Fraction(1, 97), Fraction(50, 97), 200),
@@ -633,6 +648,123 @@ def test_lattice_scan_far_past_the_box_walk():
     r = nearest_int_dist(theta.rows[0][0] * x[0] + theta.rows[1][0] * x[1] - eta[0])
     assert far.value == r * max(map(abs, x)) ** 2
     assert 0 < far.value <= near.value
+
+
+# -- volume-sized bands against the dyadic schedule -------------------------------------
+
+#: Mersenne primes: a band case takes the smallest three that keep its box
+#: below one period and its exact hits sparse
+BAND_DENS = [2**61 - 1, 2**89 - 1, 2**107 - 1, 2**127 - 1, 2**521 - 1]
+GOLDEN_ETA = [Fraction(160567, 524288)]
+#: a 1x2 theta over 2^1279 - 1, drawn as CI draws deep2's, and a shift with no exact hit
+P1279 = 2**1279 - 1
+THETA_1279 = ThetaMatrix((tuple(Fraction(draw, P1279) for draw in map(
+    random.Random(11).randrange, [P1279] * 2)),))
+ETA_1279 = [Fraction(1, 3), Fraction(1, 5)]
+
+
+def dyadic_scan(theta, eta, limit, power, weight):
+    """``certify._scan_min`` on ``oracles.lattice_min_dyadic``: every band
+    dyadic and no early stop, the 1x1 hit route unchanged."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(certify, "_lattice_min", oracles.lattice_min_dyadic)
+        return certify._scan_min(theta, eta, limit, power, weight)
+
+
+def band_case(rng, m, n):
+    """A seeded theta, eta, N and weight (p, q), N from 10^3 to 10^30: the
+    shift is a planted exact hit, a near-hit off by 1/(3D) or 2/(3D), or
+    a point over 3D; the weight is a power law or a table whose window
+    starts past 1 and covers N."""
+    limit = rng.randrange(10**3, 10 ** rng.randrange(4, 31))
+    den = rng.choice([d for d in BAND_DENS
+                      if d > 100 * limit and d**n > 100 * (2 * limit + 1) ** m][:3])
+    theta = ThetaMatrix(tuple(
+        tuple(Fraction(rng.randrange(den), den) for _ in range(n)) for _ in range(m)
+    ))
+    x0 = [rng.randint(-limit, limit) for _ in range(m)]
+    image = [sum(theta.rows[i][j] * x0[i] for i in range(m)) for j in range(n)]
+    kind = rng.randrange(3)
+    if kind == 0:
+        eta = [v % 1 for v in image]
+    elif kind == 1:
+        eta = [(v + Fraction(rng.choice([-2, -1, 1, 2]), 3 * den)) % 1 for v in image]
+    else:
+        eta = [Fraction(3 * rng.randrange(den) + rng.randrange(1, 3), 3 * den) for _ in range(n)]
+    if rng.randrange(2):
+        return theta, eta, limit, *rng.choice(POWERS)
+    top = len(str(limit))
+    cuts = sorted({rng.randrange(2, min(limit, 10 ** rng.randrange(2, top + 1))) for _ in range(3)})
+    cuts.append(limit + rng.randrange(3))
+    sizes = tuple(sorted(rng.sample(range(1, 10**6), len(cuts))))
+    return theta, eta, limit, 1, DecayTable(sizes, [Fraction(1, t) for t in cuts])
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1)],
+                         ids=lambda s: "%dx%d" % s)
+def test_volume_bands_match_the_dyadic_schedule(shape):
+    rng = random.Random(f"bands {shape}")
+    for _ in range(10):
+        theta, eta, limit, p, q = band_case(rng, *shape)
+        assert (certify._scan_min(theta, eta, limit, p, q)
+                == dyadic_scan(theta, eta, limit, p, q)), (theta, eta, limit, p, q)
+
+
+def test_volume_bands_on_dense_hits_and_ties():
+    # theta = (1/12, 5/12) with eta = 1/3: a twelfth of all x are exact hits
+    theta = ThetaMatrix(((Fraction(1, 12),), (Fraction(5, 12),)))
+    for limit in (1, 7, 100):
+        got = certify._scan_min(theta, [Fraction(1, 3)], limit, 1, 2)
+        assert got == dyadic_scan(theta, [Fraction(1, 3)], limit, 1, 2)
+        assert got == box_walk(theta, [Fraction(1, 3)], limit, 1, 2)
+    # theta = 0 with eta = 0: every x is a hit, and the lex tie goes to (-N, ..., -N)
+    for m, n in ((2, 1), (1, 2), (2, 2)):
+        theta = ThetaMatrix(((Fraction(0),) * n,) * m)
+        got = certify._scan_min(theta, [Fraction(0)] * n, 20, n, m)
+        assert got == (0, 1, (-20,) * m) == dyadic_scan(theta, [Fraction(0)] * n, 20, n, m)
+    # theta = 2/7 with eta = 1/3 and rho = 1 over the window [5, 2000]: a seventh
+    # of all x tie the minimum 1/21
+    table = DecayTable(sizes=(1, 2), values=(Fraction(1, 5), Fraction(1, 2001)))
+    theta, eta = scalar(Fraction(2, 7)), [Fraction(1, 3)]
+    got = certify._scan_min(theta, eta, 2000, 1, table)
+    assert got == dyadic_scan(theta, eta, 2000, 1, table) == box_walk(theta, eta, 2000, 1, table)
+    assert got == (1, 21, (-1994,))
+
+
+def test_1x1_scan_stops_once_only_an_exact_hit_could_win(golden, boxes):
+    # the flagship has no exact hit: past the first band whose weight
+    # exceeds the best key, every band is empty, and the scan stops there
+    for limit in (10**9, 10**100):
+        assert (certify._scan_min(golden, GOLDEN_ETA, limit, 1, 1)
+                == dyadic_scan(golden, GOLDEN_ETA, limit, 1, 1))
+    boxes.clear()
+    certify._scan_min(golden, GOLDEN_ETA, 10**100, 1, 1)
+    assert len(boxes) <= 20  # 333 dyadic bands, about 303 volume-sized ones without the stop
+
+
+def test_2x1_exact_hit_past_the_weight_is_found():
+    # x = (1, 0) scores 1 * 1^2 = 1 in the first band, so from size 2 on the
+    # weight alone exceeds the best key; no exact hit 10 x1 + 37 x2 = 9 mod
+    # 101 has size <= 2, but (7, 12) is one and wins at N = 12, so the bands
+    # of a 2x1 theta must go on listing the hits
+    theta, eta = ThetaMatrix(((Fraction(10, 101),), (Fraction(37, 101),))), [Fraction(9, 101)]
+    for limit in (1, 2):
+        assert certify._scan_min(theta, eta, limit, 1, 2) == (1, 101, (1, 0))
+    got = certify._scan_min(theta, eta, 12, 1, 2)
+    assert got == (0, 101, (7, 12)) == box_walk(theta, eta, 12, 1, 2)
+    assert got == dyadic_scan(theta, eta, 12, 1, 2)
+
+
+def test_volume_bands_cut_the_box_points_calls(golden, boxes):
+    # the dyadic schedule makes 17 calls on the flagship at 10^5 and 641 on
+    # the 1x2 theta at isqrt(D); a band sized by volume lists a few points
+    # a call, not a share of the box
+    cases = [(golden, GOLDEN_ETA, 10**5, 8, 40),
+             (THETA_1279, ETA_1279, math.isqrt(P1279), 160, 600)]
+    for theta, eta, limit, most_calls, most_points in cases:
+        boxes.clear()
+        certify._scan_min(theta, eta, limit, theta.n, theta.m)
+        assert len(boxes) <= most_calls and sum(boxes) <= most_points, (len(boxes), sum(boxes))
 
 
 def test_psi_theta_reads_the_continued_fraction_steps_of_a_1x1_theta():
