@@ -61,9 +61,8 @@ class GreedyBlack:
     along a rationalized unit direction (engine.full_step).  The step is
     cached per (family, side, beta).
 
-    The center is read as the engine's integer form N/D
-    (GameState.integer_center), so no call rebuilds a common denominator of
-    the Fraction center.  A ball of another dimension than the families
+    The center is read as the ball's integer form N/D (Ball.form), so no
+    call builds a Fraction.  A ball of another dimension than the families
     raises ValueError ("dimension mismatch") before any step is built.
     """
 
@@ -107,7 +106,7 @@ class GreedyBlack:
         return best_r, best_res, den
 
     def __call__(self, state) -> tuple[Step, str]:
-        den, nums = state.integer_center
+        den, nums = state.ball.form
         same_dimension(nums, self._families[0][1])  # the scan's zip would truncate
         r, res, _ = self._nearest_residual(den, nums)
         if not res:

@@ -14,34 +14,37 @@ Legality is one exact integer predicate, within_slack: the reply ball lies
 inside the current one iff |c' - c| <= (1 - rho)*R, i.e. |v/q| <= 1 - rho,
 decided on v and q with the slack as an integer pair (b - a, b) for
 rho = a/b.  A zero step is always legal, because GameParams keeps
-1 - rho > 0, so run_game skips the test for it.  run_game keeps the center
-as an integer vector over one denominator and folds each step into it with
-small-integer products.  Every round scales the radius by alpha*beta, so
-that denominator is mostly a power of two: a moved center's coordinates
-are reduced by exact.fractions_over, which splits the shared denominator
-into 2^k * o once per move and runs a gcd only on the small odd part o.
-The recorded radius is kept in lowest terms move by move, by two gcds
-against the small terms of rho.  run_game builds each Ball and MoveRecord
-from these values, which it made and checked itself, by setting their
-slots; the policy's note, the one value it did not make, is type-checked
-as MoveRecord checks it.  Each GameState hands its policy that integer
-center as a tuple (GameState.integer_center), so no policy rebuilds a
-common denominator of the Fraction center.  The trace still records every
-move's absolute center and radius, so its file layout does not depend on
-how the game was played.
-A held center is rendered, parsed and checked once: dumps, loads and replay
-reuse the previous move's center when a move repeats it, and replay skips
-its slack test.  A loaded trace writes back the canonical text it was read
-from: each ball that loads builds keeps its strings when every one is what
-rat_str writes, and dumps copies them instead of rendering 1500-bit integers
-again; replay shares the loaded records, so the replayed trace does too.
-Any other spelling is rendered afresh, so every written copy is canonical.
-replay carries the current center as integers over its least common
-denominator, brings each moved center to its own once and meets the two
-over their lcm, decides the slack there on unreduced integers and the
-radius law by cross-multiplying, with no Fraction arithmetic.  It returns
-a new move list that shares the input's records, each once it has passed
-every check; records are frozen.
+1 - rho > 0, so run_game skips the test for it.
+
+A ball holds its center in one form, integers over one common denominator
+(geometry.Ball.form), and that form runs from the fold to the certificate.
+run_game keeps the center as an integer vector over one denominator, folds
+each step into it with small-integer products and gives each moved ball
+that (D, N) as it stands, unreduced; a held move's ball shares the form and
+the center of the ball before it.  A policy reads its state's ball's form,
+and so does every integer test after the game.  A ball's Fraction center is
+derived from its form only when something reads it, such as dumps.  The
+recorded radius is kept in lowest terms move by move, by two gcds against
+the small terms of rho.  run_game builds each Ball (geometry.make_ball) and
+MoveRecord from these values, which it made and checked itself, by setting
+their slots; the policy's note, the one value it did not make, is
+type-checked as MoveRecord checks it.  The trace records every move's
+absolute center and radius, so its file layout does not depend on how the
+game was played.
+
+A held center is rendered, parsed and checked once: dumps renders a center
+only when its form is not the previous move's, loads shares the previous
+ball when a move's "center" list repeats it, and replay skips the slack
+test of a ball that shares the current form.  A loaded trace writes back
+the canonical text it was read from: each ball that loads builds keeps its
+strings when every one is what rat_str writes, and dumps copies them
+instead of rendering 1500-bit integers again; replay shares the loaded
+records, so the replayed trace does too.  Any other spelling is rendered
+afresh, so every written copy is canonical.  replay meets each moved
+center's form and the current one over their lcm, decides the slack there
+on unreduced integers and the radius law by cross-multiplying, with no
+Fraction arithmetic.  It returns a new move list that shares the input's
+records, each once it has passed every check; records are frozen.
 """
 from __future__ import annotations
 
@@ -56,17 +59,15 @@ from .exact import (
     Rat,
     Record,
     _coprime,
-    fractions_over,
     json_list,
     json_list_pieces,
     json_object,
     json_rat,
     json_text,
-    over_common_denominator,
     rat,
     rat_str,
 )
-from .geometry import Ball, Direction, Vec, _set_text, same_dimension
+from .geometry import Ball, Direction, Vec, make_ball, same_dimension
 
 
 class IllegalMove(Exception):
@@ -108,38 +109,12 @@ class GameParams(Record, frozen=True):
         return cls(json_rat(obj["alpha"], "alpha"), json_rat(obj["beta"], "beta"), obj["dimension"])
 
 
-class _Form:
-    """The slot where a GameState keeps its center's integer form
-    (GameState.integer_center).  It is not a field of the record: equality,
-    hash, repr, copy and pickle never see it."""
-
-    __slots__ = ("_form",)
-
-
-_set_form = _Form._form.__set__
-
-
-class GameState(Record, _Form, frozen=True):
+class GameState(Record, frozen=True):
     """What a policy sees: the ball it must reply inside, and whose turn it
     is.  move_index is 0-based and counts half-moves (W, B, W, B, ...); turn
     is "W" or "B"."""
 
     __slots__ = ("params", "ball", "move_index", "turn")
-
-    @property
-    def integer_center(self) -> tuple[int, tuple[int, ...]]:
-        """(D, N): the ball's center as the integers N over a common
-        denominator D > 0, not always the least one, so a policy may only
-        read from it what is the same over every common denominator.
-        run_game hands out the form its fold already holds; a state built
-        by hand computes the least one once, on the first read."""
-        try:
-            return self._form
-        except AttributeError:
-            den, nums = over_common_denominator(self.ball.center)
-            form = den, tuple(nums)
-            _set_form(self, form)
-            return form
 
 
 def _check_labels(player, note) -> None:
@@ -203,11 +178,11 @@ class GameTrace(Record):
         ]
         if self.moves:
             parts.append("[\n")
-            center = None  # the initial center is written at another indent
+            form = None  # the initial center is written at another indent
             for m in self.moves:
                 ball = m.ball
-                if ball.center != center:  # a held center is rendered once
-                    center = ball.center
+                if ball.form is not form:  # a held center shares its form and is rendered once
+                    form = ball.form
                     center_parts = json_list_pieces(ball._center_strs(), 6)
                 parts += (
                     '    {\n      "center": ', *center_parts,
@@ -226,7 +201,7 @@ class GameTrace(Record):
     def from_jsonable(cls, obj: dict) -> "GameTrace":
         """A move whose "center" list equals the previous one's (the initial
         ball's, for move 0) is read with that ball held: Ball.from_jsonable
-        reuses its parsed center and the center strings it kept when the list
+        reuses its form, center and center strings when the list
         holds only strings.  Radius, player and note are read on every move.
         A ball read from canonical strings keeps them, and dumps writes them
         back."""
@@ -288,10 +263,9 @@ def full_step(direction: Direction, rho: Fraction) -> Step:
     return q // g, [push * x // g for x in v]
 
 
-#: run_game builds each Ball and MoveRecord from values it made and checked
-#: itself: a bare instance whose slots it sets, past the constructors' checks.
+#: run_game builds each MoveRecord from values it made and checked itself: a
+#: bare instance whose slots it sets, past the constructor's checks.
 _new = object.__new__
-_set_center, _set_radius = Ball._setters
 _set_player, _set_ball, _set_note = MoveRecord._setters
 
 
@@ -310,31 +284,25 @@ def run_game(
     (rho = alpha for White, beta for Black), i.e. a reply ball not
     contained in the current ball.  Nothing is clamped.  A note that is not
     a string or None raises MoveRecord's ValueError, once the step has
-    passed.  Each Ball and MoveRecord is built from values run_game made
-    and checked itself, as a bare instance whose slots it sets.
+    passed.
 
     The center is N / (u * lam): u the unreduced radius denominator
     den(rho0) * den(alpha)^w * den(beta)^b (the radius is p / u), and lam a
-    multiple of the initial center's and of every step's denominator.  Each
-    state hands that (u * lam, N) to its policy as its integer_center.  A
+    multiple of the initial center's and of every step's denominator.  A
     step v/q moves it to N * b * (lam'/lam) + p * v * b * (lam'/q) over
     u * b * lam', lam' = lcm(lam, q) and rho = a/b: products of integers, no
-    gcd.  The recorded coordinates are reduced by exact.fractions_over, one
-    2-adic split of the shared denominator per move.  The recorded radius
-    r_num/r_den is kept in lowest terms beside p/u: with a/b in lowest terms
-    too, gcd(r_num a, r_den b) = gcd(r_num, b) * gcd(a, r_den), two gcds
-    against a small int, and no division at all when both are 1.
-    A step is legal iff within_slack holds on v/q with slack (b - a)/b;
-    every nonzero step is tested on every call.  A zero step is always
-    legal (GameParams keeps 1 - rho > 0), so it skips the slack test and
-    reuses the current center.
+    gcd, and the moved ball's form.  A zero step, always legal, skips the
+    slack test, and its ball shares the current ball's form and center.
+    The radius r_num/r_den stays in lowest terms: with a/b in lowest terms,
+    gcd(r_num a, r_den b) = gcd(r_num, b) * gcd(a, r_den), two gcds against
+    a small int, and no division at all when both are 1.
     """
     trace = GameTrace(params, initial)
     moves = trace.moves
     current = initial
     r_num, r_den = initial.radius.numerator, initial.radius.denominator
     p, u = r_num, r_den
-    lam, nums = over_common_denominator(initial.center)
+    lam, nums = initial.form
     nums = tuple(x * u for x in nums)
     den = u * lam
     seats = [(turn, policy, rho.numerator, rho.denominator)
@@ -343,9 +311,7 @@ def run_game(
     move_index = 0
     for _ in range(rounds):
         for turn, policy, a, b in seats:
-            state = GameState(params, current, move_index, turn)
-            _set_form(state, (den, nums))
-            (q, v), note = policy(state)
+            (q, v), note = policy(GameState(params, current, move_index, turn))
             if type(q) is not int or not set(map(type, v)) <= _INT_ONLY:
                 raise TypeError(f"a step (q, v) holds ints only, got "
                                 f"{[type(x).__name__ for x in (q, *v)]}")
@@ -363,11 +329,11 @@ def run_game(
                 nums = tuple(x * keep + y * push for x, y in zip(nums, v))
                 lam = grown
                 den = u * lam
-                center = fractions_over(nums, den)
+                form, center = (den, nums), None
             else:
                 nums = tuple(x * b for x in nums)
                 den *= b
-                center = current.center
+                form, center = current.form, current.center
             if note is not None and type(note) is not str:
                 _check_labels(turn, note)  # raises unless note is a str subclass
             p *= a
@@ -376,10 +342,7 @@ def run_game(
                 r_num, r_den = r_num * a, r_den * b
             else:
                 r_num, r_den = r_num // g * (a // h), r_den // h * (b // g)
-            current = new(Ball)
-            _set_center(current, center)
-            _set_radius(current, _coprime(r_num, r_den))
-            _set_text(current, None)
+            current = make_ball(form, _coprime(r_num, r_den), center)
             record = new(MoveRecord)
             _set_player(record, turn)
             _set_ball(record, current)
@@ -400,14 +363,14 @@ def replay(trace: GameTrace) -> GameTrace:
     With rho = a/b and R = p/q the current radius, each reply center c'
     must lie within slack (1 - rho)*R = (b - a)*p / (b*q) of the current
     center c: within_slack on c' - c over a common denominator of the two
-    centers, with that slack as unreduced integers.  The current center is
-    carried as integers N over its least common denominator D; a moved
-    center c' is brought to its own, N'/D', once, and the two meet over
+    centers, with that slack as unreduced integers.  Each center is read
+    as its ball's form: with c = N/D and c' = N'/D', the two meet over
     lcm(D, D') = D * D'/g, g = gcd(D, D'), where c' - c is
-    (N' * (D/g) - N * (D'/g)) / lcm(D, D').  N'/D' is then carried to the
-    next move.  A held center (c' == c) skips the test: GameParams keeps
-    1 - rho > 0, so a zero displacement is always legal.  The reply radius
-    r must be rho*R, checked cross-multiplied: r.num * b * q == a * p * r.den.
+    (N' * (D/g) - N * (D'/g)) / lcm(D, D').  A held move, whose ball shares
+    the current ball's form (run_game and loads both share it), skips the
+    test: GameParams keeps 1 - rho > 0, so a zero displacement is always
+    legal.  The reply radius r must be rho*R, checked cross-multiplied:
+    r.num * b * q == a * p * r.den.
     Returns a new trace, equal to the input iff the input is legal and
     internally consistent; its move list is new, and holds the input's
     records themselves, each once it has passed every check.
@@ -415,26 +378,24 @@ def replay(trace: GameTrace) -> GameTrace:
     params = trace.params
     current = trace.initial
     out = GameTrace(params, current)
-    den, nums = over_common_denominator(current.center)
     turns = cycle([("W", params.alpha.numerator, params.alpha.denominator),
                    ("B", params.beta.numerator, params.beta.denominator)])
     for i, (mv, (turn, a, b)) in enumerate(zip(trace.moves, turns)):
-        center = mv.ball.center
+        ball = mv.ball
         if mv.player != turn:
-            raise IllegalMove(mv.player, i, center, "out-of-turn move")
-        same_dimension(center, current.center)
+            raise IllegalMove(mv.player, i, ball.center, "out-of-turn move")
+        (den, nums), (moved_den, moved) = current.form, ball.form
+        same_dimension(moved, nums)
         p, q = current.radius.numerator, current.radius.denominator
-        if center != current.center:
-            moved_den, moved = over_common_denominator(center)
+        if ball.form is not current.form:
             g = math.gcd(den, moved_den)
             scale_moved, scale_held = den // g, moved_den // g
             disp = [x * scale_moved - y * scale_held for x, y in zip(moved, nums)]
             if not within_slack(disp, den * scale_held, (b - a) * p, b * q):
-                raise IllegalMove(mv.player, i, center, "reply ball leaves current ball")
-            den, nums = moved_den, moved
-        r = mv.ball.radius
+                raise IllegalMove(mv.player, i, ball.center, "reply ball leaves current ball")
+        r = ball.radius
         if r.numerator * b * q != a * p * r.denominator:
-            raise IllegalMove(mv.player, i, center, "radius law violated")
-        current = mv.ball
+            raise IllegalMove(mv.player, i, ball.center, "radius law violated")
+        current = ball
         out.moves.append(mv)  # records are frozen: the verified one is shared
     return out

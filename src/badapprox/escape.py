@@ -33,7 +33,6 @@ from .exact import (
     fraction,
     gt_sqrt,
     gt_sum_two_sqrt,
-    over_common_denominator,
 )
 from .geometry import (
     Ball,
@@ -64,9 +63,9 @@ class SelectionExhausted(Exception):
 
 def _residual(ball: Ball, plane: Hyperplane) -> tuple[int, int]:
     """(res, den): the center residual u·center - a as res/den, with den the
-    center's common denominator; ValueError if u is of another dimension."""
-    same_dimension(plane.normal, ball.center)
-    den, nums = over_common_denominator(ball.center)
+    denominator of the ball's form; ValueError if u is of another dimension."""
+    den, nums = ball.form
+    same_dimension(plane.normal, nums)
     return sum(map(mul, plane.normal, nums)) - plane.offset * den, den
 
 

@@ -16,9 +16,8 @@ for odd o, a shift and a gcd on the small odd part, which is exact because
 pair already in lowest terms: a bare instance whose two slots,
 ``_numerator`` and ``_denominator``, it sets itself, the one route on every
 Python version.  ``rat`` parses every "p/q" string with it, reading the two
-halves by int() without a regular expression; ``fractions_over`` reduces
-the coordinates of a center over one shared denominator, split once, and
-the engine builds every moved center with it.
+halves by int() without a regular expression, and a ball derives each
+coordinate of its center from its integer form with it.
 
 The exhaustive scans of ``certify`` and ``resonance`` bring every rational
 input to a common denominator D, so ``||v / D|| = min(v mod D, D - v mod D) / D``
@@ -139,31 +138,15 @@ def _coprime(n: int, d: int) -> Fraction:
     return f
 
 
-def _lowest(n: int, d: int, k: int, o: int) -> Fraction:
-    """n/d in lowest terms, for an int n != 0 and d = 2^k * o > 0 with o
-    odd: gcd(n, d) = 2^min(v2(n), k) * gcd(n mod o, o), since the two
-    factors of d are coprime."""
-    t = min((n & -n).bit_length() - 1, k)
-    if t:
-        n >>= t
-        d >>= t
-    if o > 1:
-        g = math.gcd(n % o, o)
-        if g > 1:
-            n //= g
-            d //= g
-    return _coprime(n, d)
-
-
 def fraction(n: int, d: int) -> Fraction:
     """Fraction(n, d) for ints n and d: the same value, numerator,
     denominator, hash and type, and the same ZeroDivisionError at d = 0.
 
     The game's coordinates have denominators of over a thousand bits that
     are almost all a power of two, on which Fraction's general gcd is slow.
-    With d = 2^k * o, o odd, the gcd is a shift and a gcd on the small odd
-    part (_lowest).  The reduced pair is built without a second
-    normalisation."""
+    With d = 2^k * o, o odd, gcd(n, d) = 2^min(v2(n), k) * gcd(n mod o, o),
+    since the two factors of d are coprime: a shift and a gcd on the small
+    odd part.  The reduced pair is built without a second normalisation."""
     if d <= 0:
         if not d:
             raise ZeroDivisionError(f"Fraction({n}, 0)")
@@ -171,15 +154,17 @@ def fraction(n: int, d: int) -> Fraction:
     if not n:
         return _coprime(0, 1)
     k = (d & -d).bit_length() - 1
-    return _lowest(n, d, k, d >> k)
-
-
-def fractions_over(nums: Iterable[int], den: int) -> tuple[Fraction, ...]:
-    """tuple(fraction(x, den) for x in nums) for den > 0, with den split
-    into 2^k * o once for all the coordinates instead of once per coordinate."""
-    k = (den & -den).bit_length() - 1
-    o = den >> k
-    return tuple([_lowest(x, den, k, o) if x else _coprime(0, 1) for x in nums])
+    t = min((n & -n).bit_length() - 1, k)
+    if t:
+        n >>= t
+        d >>= t
+    o = d >> (k - t)
+    if o > 1:
+        g = math.gcd(n % o, o)
+        if g > 1:
+            n //= g
+            d //= g
+    return _coprime(n, d)
 
 
 def _read_rat(text: str) -> tuple[Fraction, bool]:

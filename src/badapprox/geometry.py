@@ -1,10 +1,13 @@
 """Exact geometric primitives: balls, integer-normal hyperplanes, halfspaces.
 
-Containment predicates are exact (no epsilon anywhere on the legality path).
-Floats appear in one place only, never in an in-game decision: the chart
-that rational_unit_direction rationalizes (its output is an exact unit
-direction (v, L)).  The spherical-cap measure at the bottom, which feeds the
-derived constants, is bracketed in scaled integers (exact.scaled_bounds).
+A Ball holds its center as integers over one common denominator (its form,
+read by every integer test) and derives the Fraction center from it once,
+on the first read (Ball).  Containment predicates are exact (no epsilon
+anywhere on the legality path).  Floats appear in one place only, never in
+an in-game decision: the chart that rational_unit_direction rationalizes
+(its output is an exact unit direction (v, L)).  The spherical-cap measure
+at the bottom, which feeds the derived constants, is bracketed in scaled
+integers (exact.scaled_bounds).
 """
 from __future__ import annotations
 
@@ -19,6 +22,7 @@ from .exact import (
     Record,
     _read_rat,
     asin_bounds,
+    fraction,
     json_list,
     json_rat,
     over_common_denominator,
@@ -85,19 +89,31 @@ def lex_sign(v: Sequence[Rat]) -> int:
     return 0
 
 
-class _Text:
-    """The slot where a ball read from JSON keeps the strings it was read
-    from (Ball.from_jsonable).  It is not a field of the record: equality,
-    hash, repr, copy and pickle never see it."""
+class _Kept:
+    """The slots a ball keeps beside its fields: `form`, its center as
+    integers over one common denominator, and `_text`, the strings a ball
+    read from JSON was read from (Ball.from_jsonable).  Neither is a field
+    of the record: equality, hash, repr, copy and pickle never see them."""
 
-    __slots__ = ("_text",)
-
-
-_set_text = _Text._text.__set__
+    __slots__ = ("form", "_text")
 
 
-class Ball(Record, _Text, frozen=True):
-    """Closed Euclidean ball with exact rational center and radius."""
+_set_form, _set_text = _Kept.form.__set__, _Kept._text.__set__
+
+
+class Ball(Record, _Kept, frozen=True):
+    """Closed Euclidean ball with exact rational center and radius.
+
+    The ball holds its center in one form, ``form = (D, N)``: the ints N
+    over a common denominator D > 0, not always the least, so a reader may
+    take from it only what is the same over every common denominator.
+    run_game gives a moved ball its fold's (D, N) and a held one the form
+    object of the ball before it; the constructor and the loader build the
+    least form from the Fractions they hold.  Every integer test on a ball
+    reads the form.  The field ``center``, Fractions in lowest terms, is
+    derived from the form on its first read and kept in its slot, so
+    equality, hash, repr, copy and pickle are by value.  The radius is a
+    Fraction in lowest terms."""
 
     __slots__ = ("center", "radius")
 
@@ -105,14 +121,24 @@ class Ball(Record, _Text, frozen=True):
         center, radius = rat_vec(center), rat(radius)
         if radius.numerator <= 0:  # a Fraction's denominator is positive
             raise ValueError(f"radius must be positive, got {radius}")
-        set_center, set_radius = self._setters
-        set_center(self, center)
-        set_radius(self, radius)
+        den, nums = over_common_denominator(center)
+        _set_form(self, (den, tuple(nums)))
+        _set_center(self, center)
+        _set_radius(self, radius)
         _set_text(self, None)
+
+    def __getattr__(self, name):
+        # only an unset slot gets here: the center before its first read
+        if name != "center":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        den, nums = self.form
+        center = tuple([fraction(x, den) for x in nums])
+        _set_center(self, center)
+        return center
 
     @property
     def dimension(self) -> int:
-        return len(self.center)
+        return len(self.form[1])
 
     def to_jsonable(self) -> dict:
         return {"center": [rat_str(c) for c in self.center], "radius": rat_str(self.radius)}
@@ -133,13 +159,14 @@ class Ball(Record, _Text, frozen=True):
         """The ball of {"center": [...], "radius": ...}.  `held` is a ball
         read before from a "center" list equal to obj's; when that list holds
         only strings, the one JSON type that equals only itself ([1] == [True]
-        == [1.0] in Python), its parsed center and center text are reused.
+        == [1.0] in Python), its form, center and center text are reused.
 
         When the radius and every center entry are strings spelled as
         rat_str writes them, the ball keeps them as its text, a tuple of the
         center strings and the radius string: the very strings of `obj`,
         never copies, which a writer reuses instead of rendering 1500-bit
-        integers again.  Any other spelling keeps no text."""
+        integers again.  Any other spelling keeps no text.  make_ball builds
+        the ball from the values parsed here, as it builds run_game's."""
         center = obj["center"]
         # kept text means held was read from nothing but strings
         if held is not None and not (held._text is not None or all(type(c) is str for c in center)):
@@ -156,18 +183,40 @@ class Ball(Record, _Text, frozen=True):
         else:
             value, canonical = json_rat(radius, "radius"), False
         if held is not None:
-            center, text = held.center, held._text and held._text[0]
-        elif kinds == {str}:
-            text = tuple(center)
-            center, canonical_entries = zip(*map(_read_rat, text))
-            if not all(canonical_entries):
-                text = None
+            form, center, text = held.form, held.center, held._text and held._text[0]
         else:
-            text = None
-        ball = cls(center, value)  # __init__ parses a center that holds an int
+            if kinds == {str}:
+                text = tuple(center)
+                center, canonical_entries = zip(*map(_read_rat, text))
+                if not all(canonical_entries):
+                    text = None
+            else:
+                center, text = tuple(map(rat, center)), None
+            den, nums = over_common_denominator(center)
+            form = den, tuple(nums)
+        if value.numerator <= 0:
+            raise ValueError(f"radius must be positive, got {value}")
+        ball = make_ball(form, value, center)
         if canonical and text:
             _set_text(ball, (text, radius))
         return ball
+
+
+_set_center, _set_radius = Ball._setters
+_new = object.__new__
+
+
+def make_ball(form: tuple[int, tuple[int, ...]], radius: Fraction, center: Vec | None = None) -> Ball:
+    """The Ball of a form (D, N), a radius in lowest terms and, if built
+    already, its center, from values its caller made and checked itself:
+    a bare instance whose slots are set, past the constructor's checks."""
+    ball = _new(Ball)
+    _set_form(ball, form)
+    _set_radius(ball, radius)
+    _set_text(ball, None)
+    if center is not None:
+        _set_center(ball, center)
+    return ball
 
 
 def _integer(value, what: str) -> int:
@@ -226,16 +275,18 @@ class Halfspace(Record, frozen=True):
 
     def contains_ball(self, ball: Ball) -> bool:
         """Exact: height of the center clears threshold + radius.  With the
-        direction v/L, and the center and anchor C/D and A/D over one common
-        denominator, the height is h/(LD) for h = v·(C - A); for threshold
-        p/q and radius r/s the test is h q s >= (p s + r q) L D."""
+        direction v/L, the center C/D (the ball's form) and the anchor A/E
+        over its least common denominator, the height is h/(LDE) for
+        h = v·(C E - A D); for threshold p/q and radius r/s the test is
+        h q s >= (p s + r q) L D E."""
         v, el = self.direction
-        same_dimension(ball.center, v)
-        den, nums = over_common_denominator(ball.center + self.anchor)
-        h = sum(x * (c - a) for x, c, a in zip(v, nums, nums[len(v):]))
+        den, nums = ball.form
+        same_dimension(nums, v)
+        aden, anums = over_common_denominator(self.anchor)
+        h = sum(x * (c * aden - a * den) for x, c, a in zip(v, nums, anums))
         t, r = self.threshold, ball.radius
         q, s = t.denominator, r.denominator
-        return h * q * s >= (t.numerator * s + r.numerator * q) * el * den
+        return h * q * s >= (t.numerator * s + r.numerator * q) * el * den * aden
 
 
 # -- exact unit directions from a stereographic chart ------------------------

@@ -18,7 +18,6 @@ from .exact import (
     Record,
     ceil_frac,
     log_bounds,
-    over_common_denominator,
     rat,
     rat_str,
     round_half_even,
@@ -298,8 +297,8 @@ def dangerous_hyperplanes(
     a = round_half_even(u·N, D).  A family of another dimension than the
     ball raises ValueError ("dimension mismatch").
     """
-    same_dimension(ball.center, seq.vector(1))  # every family has one dimension
-    den, nums = over_common_denominator(ball.center)
+    den, nums = ball.form
+    same_dimension(nums, seq.vector(1))  # every family has one dimension
     p, q = ball.radius.numerator, ball.radius.denominator
     reach, bound = 4 * p * p, q * q
     out = []

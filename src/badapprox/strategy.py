@@ -24,7 +24,6 @@ from .exact import (
     Record,
     int_dist,
     json_text,
-    over_common_denominator,
     rat_str,
     round_half_even,
     sqrt_bounds,
@@ -56,11 +55,11 @@ class HandledPlane(Record, frozen=True):
 
 
 def _integer_form(ball: Ball, margin: Fraction) -> tuple[int, list[int], tuple[int, int, int, int]]:
-    """(den, nums, scales): the ball's center as nums over one common
-    denominator den, and scales = (E, e*den, q^2, (p*den*E)^2) for the
+    """(den, nums, scales): the ball's form, its center as nums over a
+    common denominator den, and scales = (E, e*den, q^2, (p*den*E)^2) for the
     margin e/E and the radius p/q.  A clearance c/(den*E) exceeds the reach
     |u|*radius iff c > 0 and c^2 q^2 > |u|^2 (p*den*E)^2."""
-    den, nums = over_common_denominator(ball.center)
+    den, nums = ball.form
     p, q = ball.radius.numerator, ball.radius.denominator
     e, big_e = margin.numerator, margin.denominator
     return den, nums, (big_e, e * den, q * q, (p * den * big_e) ** 2)

@@ -67,6 +67,22 @@ def long_rational(rng, lo, hi) -> Fraction:
     return lo + (hi - lo) * Fraction(rng.randrange(den), den)
 
 
+def fraction_outcome(make, n, d):
+    """What make(n, d) gives, as the type, numerator, denominator, hash and
+    numerator type of the result, or the exception and its message: the
+    behaviour a route to Fraction(n, d) must match (test helper)."""
+    try:
+        got = make(n, d)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return type(got), got.numerator, got.denominator, hash(got), type(got.numerator)
+
+
+def odd(rng, bits):
+    """A random odd number of exactly `bits` bits (test helper)."""
+    return rng.getrandbits(bits) | 1 | 1 << (bits - 1)
+
+
 def make_records(pairs):
     """Approximation records from (vector, quality) pairs (test helper)."""
     out = []

@@ -522,12 +522,11 @@ def test_greedy_nearest_matches_fraction_oracle_on_an_n3_construction():
 
 
 class CheckedGreedy(GreedyBlack):
-    """GreedyBlack that checks, on every call, that the state's integer
-    center N/D is the ball's center and that its choice is
-    oracles.nearest_family's."""
+    """GreedyBlack that checks, on every call, that the ball's form N/D is
+    its center and that its choice is oracles.nearest_family's."""
 
     def __call__(self, state):
-        den, nums = state.integer_center
+        den, nums = state.ball.form
         assert tuple(Fraction(x, den) for x in nums) == state.ball.center
         step, note = super().__call__(state)
         r, res = oracles.nearest_family(self.seq, state.ball.center)

@@ -678,8 +678,9 @@ BAD_STEPS = [
 @pytest.mark.parametrize("turn", ["W", "B"])
 def test_a_bad_step_raises_before_its_move_is_recorded(monkeypatch, zero, moved, error, match,
                                                        turn):
-    # run_game builds each Ball and MoveRecord as a bare instance whose slots
-    # it sets; the only ones built are the other seat's move before the bad one
+    # run_game builds each Ball (by geometry.make_ball) and MoveRecord as a
+    # bare instance whose slots are set; the only ones built are the other
+    # seat's move before the bad one
     built = []
     new = engine._new
 
@@ -688,6 +689,7 @@ def test_a_bad_step_raises_before_its_move_is_recorded(monkeypatch, zero, moved,
         return new(cls)
 
     monkeypatch.setattr(engine, "_new", record)
+    monkeypatch.setattr(geometry, "_new", record)
     for step in (zero, moved):
         built.clear()
         with pytest.raises(error, match=match):
@@ -862,18 +864,21 @@ def test_a_repeated_step_tuple_plays_as_fresh_tuples(n):
 
 class Twin:
     """Two instances of one policy: the first is asked with run_game's own
-    state, the second with the state built anew by hand, which computes its
-    integer center from the ball; their decisions must agree."""
+    state, whose ball holds the fold's form, the second with a state and a
+    ball built anew by hand, whose form is the least one; their decisions
+    must agree."""
 
     def __init__(self, make):
         self.ours, self.by_hand = make(), make()
         self.calls = 0
 
     def __call__(self, state: GameState):
-        den, nums = state._form  # run_game's own, set before the call
+        den, nums = state.ball.form  # run_game's own
         assert tuple(Fraction(x, den) for x in nums) == state.ball.center
         decision = self.ours(state)
-        again = GameState(state.params, state.ball, state.move_index, state.turn)
+        ball = Ball(state.ball.center, state.ball.radius)
+        assert den % ball.form[0] == 0  # the fold's D is a multiple of the least
+        again = GameState(state.params, ball, state.move_index, state.turn)
         assert self.by_hand(again) == decision
         self.calls += 1
         return decision

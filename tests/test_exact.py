@@ -12,13 +12,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
+from conftest import fraction_outcome, odd
 from badapprox.exact import (
     _read_rat,
     asin_bounds,
     ceil_frac,
     floor_frac,
     fraction,
-    fractions_over,
     gt_sqrt,
     gt_sum_two_sqrt,
     json_text,
@@ -163,20 +163,8 @@ def test_rat_str_always_shows_denominator():
 # -- fraction: Fraction(n, d) by a shift and a gcd on the odd part ------------
 
 
-def _fraction_outcome(make, n, d):
-    try:
-        got = make(n, d)
-    except Exception as exc:  # the exception and its message are the behaviour
-        return type(exc), str(exc)
-    return type(got), got.numerator, got.denominator, hash(got), type(got.numerator)
-
-
 def _assert_same_fraction(n, d):
-    assert _fraction_outcome(fraction, n, d) == _fraction_outcome(Fraction, n, d), (n, d)
-
-
-def _odd(rng, bits):
-    return rng.getrandbits(bits) | 1 | 1 << (bits - 1)
+    assert fraction_outcome(fraction, n, d) == fraction_outcome(Fraction, n, d), (n, d)
 
 
 @pytest.mark.parametrize("kind", ["power of two", "odd", "mixed"])
@@ -189,7 +177,7 @@ def test_fraction_equals_fraction_on_seeded_denominators(kind, seed):
     for _ in range(150):
         k = 0 if kind == "odd" else rng.randrange(0, 1700)
         pieces = [] if kind == "power of two" else [
-            _odd(rng, rng.randrange(1, 700)) for _ in range(rng.randrange(1, 4))]
+            odd(rng, rng.randrange(1, 700)) for _ in range(rng.randrange(1, 4))]
         d = math.prod(pieces) << k
         n = rng.getrandbits(rng.randrange(0, 2200)) | 1
         n <<= rng.randrange(0, k + 3)
@@ -207,7 +195,7 @@ def test_fraction_equals_fraction_on_edge_numerators(d):
 
 def test_fraction_refuses_a_zero_denominator_as_fraction_does():
     for n in (0, 1, -7, 3 << 1500):
-        assert _fraction_outcome(fraction, n, 0) == _fraction_outcome(Fraction, n, 0)
+        assert fraction_outcome(fraction, n, 0) == fraction_outcome(Fraction, n, 0)
     with pytest.raises(ZeroDivisionError, match=r"^Fraction\(5, 0\)$"):
         fraction(5, 0)
 
@@ -217,44 +205,11 @@ def test_fraction_normalises_a_negative_denominator_as_fraction_does():
         _assert_same_fraction(n, d)
 
 
-@pytest.mark.parametrize("den, nums", [
-    (12 << 1500, (0, 5, -(7 << 1600), 0)),  # zero and negative coordinates
-    (3**5 * 7 * 11, (1, -2, 3**5 * 7 * 4, -(3**9 << 800), 0)),  # an odd D
-    ((2**521 - 1) * (2**127 - 1) << 700, ((2**521 - 1) << 3, -(2**127 - 1) * 5, 1, -(1 << 1400))),
-    (1 << 40, (3 << 90, -(1 << 41), 1 << 40, -(5 << 40), 1)),  # more 2s than D has
-    (1, (0, -1, 7 << 2000)),
-])
-def test_fractions_over_equals_fraction_per_coordinate(den, nums):
-    got = fractions_over(nums, den)
-    assert type(got) is tuple and len(got) == len(nums)
-    for x, f in zip(nums, got):
-        assert _fraction_outcome(lambda n, d: f, x, den) == _fraction_outcome(Fraction, x, den)
-
-
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_fractions_over_equals_fraction_on_seeded_centers(seed):
-    # a game center's shape: D = 2^k o with a small or a long odd part o,
-    # and numerators that share part of o and any power of two
-    rng = Random(seed)
-    for _ in range(60):
-        pieces = [_odd(rng, rng.randrange(1, 300)) for _ in range(rng.randrange(0, 3))]
-        k = rng.randrange(0, 1600)
-        den = math.prod(pieces) << k
-        nums = []
-        for _ in range(rng.randrange(1, 5)):
-            x = (rng.getrandbits(rng.randrange(1, 1700)) | 1) << rng.randrange(0, k + 3)
-            x *= math.prod(p for p in pieces if rng.random() < 0.5)
-            nums.append(rng.choice([0, 1, -1]) * x)
-        assert fractions_over(nums, den) == tuple(Fraction(x, den) for x in nums)
-        for x, f in zip(nums, fractions_over(nums, den)):
-            assert _fraction_outcome(lambda n, d: f, x, den) == _fraction_outcome(Fraction, x, den)
-
-
 def test_rat_parses_long_strings_in_any_terms():
     # the trace's "p/q" strings, canonical or scaled by a common factor
     rng = Random(7)
     for _ in range(40):
-        d = _odd(rng, rng.randrange(1, 120)) << rng.randrange(1300, 1600)
+        d = odd(rng, rng.randrange(1, 120)) << rng.randrange(1300, 1600)
         n = rng.getrandbits(1600) - (1 << 1599)
         for scale in (1, 2, 6, 2**40 * 17):
             text = f"{n * scale}/{d * scale}"

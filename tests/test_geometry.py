@@ -4,7 +4,9 @@ The float cap fractions (cap_fraction, cap_fraction_angular) are test
 oracles from oracles.py; the package brackets the cap measure exactly.
 """
 
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -14,7 +16,10 @@ from hypothesis import strategies as st
 
 import oracles
 from badapprox import geometry
-from badapprox.exact import InvariantError
+from badapprox.adversaries import GreedyBlack
+from badapprox.engine import GameParams, GameState, GameTrace, replay, run_game
+from badapprox.escape import PlaneCap, absorbed
+from badapprox.exact import InvariantError, rat_str
 from badapprox.geometry import (
     Ball,
     Halfspace,
@@ -23,13 +28,16 @@ from badapprox.geometry import (
     chart_lift,
     dot,
     lex_sign,
+    make_ball,
     nearest_int_dist,
     norm_sq,
     rational_unit_direction,
     scale,
     sub,
 )
-from conftest import long_rational
+from badapprox.schedule import block_schedule, dangerous_hyperplanes, derive_params
+from badapprox.strategy import ScheduleInfeasible, WhiteStrategy, gather_block_planes
+from conftest import fraction_outcome, long_rational, make_sequence, odd
 from oracles import add, cap_fraction, cap_fraction_angular, unit_fractions, unit_pair
 
 TINY = Fraction(1, 10**30)
@@ -216,6 +224,193 @@ def test_ball_rejects_nonpositive_radius():
 def test_ball_json_round_trip():
     b = Ball((Fraction(2, 3), Fraction(-1, 7)), Fraction(3, 16))
     assert Ball.from_jsonable(b.to_jsonable()) == b
+
+
+# -- a ball's one form: its center as integers over one denominator ----------
+
+
+def _least_form(center):
+    den = math.lcm(*(c.denominator for c in center))
+    return den, tuple(c.numerator * (den // c.denominator) for c in center)
+
+
+def _unreduced(ball, k):
+    """The ball with its form scaled by k: the same value over k times its
+    denominator, as run_game's fold holds it, and no center until one is read."""
+    den, nums = ball.form
+    return make_ball((k * den, tuple(k * x for x in nums)), ball.radius)
+
+
+def _seeded_centers(rng, n):
+    """Centers in n dimensions over an odd D and over a 1500-bit D (times a
+    small odd part), with a zero and a negative coordinate among them."""
+    for den in (odd(rng, 40), 3 * 5 * 7 * 11 * 13, (1 << 1500) * 9, odd(rng, 30) << 1499):
+        center = [Fraction(rng.randrange(-4 * den, 4 * den), den) for _ in range(n)]
+        center[rng.randrange(n)] = Fraction(0)
+        center[rng.randrange(n)] = -abs(center[-1]) or Fraction(-1, den)
+        yield tuple(center)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_a_ball_from_any_input_holds_its_least_form_and_fraction_center(n):
+    rng = random.Random(n)
+    for center in _seeded_centers(rng, n):
+        radius = long_rational(rng, 0, 1) or Fraction(1, 7)
+        ball = Ball(center, radius)
+        texts = [rat_str(c) for c in center]
+        obj = {"center": texts, "radius": rat_str(radius)}
+        respelled = [f"{2 * c.numerator}/{2 * c.denominator}" for c in center]
+        ints = tuple(c.numerator for c in center)  # a point of Z^n from each
+        built = [
+            ball,
+            Ball(texts, rat_str(radius)),
+            Ball(respelled, radius),
+            Ball.from_jsonable(obj),
+            Ball.from_jsonable({"center": list(obj["center"]), "radius": "1/3"}, ball),
+            Ball.from_jsonable({"center": list(respelled), "radius": "1/3"},
+                               Ball.from_jsonable({"center": respelled, "radius": "1/5"})),
+        ]
+        for b in built:
+            assert b.center == center and b.form == _least_form(center)
+            assert all(type(c) is Fraction for c in b.center)
+            assert [fraction_outcome(lambda n, d: c, c.numerator, c.denominator) for c in b.center] \
+                == [fraction_outcome(Fraction, c.numerator, c.denominator) for c in center]
+        held = built[4]  # read with the first loaded ball held: its form and center are shared
+        assert held.form is ball.form and held.center is ball.center
+        for b in (ball, built[1], built[2], built[3]):
+            assert b == ball and hash(b) == hash((center, radius))
+            assert repr(b) == f"Ball(center={center!r}, radius={radius!r})"
+            for again in (copy.copy(b), copy.deepcopy(b), pickle.loads(pickle.dumps(b))):
+                assert type(again) is Ball and again == ball and again.form == ball.form
+        on_lattice = Ball(ints, 1)
+        assert on_lattice.form == (1, ints)
+        assert on_lattice.center == tuple(map(Fraction, ints))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_a_ball_over_an_unreduced_denominator_is_the_same_ball(n):
+    # equality and hash are by value: a form over k D equals the least one's
+    rng = random.Random(10 + n)
+    for center in _seeded_centers(rng, n):
+        ball = Ball(center, Fraction(1, 3))
+        for k in (2, 3, 2**40 * 7, odd(rng, 200) << 300):
+            twin = _unreduced(ball, k)
+            assert twin.form != ball.form and twin.dimension == ball.dimension == n
+            assert twin == ball and ball == twin and hash(twin) == hash(ball)
+            assert repr(twin) == repr(ball) and twin.to_jsonable() == ball.to_jsonable()
+            assert twin.center == center and twin.center is twin.center  # derived once
+
+
+@pytest.mark.parametrize("den, nums", [
+    (12 << 1500, (0, 5, -(7 << 1600), 0)),
+    (3**5 * 7 * 11, (1, -2, 3**5 * 7 * 4, -(3**9 << 800), 0)),
+    ((2**521 - 1) * (2**127 - 1) << 700, ((2**521 - 1) << 3, -(2**127 - 1) * 5, 1, -(1 << 1400))),
+    (1 << 40, (3 << 90, -(1 << 41), 1 << 40, -(5 << 40), 1)),
+    (1, (0, -1, 7 << 2000)),
+], ids=["zero-and-negative-coordinates", "odd-D", "two-Mersenne-primes", "more-2s-than-D-has",
+        "D-is-1"])
+def test_the_center_of_a_form_equals_fraction_per_coordinate(den, nums):
+    got = make_ball((den, nums), Fraction(1)).center
+    assert type(got) is tuple and len(got) == len(nums)
+    for x, f in zip(nums, got):
+        assert fraction_outcome(lambda n, d: f, x, den) == fraction_outcome(Fraction, x, den)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_the_center_of_a_form_equals_fraction_on_seeded_centers(seed):
+    # a game center's shape: D = 2^k o with a small or a long odd part o,
+    # and numerators that share part of o and any power of two
+    rng = random.Random(seed)
+    for _ in range(60):
+        pieces = [odd(rng, rng.randrange(1, 300)) for _ in range(rng.randrange(0, 3))]
+        k = rng.randrange(0, 1600)
+        den = math.prod(pieces) << k
+        nums = []
+        for _ in range(rng.randrange(1, 5)):
+            x = (rng.getrandbits(rng.randrange(1, 1700)) | 1) << rng.randrange(0, k + 3)
+            x *= math.prod(p for p in pieces if rng.random() < 0.5)
+            nums.append(rng.choice([0, 1, -1]) * x)
+        ball = make_ball((den, tuple(nums)), Fraction(1))
+        assert ball.center == tuple(Fraction(x, den) for x in nums)
+        for x, f in zip(nums, ball.center):
+            assert fraction_outcome(lambda n, d: f, x, den) == fraction_outcome(Fraction, x, den)
+
+
+def _checked_forms(trace):
+    """Each ball's form against its center, and a held move's form and center
+    shared with the move before it; returns the number of held moves."""
+    held, previous = 0, trace.initial
+    for mv in trace.moves:
+        ball = mv.ball
+        den, nums = ball.form
+        assert tuple(Fraction(x, den) for x in nums) == ball.center
+        if ball.center == previous.center:
+            assert ball.form is previous.form and ball.center is previous.center
+            held += 1
+        else:
+            assert ball.form is not previous.form
+        previous = ball
+    return held
+
+
+def test_a_held_move_shares_its_form_with_the_move_before_it():
+    # White's escape drive against greedy Black in n = 2: moves and holds
+    a, b = Fraction(1, 4), Fraction(1, 2)
+    seq = make_sequence([(1, 1), (3, 4), (-12, 9), (40, 30)])
+    params = derive_params(a, b, 3, 2)
+    sched = block_schedule(params, seq, Fraction(1, 64), 1)
+    start = Ball((Fraction(3, 10), Fraction(-7, 9)), Fraction(1, 64))
+    trace = run_game(GameParams(a, b, 2), start, WhiteStrategy(seq, sched, seed=5),
+                     GreedyBlack(seq), params.avoidance_rounds)
+    absolute = oracles.run_game_absolute(GameParams(a, b, 2), start, WhiteStrategy(seq, sched, seed=5),
+                                         GreedyBlack(seq), params.avoidance_rounds)
+    assert [mv.ball for mv in trace.moves] == [mv.ball for mv in absolute.moves]
+    held = _checked_forms(trace)
+    assert 0 < held < len(trace.moves)
+    loaded = GameTrace.loads(trace.dumps())
+    assert _checked_forms(loaded) == held
+    assert _checked_forms(replay(loaded)) == held
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (InvariantError, ScheduleInfeasible) as e:
+        return type(e), str(e)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_each_integer_site_reads_the_form_as_its_fraction_oracle_does(n):
+    # on hand-built balls over their least form and over forms scaled by 3
+    # and by 2^40 * 7, every site that reads a ball's form gives the answer
+    # of its Fraction oracle, which reads the center
+    rng = random.Random(20 + n)
+    vectors = {1: [(1,), (3,), (13,)], 2: [(1, 1), (3, 4), (-12, 9)],
+               3: [(1, 0, 0), (3, 1, 0), (13, 2, 1)]}[n]
+    seq = make_sequence(vectors)
+    params = derive_params(Fraction(1, 4), Fraction(1, 2), 3, n)
+    sched = block_schedule(params, seq, Fraction(1, 64), 1)
+    gamma = params.gamma
+    greedy = GreedyBlack(seq)
+    for center in _seeded_centers(rng, n):
+        plane = Hyperplane(vectors[-1], round(dot(vectors[-1], center)))
+        direction = rational_unit_direction([rng.randint(-5, 5) or 1 for _ in range(n)])
+        hs = Halfspace(direction, long_rational(rng, -1, 1), tuple(long_rational(rng, -1, 1) for _ in range(n)))
+        for radius in (Fraction(1, 64), long_rational(rng, 0, Fraction(1, 64)) or Fraction(1, 99)):
+            least = Ball(center, radius)
+            for ball in (least, _unreduced(least, 3), _unreduced(least, 2**40 * 7)):
+                assert _outcome(dangerous_hyperplanes, ball, seq, 0, len(seq)) \
+                    == _outcome(oracles.dangerous_hyperplanes, least, seq, 0, len(seq))
+                assert _outcome(gather_block_planes, ball, seq, sched, 0) \
+                    == _outcome(oracles.gather_block_planes, least, seq, sched, 0)
+                assert absorbed(ball, plane, gamma) is oracles.absorbed(least, plane, gamma)
+                sgn = oracles.plane_sign(least, plane)
+                assert PlaneCap(ball, plane, gamma, Fraction(1, 8)).outward \
+                    == tuple(sgn * c for c in plane.normal)
+                assert hs.contains_ball(ball) is oracles.halfspace_contains_ball(hs, least)
+                r, res = oracles.nearest_family(seq, center)
+                _, note = greedy(GameState(GameParams(Fraction(1, 4), Fraction(1, 2), n), ball, 1, "B"))
+                assert note == (f"on family {r}" if res == 0 else f"chasing family {r}")
 
 
 # -- hyperplanes and halfspaces ---------------------------------------------

@@ -14,7 +14,7 @@ import pytest
 import badapprox
 import oracles
 from badapprox.certify import BadnessReport, DecayTable, PowerLaw
-from badapprox.engine import GameParams, GameState, GameTrace, MoveRecord, concentric, run_game
+from badapprox.engine import GameParams, GameState, GameTrace, MoveRecord, run_game
 from badapprox.escape import CapSelection
 from badapprox.exact import Record
 from badapprox.geometry import Ball, Halfspace, Hyperplane
@@ -185,29 +185,34 @@ def test_the_text_a_loaded_ball_keeps_is_not_a_field():
         loaded._text = None
 
 
-def test_the_form_a_state_keeps_is_not_a_field():
-    # run_game's state holds the engine's form, a hand-built one computes
-    # the least one on its first read: the two states are one record
+def test_the_form_a_ball_keeps_is_not_a_field():
+    # run_game's ball holds the fold's form, unreduced, and no center until
+    # one is read; a hand-built one holds the least form and its center: the
+    # two are one record, and a copy is rebuilt through the constructor
     params = GameParams("1/4", "1/2", 2)
-    ball = Ball((Fraction(1, 3), 2), "1/4")
-    seen = []
-    run_game(params, ball, lambda state: seen.append(state) or ((1, (0, 0)), None), concentric, 1)
-    played, plain = seen[0], GameState(params, ball, 0, "W")
-    assert played._form == (12, (4, 24)) and not hasattr(plain, "_form")
-    assert plain.integer_center == (3, (1, 6)) == plain._form
+    start = Ball((Fraction(1, 3), 2), "1/4")
+    trace = run_game(params, start, lambda state: ((3, (1, 0)), None),
+                     lambda state: ((2, (0, 1)), None), 1)
+    played = trace.moves[-1].ball
+    plain = Ball((Fraction(5, 12), Fraction(65, 32)), "1/32")
+    unset = Ball.__dict__["center"].__get__  # the slot itself, past Ball.__getattr__
+    assert played.form == (192, (80, 390)) and plain.form == (96, (40, 195))
+    with pytest.raises(AttributeError):
+        unset(played)
     assert played == plain and plain == played and not played != plain
+    assert unset(played) is played.center == plain.center  # derived on the first read, once
     assert hash(played) == hash(plain) and repr(played) == repr(plain)
     for again in (copy.copy(played), copy.deepcopy(played), pickle.loads(pickle.dumps(played))):
-        assert type(again) is GameState and again == plain and not hasattr(again, "_form")
-    with pytest.raises(AttributeError, match="frozen GameState"):
-        played._form = None
+        assert type(again) is Ball and again == plain and again.form == plain.form
+    with pytest.raises(AttributeError, match="frozen Ball"):
+        played.form = plain.form
 
 
-def test_the_slots_outside_the_fields_are_a_balls_text_and_a_states_form():
+def test_the_slots_outside_the_fields_are_a_balls_form_and_text():
     # whatever a record holds beside its fields is invisible to equality,
-    # hash, repr, copy and pickle: only a loaded Ball's text and a
-    # GameState's integer center may be
-    extra = {Ball: {"_text"}, GameState: {"_form"}}
+    # hash, repr, copy and pickle: only a Ball's integer center and the text
+    # a loaded Ball keeps may be
+    extra = {Ball: {"form", "_text"}}
     for cls in _package_records():
         slots = {s for k in cls.__mro__ for s in k.__dict__.get("__slots__", ())}
         assert slots - set(cls.__slots__) == extra.get(cls, set()), cls
